@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on a domain error (inconsistent knowledge,
 bad graph structure, unparsable files), 2 on a usage error (bad flags,
-missing files).  Every subcommand accepts ``--json`` for machine
-consumption; the schemas are documented in the README.
+missing files, paths that cannot be read or written).  Every subcommand
+accepts ``--json`` for machine consumption; the schemas are documented
+in the README.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from .formats import format_graph, load_graph, load_tiers
 from .graphs import GraphError, PDAG
 from .ida import joint_ida, local_ida
 from .independence import is_d_separated
-from .orientation import (
-    InconsistentKnowledgeError,
-    check_consistency,
-    impose_knowledge,
-    meek_closure_trace,
-)
+from .orientation import impose_tiers, meek_closure_trace
 from .paths import (
     BPathVerdict,
     PathVerdict,
@@ -37,7 +33,6 @@ from .simulation import (
 from .tiers import (
     Informativeness,
     compare_refinement,
-    forbidden_set,
     tiers_equivalent,
     tiers_more_informative,
 )
@@ -137,15 +132,8 @@ def _cmd_validate(args, out) -> int:
 def _cmd_orient(args, out) -> int:
     g = load_graph(args.graph)
     ordering = load_tiers(args.tiers)
-    violations = check_consistency(g, ordering)
-    if violations:
-        listing = ", ".join(f"{u}->{v}" for u, v in violations)
-        raise InconsistentKnowledgeError(
-            f"ordering contradicts directed edges: {listing}"
-        )
-    imposed = impose_knowledge(g, forbidden_set(ordering, g.nodes))
     rules = (1,) if args.rules == "1" else (1, 2, 3, 4)
-    result, trace = meek_closure_trace(imposed, rules)
+    result, trace = meek_closure_trace(impose_tiers(g, ordering), rules)
     if args.trace:
         for rule, (u, v) in trace:
             sys.stderr.write(f"rule{rule}: {u}->{v}\n")
@@ -340,6 +328,9 @@ def main(argv=None, out=None) -> int:
         return _COMMANDS[args.command](args, out)
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: no such file: {exc.filename}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc.strerror}: {exc.filename}\n")
         return 2
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,11 +2,12 @@
 
 Knowledge is imposed on a CPDAG by orienting undirected edges, then
 Meek's four rules are applied until no further change; the fixpoint is
-the maximally oriented PDAG for that knowledge.  For knowledge induced
-by a tiered ordering, closing under rule 1 alone already reaches the
-fixpoint, so :func:`tiered_mpdag` runs only rule 1 and (in debug mode)
-asserts agreement with the full closure, the absence of partially
-directed cycles, and chordality of the chain components.
+the maximally oriented PDAG for that knowledge.  Tiered knowledge is
+imposed from the tier vector alone by :func:`impose_tiers`, which every
+tiered construction goes through; closing under rule 1 alone then
+already reaches the fixpoint, so :func:`tiered_mpdag` runs only rule 1
+and (in debug mode) asserts agreement with the full closure, the absence
+of partially directed cycles, and chordality of the chain components.
 """
 
 from __future__ import annotations
@@ -234,16 +235,41 @@ def check_consistency(c: PDAG, ordering: "TieredOrdering") -> list[Edge]:
 
     An empty list means ``ordering`` is consistent with ``c``: only the
     cross-tier edges need checking because an ordering drawn from a DAG
-    of the represented class can never contradict anything else.
+    of the represented class can never contradict anything else.  A
+    :class:`GraphError` is raised unless ``ordering`` assigns a tier to
+    exactly the nodes of ``c``.
     """
-    missing = [v for v in c.nodes if v not in ordering.assignment]
+    tiers = ordering.assignment
+    missing = [v for v in c.nodes if v not in tiers]
     if missing:
         raise GraphError(f"ordering does not cover nodes {missing!r}")
-    violations = []
-    for u, v in c.directed_edges:
-        if ordering.tier_of(u) > ordering.tier_of(v):
-            violations.append((u, v))
-    return violations
+    extra = [v for v in tiers if not c.has_node(v)]
+    if extra:
+        raise GraphError(f"ordering names nodes not in the graph: {extra!r}")
+    return [(u, v) for u, v in c.directed_edges if tiers[u] > tiers[v]]
+
+
+def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
+    """Raise :class:`InconsistentKnowledgeError` listing the violations
+    :func:`check_consistency` finds, if any."""
+    violations = check_consistency(c, ordering)
+    if violations:
+        listing = ", ".join(f"{u}->{v}" for u, v in violations)
+        raise InconsistentKnowledgeError(
+            f"ordering contradicts directed edges: {listing}"
+        )
+
+
+def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
+    """Orient every undirected edge of ``c`` whose endpoints lie in
+    different tiers from the earlier tier, after
+    :func:`require_consistency`."""
+    require_consistency(c, ordering)
+    # contiguous levels keep any integer tiers exact in an int64 array
+    levels = ordering.normalized()
+    tier = np.array([levels.tier_of(v) for v in c.nodes])
+    # no directed edge points later -> earlier, so only undirected ones lose a half
+    return PDAG._from_amat(c.nodes, c._amat & ~(tier[:, None] > tier[None, :]))
 
 
 def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
@@ -261,14 +287,7 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
         If a directed edge of ``c`` contradicts ``ordering``; the message
         lists the violating cross-tier edges.
     """
-    violations = check_consistency(c, ordering)
-    if violations:
-        listing = ", ".join(f"{u}->{v}" for u, v in violations)
-        raise InconsistentKnowledgeError(
-            f"ordering contradicts directed edges: {listing}"
-        )
-    knowledge = BackgroundKnowledge(forbidden=ordering.forbidden_pairs(c.nodes))
-    imposed = impose_knowledge(c, knowledge)
+    imposed = impose_tiers(c, ordering)
     g = meek_closure(imposed, rules=(1,))
     if __debug__:
         full = meek_closure(imposed, rules=MEEK_RULES)

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .orientation import (
     BackgroundKnowledge,
-    InconsistentKnowledgeError,
-    check_consistency,
+    impose_tiers,
+    require_consistency,
     tiered_mpdag,
 )
 
@@ -46,7 +46,7 @@ class TieredOrdering:
     def __init__(self, assignment: Mapping[Node, int]):
         items = dict(assignment)
         for v, t in items.items():
-            if not isinstance(t, int):
+            if isinstance(t, bool) or not isinstance(t, int):
                 raise GraphError(f"tier of {v!r} must be an integer, got {t!r}")
         if not items:
             raise GraphError("an ordering needs at least one node")
@@ -199,26 +199,13 @@ def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison
 def orient_undirected_part(c: PDAG, ordering: TieredOrdering) -> PDAG:
     """Drop the directed edges of ``c``, then orient the remaining edges
     whose endpoints lie in different tiers (earlier tier first)."""
-    h = c.undirected_subgraph()
-    amat = h._amat.copy()
-    for u, v in h.undirected_edges:
-        tu, tv = ordering.tier_of(u), ordering.tier_of(v)
-        i, j = h.index_of(u), h.index_of(v)
-        if tu < tv:
-            amat[j, i] = False
-        elif tv < tu:
-            amat[i, j] = False
-    return PDAG._from_amat(h.nodes, amat)
+    return impose_tiers(c.undirected_subgraph(), ordering)
 
 
 def cross_tier_edges(c: PDAG, ordering: TieredOrdering) -> set[Edge]:
     """Ordered pairs ``(u, v)`` adjacent in the undirected part of ``c``
     with ``u`` in a strictly earlier tier than ``v``."""
-    return {
-        (u, v) if ordering.tier_of(u) < ordering.tier_of(v) else (v, u)
-        for u, v in c.undirected_subgraph().undirected_edges
-        if ordering.tier_of(u) != ordering.tier_of(v)
-    }
+    return set(orient_undirected_part(c, ordering).directed_edges)
 
 
 def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
@@ -375,15 +362,10 @@ def cross_tier_report(
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``; the ingredients of the equivalence
     criterion."""
-    violations = check_consistency(c, ordering)
-    if violations:
-        listing = ", ".join(f"{u}->{v}" for u, v in violations)
-        raise InconsistentKnowledgeError(
-            f"ordering contradicts directed edges: {listing}"
-        )
+    require_consistency(c, ordering)
     h = c.undirected_subgraph()
     oriented = orient_undirected_part(c, ordering)
-    cross = cross_tier_edges(c, ordering)
+    cross = set(oriented.directed_edges)
 
     shielded = [
         e for e in fully_shielded_edges(h) if e in cross or (e[1], e[0]) in cross
@@ -438,12 +420,7 @@ def tiers_equivalent(
     """
     check_compatible(t1, t2)
     for ordering in (t1, t2):
-        violations = check_consistency(c, ordering)
-        if violations:
-            listing = ", ".join(f"{u}->{v}" for u, v in violations)
-            raise InconsistentKnowledgeError(
-                f"ordering contradicts directed edges: {listing}"
-            )
+        require_consistency(c, ordering)
 
     h = c.undirected_subgraph()
     cross1 = cross_tier_edges(c, t1)
@@ -543,8 +520,8 @@ def tiers_more_informative(
 
     r1 = cross_tier_report(c, t1, max_nodes=max_nodes)
     r2 = cross_tier_report(c, t2, max_nodes=max_nodes)
-    cross1 = cross_tier_edges(c, t1)
-    cross2 = cross_tier_edges(c, t2)
+    cross1 = set(r1.graph.directed_edges)
+    cross2 = set(r2.graph.directed_edges)
     cond_i = all(e in cross1 for e in r2.all_first_edges)
     cond_ii = all(e in cross1 for e in r2.fully_shielded_cross_tier)
     cond_iii = any(e not in cross2 for e in r1.all_first_edges)

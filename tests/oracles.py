@@ -213,3 +213,13 @@ def multiplicity_ratios_equal(m1: dict, m2: dict) -> bool:
     base = items[0]
     ref = Fraction(m1[base], m2[base])
     return all(Fraction(m1[e], m2[e]) == ref for e in items)
+
+
+def cross_tier_pairs(undirected_pairs, tier: dict) -> set:
+    """Each undirected pair whose endpoints lie in different tiers, as
+    ``(earlier, later)``."""
+    return {
+        (u, v) if tier[u] < tier[v] else (v, u)
+        for u, v in undirected_pairs
+        if tier[u] != tier[v]
+    }

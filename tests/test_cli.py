@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from causaltiers import InconsistentKnowledgeError, tiered_mpdag
 from causaltiers.cli import main
+from causaltiers.formats import load_graph, load_tiers
 
 from conftest import FIXTURES
 
@@ -283,6 +285,45 @@ class TestExitCodes:
         )
         assert code == 1
         assert "contradicts" in capsys.readouterr().err
+
+    def test_inconsistent_tiers_message_is_shared(self, capsys, tmp_path):
+        bad = tmp_path / "bad_tiers.txt"
+        bad.write_text("tier 1: E\ntier 2: A B C D F G\n")
+        graph = fixture("wave_cpdag.txt")
+        with pytest.raises(InconsistentKnowledgeError) as info:
+            tiered_mpdag(load_graph(graph), load_tiers(bad))
+        expected = f"error: {info.value}\n"
+        assert expected == "error: ordering contradicts directed edges: B->E, D->E\n"
+        for argv in (["orient", graph, "--tiers", str(bad)],
+                     ["compare-tiers", graph, str(bad), str(bad)]):
+            code, out = run_cli(*argv)
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("command", ["orient", "compare-tiers"])
+    def test_tier_node_missing_from_graph_is_domain_error(self, command, capsys, tmp_path):
+        extra = tmp_path / "extra_tiers.txt"
+        extra.write_text((FIXTURES / "wave_tiers3.txt").read_text() + "tier 4: ZZZ\n")
+        tiers = ["--tiers", str(extra)] if command == "orient" else [str(extra)] * 2
+        code, out = run_cli(command, fixture("wave_cpdag.txt"), *tiers)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: ordering names nodes not in the graph: ['ZZZ']\n"
+        )
+
+    def test_out_directory_is_usage_error(self, capsys, tmp_path):
+        code, out = run_cli(
+            "orient",
+            fixture("wave_cpdag.txt"),
+            "--tiers",
+            fixture("wave_tiers3.txt"),
+            "--out",
+            str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
 
     def test_unparsable_graph_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -14,6 +14,7 @@ from causaltiers import (
     enumerate_class,
     forbidden_set,
     impose_knowledge,
+    impose_tiers,
     meek_closure,
     mpdag_of,
     tiered_mpdag,
@@ -246,12 +247,38 @@ class TestCheckConsistency:
         with pytest.raises(GraphError):
             check_consistency(wave_cpdag, tau)
 
+    def test_nodes_missing_from_graph_rejected(self, wave_cpdag):
+        tau = TieredOrdering.from_tiers([list(wave_cpdag.nodes), ["ZZZ", "YYY"]])
+        with pytest.raises(GraphError, match=r"not in the graph: \['ZZZ', 'YYY'\]"):
+            check_consistency(wave_cpdag, tau)
+        with pytest.raises(GraphError, match="ZZZ"):
+            tiered_mpdag(wave_cpdag, tau)
+
     def test_consistent_orderings_have_nonempty_classes(self):
         rng = np.random.default_rng(37)
         for _ in range(30):
             c, tau, _ = random_cpdag_and_tau(rng, 6, 2.0)
             assert check_consistency(c, tau) == []
             assert enumerate_class(tiered_mpdag(c, tau))
+
+
+class TestImposeTiers:
+    def test_matches_forbidden_pair_knowledge(self):
+        """Non-contiguous, partly negative tier values orient exactly as
+        the knowledge of every forbidden later -> earlier pair."""
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            p = int(rng.integers(2, 12))
+            c, tau, _ = random_cpdag_and_tau(rng, p, 2.5)
+            spread = TieredOrdering({v: 7 * t * t - 50 for v, t in tau.assignment.items()})
+            expected = impose_knowledge(c, forbidden_set(spread, c.nodes))
+            assert impose_tiers(c, spread) == expected
+            assert impose_tiers(c, tau) == expected
+
+    def test_tiers_beyond_int64_stay_distinct(self):
+        c = PDAG("ABC", undirected=[("A", "B"), ("B", "C")])
+        tau = TieredOrdering({"A": -1, "B": 2**63, "C": 2**63 + 1})
+        assert set(impose_tiers(c, tau).directed_edges) == {("A", "B"), ("B", "C")}
 
 
 class TestTieredMpdag:

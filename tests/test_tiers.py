@@ -22,6 +22,7 @@ from causaltiers.tiers import cross_tier_edges, orient_undirected_part, fully_sh
 
 from conftest import random_cpdag_and_tau, random_coarsening
 from causaltiers import cpdag_of
+from oracles import cross_tier_pairs
 
 
 @pytest.fixture
@@ -53,6 +54,12 @@ class TestTieredOrdering:
         tau = TieredOrdering({"A": 3, "B": 9})
         with pytest.raises(GraphError):
             tau.tier_of("C")
+
+    def test_boolean_tiers_rejected(self):
+        with pytest.raises(GraphError, match="must be an integer"):
+            TieredOrdering({"A": True, "B": False})
+        with pytest.raises(GraphError, match="must be an integer"):
+            TieredOrdering({"A": 1, "B": True})
 
     def test_normalization_is_contiguous(self):
         tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
@@ -141,6 +148,20 @@ class TestCuTau:
 
     def test_cross_tier_edges(self, wave_cpdag, wave_tau):
         assert cross_tier_edges(wave_cpdag, wave_tau) == {("A", "C"), ("C", "F")}
+
+    def test_cross_tier_edges_match_pairwise_oracle(self):
+        """Non-contiguous, partly negative tier values orient the same
+        pairs as the pairwise scan of the undirected edges."""
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            p = int(rng.integers(2, 12))
+            c, tau, _ = random_cpdag_and_tau(rng, p, 2.5)
+            spread = TieredOrdering({v: 7 * t * t - 50 for v, t in tau.assignment.items()})
+            expected = cross_tier_pairs(c.undirected_edges, spread.assignment)
+            assert cross_tier_edges(c, spread) == expected
+            h = orient_undirected_part(c, spread)
+            assert set(h.directed_edges) == expected
+            assert h.skeleton() == c.undirected_subgraph().skeleton()
 
 
 class TestFullyShielded:
