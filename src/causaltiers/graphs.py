@@ -31,7 +31,7 @@ class CycleError(GraphError):
 
 
 class LimitError(GraphError):
-    """An enumeration guard (node or edge count) was exceeded."""
+    """An enumeration guard (node count or class members) was exceeded."""
 
 
 class PDAG:

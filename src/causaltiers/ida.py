@@ -92,49 +92,43 @@ def _no_new_collider_at(
 
 
 def joint_ida(
-    g: PDAG, xs: Sequence[Node], max_component_undirected: int = 16
+    g: PDAG, xs: Sequence[Node], max_members: int = 10_000
 ) -> ParentSetMultiset:
     """Jointly valid parent sets of the nodes ``xs``.
 
-    Chain components touching ``xs`` are oriented into DAGs independently;
-    each combination of component orientations yields one tuple of parent
-    sets (ordered like ``xs``), combined with the parents contributed by
-    the directed part.
+    Chain components touching ``xs`` are oriented into DAGs independently
+    by :func:`enumerate_class`; each combination of component
+    orientations yields one tuple of parent sets (ordered like ``xs``),
+    combined with the parents contributed by the directed part.
 
     Raises
     ------
     GraphError
-        On duplicate or unknown nodes, or when a component exceeds the
-        orientation enumeration limit.
+        On duplicate or unknown nodes, or (as :class:`LimitError`) when
+        a component has more than ``max_members`` orientations.
     """
     xs = list(xs)
-    if len(set(xs)) != len(xs):
+    query = set(xs)
+    if len(query) != len(xs):
         raise GraphError("query nodes must be distinct")
     for x in xs:
         g.index_of(x)
 
     dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
 
-    components = [
-        comp for comp in g.chain_components() if len(comp) > 1 and set(comp) & set(xs)
-    ]
+    und = g.undirected_subgraph()
     per_component: list[list[Mapping[Node, frozenset[Node]]]] = []
-    for comp in components:
-        sub = g.undirected_subgraph().induced_subgraph(comp)
-        dags = enumerate_class(sub, max_undirected=max_component_undirected)
-        assignments = []
-        for dag in dags:
-            assignments.append(
-                {x: frozenset(dag.parents_of(x)) for x in comp if x in set(xs)}
+    for comp in g.chain_components():
+        if len(comp) > 1 and query.intersection(comp):
+            dags = enumerate_class(und.induced_subgraph(comp), max_members=max_members)
+            per_component.append(
+                [{x: frozenset(dag.parents_of(x)) for x in comp if x in query} for dag in dags]
             )
-        per_component.append(assignments)
 
     entries = []
-    for combo in itr.product(*per_component) if per_component else [()]:
+    for combo in itr.product(*per_component):
         merged: dict[Node, frozenset[Node]] = {}
         for assignment in combo:
             merged.update(assignment)
-        entries.append(
-            tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
-        )
+        entries.append(tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs))
     return ParentSetMultiset(entries)

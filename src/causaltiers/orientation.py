@@ -2,12 +2,16 @@
 
 Knowledge is imposed on a CPDAG by orienting undirected edges, then
 Meek's four rules are applied until no further change; the fixpoint is
-the maximally oriented PDAG for that knowledge.  Tiered knowledge is
-imposed from the tier vector alone by :func:`impose_tiers`, which every
-tiered construction goes through; closing under rule 1 alone then
-already reaches the fixpoint, so :func:`tiered_mpdag` runs only rule 1
-and (in debug mode) asserts agreement with the full closure, the absence
-of partially directed cycles, and chordality of the chain components.
+the maximally oriented PDAG for that knowledge.  The closure works on
+per-node parent and neighbour sets and visits only undirected edges: in
+each round, each rule collects all its firings in canonical edge order,
+then applies them.  Tiered knowledge is imposed from the tier vector
+alone by :func:`impose_tiers`; closing under rule 1 alone then reaches
+the fixpoint, so :func:`tiered_mpdag` runs only rule 1 (and, in debug
+mode, asserts agreement with the full closure, the absence of partially
+directed cycles, and chordal chain components).  :func:`enumerate_class`
+lists a class by branch and close, in a fixed lexicographic order, and
+stops with :class:`LimitError` beyond ``max_members`` members.
 """
 
 from __future__ import annotations
@@ -105,67 +109,85 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
     return PDAG._from_amat(c.nodes, amat)
 
 
-# === Meek's rules on raw adjacency matrices
+# === Meek's rules on per-node parent and neighbour sets
 
 
-def _rule_firings(amat: np.ndarray, rule: int) -> list[tuple[int, int]]:
-    """All orientations the given rule induces on the current matrix.
-
-    Patterns are matched as induced subgraphs; firings are collected in
-    canonical edge order without applying them.
-    """
-    d = amat & ~amat.T
-    u = amat & amat.T
-    adj = amat | amat.T
-    fired: list[tuple[int, int]] = []
+def _sets(amat: np.ndarray) -> tuple[list[set], list[set], list[set]]:
+    """Parent, neighbour and adjacency sets by node index; orienting keeps ``adj``."""
     p = amat.shape[0]
-    for i in range(p):
-        for j in range(i + 1, p):
-            if not u[i, j]:
-                continue
-            for tail, head in ((i, j), (j, i)):
-                if _fires(rule, d, u, adj, tail, head):
-                    fired.append((tail, head))
+    pa, ne, adj = ([set() for _ in range(p)] for _ in range(3))
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(amat))):
+        adj[i].add(j)
+        adj[j].add(i)
+        if amat[j, i]:
+            ne[i].add(j)
+        else:
+            pa[j].add(i)
+    return pa, ne, adj
+
+
+def _orient(s, tail: int, head: int) -> None:
+    pa, ne, _ = s
+    ne[tail].discard(head)
+    ne[head].discard(tail)
+    pa[head].add(tail)
+
+
+def _fires(rule: int, s, b: int, c: int) -> bool:
+    """Does ``rule`` orient the undirected edge b - c as b -> c (induced patterns)?"""
+    pa, ne, adj = s
+    if rule == 1:
+        # a -> b - c with a, c non-adjacent
+        return not pa[b] <= adj[c]
+    if rule == 2:
+        # b -> x -> c with b - c
+        return any(b in pa[x] for x in pa[c])
+    cand = ne[b] & pa[c]
+    if rule == 3:
+        # b - x, b - y, x -> c, y -> c, x and y non-adjacent (cand - adj[x] holds x)
+        return any(len(cand - adj[x]) > 1 for x in cand)
+    # rule 4: b - x, b - y, x -> y, y -> c, x and c non-adjacent
+    return any(not (ne[b] & pa[y]) <= adj[c] for y in cand)
+
+
+def _firings(s, rule: int, names) -> list[tuple[int, int]]:
+    """All orientations ``rule`` induces on ``s``, in canonical edge order;
+    raises :class:`InconsistentKnowledgeError` if one edge fires both ways."""
+    if rule not in MEEK_RULES:
+        raise ValueError(f"rule must be one of {MEEK_RULES}, got {rule}")
+    fired: list[tuple[int, int]] = []
+    for i, j in sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j):
+        forward, backward = _fires(rule, s, i, j), _fires(rule, s, j, i)
+        if forward and backward:
+            raise InconsistentKnowledgeError(
+                f"rules orient {names[j]!r}, {names[i]!r} both ways; "
+                "the imposed knowledge is not consistent with the graph"
+            )
+        if forward or backward:
+            fired.append((i, j) if forward else (j, i))
     return fired
 
 
-def _fires(rule: int, d, u, adj, b: int, c: int) -> bool:
-    """Does ``rule`` orient the undirected edge b - c as b -> c?"""
-    if rule == 1:
-        # a -> b - c with a, c non-adjacent
-        return bool(np.any(d[:, b] & ~adj[:, c] & ~adj[c, :]))
-    if rule == 2:
-        # b -> x -> c with b - c
-        return bool(np.any(d[b, :] & d[:, c]))
-    if rule == 3:
-        # b - x, b - y, x -> c, y -> c, x and y non-adjacent
-        cand = np.nonzero(u[b, :] & d[:, c])[0]
-        for ii in range(len(cand)):
-            for jj in range(ii + 1, len(cand)):
-                if not adj[cand[ii], cand[jj]]:
-                    return True
-        return False
-    if rule == 4:
-        # b - x, b - y, x -> y, y -> c, x and c non-adjacent
-        for y in np.nonzero(u[b, :] & d[:, c])[0]:
-            if np.any(u[b, :] & d[:, y] & ~adj[:, c] & ~adj[c, :]):
-                return True
-        return False
-    raise ValueError(f"unknown rule {rule}")
+def _close(s, rules: Sequence[int], names) -> list[tuple[int, int, int]]:
+    """Close ``s`` in place, round by round, each rule collecting all its
+    firings before applying them; returns the ``(rule, tail, head)`` firings."""
+    trace: list[tuple[int, int, int]] = []
+    while True:
+        before = len(trace)
+        for rule in rules:
+            for tail, head in _firings(s, rule, names):
+                _orient(s, tail, head)
+                trace.append((rule, tail, head))
+        if len(trace) == before:
+            return trace
 
 
-def _apply_firings(amat: np.ndarray, fired: Sequence[tuple[int, int]], names) -> None:
-    oriented: dict[frozenset, tuple[int, int]] = {}
-    for tail, head in fired:
-        key = frozenset((tail, head))
-        prev = oriented.get(key)
-        if prev is not None and prev != (tail, head):
-            raise InconsistentKnowledgeError(
-                f"rules orient {names[tail]!r}, {names[head]!r} both ways; "
-                "the imposed knowledge is not consistent with the graph"
-            )
-        oriented[key] = (tail, head)
+def _oriented(g: PDAG, arcs: Iterable[tuple[int, int]]) -> PDAG:
+    """``g`` with each ``(tail, head)`` index pair directed tail -> head."""
+    amat = g._amat.copy()
+    for tail, head in arcs:
         amat[head, tail] = False
+    return PDAG._from_amat(g.nodes, amat)
 
 
 def apply_meek_rule(g: PDAG, rule: int) -> tuple[PDAG, list[Edge]]:
@@ -174,30 +196,8 @@ def apply_meek_rule(g: PDAG, rule: int) -> tuple[PDAG, list[Edge]]:
     Returns the updated graph and the newly oriented edges in canonical
     order.  A fixpoint returns the graph unchanged with an empty list.
     """
-    if rule not in MEEK_RULES:
-        raise ValueError(f"rule must be one of {MEEK_RULES}, got {rule}")
-    amat = g._amat.copy()
-    fired = _rule_firings(amat, rule)
-    _apply_firings(amat, fired, g.nodes)
-    edges = [(g.nodes[t], g.nodes[h]) for t, h in fired]
-    return PDAG._from_amat(g.nodes, amat), edges
-
-
-def _closure(
-    amat: np.ndarray, rules: Sequence[int], names
-) -> list[tuple[int, Edge]]:
-    """Close ``amat`` in place under the given rules; returns the trace."""
-    trace: list[tuple[int, Edge]] = []
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            fired = _rule_firings(amat, rule)
-            if fired:
-                _apply_firings(amat, fired, names)
-                trace.extend((rule, (names[t], names[h])) for t, h in fired)
-                changed = True
-    return trace
+    fired = _firings(_sets(g._amat), rule, g.nodes)
+    return _oriented(g, fired), [(g.nodes[t], g.nodes[h]) for t, h in fired]
 
 
 def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
@@ -205,21 +205,17 @@ def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
 
     The fixpoint does not depend on the order in which rules are swept.
     """
-    for rule in rules:
-        if rule not in MEEK_RULES:
-            raise ValueError(f"rule must be one of {MEEK_RULES}, got {rule}")
-    amat = g._amat.copy()
-    _closure(amat, rules, g.nodes)
-    return PDAG._from_amat(g.nodes, amat)
+    return _oriented(g, (arc for _, *arc in _close(_sets(g._amat), rules, g.nodes)))
 
 
 def meek_closure_trace(
     g: PDAG, rules: Sequence[int] = MEEK_RULES
 ) -> tuple[PDAG, list[tuple[int, Edge]]]:
-    """Like :func:`meek_closure` but also returns (rule, edge) firings."""
-    amat = g._amat.copy()
-    trace = _closure(amat, rules, g.nodes)
-    return PDAG._from_amat(g.nodes, amat), trace
+    """Like :func:`meek_closure` but also returns (rule, edge) firings:
+    round by round, each rule's firings in canonical edge order."""
+    trace = _close(_sets(g._amat), rules, g.nodes)
+    edges = [(rule, (g.nodes[t], g.nodes[h])) for rule, t, h in trace]
+    return _oriented(g, (arc for _, *arc in trace)), edges
 
 
 def mpdag_of(c: PDAG, k: BackgroundKnowledge) -> PDAG:
@@ -297,39 +293,49 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     return g
 
 
-def enumerate_class(g: PDAG, max_undirected: int = 12) -> list[PDAG]:
-    """All DAGs of the restricted equivalence class represented by ``g``.
+def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
+    """All DAGs of the restricted equivalence class represented by ``g``:
+    the orientations of its undirected edges that are acyclic and have
+    exactly the v-structures of ``g``.
 
-    Brute force over the ``2**k`` orientations of the ``k`` undirected
-    edges, keeping those that are acyclic and preserve the v-structures
-    of ``g``.  A DAG input yields a singleton list.
+    Branch and close: close under rules 1-4, orient the lowest-index
+    undirected edge each way, close each branch again; drop a branch
+    whose closure orients an edge both ways, and keep one with no
+    undirected edge left if it passes the check above.  On a CPDAG or
+    MPDAG every branch ends in a member.  Members come in lexicographic
+    order of the directions of ``g``'s undirected edges in canonical
+    order, lower-index tail first; a DAG yields a singleton list.
 
     Raises
     ------
     LimitError
-        If ``g`` has more than ``max_undirected`` undirected edges.
+        As soon as more than ``max_members`` members are found.
     """
-    und = g.undirected_edges
-    if len(und) > max_undirected:
-        raise LimitError(
-            f"{len(und)} undirected edges exceed the enumeration limit "
-            f"of {max_undirected}"
-        )
     target = v_structures(g)
-    pairs = [(g.index_of(u), g.index_of(v)) for u, v in und]
-    base = g._amat
-    out = []
-    for mask in range(1 << len(pairs)):
-        amat = base.copy()
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                amat[i, j] = False  # orient j -> i
-            else:
-                amat[j, i] = False  # orient i -> j
+    und = [(g.index_of(u), g.index_of(v)) for u, v in g.undirected_edges]
+    out: list[PDAG] = []
+    stack = [_sets(g._amat)]
+    while stack:
+        s = stack.pop()
         try:
-            cand = PDAG._from_amat(g.nodes, amat)
+            _close(s, MEEK_RULES, g.nodes)
+        except InconsistentKnowledgeError:
+            continue
+        pa, ne, adj = s
+        i = next((i for i, nb in enumerate(ne) if nb), None)
+        if i is not None:
+            j = min(ne[i])
+            back = ([set(x) for x in pa], [set(x) for x in ne], adj)
+            _orient(back, j, i)
+            _orient(s, i, j)
+            stack += (back, s)
+            continue
+        try:
+            member = _oriented(g, ((i, j) if i in pa[j] else (j, i) for i, j in und))
         except GraphError:
             continue
-        if v_structures(cand) == target:
-            out.append(cand)
+        if v_structures(member) == target:
+            out.append(member)
+            if len(out) > max_members:
+                raise LimitError(f"class has over {max_members} members, the enumeration limit")
     return out

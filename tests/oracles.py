@@ -1,14 +1,17 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here is deliberately written against plain dict/set/bitmask
-representations rather than the library's matrix-backed graphs, so a
-bug in the production code cannot hide in its oracle.
+representations, or against raw boolean matrices with none of the
+library's graph code, so a bug in the production code cannot hide in
+its oracle.
 """
 
 from __future__ import annotations
 
 import itertools as itr
 from fractions import Fraction
+
+import numpy as np
 
 
 def is_acyclic(arcs, p: int) -> bool:
@@ -223,3 +226,82 @@ def cross_tier_pairs(undirected_pairs, tier: dict) -> set:
         for u, v in undirected_pairs
         if tier[u] != tier[v]
     }
+
+
+# === Meek closure by sweeping every node pair of an adjacency matrix
+
+
+class SweepConflict(ValueError):
+    """A rule orients the pair both ways; ``tail`` and ``head`` are the
+    indices of the second of the two firings."""
+
+    def __init__(self, tail: int, head: int):
+        super().__init__(tail, head)
+        self.tail, self.head = tail, head
+
+
+def sweep_firings(amat: np.ndarray, rule: int) -> list[tuple[int, int]]:
+    """All orientations ``rule`` induces on ``amat`` (``amat[i, j]`` and
+    not ``amat[j, i]`` is i -> j; both is i - j), matched as induced
+    subgraphs and collected in canonical edge order without applying them."""
+    d = amat & ~amat.T
+    u = amat & amat.T
+    adj = amat | amat.T
+    fired = []
+    p = amat.shape[0]
+    for i in range(p):
+        for j in range(i + 1, p):
+            if not u[i, j]:
+                continue
+            for tail, head in ((i, j), (j, i)):
+                if _sweep_fires(rule, d, u, adj, tail, head):
+                    fired.append((tail, head))
+    return fired
+
+
+def _sweep_fires(rule: int, d, u, adj, b: int, c: int) -> bool:
+    """Does ``rule`` orient the undirected edge b - c as b -> c?"""
+    if rule == 1:
+        # a -> b - c with a, c non-adjacent
+        return bool(np.any(d[:, b] & ~adj[:, c] & ~adj[c, :]))
+    if rule == 2:
+        # b -> x -> c with b - c
+        return bool(np.any(d[b, :] & d[:, c]))
+    if rule == 3:
+        # b - x, b - y, x -> c, y -> c, x and y non-adjacent
+        cand = np.nonzero(u[b, :] & d[:, c])[0]
+        return any(not adj[x, y] for x, y in itr.combinations(cand, 2))
+    # rule 4: b - x, b - y, x -> y, y -> c, x and c non-adjacent
+    return any(
+        np.any(u[b, :] & d[:, y] & ~adj[:, c] & ~adj[c, :])
+        for y in np.nonzero(u[b, :] & d[:, c])[0]
+    )
+
+
+def sweep_apply(amat: np.ndarray, fired) -> None:
+    """Orient every firing in ``amat`` in place; raises
+    :class:`SweepConflict` at the first pair fired both ways."""
+    oriented: dict[frozenset, tuple[int, int]] = {}
+    for tail, head in fired:
+        prev = oriented.setdefault(frozenset((tail, head)), (tail, head))
+        if prev != (tail, head):
+            raise SweepConflict(tail, head)
+        amat[head, tail] = False
+
+
+def sweep_closure(amat: np.ndarray, rules) -> tuple[np.ndarray, list]:
+    """Fixpoint of ``rules`` by repeated sweeps: in each round, each rule
+    in turn collects all its firings over every node pair, then applies
+    them.  Returns the closed matrix and the ``(rule, tail, head)`` trace."""
+    amat = amat.copy()
+    trace = []
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            fired = sweep_firings(amat, rule)
+            if fired:
+                sweep_apply(amat, fired)
+                trace.extend((rule, t, h) for t, h in fired)
+                changed = True
+    return amat, trace

@@ -22,6 +22,13 @@ def fixture(name):
     return str(FIXTURES / name)
 
 
+def undirected_graph_file(path, n, width):
+    """Graph file of nodes V0..V{n-1}, node i joined to i+1 .. i+width."""
+    lines = [f"V{i} -- V{j}" for i in range(n) for j in range(i + 1, min(n, i + width + 1))]
+    path.write_text(f"nodes: {' '.join(f'V{i}' for i in range(n))}\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestGoldenExamples:
     """End-to-end byte-exact runs of every figure example."""
 
@@ -171,6 +178,13 @@ class TestSubcommands:
         )
         assert code == 0
         assert out == "({}, {A}) x1\n({B}, {}) x1\n"
+
+    def test_ida_joint_on_band_of_17_edges(self, tmp_path):
+        graph = undirected_graph_file(tmp_path / "band.txt", 10, 2)
+        code, out = run_cli("ida", graph, "--joint", "V4", "--json")
+        assert code == 0
+        rows = json.loads(out)["joint_parent_sets"]
+        assert sum(row["multiplicity"] for row in rows) == 34  # one per class member
 
     def test_orient_trace(self, capsys):
         code, out = run_cli(
@@ -330,6 +344,14 @@ class TestExitCodes:
         bad.write_text("nodes: A B\nA => B\n")
         code, _ = run_cli("validate", str(bad))
         assert code == 1
+
+    def test_ida_joint_over_member_guard(self, capsys, tmp_path):
+        graph = undirected_graph_file(tmp_path / "k8.txt", 8, 7)  # 8! = 40320 members
+        code, out = run_cli("ida", graph, "--joint", "V0")
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: class has over 10000 members, the enumeration limit\n"
+        )
 
     def test_ida_requires_target(self, capsys):
         code, _ = run_cli("ida", fixture("wave_cpdag.txt"))

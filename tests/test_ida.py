@@ -7,6 +7,7 @@ import pytest
 
 from causaltiers import (
     GraphError,
+    LimitError,
     PDAG,
     enumerate_class,
     joint_ida,
@@ -124,6 +125,12 @@ class TestJointIda:
             joint_ida(wave_mpdag, ["A", "A"])
         with pytest.raises(GraphError):
             joint_ida(wave_mpdag, ["A", "Z"])
+
+    def test_member_guard(self):
+        k5 = PDAG("ABCDE", undirected=[(u, v) for u in "ABCDE" for v in "ABCDE" if u < v])
+        with pytest.raises(LimitError, match="over 119 members"):
+            joint_ida(k5, ["A", "B"], max_members=119)
+        assert joint_ida(k5, ["A", "B"], max_members=120).total() == 120
 
     def test_matches_class_enumeration_and_ratios(self):
         rng = np.random.default_rng(103)

@@ -3,6 +3,7 @@ import pytest
 
 from causaltiers import (
     BackgroundKnowledge,
+    CycleError,
     GraphError,
     InconsistentKnowledgeError,
     LimitError,
@@ -18,10 +19,82 @@ from causaltiers import (
     meek_closure,
     mpdag_of,
     tiered_mpdag,
+    v_structures,
 )
+from causaltiers.orientation import meek_closure_trace
 
 from conftest import random_cpdag_and_tau, random_dag_instance
-from oracles import consistent_extensions, vstructs_of_arcset
+from oracles import (
+    SweepConflict,
+    consistent_extensions,
+    is_acyclic,
+    sweep_apply,
+    sweep_closure,
+    sweep_firings,
+    vstructs_of_arcset,
+)
+
+
+def random_pdag(rng, p):
+    """Arbitrary PDAG: each pair of a random order is absent, directed
+    along the order or undirected; usually neither closed nor consistent."""
+    names = [f"V{k}" for k in range(p)]
+    order = [names[k] for k in rng.permutation(p)]
+    q = rng.random()
+    directed, undirected = [], []
+    for a in range(p):
+        for b in range(a + 1, p):
+            if rng.random() < q:
+                (directed if rng.random() < 0.4 else undirected).append((order[a], order[b]))
+    return PDAG(names, directed=directed, undirected=undirected)
+
+
+def random_knowledge(rng, c):
+    """Required and forbidden arcs drawn from the pairs of ``c``'s skeleton."""
+    pairs = [e if rng.random() < 0.5 else e[::-1] for e in c.skeleton().undirected_edges]
+    picks = [pairs[k] for k in rng.permutation(len(pairs))[:4]]
+    return BackgroundKnowledge(required=picks[:1], forbidden=picks[1:])
+
+
+def closure_outcome(g, rules):
+    """Check ``meek_closure_trace`` against the pair sweep: the same
+    trace and graph, or the same failure.  Returns which case it was."""
+    try:
+        amat, trace = sweep_closure(g._amat, rules)
+    except SweepConflict as conflict:
+        with pytest.raises(InconsistentKnowledgeError) as info:
+            meek_closure_trace(g, rules)
+        names = g.nodes
+        assert f"orient {names[conflict.tail]!r}, {names[conflict.head]!r} both" in str(info.value)
+        return "conflict"
+    arcs = list(zip(*np.nonzero(amat & ~amat.T)))
+    if not is_acyclic(arcs, g.num_nodes):
+        with pytest.raises(CycleError):
+            meek_closure_trace(g, rules)
+        return "cycle"
+    got, got_trace = meek_closure_trace(g, rules)
+    assert got_trace == [(r, (g.nodes[t], g.nodes[h])) for r, t, h in trace]
+    assert np.array_equal(got._amat, amat)
+    return "closed"
+
+
+def class_outcome(g):
+    """Check ``enumerate_class`` as a set against the bitmask oracle on
+    the same undirected edges, directed edges and v-structures."""
+    idx = g.index_of
+    und = [(idx(u), idx(v)) for u, v in g.undirected_edges]
+    arcs = {(idx(u), idx(v)) for u, v in g.directed_edges}
+    target = frozenset(
+        (min(a, c), b, max(a, c))
+        for a, b in arcs
+        for c, b2 in arcs
+        if b2 == b and a != c and not g.has_edge(g.nodes[a], g.nodes[c])
+    )
+    expected = set(consistent_extensions(und, arcs, target, g.num_nodes))
+    got = [frozenset((idx(u), idx(v)) for u, v in m.directed_edges) for m in enumerate_class(g)]
+    assert len(got) == len(set(got))
+    assert set(got) == expected
+    return len(got)
 
 
 class TestBackgroundKnowledge:
@@ -185,6 +258,69 @@ class TestMeekClosure:
             assert {frozenset(e) for e in got.undirected_edges} == {
                 frozenset(e) for e in reference.undirected_edges
             }
+
+
+class TestClosureAgainstSweep:
+    """The set-based closure fires the same (rule, edge) sequence as the
+    pair sweep in ``tests/oracles.py``, and fails in the same cases."""
+
+    def test_cpdag_constructions(self):
+        rng = np.random.default_rng(101)
+        for _ in range(60):
+            d = random_dag_instance(rng, int(rng.integers(2, 40)), 2.5)
+            vs = v_structures(d)
+            arcs = {(a, b) for a, b, _ in vs} | {(c, b) for _, b, c in vs}
+            start = PDAG(d.nodes, directed=arcs,
+                         undirected=[e for e in d.directed_edges if e not in arcs])
+            assert closure_outcome(start, (1, 2, 3)) == "closed"
+            assert meek_closure(start, rules=(1, 2, 3)) == cpdag_of(d)
+
+    def test_tiered_impositions(self):
+        rng = np.random.default_rng(103)
+        for _ in range(60):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 40)), 2.5)
+            imposed = impose_tiers(c, tau)
+            for rules in ((1,), (1, 2, 3, 4)):
+                assert closure_outcome(imposed, rules) == "closed"
+
+    def test_mpdag_of_random_knowledge(self):
+        rng = np.random.default_rng(107)
+        seen = set()
+        for _ in range(150):
+            c = cpdag_of(random_dag_instance(rng, int(rng.integers(3, 9)), 2.5))
+            if c.is_directed:
+                continue
+            try:
+                imposed = impose_knowledge(c, random_knowledge(rng, c))
+            except GraphError:  # contradicts the graph, or closes a cycle
+                continue
+            seen.add(closure_outcome(imposed, (1, 2, 3, 4)))
+        assert seen == {"closed", "conflict", "cycle"}
+
+    def test_arbitrary_pdags(self):
+        rng = np.random.default_rng(109)
+        seen = set()
+        for _ in range(300):
+            g = random_pdag(rng, int(rng.integers(2, 16)))
+            rules = tuple(rng.permutation([1, 2, 3, 4])[: int(rng.integers(1, 5))])
+            seen.add(closure_outcome(g, rules))
+            for rule in (1, 2, 3, 4):
+                amat = g._amat.copy()
+                fired = sweep_firings(amat, rule)
+                try:
+                    sweep_apply(amat, fired)
+                except SweepConflict:
+                    with pytest.raises(InconsistentKnowledgeError):
+                        apply_meek_rule(g, rule)
+                    continue
+                if not is_acyclic(list(zip(*np.nonzero(amat & ~amat.T))), g.num_nodes):
+                    with pytest.raises(CycleError):
+                        apply_meek_rule(g, rule)
+                    continue
+                out, edges = apply_meek_rule(g, rule)
+                assert edges == [(g.nodes[t], g.nodes[h]) for t, h in fired]
+                assert np.array_equal(out._amat, amat)
+        assert seen == {"closed", "conflict", "cycle"}
 
 
 class TestMpdagOf:
@@ -358,11 +494,30 @@ class TestEnumerateClass:
         assert len(members) == 3  # all orientations except the collider
 
     def test_limit_guard(self):
-        names = [f"V{k}" for k in range(14)]
-        c = PDAG(names, undirected=[(names[k], names[k + 1]) for k in range(13)])
-        with pytest.raises(LimitError):
-            enumerate_class(c)
-        assert enumerate_class(c, max_undirected=13)
+        k5 = PDAG("ABCDE", undirected=[(u, v) for u in "ABCDE" for v in "ABCDE" if u < v])
+        with pytest.raises(LimitError, match="over 100 members"):
+            enumerate_class(k5, max_members=100)
+        assert len(enumerate_class(k5, max_members=120)) == 120
+
+    def test_members_in_documented_order(self):
+        """Lexicographic in the directions of the input's undirected edges,
+        taken in canonical order, lower-index tail first."""
+        rng = np.random.default_rng(113)
+        for _ in range(20):
+            c = cpdag_of(random_dag_instance(rng, int(rng.integers(3, 7)), 2.5))
+            keys = [
+                tuple(m.has_directed(v, u) for u, v in c.undirected_edges)
+                for m in enumerate_class(c)
+            ]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_undirected_path_scales_linearly(self):
+        names = [f"V{k}" for k in range(30)]
+        path = PDAG(names, undirected=list(zip(names, names[1:])))
+        assert len(enumerate_class(path)) == 30
+
+    def test_band_of_21_edges(self):
+        assert len(enumerate_class(band(9, 3))) == 114
 
     def test_against_bitmask_oracle(self):
         rng = np.random.default_rng(47)
@@ -386,3 +541,35 @@ class TestEnumerateClass:
                 )
             )
             assert got == expected
+
+    def test_classes_against_bitmask_oracle(self):
+        """CPDAGs, tiered MPDAGs, ``mpdag_of`` outputs, and arbitrary
+        PDAGs that are neither closed nor consistent."""
+        rng = np.random.default_rng(127)
+        sizes = []
+        for _ in range(40):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 8)), 2.5)
+            if len(c.undirected_edges) > 10:
+                continue
+            sizes.append(class_outcome(c))
+            sizes.append(class_outcome(tiered_mpdag(c, tau)))
+            try:
+                g = mpdag_of(c, random_knowledge(rng, c)) if not c.is_directed else c
+            except GraphError:
+                continue
+            sizes.append(class_outcome(g))
+        assert min(sizes) >= 1
+        empty = 0
+        for _ in range(200):
+            g = random_pdag(rng, int(rng.integers(2, 8)))
+            if len(g.undirected_edges) <= 10:
+                empty += class_outcome(g) == 0
+        assert empty > 0
+
+
+def band(n, width):
+    """Chordal band: node i adjacent to i+1 .. i+width."""
+    names = [f"V{k}" for k in range(n)]
+    return PDAG(names, undirected=[
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, min(n, i + width + 1))
+    ])
