@@ -372,36 +372,7 @@ class PDAG:
         Paths are returned in depth-first order with neighbours visited
         by node index, so the result is deterministic.
         """
-        s, t = self.index_of(source), self.index_of(target)
-        if s == t:
-            raise GraphError("source and target must differ")
-        self._check_path_guard(max_nodes)
-        a = self._amat
-        adj_bool = a | a.T
-        adj = [list(np.nonzero(adj_bool[i])[0]) for i in range(self.num_nodes)]
-
-        out: list[tuple[Node, ...]] = []
-        path = [s]
-        on_path = {s}
-
-        def extend():
-            v = path[-1]
-            for w in adj[v]:
-                if w in on_path:
-                    continue
-                if len(path) >= 2 and adj_bool[path[-2], w]:
-                    continue  # triple would be shielded
-                path.append(w)
-                on_path.add(w)
-                if w == t:
-                    out.append(tuple(self._names[i] for i in path))
-                else:
-                    extend()
-                path.pop()
-                on_path.discard(w)
-
-        extend()
-        return out
+        return list(self._paths(source, target, max_nodes, unshielded=True))
 
     def simple_paths(
         self,
@@ -415,34 +386,52 @@ class PDAG:
         ``max_edges`` bounds the path length; the node-count guard
         protects against exponential blowup on large graphs.
         """
+        return self._paths(source, target, max_nodes, max_edges=max_edges)
+
+    def _paths(
+        self,
+        source: Node,
+        target: Node,
+        max_nodes: int,
+        max_edges: int | None = None,
+        unshielded: bool = False,
+    ) -> Iterator[tuple[Node, ...]]:
+        """Check the endpoints and the size guard now, then walk lazily:
+        depth first, neighbours by node index, at most ``max_edges`` edges,
+        and with ``unshielded`` no triple whose ends are adjacent."""
         s, t = self.index_of(source), self.index_of(target)
         if s == t:
             raise GraphError("source and target must differ")
         self._check_path_guard(max_nodes)
         a = self._amat
-        adj_bool = a | a.T
-        adj = [list(np.nonzero(adj_bool[i])[0]) for i in range(self.num_nodes)]
+        adjacent = (a | a.T).tolist()
+        adj = [[w for w, on in enumerate(row) if on] for row in adjacent]
+        names = self._names
+        cap = self.num_nodes if max_edges is None else max_edges
 
-        path = [s]
-        on_path = {s}
-
-        def extend():
-            if max_edges is not None and len(path) > max_edges:
+        def walk() -> Iterator[tuple[Node, ...]]:
+            if cap < 1:
                 return
-            v = path[-1]
-            for w in adj[v]:
-                if w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                if w == t:
-                    yield tuple(self._names[i] for i in path)
+            path = [s]
+            on_path = [False] * len(names)
+            on_path[s] = True
+            stack = [iter(adj[s])]
+            while stack:
+                for w in stack[-1]:
+                    if on_path[w] or (unshielded and len(path) > 1 and adjacent[path[-2]][w]):
+                        continue
+                    if w == t:
+                        yield tuple(names[i] for i in path) + (names[t],)
+                    elif len(path) < cap:
+                        path.append(w)
+                        on_path[w] = True
+                        stack.append(iter(adj[w]))
+                        break
                 else:
-                    yield from extend()
-                path.pop()
-                on_path.discard(w)
+                    stack.pop()
+                    on_path[path.pop()] = False
 
-        return extend()
+        return walk()
 
     def _check_path_guard(self, max_nodes: int) -> None:
         if self.num_nodes > max_nodes:

@@ -10,8 +10,9 @@ whole chain components and combines the results across components.
 from __future__ import annotations
 
 import itertools as itr
+import math
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import GraphError, Node, PDAG
 from .orientation import enumerate_class
@@ -99,7 +100,9 @@ def joint_ida(
     Chain components touching ``xs`` are oriented into DAGs independently
     by :func:`enumerate_class`; each combination of component
     orientations yields one tuple of parent sets (ordered like ``xs``),
-    combined with the parents contributed by the directed part.
+    combined with the parents contributed by the directed part.  Only
+    distinct tuples are built: each combines distinct per-component
+    assignments, and its multiplicity is the product of their counts.
 
     Raises
     ------
@@ -117,18 +120,22 @@ def joint_ida(
     dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
 
     und = g.undirected_subgraph()
-    per_component: list[list[Mapping[Node, frozenset[Node]]]] = []
+    # per component: its distinct query-node parent assignments, with counts
+    per_component = []
     for comp in g.chain_components():
         if len(comp) > 1 and query.intersection(comp):
             dags = enumerate_class(und.induced_subgraph(comp), max_members=max_members)
-            per_component.append(
-                [{x: frozenset(dag.parents_of(x)) for x in comp if x in query} for dag in dags]
+            assignments = Counter(
+                tuple((x, frozenset(dag.parents_of(x))) for x in comp if x in query)
+                for dag in dags
             )
+            per_component.append(list(assignments.items()))
 
-    entries = []
+    counts: Counter = Counter()
     for combo in itr.product(*per_component):
         merged: dict[Node, frozenset[Node]] = {}
-        for assignment in combo:
+        for assignment, _ in combo:
             merged.update(assignment)
-        entries.append(tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs))
-    return ParentSetMultiset(entries)
+        entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
+        counts[entry] += math.prod(m for _, m in combo)
+    return ParentSetMultiset(counts)

@@ -6,7 +6,10 @@ consistent orderings can induce the same maximally oriented graph even
 when they differ; the equivalence test here decides that graphically,
 by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges, both computed on
-the undirected part of the CPDAG oriented by each ordering.
+the undirected part of the CPDAG oriented by each ordering.  Each of
+:func:`cross_tier_report`, :func:`tiers_equivalent` and
+:func:`tiers_more_informative` enumerates the unshielded paths of every
+chain component once, and both orderings' reports are read from them.
 """
 
 from __future__ import annotations
@@ -242,26 +245,11 @@ def _component_paths(
     return paths
 
 
-def _edge_floor(
+def _earliest(
     paths: Sequence[tuple[Node, ...]], ordering: TieredOrdering
-) -> dict[frozenset, int]:
-    """For each edge: the lowest tier seen on any unshielded path through it."""
-    floor: dict[frozenset, int] = {}
-    for path in paths:
-        m = min(ordering.tier_of(v) for v in path)
-        for x, y in zip(path, path[1:]):
-            key = frozenset((x, y))
-            if m < floor.get(key, m + 1):
-                floor[key] = m
-    return floor
-
-
-def _is_earliest(
-    path: Sequence[Node],
-    ordering: TieredOrdering,
-    edge_floor: Mapping[frozenset, int],
-) -> bool:
-    """Earliest: the path shares no subpath with a strictly earlier path.
+) -> list[tuple[Node, ...]]:
+    """The earliest of ``paths`` (all unshielded paths of the graph):
+    those sharing no subpath with a strictly earlier path.
 
     Sharing a subpath means sharing an edge, and an earlier path through
     an edge exists precisely when some unshielded path through that edge
@@ -269,37 +257,30 @@ def _is_earliest(
     detours do not count: orientation only travels along unshielded
     paths, so only those can pre-empt an edge.
     """
-    m = min(ordering.tier_of(v) for v in path)
-    for x, y in zip(path, path[1:]):
-        if edge_floor[frozenset((x, y))] < m:
-            return False
-    return True
-
-
-def _is_subpath(short: Sequence[Node], long: Sequence[Node]) -> bool:
-    """Is ``short`` (or its reverse) a contiguous segment of ``long``?"""
-    n, m = len(short), len(long)
-    if n > m:
-        return False
-    fwd = tuple(short)
-    rev = fwd[::-1]
-    for i in range(m - n + 1):
-        window = tuple(long[i : i + n])
-        if window == fwd or window == rev:
-            return True
-    return False
+    lowest = [min(ordering.tier_of(v) for v in path) for path in paths]
+    floor: dict[frozenset, int] = {}  # per edge: the lowest tier of a path through it
+    for path, m in zip(paths, lowest):
+        for edge in zip(path, path[1:]):
+            key = frozenset(edge)
+            floor[key] = min(m, floor.get(key, m))
+    return [
+        path
+        for path, m in zip(paths, lowest)
+        if all(floor[frozenset(edge)] >= m for edge in zip(path, path[1:]))
+    ]
 
 
 def _maximal_paths(paths: list[tuple[Node, ...]]) -> list[tuple[Node, ...]]:
-    """Drop every path that is a proper subpath of another listed path."""
-    out = []
+    """Drop every path that is a proper subpath of another listed path,
+    in either direction."""
+    segments = set()
     for path in paths:
-        if not any(
-            other is not path and len(other) > len(path) and _is_subpath(path, other)
-            for other in paths
-        ):
-            out.append(path)
-    return out
+        for length in range(2, len(path)):
+            for i in range(len(path) - length + 1):
+                segment = path[i : i + length]
+                segments.add(segment)
+                segments.add(segment[::-1])
+    return [path for path in paths if path not in segments]
 
 
 def first_cross_tier_edges(
@@ -307,34 +288,17 @@ def first_cross_tier_edges(
 ) -> frozenset[Edge]:
     """First cross-tier edges of a path: walking outward from each run of
     minimum-tier nodes, the nearest edge whose endpoints lie in different
-    tiers, oriented from the earlier tier.  At most two on paths whose
-    tier profile has a single valley."""
+    tiers, oriented from the earlier tier.  That is the edge leaving the
+    run, so these are the path's edges with one endpoint in the minimum
+    tier and one above it.  At most two on paths whose tier profile has
+    a single valley."""
     tiers = [ordering.tier_of(v) for v in path]
     m = min(tiers)
-    runs = []
-    i = 0
-    while i < len(tiers):
-        if tiers[i] == m:
-            j = i
-            while j + 1 < len(tiers) and tiers[j + 1] == m:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    out = set()
-    for a, b in runs:
-        for i in range(a - 1, -1, -1):
-            if tiers[i] != tiers[i + 1]:
-                lo, hi = (i, i + 1) if tiers[i] < tiers[i + 1] else (i + 1, i)
-                out.add((path[lo], path[hi]))
-                break
-        for i in range(b, len(tiers) - 1):
-            if tiers[i] != tiers[i + 1]:
-                lo, hi = (i, i + 1) if tiers[i] < tiers[i + 1] else (i + 1, i)
-                out.add((path[lo], path[hi]))
-                break
-    return frozenset(out)
+    return frozenset(
+        (x, y) if tx == m else (y, x)
+        for x, y, tx, ty in zip(path, path[1:], tiers, tiers[1:])
+        if (tx == m) != (ty == m)
+    )
 
 
 @dataclass(frozen=True)
@@ -356,39 +320,48 @@ class CrossTierEdgeReport:
         return frozenset(out)
 
 
+def _reports(
+    c: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
+) -> list[CrossTierEdgeReport]:
+    """One :class:`CrossTierEdgeReport` per ordering, all read from a
+    single enumeration of the unshielded paths of each chain component."""
+    for ordering in orderings:
+        require_consistency(c, ordering)
+    h = c.undirected_subgraph()
+    paths = [
+        path
+        for component in h.chain_components()
+        if len(component) > 1
+        for path in _component_paths(h, component, max_nodes)
+    ]
+    shielded = fully_shielded_edges(h)
+    reports = []
+    for ordering in orderings:
+        oriented = impose_tiers(h, ordering)
+        cross = set(oriented.directed_edges)
+        earliest = _maximal_paths(_earliest(paths, ordering))
+        reports.append(
+            CrossTierEdgeReport(
+                graph=oriented,
+                earliest_paths=tuple(earliest),
+                first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
+                fully_shielded_cross_tier=tuple(
+                    (u, v) if (u, v) in cross else (v, u)
+                    for u, v in shielded
+                    if (u, v) in cross or (v, u) in cross
+                ),
+            )
+        )
+    return reports
+
+
 def cross_tier_report(
     c: PDAG, ordering: TieredOrdering, max_nodes: int = DEFAULT_PATH_NODE_LIMIT
 ) -> CrossTierEdgeReport:
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``; the ingredients of the equivalence
     criterion."""
-    require_consistency(c, ordering)
-    h = c.undirected_subgraph()
-    oriented = orient_undirected_part(c, ordering)
-    cross = set(oriented.directed_edges)
-
-    shielded = [
-        e for e in fully_shielded_edges(h) if e in cross or (e[1], e[0]) in cross
-    ]
-    shielded = [e if e in cross else (e[1], e[0]) for e in shielded]
-
-    earliest: list[tuple[Node, ...]] = []
-    firsts: list[frozenset[Edge]] = []
-    for component in h.chain_components():
-        if len(component) < 2:
-            continue
-        paths = _component_paths(h, component, max_nodes)
-        floor = _edge_floor(paths, ordering)
-        kept = [path for path in paths if _is_earliest(path, ordering, floor)]
-        for path in _maximal_paths(kept):
-            earliest.append(path)
-            firsts.append(first_cross_tier_edges(path, ordering))
-    return CrossTierEdgeReport(
-        graph=oriented,
-        earliest_paths=tuple(earliest),
-        first_edges=tuple(firsts),
-        fully_shielded_cross_tier=tuple(shielded),
-    )
+    return _reports(c, (ordering,), max_nodes)[0]
 
 
 # === equivalence and informativeness
@@ -419,12 +392,10 @@ def tiers_equivalent(
     every fully shielded cross-tier edge.
     """
     check_compatible(t1, t2)
-    for ordering in (t1, t2):
-        require_consistency(c, ordering)
-
+    r1, r2 = _reports(c, (t1, t2), max_nodes)
+    cross1 = set(r1.graph.directed_edges)
+    cross2 = set(r2.graph.directed_edges)
     h = c.undirected_subgraph()
-    cross1 = cross_tier_edges(c, t1)
-    cross2 = cross_tier_edges(c, t2)
 
     witness: Edge | None = None
     shielded_agree = True
@@ -436,23 +407,20 @@ def tiers_equivalent(
             if witness is None:
                 witness = s1 if s1 is not None else s2
 
+    # chain component by component, as the paths were enumerated
+    rank = {v: i for i, component in enumerate(h.chain_components()) for v in component}
     first_agree = True
-    for component in h.chain_components():
-        if len(component) < 2:
-            continue
-        paths = _component_paths(h, component, max_nodes)
-        floor1 = _edge_floor(paths, t1)
-        floor2 = _edge_floor(paths, t2)
-        earliest1 = _maximal_paths([p for p in paths if _is_earliest(p, t1, floor1)])
-        earliest2 = _maximal_paths([p for p in paths if _is_earliest(p, t2, floor2)])
-        for path in sorted(set(earliest1) | set(earliest2), key=str):
-            f1 = first_cross_tier_edges(path, t1)
-            f2 = first_cross_tier_edges(path, t2)
-            if f1 != f2:
-                first_agree = False
-                if witness is None:
-                    diff = sorted(f1 ^ f2, key=str)
-                    witness = diff[0]
+    for path in sorted(
+        set(r1.earliest_paths) | set(r2.earliest_paths),
+        key=lambda p: (rank[p[0]], str(p)),
+    ):
+        f1 = first_cross_tier_edges(path, t1)
+        f2 = first_cross_tier_edges(path, t2)
+        if f1 != f2:
+            first_agree = False
+            if witness is None:
+                diff = sorted(f1 ^ f2, key=str)
+                witness = diff[0]
     equivalent = shielded_agree and first_agree
     return TierEquivalence(
         equivalent=equivalent,
@@ -518,8 +486,7 @@ def tiers_more_informative(
     else:
         verdict = Informativeness.INCOMPARABLE
 
-    r1 = cross_tier_report(c, t1, max_nodes=max_nodes)
-    r2 = cross_tier_report(c, t2, max_nodes=max_nodes)
+    r1, r2 = _reports(c, (t1, t2), max_nodes)
     cross1 = set(r1.graph.directed_edges)
     cross2 = set(r2.graph.directed_edges)
     cond_i = all(e in cross1 for e in r2.all_first_edges)

@@ -3,15 +3,31 @@
 Everything here is deliberately written against plain dict/set/bitmask
 representations, or against raw boolean matrices with none of the
 library's graph code, so a bug in the production code cannot hide in
-its oracle.
+its oracle.  The per-ordering loops at the end are the exception: they
+reuse the library's path helpers and check only how those are combined.
 """
 
 from __future__ import annotations
 
 import itertools as itr
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from causaltiers.orientation import enumerate_class, require_consistency, tiered_mpdag
+from causaltiers.tiers import (
+    CrossTierEdgeReport,
+    Informativeness,
+    InformativenessResult,
+    TierEquivalence,
+    _component_paths,
+    check_compatible,
+    contained_in,
+    cross_tier_edges,
+    fully_shielded_edges,
+    orient_undirected_part,
+)
 
 
 def is_acyclic(arcs, p: int) -> bool:
@@ -193,6 +209,31 @@ def consistent_extensions(skeleton_pairs, directed_arcs, target_vstructs, p):
     return out
 
 
+def paths_recursive(adj: dict, order: dict, s, t, max_edges=None, unshielded=False) -> list:
+    """Simple paths s ... t by recursive depth-first search over the
+    adjacency sets ``adj``, neighbours visited in ``order``; at most
+    ``max_edges`` edges, and with ``unshielded`` no triple whose ends
+    are adjacent."""
+    out = []
+    path = [s]
+
+    def extend():
+        if max_edges is not None and len(path) > max_edges:
+            return
+        for w in sorted(adj[path[-1]], key=order.__getitem__):
+            if w in path or (unshielded and len(path) > 1 and w in adj[path[-2]]):
+                continue
+            path.append(w)
+            if w == t:
+                out.append(tuple(path))
+            else:
+                extend()
+            path.pop()
+
+    extend()
+    return out
+
+
 def quantile_sorted(values, q: float) -> float:
     """Sort-based quantile with linear interpolation between order stats."""
     data = sorted(values)
@@ -305,3 +346,213 @@ def sweep_closure(amat: np.ndarray, rules) -> tuple[np.ndarray, list]:
                 trace.extend((rule, t, h) for t, h in fired)
                 changed = True
     return amat, trace
+
+
+# === per-ordering loops over the library's path enumeration
+#
+# Unlike the rest of this module, these reuse library code for the
+# unshielded paths of a component, the fully shielded edges and the
+# cross-tier orientation.  They enumerate each chain component once per
+# ordering, find earliest paths by a per-edge floor, filter maximal
+# paths pairwise, walk outward for first cross-tier edges and combine
+# joint IDA per orientation combination.
+
+
+def first_cross_tier_edges_walk(path, tier: dict) -> frozenset:
+    """From each run of minimum-tier nodes, walk outward to the nearest
+    edge whose endpoints lie in different tiers; orient it from the
+    earlier tier."""
+    tiers = [tier[v] for v in path]
+    m = min(tiers)
+    runs = []
+    i = 0
+    while i < len(tiers):
+        if tiers[i] == m:
+            j = i
+            while j + 1 < len(tiers) and tiers[j + 1] == m:
+                j += 1
+            runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    out = set()
+    for a, b in runs:
+        for i in range(a - 1, -1, -1):
+            if tiers[i] != tiers[i + 1]:
+                lo, hi = (i, i + 1) if tiers[i] < tiers[i + 1] else (i + 1, i)
+                out.add((path[lo], path[hi]))
+                break
+        for i in range(b, len(tiers) - 1):
+            if tiers[i] != tiers[i + 1]:
+                lo, hi = (i, i + 1) if tiers[i] < tiers[i + 1] else (i + 1, i)
+                out.add((path[lo], path[hi]))
+                break
+    return frozenset(out)
+
+
+def earliest_by_floor(paths: list, tier: dict) -> list:
+    """Paths none of whose edges lies on a path of ``paths`` reaching a
+    strictly lower tier."""
+    floor = {}
+    for path in paths:
+        m = min(tier[v] for v in path)
+        for x, y in zip(path, path[1:]):
+            key = frozenset((x, y))
+            if m < floor.get(key, m + 1):
+                floor[key] = m
+    out = []
+    for path in paths:
+        m = min(tier[v] for v in path)
+        if all(floor[frozenset((x, y))] >= m for x, y in zip(path, path[1:])):
+            out.append(path)
+    return out
+
+
+def is_subpath(short, long) -> bool:
+    """Is ``short`` (or its reverse) a contiguous segment of ``long``?"""
+    n, m = len(short), len(long)
+    if n > m:
+        return False
+    fwd = tuple(short)
+    rev = fwd[::-1]
+    for i in range(m - n + 1):
+        window = tuple(long[i : i + n])
+        if window == fwd or window == rev:
+            return True
+    return False
+
+
+def maximal_paths_pairwise(paths: list) -> list:
+    """Drop every path that is a proper subpath of another listed path."""
+    out = []
+    for path in paths:
+        if not any(
+            other is not path and len(other) > len(path) and is_subpath(path, other)
+            for other in paths
+        ):
+            out.append(path)
+    return out
+
+
+def _earliest_by_component(h, ordering, max_nodes: int) -> list[list]:
+    tier = ordering.assignment
+    out = []
+    for component in h.chain_components():
+        if len(component) < 2:
+            continue
+        paths = _component_paths(h, component, max_nodes)
+        out.append(maximal_paths_pairwise(earliest_by_floor(paths, tier)))
+    return out
+
+
+def cross_tier_report_loop(c, ordering, max_nodes: int = 25):
+    """:func:`causaltiers.tiers.cross_tier_report`, enumerating every
+    chain component for this ordering alone."""
+    require_consistency(c, ordering)
+    h = c.undirected_subgraph()
+    oriented = orient_undirected_part(c, ordering)
+    cross = set(oriented.directed_edges)
+    shielded = [
+        e if e in cross else (e[1], e[0])
+        for e in fully_shielded_edges(h)
+        if e in cross or (e[1], e[0]) in cross
+    ]
+    earliest = [p for paths in _earliest_by_component(h, ordering, max_nodes) for p in paths]
+    return CrossTierEdgeReport(
+        graph=oriented,
+        earliest_paths=tuple(earliest),
+        first_edges=tuple(
+            first_cross_tier_edges_walk(p, ordering.assignment) for p in earliest
+        ),
+        fully_shielded_cross_tier=tuple(shielded),
+    )
+
+
+def tiers_equivalent_loop(c, t1, t2, max_nodes: int = 25):
+    """:func:`causaltiers.tiers.tiers_equivalent` with its own component
+    loop: witness from the shielded scan first, then component by
+    component over the union of both orderings' earliest paths."""
+    check_compatible(t1, t2)
+    for ordering in (t1, t2):
+        require_consistency(c, ordering)
+    h = c.undirected_subgraph()
+    cross1 = cross_tier_edges(c, t1)
+    cross2 = cross_tier_edges(c, t2)
+
+    witness = None
+    shielded_agree = True
+    for u, v in fully_shielded_edges(h):
+        s1 = (u, v) if (u, v) in cross1 else (v, u) if (v, u) in cross1 else None
+        s2 = (u, v) if (u, v) in cross2 else (v, u) if (v, u) in cross2 else None
+        if s1 != s2:
+            shielded_agree = False
+            if witness is None:
+                witness = s1 if s1 is not None else s2
+
+    first_agree = True
+    by_component = zip(
+        _earliest_by_component(h, t1, max_nodes), _earliest_by_component(h, t2, max_nodes)
+    )
+    for earliest1, earliest2 in by_component:
+        for path in sorted(set(earliest1) | set(earliest2), key=str):
+            f1 = first_cross_tier_edges_walk(path, t1.assignment)
+            f2 = first_cross_tier_edges_walk(path, t2.assignment)
+            if f1 != f2:
+                first_agree = False
+                if witness is None:
+                    witness = sorted(f1 ^ f2, key=str)[0]
+    equivalent = shielded_agree and first_agree
+    return TierEquivalence(
+        equivalent=equivalent,
+        witness=None if equivalent else witness,
+        first_edges_agree=first_agree,
+        shielded_agree=shielded_agree,
+    )
+
+
+def tiers_more_informative_loop(c, t1, t2, max_nodes: int = 25):
+    """:func:`causaltiers.tiers.tiers_more_informative` with one
+    :func:`cross_tier_report_loop` per ordering."""
+    g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
+    if g1 == g2:
+        verdict = Informativeness.EQUIVALENT
+    elif contained_in(g1, g2):
+        verdict = Informativeness.MORE_INFORMATIVE
+    elif contained_in(g2, g1):
+        verdict = Informativeness.LESS_INFORMATIVE
+    else:
+        verdict = Informativeness.INCOMPARABLE
+    r1 = cross_tier_report_loop(c, t1, max_nodes)
+    r2 = cross_tier_report_loop(c, t2, max_nodes)
+    cross1 = set(r1.graph.directed_edges)
+    cross2 = set(r2.graph.directed_edges)
+    return InformativenessResult(
+        verdict,
+        all(e in cross1 for e in r2.all_first_edges),
+        all(e in cross1 for e in r2.fully_shielded_cross_tier),
+        any(e not in cross2 for e in r1.all_first_edges),
+        len(r1.fully_shielded_cross_tier) > len(r2.fully_shielded_cross_tier),
+    )
+
+
+def joint_ida_per_combination(g, xs) -> dict:
+    """Counts of :func:`causaltiers.joint_ida`, built from one tuple per
+    combination of component orientations."""
+    query = set(xs)
+    dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
+    und = g.undirected_subgraph()
+    per_component = [
+        [
+            {x: frozenset(dag.parents_of(x)) for x in comp if x in query}
+            for dag in enumerate_class(und.induced_subgraph(comp))
+        ]
+        for comp in g.chain_components()
+        if len(comp) > 1 and query.intersection(comp)
+    ]
+    entries = []
+    for combo in itr.product(*per_component):
+        merged = {}
+        for assignment in combo:
+            merged.update(assignment)
+        entries.append(tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs))
+    return dict(Counter(entries))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from causaltiers import CycleError, GraphError, LimitError, PDAG
 
 from conftest import WAVE_ARCS, random_dag_instance
-from oracles import has_chordless_cycle
+from oracles import has_chordless_cycle, paths_recursive
 
 
 def undirected_pairs(g):
@@ -273,6 +273,32 @@ class TestUnshieldedPaths:
         with pytest.raises(LimitError):
             g.find_unshielded_paths("V0", "V29")
         assert g.find_unshielded_paths("V0", "V29", max_nodes=30)
+
+    @given(small_pdags())
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_recursive_search(self, g):
+        adj = {v: set(g.adjacent_to(v)) for v in g.nodes}
+        order = {v: i for i, v in enumerate(g.nodes)}
+        for s, t in itr.permutations(g.nodes, 2):
+            assert g.find_unshielded_paths(s, t) == paths_recursive(
+                adj, order, s, t, unshielded=True
+            )
+            for max_edges in (None, 0, 1, 2, 3, 5):
+                assert list(g.simple_paths(s, t, max_edges=max_edges)) == paths_recursive(
+                    adj, order, s, t, max_edges=max_edges
+                )
+
+    def test_simple_paths_checks_now_and_walks_lazily(self):
+        names = [f"V{k}" for k in range(30)]
+        g = PDAG(names, undirected=list(itr.combinations(names, 2)))
+        with pytest.raises(GraphError, match="must differ"):
+            g.simple_paths("V0", "V0", max_nodes=30)
+        with pytest.raises(LimitError):
+            g.simple_paths("V0", "V1")
+        # K30 has about 10^30 paths from V0 to V1: only a lazy walk returns
+        walk = g.simple_paths("V0", "V1", max_nodes=30)
+        assert next(walk) == ("V0", "V1")
+        assert next(walk) == ("V0", "V2", "V1")
 
     @given(small_pdags())
     @settings(max_examples=60, deadline=None)

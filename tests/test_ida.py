@@ -1,4 +1,5 @@
 import itertools as itr
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from causaltiers import (
 from causaltiers.ida import ParentSetMultiset
 
 from conftest import random_cpdag_and_tau
-from oracles import multiplicity_ratios_equal
+from oracles import joint_ida_per_combination, multiplicity_ratios_equal
 
 
 def class_parent_multiset(g, x):
@@ -149,6 +150,38 @@ class TestJointIda:
             assert got.distinct() == set(expected)
             assert multiplicity_ratios_equal(got.counts, dict(expected))
             done += 1
+
+    def test_matches_per_combination_product(self):
+        rng = np.random.default_rng(107)
+        several = 0
+        for _ in range(60):
+            p = int(rng.integers(4, 11))
+            c, tau, _ = random_cpdag_and_tau(rng, p, 1.2)
+            g = tiered_mpdag(c, tau) if rng.random() < 0.5 else c
+            several += sum(len(comp) > 1 for comp in g.chain_components()) > 1
+            k = int(rng.integers(1, min(4, p) + 1))
+            xs = [g.nodes[i] for i in rng.choice(p, size=k, replace=False)]
+            assert joint_ida(g, xs).counts == joint_ida_per_combination(g, xs)
+        assert several > 10
+
+    def test_product_keeps_only_distinct_tuples(self):
+        # K5 + K5 + K4, one query node in each: 120 * 120 * 24 = 345,600
+        # orientations over 2^4 * 2^4 * 2^3 = 2,048 distinct parent-set tuples
+        groups = [[f"{tag}{i}" for i in range(k)] for tag, k in (("a", 5), ("b", 5), ("c", 4))]
+        g = PDAG(
+            [v for group in groups for v in group],
+            undirected=[e for group in groups for e in itr.combinations(group, 2)],
+        )
+        result = joint_ida(g, ["a0", "b0", "c0"])
+        assert result.total() == 345_600
+        assert len(result) == 2_048
+        # a node of K_n has parent set S in |S|! (n - 1 - |S|)! orientations
+        for entry, m in result:
+            expected = 1
+            for parents, group in zip(entry, groups):
+                k = len(parents)
+                expected *= math.factorial(k) * math.factorial(len(group) - 1 - k)
+            assert m == expected
 
     def test_multiplicities_scale_with_untouched_components(self):
         # two independent undirected components; querying one node leaves

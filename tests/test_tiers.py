@@ -18,11 +18,25 @@ from causaltiers import (
     tiers_equivalent,
     tiers_more_informative,
 )
-from causaltiers.tiers import cross_tier_edges, orient_undirected_part, fully_shielded_edges
+from causaltiers.tiers import (
+    _component_paths,
+    _maximal_paths,
+    cross_tier_edges,
+    first_cross_tier_edges,
+    fully_shielded_edges,
+    orient_undirected_part,
+)
 
 from conftest import random_cpdag_and_tau, random_coarsening
 from causaltiers import cpdag_of
-from oracles import cross_tier_pairs
+from oracles import (
+    cross_tier_pairs,
+    cross_tier_report_loop,
+    first_cross_tier_edges_walk,
+    maximal_paths_pairwise,
+    tiers_equivalent_loop,
+    tiers_more_informative_loop,
+)
 
 
 @pytest.fixture
@@ -384,3 +398,99 @@ class TestNormalizationInvariance:
                 r1.fully_shielded_cross_tier == r2.fully_shielded_cross_tier
             )
             assert tiers_equivalent(c, tau, stretched).equivalent
+
+
+def two_disagreeing_components():
+    """Two undirected paths x - y - z, the first labelled Z*, the second
+    A*.  Under {x} < {y z} and {x y} < {z} each path's first cross-tier
+    edge differs (x -> y against y -> z), so both components disagree
+    and the witness must come from the first component, whose labels
+    sort last."""
+    c = PDAG(
+        ["Z1", "Z2", "Z3", "A1", "A2", "A3"],
+        undirected=[("Z1", "Z2"), ("Z2", "Z3"), ("A1", "A2"), ("A2", "A3")],
+    )
+    t1 = TieredOrdering.from_tiers([["Z1", "A1"], ["Z2", "Z3", "A2", "A3"]])
+    t2 = TieredOrdering.from_tiers([["Z1", "Z2", "A1", "A2"], ["Z3", "A3"]])
+    return c, t1, t2
+
+
+class TestSharedEnumeration:
+    """The three criterion functions share one path enumeration; they
+    must agree with the per-ordering loops in ``oracles``."""
+
+    def test_maximal_paths_match_pairwise_filter(self):
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(60):
+            p = int(rng.integers(4, 11))
+            c, _, _ = random_cpdag_and_tau(rng, p, 2.5)
+            h = c.undirected_subgraph()
+            for component in h.chain_components():
+                if len(component) < 2:
+                    continue
+                paths = _component_paths(h, component, 25)
+                for _ in range(3):
+                    k = int(rng.integers(0, len(paths) + 1))
+                    subset = [
+                        paths[i][::-1] if rng.random() < 0.3 else paths[i]
+                        for i in rng.permutation(len(paths))[:k]
+                    ]
+                    assert _maximal_paths(subset) == maximal_paths_pairwise(subset)
+                    checked += 1
+        assert checked > 100
+
+    def test_first_edges_match_outward_walk(self):
+        rng = np.random.default_rng(97)
+        for _ in range(500):
+            n = int(rng.integers(2, 10))
+            path = tuple(f"V{k}" for k in rng.permutation(n))
+            tau = TieredOrdering({v: int(rng.integers(-2, 3)) for v in path})
+            assert first_cross_tier_edges(path, tau) == first_cross_tier_edges_walk(
+                path, tau.assignment
+            )
+
+    def test_criterion_matches_per_ordering_loop(self):
+        rng = np.random.default_rng(89)
+        several = disagree = 0
+        for _ in range(150):
+            p = int(rng.integers(3, 12))
+            c, t1, _ = random_cpdag_and_tau(rng, p, float(rng.choice([1.2, 2.0, 3.0])))
+            t2 = random_coarsening(rng, p)
+            components = c.undirected_subgraph().chain_components()
+            several += sum(len(comp) > 1 for comp in components) > 1
+            res = tiers_equivalent(c, t1, t2)
+            disagree += not res.equivalent
+            assert res == tiers_equivalent_loop(c, t1, t2)
+            assert tiers_more_informative(c, t1, t2) == tiers_more_informative_loop(c, t1, t2)
+            for ordering in (t1, t2):
+                assert cross_tier_report(c, ordering) == cross_tier_report_loop(c, ordering)
+        assert several > 20 and disagree > 50
+
+    def test_witness_taken_in_component_order(self):
+        c, t1, t2 = two_disagreeing_components()
+        res = tiers_equivalent(c, t1, t2)
+        assert res == tiers_equivalent_loop(c, t1, t2)
+        assert res.witness == ("Z1", "Z2")
+        assert not res.first_edges_agree and res.shielded_agree
+
+    @pytest.mark.parametrize(
+        "compare", [tiers_equivalent, tiers_more_informative, cross_tier_report]
+    )
+    def test_each_component_enumerated_once(self, compare, monkeypatch):
+        c, t1, t2 = two_disagreeing_components()
+        calls = []
+        enumerate_paths = PDAG.find_unshielded_paths
+
+        def counted(self, source, target, *args, **kwargs):
+            calls.append((source, target))
+            return enumerate_paths(self, source, target, *args, **kwargs)
+
+        monkeypatch.setattr(PDAG, "find_unshielded_paths", counted)
+        compare(*((c, t1) if compare is cross_tier_report else (c, t1, t2)))
+        # one call per node pair inside each three-node component
+        assert sorted(calls) == sorted(
+            (u, v)
+            for group in (("Z1", "Z2", "Z3"), ("A1", "A2", "A3"))
+            for u, v in itr.combinations(group, 2)
+        )
