@@ -10,7 +10,7 @@ is returned sorted by that index so outputs are deterministic.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -157,23 +157,18 @@ class PDAG:
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
 
+    # _entries lists entries row by row, so both are in canonical order
     @property
     def directed_edges(self) -> tuple[Edge, ...]:
-        a = self._amat
-        out = []
-        for i, j in zip(*np.nonzero(a & ~a.T)):
-            out.append((self._names[i], self._names[j]))
-        out.sort(key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        return tuple(out)
+        rows, cols, both = _entries(self._amat)
+        names = self._names
+        return tuple((names[i], names[j]) for i, j in zip(rows[~both], cols[~both]))
 
     @property
     def undirected_edges(self) -> tuple[Edge, ...]:
-        a = self._amat
-        out = []
-        for i, j in zip(*np.nonzero(a & a.T)):
-            if i < j:
-                out.append((self._names[i], self._names[j]))
-        return tuple(out)
+        rows, cols, both = _entries(self._amat)
+        keep, names = both & (rows < cols), self._names
+        return tuple((names[i], names[j]) for i, j in zip(rows[keep], cols[keep]))
 
     @property
     def num_edges(self) -> int:
@@ -285,72 +280,96 @@ class PDAG:
     def has_partially_directed_cycle(self) -> bool:
         """True iff some cycle traverses >= 1 directed edge, none backwards.
 
-        Undirected edges may be walked in either direction.  Detection:
-        a directed edge a -> b closes such a cycle iff a is reachable
-        from b along directed-forward or undirected edges.
+        Undirected edges may be walked in either direction.  One exists iff
+        a directed edge joins two nodes of one chain component, or the
+        contracted chain components have a directed cycle: O(V + E).
         """
-        a = self._amat
-        d = a & ~a.T
-        semi = a  # rows already encode "can leave i towards j"
-        for i, j in zip(*np.nonzero(d)):
-            if _reaches(semi, int(j), int(i)):
-                return True
-        return False
+        return self._partially_directed_cycle() is not None
+
+    def _partially_directed_cycle(self) -> str | None:
+        """Describe one partially directed cycle, or return None."""
+        a, names = self._amat, self._names
+        label = np.array(self._component_labels(), dtype=int)
+        tails, heads = np.nonzero(a & ~a.T)
+        inner = np.flatnonzero(label[tails] == label[heads])
+        if inner.size:
+            i, j = tails[inner[0]], heads[inner[0]]
+            return f"directed edge {names[i]} -> {names[j]} inside a chain component"
+        contracted = np.zeros(a.shape, dtype=bool)
+        contracted[label[tails], label[heads]] = True
+        # edges both ways between two components would read as undirected
+        mutual = np.argwhere(contracted & contracted.T)
+        cycle = [*mutual[0], mutual[0][0]] if mutual.size else _directed_cycle(contracted)
+        if cycle is None:
+            return None
+        members = [",".join(str(names[v]) for v in np.nonzero(label == k)[0]) for k in cycle]
+        return "chain components cycle {" + "} -> {".join(members) + "}"
+
+    def _component_labels(self) -> list[int]:
+        """Each node's chain component, named by its smallest member index."""
+        nb = _rows(self.num_nodes, *np.nonzero(self._amat & self._amat.T))
+        label = [-1] * self.num_nodes
+        for start in range(self.num_nodes):
+            if label[start] < 0:
+                label[start], stack = start, [start]
+                while stack:
+                    for w in nb[stack.pop()]:
+                        if label[w] < 0:
+                            label[w] = start
+                            stack.append(w)
+        return label
 
     def chain_components(self) -> list[tuple[Node, ...]]:
         """Connected components of the undirected subgraph, singletons included.
 
         Components are sorted by their smallest node index.
         """
-        a = self._amat
-        und = a & a.T
-        seen = [False] * self.num_nodes
-        comps = []
-        for start in range(self.num_nodes):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in np.nonzero(und[v])[0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(int(w))
-            comps.append(self._labels(comp))
-        return comps
+        comps: dict[int, list[Node]] = {}
+        for v, k in enumerate(self._component_labels()):
+            comps.setdefault(k, []).append(self._names[v])
+        return [tuple(c) for c in comps.values()]
 
     def is_chordal(self) -> bool:
         """Chordality of an undirected graph.
 
-        Runs maximum cardinality search and verifies that the resulting
-        ordering is a perfect elimination ordering.  Works per connected
-        component, so a disconnected graph is chordal iff every component
-        is.
+        Maximum cardinality search with a bucket queue (Tarjan and
+        Yannakakis, 1984; lowest index first among the heaviest nodes),
+        then a check that its order is a perfect elimination ordering.
+        A disconnected graph is chordal iff every component is.
 
         Raises
         ------
         GraphError
             If the graph has a directed edge.
         """
+        return self._non_simplicial() is None
+
+    def _non_simplicial(self) -> int | None:
+        """Index of the lowest node whose later neighbours in the search order
+        are not all adjacent to the first of them; None if the graph is chordal."""
         if not self.is_undirected:
             raise GraphError("chordality is defined for undirected graphs")
         p = self.num_nodes
-        a = self._amat
-        adj = [set(np.nonzero(a[i])[0]) for i in range(p)]
+        adj = [set(row) for row in _rows(p, *np.nonzero(self._amat))]
 
+        # buckets[w] is a heap of the nodes last seen with weight w
         weight = [0] * p
         number = [0] * p
-        unnumbered = set(range(p))
+        buckets: list[list[int]] = [list(range(p))] + [[] for _ in range(p)]
+        top = 0
         for num in range(p, 0, -1):
-            z = max(unnumbered, key=lambda v: (weight[v], -v))
-            unnumbered.discard(z)
+            while True:
+                while not buckets[top]:
+                    top -= 1
+                z = heapq.heappop(buckets[top])
+                if not number[z] and weight[z] == top:
+                    break
             number[z] = num
             for y in adj[z]:
-                if y in unnumbered:
+                if not number[y]:
                     weight[y] += 1
+                    heapq.heappush(buckets[weight[y]], y)
+                    top = max(top, weight[y])
 
         for v in range(p):
             later = {w for w in adj[v] if number[w] > number[v]}
@@ -358,8 +377,8 @@ class PDAG:
                 continue
             u = min(later, key=lambda w: number[w])
             if not (later - {u}) <= adj[u]:
-                return False
-        return True
+                return v
+        return None
 
     # === path enumeration
 
@@ -475,49 +494,45 @@ def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:
     return frozenset(out)
 
 
+def _entries(amat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major ``(i, j)`` of ``amat``'s True entries, and whether ``amat[j, i]`` is too."""
+    rows, cols = np.nonzero(amat)
+    return rows, cols, amat[cols, rows]
+
+
+def _rows(p: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
+    """``cols`` split into one list per row index, ``rows`` being sorted."""
+    ends = np.searchsorted(rows, np.arange(p + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[ends[i] : ends[i + 1]] for i in range(p)]
+
+
 def _directed_cycle(amat: np.ndarray) -> list[int] | None:
-    """Return node indices of a directed cycle, or None (Kahn's algorithm)."""
-    d = amat & ~amat.T
+    """Return node indices of a directed cycle, or None (Kahn's algorithm).
+
+    The nodes Kahn's algorithm leaves do not depend on queue order; the cycle
+    is walked back from the lowest, each step to the lowest remaining parent.
+    """
     p = amat.shape[0]
-    indeg = d.sum(axis=0).astype(int)
-    queue = deque(i for i in range(p) if indeg[i] == 0)
-    removed = 0
-    alive = np.ones(p, dtype=bool)
-    while queue:
-        v = queue.popleft()
-        alive[v] = False
-        removed += 1
-        for w in np.nonzero(d[v])[0]:
+    rows, cols, both = _entries(amat)
+    tails, heads = rows[~both], cols[~both]
+    by_head = np.argsort(heads, kind="stable")
+    succ, pred = _rows(p, tails, heads), _rows(p, heads[by_head], tails[by_head])
+    indeg = [len(x) for x in pred]
+    queue = [v for v, n in enumerate(indeg) if not n]
+    for v in queue:
+        for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(int(w))
-    if removed == p:
+            if not indeg[w]:
+                queue.append(w)
+    if len(queue) == len(indeg):
         return None
-    # walk backwards inside the remaining subgraph to recover one cycle
-    start = int(np.nonzero(alive)[0][0])
-    seen = {start: 0}
-    walk = [start]
-    v = start
+    v = next(v for v, n in enumerate(indeg) if n)
+    seen = {v: 0}
+    walk = [v]
     while True:
-        preds = np.nonzero(d[:, v] & alive)[0]
-        v = int(preds[0])
+        v = next(u for u in pred[v] if indeg[u])
         if v in seen:
             return [v] + walk[seen[v] :][::-1]
         seen[v] = len(walk)
         walk.append(v)
-
-
-def _reaches(semi: np.ndarray, start: int, goal: int) -> bool:
-    """BFS along rows of ``semi`` (edge i -> j iff semi[i, j])."""
-    p = semi.shape[0]
-    seen = np.zeros(p, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            return True
-        nxt = np.nonzero(semi[v] & ~seen)[0]
-        seen[nxt] = True
-        queue.extend(int(w) for w in nxt)
-    return False

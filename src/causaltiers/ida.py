@@ -58,7 +58,8 @@ class ParentSetMultiset:
                 return "{" + ",".join(sorted(map(str, entry))) + "}"
             return "(" + ", ".join(fmt(e) for e in entry) + ")"
 
-        parts = [f"{fmt(e)} x{m}" for e, m in sorted(self._counts.items(), key=str)]
+        entries = sorted(self._counts.items(), key=lambda item: fmt(item[0]))
+        parts = [f"{fmt(e)} x{m}" for e, m in entries]
         return f"ParentSetMultiset({', '.join(parts)})"
 
 

@@ -125,10 +125,9 @@ class SimRecord:
 
 
 def _er_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
-    pairs = list(itr.combinations(range(p), 2))
-    q = degree / (p - 1)
-    mask = rng.random(len(pairs)) < q
-    return [pair for pair, keep in zip(pairs, mask) if keep]
+    i, j = np.triu_indices(p, 1)  # the pairs in itertools.combinations order
+    keep = rng.random(i.size) < degree / (p - 1)
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
@@ -190,12 +189,9 @@ def _geometric_radius(p: int, degree: float) -> float:
 
 def _geometric_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
     pts = rng.random((p, 2))
-    r = _geometric_radius(p, degree)
-    edges = []
-    for i, j in itr.combinations(range(p), 2):
-        if float(np.hypot(*(pts[i] - pts[j]))) <= r:
-            edges.append((i, j))
-    return edges
+    i, j = np.triu_indices(p, 1)
+    keep = np.hypot(*(pts[i] - pts[j]).T) <= _geometric_radius(p, degree)
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
 
 
 _SKELETONS = {

@@ -241,7 +241,7 @@ def _component_paths(
     nodes = sub.nodes
     for si in range(len(nodes)):
         for ti in range(si + 1, len(nodes)):
-            paths.extend(sub.find_unshielded_paths(nodes[si], nodes[ti]))
+            paths.extend(sub.find_unshielded_paths(nodes[si], nodes[ti], max_nodes))
     return paths
 
 

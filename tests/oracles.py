@@ -10,12 +10,19 @@ reuse the library's path helpers and check only how those are combined.
 from __future__ import annotations
 
 import itertools as itr
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
 
-from causaltiers.orientation import enumerate_class, require_consistency, tiered_mpdag
+from causaltiers.orientation import (
+    MEEK_RULES,
+    enumerate_class,
+    meek_closure,
+    require_consistency,
+    tiered_mpdag,
+)
+from causaltiers.simulation import _geometric_radius
 from causaltiers.tiers import (
     CrossTierEdgeReport,
     Informativeness,
@@ -346,6 +353,115 @@ def sweep_closure(amat: np.ndarray, rules) -> tuple[np.ndarray, list]:
                 trace.extend((rule, t, h) for t, h in fired)
                 changed = True
     return amat, trace
+
+
+# === the invariant checks and generators the linear-time versions replaced
+#
+# Earlier library code, kept verbatim in substance: quadratic scans over
+# raw matrices, one numpy call per node or per pair.
+
+
+def directed_cycle_per_node(amat: np.ndarray) -> list[int] | None:
+    """Kahn's algorithm with one ``np.nonzero`` per removed node; the
+    cycle is walked back from the lowest remaining node, each step to
+    its lowest remaining predecessor."""
+    d = amat & ~amat.T
+    p = amat.shape[0]
+    indeg = d.sum(axis=0).astype(int)
+    queue = deque(i for i in range(p) if indeg[i] == 0)
+    removed = 0
+    alive = np.ones(p, dtype=bool)
+    while queue:
+        v = queue.popleft()
+        alive[v] = False
+        removed += 1
+        for w in np.nonzero(d[v])[0]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(int(w))
+    if removed == p:
+        return None
+    start = int(np.nonzero(alive)[0][0])
+    seen = {start: 0}
+    walk = [start]
+    v = start
+    while True:
+        v = int(np.nonzero(d[:, v] & alive)[0][0])
+        if v in seen:
+            return [v] + walk[seen[v] :][::-1]
+        seen[v] = len(walk)
+        walk.append(v)
+
+
+def _reaches(semi: np.ndarray, start: int, goal: int) -> bool:
+    """BFS along rows of ``semi`` (edge i -> j iff semi[i, j])."""
+    seen = np.zeros(semi.shape[0], dtype=bool)
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        if v == goal:
+            return True
+        nxt = np.nonzero(semi[v] & ~seen)[0]
+        seen[nxt] = True
+        queue.extend(int(w) for w in nxt)
+    return False
+
+
+def has_partially_directed_cycle_bfs(amat: np.ndarray) -> bool:
+    """A directed edge a -> b closes a partially directed cycle iff a is
+    reachable from b along directed-forward or undirected edges."""
+    d = amat & ~amat.T
+    return any(_reaches(amat, int(j), int(i)) for i, j in zip(*np.nonzero(d)))
+
+
+def non_simplicial_max_mcs(amat: np.ndarray) -> int | None:
+    """Maximum cardinality search by ``max()`` over the unnumbered set
+    (heaviest, then lowest index) and the perfect-elimination check:
+    the lowest node whose later neighbours are not all adjacent, or None."""
+    p = amat.shape[0]
+    adj = [set(np.nonzero(amat[i])[0]) for i in range(p)]
+    weight = [0] * p
+    number = [0] * p
+    unnumbered = set(range(p))
+    for num in range(p, 0, -1):
+        z = max(unnumbered, key=lambda v: (weight[v], -v))
+        unnumbered.discard(z)
+        number[z] = num
+        for y in adj[z]:
+            if y in unnumbered:
+                weight[y] += 1
+    for v in range(p):
+        later = {w for w in adj[v] if number[w] > number[v]}
+        if not later:
+            continue
+        u = min(later, key=lambda w: number[w])
+        if not (later - {u}) <= adj[u]:
+            return v
+    return None
+
+
+def full_closure_equals(imposed, g) -> bool:
+    """Rule-1 sufficiency as a second closure from scratch: the full
+    closure of the imposed graph equals the rule-1 result ``g``."""
+    return g == meek_closure(imposed, MEEK_RULES)
+
+
+def er_skeleton_combinations(p: int, degree: float, rng) -> list[tuple[int, int]]:
+    pairs = list(itr.combinations(range(p), 2))
+    q = degree / (p - 1)
+    mask = rng.random(len(pairs)) < q
+    return [pair for pair, keep in zip(pairs, mask) if keep]
+
+
+def geometric_skeleton_per_pair(p: int, degree: float, rng) -> list[tuple[int, int]]:
+    pts = rng.random((p, 2))
+    r = _geometric_radius(p, degree)
+    edges = []
+    for i, j in itr.combinations(range(p), 2):
+        if float(np.hypot(*(pts[i] - pts[j]))) <= r:
+            edges.append((i, j))
+    return edges
 
 
 # === per-ordering loops over the library's path enumeration

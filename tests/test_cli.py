@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from causaltiers import InconsistentKnowledgeError, tiered_mpdag
+from causaltiers import InconsistentKnowledgeError, orientation, tiered_mpdag
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
@@ -290,6 +290,23 @@ class TestExitCodes:
             "--out", str(tmp_path / "r.csv"),
         )
         assert code == 2
+
+    @pytest.mark.skipif(not __debug__, reason="the invariant checks run in debug mode only")
+    def test_invariant_failure_is_domain_error(self, capsys, monkeypatch, tmp_path):
+        # a rule-1 closure that orients nothing leaves rule-1 edges undirected
+        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: g)
+        code, _ = run_cli(
+            "simulate",
+            "--nodes", "25",
+            "--density", "dense",
+            "--generator", "er",
+            "--reps", "2",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rule-1 sufficiency: rule 1 orients ")
+        assert err.count("\n") == 1
 
     def test_inconsistent_tiers_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad_tiers.txt"

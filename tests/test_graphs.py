@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causaltiers import CycleError, GraphError, LimitError, PDAG
+from causaltiers.graphs import _directed_cycle
 
 from conftest import WAVE_ARCS, random_dag_instance
-from oracles import has_chordless_cycle, paths_recursive
+from oracles import (
+    directed_cycle_per_node,
+    has_chordless_cycle,
+    has_partially_directed_cycle_bfs,
+    non_simplicial_max_mcs,
+    paths_recursive,
+)
 
 
 def undirected_pairs(g):
@@ -250,6 +257,127 @@ class TestChordality:
             g = PDAG(names, undirected=edges)
             adj = {v: set(g.adjacent_to(v)) for v in names}
             assert g.is_chordal() == (not has_chordless_cycle(adj))
+
+
+def random_mixed_amat(rng, p, acyclic=True):
+    """Each pair present with a random density, undirected or directed;
+    directed edges follow one random order if ``acyclic``, else a coin."""
+    order = rng.permutation(p)
+    q, r = rng.random(), rng.random()
+    amat = np.zeros((p, p), dtype=bool)
+    for a, b in itr.combinations(range(p), 2):
+        if rng.random() < q:
+            i, j = order[a], order[b]
+            if not acyclic and rng.random() < 0.5:
+                i, j = j, i
+            amat[i, j] = True
+            amat[j, i] = rng.random() >= r
+    return amat
+
+
+def random_chain_graph_amat(rng, p):
+    """Undirected edges inside random blocks, directed edges between
+    blocks along a random block order, and sometimes one of them reversed:
+    a partially directed cycle appears only through the reversal."""
+    block = rng.integers(0, max(1, p // 2), size=p)
+    rank = rng.permutation(p)
+    q = rng.random()
+    amat = np.zeros((p, p), dtype=bool)
+    for i, j in itr.combinations(range(p), 2):
+        if rng.random() < q:
+            if block[i] == block[j]:
+                amat[i, j] = amat[j, i] = True
+            elif rank[block[i]] < rank[block[j]]:
+                amat[i, j] = True
+            else:
+                amat[j, i] = True
+    cross = np.argwhere(amat & ~amat.T)
+    if cross.size and rng.random() < 0.5:
+        i, j = cross[rng.integers(len(cross))]
+        amat[i, j], amat[j, i] = False, True
+    return amat
+
+
+def pdag_of(amat):
+    p = amat.shape[0]
+    return PDAG._from_amat([f"V{k}" for k in range(p)], amat)
+
+
+class TestLinearChecksAgainstOracles:
+    """The O(V + E) checks agree with the quadratic ones they replaced."""
+
+    def test_partially_directed_cycle(self):
+        rng = np.random.default_rng(21)
+        seen = {True: 0, False: 0}
+        contracted = 0
+        for trial in range(3000):
+            p = int(rng.integers(1, 16))
+            if trial % 2:
+                amat = random_chain_graph_amat(rng, p)
+            else:
+                amat = random_mixed_amat(rng, p)
+            if _directed_cycle(amat) is not None:
+                continue  # a reversed cross edge may close a directed cycle
+            g = pdag_of(amat)
+            expected = has_partially_directed_cycle_bfs(amat)
+            assert g.has_partially_directed_cycle() == expected, g
+            witness = g._partially_directed_cycle()
+            assert (witness is not None) == expected
+            contracted += expected and witness.startswith("chain components")
+            seen[expected] += 1
+        assert min(seen.values()) > 500 and contracted > 100, (seen, contracted)
+
+    def test_partially_directed_cycle_witnesses(self):
+        inner = PDAG("ABC", directed=[("A", "B")], undirected=[("B", "C"), ("C", "A")])
+        assert inner._partially_directed_cycle() == (
+            "directed edge A -> B inside a chain component"
+        )
+        # two components joined both ways: a 2-cycle of the contracted graph
+        both = PDAG(
+            "ABCD", directed=[("A", "B"), ("C", "D")], undirected=[("B", "C"), ("D", "A")]
+        )
+        assert both._partially_directed_cycle() == (
+            "chain components cycle {A,D} -> {B,C} -> {A,D}"
+        )
+        ring = PDAG(
+            "ABCDEF",
+            directed=[("A", "B"), ("C", "D"), ("E", "F")],
+            undirected=[("B", "C"), ("D", "E"), ("F", "A")],
+        )
+        assert ring._partially_directed_cycle() == (
+            "chain components cycle {A,F} -> {B,C} -> {D,E} -> {A,F}"
+        )
+
+    def test_chordality_and_elimination_order(self):
+        rng = np.random.default_rng(22)
+        chordal = 0
+        for _ in range(3000):
+            p = int(rng.integers(1, 16))
+            amat = random_mixed_amat(rng, p)
+            amat = amat | amat.T
+            g = pdag_of(amat)
+            witness = non_simplicial_max_mcs(amat)
+            assert g._non_simplicial() == witness, g
+            assert g.is_chordal() == (witness is None)
+            chordal += witness is None
+        assert 500 < chordal < 2500, chordal
+
+    def test_chordless_cycles_have_witnesses(self):
+        for k in range(4, 12):
+            names = [f"V{i}" for i in range(k)]
+            g = PDAG(names, undirected=list(zip(names, names[1:] + names[:1])))
+            assert g._non_simplicial() == non_simplicial_max_mcs(g._amat) is not None
+            assert not g.is_chordal()
+
+    def test_kahn_check_reports_the_same_cycle(self):
+        rng = np.random.default_rng(23)
+        cyclic = 0
+        for _ in range(3000):
+            amat = random_mixed_amat(rng, int(rng.integers(1, 20)), acyclic=False)
+            expected = directed_cycle_per_node(amat)
+            assert _directed_cycle(amat) == expected
+            cyclic += expected is not None
+        assert 500 < cyclic < 2500, cyclic
 
 
 class TestUnshieldedPaths:

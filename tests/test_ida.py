@@ -1,7 +1,11 @@
 import itertools as itr
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +186,32 @@ class TestJointIda:
                 k = len(parents)
                 expected *= math.factorial(k) * math.factorial(len(group) - 1 - k)
             assert m == expected
+
+    def test_repr_does_not_depend_on_hash_seed(self):
+        script = (
+            "import itertools as itr\n"
+            "from causaltiers import PDAG, joint_ida\n"
+            "groups = [[f'{t}{i}' for i in range(k)]\n"
+            "          for t, k in (('a', 5), ('b', 5), ('c', 4))]\n"
+            "g = PDAG([v for gr in groups for v in gr],\n"
+            "         undirected=[e for gr in groups for e in itr.combinations(gr, 2)])\n"
+            "print(repr(joint_ida(g, ['a0', 'b0', 'c0'])))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(
+            "ParentSetMultiset(({a1,a2,a3,a4}, {b1,b2,b3,b4}, {c1,c2,c3}) x"
+        )
 
     def test_multiplicities_scale_with_untouched_components(self):
         # two independent undirected components; querying one node leaves

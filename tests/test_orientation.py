@@ -1,6 +1,10 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from causaltiers import orientation
 from causaltiers import (
     BackgroundKnowledge,
     CycleError,
@@ -21,12 +25,13 @@ from causaltiers import (
     tiered_mpdag,
     v_structures,
 )
-from causaltiers.orientation import meek_closure_trace
+from causaltiers.orientation import InvariantError, meek_closure_trace
 
 from conftest import random_cpdag_and_tau, random_dag_instance
 from oracles import (
     SweepConflict,
     consistent_extensions,
+    full_closure_equals,
     is_acyclic,
     sweep_apply,
     sweep_closure,
@@ -477,6 +482,92 @@ class TestTieredMpdag:
                 else:
                     assert len(directions) == 2
             done += 1
+
+
+SQUARE = PDAG("ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+INNER_ARC = PDAG("ABC", directed=[("A", "B")], undirected=[("B", "C"), ("C", "A")])
+RULE3 = PDAG(
+    "ABCD", directed=[("B", "D"), ("C", "D")], undirected=[("A", "B"), ("A", "C"), ("A", "D")]
+)
+RULE4 = PDAG(
+    "ABCD", directed=[("A", "B"), ("B", "D")], undirected=[("C", "A"), ("C", "B"), ("C", "D")]
+)
+
+
+@pytest.mark.skipif(not __debug__, reason="the invariant checks run in debug mode only")
+class TestInvariantChecks:
+    """``tiered_mpdag``'s debug-mode checks, given a faulty rule-1 closure."""
+
+    @pytest.mark.parametrize(
+        "closed, message",
+        [
+            (None, "rule-1 sufficiency: rule 1 orients C -> D"),
+            (RULE3, "rule-1 sufficiency: rule 3 orients A -> D"),
+            (RULE4, "rule-1 sufficiency: rule 4 orients C -> D"),
+            (INNER_ARC, "partially directed cycle: directed edge A -> B inside a chain"),
+            (SQUARE, "chordality: later neighbours of D are not all adjacent"),
+        ],
+        ids=["rule-1", "rule-3", "rule-4", "partially-directed-cycle", "chordless-cycle"],
+    )
+    def test_faulty_closure_names_invariant_and_witness(
+        self, monkeypatch, wave_cpdag, wave_tau, closed, message
+    ):
+        # None: the closure leaves the imposed graph as it is, so C - D
+        # stays undirected although rule 1 orients it
+        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: closed or g)
+        with pytest.raises(InvariantError, match=re.escape(message)):
+            tiered_mpdag(wave_cpdag, wave_tau)
+
+    def test_rule_check_matches_full_closure_oracle(self, monkeypatch):
+        """No rule fires on a rule-1 result iff a second, full closure of
+        the imposed graph gives it back.  Checked on rule-1 closures under
+        consistent knowledge, some stopped early, and on arbitrary PDAGs,
+        often closed under rules 1 and 2, taken as their own closure."""
+        rng = np.random.default_rng(47)
+        state = {}
+        monkeypatch.setattr(orientation, "impose_tiers", lambda c, ordering: state["imposed"])
+        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: state["closed"])
+        outcomes = Counter()
+        for _ in range(800):
+            if rng.random() < 0.4:
+                imposed = random_pdag(rng, int(rng.integers(4, 10)))
+                if rng.random() < 0.7:  # leave rules 3 and 4 to fire first
+                    try:
+                        imposed = meek_closure(imposed, (1, 2))
+                    except GraphError:
+                        pass
+                closed = imposed
+            else:
+                c, _, dag = random_cpdag_and_tau(rng, int(rng.integers(3, 12)), 3.0)
+                truth = [e for e in dag.directed_edges if c.has_undirected(*e)]
+                order = rng.permutation(len(truth))
+                picks = [truth[k] for k in order[: int(rng.integers(0, 4))]]
+                imposed = impose_knowledge(c, BackgroundKnowledge(required=picks))
+                closed, trace = meek_closure_trace(imposed, (1,))
+                if rng.random() < 0.5:
+                    amat = imposed._amat.copy()
+                    for _, (tail, head) in trace[: int(rng.integers(0, len(trace) + 1))]:
+                        amat[imposed.index_of(head), imposed.index_of(tail)] = False
+                    closed = PDAG._from_amat(imposed.nodes, amat)
+            try:
+                expected = full_closure_equals(imposed, closed)
+            except GraphError:  # the closure conflicts, so it is not ``closed``
+                expected = False
+            state.update(imposed=imposed, closed=closed)
+            rule = None
+            try:
+                tiered_mpdag(imposed, None)
+            except InconsistentKnowledgeError:
+                rule = "both ways"
+            except InvariantError as exc:
+                # knowledge that is not tiered may leave partially directed
+                # cycles, which the later checks report
+                fired = re.match(r"rule-1 sufficiency: rule (\d) ", str(exc))
+                rule = fired and int(fired.group(1))
+            assert (rule is None) == expected
+            outcomes[rule] += 1
+        assert min(outcomes[r] for r in (None, 1, 2, 4, "both ways")) > 10, outcomes
+        assert outcomes[3], outcomes
 
 
 class TestEnumerateClass:

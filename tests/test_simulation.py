@@ -11,10 +11,13 @@ from causaltiers import (
     cpdag_of,
 )
 from causaltiers.simulation import (
+    DENSITY_NEIGHBOURS,
     SimCell,
     SimConfig,
     SimRecord,
     TierScheme,
+    _er_skeleton,
+    _geometric_skeleton,
     base_tier_sizes,
     emit_results,
     random_dag,
@@ -26,7 +29,7 @@ from causaltiers.simulation import (
     write_csv,
 )
 
-from oracles import quantile_sorted
+from oracles import er_skeleton_combinations, geometric_skeleton_per_pair, quantile_sorted
 
 
 class TestRandomDag:
@@ -54,6 +57,22 @@ class TestRandomDag:
                 for scheme in TIER_SCHEMES.values():
                     tau = scheme_ordering(scheme, 12)
                     assert check_consistency(c, tau) == []
+
+    @pytest.mark.parametrize(
+        "fast, oracle",
+        [
+            (_er_skeleton, er_skeleton_combinations),
+            (_geometric_skeleton, geometric_skeleton_per_pair),
+        ],
+        ids=["er", "geometric"],
+    )
+    def test_skeletons_match_per_pair_loops(self, fast, oracle):
+        """Same edges from the same stream, and the stream left in the same state."""
+        for p in range(2, 121):
+            for seed, degree in zip((p, 1000 + p), sorted(DENSITY_NEIGHBOURS.values())):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert fast(p, degree, rng) == oracle(p, degree, ref), (p, seed)
+                assert rng.random() == ref.random()
 
     def test_invalid_parameters(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import pytest
 from causaltiers import (
     GraphError,
     IncompatibleOrderingsError,
+    LimitError,
     Informativeness,
     PDAG,
     Refinement,
@@ -269,6 +270,14 @@ class TestTiersEquivalent:
             res = tiers_equivalent(c, t1, t2)
             same = tiered_mpdag(c, t1) == tiered_mpdag(c, t2)
             assert res.equivalent == same
+
+    def test_max_nodes_reaches_the_path_walk(self):
+        names = [f"V{k}" for k in range(26)]
+        path = PDAG(names, undirected=list(zip(names, names[1:])))
+        tau = TieredOrdering.from_tiers([names])
+        with pytest.raises(LimitError, match="limit of 25"):
+            tiers_equivalent(path, tau, tau)
+        assert tiers_equivalent(path, tau, tau, max_nodes=30).equivalent
 
     def test_regression_shielded_competitors_do_not_preempt(self):
         """Archived instance: V0 is adjacent to everything, so every
