@@ -24,7 +24,8 @@ def parse_graph(text: str) -> PDAG:
             if not line.startswith("nodes:"):
                 raise GraphError(f"line {lineno}: expected a 'nodes:' header")
             nodes = line[len("nodes:") :].split()
-            if len(set(nodes)) != len(nodes):
+            known = set(nodes)
+            if len(known) != len(nodes):
                 raise GraphError(f"line {lineno}: duplicate node label")
             continue
         for mark, bucket in ((" -> ", directed), (" -- ", undirected)):
@@ -32,7 +33,7 @@ def parse_graph(text: str) -> PDAG:
                 left, right = line.split(mark, 1)
                 u, v = left.strip(), right.strip()
                 for w in (u, v):
-                    if w not in nodes:
+                    if w not in known:
                         raise GraphError(f"line {lineno}: unknown node {w!r}")
                 bucket.append((u, v))
                 break

@@ -6,14 +6,18 @@ and maximally oriented PDAGs are all validity states of this one
 structure.  Nodes carry arbitrary hashable labels; internally they are
 mapped to dense indices in insertion order, and every set-valued result
 is returned sorted by that index so outputs are deterministic.
+
+Each node's parent, child and neighbour index sets are the only storage,
+so queries read one node's sets and construction, the cycle checks and
+derived graphs take time linear in the nodes and edges.  Edge lists come
+row by row in index order, as an adjacency matrix would list them; that
+matrix view exists only in the tests.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Hashable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -63,7 +67,7 @@ class PDAG:
     ('C',)
     """
 
-    __slots__ = ("_names", "_index", "_amat", "_hash")
+    __slots__ = ("_names", "_index", "_pa", "_ch", "_ne", "_hash")
 
     def __init__(
         self,
@@ -91,51 +95,52 @@ class PDAG:
             intern(u)
             intern(v)
 
-        p = len(names)
-        amat = np.zeros((p, p), dtype=bool)
+        pa: list[set[int]] = [set() for _ in names]
+        ne: list[set[int]] = [set() for _ in names]
+
+        def new_pair(u: Node, v: Node) -> tuple[int, int]:
+            i, j = index[u], index[v]
+            if i == j:
+                raise GraphError(f"self-loop at node {u!r}")
+            if j in pa[i] or i in pa[j] or j in ne[i]:
+                raise GraphError(f"more than one edge between {u!r} and {v!r}")
+            return i, j
+
         for u, v in directed:
-            i, j = index[u], index[v]
-            self._check_new_pair(amat, i, j, u, v)
-            amat[i, j] = True
+            i, j = new_pair(u, v)
+            pa[j].add(i)
         for u, v in undirected:
-            i, j = index[u], index[v]
-            self._check_new_pair(amat, i, j, u, v)
-            amat[i, j] = amat[j, i] = True
-
-        cycle = _directed_cycle(amat)
-        if cycle is not None:
-            raise CycleError(
-                "directed cycle: " + " -> ".join(str(names[i]) for i in cycle)
-            )
-
-        self._names = tuple(names)
-        self._index = index
-        self._amat = amat
-        self._amat.setflags(write=False)
-        self._hash: int | None = None
-
-    @staticmethod
-    def _check_new_pair(amat, i: int, j: int, u: Node, v: Node) -> None:
-        if i == j:
-            raise GraphError(f"self-loop at node {u!r}")
-        if amat[i, j] or amat[j, i]:
-            raise GraphError(f"more than one edge between {u!r} and {v!r}")
+            i, j = new_pair(u, v)
+            ne[i].add(j)
+            ne[j].add(i)
+        self._store(names, index, pa, ne)
 
     @classmethod
-    def _from_amat(cls, names: Sequence[Node], amat: np.ndarray) -> "PDAG":
-        """Build from an adjacency matrix without copying edge lists."""
+    def _from_sets(
+        cls, names: Sequence[Node], pa: Sequence[Iterable[int]], ne: Sequence[Iterable[int]]
+    ) -> "PDAG":
+        """Build from each node's parent and neighbour index sets."""
         g = cls.__new__(cls)
-        g._names = tuple(names)
-        g._index = {label: i for i, label in enumerate(names)}
-        cycle = _directed_cycle(amat)
+        g._store(names, {label: i for i, label in enumerate(names)}, pa, ne)
+        return g
+
+    def _store(self, names, index, pa, ne) -> None:
+        """Freeze the sets, derive the children, and reject a directed cycle."""
+        ch: list[set[int]] = [set() for _ in names]
+        for j, tails in enumerate(pa):
+            for i in tails:
+                ch[i].add(j)
+        self._pa = tuple(map(frozenset, pa))
+        self._ch = tuple(map(frozenset, ch))
+        cycle = _directed_cycle(self._pa, self._ch)
         if cycle is not None:
             raise CycleError(
                 "directed cycle: " + " -> ".join(str(names[i]) for i in cycle)
             )
-        g._amat = amat.copy()
-        g._amat.setflags(write=False)
-        g._hash = None
-        return g
+        self._names = tuple(names)
+        self._index = index
+        self._ne = tuple(map(frozenset, ne))
+        self._hash: int | None = None
 
     # === basic accessors
 
@@ -157,67 +162,62 @@ class PDAG:
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
 
-    # _entries lists entries row by row, so both are in canonical order
+    # row by row, each row by index: the canonical order
     @property
     def directed_edges(self) -> tuple[Edge, ...]:
-        rows, cols, both = _entries(self._amat)
         names = self._names
-        return tuple((names[i], names[j]) for i, j in zip(rows[~both], cols[~both]))
+        return tuple((names[i], names[j]) for i, ch in enumerate(self._ch) for j in sorted(ch))
 
     @property
     def undirected_edges(self) -> tuple[Edge, ...]:
-        rows, cols, both = _entries(self._amat)
-        keep, names = both & (rows < cols), self._names
-        return tuple((names[i], names[j]) for i, j in zip(rows[keep], cols[keep]))
+        names = self._names
+        return tuple(
+            (names[i], names[j]) for i, ne in enumerate(self._ne) for j in sorted(ne) if i < j
+        )
 
     @property
     def num_edges(self) -> int:
-        return len(self.directed_edges) + len(self.undirected_edges)
+        return sum(map(len, self._pa)) + sum(map(len, self._ne)) // 2
 
     @property
     def is_directed(self) -> bool:
         """True iff every edge is directed (the graph is a DAG)."""
-        return not self.undirected_edges
+        return not any(self._ne)
 
     @property
     def is_undirected(self) -> bool:
-        return not self.directed_edges
+        return not any(self._pa)
 
     def has_edge(self, u: Node, v: Node) -> bool:
         i, j = self.index_of(u), self.index_of(v)
-        return bool(self._amat[i, j] or self._amat[j, i])
+        return j in self._pa[i] or j in self._ch[i] or j in self._ne[i]
 
     def has_directed(self, u: Node, v: Node) -> bool:
-        i, j = self.index_of(u), self.index_of(v)
-        return bool(self._amat[i, j] and not self._amat[j, i])
+        return self.index_of(v) in self._ch[self.index_of(u)]
 
     def has_undirected(self, u: Node, v: Node) -> bool:
-        i, j = self.index_of(u), self.index_of(v)
-        return bool(self._amat[i, j] and self._amat[j, i])
+        return self.index_of(v) in self._ne[self.index_of(u)]
 
     def _labels(self, idxs: Iterable[int]) -> tuple[Node, ...]:
         return tuple(self._names[i] for i in sorted(idxs))
 
+    def _adjacency(self) -> list[frozenset[int]]:
+        """Each node's adjacent indices, whatever the edge type."""
+        return [pa | ch | ne for pa, ch, ne in zip(self._pa, self._ch, self._ne)]
+
     def parents_of(self, v: Node) -> tuple[Node, ...]:
-        j = self.index_of(v)
-        a = self._amat
-        return self._labels(np.nonzero(a[:, j] & ~a[j, :])[0])
+        return self._labels(self._pa[self.index_of(v)])
 
     def children_of(self, v: Node) -> tuple[Node, ...]:
-        i = self.index_of(v)
-        a = self._amat
-        return self._labels(np.nonzero(a[i, :] & ~a[:, i])[0])
+        return self._labels(self._ch[self.index_of(v)])
 
     def neighbors_of(self, v: Node) -> tuple[Node, ...]:
         """Nodes joined to ``v`` by an undirected edge."""
-        i = self.index_of(v)
-        a = self._amat
-        return self._labels(np.nonzero(a[i, :] & a[:, i])[0])
+        return self._labels(self._ne[self.index_of(v)])
 
     def adjacent_to(self, v: Node) -> tuple[Node, ...]:
         i = self.index_of(v)
-        a = self._amat
-        return self._labels(np.nonzero(a[i, :] | a[:, i])[0])
+        return self._labels(self._pa[i] | self._ch[i] | self._ne[i])
 
     # === comparison
 
@@ -250,18 +250,15 @@ class PDAG:
 
     def skeleton(self) -> "PDAG":
         """Same adjacencies with every edge undirected."""
-        a = self._amat
-        return PDAG._from_amat(self._names, a | a.T)
+        return PDAG._from_sets(self._names, [()] * self.num_nodes, self._adjacency())
 
     def undirected_subgraph(self) -> "PDAG":
         """Same nodes, only the undirected edges."""
-        a = self._amat
-        return PDAG._from_amat(self._names, a & a.T)
+        return PDAG._from_sets(self._names, [()] * self.num_nodes, self._ne)
 
     def directed_subgraph(self) -> "PDAG":
         """Same nodes, only the directed edges."""
-        a = self._amat
-        return PDAG._from_amat(self._names, a & ~a.T)
+        return PDAG._from_sets(self._names, self._pa, [()] * self.num_nodes)
 
     def induced_subgraph(self, nodes: Iterable[Node]) -> "PDAG":
         """Subgraph over ``nodes`` keeping all and only edges between them."""
@@ -269,13 +266,19 @@ class PDAG:
         if len(set(keep)) != len(keep):
             raise GraphError("duplicate node in induced subgraph selection")
         keep.sort()
-        sub = self._amat[np.ix_(keep, keep)]
-        return PDAG._from_amat([self._names[i] for i in keep], sub)
+        new = {v: k for k, v in enumerate(keep)}
+
+        def restrict(sets):
+            return [[new[w] for w in sets[v] if w in new] for v in keep]
+
+        return PDAG._from_sets(
+            [self._names[i] for i in keep], restrict(self._pa), restrict(self._ne)
+        )
 
     # === structure queries
 
     def has_directed_cycle(self) -> bool:
-        return _directed_cycle(self._amat) is not None
+        return _directed_cycle(self._pa, self._ch) is not None
 
     def has_partially_directed_cycle(self) -> bool:
         """True iff some cycle traverses >= 1 directed edge, none backwards.
@@ -288,32 +291,38 @@ class PDAG:
 
     def _partially_directed_cycle(self) -> str | None:
         """Describe one partially directed cycle, or return None."""
-        a, names = self._amat, self._names
-        label = np.array(self._component_labels(), dtype=int)
-        tails, heads = np.nonzero(a & ~a.T)
-        inner = np.flatnonzero(label[tails] == label[heads])
-        if inner.size:
-            i, j = tails[inner[0]], heads[inner[0]]
-            return f"directed edge {names[i]} -> {names[j]} inside a chain component"
-        contracted = np.zeros(a.shape, dtype=bool)
-        contracted[label[tails], label[heads]] = True
+        names, label = self._names, self._component_labels()
+        # the first directed edge inside a component, in canonical order
+        for i, ch in enumerate(self._ch):
+            inner = [j for j in ch if label[j] == label[i]]
+            if inner:
+                return f"directed edge {names[i]} -> {names[min(inner)]} inside a chain component"
+        # components named by their smallest member index
+        cpa: list[set[int]] = [set() for _ in names]
+        cch: list[set[int]] = [set() for _ in names]
+        for j, pa in enumerate(self._pa):
+            for i in pa:
+                cpa[label[j]].add(label[i])
+                cch[label[i]].add(label[j])
         # edges both ways between two components would read as undirected
-        mutual = np.argwhere(contracted & contracted.T)
-        cycle = [*mutual[0], mutual[0][0]] if mutual.size else _directed_cycle(contracted)
+        mutual = min(((a, b) for a, ch in enumerate(cch) for b in ch if a in cch[b]), default=None)
+        cycle = [*mutual, mutual[0]] if mutual else _directed_cycle(cpa, cch)
         if cycle is None:
             return None
-        members = [",".join(str(names[v]) for v in np.nonzero(label == k)[0]) for k in cycle]
-        return "chain components cycle {" + "} -> {".join(members) + "}"
+        members: dict[int, list[str]] = {}
+        for v, k in enumerate(label):
+            members.setdefault(k, []).append(str(names[v]))
+        listed = (",".join(members[k]) for k in cycle)
+        return "chain components cycle {" + "} -> {".join(listed) + "}"
 
     def _component_labels(self) -> list[int]:
         """Each node's chain component, named by its smallest member index."""
-        nb = _rows(self.num_nodes, *np.nonzero(self._amat & self._amat.T))
         label = [-1] * self.num_nodes
         for start in range(self.num_nodes):
             if label[start] < 0:
                 label[start], stack = start, [start]
                 while stack:
-                    for w in nb[stack.pop()]:
+                    for w in self._ne[stack.pop()]:
                         if label[w] < 0:
                             label[w] = start
                             stack.append(w)
@@ -342,15 +351,15 @@ class PDAG:
         GraphError
             If the graph has a directed edge.
         """
+        if not self.is_undirected:
+            raise GraphError("chordality is defined for undirected graphs")
         return self._non_simplicial() is None
 
     def _non_simplicial(self) -> int | None:
         """Index of the lowest node whose later neighbours in the search order
-        are not all adjacent to the first of them; None if the graph is chordal."""
-        if not self.is_undirected:
-            raise GraphError("chordality is defined for undirected graphs")
-        p = self.num_nodes
-        adj = [set(row) for row in _rows(p, *np.nonzero(self._amat))]
+        are not all adjacent to the first of them, in the undirected part;
+        None if the undirected part is chordal."""
+        p, adj = self.num_nodes, self._ne
 
         # buckets[w] is a heap of the nodes last seen with weight w
         weight = [0] * p
@@ -422,9 +431,8 @@ class PDAG:
         if s == t:
             raise GraphError("source and target must differ")
         self._check_path_guard(max_nodes)
-        a = self._amat
-        adjacent = (a | a.T).tolist()
-        adj = [[w for w, on in enumerate(row) if on] for row in adjacent]
+        adjacent = self._adjacency()
+        adj = [sorted(row) for row in adjacent]
         names = self._names
         cap = self.num_nodes if max_edges is None else max_edges
 
@@ -437,7 +445,7 @@ class PDAG:
             stack = [iter(adj[s])]
             while stack:
                 for w in stack[-1]:
-                    if on_path[w] or (unshielded and len(path) > 1 and adjacent[path[-2]][w]):
+                    if on_path[w] or (unshielded and len(path) > 1 and w in adjacent[path[-2]]):
                         continue
                     if w == t:
                         yield tuple(names[i] for i in path) + (names[t],)
@@ -480,48 +488,29 @@ def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:
     The two parents are ordered by node index, so each v-structure has a
     single canonical form.
     """
-    a = g._amat
-    d = a & ~a.T
-    adj = a | a.T
+    adj, names = g._adjacency(), g.nodes
     out = set()
-    for b in range(g.num_nodes):
-        parents = np.nonzero(d[:, b])[0]
-        for x in range(len(parents)):
-            for y in range(x + 1, len(parents)):
-                i, j = int(parents[x]), int(parents[y])
-                if not adj[i, j]:
-                    out.add((g.nodes[i], g.nodes[b], g.nodes[j]))
+    for b, pa in enumerate(g._pa):
+        parents = sorted(pa)
+        for x, i in enumerate(parents):
+            for j in parents[x + 1 :]:
+                if j not in adj[i]:
+                    out.add((names[i], names[b], names[j]))
     return frozenset(out)
 
 
-def _entries(amat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major ``(i, j)`` of ``amat``'s True entries, and whether ``amat[j, i]`` is too."""
-    rows, cols = np.nonzero(amat)
-    return rows, cols, amat[cols, rows]
-
-
-def _rows(p: int, rows: np.ndarray, cols: np.ndarray) -> list[list[int]]:
-    """``cols`` split into one list per row index, ``rows`` being sorted."""
-    ends = np.searchsorted(rows, np.arange(p + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[ends[i] : ends[i + 1]] for i in range(p)]
-
-
-def _directed_cycle(amat: np.ndarray) -> list[int] | None:
+def _directed_cycle(
+    pa: Sequence[Collection[int]], ch: Sequence[Collection[int]]
+) -> list[int] | None:
     """Return node indices of a directed cycle, or None (Kahn's algorithm).
 
     The nodes Kahn's algorithm leaves do not depend on queue order; the cycle
     is walked back from the lowest, each step to the lowest remaining parent.
     """
-    p = amat.shape[0]
-    rows, cols, both = _entries(amat)
-    tails, heads = rows[~both], cols[~both]
-    by_head = np.argsort(heads, kind="stable")
-    succ, pred = _rows(p, tails, heads), _rows(p, heads[by_head], tails[by_head])
-    indeg = [len(x) for x in pred]
+    indeg = [len(x) for x in pa]
     queue = [v for v, n in enumerate(indeg) if not n]
     for v in queue:
-        for w in succ[v]:
+        for w in ch[v]:
             indeg[w] -= 1
             if not indeg[w]:
                 queue.append(w)
@@ -531,7 +520,7 @@ def _directed_cycle(amat: np.ndarray) -> list[int] | None:
     seen = {v: 0}
     walk = [v]
     while True:
-        v = next(u for u in pred[v] if indeg[u])
+        v = min(u for u in pa[v] if indeg[u])
         if v in seen:
             return [v] + walk[seen[v] :][::-1]
         seen[v] = len(walk)

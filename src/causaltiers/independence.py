@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-import numpy as np
-
 from .graphs import GraphError, Node, PDAG, v_structures
 from .orientation import meek_closure
 
@@ -57,10 +55,7 @@ def is_d_separated(
     if sa & sb or sa & sc or sb & sc:
         raise GraphError("the three node sets must be pairwise disjoint")
 
-    amat = g._amat
-    p = g.num_nodes
-    children = [np.nonzero(amat[i])[0] for i in range(p)]
-    parents = [np.nonzero(amat[:, i])[0] for i in range(p)]
+    children, parents = g._ch, g._pa
 
     # ancestors of c (including c): colliders may pass the walk there
     anc_c = set(sc)
@@ -68,9 +63,9 @@ def is_d_separated(
     while queue:
         v = queue.popleft()
         for w in parents[v]:
-            if int(w) not in anc_c:
-                anc_c.add(int(w))
-                queue.append(int(w))
+            if w not in anc_c:
+                anc_c.add(w)
+                queue.append(w)
 
     # states: (node, came_from_parent); start as if arriving from a child
     seen: set[tuple[int, bool]] = set()
@@ -86,17 +81,17 @@ def is_d_separated(
             # trail continues through a non-collider
             if v not in sc:
                 for w in parents[v]:
-                    queue.append((int(w), False))
+                    queue.append((w, False))
                 for w in children[v]:
-                    queue.append((int(w), True))
+                    queue.append((w, True))
         else:
             if v not in sc:
                 for w in children[v]:
-                    queue.append((int(w), True))
+                    queue.append((w, True))
             if v in anc_c:
                 # collider open: v is in c or has a descendant in c
                 for w in parents[v]:
-                    queue.append((int(w), False))
+                    queue.append((w, False))
     return True
 
 
@@ -124,10 +119,10 @@ def cpdag_of(d: PDAG) -> PDAG:
     reversible within the class.
     """
     _require_dag(d)
-    amat = (d._amat | d._amat.T).copy()
+    pa: list[set[int]] = [set() for _ in d.nodes]
     for a, b, c in v_structures(d):
-        i, j, k = d.index_of(a), d.index_of(b), d.index_of(c)
-        amat[j, i] = False
-        amat[j, k] = False
-    start = PDAG._from_amat(d.nodes, amat)
+        pa[d.index_of(b)] |= {d.index_of(a), d.index_of(c)}
+    adj = d._adjacency()
+    ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
+    start = PDAG._from_sets(d.nodes, pa, ne)
     return meek_closure(start, rules=(1, 2, 3))

@@ -2,24 +2,25 @@
 
 Knowledge is imposed on a CPDAG by orienting undirected edges, then
 Meek's four rules are applied until no further change; the fixpoint is
-the maximally oriented PDAG for that knowledge.  The closure works on
-per-node parent and neighbour sets and visits only undirected edges: in
-each round, each rule collects all its firings in canonical edge order,
-then applies them.  Tiered knowledge is imposed from the tier vector
-alone by :func:`impose_tiers`; closing under rule 1 alone then reaches
-the fixpoint, so :func:`tiered_mpdag` runs only rule 1 (and, in debug
-mode, checks the paper's invariants in linear time, raising
-:class:`InvariantError`).  :func:`enumerate_class` lists a class by
-branch and close, in a fixed lexicographic order, and stops with
-:class:`LimitError` beyond ``max_members`` members.
+the maximally oriented PDAG for that knowledge.  The imposition and the
+closure copy the graph's own parent and neighbour sets, orient only
+undirected edges in the copies and build the result from them; in each
+round of the closure, each rule collects all its firings in canonical
+edge order, then applies them.  Tiered knowledge is imposed from the
+tier vector alone by :func:`impose_tiers`, never as a set of forbidden
+pairs (that view, ``forbidden_set``, is a test oracle); closing under rule 1
+alone then reaches the fixpoint, so :func:`tiered_mpdag` runs only
+rule 1 (and, in debug mode, checks the paper's invariants in linear
+time on the result's own sets, raising :class:`InvariantError`).
+:func:`enumerate_class` lists a class by branch and close, in a fixed
+lexicographic order, and stops with :class:`LimitError` beyond
+``max_members`` members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from .graphs import Edge, GraphError, LimitError, PDAG, v_structures
 
@@ -94,7 +95,7 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
                 "in the graph"
             )
 
-    amat = c._amat.copy()
+    s = _state(c)
     for u, v in c.undirected_edges:
         i, j = c.index_of(u), c.index_of(v)
         if (u, v) in k.forbidden and (v, u) in k.forbidden:
@@ -103,31 +104,26 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
                 "but the nodes are adjacent"
             )
         if (u, v) in k.forbidden:
-            amat[i, j] = False  # v -> u
-        elif (v, u) in k.forbidden:
-            amat[j, i] = False  # u -> v
-        elif (u, v) in k.required:
-            amat[j, i] = False
+            _orient(s, j, i)
+        elif (v, u) in k.forbidden or (u, v) in k.required:
+            _orient(s, i, j)
         elif (v, u) in k.required:
-            amat[i, j] = False
-    return PDAG._from_amat(c.nodes, amat)
+            _orient(s, j, i)
+    return _graph(c, s)
 
 
 # === Meek's rules on per-node parent and neighbour sets
 
 
-def _sets(amat: np.ndarray) -> tuple[list[set], list[set], list[set]]:
-    """Parent, neighbour and adjacency sets by node index; orienting keeps ``adj``."""
-    p = amat.shape[0]
-    pa, ne, adj = ([set() for _ in range(p)] for _ in range(3))
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(amat))):
-        adj[i].add(j)
-        adj[j].add(i)
-        if amat[j, i]:
-            ne[i].add(j)
-        else:
-            pa[j].add(i)
-    return pa, ne, adj
+def _state(g: PDAG) -> tuple[list[set], list[set], list[frozenset]]:
+    """Copies of ``g``'s parent and neighbour sets, and its adjacency sets,
+    which orienting keeps."""
+    return [set(x) for x in g._pa], [set(x) for x in g._ne], g._adjacency()
+
+
+def _graph(g: PDAG, s) -> PDAG:
+    """The graph on ``g``'s nodes with the parents and neighbours of ``s``."""
+    return PDAG._from_sets(g.nodes, s[0], s[1])
 
 
 def _orient(s, tail: int, head: int) -> None:
@@ -186,22 +182,17 @@ def _close(s, rules: Sequence[int], names) -> list[tuple[int, int, int]]:
             return trace
 
 
-def _oriented(g: PDAG, arcs: Iterable[tuple[int, int]]) -> PDAG:
-    """``g`` with each ``(tail, head)`` index pair directed tail -> head."""
-    amat = g._amat.copy()
-    for tail, head in arcs:
-        amat[head, tail] = False
-    return PDAG._from_amat(g.nodes, amat)
-
-
 def apply_meek_rule(g: PDAG, rule: int) -> tuple[PDAG, list[Edge]]:
     """One full sweep of a single Meek rule.
 
     Returns the updated graph and the newly oriented edges in canonical
     order.  A fixpoint returns the graph unchanged with an empty list.
     """
-    fired = _firings(_sets(g._amat), rule, g.nodes)
-    return _oriented(g, fired), [(g.nodes[t], g.nodes[h]) for t, h in fired]
+    s = _state(g)
+    fired = _firings(s, rule, g.nodes)
+    for tail, head in fired:
+        _orient(s, tail, head)
+    return _graph(g, s), [(g.nodes[t], g.nodes[h]) for t, h in fired]
 
 
 def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
@@ -209,7 +200,9 @@ def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
 
     The fixpoint does not depend on the order in which rules are swept.
     """
-    return _oriented(g, (arc for _, *arc in _close(_sets(g._amat), rules, g.nodes)))
+    s = _state(g)
+    _close(s, rules, g.nodes)
+    return _graph(g, s)
 
 
 def meek_closure_trace(
@@ -217,9 +210,10 @@ def meek_closure_trace(
 ) -> tuple[PDAG, list[tuple[int, Edge]]]:
     """Like :func:`meek_closure` but also returns (rule, edge) firings:
     round by round, each rule's firings in canonical edge order."""
-    trace = _close(_sets(g._amat), rules, g.nodes)
+    s = _state(g)
+    trace = _close(s, rules, g.nodes)
     edges = [(rule, (g.nodes[t], g.nodes[h])) for rule, t, h in trace]
-    return _oriented(g, (arc for _, *arc in trace)), edges
+    return _graph(g, s), edges
 
 
 def mpdag_of(c: PDAG, k: BackgroundKnowledge) -> PDAG:
@@ -265,11 +259,14 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    # contiguous levels keep any integer tiers exact in an int64 array
-    levels = ordering.normalized()
-    tier = np.array([levels.tier_of(v) for v in c.nodes])
-    # no directed edge points later -> earlier, so only undirected ones lose a half
-    return PDAG._from_amat(c.nodes, c._amat & ~(tier[:, None] > tier[None, :]))
+    tiers = ordering.assignment
+    tier = [tiers[v] for v in c.nodes]
+    s = _state(c)
+    for i, ne in enumerate(c._ne):
+        for j in ne:
+            if tier[i] < tier[j]:
+                _orient(s, i, j)
+    return _graph(c, s)
 
 
 def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
@@ -293,15 +290,15 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     if __debug__:
         # the closure does not depend on rule order, so the full closure
         # of ``imposed`` is ``g`` iff no rule fires on ``g``
-        s, names = _sets(g._amat), g.nodes
+        s, names = (g._pa, g._ne, g._adjacency()), g.nodes
         fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
         if fired:
             raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
         if g.has_partially_directed_cycle():
             raise InvariantError(f"partially directed cycle: {g._partially_directed_cycle()}")
-        u = g.undirected_subgraph()
-        if not u.is_chordal():
-            v = names[u._non_simplicial()]
+        k = g._non_simplicial()
+        if k is not None:
+            v = names[k]
             raise InvariantError(f"chordality: later neighbours of {v} are not all adjacent")
     return g
 
@@ -325,9 +322,8 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
         As soon as more than ``max_members`` members are found.
     """
     target = v_structures(g)
-    und = [(g.index_of(u), g.index_of(v)) for u, v in g.undirected_edges]
     out: list[PDAG] = []
-    stack = [_sets(g._amat)]
+    stack = [_state(g)]
     while stack:
         s = stack.pop()
         try:
@@ -344,7 +340,7 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
             stack += (back, s)
             continue
         try:
-            member = _oriented(g, ((i, j) if i in pa[j] else (j, i) for i, j in und))
+            member = _graph(g, s)
         except GraphError:
             continue
         if v_structures(member) == target:

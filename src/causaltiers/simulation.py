@@ -15,8 +15,6 @@ or in parallel with bit-identical results.
 from __future__ import annotations
 
 import csv
-import io
-import itertools as itr
 import json
 import math
 from dataclasses import dataclass
@@ -81,25 +79,6 @@ class SimCell:
             raise GraphError(f"density must be one of {sorted(DENSITY_NEIGHBOURS)}")
         if self.generator not in GENERATORS:
             raise GraphError(f"generator must be one of {GENERATORS}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    node_counts: tuple[int, ...] = (10, 25, 50, 100)
-    densities: tuple[str, ...] = ("sparse", "dense")
-    generators: tuple[str, ...] = GENERATORS
-    replications: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise GraphError("replications must be >= 1")
-
-    def cells(self) -> list[SimCell]:
-        return [
-            SimCell(n, d, g)
-            for n, d, g in itr.product(self.node_counts, self.densities, self.generators)
-        ]
 
 
 @dataclass(frozen=True)
@@ -306,13 +285,6 @@ def run_cell(
     return records
 
 
-def run_config(config: SimConfig, schemes=tuple(TIER_SCHEMES)) -> list[SimRecord]:
-    records = []
-    for cell in config.cells():
-        records.extend(run_cell(cell, schemes, config.replications, config.seed))
-    return records
-
-
 # === output
 
 
@@ -333,26 +305,6 @@ def write_csv(records: Sequence[SimRecord], fileobj) -> None:
                 repr(r.gain_frac),
             ]
         )
-
-
-def read_csv(fileobj) -> list[SimRecord]:
-    reader = csv.DictReader(fileobj)
-    out = []
-    for row in reader:
-        out.append(
-            SimRecord(
-                nodes=int(row["nodes"]),
-                density=row["density"],
-                generator=row["generator"],
-                scheme=row["scheme"],
-                rep=int(row["rep"]),
-                n_edges=int(row["n_edges"]),
-                n_dir_cpdag=int(row["n_dir_cpdag"]),
-                n_dir_mpdag=int(row["n_dir_mpdag"]),
-                gain_frac=float(row["gain_frac"]),
-            )
-        )
-    return out
 
 
 @dataclass(frozen=True)
@@ -433,9 +385,3 @@ def emit_results(
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return summary
-
-
-def records_to_csv_bytes(records: Sequence[SimRecord]) -> bytes:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue().encode()

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
-from .orientation import (
-    BackgroundKnowledge,
-    impose_tiers,
-    require_consistency,
-    tiered_mpdag,
-)
+from .orientation import impose_tiers, require_consistency, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -120,15 +115,6 @@ class TieredOrdering:
         return f"TieredOrdering({' < '.join(groups)})"
 
 
-def forbidden_set(
-    ordering: TieredOrdering, nodes: Iterable[Node] | None = None
-) -> BackgroundKnowledge:
-    """Background knowledge induced by ``ordering``: forbidden later ->
-    earlier edges over ``nodes`` (defaults to the ordering's own nodes)
-    and no required edges."""
-    return BackgroundKnowledge(forbidden=ordering.forbidden_pairs(nodes))
-
-
 # === refinement comparison
 
 
@@ -197,18 +183,6 @@ def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison
 
 
 # === the undirected part of a CPDAG under an ordering
-
-
-def orient_undirected_part(c: PDAG, ordering: TieredOrdering) -> PDAG:
-    """Drop the directed edges of ``c``, then orient the remaining edges
-    whose endpoints lie in different tiers (earlier tier first)."""
-    return impose_tiers(c.undirected_subgraph(), ordering)
-
-
-def cross_tier_edges(c: PDAG, ordering: TieredOrdering) -> set[Edge]:
-    """Ordered pairs ``(u, v)`` adjacent in the undirected part of ``c``
-    with ``u`` in a strictly earlier tier than ``v``."""
-    return set(orient_undirected_part(c, ordering).directed_edges)
 
 
 def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:

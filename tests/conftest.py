@@ -1,9 +1,14 @@
+import csv
+import io
+import itertools as itr
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from causaltiers import PDAG, TieredOrdering, cpdag_of
+from causaltiers import GraphError, PDAG, SimCell, SimRecord, TieredOrdering, cpdag_of
+from causaltiers.simulation import GENERATORS, write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,3 +90,51 @@ def random_cpdag_and_tau(rng, p, degree):
     the ordering is correct by construction."""
     dag = random_dag_instance(rng, p, degree)
     return cpdag_of(dag), random_coarsening(rng, p), dag
+
+
+# === simulation configurations and CSV round trips
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    node_counts: tuple[int, ...] = (10, 25, 50, 100)
+    densities: tuple[str, ...] = ("sparse", "dense")
+    generators: tuple[str, ...] = GENERATORS
+    replications: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise GraphError("replications must be >= 1")
+
+    def cells(self) -> list[SimCell]:
+        return [
+            SimCell(n, d, g)
+            for n, d, g in itr.product(self.node_counts, self.densities, self.generators)
+        ]
+
+
+def read_csv(fileobj) -> list[SimRecord]:
+    reader = csv.DictReader(fileobj)
+    out = []
+    for row in reader:
+        out.append(
+            SimRecord(
+                nodes=int(row["nodes"]),
+                density=row["density"],
+                generator=row["generator"],
+                scheme=row["scheme"],
+                rep=int(row["rep"]),
+                n_edges=int(row["n_edges"]),
+                n_dir_cpdag=int(row["n_dir_cpdag"]),
+                n_dir_mpdag=int(row["n_dir_mpdag"]),
+                gain_frac=float(row["gain_frac"]),
+            )
+        )
+    return out
+
+
+def records_to_csv_bytes(records) -> bytes:
+    buf = io.StringIO()
+    write_csv(records, buf)
+    return buf.getvalue().encode()

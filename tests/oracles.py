@@ -15,9 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from causaltiers.graphs import PDAG
 from causaltiers.orientation import (
     MEEK_RULES,
+    BackgroundKnowledge,
     enumerate_class,
+    impose_tiers,
     meek_closure,
     require_consistency,
     tiered_mpdag,
@@ -31,9 +34,7 @@ from causaltiers.tiers import (
     _component_paths,
     check_compatible,
     contained_in,
-    cross_tier_edges,
     fully_shielded_edges,
-    orient_undirected_part,
 )
 
 
@@ -355,6 +356,65 @@ def sweep_closure(amat: np.ndarray, rules) -> tuple[np.ndarray, list]:
     return amat, trace
 
 
+# === the p x p matrix view the graph core once stored
+#
+# ``amat[i, j]`` and not ``amat[j, i]`` is i -> j; both is i - j.  Graphs
+# cross between the two views only through the public constructor and
+# the public edge lists.
+
+
+def amat_of(g) -> np.ndarray:
+    """The adjacency matrix of ``g``, rows and columns in node order."""
+    amat = np.zeros((g.num_nodes, g.num_nodes), dtype=bool)
+    for u, v in g.directed_edges:
+        amat[g.index_of(u), g.index_of(v)] = True
+    for u, v in g.undirected_edges:
+        i, j = g.index_of(u), g.index_of(v)
+        amat[i, j] = amat[j, i] = True
+    return amat
+
+
+def pdag_from_amat(names, amat: np.ndarray) -> PDAG:
+    """``PDAG(names, ...)`` with the edges of ``amat``."""
+    d, u = amat & ~amat.T, np.triu(amat & amat.T)
+    return PDAG(
+        names,
+        directed=[(names[i], names[j]) for i, j in zip(*np.nonzero(d))],
+        undirected=[(names[i], names[j]) for i, j in zip(*np.nonzero(u))],
+    )
+
+
+def partially_directed_cycle_amat(amat: np.ndarray, names) -> str | None:
+    """The partially-directed-cycle witness text, from the matrix: the
+    first directed edge inside a chain component in row-major order, else
+    the first mutual pair of the contracted graph, else the cycle
+    :func:`directed_cycle_per_node` finds in it."""
+    p = amat.shape[0]
+    u = amat & amat.T
+    label = np.full(p, -1)
+    for start in range(p):
+        if label[start] < 0:
+            label[start] = start
+            queue = deque([start])
+            while queue:
+                for w in np.nonzero(u[queue.popleft()] & (label < 0))[0]:
+                    label[w] = start
+                    queue.append(w)
+    tails, heads = np.nonzero(amat & ~amat.T)
+    inner = np.flatnonzero(label[tails] == label[heads])
+    if inner.size:
+        i, j = tails[inner[0]], heads[inner[0]]
+        return f"directed edge {names[i]} -> {names[j]} inside a chain component"
+    contracted = np.zeros((p, p), dtype=bool)
+    contracted[label[tails], label[heads]] = True
+    mutual = np.argwhere(contracted & contracted.T)
+    cycle = [*mutual[0], mutual[0][0]] if mutual.size else directed_cycle_per_node(contracted)
+    if cycle is None:
+        return None
+    members = [",".join(str(names[v]) for v in np.nonzero(label == k)[0]) for k in cycle]
+    return "chain components cycle {" + "} -> {".join(members) + "}"
+
+
 # === the invariant checks and generators the linear-time versions replaced
 #
 # Earlier library code, kept verbatim in substance: quadratic scans over
@@ -462,6 +522,28 @@ def geometric_skeleton_per_pair(p: int, degree: float, rng) -> list[tuple[int, i
         if float(np.hypot(*(pts[i] - pts[j]))) <= r:
             edges.append((i, j))
     return edges
+
+
+# === the tiered ordering as a pair set, and its cross-tier edges
+
+
+def forbidden_set(ordering, nodes=None) -> BackgroundKnowledge:
+    """Background knowledge induced by ``ordering``: forbidden later ->
+    earlier edges over ``nodes`` (defaults to the ordering's own nodes)
+    and no required edges."""
+    return BackgroundKnowledge(forbidden=ordering.forbidden_pairs(nodes))
+
+
+def orient_undirected_part(c, ordering):
+    """Drop the directed edges of ``c``, then orient the remaining edges
+    whose endpoints lie in different tiers (earlier tier first)."""
+    return impose_tiers(c.undirected_subgraph(), ordering)
+
+
+def cross_tier_edges(c, ordering) -> set:
+    """Ordered pairs ``(u, v)`` adjacent in the undirected part of ``c``
+    with ``u`` in a strictly earlier tier than ``v``."""
+    return set(orient_undirected_part(c, ordering).directed_edges)
 
 
 # === per-ordering loops over the library's path enumeration

@@ -20,7 +20,6 @@ from causaltiers import (
     check_consistency,
     cpdag_of,
     enumerate_class,
-    forbidden_set,
     impose_knowledge,
     joint_ida,
     local_ida,
@@ -29,10 +28,10 @@ from causaltiers import (
     tiers_equivalent,
 )
 from causaltiers.cli import main as cli_main
-from causaltiers.simulation import SimCell, TIER_SCHEMES, run_cell, records_to_csv_bytes
+from causaltiers.simulation import SimCell, TIER_SCHEMES, run_cell
 
-from conftest import FIXTURES, random_coarsening, random_dag_instance
-from oracles import all_dags, has_chordless_cycle, independence_model
+from conftest import FIXTURES, random_coarsening, random_dag_instance, records_to_csv_bytes
+from oracles import all_dags, forbidden_set, has_chordless_cycle, independence_model
 
 EXPECTED = FIXTURES / "expected"
 

@@ -39,6 +39,17 @@ class TestGraphFormat:
     def test_unknown_node(self):
         with pytest.raises(GraphError, match="unknown node"):
             parse_graph("nodes: A B\nA -> C\n")
+        names = [f"V{k}" for k in range(600)]
+        lines = ["nodes: " + " ".join(names)]
+        lines += [f"V{k} -- V{k + 1}" for k in range(599)]
+        lines += ["V599 -> V600", "V0 -- V1"]
+        with pytest.raises(GraphError) as info:
+            parse_graph("\n".join(lines) + "\n")
+        assert str(info.value) == "line 601: unknown node 'V600'"
+        lines[-2] = "W -> V0"
+        with pytest.raises(GraphError) as info:
+            parse_graph("\n".join(lines) + "\n")
+        assert str(info.value) == "line 601: unknown node 'W'"
 
     def test_bad_edge_line(self):
         with pytest.raises(GraphError, match="cannot parse"):

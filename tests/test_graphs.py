@@ -1,20 +1,24 @@
 import itertools as itr
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltiers import CycleError, GraphError, LimitError, PDAG
-from causaltiers.graphs import _directed_cycle
+from causaltiers import CycleError, GraphError, LimitError, PDAG, v_structures
 
 from conftest import WAVE_ARCS, random_dag_instance
 from oracles import (
+    amat_of,
     directed_cycle_per_node,
     has_chordless_cycle,
     has_partially_directed_cycle_bfs,
     non_simplicial_max_mcs,
+    partially_directed_cycle_amat,
     paths_recursive,
+    pdag_from_amat,
+    vstructs_triple_scan,
 )
 
 
@@ -299,8 +303,21 @@ def random_chain_graph_amat(rng, p):
 
 
 def pdag_of(amat):
-    p = amat.shape[0]
-    return PDAG._from_amat([f"V{k}" for k in range(p)], amat)
+    return pdag_from_amat([f"V{k}" for k in range(amat.shape[0])], amat)
+
+
+def cycle_text(cycle):
+    """The ``CycleError`` message for a cycle of indices, or None."""
+    return None if cycle is None else "directed cycle: " + " -> ".join(f"V{k}" for k in cycle)
+
+
+def cycle_error_text(amat):
+    """The ``CycleError`` message building ``amat`` raises, or None."""
+    try:
+        pdag_of(amat)
+    except CycleError as error:
+        return str(error)
+    return None
 
 
 class TestLinearChecksAgainstOracles:
@@ -316,9 +333,10 @@ class TestLinearChecksAgainstOracles:
                 amat = random_chain_graph_amat(rng, p)
             else:
                 amat = random_mixed_amat(rng, p)
-            if _directed_cycle(amat) is not None:
+            try:
+                g = pdag_of(amat)
+            except CycleError:
                 continue  # a reversed cross edge may close a directed cycle
-            g = pdag_of(amat)
             expected = has_partially_directed_cycle_bfs(amat)
             assert g.has_partially_directed_cycle() == expected, g
             witness = g._partially_directed_cycle()
@@ -366,7 +384,7 @@ class TestLinearChecksAgainstOracles:
         for k in range(4, 12):
             names = [f"V{i}" for i in range(k)]
             g = PDAG(names, undirected=list(zip(names, names[1:] + names[:1])))
-            assert g._non_simplicial() == non_simplicial_max_mcs(g._amat) is not None
+            assert g._non_simplicial() == non_simplicial_max_mcs(amat_of(g)) is not None
             assert not g.is_chordal()
 
     def test_kahn_check_reports_the_same_cycle(self):
@@ -375,9 +393,85 @@ class TestLinearChecksAgainstOracles:
         for _ in range(3000):
             amat = random_mixed_amat(rng, int(rng.integers(1, 20)), acyclic=False)
             expected = directed_cycle_per_node(amat)
-            assert _directed_cycle(amat) == expected
+            assert cycle_error_text(amat) == cycle_text(expected)
             cyclic += expected is not None
         assert 500 < cyclic < 2500, cyclic
+
+
+class TestSetCoreAgainstMatrix:
+    """The per-node index sets answer every query as the p x p matrix
+    they replaced does, and list edges in the same row-major order."""
+
+    def test_queries_derived_graphs_and_errors(self):
+        rng = np.random.default_rng(24)
+        seen = Counter()
+        for trial in range(1200):
+            p = int(rng.integers(1, 21))
+            if trial % 3 == 0:
+                amat = random_mixed_amat(rng, p)
+            elif trial % 3 == 1:
+                amat = random_mixed_amat(rng, p, acyclic=False)
+            else:
+                amat = random_chain_graph_amat(rng, p)
+            names = [f"V{k}" for k in range(p)]
+            d, u, adj = amat & ~amat.T, amat & amat.T, amat | amat.T
+            pa = [np.nonzero(d[:, k])[0].tolist() for k in range(p)]
+            ne = [np.nonzero(u[k])[0].tolist() for k in range(p)]
+
+            cycle = cycle_text(directed_cycle_per_node(amat))
+            if cycle is not None:
+                assert cycle_error_text(amat) == cycle
+                with pytest.raises(CycleError) as info:
+                    PDAG._from_sets(names, pa, ne)
+                assert str(info.value) == cycle
+                seen["cyclic"] += 1
+                continue
+            g = pdag_of(amat)
+            assert repr(PDAG._from_sets(names, pa, ne)) == repr(g)
+
+            def labels(row):
+                return tuple(names[k] for k in np.nonzero(row)[0])
+
+            assert g.nodes == tuple(names) and g.num_nodes == p
+            assert g.directed_edges == tuple(
+                (names[i], names[j]) for i, j in zip(*np.nonzero(d))
+            )
+            assert g.undirected_edges == tuple(
+                (names[i], names[j]) for i, j in zip(*np.nonzero(np.triu(u)))
+            )
+            assert g.num_edges == int(np.triu(adj).sum())
+            assert g.is_directed == (not u.any()) and g.is_undirected == (not d.any())
+            for k, v in enumerate(names):
+                assert g.index_of(v) == k and g.has_node(v)
+                assert g.parents_of(v) == labels(d[:, k])
+                assert g.children_of(v) == labels(d[k])
+                assert g.neighbors_of(v) == labels(u[k])
+                assert g.adjacent_to(v) == labels(adj[k])
+                for j, w in enumerate(names):
+                    assert g.has_edge(v, w) == adj[k, j]
+                    assert g.has_directed(v, w) == d[k, j]
+                    assert g.has_undirected(v, w) == u[k, j]
+
+            assert np.array_equal(amat_of(g), amat)
+            assert np.array_equal(amat_of(g.skeleton()), adj)
+            assert np.array_equal(amat_of(g.undirected_subgraph()), u)
+            assert np.array_equal(amat_of(g.directed_subgraph()), d)
+            pick = rng.permutation(p)[: int(rng.integers(0, p + 1))]
+            sub = g.induced_subgraph([names[k] for k in pick])
+            keep = sorted(pick)
+            assert sub.nodes == tuple(names[k] for k in keep)
+            assert np.array_equal(amat_of(sub), amat[np.ix_(keep, keep)])
+
+            vs = v_structures(g)
+            assert all(g.index_of(a) < g.index_of(c) for a, _, c in vs)
+            assert {(frozenset((a, c)), b) for a, b, c in vs} == vstructs_triple_scan(
+                g.directed_edges, lambda a, c: adj[g.index_of(a), g.index_of(c)]
+            )
+            witness = g._partially_directed_cycle()
+            assert witness == partially_directed_cycle_amat(amat, names)
+            seen["v-structures"] += bool(vs)
+            seen[witness.split(" ")[0] if witness else "no cycle"] += 1
+        assert min(seen.values()) > 50, seen
 
 
 class TestUnshieldedPaths:

@@ -17,7 +17,6 @@ from causaltiers import (
     check_consistency,
     cpdag_of,
     enumerate_class,
-    forbidden_set,
     impose_knowledge,
     impose_tiers,
     meek_closure,
@@ -30,9 +29,12 @@ from causaltiers.orientation import InvariantError, meek_closure_trace
 from conftest import random_cpdag_and_tau, random_dag_instance
 from oracles import (
     SweepConflict,
+    amat_of,
     consistent_extensions,
+    forbidden_set,
     full_closure_equals,
     is_acyclic,
+    pdag_from_amat,
     sweep_apply,
     sweep_closure,
     sweep_firings,
@@ -65,7 +67,7 @@ def closure_outcome(g, rules):
     """Check ``meek_closure_trace`` against the pair sweep: the same
     trace and graph, or the same failure.  Returns which case it was."""
     try:
-        amat, trace = sweep_closure(g._amat, rules)
+        amat, trace = sweep_closure(amat_of(g), rules)
     except SweepConflict as conflict:
         with pytest.raises(InconsistentKnowledgeError) as info:
             meek_closure_trace(g, rules)
@@ -79,7 +81,7 @@ def closure_outcome(g, rules):
         return "cycle"
     got, got_trace = meek_closure_trace(g, rules)
     assert got_trace == [(r, (g.nodes[t], g.nodes[h])) for r, t, h in trace]
-    assert np.array_equal(got._amat, amat)
+    assert np.array_equal(amat_of(got), amat)
     return "closed"
 
 
@@ -310,7 +312,7 @@ class TestClosureAgainstSweep:
             rules = tuple(rng.permutation([1, 2, 3, 4])[: int(rng.integers(1, 5))])
             seen.add(closure_outcome(g, rules))
             for rule in (1, 2, 3, 4):
-                amat = g._amat.copy()
+                amat = amat_of(g)
                 fired = sweep_firings(amat, rule)
                 try:
                     sweep_apply(amat, fired)
@@ -324,7 +326,7 @@ class TestClosureAgainstSweep:
                     continue
                 out, edges = apply_meek_rule(g, rule)
                 assert edges == [(g.nodes[t], g.nodes[h]) for t, h in fired]
-                assert np.array_equal(out._amat, amat)
+                assert np.array_equal(amat_of(out), amat)
         assert seen == {"closed", "conflict", "cycle"}
 
 
@@ -545,10 +547,10 @@ class TestInvariantChecks:
                 imposed = impose_knowledge(c, BackgroundKnowledge(required=picks))
                 closed, trace = meek_closure_trace(imposed, (1,))
                 if rng.random() < 0.5:
-                    amat = imposed._amat.copy()
+                    amat = amat_of(imposed)
                     for _, (tail, head) in trace[: int(rng.integers(0, len(trace) + 1))]:
                         amat[imposed.index_of(head), imposed.index_of(tail)] = False
-                    closed = PDAG._from_amat(imposed.nodes, amat)
+                    closed = pdag_from_amat(imposed.nodes, amat)
             try:
                 expected = full_closure_equals(imposed, closed)
             except GraphError:  # the closure conflicts, so it is not ``closed``

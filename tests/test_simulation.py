@@ -13,7 +13,6 @@ from causaltiers import (
 from causaltiers.simulation import (
     DENSITY_NEIGHBOURS,
     SimCell,
-    SimConfig,
     SimRecord,
     TierScheme,
     _er_skeleton,
@@ -21,14 +20,13 @@ from causaltiers.simulation import (
     base_tier_sizes,
     emit_results,
     random_dag,
-    read_csv,
-    records_to_csv_bytes,
     run_cell,
     scheme_ordering,
     summarize,
     write_csv,
 )
 
+from conftest import SimConfig, read_csv, records_to_csv_bytes
 from oracles import er_skeleton_combinations, geometric_skeleton_per_pair, quantile_sorted
 
 

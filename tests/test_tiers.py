@@ -14,7 +14,6 @@ from causaltiers import (
     compare_refinement,
     contained_in,
     cross_tier_report,
-    forbidden_set,
     tiered_mpdag,
     tiers_equivalent,
     tiers_more_informative,
@@ -22,19 +21,20 @@ from causaltiers import (
 from causaltiers.tiers import (
     _component_paths,
     _maximal_paths,
-    cross_tier_edges,
     first_cross_tier_edges,
     fully_shielded_edges,
-    orient_undirected_part,
 )
 
 from conftest import random_cpdag_and_tau, random_coarsening
 from causaltiers import cpdag_of
 from oracles import (
+    cross_tier_edges,
     cross_tier_pairs,
     cross_tier_report_loop,
     first_cross_tier_edges_walk,
+    forbidden_set,
     maximal_paths_pairwise,
+    orient_undirected_part,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
 )
