@@ -1,10 +1,9 @@
 """Walkthrough: when is one tiered ordering worth more than another?
 
 Orderings can differ yet orient exactly the same edges (one is then
-redundant), or one can be strictly more informative.  The comparison is
-decided graphically, without constructing the oriented graphs: check
-the first cross-tier edges on earliest unshielded paths, and the fully
-shielded cross-tier edges.
+redundant), or one can be strictly more informative.  Equivalence has a
+graphical criterion: check the first cross-tier edges on earliest
+unshielded paths, and the fully shielded cross-tier edges.
 """
 
 from causaltiers import (

@@ -14,10 +14,10 @@ import json
 import sys
 
 from .formats import format_graph, load_graph, load_tiers
-from .graphs import GraphError, PDAG
+from .graphs import DEFAULT_PATH_NODE_LIMIT, GraphError, PDAG
 from .ida import joint_ida, local_ida
 from .independence import is_d_separated
-from .orientation import impose_tiers, meek_closure_trace
+from .orientation import _require_no_new_v_structures, impose_tiers, meek_closure_trace
 from .paths import (
     BPathVerdict,
     PathVerdict,
@@ -30,18 +30,20 @@ from .simulation import (
     emit_results,
     run_cell,
 )
-from .tiers import (
-    Informativeness,
-    compare_refinement,
-    tiers_equivalent,
-    tiers_more_informative,
-)
+from .tiers import Informativeness, _compare, compare_refinement
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -100,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", choices=["sparse", "dense"], required=True)
     p.add_argument("--generator", choices=["er", "power", "geometric"], required=True)
     p.add_argument("--reps", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--boxplot", help="optional boxplot-data JSON path")
     p.add_argument("--json", action="store_true")
@@ -134,6 +136,7 @@ def _cmd_orient(args, out) -> int:
     ordering = load_tiers(args.tiers)
     rules = (1,) if args.rules == "1" else (1, 2, 3, 4)
     result, trace = meek_closure_trace(impose_tiers(g, ordering), rules)
+    _require_no_new_v_structures(g, result)
     if args.trace:
         for rule, (u, v) in trace:
             sys.stderr.write(f"rule{rule}: {u}->{v}\n")
@@ -165,9 +168,8 @@ def _cmd_compare_tiers(args, out) -> int:
     g = load_graph(args.graph)
     t1 = load_tiers(args.tiers1)
     t2 = load_tiers(args.tiers2)
-    equiv = tiers_equivalent(g, t1, t2)
-    info = tiers_more_informative(g, t1, t2)
     refinement = compare_refinement(t1, t2)
+    equiv, info = _compare(g, t1, t2, DEFAULT_PATH_NODE_LIMIT)
     if args.json:
         payload = {
             "equivalent": equiv.equivalent,

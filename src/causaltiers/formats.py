@@ -54,9 +54,16 @@ def format_graph(g: PDAG) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise GraphError(f"{path}: not UTF-8 text") from None
+
+
 def load_graph(path) -> PDAG:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(path))
 
 
 def parse_tiers(text: str) -> TieredOrdering:
@@ -90,5 +97,4 @@ def format_tiers(ordering: TieredOrdering) -> str:
 
 
 def load_tiers(path) -> TieredOrdering:
-    with open(path) as fh:
-        return parse_tiers(fh.read())
+    return parse_tiers(_read_text(path))

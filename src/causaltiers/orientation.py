@@ -11,7 +11,8 @@ tier vector alone by :func:`impose_tiers`, never as a set of forbidden
 pairs (that view, ``forbidden_set``, is a test oracle); closing under rule 1
 alone then reaches the fixpoint, so :func:`tiered_mpdag` runs only
 rule 1 (and, in debug mode, checks the paper's invariants in linear
-time on the result's own sets, raising :class:`InvariantError`).
+time on the result's own sets, raising :class:`InvariantError`); it
+then rejects an ordering that forces a v-structure the input lacks.
 :func:`enumerate_class` lists a class by branch and close, in a fixed
 lexicographic order, and stops with :class:`LimitError` beyond
 ``max_members`` members.
@@ -227,9 +228,9 @@ def mpdag_of(c: PDAG, k: BackgroundKnowledge) -> PDAG:
 def check_consistency(c: PDAG, ordering: "TieredOrdering") -> list[Edge]:
     """Directed edges of ``c`` that point from a later into an earlier tier.
 
-    An empty list means ``ordering`` is consistent with ``c``: only the
-    cross-tier edges need checking because an ordering drawn from a DAG
-    of the represented class can never contradict anything else.  A
+    An empty list does not mean that some DAG of the class respects
+    ``ordering``: the ordering may still force a v-structure that ``c``
+    lacks, which :func:`tiered_mpdag` rejects after closing.  A
     :class:`GraphError` is raised unless ``ordering`` assigns a tier to
     exactly the nodes of ``c``.
     """
@@ -252,6 +253,25 @@ def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
         raise InconsistentKnowledgeError(
             f"ordering contradicts directed edges: {listing}"
         )
+
+
+def _require_no_new_v_structures(c: PDAG, g: PDAG) -> None:
+    """Raise :class:`InconsistentKnowledgeError` if ``g``, an orientation
+    of ``c``, gives a node a new parent that is not adjacent to one of its
+    other parents: no DAG of ``c``'s class has that v-structure."""
+    names = g.nodes
+    for w, (pa, old) in enumerate(zip(g._pa, c._pa)):
+        if len(pa) == len(old):
+            continue
+        for x in sorted(pa - old):
+            px, cx, nx = g._pa[x], g._ch[x], g._ne[x]
+            unlinked = [u for u in pa if u != x and u not in px and u not in cx and u not in nx]
+            if unlinked:
+                u = min(unlinked)
+                raise InconsistentKnowledgeError(
+                    f"ordering creates the v-structure {names[x]} -> {names[w]} <- "
+                    f"{names[u]}, which no DAG of the class has"
+                )
 
 
 def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
@@ -282,8 +302,10 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     Raises
     ------
     InconsistentKnowledgeError
-        If a directed edge of ``c`` contradicts ``ordering``; the message
-        lists the violating cross-tier edges.
+        If a directed edge of ``c`` contradicts ``ordering`` (the message
+        lists the violating cross-tier edges), or if the result has a
+        v-structure that ``c`` lacks (the message names one), so that no
+        DAG of the class respects ``ordering``.
     """
     imposed = impose_tiers(c, ordering)
     g = meek_closure(imposed, rules=(1,))
@@ -300,6 +322,7 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
         if k is not None:
             v = names[k]
             raise InvariantError(f"chordality: later neighbours of {v} are not all adjacent")
+    _require_no_new_v_structures(c, g)
     return g
 
 

@@ -6,20 +6,21 @@ consistent orderings can induce the same maximally oriented graph even
 when they differ; the equivalence test here decides that graphically,
 by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges, both computed on
-the undirected part of the CPDAG oriented by each ordering.  Each of
-:func:`cross_tier_report`, :func:`tiers_equivalent` and
-:func:`tiers_more_informative` enumerates the unshielded paths of every
-chain component once, and both orderings' reports are read from them.
+the undirected part of the CPDAG oriented by each ordering.  One pass
+over two orderings builds each tiered MPDAG once, enumerates the
+unshielded paths of every chain component once, and checks the paper's
+theorem: the criterion holds iff the two MPDAGs are equal.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
-from .orientation import impose_tiers, require_consistency, tiered_mpdag
+from .orientation import InvariantError, impose_tiers, require_consistency, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -211,12 +212,11 @@ def _component_paths(
             f"enumeration limit of {max_nodes}"
         )
     sub = h.induced_subgraph(component)
-    paths = []
-    nodes = sub.nodes
-    for si in range(len(nodes)):
-        for ti in range(si + 1, len(nodes)):
-            paths.extend(sub.find_unshielded_paths(nodes[si], nodes[ti], max_nodes))
-    return paths
+    return [
+        path
+        for s, t in itertools.combinations(sub.nodes, 2)
+        for path in sub.find_unshielded_paths(s, t, max_nodes)
+    ]
 
 
 def _earliest(
@@ -288,26 +288,22 @@ class CrossTierEdgeReport:
 
     @property
     def all_first_edges(self) -> frozenset[Edge]:
-        out: set[Edge] = set()
-        for edges in self.first_edges:
-            out |= edges
-        return frozenset(out)
+        return frozenset().union(*self.first_edges)
 
 
 def _reports(
-    c: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
-) -> list[CrossTierEdgeReport]:
+    h: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
+) -> tuple[dict[Node, int], list[Edge], list[CrossTierEdgeReport]]:
     """One :class:`CrossTierEdgeReport` per ordering, all read from a
-    single enumeration of the unshielded paths of each chain component."""
-    for ordering in orderings:
-        require_consistency(c, ordering)
-    h = c.undirected_subgraph()
-    paths = [
-        path
-        for component in h.chain_components()
-        if len(component) > 1
-        for path in _component_paths(h, component, max_nodes)
-    ]
+    single enumeration of the unshielded paths of each chain component of
+    the undirected graph ``h``; also each node's chain component rank and
+    the fully shielded edges of ``h``, which the reports share."""
+    rank: dict[Node, int] = {}
+    paths: list[tuple[Node, ...]] = []
+    for i, component in enumerate(h.chain_components()):
+        rank.update(dict.fromkeys(component, i))
+        if len(component) > 1:
+            paths += _component_paths(h, component, max_nodes)
     shielded = fully_shielded_edges(h)
     reports = []
     for ordering in orderings:
@@ -326,7 +322,7 @@ def _reports(
                 ),
             )
         )
-    return reports
+    return rank, shielded, reports
 
 
 def cross_tier_report(
@@ -335,7 +331,9 @@ def cross_tier_report(
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``; the ingredients of the equivalence
     criterion."""
-    return _reports(c, (ordering,), max_nodes)[0]
+    require_consistency(c, ordering)
+    (report,) = _reports(c.undirected_subgraph(), (ordering,), max_nodes)[2]
+    return report
 
 
 # === equivalence and informativeness
@@ -366,42 +364,7 @@ def tiers_equivalent(
     every fully shielded cross-tier edge.
     """
     check_compatible(t1, t2)
-    r1, r2 = _reports(c, (t1, t2), max_nodes)
-    cross1 = set(r1.graph.directed_edges)
-    cross2 = set(r2.graph.directed_edges)
-    h = c.undirected_subgraph()
-
-    witness: Edge | None = None
-    shielded_agree = True
-    for u, v in fully_shielded_edges(h):
-        s1 = (u, v) if (u, v) in cross1 else (v, u) if (v, u) in cross1 else None
-        s2 = (u, v) if (u, v) in cross2 else (v, u) if (v, u) in cross2 else None
-        if s1 != s2:
-            shielded_agree = False
-            if witness is None:
-                witness = s1 if s1 is not None else s2
-
-    # chain component by component, as the paths were enumerated
-    rank = {v: i for i, component in enumerate(h.chain_components()) for v in component}
-    first_agree = True
-    for path in sorted(
-        set(r1.earliest_paths) | set(r2.earliest_paths),
-        key=lambda p: (rank[p[0]], str(p)),
-    ):
-        f1 = first_cross_tier_edges(path, t1)
-        f2 = first_cross_tier_edges(path, t2)
-        if f1 != f2:
-            first_agree = False
-            if witness is None:
-                diff = sorted(f1 ^ f2, key=str)
-                witness = diff[0]
-    equivalent = shielded_agree and first_agree
-    return TierEquivalence(
-        equivalent=equivalent,
-        witness=None if equivalent else witness,
-        first_edges_agree=first_agree,
-        shielded_agree=shielded_agree,
-    )
+    return _compare(c, t1, t2, max_nodes)[0]
 
 
 class Informativeness(enum.Enum):
@@ -449,9 +412,42 @@ def tiers_more_informative(
     graphs; the sufficient graphical conditions are reported alongside
     as diagnostics (they imply, but are not implied by, the verdict).
     """
-    g1 = tiered_mpdag(c, t1)
-    g2 = tiered_mpdag(c, t2)
-    if g1 == g2:
+    return _compare(c, t1, t2, max_nodes)[1]
+
+
+def _compare(
+    c: PDAG, t1: TieredOrdering, t2: TieredOrdering, max_nodes: int
+) -> tuple[TierEquivalence, InformativenessResult]:
+    """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
+    pass: each tiered MPDAG is built once (which checks each ordering's
+    consistency) and the unshielded paths are enumerated once.  Raises
+    :class:`InvariantError`, naming a witness, if the criterion and
+    equality of the two MPDAGs disagree, against the paper's theorem."""
+    g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
+    rank, shielded, (r1, r2) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
+    d1, d2 = ({frozenset(e): e for e in r.fully_shielded_cross_tier} for r in (r1, r2))
+    shielded_diff = [
+        d1.get(k) or d2.get(k) for k in map(frozenset, shielded) if d1.get(k) != d2.get(k)
+    ]
+    # chain component by component, as the paths were enumerated
+    first_diff = [
+        min(diff, key=str)
+        for path in sorted(
+            set(r1.earliest_paths) | set(r2.earliest_paths), key=lambda p: (rank[p[0]], str(p))
+        )
+        if (diff := first_cross_tier_edges(path, t1) ^ first_cross_tier_edges(path, t2))
+    ]
+    equivalent = not (shielded_diff or first_diff)
+    witness = None if equivalent else (shielded_diff + first_diff)[0]
+    same = g1 == g2
+    if equivalent != same:
+        u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)
+        criterion, graphs = ("different", "equal") if same else ("equivalent", "different")
+        raise InvariantError(
+            f"equivalence criterion: the orderings are {criterion} but their tiered "
+            f"MPDAGs are {graphs}, witness {u} -> {v}"
+        )
+    if same:
         verdict = Informativeness.EQUIVALENT
     elif contained_in(g1, g2):
         verdict = Informativeness.MORE_INFORMATIVE
@@ -459,12 +455,14 @@ def tiers_more_informative(
         verdict = Informativeness.LESS_INFORMATIVE
     else:
         verdict = Informativeness.INCOMPARABLE
-
-    r1, r2 = _reports(c, (t1, t2), max_nodes)
-    cross1 = set(r1.graph.directed_edges)
-    cross2 = set(r2.graph.directed_edges)
-    cond_i = all(e in cross1 for e in r2.all_first_edges)
-    cond_ii = all(e in cross1 for e in r2.fully_shielded_cross_tier)
-    cond_iii = any(e not in cross2 for e in r1.all_first_edges)
-    cond_iv = len(r1.fully_shielded_cross_tier) > len(r2.fully_shielded_cross_tier)
-    return InformativenessResult(verdict, cond_i, cond_ii, cond_iii, cond_iv)
+    cross1, cross2 = set(r1.graph.directed_edges), set(r2.graph.directed_edges)
+    return (
+        TierEquivalence(equivalent, witness, not first_diff, not shielded_diff),
+        InformativenessResult(
+            verdict,
+            condition_i=all(e in cross1 for e in r2.all_first_edges),
+            condition_ii=all(e in cross1 for e in r2.fully_shielded_cross_tier),
+            condition_iii=any(e not in cross2 for e in r1.all_first_edges),
+            condition_iv=len(r1.fully_shielded_cross_tier) > len(r2.fully_shielded_cross_tier),
+        ),
+    )

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from causaltiers import InconsistentKnowledgeError, orientation, tiered_mpdag
+from causaltiers import InconsistentKnowledgeError, orientation, tiered_mpdag, tiers
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
@@ -20,6 +24,23 @@ def run_cli(*argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def run_cli_optimized(*argv, setup=""):
+    """Run the CLI in a ``python -O`` subprocess after ``setup``;
+    returns the exit code, stdout and stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = "\n".join(
+        ["import sys", "from causaltiers import cli, tiers", setup, f"sys.exit(cli.main({argv!r}))"]
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def undirected_graph_file(path, n, width):
@@ -341,6 +362,79 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: ordering names nodes not in the graph: ['ZZZ']\n"
         )
+
+    @pytest.mark.parametrize("command", ["orient", "compare-tiers"])
+    @pytest.mark.parametrize("optimized", [False, True], ids=["default", "-O"])
+    def test_ordering_forcing_a_new_v_structure(self, command, optimized, capsys, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text(
+            "nodes: V0 V1 V2 V3 V4 V5\n"
+            "V0 -- V1\nV0 -- V2\nV2 -- V3\nV3 -- V4\nV3 -- V5\n"
+        )
+        bad = tmp_path / "bad.txt"
+        bad.write_text("tier 1: V0\ntier 2: V1 V3 V4\ntier 3: V2 V5\n")
+        coarse = tmp_path / "coarse.txt"
+        coarse.write_text("tier 1: V0\ntier 2: V1 V2 V3 V4 V5\n")
+        tiers_args = ["--tiers", str(bad)] if command == "orient" else [str(bad), str(coarse)]
+        argv = [command, str(graph), *tiers_args]
+        if optimized:
+            code, out, err = run_cli_optimized(*argv)
+        else:
+            code, out = run_cli(*argv)
+            err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: ordering creates the v-structure V0 -> V2 <- V3, "
+            "which no DAG of the class has\n"
+        )
+
+    @pytest.mark.parametrize("optimized", [False, True], ids=["default", "-O"])
+    def test_broken_criterion_is_domain_error(self, optimized, capsys, monkeypatch):
+        argv = [
+            "compare-tiers",
+            fixture("wave_cpdag.txt"),
+            fixture("wave_tiers_fine_late.txt"),
+            fixture("wave_tiers_coarse_late.txt"),
+        ]
+        blind = "tiers.first_cross_tier_edges = lambda path, ordering: frozenset()"
+        if optimized:
+            code, out, err = run_cli_optimized(*argv, setup=blind)
+        else:
+            monkeypatch.setattr(tiers, "first_cross_tier_edges", lambda *args: frozenset())
+            code, out = run_cli(*argv)
+            err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: equivalence criterion: the orderings are equivalent but their "
+            "tiered MPDAGs are different, witness A -> C\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "orient", "compare-tiers"])
+    def test_non_utf8_file_is_domain_error(self, command, capsys, tmp_path):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfet\x00i\x00e\x00r\x00")
+        argv = {
+            "validate": [str(bad)],
+            "orient": [fixture("wave_cpdag.txt"), "--tiers", str(bad)],
+            "compare-tiers": [fixture("wave_cpdag.txt"), fixture("wave_tiers3.txt"), str(bad)],
+        }[command]
+        code, out = run_cli(command, *argv)
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
+    def test_simulate_negative_seed_is_usage_error(self, capsys, tmp_path):
+        code, out = run_cli(
+            "simulate",
+            "--nodes", "8",
+            "--density", "sparse",
+            "--generator", "er",
+            "--reps", "1",
+            "--seed", "-1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_out_directory_is_usage_error(self, capsys, tmp_path):
         code, out = run_cli(

@@ -444,6 +444,55 @@ class TestTieredMpdag:
         with pytest.raises(InconsistentKnowledgeError, match="B->E"):
             tiered_mpdag(wave_cpdag, tau)
 
+    def test_ordering_forcing_a_new_v_structure_raises(self):
+        """Every directed edge is respected, yet V0 -> V2 <- V3 is forced."""
+        c = PDAG(
+            [f"V{k}" for k in range(6)],
+            undirected=[("V0", "V1"), ("V0", "V2"), ("V2", "V3"), ("V3", "V4"), ("V3", "V5")],
+        )
+        tau = TieredOrdering.from_tiers([["V0"], ["V1", "V3", "V4"], ["V2", "V5"]])
+        assert check_consistency(c, tau) == []
+        with pytest.raises(
+            InconsistentKnowledgeError,
+            match=re.escape(
+                "ordering creates the v-structure V0 -> V2 <- V3, which no DAG of the class has"
+            ),
+        ):
+            tiered_mpdag(c, tau)
+
+    def test_v_structure_from_one_round_of_rule_1(self):
+        """Imposing V2 -> V0 and V4 -> V3 on the path V2 - V0 - V1 - V3 - V4
+        adds no v-structure; rule 1 then fires V0 -> V1 and V3 -> V1 in the
+        same round, so only the closed graph shows the contradiction."""
+        c = PDAG(
+            [f"V{k}" for k in range(5)],
+            undirected=[("V0", "V1"), ("V0", "V2"), ("V1", "V3"), ("V3", "V4")],
+        )
+        tau = TieredOrdering.from_tiers([["V2"], ["V4"], ["V0", "V1", "V3"]])
+        assert v_structures(impose_tiers(c, tau)) == v_structures(c)
+        with pytest.raises(InconsistentKnowledgeError, match="V0 -> V1 <- V3"):
+            tiered_mpdag(c, tau)
+
+    def test_rejects_exactly_the_orderings_no_member_respects(self):
+        rng = np.random.default_rng(53)
+        outcomes = Counter()
+        for _ in range(1500):
+            p = int(rng.integers(3, 9))
+            c = cpdag_of(random_dag_instance(rng, p, float(rng.choice([1.5, 2.5]))))
+            tau = TieredOrdering({v: int(rng.integers(1, 4)) for v in c.nodes})
+            respected = any(
+                all(tau.tier_of(u) <= tau.tier_of(v) for u, v in m.directed_edges)
+                for m in enumerate_class(c)
+            )
+            try:
+                tiered_mpdag(c, tau)
+                outcome = "kept"
+            except InconsistentKnowledgeError as exc:
+                outcome = "v-structure" if "v-structure" in str(exc) else "other"
+            assert (outcome == "kept") == respected, (c, tau, outcome)
+            outcomes[outcome] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
     def test_monotone_over_cpdag(self):
         rng = np.random.default_rng(41)
         for _ in range(50):

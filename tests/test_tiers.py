@@ -1,4 +1,7 @@
+import io
 import itertools as itr
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +21,14 @@ from causaltiers import (
     tiers_equivalent,
     tiers_more_informative,
 )
+from causaltiers import tiers
+from causaltiers.cli import main
+from causaltiers.formats import format_graph, format_tiers
+from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
+    _compare,
     _component_paths,
+    check_compatible,
     _maximal_paths,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -484,9 +493,9 @@ class TestSharedEnumeration:
         assert not res.first_edges_agree and res.shielded_agree
 
     @pytest.mark.parametrize(
-        "compare", [tiers_equivalent, tiers_more_informative, cross_tier_report]
+        "compare", ["tiers_equivalent", "tiers_more_informative", "cross_tier_report", "cli"]
     )
-    def test_each_component_enumerated_once(self, compare, monkeypatch):
+    def test_each_component_enumerated_once(self, compare, monkeypatch, tmp_path):
         c, t1, t2 = two_disagreeing_components()
         calls = []
         enumerate_paths = PDAG.find_unshielded_paths
@@ -496,10 +505,92 @@ class TestSharedEnumeration:
             return enumerate_paths(self, source, target, *args, **kwargs)
 
         monkeypatch.setattr(PDAG, "find_unshielded_paths", counted)
-        compare(*((c, t1) if compare is cross_tier_report else (c, t1, t2)))
+        if compare == "cross_tier_report":
+            cross_tier_report(c, t1)
+        elif compare == "cli":
+            files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+            for path, text in zip(files, (format_graph(c), format_tiers(t1), format_tiers(t2))):
+                path.write_text(text)
+            assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
+        else:
+            getattr(tiers, compare)(c, t1, t2)
         # one call per node pair inside each three-node component
         assert sorted(calls) == sorted(
             (u, v)
             for group in (("Z1", "Z2", "Z3"), ("A1", "A2", "A3"))
             for u, v in itr.combinations(group, 2)
         )
+
+
+def random_topological_tiers(rng, dag):
+    """A tiered ordering consistent with ``dag``, cut from a random
+    topological order, so it is often incompatible with the label order."""
+    pa = {v: set(dag.parents_of(v)) for v in dag.nodes}
+    order = []
+    while pa:
+        ready = sorted(v for v, parents in pa.items() if not parents)
+        v = ready[int(rng.integers(len(ready)))]
+        order.append(v)
+        del pa[v]
+        for parents in pa.values():
+            parents.discard(v)
+    tier, assignment = 1, {}
+    for v in order:
+        tier += bool(rng.random() < 0.4)
+        assignment[v] = tier
+    return TieredOrdering(assignment)
+
+
+class TestTheoremCheck:
+    """The pass checks the paper's theorem: the criterion holds iff the
+    two tiered MPDAGs are equal."""
+
+    def test_criterion_blind_to_first_edges_raises(
+        self, monkeypatch, wave_cpdag, fine_late_tau, coarse_late_tau
+    ):
+        monkeypatch.setattr(tiers, "first_cross_tier_edges", lambda path, ordering: frozenset())
+        message = (
+            "equivalence criterion: the orderings are equivalent but their tiered "
+            "MPDAGs are different, witness A -> C"
+        )
+        for compare in (tiers_equivalent, tiers_more_informative):
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                compare(wave_cpdag, fine_late_tau, coarse_late_tau)
+
+    def test_spurious_disagreement_raises(self, monkeypatch, wave_cpdag, wave_tau):
+        same = TieredOrdering({v: 2 * t for v, t in wave_tau.assignment.items()})
+        first = tiers.first_cross_tier_edges
+        monkeypatch.setattr(
+            tiers,
+            "first_cross_tier_edges",
+            lambda path, ordering: first(path, ordering) if ordering is same else frozenset(),
+        )
+        with pytest.raises(InvariantError) as info:
+            tiers_equivalent(wave_cpdag, wave_tau, same)
+        assert re.fullmatch(
+            "equivalence criterion: the orderings are different but their tiered "
+            "MPDAGs are equal, witness [A-G] -> [A-G]",
+            str(info.value),
+        )
+
+    def test_consistent_incompatible_pairs(self):
+        """Two orderings each consistent with the true DAG but ordering
+        some pair oppositely: the pass agrees with the per-ordering loop
+        and with MPDAG equality, and raises nothing."""
+        rng = np.random.default_rng(101)
+        outcomes = Counter()
+        for _ in range(200):
+            p = int(rng.integers(3, 10))
+            c, t1, dag = random_cpdag_and_tau(rng, p, float(rng.choice([1.5, 2.5])))
+            t2 = random_topological_tiers(rng, dag)
+            try:
+                check_compatible(t1, t2)
+                outcomes["compatible"] += 1
+            except IncompatibleOrderingsError:
+                outcomes["incompatible"] += 1
+            equiv, info = _compare(c, t1, t2, 25)
+            assert info == tiers_more_informative(c, t1, t2)
+            assert info == tiers_more_informative_loop(c, t1, t2)
+            assert equiv.equivalent == (tiered_mpdag(c, t1) == tiered_mpdag(c, t2))
+            outcomes[equiv.equivalent] += 1
+        assert min(outcomes.values()) > 20, outcomes
