@@ -400,7 +400,7 @@ class PDAG:
         Paths are returned in depth-first order with neighbours visited
         by node index, so the result is deterministic.
         """
-        return list(self._paths(source, target, max_nodes, unshielded=True))
+        return list(self._paths(source, target, max_nodes, None, True))
 
     def simple_paths(
         self,
@@ -414,42 +414,47 @@ class PDAG:
         ``max_edges`` bounds the path length; the node-count guard
         protects against exponential blowup on large graphs.
         """
-        return self._paths(source, target, max_nodes, max_edges=max_edges)
+        return self._paths(source, target, max_nodes, max_edges, False)
 
     def _paths(
-        self,
-        source: Node,
-        target: Node,
-        max_nodes: int,
-        max_edges: int | None = None,
-        unshielded: bool = False,
+        self, source: Node, target: Node, max_nodes: int, max_edges: int | None, unshielded: bool
     ) -> Iterator[tuple[Node, ...]]:
-        """Check the endpoints and the size guard now, then walk lazily:
-        depth first, neighbours by node index, at most ``max_edges`` edges,
-        and with ``unshielded`` no triple whose ends are adjacent."""
+        """Check the endpoints and the size guard now, then :meth:`_walk` lazily."""
         s, t = self.index_of(source), self.index_of(target)
         if s == t:
             raise GraphError("source and target must differ")
-        self._check_path_guard(max_nodes)
+        if self.num_nodes > max_nodes:
+            raise LimitError(
+                f"graph has {self.num_nodes} nodes; exhaustive path enumeration "
+                f"is limited to {max_nodes} (raise max_nodes to override)"
+            )
+        cap = self.num_nodes if max_edges is None else max_edges
+        walk = self._walk((s,) if cap > 0 else (), t, cap, unshielded)
+        return (tuple(map(self._names.__getitem__, path)) for path in walk)
+
+    def _walk(
+        self, sources: Iterable[int], target: int | None, cap: int, unshielded: bool
+    ) -> Iterator[tuple[int, ...]]:
+        """Depth first from each source in turn, neighbours by index (so in
+        lexicographic order), yield as indices every simple path of at most
+        ``cap`` >= 1 edges that ends at ``target``, never walking through it,
+        or with no target every path to a node after its source, so each
+        path comes once, from its lower end.  With ``unshielded``, no triple
+        of a path has adjacent ends."""
         adjacent = self._adjacency()
         adj = [sorted(row) for row in adjacent]
-        names = self._names
-        cap = self.num_nodes if max_edges is None else max_edges
-
-        def walk() -> Iterator[tuple[Node, ...]]:
-            if cap < 1:
-                return
+        on_path = [False] * len(adj)
+        for s in sources:
             path = [s]
-            on_path = [False] * len(names)
             on_path[s] = True
             stack = [iter(adj[s])]
             while stack:
                 for w in stack[-1]:
                     if on_path[w] or (unshielded and len(path) > 1 and w in adjacent[path[-2]]):
                         continue
-                    if w == t:
-                        yield tuple(names[i] for i in path) + (names[t],)
-                    elif len(path) < cap:
+                    if w == target or (target is None and w > s):
+                        yield (*path, w)
+                    if w != target and len(path) < cap:
                         path.append(w)
                         on_path[w] = True
                         stack.append(iter(adj[w]))
@@ -457,16 +462,6 @@ class PDAG:
                 else:
                     stack.pop()
                     on_path[path.pop()] = False
-
-        return walk()
-
-    def _check_path_guard(self, max_nodes: int) -> None:
-        if self.num_nodes > max_nodes:
-            raise LimitError(
-                f"graph has {self.num_nodes} nodes; exhaustive path "
-                f"enumeration is limited to {max_nodes} (raise max_nodes "
-                "to override)"
-            )
 
     def check_path(self, path: Sequence[Node]) -> None:
         """Validate that ``path`` is a path of this graph.

@@ -279,8 +279,11 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    tiers = ordering.assignment
-    tier = [tiers[v] for v in c.nodes]
+    return _orient_cross_tier(c, list(map(ordering.tier_of, c.nodes)))
+
+
+def _orient_cross_tier(c: PDAG, tier: Sequence[int]) -> PDAG:
+    """:func:`impose_tiers` from the tier vector ``tier``, unchecked."""
     s = _state(c)
     for i, ne in enumerate(c._ne):
         for j in ne:

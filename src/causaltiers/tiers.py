@@ -8,19 +8,21 @@ by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges, both computed on
 the undirected part of the CPDAG oriented by each ordering.  One pass
 over two orderings builds each tiered MPDAG once, enumerates the
-unshielded paths of every chain component once, and checks the paper's
-theorem: the criterion holds iff the two MPDAGs are equal.
+unshielded paths of every chain component once, by one depth-first walk
+per start node, and checks the paper's theorem: the criterion holds iff
+the two MPDAGs are equal.  Earliest paths that are proper segments of
+longer earliest paths are found by one-node extension, on node indices
+and a tier vector; only the reported paths are turned into labels.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
-from .orientation import InvariantError, impose_tiers, require_consistency, tiered_mpdag
+from .orientation import InvariantError, _orient_cross_tier, require_consistency, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -189,72 +191,70 @@ def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison
 def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
     """Edges occurring on no unshielded path: both endpoints have the
     same adjacency set apart from each other.  Computed on the skeleton."""
-    out = []
-    for u, v in sorted(
-        list(h.undirected_edges) + list(h.directed_edges),
-        key=lambda e: (h.index_of(e[0]), h.index_of(e[1])),
-    ):
-        adj_u = set(h.adjacent_to(u)) - {v}
-        adj_v = set(h.adjacent_to(v)) - {u}
-        if adj_u == adj_v:
-            out.append((u, v) if h.index_of(u) < h.index_of(v) else (v, u))
-    return out
+    adj, names = h._adjacency(), h.nodes
+    edges = [(i, j) for i, ne in enumerate(h._ne) for j in ne if i < j]
+    edges += [(i, j) for i, ch in enumerate(h._ch) for j in ch]  # sorted by tail
+    return [
+        (names[min(i, j)], names[max(i, j)])
+        for i, j in sorted(edges)
+        if adj[i] - {j} == adj[j] - {i}
+    ]
 
 
-def _component_paths(
-    h: PDAG, component: Sequence[Node], max_nodes: int
-) -> list[tuple[Node, ...]]:
-    """Every unshielded path (>= 2 nodes) inside one chain component,
-    each listed once, starting from its lower-index endpoint."""
+def _component_paths(h: PDAG, component: Sequence[Node], max_nodes: int) -> list[tuple[int, ...]]:
+    """Every unshielded path (>= 2 nodes) inside one chain component of the
+    undirected graph ``h``, as node indices, each listed once from its
+    lower-index end.  Each prefix of an unshielded path is one too, so one
+    depth-first walk per start node ``s`` records every path to a node
+    ``t > s``; the walk visits them in lexicographic order, so grouping each
+    start's paths by ``t``, stably, lists them as one walk per pair would."""
     if len(component) > max_nodes:
         raise LimitError(
             f"component of {len(component)} nodes exceeds the path "
             f"enumeration limit of {max_nodes}"
         )
-    sub = h.induced_subgraph(component)
-    return [
-        path
-        for s, t in itertools.combinations(sub.nodes, 2)
-        for path in sub.find_unshielded_paths(s, t, max_nodes)
-    ]
+    walk = h._walk(sorted(map(h.index_of, component)), None, h.num_nodes, True)
+    return sorted(walk, key=lambda path: (path[0], path[-1]))
 
 
 def _earliest(
-    paths: Sequence[tuple[Node, ...]], ordering: TieredOrdering
-) -> list[tuple[Node, ...]]:
-    """The earliest of ``paths`` (all unshielded paths of the graph):
-    those sharing no subpath with a strictly earlier path.
+    paths: Sequence[tuple[int, ...]], tier: Sequence[int], adjacent: Sequence[Collection[int]]
+) -> list[tuple[int, ...]]:
+    """The earliest of ``paths`` that are no proper segment of another
+    earliest path, in listed order.  ``paths`` are all unshielded paths of
+    a graph, as indices; node ``i`` has tier ``tier[i]`` and the adjacent
+    nodes ``adjacent[i]``.
 
-    Sharing a subpath means sharing an edge, and an earlier path through
-    an edge exists precisely when some unshielded path through that edge
-    visits a tier strictly below this path's own minimum.  Shielded
-    detours do not count: orientation only travels along unshielded
-    paths, so only those can pre-empt an edge.
+    An earliest path shares no edge with an unshielded path visiting a tier
+    below its own minimum (orientation travels only along unshielded paths):
+    each edge's floor, the lowest tier of a path through it, is that minimum.
+    Every segment of an unshielded path is one, so an earliest P lies
+    inside a longer earliest Q iff some one-node extension of P is earliest:
+
+    - min(Q) = min(P), as P's edges lie on Q: their floor is both;
+    - so P extended by Q's next node has that minimum and those floors,
+      which makes it earliest; the converse is immediate.
+
+    An extension's floors are at most its minimum, so it is earliest iff
+    its new edge's floor is at least min(P).
     """
-    lowest = [min(ordering.tier_of(v) for v in path) for path in paths]
-    floor: dict[frozenset, int] = {}  # per edge: the lowest tier of a path through it
-    for path, m in zip(paths, lowest):
-        for edge in zip(path, path[1:]):
-            key = frozenset(edge)
-            floor[key] = min(m, floor.get(key, m))
+    bit = [1 << v for v in range(len(tier))]  # an edge's key: its two bits
+    lowest = [min(map(tier.__getitem__, path)) for path in paths]
+    floor: dict[int, int] = {}
+    for m, path in sorted(zip(lowest, paths), key=lambda entry: entry[0]):
+        for u, v in zip(path, path[1:]):
+            floor.setdefault(bit[u] | bit[v], m)  # the lowest path comes first
     return [
         path
         for path, m in zip(paths, lowest)
-        if all(floor[frozenset(edge)] >= m for edge in zip(path, path[1:]))
+        if all(floor[bit[u] | bit[v]] == m for u, v in zip(path, path[1:]))
+        and not any(
+            floor[bit[end] | bit[x]] >= m
+            for end, inner in ((path[0], path[1]), (path[-1], path[-2]))
+            for x in adjacent[end]
+            if x not in adjacent[inner] and x not in path
+        )
     ]
-
-
-def _maximal_paths(paths: list[tuple[Node, ...]]) -> list[tuple[Node, ...]]:
-    """Drop every path that is a proper subpath of another listed path,
-    in either direction."""
-    segments = set()
-    for path in paths:
-        for length in range(2, len(path)):
-            for i in range(len(path) - length + 1):
-                segment = path[i : i + length]
-                segments.add(segment)
-                segments.add(segment[::-1])
-    return [path for path in paths if path not in segments]
 
 
 def first_cross_tier_edges(
@@ -299,17 +299,19 @@ def _reports(
     the undirected graph ``h``; also each node's chain component rank and
     the fully shielded edges of ``h``, which the reports share."""
     rank: dict[Node, int] = {}
-    paths: list[tuple[Node, ...]] = []
+    paths: list[tuple[int, ...]] = []
     for i, component in enumerate(h.chain_components()):
         rank.update(dict.fromkeys(component, i))
         if len(component) > 1:
             paths += _component_paths(h, component, max_nodes)
     shielded = fully_shielded_edges(h)
+    names = h.nodes
     reports = []
     for ordering in orderings:
-        oriented = impose_tiers(h, ordering)
+        tier = [ordering.tier_of(v) for v in names]
+        oriented = _orient_cross_tier(h, tier)
         cross = set(oriented.directed_edges)
-        earliest = _maximal_paths(_earliest(paths, ordering))
+        earliest = [tuple(names[i] for i in path) for path in _earliest(paths, tier, h._ne)]
         reports.append(
             CrossTierEdgeReport(
                 graph=oriented,
@@ -429,13 +431,13 @@ def _compare(
     shielded_diff = [
         d1.get(k) or d2.get(k) for k in map(frozenset, shielded) if d1.get(k) != d2.get(k)
     ]
-    # chain component by component, as the paths were enumerated
+    # in component order; only a path earliest under one ordering lacks an entry
+    f1, f2 = (dict(zip(r.earliest_paths, r.first_edges)) for r in (r1, r2))
     first_diff = [
         min(diff, key=str)
-        for path in sorted(
-            set(r1.earliest_paths) | set(r2.earliest_paths), key=lambda p: (rank[p[0]], str(p))
-        )
-        if (diff := first_cross_tier_edges(path, t1) ^ first_cross_tier_edges(path, t2))
+        for path in sorted(f1.keys() | f2.keys(), key=lambda p: (rank[p[0]], str(p)))
+        if (diff := (f1[path] if path in f1 else first_cross_tier_edges(path, t1))
+            ^ (f2[path] if path in f2 else first_cross_tier_edges(path, t2)))
     ]
     equivalent = not (shielded_diff or first_diff)
     witness = None if equivalent else (shielded_diff + first_diff)[0]

@@ -4,7 +4,8 @@ Everything here is deliberately written against plain dict/set/bitmask
 representations, or against raw boolean matrices with none of the
 library's graph code, so a bug in the production code cannot hide in
 its oracle.  The per-ordering loops at the end are the exception: they
-reuse the library's path helpers and check only how those are combined.
+reuse the library's per-pair path search and check only how its paths
+are combined.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from causaltiers.graphs import PDAG
+from causaltiers.graphs import LimitError, PDAG
 from causaltiers.orientation import (
     MEEK_RULES,
     BackgroundKnowledge,
@@ -31,7 +32,6 @@ from causaltiers.tiers import (
     Informativeness,
     InformativenessResult,
     TierEquivalence,
-    _component_paths,
     check_compatible,
     contained_in,
     fully_shielded_edges,
@@ -546,14 +546,31 @@ def cross_tier_edges(c, ordering) -> set:
     return set(orient_undirected_part(c, ordering).directed_edges)
 
 
-# === per-ordering loops over the library's path enumeration
+# === per-ordering loops over per-pair path enumeration
 #
 # Unlike the rest of this module, these reuse library code for the
-# unshielded paths of a component, the fully shielded edges and the
+# unshielded paths between two nodes, the fully shielded edges and the
 # cross-tier orientation.  They enumerate each chain component once per
-# ordering, find earliest paths by a per-edge floor, filter maximal
-# paths pairwise, walk outward for first cross-tier edges and combine
-# joint IDA per orientation combination.
+# ordering and per node pair, find earliest paths by a per-edge floor,
+# filter maximal paths pairwise, walk outward for first cross-tier edges
+# and combine joint IDA per orientation combination.
+
+
+def component_paths_pairwise(h, component, max_nodes: int) -> list:
+    """Every unshielded path (>= 2 nodes) inside one chain component of
+    ``h``: one :meth:`PDAG.find_unshielded_paths` walk per node pair of
+    the component, pairs in index order."""
+    if len(component) > max_nodes:
+        raise LimitError(
+            f"component of {len(component)} nodes exceeds the path "
+            f"enumeration limit of {max_nodes}"
+        )
+    sub = h.induced_subgraph(component)
+    return [
+        path
+        for s, t in itr.combinations(sub.nodes, 2)
+        for path in sub.find_unshielded_paths(s, t, max_nodes)
+    ]
 
 
 def first_cross_tier_edges_walk(path, tier: dict) -> frozenset:
@@ -632,13 +649,26 @@ def maximal_paths_pairwise(paths: list) -> list:
     return out
 
 
+def maximal_paths_by_segments(paths: list) -> list:
+    """Drop every path that is a proper segment of another listed path,
+    in either direction, by the set of all proper segments."""
+    segments = set()
+    for path in paths:
+        for length in range(2, len(path)):
+            for i in range(len(path) - length + 1):
+                segment = path[i : i + length]
+                segments.add(segment)
+                segments.add(segment[::-1])
+    return [path for path in paths if path not in segments]
+
+
 def _earliest_by_component(h, ordering, max_nodes: int) -> list[list]:
     tier = ordering.assignment
     out = []
     for component in h.chain_components():
         if len(component) < 2:
             continue
-        paths = _component_paths(h, component, max_nodes)
+        paths = component_paths_pairwise(h, component, max_nodes)
         out.append(maximal_paths_pairwise(earliest_by_floor(paths, tier)))
     return out
 

@@ -28,8 +28,8 @@ from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
     _compare,
     _component_paths,
+    _earliest,
     check_compatible,
-    _maximal_paths,
     first_cross_tier_edges,
     fully_shielded_edges,
 )
@@ -37,11 +37,14 @@ from causaltiers.tiers import (
 from conftest import random_cpdag_and_tau, random_coarsening
 from causaltiers import cpdag_of
 from oracles import (
+    component_paths_pairwise,
     cross_tier_edges,
     cross_tier_pairs,
     cross_tier_report_loop,
+    earliest_by_floor,
     first_cross_tier_edges_walk,
     forbidden_set,
+    maximal_paths_by_segments,
     maximal_paths_pairwise,
     orient_undirected_part,
     tiers_equivalent_loop,
@@ -438,25 +441,35 @@ class TestSharedEnumeration:
     must agree with the per-ordering loops in ``oracles``."""
 
     def test_maximal_paths_match_pairwise_filter(self):
+        """The earliest-and-maximal filter by one-node extension keeps
+        what the floor and the pairwise (or segment-set) filter keep,
+        under orderings with negative and non-contiguous tiers."""
         rng = np.random.default_rng(83)
         checked = 0
         for _ in range(60):
             p = int(rng.integers(4, 11))
             c, _, _ = random_cpdag_and_tau(rng, p, 2.5)
             h = c.undirected_subgraph()
-            for component in h.chain_components():
-                if len(component) < 2:
-                    continue
-                paths = _component_paths(h, component, 25)
-                for _ in range(3):
-                    k = int(rng.integers(0, len(paths) + 1))
-                    subset = [
-                        paths[i][::-1] if rng.random() < 0.3 else paths[i]
-                        for i in rng.permutation(len(paths))[:k]
-                    ]
-                    assert _maximal_paths(subset) == maximal_paths_pairwise(subset)
-                    checked += 1
-        assert checked > 100
+            paths = [
+                path
+                for component in h.chain_components()
+                if len(component) > 1
+                for path in component_paths_pairwise(h, component, 25)
+            ]
+            for _ in range(3):
+                levels = rng.choice(np.arange(-6, 7), size=int(rng.integers(1, 5)), replace=False)
+                tier = {v: int(rng.choice(levels)) for v in h.nodes}
+                earliest = earliest_by_floor(paths, tier)
+                expected = maximal_paths_pairwise(earliest)
+                assert maximal_paths_by_segments(earliest) == expected
+                got = _earliest(
+                    [tuple(map(h.index_of, path)) for path in paths],
+                    [tier[v] for v in h.nodes],
+                    h._ne,
+                )
+                assert [tuple(h.nodes[i] for i in path) for path in got] == expected
+                checked += len(expected) > 1
+        assert checked > 100, checked
 
     def test_first_edges_match_outward_walk(self):
         rng = np.random.default_rng(97)
@@ -497,14 +510,19 @@ class TestSharedEnumeration:
     )
     def test_each_component_enumerated_once(self, compare, monkeypatch, tmp_path):
         c, t1, t2 = two_disagreeing_components()
-        calls = []
-        enumerate_paths = PDAG.find_unshielded_paths
+        starts = []
+        walk = PDAG._walk
 
-        def counted(self, source, target, *args, **kwargs):
-            calls.append((source, target))
-            return enumerate_paths(self, source, target, *args, **kwargs)
+        def counted(self, sources, *args):
+            sources = list(sources)
+            starts.extend(self.nodes[s] for s in sources)
+            return walk(self, sources, *args)
 
-        monkeypatch.setattr(PDAG, "find_unshielded_paths", counted)
+        def per_pair(*args, **kwargs):
+            raise AssertionError("per-pair path search on the comparison path")
+
+        monkeypatch.setattr(PDAG, "_walk", counted)
+        monkeypatch.setattr(PDAG, "find_unshielded_paths", per_pair)
         if compare == "cross_tier_report":
             cross_tier_report(c, t1)
         elif compare == "cli":
@@ -514,12 +532,64 @@ class TestSharedEnumeration:
             assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
         else:
             getattr(tiers, compare)(c, t1, t2)
-        # one call per node pair inside each three-node component
-        assert sorted(calls) == sorted(
-            (u, v)
-            for group in (("Z1", "Z2", "Z3"), ("A1", "A2", "A3"))
-            for u, v in itr.combinations(group, 2)
-        )
+        # one walk from each node of each three-node component
+        assert sorted(starts) == sorted(c.nodes)
+
+
+def band_graph(rng, sizes, width):
+    """Chordal bands (node i adjacent to i+1 .. i+width) of the given
+    sizes, their nodes interleaved in a random order."""
+    bands = [[f"{chr(65 + k)}{i}" for i in range(n)] for k, n in enumerate(sizes)]
+    edges = [
+        (nodes[i], nodes[j])
+        for nodes in bands
+        for i in range(len(nodes))
+        for j in range(i + 1, min(len(nodes), i + width + 1))
+    ]
+    order = [v for nodes in bands for v in nodes]
+    return PDAG([order[k] for k in rng.permutation(len(order))], undirected=edges)
+
+
+class TestPathEnumeration:
+    """One walk per start node lists each component's unshielded paths
+    exactly as one walk per node pair does."""
+
+    def test_matches_per_pair_walks(self):
+        rng = np.random.default_rng(107)
+        graphs = []
+        for _ in range(80):
+            c, _, _ = random_cpdag_and_tau(rng, int(rng.integers(3, 15)), 2.5)
+            graphs.append(c.undirected_subgraph())
+        for _ in range(12):
+            size = int(rng.integers(6, 19))
+            sizes = [size] if rng.random() < 0.5 else [size - size // 2, size // 2]
+            graphs.append(band_graph(rng, sizes, int(rng.integers(2, 4))))
+        interleaved = 0
+        for h in graphs:
+            components = [comp for comp in h.chain_components() if len(comp) > 1]
+            spans = sorted((h.index_of(comp[0]), h.index_of(comp[-1])) for comp in components)
+            interleaved += any(b[0] < a[1] for a, b in zip(spans, spans[1:]))
+            for component in components:
+                got = _component_paths(h, component, 25)
+                assert [tuple(h.nodes[i] for i in path) for path in got] == (
+                    component_paths_pairwise(h, component, 25)
+                )
+        assert interleaved > 10, interleaved
+
+    def test_guard_text_at_the_boundary(self):
+        names = [f"V{k}" for k in range(26)]
+        h = PDAG(names, undirected=list(zip(names, names[1:])))
+        (component,) = h.chain_components()
+        assert len(_component_paths(h, component, 26)) == 26 * 25 // 2
+        message = "component of 26 nodes exceeds the path enumeration limit of 25"
+        for enumerate_paths in (_component_paths, component_paths_pairwise):
+            with pytest.raises(LimitError) as info:
+                enumerate_paths(h, component, 25)
+            assert str(info.value) == message
+        tau = TieredOrdering(dict.fromkeys(names, 1))
+        with pytest.raises(LimitError, match=f"^{message}$"):
+            tiers_equivalent(h, tau, tau)
+        assert tiers_equivalent(h, tau, tau, max_nodes=26)
 
 
 def random_topological_tiers(rng, dag):
