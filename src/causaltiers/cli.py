@@ -17,7 +17,7 @@ from .formats import format_graph, load_graph, load_tiers
 from .graphs import DEFAULT_PATH_NODE_LIMIT, GraphError, PDAG
 from .ida import joint_ida, local_ida
 from .independence import is_d_separated
-from .orientation import _require_no_new_v_structures, impose_tiers, meek_closure_trace
+from .orientation import _orient_tiered
 from .paths import (
     BPathVerdict,
     PathVerdict,
@@ -135,8 +135,7 @@ def _cmd_orient(args, out) -> int:
     g = load_graph(args.graph)
     ordering = load_tiers(args.tiers)
     rules = (1,) if args.rules == "1" else (1, 2, 3, 4)
-    result, trace = meek_closure_trace(impose_tiers(g, ordering), rules)
-    _require_no_new_v_structures(g, result)
+    result, trace = _orient_tiered(g, ordering, rules)
     if args.trace:
         for rule, (u, v) in trace:
             sys.stderr.write(f"rule{rule}: {u}->{v}\n")

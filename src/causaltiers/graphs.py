@@ -358,15 +358,20 @@ class PDAG:
     def _non_simplicial(self) -> int | None:
         """Index of the lowest node whose later neighbours in the search order
         are not all adjacent to the first of them, in the undirected part;
-        None if the undirected part is chordal."""
-        p, adj = self.num_nodes, self._ne
+        None if the undirected part is chordal.
+
+        Only nodes with an undirected edge are searched: any other node keeps
+        weight 0, raises none and is never reported, so a search over all
+        nodes numbers the rest in the same relative order, which is all the
+        check reads, and reports the same node."""
+        adj = self._ne
+        nodes = [v for v, nb in enumerate(adj) if nb]
 
         # buckets[w] is a heap of the nodes last seen with weight w
-        weight = [0] * p
-        number = [0] * p
-        buckets: list[list[int]] = [list(range(p))] + [[] for _ in range(p)]
+        weight, number = [0] * len(adj), [0] * len(adj)
+        buckets: list[list[int]] = [nodes[:]] + [[] for _ in nodes]
         top = 0
-        for num in range(p, 0, -1):
+        for num in range(len(nodes), 0, -1):
             while True:
                 while not buckets[top]:
                     top -= 1
@@ -380,7 +385,7 @@ class PDAG:
                     heapq.heappush(buckets[weight[y]], y)
                     top = max(top, weight[y])
 
-        for v in range(p):
+        for v in nodes:
             later = {w for w in adj[v] if number[w] > number[v]}
             if not later:
                 continue

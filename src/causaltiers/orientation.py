@@ -7,12 +7,11 @@ closure copy the graph's own parent and neighbour sets, orient only
 undirected edges in the copies and build the result from them; in each
 round of the closure, each rule collects all its firings in canonical
 edge order, then applies them.  Tiered knowledge is imposed from the
-tier vector alone by :func:`impose_tiers`, never as a set of forbidden
-pairs (that view, ``forbidden_set``, is a test oracle); closing under rule 1
-alone then reaches the fixpoint, so :func:`tiered_mpdag` runs only
-rule 1 (and, in debug mode, checks the paper's invariants in linear
-time on the result's own sets, raising :class:`InvariantError`); it
-then rejects an ordering that forces a v-structure the input lacks.
+tier vector alone, never as a set of forbidden pairs (a test oracle).
+One pass serves :func:`tiered_mpdag` (rule 1 alone reaches the fixpoint)
+and CLI ``orient``: it orients and closes one copy of the sets, builds one
+graph, checks the paper's invariants on it in linear time, in every mode
+(:class:`InvariantError`), and rejects a forced v-structure the input lacks.
 :func:`enumerate_class` lists a class by branch and close, in a fixed
 lexicographic order, and stops with :class:`LimitError` beyond
 ``max_members`` members.
@@ -169,31 +168,18 @@ def _firings(s, rule: int, names) -> list[tuple[int, int]]:
     return fired
 
 
-def _close(s, rules: Sequence[int], names) -> list[tuple[int, int, int]]:
+def _close(s, rules: Sequence[int], names) -> list[tuple[int, Edge]]:
     """Close ``s`` in place, round by round, each rule collecting all its
-    firings before applying them; returns the ``(rule, tail, head)`` firings."""
-    trace: list[tuple[int, int, int]] = []
+    firings before applying them; returns the ``(rule, edge)`` firings."""
+    trace: list[tuple[int, Edge]] = []
     while True:
         before = len(trace)
         for rule in rules:
             for tail, head in _firings(s, rule, names):
                 _orient(s, tail, head)
-                trace.append((rule, tail, head))
+                trace.append((rule, (names[tail], names[head])))
         if len(trace) == before:
             return trace
-
-
-def apply_meek_rule(g: PDAG, rule: int) -> tuple[PDAG, list[Edge]]:
-    """One full sweep of a single Meek rule.
-
-    Returns the updated graph and the newly oriented edges in canonical
-    order.  A fixpoint returns the graph unchanged with an empty list.
-    """
-    s = _state(g)
-    fired = _firings(s, rule, g.nodes)
-    for tail, head in fired:
-        _orient(s, tail, head)
-    return _graph(g, s), [(g.nodes[t], g.nodes[h]) for t, h in fired]
 
 
 def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
@@ -213,8 +199,7 @@ def meek_closure_trace(
     round by round, each rule's firings in canonical edge order."""
     s = _state(g)
     trace = _close(s, rules, g.nodes)
-    edges = [(rule, (g.nodes[t], g.nodes[h])) for rule, t, h in trace]
-    return _graph(g, s), edges
+    return _graph(g, s), trace
 
 
 def mpdag_of(c: PDAG, k: BackgroundKnowledge) -> PDAG:
@@ -250,27 +235,23 @@ def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
     violations = check_consistency(c, ordering)
     if violations:
         listing = ", ".join(f"{u}->{v}" for u, v in violations)
-        raise InconsistentKnowledgeError(
-            f"ordering contradicts directed edges: {listing}"
-        )
+        raise InconsistentKnowledgeError(f"ordering contradicts directed edges: {listing}")
 
 
-def _require_no_new_v_structures(c: PDAG, g: PDAG) -> None:
-    """Raise :class:`InconsistentKnowledgeError` if ``g``, an orientation
-    of ``c``, gives a node a new parent that is not adjacent to one of its
-    other parents: no DAG of ``c``'s class has that v-structure."""
-    names = g.nodes
-    for w, (pa, old) in enumerate(zip(g._pa, c._pa)):
+def _require_no_new_v_structures(c: PDAG, s) -> None:
+    """Raise :class:`InconsistentKnowledgeError` if ``s``, an orientation
+    of ``c``'s sets, gives a node a new parent that is not adjacent to one
+    of its other parents: no DAG of ``c``'s class has that v-structure."""
+    names, adj = c.nodes, s[2]
+    for w, (pa, old) in enumerate(zip(s[0], c._pa)):
         if len(pa) == len(old):
             continue
         for x in sorted(pa - old):
-            px, cx, nx = g._pa[x], g._ch[x], g._ne[x]
-            unlinked = [u for u in pa if u != x and u not in px and u not in cx and u not in nx]
+            unlinked = pa - adj[x] - {x}
             if unlinked:
-                u = min(unlinked)
                 raise InconsistentKnowledgeError(
                     f"ordering creates the v-structure {names[x]} -> {names[w]} <- "
-                    f"{names[u]}, which no DAG of the class has"
+                    f"{names[min(unlinked)]}, which no DAG of the class has"
                 )
 
 
@@ -279,17 +260,48 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    return _orient_cross_tier(c, list(map(ordering.tier_of, c.nodes)))
+    return _graph(c, _cross_tier_state(c, list(map(ordering.tier_of, c.nodes))))
 
 
-def _orient_cross_tier(c: PDAG, tier: Sequence[int]) -> PDAG:
-    """:func:`impose_tiers` from the tier vector ``tier``, unchecked."""
+def _cross_tier_state(c: PDAG, tier: Sequence[int]):
+    """A copy of ``c``'s sets (:func:`_state`) with each undirected edge between
+    two tiers of the tier vector ``tier`` oriented from the earlier, unchecked."""
     s = _state(c)
     for i, ne in enumerate(c._ne):
         for j in ne:
             if tier[i] < tier[j]:
                 _orient(s, i, j)
-    return _graph(c, s)
+    return s
+
+
+def _require_invariants(g: PDAG, s) -> None:
+    """Raise :class:`InvariantError` with a witness if a Meek rule fires on
+    ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
+    so ``g`` is the full closure iff none fires), or if ``g`` has a partially
+    directed cycle or a chain component that is not chordal; linear time."""
+    names = g.nodes
+    fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
+    if fired:
+        raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
+    if g.has_partially_directed_cycle():
+        raise InvariantError(f"partially directed cycle: {g._partially_directed_cycle()}")
+    k = g._non_simplicial()
+    if k is not None:
+        raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
+
+
+def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
+    """The tiered pass of :func:`tiered_mpdag` and CLI ``orient``: the graph
+    closed under ``rules`` and its :func:`meek_closure_trace` firings.  The
+    imposed graph is never built; the closure removes no directed edge, so
+    the result's cycle check covers it."""
+    require_consistency(c, ordering)
+    s = _cross_tier_state(c, list(map(ordering.tier_of, c.nodes)))
+    trace = _close(s, rules, c.nodes)
+    g = _graph(c, s)
+    _require_invariants(g, s)
+    _require_no_new_v_structures(c, s)
+    return g, trace
 
 
 def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
@@ -297,10 +309,11 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
 
     Orients the cross-tier edges and closes under Meek's rule 1 only;
     for tiered knowledge this reaches the same fixpoint as rules 1-4.
-    In debug mode (``python`` without ``-O``) every construction checks,
-    in linear time, that no Meek rule fires on the result, that it has
+    Every call then checks, in linear time and in every mode (``python
+    -O`` included), that no Meek rule fires on the result, that it has
     no partially directed cycle, and that its chain components are
     chordal, and raises :class:`InvariantError` with a witness if not.
+    CLI ``orient`` runs the same pass with its ``--rules``.
 
     Raises
     ------
@@ -310,23 +323,7 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
         v-structure that ``c`` lacks (the message names one), so that no
         DAG of the class respects ``ordering``.
     """
-    imposed = impose_tiers(c, ordering)
-    g = meek_closure(imposed, rules=(1,))
-    if __debug__:
-        # the closure does not depend on rule order, so the full closure
-        # of ``imposed`` is ``g`` iff no rule fires on ``g``
-        s, names = (g._pa, g._ne, g._adjacency()), g.nodes
-        fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
-        if fired:
-            raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
-        if g.has_partially_directed_cycle():
-            raise InvariantError(f"partially directed cycle: {g._partially_directed_cycle()}")
-        k = g._non_simplicial()
-        if k is not None:
-            v = names[k]
-            raise InvariantError(f"chordality: later neighbours of {v} are not all adjacent")
-    _require_no_new_v_structures(c, g)
-    return g
+    return _orient_tiered(c, ordering, (1,))[0]
 
 
 def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:

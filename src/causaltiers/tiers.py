@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
-from .orientation import InvariantError, _orient_cross_tier, require_consistency, tiered_mpdag
+from .orientation import InvariantError, _cross_tier_state, _graph
+from .orientation import require_consistency, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -309,7 +310,7 @@ def _reports(
     reports = []
     for ordering in orderings:
         tier = [ordering.tier_of(v) for v in names]
-        oriented = _orient_cross_tier(h, tier)
+        oriented = _graph(h, _cross_tier_state(h, tier))
         cross = set(oriented.directed_edges)
         earliest = [tuple(names[i] for i in path) for path in _earliest(paths, tier, h._ne)]
         reports.append(

@@ -5,7 +5,8 @@ representations, or against raw boolean matrices with none of the
 library's graph code, so a bug in the production code cannot hide in
 its oracle.  The per-ordering loops at the end are the exception: they
 reuse the library's per-pair path search and check only how its paths
-are combined.
+are combined.  So is ``apply_meek_rule``, one sweep of one rule on the
+library's sets, which the tests check against the matrix sweep here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from causaltiers import orientation
 from causaltiers.graphs import LimitError, PDAG
 from causaltiers.orientation import (
     MEEK_RULES,
@@ -505,6 +507,20 @@ def full_closure_equals(imposed, g) -> bool:
     """Rule-1 sufficiency as a second closure from scratch: the full
     closure of the imposed graph equals the rule-1 result ``g``."""
     return g == meek_closure(imposed, MEEK_RULES)
+
+
+def apply_meek_rule(g, rule: int):
+    """One full sweep of a single Meek rule: the library's firing pass of
+    one rule, applied once (the closure runs it round after round).
+
+    Returns the updated graph and the newly oriented edges in canonical
+    order.  A fixpoint returns the graph unchanged with an empty list.
+    """
+    s = orientation._state(g)
+    fired = orientation._firings(s, rule, g.nodes)
+    for tail, head in fired:
+        orientation._orient(s, tail, head)
+    return orientation._graph(g, s), [(g.nodes[t], g.nodes[h]) for t, h in fired]
 
 
 def er_skeleton_combinations(p: int, degree: float, rng) -> list[tuple[int, int]]:

@@ -26,13 +26,10 @@ def fixture(name):
     return str(FIXTURES / name)
 
 
-def run_cli_optimized(*argv, setup=""):
-    """Run the CLI in a ``python -O`` subprocess after ``setup``;
-    returns the exit code, stdout and stderr."""
+def run_optimized(script):
+    """Run ``script`` in a ``python -O`` subprocess; returns the exit code,
+    stdout and stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    script = "\n".join(
-        ["import sys", "from causaltiers import cli, tiers", setup, f"sys.exit(cli.main({argv!r}))"]
-    )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
         env={**os.environ, "PYTHONPATH": src},
@@ -41,6 +38,16 @@ def run_cli_optimized(*argv, setup=""):
         timeout=120,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def run_cli_optimized(*argv, setup=""):
+    """Run the CLI in a ``python -O`` subprocess after ``setup``;
+    returns the exit code, stdout and stderr."""
+    lines = ["import sys", "from causaltiers import cli, tiers", setup]
+    return run_optimized("\n".join([*lines, f"sys.exit(cli.main({argv!r}))"]))
+
+
+NO_OP_CLOSE = "orientation._close = lambda s, rules, names: []"
 
 
 def undirected_graph_file(path, n, width):
@@ -312,10 +319,9 @@ class TestExitCodes:
         )
         assert code == 2
 
-    @pytest.mark.skipif(not __debug__, reason="the invariant checks run in debug mode only")
     def test_invariant_failure_is_domain_error(self, capsys, monkeypatch, tmp_path):
         # a rule-1 closure that orients nothing leaves rule-1 edges undirected
-        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: g)
+        monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
         code, _ = run_cli(
             "simulate",
             "--nodes", "25",
@@ -328,6 +334,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: rule-1 sufficiency: rule 1 orients ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("optimized", [False, True], ids=["default", "-O"])
+    def test_faulty_closure_fails_orient(self, optimized, capsys, monkeypatch):
+        argv = ["orient", fixture("wave_cpdag.txt"), "--tiers", fixture("wave_tiers3.txt")]
+        if optimized:
+            setup = f"from causaltiers import orientation\n{NO_OP_CLOSE}"
+            code, out, err = run_cli_optimized(*argv, setup=setup)
+        else:
+            monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
+            code, out = run_cli(*argv)
+            err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == "error: rule-1 sufficiency: rule 1 orients C -> D\n"
+
+    def test_faulty_closure_fails_tiered_mpdag_under_optimize(self):
+        # the checks are plain code, so ``python -O`` keeps them
+        graph, tiers_file = fixture("wave_cpdag.txt"), fixture("wave_tiers3.txt")
+        code, out, err = run_optimized(
+            "\n".join([
+                "from causaltiers import load_graph, load_tiers, orientation",
+                NO_OP_CLOSE,
+                "print(__debug__)",
+                "try:",
+                f"    orientation.tiered_mpdag(load_graph({graph!r}),",
+                f"                             load_tiers({tiers_file!r}))",
+                "except orientation.InvariantError as exc:",
+                "    print(exc)",
+            ])
+        )
+        assert (code, err) == (0, "")
+        assert out == "False\nrule-1 sufficiency: rule 1 orients C -> D\n"
+
+    def test_orient_non_cpdag_fails_like_tiered_mpdag(self, capsys, tmp_path):
+        # the undirected square is no CPDAG: its component is not chordal
+        graph = tmp_path / "square.txt"
+        graph.write_text("nodes: A B C D\nA -- B\nB -- C\nC -- D\nD -- A\n")
+        one_tier = tmp_path / "one_tier.txt"
+        one_tier.write_text("tier 1: A B C D\n")
+        with pytest.raises(orientation.InvariantError) as info:
+            tiered_mpdag(load_graph(graph), load_tiers(one_tier))
+        expected = f"error: {info.value}\n"
+        assert expected == "error: chordality: later neighbours of D are not all adjacent\n"
+        for rules in ("1", "all"):
+            code, out = run_cli("orient", str(graph), "--tiers", str(one_tier), "--rules", rules)
+            assert (code, out) == (1, "")
+            assert capsys.readouterr().err == expected
 
     def test_inconsistent_tiers_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad_tiers.txt"

@@ -380,6 +380,25 @@ class TestLinearChecksAgainstOracles:
             chordal += witness is None
         assert 500 < chordal < 2500, chordal
 
+        # a share of the nodes without an undirected edge, which the search
+        # skips: mixed graphs, with the undirected edges at some nodes
+        # dropped, against the search over all nodes of the undirected part
+        skipped = Counter()
+        for _ in range(2000):
+            p = int(rng.integers(2, 20))
+            amat = random_mixed_amat(rng, p)
+            und = amat & amat.T
+            lone = rng.random(p) < rng.random()
+            und[lone, :] = False
+            und[:, lone] = False
+            g = pdag_of((amat & ~amat.T) | und)
+            witness = non_simplicial_max_mcs(und)
+            assert g._non_simplicial() == witness, g
+            assert g.undirected_subgraph().is_chordal() == (witness is None)
+            if 0 < und.any(axis=1).sum() < p:
+                skipped[witness is None] += 1
+        assert min(skipped.values()) > 200, skipped
+
     def test_chordless_cycles_have_witnesses(self):
         for k in range(4, 12):
             names = [f"V{i}" for i in range(k)]

@@ -13,7 +13,6 @@ from causaltiers import (
     LimitError,
     PDAG,
     TieredOrdering,
-    apply_meek_rule,
     check_consistency,
     cpdag_of,
     enumerate_class,
@@ -30,6 +29,7 @@ from conftest import random_cpdag_and_tau, random_dag_instance
 from oracles import (
     SweepConflict,
     amat_of,
+    apply_meek_rule,
     consistent_extensions,
     forbidden_set,
     full_closure_equals,
@@ -545,9 +545,8 @@ RULE4 = PDAG(
 )
 
 
-@pytest.mark.skipif(not __debug__, reason="the invariant checks run in debug mode only")
 class TestInvariantChecks:
-    """``tiered_mpdag``'s debug-mode checks, given a faulty rule-1 closure."""
+    """``tiered_mpdag``'s invariant checks, given a faulty rule-1 closure."""
 
     @pytest.mark.parametrize(
         "closed, message",
@@ -564,20 +563,21 @@ class TestInvariantChecks:
         self, monkeypatch, wave_cpdag, wave_tau, closed, message
     ):
         # None: the closure leaves the imposed graph as it is, so C - D
-        # stays undirected although rule 1 orients it
-        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: closed or g)
+        # stays undirected although rule 1 orients it; otherwise the checks
+        # run on ``closed`` as if the closure had returned it
         with pytest.raises(InvariantError, match=re.escape(message)):
-            tiered_mpdag(wave_cpdag, wave_tau)
+            if closed is None:
+                monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
+                tiered_mpdag(wave_cpdag, wave_tau)
+            else:
+                orientation._require_invariants(closed, orientation._state(closed))
 
-    def test_rule_check_matches_full_closure_oracle(self, monkeypatch):
+    def test_rule_check_matches_full_closure_oracle(self):
         """No rule fires on a rule-1 result iff a second, full closure of
         the imposed graph gives it back.  Checked on rule-1 closures under
         consistent knowledge, some stopped early, and on arbitrary PDAGs,
         often closed under rules 1 and 2, taken as their own closure."""
         rng = np.random.default_rng(47)
-        state = {}
-        monkeypatch.setattr(orientation, "impose_tiers", lambda c, ordering: state["imposed"])
-        monkeypatch.setattr(orientation, "meek_closure", lambda g, rules: state["closed"])
         outcomes = Counter()
         for _ in range(800):
             if rng.random() < 0.4:
@@ -604,10 +604,9 @@ class TestInvariantChecks:
                 expected = full_closure_equals(imposed, closed)
             except GraphError:  # the closure conflicts, so it is not ``closed``
                 expected = False
-            state.update(imposed=imposed, closed=closed)
             rule = None
             try:
-                tiered_mpdag(imposed, None)
+                orientation._require_invariants(closed, orientation._state(closed))
             except InconsistentKnowledgeError:
                 rule = "both ways"
             except InvariantError as exc:
