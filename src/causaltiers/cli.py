@@ -10,6 +10,7 @@ in the README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--a", required=True, type=_node_list)
     p.add_argument("--b", required=True, type=_node_list)
-    p.add_argument("--c", type=_node_list, default=[])
+    p.add_argument("--c", type=_node_list, default=())
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify-path", help="possibly-causal verdicts for one path")
@@ -139,7 +140,6 @@ def _cmd_orient(args, out) -> int:
     if args.trace:
         for rule, (u, v) in trace:
             sys.stderr.write(f"rule{rule}: {u}->{v}\n")
-    text = format_graph(result)
     if args.json:
         payload = {
             "graph": _graph_payload(result),
@@ -149,9 +149,9 @@ def _cmd_orient(args, out) -> int:
         out.write("\n")
     elif args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(format_graph(result))
     else:
-        out.write(text)
+        out.write(format_graph(result))
     return 0
 
 
@@ -318,11 +318,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

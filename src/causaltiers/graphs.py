@@ -403,28 +403,9 @@ class PDAG:
         consecutive triple <A, B, C> has A and C non-adjacent.
 
         Paths are returned in depth-first order with neighbours visited
-        by node index, so the result is deterministic.
+        by node index, so the result is deterministic.  The node-count
+        guard protects against exponential blowup on large graphs.
         """
-        return list(self._paths(source, target, max_nodes, None, True))
-
-    def simple_paths(
-        self,
-        source: Node,
-        target: Node,
-        max_edges: int | None = None,
-        max_nodes: int = DEFAULT_PATH_NODE_LIMIT,
-    ) -> Iterator[tuple[Node, ...]]:
-        """Yield all simple paths from ``source`` to ``target``.
-
-        ``max_edges`` bounds the path length; the node-count guard
-        protects against exponential blowup on large graphs.
-        """
-        return self._paths(source, target, max_nodes, max_edges, False)
-
-    def _paths(
-        self, source: Node, target: Node, max_nodes: int, max_edges: int | None, unshielded: bool
-    ) -> Iterator[tuple[Node, ...]]:
-        """Check the endpoints and the size guard now, then :meth:`_walk` lazily."""
         s, t = self.index_of(source), self.index_of(target)
         if s == t:
             raise GraphError("source and target must differ")
@@ -433,19 +414,14 @@ class PDAG:
                 f"graph has {self.num_nodes} nodes; exhaustive path enumeration "
                 f"is limited to {max_nodes} (raise max_nodes to override)"
             )
-        cap = self.num_nodes if max_edges is None else max_edges
-        walk = self._walk((s,) if cap > 0 else (), t, cap, unshielded)
-        return (tuple(map(self._names.__getitem__, path)) for path in walk)
+        return [tuple(map(self._names.__getitem__, path)) for path in self._walk((s,), t)]
 
-    def _walk(
-        self, sources: Iterable[int], target: int | None, cap: int, unshielded: bool
-    ) -> Iterator[tuple[int, ...]]:
+    def _walk(self, sources: Iterable[int], target: int | None) -> Iterator[tuple[int, ...]]:
         """Depth first from each source in turn, neighbours by index (so in
-        lexicographic order), yield as indices every simple path of at most
-        ``cap`` >= 1 edges that ends at ``target``, never walking through it,
-        or with no target every path to a node after its source, so each
-        path comes once, from its lower end.  With ``unshielded``, no triple
-        of a path has adjacent ends."""
+        lexicographic order), yield as indices every unshielded path (no
+        triple with adjacent ends) that ends at ``target``, never walking
+        through it, or with no target every path to a node after its source,
+        so each path comes once, from its lower end."""
         adjacent = self._adjacency()
         adj = [sorted(row) for row in adjacent]
         on_path = [False] * len(adj)
@@ -455,11 +431,11 @@ class PDAG:
             stack = [iter(adj[s])]
             while stack:
                 for w in stack[-1]:
-                    if on_path[w] or (unshielded and len(path) > 1 and w in adjacent[path[-2]]):
+                    if on_path[w] or (len(path) > 1 and w in adjacent[path[-2]]):
                         continue
                     if w == target or (target is None and w > s):
                         yield (*path, w)
-                    if w != target and len(path) < cap:
+                    if w != target:
                         path.append(w)
                         on_path[w] = True
                         stack.append(iter(adj[w]))

@@ -214,7 +214,7 @@ def _component_paths(h: PDAG, component: Sequence[Node], max_nodes: int) -> list
             f"component of {len(component)} nodes exceeds the path "
             f"enumeration limit of {max_nodes}"
         )
-    walk = h._walk(sorted(map(h.index_of, component)), None, h.num_nodes, True)
+    walk = h._walk(sorted(map(h.index_of, component)), None)
     return sorted(walk, key=lambda path: (path[0], path[-1]))
 
 

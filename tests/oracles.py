@@ -244,6 +244,24 @@ def paths_recursive(adj: dict, order: dict, s, t, max_edges=None, unshielded=Fal
     return out
 
 
+def adjustment_counterexample_scan(g: PDAG, max_path_edges: int) -> tuple | None:
+    """The first simple path of at most ``max_path_edges`` edges, over
+    ordered node pairs and then depth first by node index, that is
+    possibly causal (no edge of the path points back) but not b-possibly
+    causal (some edge of the graph points from a later path node to an
+    earlier one); None if there is none.  Exponential: it scans every
+    path."""
+    adj = {v: set(g.adjacent_to(v)) for v in g.nodes}
+    order = {v: i for i, v in enumerate(g.nodes)}
+    for s, t in itr.permutations(g.nodes, 2):
+        for path in paths_recursive(adj, order, s, t, max_edges=max_path_edges):
+            plain = not any(g.has_directed(b, a) for a, b in zip(path, path[1:]))
+            strict = not any(g.has_directed(b, a) for a, b in itr.combinations(path, 2))
+            if plain != strict:
+                return path
+    return None
+
+
 def quantile_sorted(values, q: float) -> float:
     """Sort-based quantile with linear interpolation between order stats."""
     data = sorted(values)

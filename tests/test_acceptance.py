@@ -224,6 +224,18 @@ def test_criterion_7_path_classifications_coincide():
         report = check_adjustment_equivalence(g, max_path_edges=p)
         assert report.equivalent, report.counterexample
 
+    # sizes no path scan reaches: 30-100 nodes, paths of any length
+    mixed = 0
+    for _ in range(20):
+        p = int(rng.integers(30, 101))
+        degree = float(rng.uniform(1.0, 3.0))
+        dag = random_dag_instance(rng, p, degree)
+        g = tiered_mpdag(cpdag_of(dag), random_coarsening(rng, p))
+        report = check_adjustment_equivalence(g, max_path_edges=p)
+        assert report.equivalent, report.counterexample
+        mixed += bool(g.directed_edges) and bool(g.undirected_edges)
+    assert mixed >= 5, mixed
+
     # the construction where the two notions genuinely differ:
     # an undirected path whose endpoints also carry a directed edge
     g = PDAG("ABC", directed=[("A", "B")], undirected=[("A", "C"), ("C", "B")])
@@ -232,8 +244,9 @@ def test_criterion_7_path_classifications_coincide():
     assert not report.equivalent
     print(
         "PASS criterion 7: b-possibly-causal == possibly-causal on 500 "
-        "tiered instances (exhaustive paths); counterexample found on "
-        "the partially-directed-cycle construction"
+        "tiered instances of 3-8 nodes and 20 of 30-100 nodes (paths of "
+        "any length); counterexample found on the partially-directed-cycle "
+        "construction"
     )
 
 

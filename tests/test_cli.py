@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from causaltiers import InconsistentKnowledgeError, orientation, tiered_mpdag, tiers
+from causaltiers import InconsistentKnowledgeError, cli, orientation, tiered_mpdag, tiers
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
@@ -176,6 +176,21 @@ class TestSubcommands:
         )
         assert (code, out) == (0, "connected\n")
 
+    def test_parser_built_once_and_shared(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            outs = [
+                run_cli("dsep", fixture("wave_dag.txt"), "--a", "B", "--b", "D", *extra)
+                for extra in ((), ("--c", "C"), ())
+            ]
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert outs == [(0, "connected\n"), (0, "separated\n"), (0, "connected\n")]
+
     def test_classify_path(self):
         code, out = run_cli(
             "classify-path", fixture("wave_cpdag.txt"), "--path", "A,C,F,G"
@@ -265,6 +280,16 @@ class TestSubcommands:
         payload = json.loads(out)
         assert ["A", "C"] in payload["graph"]["directed"]
         assert payload["trace"]
+
+    def test_orient_json_formats_no_text(self, monkeypatch):
+        def no_text(g):
+            raise AssertionError("graph text formatted for --json")
+
+        monkeypatch.setattr(cli, "format_graph", no_text)
+        code, out = run_cli(
+            "orient", fixture("wave_cpdag.txt"), "--tiers", fixture("wave_tiers3.txt"), "--json"
+        )
+        assert code == 0 and json.loads(out)["trace"]
 
     def test_compare_tiers_json(self):
         code, out = run_cli(
