@@ -94,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ida", help="candidate parent sets (local or joint)")
     p.add_argument("graph")
-    p.add_argument("--x", help="node for local enumeration")
-    p.add_argument("--joint", type=_node_list, help="node set for joint enumeration")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--x", help="node for local enumeration")
+    target.add_argument("--joint", type=_node_list, help="node set for joint enumeration")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("simulate", help="orientation-gain experiment on random DAGs")
@@ -145,13 +146,14 @@ def _cmd_orient(args, out) -> int:
             "graph": _graph_payload(result),
             "trace": [[rule, str(u), str(v)] for rule, (u, v) in trace],
         }
-        json.dump(payload, out)
-        out.write("\n")
-    elif args.out:
-        with open(args.out, "w") as fh:
-            fh.write(format_graph(result))
+        text = json.dumps(payload) + "\n"
     else:
-        out.write(format_graph(result))
+        text = format_graph(result)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
     return 0
 
 
@@ -255,15 +257,13 @@ def _cmd_ida(args, out) -> int:
             for entry, mult in result
         ]
         key = "joint_parent_sets"
-    elif args.x:
+    else:
         result = local_ida(g, args.x)
         rows = [
             ((len(entry), sorted(map(str, entry))), _format_set(entry), mult)
             for entry, mult in result
         ]
         key = "parent_sets"
-    else:
-        raise UsageError("one of --x or --joint is required")
     rows = [(text, mult) for _, text, mult in sorted(rows)]
     if args.json:
         json.dump({key: [{"sets": text, "multiplicity": m} for text, m in rows]}, out)
@@ -303,10 +303,6 @@ def _cmd_simulate(args, out) -> int:
     return 0
 
 
-class UsageError(Exception):
-    pass
-
-
 _COMMANDS = {
     "validate": _cmd_validate,
     "orient": _cmd_orient,
@@ -337,9 +333,6 @@ def main(argv=None, out=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"error: {exc.strerror}: {exc.filename}\n")
-        return 2
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -221,24 +221,22 @@ class PDAG:
 
     # === comparison
 
+    # by labels, undirected edges as unordered pairs: node order plays no part
+    def _key(self) -> tuple[frozenset, frozenset, frozenset]:
+        return (
+            frozenset(self._names),
+            frozenset(self.directed_edges),
+            frozenset(map(frozenset, self.undirected_edges)),
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PDAG):
             return NotImplemented
-        return (
-            set(self._names) == set(other._names)
-            and set(self.directed_edges) == set(other.directed_edges)
-            and set(self.undirected_edges) == set(other.undirected_edges)
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (
-                    frozenset(self._names),
-                    frozenset(self.directed_edges),
-                    frozenset(self.undirected_edges),
-                )
-            )
+            self._hash = hash(self._key())
         return self._hash
 
     def __repr__(self) -> str:

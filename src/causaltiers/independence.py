@@ -107,7 +107,9 @@ def markov_equivalent(d1: PDAG, d2: PDAG) -> bool:
     _require_dag(d2)
     if set(d1.nodes) != set(d2.nodes):
         raise GraphError("graphs must share the same node set")
-    return d1.skeleton() == d2.skeleton() and v_structures(d1) == v_structures(d2)
+    # a v-structure's two parents come in index order, which node order sets
+    v1, v2 = ({(frozenset((a, c)), b) for a, b, c in v_structures(d)} for d in (d1, d2))
+    return d1.skeleton() == d2.skeleton() and v1 == v2
 
 
 def cpdag_of(d: PDAG) -> PDAG:

@@ -263,11 +263,11 @@ def run_cell(
         dag = random_dag(cell.nodes, degree, cell.generator, rng)
         cpdag = cpdag_of(dag)
         n_edges = dag.num_edges
-        n_dir_c = len(cpdag.directed_edges)
+        n_dir_c = sum(map(len, cpdag._pa))
         for scheme in schemes:
             ordering = scheme_ordering(scheme, cell.nodes)
             mpdag = tiered_mpdag(cpdag, ordering)
-            n_dir_g = len(mpdag.directed_edges)
+            n_dir_g = sum(map(len, mpdag._pa))
             gain = (n_dir_g - n_dir_c) / n_edges if n_edges else 0.0
             records.append(
                 SimRecord(

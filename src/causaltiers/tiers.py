@@ -8,16 +8,19 @@ by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges, both computed on
 the undirected part of the CPDAG oriented by each ordering.  One pass
 over two orderings builds each tiered MPDAG once, enumerates the
-unshielded paths of every chain component once, by one depth-first walk
-per start node, and checks the paper's theorem: the criterion holds iff
-the two MPDAGs are equal.  Earliest paths that are proper segments of
-longer earliest paths are found by one-node extension, on node indices
-and a tier vector; only the reported paths are turned into labels.
+unshielded paths of all chain components in one walk, one depth-first
+search per start node, and checks the paper's theorem: the criterion
+holds iff the two MPDAGs are equal.  Earliest paths that are proper
+segments of longer earliest paths are found by one-node extension, on
+node indices and a tier vector; only the reported paths are turned into
+labels.  Compatibility and refinement of two orderings are read from
+their tier groups, with no loop over node pairs.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -132,58 +135,57 @@ class Refinement(enum.Enum):
 @dataclass(frozen=True)
 class TierComparison:
     verdict: Refinement
-    #: strict orderings present in the first ordering only / second only
-    only_in_first: frozenset[tuple[Node, Node]]
-    only_in_second: frozenset[tuple[Node, Node]]
-
-
-def _strict_pairs(ordering: TieredOrdering, nodes: Sequence[Node]) -> set[tuple[Node, Node]]:
-    return {
-        (a, b)
-        for a in nodes
-        for b in nodes
-        if ordering.tier_of(a) < ordering.tier_of(b)
-    }
-
-
-def _check_same_nodes(t1: TieredOrdering, t2: TieredOrdering) -> list[Node]:
-    if set(t1.nodes) != set(t2.nodes):
-        raise GraphError("orderings are defined on different node sets")
-    return list(t1.nodes)
 
 
 def check_compatible(t1: TieredOrdering, t2: TieredOrdering) -> None:
-    """Raise unless no node pair is ordered oppositely by ``t1`` and ``t2``."""
-    nodes = _check_same_nodes(t1, t2)
-    for a in nodes:
-        for b in nodes:
-            if t1.tier_of(a) < t1.tier_of(b) and t2.tier_of(a) > t2.tier_of(b):
-                raise IncompatibleOrderingsError(
-                    f"orderings contradict each other on ({a!r}, {b!r})"
-                )
+    """Raise unless no node pair is ordered oppositely by ``t1`` and ``t2``.
+
+    A node conflicts iff its ``t2`` tier is above the least ``t2`` tier of
+    the nodes in strictly later ``t1`` tiers: one suffix minimum per ``t1``
+    tier, O(p log p).  The error names the first conflicting node in
+    ``t1``'s node order and then its first partner in that order.
+    """
+    a1, a2 = t1._assignment, t2._assignment
+    if a1.keys() != a2.keys():
+        raise GraphError("orderings are defined on different node sets")
+    least: dict[int, int] = {}  # t1 tier -> least t2 tier inside it
+    for v, t in a1.items():
+        least[t] = min(least.get(t, a2[v]), a2[v])
+    later: dict[int, float] = {}  # t1 tier -> least t2 tier of the later t1 tiers
+    bound = math.inf
+    for t in sorted(least, reverse=True):
+        later[t] = bound
+        bound = min(bound, least[t])
+    for a, ta in a1.items():
+        if a2[a] > later[ta]:
+            b = next(b for b, tb in a1.items() if ta < tb and a2[a] > a2[b])
+            raise IncompatibleOrderingsError(
+                f"orderings contradict each other on ({a!r}, {b!r})"
+            )
 
 
 def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison:
     """Refinement relation between two compatible orderings.
 
     ``t1`` is finer than ``t2`` when every strict order of ``t2`` also
-    holds strictly in ``t1``.
+    holds strictly in ``t1``.  For compatible orderings that holds iff
+    each tier of ``t1`` lies inside one tier of ``t2``, that is iff the
+    distinct ``(t1, t2)`` tier pairs of the nodes are as many as the
+    tiers of ``t1``.
     """
     check_compatible(t1, t2)
-    nodes = list(t1.nodes)
-    s1 = _strict_pairs(t1, nodes)
-    s2 = _strict_pairs(t2, nodes)
-    if s1 == s2:
+    a2 = t2._assignment
+    cells = len({(t, a2[v]) for v, t in t1._assignment.items()})
+    first_finer, second_finer = cells == t1.num_tiers, cells == t2.num_tiers
+    if first_finer and second_finer:
         verdict = Refinement.EQUAL
-    elif s2 <= s1:
+    elif first_finer:
         verdict = Refinement.FIRST_FINER
-    elif s1 <= s2:
+    elif second_finer:
         verdict = Refinement.SECOND_FINER
     else:
         verdict = Refinement.INCOMPARABLE
-    return TierComparison(
-        verdict, frozenset(s1 - s2), frozenset(s2 - s1)
-    )
+    return TierComparison(verdict)
 
 
 # === the undirected part of a CPDAG under an ordering
@@ -202,20 +204,26 @@ def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
     ]
 
 
-def _component_paths(h: PDAG, component: Sequence[Node], max_nodes: int) -> list[tuple[int, ...]]:
-    """Every unshielded path (>= 2 nodes) inside one chain component of the
-    undirected graph ``h``, as node indices, each listed once from its
-    lower-index end.  Each prefix of an unshielded path is one too, so one
-    depth-first walk per start node ``s`` records every path to a node
-    ``t > s``; the walk visits them in lexicographic order, so grouping each
-    start's paths by ``t``, stably, lists them as one walk per pair would."""
-    if len(component) > max_nodes:
-        raise LimitError(
-            f"component of {len(component)} nodes exceeds the path "
-            f"enumeration limit of {max_nodes}"
-        )
-    walk = h._walk(sorted(map(h.index_of, component)), None)
-    return sorted(walk, key=lambda path: (path[0], path[-1]))
+def _component_paths(
+    h: PDAG, components: Sequence[Sequence[Node]], max_nodes: int
+) -> list[tuple[int, ...]]:
+    """Every unshielded path (>= 2 nodes) inside the given chain components
+    of the undirected graph ``h``, as node indices, each listed once from
+    its lower-index end, component by component in the given order.  Each
+    prefix of an unshielded path is one too, so one depth-first walk from
+    every node of the components records every path to a node ``t > s``
+    from each start ``s``; the walk visits them in lexicographic order, so
+    grouping the paths by component, start and ``t``, stably, lists them as
+    one walk per component and node pair would."""
+    for component in components:
+        if len(component) > max_nodes:
+            raise LimitError(
+                f"component of {len(component)} nodes exceeds the path "
+                f"enumeration limit of {max_nodes}"
+            )
+    rank = {h.index_of(v): k for k, component in enumerate(components) for v in component}
+    walk = h._walk(sorted(rank), None)
+    return sorted(walk, key=lambda path: (rank[path[0]], path[0], path[-1]))
 
 
 def _earliest(
@@ -295,16 +303,13 @@ class CrossTierEdgeReport:
 def _reports(
     h: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
 ) -> tuple[dict[Node, int], list[Edge], list[CrossTierEdgeReport]]:
-    """One :class:`CrossTierEdgeReport` per ordering, all read from a
-    single enumeration of the unshielded paths of each chain component of
-    the undirected graph ``h``; also each node's chain component rank and
-    the fully shielded edges of ``h``, which the reports share."""
-    rank: dict[Node, int] = {}
-    paths: list[tuple[int, ...]] = []
-    for i, component in enumerate(h.chain_components()):
-        rank.update(dict.fromkeys(component, i))
-        if len(component) > 1:
-            paths += _component_paths(h, component, max_nodes)
+    """One :class:`CrossTierEdgeReport` per ordering, all read from one
+    walk over the unshielded paths of the chain components of the
+    undirected graph ``h``; also each node's chain component rank and the
+    fully shielded edges of ``h``, which the reports share."""
+    components = h.chain_components()
+    rank = {v: i for i, component in enumerate(components) for v in component}
+    paths = _component_paths(h, [comp for comp in components if len(comp) > 1], max_nodes)
     shielded = fully_shielded_edges(h)
     names = h.nodes
     reports = []

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from causaltiers import orientation
-from causaltiers.graphs import LimitError, PDAG
+from causaltiers.graphs import GraphError, LimitError, PDAG
 from causaltiers.orientation import (
     MEEK_RULES,
     BackgroundKnowledge,
@@ -32,9 +32,10 @@ from causaltiers.simulation import _geometric_radius
 from causaltiers.tiers import (
     CrossTierEdgeReport,
     Informativeness,
+    IncompatibleOrderingsError,
     InformativenessResult,
+    Refinement,
     TierEquivalence,
-    check_compatible,
     contained_in,
     fully_shielded_edges,
 )
@@ -580,6 +581,42 @@ def cross_tier_edges(c, ordering) -> set:
     return set(orient_undirected_part(c, ordering).directed_edges)
 
 
+# === orderings compared node pair by node pair
+
+
+def _strict_pairs(ordering, nodes) -> set:
+    return {(a, b) for a in nodes for b in nodes if ordering.tier_of(a) < ordering.tier_of(b)}
+
+
+def check_compatible_pairwise(t1, t2) -> None:
+    """:func:`causaltiers.tiers.check_compatible` by a loop over every
+    node pair, in ``t1``'s node order."""
+    if set(t1.nodes) != set(t2.nodes):
+        raise GraphError("orderings are defined on different node sets")
+    nodes = list(t1.nodes)
+    for a in nodes:
+        for b in nodes:
+            if t1.tier_of(a) < t1.tier_of(b) and t2.tier_of(a) > t2.tier_of(b):
+                raise IncompatibleOrderingsError(
+                    f"orderings contradict each other on ({a!r}, {b!r})"
+                )
+
+
+def compare_refinement_pairwise(t1, t2) -> Refinement:
+    """The verdict of :func:`causaltiers.tiers.compare_refinement`, by
+    comparing the two sets of strictly ordered node pairs."""
+    check_compatible_pairwise(t1, t2)
+    nodes = list(t1.nodes)
+    s1, s2 = _strict_pairs(t1, nodes), _strict_pairs(t2, nodes)
+    if s1 == s2:
+        return Refinement.EQUAL
+    if s2 <= s1:
+        return Refinement.FIRST_FINER
+    if s1 <= s2:
+        return Refinement.SECOND_FINER
+    return Refinement.INCOMPARABLE
+
+
 # === per-ordering loops over per-pair path enumeration
 #
 # Unlike the rest of this module, these reuse library code for the
@@ -734,7 +771,7 @@ def tiers_equivalent_loop(c, t1, t2, max_nodes: int = 25):
     """:func:`causaltiers.tiers.tiers_equivalent` with its own component
     loop: witness from the shielded scan first, then component by
     component over the union of both orderings' earliest paths."""
-    check_compatible(t1, t2)
+    check_compatible_pairwise(t1, t2)
     for ordering in (t1, t2):
         require_consistency(c, ordering)
     h = c.undirected_subgraph()

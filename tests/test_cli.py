@@ -281,6 +281,14 @@ class TestSubcommands:
         assert ["A", "C"] in payload["graph"]["directed"]
         assert payload["trace"]
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_orient_out_file_holds_the_chosen_format(self, tmp_path, json_flag):
+        target = tmp_path / "result.out"
+        argv = ["orient", fixture("wave_cpdag.txt"), "--tiers", fixture("wave_tiers3.txt")]
+        code, out = run_cli(*argv, *json_flag, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text() == run_cli(*argv, *json_flag)[1]
+
     def test_orient_json_formats_no_text(self, monkeypatch):
         def no_text(g):
             raise AssertionError("graph text formatted for --json")
@@ -544,3 +552,8 @@ class TestExitCodes:
     def test_ida_requires_target(self, capsys):
         code, _ = run_cli("ida", fixture("wave_cpdag.txt"))
         assert code == 2
+
+    def test_ida_takes_one_target(self, capsys):
+        code, out = run_cli("ida", fixture("wave_cpdag.txt"), "--x", "A", "--joint", "B")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in capsys.readouterr().err

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltiers import CycleError, GraphError, LimitError, PDAG, v_structures
+from causaltiers import (
+    CycleError,
+    GraphError,
+    LimitError,
+    PDAG,
+    contained_in,
+    cpdag_of,
+    markov_equivalent,
+    v_structures,
+)
 
 from conftest import WAVE_ARCS, random_dag_instance
 from oracles import (
@@ -122,6 +131,42 @@ class TestSkeletonAndSubgraphs:
     def test_induced_subgraph_unknown_node(self, wave_dag):
         with pytest.raises(GraphError):
             wave_dag.induced_subgraph(["A", "Z"])
+
+
+def reordered(g, order):
+    """``g`` rebuilt with its nodes inserted in ``order``, each undirected
+    edge listed from its later end in that order."""
+    pos = {v: k for k, v in enumerate(order)}
+    return PDAG(
+        order,
+        directed=g.directed_edges,
+        undirected=[(u, v) if pos[u] > pos[v] else (v, u) for u, v in g.undirected_edges],
+    )
+
+
+class TestEqualityIgnoresNodeOrder:
+    def test_two_node_example(self):
+        ab = PDAG("AB", undirected=[("A", "B")])
+        ba = PDAG("BA", undirected=[("A", "B")])
+        assert ab == ba and hash(ab) == hash(ba)
+        assert ab != PDAG("BA", directed=[("A", "B")])
+
+    def test_reordered_copies(self):
+        """Equality, hash, Markov equivalence and containment hold between
+        a graph and a copy with its nodes in another order."""
+        rng = np.random.default_rng(31)
+        colliders = 0
+        for _ in range(200):
+            p = int(rng.integers(2, 9))
+            dag = random_dag_instance(rng, p, 2.5)
+            order = [dag.nodes[k] for k in rng.permutation(p)]
+            colliders += bool(v_structures(dag) != v_structures(reordered(dag, order)))
+            for g in (dag, cpdag_of(dag), dag.skeleton()):
+                copy = reordered(g, order)
+                assert copy == g and hash(copy) == hash(g)
+                assert contained_in(copy, g) and contained_in(g, copy)
+            assert markov_equivalent(dag, reordered(dag, order))
+        assert colliders > 20, colliders
 
 
 class TestCycles:

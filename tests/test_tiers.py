@@ -37,6 +37,7 @@ from causaltiers.tiers import (
 from conftest import random_cpdag_and_tau, random_coarsening
 from causaltiers import cpdag_of
 from oracles import (
+    compare_refinement_pairwise,
     component_paths_pairwise,
     cross_tier_edges,
     cross_tier_pairs,
@@ -163,6 +164,58 @@ class TestCompareRefinement:
                 assert f1 < f2
             elif cmp.verdict is Refinement.EQUAL:
                 assert f1 == f2
+
+
+def random_ordering_pair(rng):
+    """Two orderings of up to 9 nodes: refinements of one random base
+    ordering (often compatible, sometimes equal or nested) or two
+    independent draws, with ties, tier values that are negative,
+    non-contiguous or beyond int64, and nodes inserted in different
+    orders; now and then one node set lacks a node."""
+    p = int(rng.integers(1, 10))
+    nodes = [f"V{k}" for k in range(p)]
+    base = rng.integers(0, int(rng.integers(1, p + 1)), size=p)
+
+    def draw():
+        if rng.random() < 0.2:
+            rank = rng.integers(0, 4, size=p)
+        else:  # split each base tier at random: a refinement of the base
+            rank = base * 4 + rng.integers(0, 1 + 3 * int(rng.random() < 0.5), size=p)
+        scale = int(rng.choice([1, 7, 2**70]))
+        shift = int(rng.integers(-50, 50)) * int(rng.choice([1, 2**80]))
+        order = rng.permutation(p)
+        return TieredOrdering({nodes[k]: int(rank[k]) * scale + shift for k in order})
+
+    t1, t2 = draw(), draw()
+    if p > 1 and rng.random() < 0.05:
+        t2 = TieredOrdering({v: t for v, t in t2.assignment.items() if v != nodes[0]})
+    return t1, t2
+
+
+class TestOrderingsByTierGroups:
+    """Compatibility and refinement read from tier groups match the
+    pairwise oracles: verdicts, error texts and the pair they name."""
+
+    def test_matches_pairwise_oracles(self):
+        rng = np.random.default_rng(113)
+        outcomes = Counter()
+        for _ in range(3000):
+            t1, t2 = random_ordering_pair(rng)
+            try:
+                expected = compare_refinement_pairwise(t1, t2)
+            except GraphError as exc:
+                with pytest.raises(type(exc)) as info:
+                    compare_refinement(t1, t2)
+                assert str(info.value) == str(exc)
+                with pytest.raises(type(exc)) as info:
+                    check_compatible(t1, t2)
+                assert str(info.value) == str(exc)
+                outcomes[type(exc).__name__] += 1
+                continue
+            check_compatible(t1, t2)
+            assert compare_refinement(t1, t2).verdict is expected
+            outcomes[expected] += 1
+        assert len(outcomes) == 6 and min(outcomes.values()) > 50, outcomes
 
 
 class TestCuTau:
@@ -510,12 +563,13 @@ class TestSharedEnumeration:
     )
     def test_each_component_enumerated_once(self, compare, monkeypatch, tmp_path):
         c, t1, t2 = two_disagreeing_components()
-        starts = []
+        starts, walks = [], []
         walk = PDAG._walk
 
         def counted(self, sources, *args):
             sources = list(sources)
             starts.extend(self.nodes[s] for s in sources)
+            walks.append(sources)
             return walk(self, sources, *args)
 
         def per_pair(*args, **kwargs):
@@ -534,6 +588,8 @@ class TestSharedEnumeration:
             getattr(tiers, compare)(c, t1, t2)
         # one walk from each node of each three-node component
         assert sorted(starts) == sorted(c.nodes)
+        # and one walk for both components, not one per component
+        assert len(walks) == 1
 
 
 def band_graph(rng, sizes, width):
@@ -569,22 +625,29 @@ class TestPathEnumeration:
             components = [comp for comp in h.chain_components() if len(comp) > 1]
             spans = sorted((h.index_of(comp[0]), h.index_of(comp[-1])) for comp in components)
             interleaved += any(b[0] < a[1] for a, b in zip(spans, spans[1:]))
+            expected = []
             for component in components:
-                got = _component_paths(h, component, 25)
+                got = _component_paths(h, [component], 25)
                 assert [tuple(h.nodes[i] for i in path) for path in got] == (
                     component_paths_pairwise(h, component, 25)
                 )
+                expected += got
+            # one walk over all components lists them component by component
+            assert _component_paths(h, components, 25) == expected
         assert interleaved > 10, interleaved
 
     def test_guard_text_at_the_boundary(self):
         names = [f"V{k}" for k in range(26)]
         h = PDAG(names, undirected=list(zip(names, names[1:])))
         (component,) = h.chain_components()
-        assert len(_component_paths(h, component, 26)) == 26 * 25 // 2
+        assert len(_component_paths(h, [component], 26)) == 26 * 25 // 2
         message = "component of 26 nodes exceeds the path enumeration limit of 25"
-        for enumerate_paths in (_component_paths, component_paths_pairwise):
+        for enumerate_paths in (
+            lambda: _component_paths(h, [component], 25),
+            lambda: component_paths_pairwise(h, component, 25),
+        ):
             with pytest.raises(LimitError) as info:
-                enumerate_paths(h, component, 25)
+                enumerate_paths()
             assert str(info.value) == message
         tau = TieredOrdering(dict.fromkeys(names, 1))
         with pytest.raises(LimitError, match=f"^{message}$"):
