@@ -10,6 +10,7 @@ looking at the rest of the graph.
 from causaltiers import (
     PDAG,
     TieredOrdering,
+    class_size,
     cpdag_of,
     enumerate_class,
     joint_ida,
@@ -34,9 +35,10 @@ g = tiered_mpdag(
     TieredOrdering.from_tiers([["A", "B"], ["C", "D", "E"], ["F", "G"]]),
 )
 
-# The restricted class is tiny: only A -- B is still free.
+# The restricted class is tiny: only A -- B is still free.  class_size
+# counts the members without listing them.
 members = enumerate_class(g)
-print(f"restricted class has {len(members)} DAGs:")
+print(f"restricted class has {len(members)} DAGs (class_size: {class_size(g)}):")
 for m in members:
     print("  ", "A -> B" if m.has_directed("A", "B") else "B -> A")
 print()

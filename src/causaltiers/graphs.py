@@ -289,7 +289,7 @@ class PDAG:
 
     def _partially_directed_cycle(self) -> str | None:
         """Describe one partially directed cycle, or return None."""
-        names, label = self._names, self._component_labels()
+        names, label = self._names, _component_labels(self._ne)
         # the first directed edge inside a component, in canonical order
         for i, ch in enumerate(self._ch):
             inner = [j for j in ch if label[j] == label[i]]
@@ -313,28 +313,12 @@ class PDAG:
         listed = (",".join(members[k]) for k in cycle)
         return "chain components cycle {" + "} -> {".join(listed) + "}"
 
-    def _component_labels(self) -> list[int]:
-        """Each node's chain component, named by its smallest member index."""
-        label = [-1] * self.num_nodes
-        for start in range(self.num_nodes):
-            if label[start] < 0:
-                label[start], stack = start, [start]
-                while stack:
-                    for w in self._ne[stack.pop()]:
-                        if label[w] < 0:
-                            label[w] = start
-                            stack.append(w)
-        return label
-
     def chain_components(self) -> list[tuple[Node, ...]]:
         """Connected components of the undirected subgraph, singletons included.
 
         Components are sorted by their smallest node index.
         """
-        comps: dict[int, list[Node]] = {}
-        for v, k in enumerate(self._component_labels()):
-            comps.setdefault(k, []).append(self._names[v])
-        return [tuple(c) for c in comps.values()]
+        return [self._labels(c) for c in _components(self._ne)]
 
     def is_chordal(self) -> bool:
         """Chordality of an undirected graph.
@@ -454,6 +438,30 @@ class PDAG:
         for u, v in zip(path, path[1:]):
             if not self.has_edge(u, v):
                 raise GraphError(f"{u!r} and {v!r} are not adjacent")
+
+
+def _component_labels(ne: Sequence[Iterable[int]]) -> list[int]:
+    """Each node's connected component under the neighbour index sets
+    ``ne``, named by its smallest member index."""
+    label = [-1] * len(ne)
+    for start in range(len(ne)):
+        if label[start] < 0:
+            label[start], stack = start, [start]
+            while stack:
+                for w in ne[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = start
+                        stack.append(w)
+    return label
+
+
+def _components(ne: Sequence[Iterable[int]]) -> list[list[int]]:
+    """The connected components under ``ne`` as ascending index lists,
+    sorted by their smallest index, singletons included."""
+    comps: dict[int, list[int]] = {}
+    for v, k in enumerate(_component_labels(ne)):
+        comps.setdefault(k, []).append(v)
+    return list(comps.values())
 
 
 def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:

@@ -3,8 +3,10 @@
 On graphs whose chain components can be oriented independently of the
 directed part, the original local and joint procedures apply without
 any validity post-check.  The local variant screens subsets of a node's
-neighbours for new colliders at that node; the joint variant orients
-whole chain components and combines the results across components.
+neighbours for new colliders at that node.  The joint variant branches
+only on the edges at the query nodes, counts the members behind each
+branch instead of listing them, and combines the results across
+components; it has no member guard.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .graphs import GraphError, Node, PDAG
-from .orientation import enumerate_class
+from .orientation import _completions, _leaves
 
 
 class ParentSetMultiset:
@@ -93,23 +95,27 @@ def _no_new_collider_at(
     return True
 
 
-def joint_ida(
-    g: PDAG, xs: Sequence[Node], max_members: int = 10_000
-) -> ParentSetMultiset:
-    """Jointly valid parent sets of the nodes ``xs``.
+def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
+    """Jointly valid parent sets of the nodes ``xs``, with the number of
+    class members that give each.
 
-    Chain components touching ``xs`` are oriented into DAGs independently
-    by :func:`enumerate_class`; each combination of component
-    orientations yields one tuple of parent sets (ordered like ``xs``),
-    combined with the parents contributed by the directed part.  Only
-    distinct tuples are built: each combines distinct per-component
-    assignments, and its multiplicity is the product of their counts.
+    Each chain component touching ``xs`` is handled on its own: branch
+    and close over the undirected edges at its query nodes only.  Each
+    leaf fixes their parent sets and is the interventional essential graph
+    of one intervention per query node (Hauser and Bühlmann, JMLR 2012),
+    a chain graph with chordal components; the members it stands for are
+    counted, as the product of those components' counts, never listed.
+    A component that is not chordal has no member, so neither has the
+    query.  The distinct tuples of parent sets (ordered like ``xs``) then
+    combine across components with the parents from the directed part;
+    each multiplicity is the product of the per-component counts.  The
+    counts are over the queried components; an untouched component
+    scales every count alike and is left out.
 
     Raises
     ------
     GraphError
-        On duplicate or unknown nodes, or (as :class:`LimitError`) when
-        a component has more than ``max_members`` orientations.
+        On duplicate or unknown nodes.
     """
     xs = list(xs)
     query = set(xs)
@@ -121,16 +127,12 @@ def joint_ida(
     dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
 
     und = g.undirected_subgraph()
+    memo: dict = {}
     # per component: its distinct query-node parent assignments, with counts
     per_component = []
     for comp in g.chain_components():
         if len(comp) > 1 and query.intersection(comp):
-            dags = enumerate_class(und.induced_subgraph(comp), max_members=max_members)
-            assignments = Counter(
-                tuple((x, frozenset(dag.parents_of(x))) for x in comp if x in query)
-                for dag in dags
-            )
-            per_component.append(list(assignments.items()))
+            per_component.append(_assignments(und.induced_subgraph(comp), query, memo))
 
     counts: Counter = Counter()
     for combo in itr.product(*per_component):
@@ -140,3 +142,17 @@ def joint_ida(
         entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
         counts[entry] += math.prod(m for _, m in combo)
     return ParentSetMultiset(counts)
+
+
+def _assignments(h: PDAG, query: set, memo: dict) -> list:
+    """The distinct parent-set assignments of the query nodes of the
+    undirected component ``h``, each with the number of its orientations
+    that give it; ``memo`` is the shared :func:`_amo_count` memo."""
+    if not h.is_chordal():
+        return []
+    qs = [x for x in h.nodes if x in query]
+    counts: Counter = Counter()
+    for leaf in _leaves(h, map(h.index_of, qs)):
+        assignment = tuple((x, frozenset(leaf.parents_of(x))) for x in qs)
+        counts[assignment] += _completions(leaf._ne, leaf.nodes, memo)
+    return list(counts.items())

@@ -14,15 +14,18 @@ graph, checks the paper's invariants on it in linear time, in every mode
 (:class:`InvariantError`), and rejects a forced v-structure the input lacks.
 :func:`enumerate_class` lists a class by branch and close, in a fixed
 lexicographic order, and stops with :class:`LimitError` beyond
-``max_members`` members.
+``max_members`` members.  The same loop, branching only on the edges at
+chosen nodes, serves joint IDA, which counts each leaf's completions
+with the root-picking counter behind :func:`class_size`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .graphs import Edge, GraphError, LimitError, PDAG, v_structures
+from .graphs import Edge, GraphError, LimitError, PDAG, _components, v_structures
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tiers import TieredOrdering
@@ -326,26 +329,16 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     return _orient_tiered(c, ordering, (1,))[0]
 
 
-def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
-    """All DAGs of the restricted equivalence class represented by ``g``:
-    the orientations of its undirected edges that are acyclic and have
-    exactly the v-structures of ``g``.
-
-    Branch and close: close under rules 1-4, orient the lowest-index
-    undirected edge each way, close each branch again; drop a branch
-    whose closure orients an edge both ways, and keep one with no
-    undirected edge left if it passes the check above.  On a CPDAG or
-    MPDAG every branch ends in a member.  Members come in lexicographic
-    order of the directions of ``g``'s undirected edges in canonical
-    order, lower-index tail first; a DAG yields a singleton list.
-
-    Raises
-    ------
-    LimitError
-        As soon as more than ``max_members`` members are found.
-    """
+def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
+    """Branch and close on the undirected edges at the nodes ``branch``
+    (indices, ascending): close under rules 1-4; at the first of those
+    nodes i with an undirected edge, orient i - j, j lowest, each way,
+    i -> j first, and close each branch again.  A branch whose closure
+    orients an edge both ways is dropped; a leaf, with no undirected edge
+    at ``branch`` left, is yielded if it is acyclic and has exactly the
+    v-structures of ``g``."""
+    branch = list(branch)
     target = v_structures(g)
-    out: list[PDAG] = []
     stack = [_state(g)]
     while stack:
         s = stack.pop()
@@ -354,7 +347,7 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
         except InconsistentKnowledgeError:
             continue
         pa, ne, adj = s
-        i = next((i for i, nb in enumerate(ne) if nb), None)
+        i = next((i for i in branch if ne[i]), None)
         if i is not None:
             j = min(ne[i])
             back = ([set(x) for x in pa], [set(x) for x in ne], adj)
@@ -363,11 +356,93 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
             stack += (back, s)
             continue
         try:
-            member = _graph(g, s)
+            leaf = _graph(g, s)
         except GraphError:
             continue
-        if v_structures(member) == target:
-            out.append(member)
-            if len(out) > max_members:
-                raise LimitError(f"class has over {max_members} members, the enumeration limit")
+        if v_structures(leaf) == target:
+            yield leaf
+
+
+def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
+    """All DAGs of the restricted equivalence class represented by ``g``:
+    the orientations of its undirected edges that are acyclic and have
+    exactly the v-structures of ``g``.
+
+    Branch and close on every undirected edge: close under rules 1-4,
+    orient the lowest-index undirected edge each way, close each branch
+    again; drop a branch whose closure orients an edge both ways, and
+    keep one with no undirected edge left if it passes the check above.
+    On a CPDAG or MPDAG every branch ends in a member.  Members come in
+    lexicographic order of the directions of ``g``'s undirected edges in
+    canonical order, lower-index tail first; a DAG yields a singleton
+    list.  :func:`class_size` counts the members without listing them.
+
+    Raises
+    ------
+    LimitError
+        As soon as more than ``max_members`` members are found.
+    """
+    out: list[PDAG] = []
+    for member in _leaves(g, range(g.num_nodes)):
+        out.append(member)
+        if len(out) > max_members:
+            raise LimitError(f"class has over {max_members} members, the enumeration limit")
     return out
+
+
+def _amo_count(ne: Sequence[frozenset[int]], names, comp: Sequence[int], memo: dict) -> int:
+    """Number of acyclic orientations without v-structures of the connected
+    chordal graph that the neighbour sets ``ne`` induce on the indices
+    ``comp``, memoised in ``memo`` by the labels ``names`` of its nodes.
+
+    Root picking (He, Jia and Yu, JMLR 2015): a clique of n nodes has n!;
+    otherwise each node v is the root of some orientations, and those are
+    counted by orienting v's edges out of v, closing and multiplying the
+    counts of the chain components left, which are chordal again.  The
+    rooted graph is a CPDAG under the ordering that puts v alone in the
+    first tier, so rule 1 reaches the rules 1-4 fixpoint (the paper's
+    rule-1 sufficiency)."""
+    key = frozenset(names[v] for v in comp)
+    if key not in memo:
+        local = {v: k for k, v in enumerate(comp)}
+        sub = [frozenset(local[w] for w in ne[v] if w in local) for v in comp]
+        n = len(sub)
+        if sum(map(len, sub)) == n * (n - 1):
+            memo[key] = math.factorial(n)
+        else:
+            labels = [names[v] for v in comp]
+            total = 0
+            for root in range(n):
+                s = ([set() for _ in sub], [set(x) for x in sub], sub)
+                for w in sub[root]:
+                    _orient(s, root, w)
+                _close(s, (1,), labels)
+                total += _completions(s[1], labels, memo)
+            memo[key] = total
+    return memo[key]
+
+
+def _completions(ne: Sequence[Iterable[int]], names, memo: dict) -> int:
+    """Product of the :func:`_amo_count` of each chain component of the
+    undirected part ``ne``: the orientations of a chain graph with chordal
+    components that keep it acyclic and add no v-structure."""
+    return math.prod(
+        _amo_count(ne, names, comp, memo) for comp in _components(ne) if len(comp) > 1
+    )
+
+
+def class_size(g: PDAG) -> int:
+    """Number of DAGs the CPDAG or tiered MPDAG ``g`` represents, without
+    listing them (:func:`enumerate_class` lists them).
+
+    A CPDAG, and by the paper's result a tiered MPDAG, is a chain graph
+    whose chain components are chordal and can be oriented independently
+    of each other and of the directed part: every choice of one acyclic
+    orientation without v-structures per component gives a member, and
+    every member arises once.  So the size is the product of the
+    components' counts, each found by root picking with a memo.  A graph
+    with a chain component that is not chordal has no member: 0.
+    """
+    if g._non_simplicial() is not None:
+        return 0
+    return _completions(g._ne, g.nodes, {})

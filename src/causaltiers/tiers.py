@@ -402,10 +402,20 @@ class InformativenessResult:
 
 
 def contained_in(g1: PDAG, g2: PDAG) -> bool:
-    """Same skeleton and every directed edge of ``g2`` also in ``g1``."""
-    if g1.skeleton() != g2.skeleton():
+    """Same skeleton and every directed edge of ``g2`` also in ``g1``.
+
+    Nodes are matched by label, so node order plays no part: each node's
+    adjacent and parent sets in ``g2``, carried to ``g1``'s indices, are
+    compared with its sets in ``g1``."""
+    to1 = [g1._index.get(v) for v in g2.nodes]
+    if len(to1) != g1.num_nodes or None in to1:
         return False
-    return set(g2.directed_edges) <= set(g1.directed_edges)
+    adj1 = g1._adjacency()
+    for j, (adj, pa) in enumerate(zip(g2._adjacency(), g2._pa)):
+        i = to1[j]
+        if {to1[k] for k in adj} != adj1[i] or not {to1[k] for k in pa} <= g1._pa[i]:
+            return False
+    return True
 
 
 def tiers_more_informative(

@@ -85,6 +85,17 @@ def random_coarsening(rng, p):
     return TieredOrdering(tiers)
 
 
+def reordered(g, order):
+    """``g`` rebuilt with its nodes inserted in ``order``, each undirected
+    edge listed from its later end in that order."""
+    pos = {v: k for k, v in enumerate(order)}
+    return PDAG(
+        order,
+        directed=g.directed_edges,
+        undirected=[(u, v) if pos[u] > pos[v] else (v, u) for u, v in g.undirected_edges],
+    )
+
+
 def random_cpdag_and_tau(rng, p, degree):
     """A CPDAG plus a consistent tiered ordering, drawn from one DAG so
     the ordering is correct by construction."""

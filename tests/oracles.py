@@ -12,6 +12,7 @@ library's sets, which the tests check against the matrix sweep here.
 from __future__ import annotations
 
 import itertools as itr
+import math
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from causaltiers import orientation
 from causaltiers.graphs import GraphError, LimitError, PDAG
+from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
     BackgroundKnowledge,
@@ -855,3 +857,42 @@ def joint_ida_per_combination(g, xs) -> dict:
             merged.update(assignment)
         entries.append(tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs))
     return dict(Counter(entries))
+
+
+def joint_ida_by_enumeration(g, xs, max_members: int = 10_000) -> ParentSetMultiset:
+    """:func:`causaltiers.joint_ida` as it was before counting: every member
+    of each queried chain component is listed by :func:`enumerate_class`
+    (under its member guard), and distinct per-component assignments are
+    combined with the product of their counts."""
+    xs = list(xs)
+    query = set(xs)
+    if len(query) != len(xs):
+        raise GraphError("query nodes must be distinct")
+    for x in xs:
+        g.index_of(x)
+    dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
+    und = g.undirected_subgraph()
+    per_component = []
+    for comp in g.chain_components():
+        if len(comp) > 1 and query.intersection(comp):
+            dags = enumerate_class(und.induced_subgraph(comp), max_members=max_members)
+            assignments = Counter(
+                tuple((x, frozenset(dag.parents_of(x))) for x in comp if x in query)
+                for dag in dags
+            )
+            per_component.append(list(assignments.items()))
+    counts: Counter = Counter()
+    for combo in itr.product(*per_component):
+        merged = {}
+        for assignment, _ in combo:
+            merged.update(assignment)
+        entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
+        counts[entry] += math.prod(m for _, m in combo)
+    return ParentSetMultiset(counts)
+
+
+def contained_in_by_skeletons(g1, g2) -> bool:
+    """:func:`causaltiers.tiers.contained_in` by building both skeletons."""
+    if g1.skeleton() != g2.skeleton():
+        return False
+    return set(g2.directed_edges) <= set(g1.directed_edges)

@@ -17,7 +17,7 @@ from causaltiers import (
     v_structures,
 )
 
-from conftest import WAVE_ARCS, random_dag_instance
+from conftest import WAVE_ARCS, random_dag_instance, reordered
 from oracles import (
     amat_of,
     directed_cycle_per_node,
@@ -131,17 +131,6 @@ class TestSkeletonAndSubgraphs:
     def test_induced_subgraph_unknown_node(self, wave_dag):
         with pytest.raises(GraphError):
             wave_dag.induced_subgraph(["A", "Z"])
-
-
-def reordered(g, order):
-    """``g`` rebuilt with its nodes inserted in ``order``, each undirected
-    edge listed from its later end in that order."""
-    pos = {v: k for k, v in enumerate(order)}
-    return PDAG(
-        order,
-        directed=g.directed_edges,
-        undirected=[(u, v) if pos[u] > pos[v] else (v, u) for u, v in g.undirected_edges],
-    )
 
 
 class TestEqualityIgnoresNodeOrder:

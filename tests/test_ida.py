@@ -22,7 +22,16 @@ from causaltiers import (
 from causaltiers.ida import ParentSetMultiset
 
 from conftest import random_cpdag_and_tau
-from oracles import joint_ida_per_combination, multiplicity_ratios_equal
+from oracles import (
+    joint_ida_by_enumeration,
+    joint_ida_per_combination,
+    multiplicity_ratios_equal,
+)
+
+
+def clique(n):
+    names = [f"V{i}" for i in range(n)]
+    return PDAG(names, undirected=list(itr.combinations(names, 2)))
 
 
 def class_parent_multiset(g, x):
@@ -131,11 +140,52 @@ class TestJointIda:
         with pytest.raises(GraphError):
             joint_ida(wave_mpdag, ["A", "Z"])
 
-    def test_member_guard(self):
-        k5 = PDAG("ABCDE", undirected=[(u, v) for u in "ABCDE" for v in "ABCDE" if u < v])
-        with pytest.raises(LimitError, match="over 119 members"):
-            joint_ida(k5, ["A", "B"], max_members=119)
-        assert joint_ida(k5, ["A", "B"], max_members=120).total() == 120
+    def test_no_member_guard_on_k8(self):
+        # 8! = 40,320 members, over the old guard of 10,000; a node of K_n
+        # takes any subset of the other n - 1 nodes as parents
+        k8 = clique(8)
+        result = joint_ida(k8, ["V0"])
+        assert result.total() == 40_320
+        assert len(result) == 128
+
+    def test_k10_counts_without_listing(self):
+        result = joint_ida(clique(10), ["V0"])
+        assert result.total() == 3_628_800
+        assert len(result) == 512
+
+    def test_matches_enumeration_oracle(self):
+        """Random CPDAGs and tiered MPDAGs with one to three query nodes."""
+        rng = np.random.default_rng(109)
+        for _ in range(150):
+            p = int(rng.integers(3, 11))
+            c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
+            for g in (c, tiered_mpdag(c, tau)):
+                k = int(rng.integers(1, min(3, p) + 1))
+                xs = [g.nodes[i] for i in rng.choice(p, size=k, replace=False)]
+                try:
+                    expected = joint_ida_by_enumeration(g, xs)
+                except LimitError:
+                    continue
+                assert joint_ida(g, xs) == expected
+
+    def test_arbitrary_undirected_components(self):
+        """Components that are not chordal have no member: both give an
+        empty multiset."""
+        rng = np.random.default_rng(113)
+        empty = 0
+        for _ in range(200):
+            p = int(rng.integers(3, 9))
+            names = [f"V{i}" for i in range(p)]
+            density = rng.uniform(0.2, 0.8)
+            g = PDAG(names, undirected=[
+                e for e in itr.combinations(names, 2) if rng.random() < density
+            ])
+            k = int(rng.integers(1, min(3, p) + 1))
+            xs = [names[i] for i in rng.choice(p, size=k, replace=False)]
+            expected = joint_ida_by_enumeration(g, xs)
+            assert joint_ida(g, xs) == expected
+            empty += not expected.total()
+        assert empty > 20, empty
 
     def test_matches_class_enumeration_and_ratios(self):
         rng = np.random.default_rng(103)

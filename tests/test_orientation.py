@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -14,6 +16,7 @@ from causaltiers import (
     PDAG,
     TieredOrdering,
     check_consistency,
+    class_size,
     cpdag_of,
     enumerate_class,
     impose_knowledge,
@@ -706,6 +709,66 @@ class TestEnumerateClass:
             if len(g.undirected_edges) <= 10:
                 empty += class_outcome(g) == 0
         assert empty > 0
+
+
+def random_chordal(rng, p):
+    """A random graph on ``p`` nodes made chordal by elimination fill-in:
+    in a random order, each node's later neighbours become a clique."""
+    names = [f"V{k}" for k in range(p)]
+    density = rng.uniform(0.1, 0.7)
+    adj = [set() for _ in names]
+    for a, b in itertools.combinations(range(p), 2):
+        if rng.random() < density:
+            adj[a].add(b)
+            adj[b].add(a)
+    left = set(range(p))
+    for v in map(int, rng.permutation(p)):
+        left.discard(v)
+        for a, b in itertools.combinations(sorted(adj[v] & left), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return PDAG(names, undirected=[
+        (names[a], names[b]) for a in range(p) for b in adj[a] if a < b
+    ])
+
+
+class TestClassSize:
+    def test_amo_count_matches_enumeration_on_chordal_graphs(self):
+        rng = np.random.default_rng(131)
+        counted = 0
+        for _ in range(150):
+            g = random_chordal(rng, int(rng.integers(1, 9)))
+            assert g.is_chordal()
+            assert class_size(g) == len(enumerate_class(g))
+            for comp in g.chain_components():
+                if len(comp) > 1:
+                    idx = sorted(map(g.index_of, comp))
+                    got = orientation._amo_count(g._ne, g.nodes, idx, {})
+                    assert got == len(enumerate_class(g.induced_subgraph(comp)))
+                    counted += 1
+        assert counted > 100
+
+    def test_cpdags_and_tiered_mpdags(self):
+        rng = np.random.default_rng(137)
+        sizes = []
+        for _ in range(150):
+            p = int(rng.integers(2, 10))
+            c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
+            for g in (c, tiered_mpdag(c, tau)):
+                if len(g.undirected_edges) <= 14:
+                    sizes.append(len(enumerate_class(g)))
+                    assert class_size(g) == sizes[-1]
+        assert max(sizes) > 100
+
+    def test_cliques_cycles_and_dags(self, wave_dag):
+        for n in range(1, 11):
+            names = [f"V{k}" for k in range(n)]
+            assert class_size(PDAG(names, undirected=itertools.combinations(names, 2))) == (
+                math.factorial(n)
+            )
+        square = PDAG("ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+        assert class_size(square) == 0 == len(enumerate_class(square))
+        assert class_size(wave_dag) == 1
 
 
 def band(n, width):

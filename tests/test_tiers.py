@@ -34,11 +34,12 @@ from causaltiers.tiers import (
     fully_shielded_edges,
 )
 
-from conftest import random_cpdag_and_tau, random_coarsening
+from conftest import random_cpdag_and_tau, random_coarsening, reordered
 from causaltiers import cpdag_of
 from oracles import (
     compare_refinement_pairwise,
     component_paths_pairwise,
+    contained_in_by_skeletons,
     cross_tier_edges,
     cross_tier_pairs,
     cross_tier_report_loop,
@@ -451,6 +452,30 @@ class TestTiersMoreInformative:
             cmp = compare_refinement(t1, t2)
             if cmp.verdict is Refinement.FIRST_FINER:
                 assert contained_in(tiered_mpdag(c, t1), tiered_mpdag(c, t2))
+
+
+class TestContainedIn:
+    def test_matches_skeleton_oracle_on_reordered_copies(self):
+        """Pairs of tiered MPDAGs of one CPDAG, each also with its nodes in
+        another order, and graphs on other node sets."""
+        rng = np.random.default_rng(139)
+        verdicts = Counter()
+        for _ in range(150):
+            p = int(rng.integers(2, 9))
+            c, t1, _ = random_cpdag_and_tau(rng, p, 2.0)
+            g1 = tiered_mpdag(c, t1)
+            g2 = tiered_mpdag(c, random_coarsening(rng, p)) if rng.random() < 0.7 else c
+            order = [c.nodes[k] for k in rng.permutation(p)]
+            r1, r2 = reordered(g1, order), reordered(g2, order)
+            for a, b in itr.permutations((g1, g2, r1, r2, c.skeleton()), 2):
+                got = contained_in(a, b)
+                assert got == contained_in_by_skeletons(a, b)
+                verdicts[got] += 1
+            smaller = c.induced_subgraph(c.nodes[1:])
+            other = PDAG([*smaller.nodes, "other"], directed=smaller.directed_edges)
+            for h in (smaller, other):
+                assert not contained_in(c, h) and not contained_in(h, c)
+        assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
 
 
 class TestNormalizationInvariance:
