@@ -117,14 +117,16 @@ class PDAG:
 
     @classmethod
     def _from_sets(
-        cls, names: Sequence[Node], pa: Sequence[Iterable[int]], ne: Sequence[Iterable[int]]
+        cls, names: Sequence[Node], pa: Sequence[Iterable[int]], ne: Sequence[Iterable[int]],
+        check: bool = True,
     ) -> "PDAG":
-        """Build from each node's parent and neighbour index sets."""
+        """Build from each node's parent and neighbour index sets; ``check``
+        false leaves a directed cycle for the caller to find."""
         g = cls.__new__(cls)
-        g._store(names, {label: i for i, label in enumerate(names)}, pa, ne)
+        g._store(names, {label: i for i, label in enumerate(names)}, pa, ne, check)
         return g
 
-    def _store(self, names, index, pa, ne) -> None:
+    def _store(self, names, index, pa, ne, check: bool = True) -> None:
         """Freeze the sets, derive the children, and reject a directed cycle."""
         ch: list[set[int]] = [set() for _ in names]
         for j, tails in enumerate(pa):
@@ -132,7 +134,7 @@ class PDAG:
                 ch[i].add(j)
         self._pa = tuple(map(frozenset, pa))
         self._ch = tuple(map(frozenset, ch))
-        cycle = _directed_cycle(self._pa, self._ch)
+        cycle = _directed_cycle(self._pa, self._ch) if check else None
         if cycle is not None:
             raise CycleError(
                 "directed cycle: " + " -> ".join(str(names[i]) for i in cycle)
@@ -282,26 +284,30 @@ class PDAG:
         """True iff some cycle traverses >= 1 directed edge, none backwards.
 
         Undirected edges may be walked in either direction.  One exists iff
-        a directed edge joins two nodes of one chain component, or the
-        contracted chain components have a directed cycle: O(V + E).
+        contracting each chain component to a node leaves a directed cycle (or
+        loop): one Kahn pass, O(V + E), that also finds any directed cycle.
         """
-        return self._partially_directed_cycle() is not None
+        return _directed_cycle(*self._contracted()[1:]) is not None
+
+    def _contracted(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
+        """Each node's chain component (its smallest index), and the parent and
+        child lists of the contracted graph, one entry per directed edge."""
+        label = _component_labels(self._ne)
+        cpa, cch = [[] for _ in label], [[] for _ in label]
+        for j, pa in enumerate(self._pa):
+            for i in pa:
+                cpa[label[j]].append(label[i])
+                cch[label[i]].append(label[j])
+        return label, cpa, cch
 
     def _partially_directed_cycle(self) -> str | None:
         """Describe one partially directed cycle, or return None."""
-        names, label = self._names, _component_labels(self._ne)
+        names, (label, cpa, cch) = self._names, self._contracted()
         # the first directed edge inside a component, in canonical order
         for i, ch in enumerate(self._ch):
             inner = [j for j in ch if label[j] == label[i]]
             if inner:
                 return f"directed edge {names[i]} -> {names[min(inner)]} inside a chain component"
-        # components named by their smallest member index
-        cpa: list[set[int]] = [set() for _ in names]
-        cch: list[set[int]] = [set() for _ in names]
-        for j, pa in enumerate(self._pa):
-            for i in pa:
-                cpa[label[j]].add(label[i])
-                cch[label[i]].add(label[j])
         # edges both ways between two components would read as undirected
         mutual = min(((a, b) for a, ch in enumerate(cch) for b in ch if a in cch[b]), default=None)
         cycle = [*mutual, mutual[0]] if mutual else _directed_cycle(cpa, cch)

@@ -1,20 +1,18 @@
 """Edge orientation: background knowledge, Meek's rules, MPDAG construction.
 
-Knowledge is imposed on a CPDAG by orienting undirected edges, then
-Meek's four rules are applied until no further change; the fixpoint is
-the maximally oriented PDAG for that knowledge.  The imposition and the
-closure copy the graph's own parent and neighbour sets, orient only
-undirected edges in the copies and build the result from them; in each
-round of the closure, each rule collects all its firings in canonical
-edge order, then applies them.  Tiered knowledge is imposed from the
-tier vector alone, never as a set of forbidden pairs (a test oracle).
-One pass serves :func:`tiered_mpdag` (rule 1 alone reaches the fixpoint)
-and CLI ``orient``: it orients and closes one copy of the sets, builds one
-graph, checks the paper's invariants on it in linear time, in every mode
-(:class:`InvariantError`), and rejects a forced v-structure the input lacks.
-:func:`enumerate_class` lists a class by branch and close, in a fixed
-lexicographic order, and stops with :class:`LimitError` beyond
-``max_members`` members.  The same loop, branching only on the edges at
+Knowledge orients undirected edges in a copy of a CPDAG's parent and
+neighbour sets, then Meek's four rules run to the fixpoint, the maximally
+oriented PDAG.  In each round each rule collects its firings in canonical
+edge order, then applies them, examining only the edges where the
+orientations made since it last ran could let it fire.  Tiered knowledge
+is imposed from the tier vector alone.  One pass serves
+:func:`tiered_mpdag` (rule 1 alone reaches the fixpoint) and CLI
+``orient``: it orients and closes the sets, builds one graph, certifies
+in linear time and in every mode that it is closed, a chain graph and
+chordal in its components (:class:`InvariantError`), and rejects a forced
+v-structure the input lacks.  :func:`enumerate_class` lists a class by
+branch and close, in lexicographic order, up to ``max_members`` members
+(:class:`LimitError`).  The same loop, branching only on the edges at
 chosen nodes, serves joint IDA, which counts each leaf's completions
 with the root-picking counter behind :func:`class_size`.
 """
@@ -153,13 +151,16 @@ def _fires(rule: int, s, b: int, c: int) -> bool:
     return any(not (ne[b] & pa[y]) <= adj[c] for y in cand)
 
 
-def _firings(s, rule: int, names) -> list[tuple[int, int]]:
-    """All orientations ``rule`` induces on ``s``, in canonical edge order;
-    raises :class:`InconsistentKnowledgeError` if one edge fires both ways."""
+def _firings(s, rule: int, names, edges=None) -> list[tuple[int, int]]:
+    """The orientations ``rule`` induces on the undirected edges ``edges`` of
+    ``s`` (pairs i < j in canonical order; all by default); raises
+    :class:`InconsistentKnowledgeError` if one edge fires both ways."""
     if rule not in MEEK_RULES:
         raise ValueError(f"rule must be one of {MEEK_RULES}, got {rule}")
+    if edges is None:
+        edges = sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j)
     fired: list[tuple[int, int]] = []
-    for i, j in sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j):
+    for i, j in edges:
         forward, backward = _fires(rule, s, i, j), _fires(rule, s, j, i)
         if forward and backward:
             raise InconsistentKnowledgeError(
@@ -171,15 +172,37 @@ def _firings(s, rule: int, names) -> list[tuple[int, int]]:
     return fired
 
 
-def _close(s, rules: Sequence[int], names) -> list[tuple[int, Edge]]:
+def _frontier(ne, rule: int, oriented) -> list[tuple[int, int]]:
+    """The undirected edges (sorted pairs i < j) on which ``rule`` can newly
+    fire after ``oriented``: parents only grow and neighbours only shrink, so
+    b -> c needs a new parent of b (rule 1) or c (rules 2-4), a new child of
+    b (rule 2) or a new parent of some y in ne[b] (rule 4)."""
+    ends = {head for _, head in oriented}
+    if rule == 2:
+        ends.update(tail for tail, _ in oriented)
+    if rule == 4:
+        ends.update(w for _, head in oriented for w in ne[head])
+    return sorted({(i, j) if i < j else (j, i) for i in ends for j in ne[i]})
+
+
+def _close(s, rules: Sequence[int], names, oriented=None) -> list[tuple[int, Edge]]:
     """Close ``s`` in place, round by round, each rule collecting all its
-    firings before applying them; returns the ``(rule, edge)`` firings."""
+    firings in canonical edge order before applying them; returns the
+    ``(rule, edge)`` firings.  Each rule examines only the :func:`_frontier`
+    of the orientations since it last ran, so the trace is that of full
+    rescans; the first round examines every edge unless ``oriented`` lists
+    the orientations just made to a state on which no rule fired."""
+    log = list(oriented or ())
+    seen = [None if oriented is None else 0] * len(rules)  # log entries read per rule
     trace: list[tuple[int, Edge]] = []
     while True:
         before = len(trace)
-        for rule in rules:
-            for tail, head in _firings(s, rule, names):
+        for k, rule in enumerate(rules):
+            edges = None if seen[k] is None else _frontier(s[1], rule, log[seen[k] :])
+            seen[k] = len(log)
+            for tail, head in _firings(s, rule, names, edges):
                 _orient(s, tail, head)
+                log.append((tail, head))
                 trace.append((rule, (names[tail], names[head])))
         if len(trace) == before:
             return trace
@@ -222,14 +245,16 @@ def check_consistency(c: PDAG, ordering: "TieredOrdering") -> list[Edge]:
     :class:`GraphError` is raised unless ``ordering`` assigns a tier to
     exactly the nodes of ``c``.
     """
-    tiers = ordering.assignment
-    missing = [v for v in c.nodes if v not in tiers]
+    names, tiers = c.nodes, ordering._assignment
+    missing = [v for v in names if v not in tiers]
     if missing:
         raise GraphError(f"ordering does not cover nodes {missing!r}")
     extra = [v for v in tiers if not c.has_node(v)]
     if extra:
         raise GraphError(f"ordering names nodes not in the graph: {extra!r}")
-    return [(u, v) for u, v in c.directed_edges if tiers[u] > tiers[v]]
+    tier = [tiers[v] for v in names]
+    late = sorted((i, j) for j, pa in enumerate(c._pa) for i in pa if tier[i] > tier[j])
+    return [(names[i], names[j]) for i, j in late]
 
 
 def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
@@ -281,7 +306,15 @@ def _require_invariants(g: PDAG, s) -> None:
     """Raise :class:`InvariantError` with a witness if a Meek rule fires on
     ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
-    directed cycle or a chain component that is not chordal; linear time."""
+    directed cycle (a directed one too: ``g`` may be built unchecked) or a
+    chain component that is not chordal; linear time.  A pass needs no scan
+    of rules 2-4, as each of their patterns holds a partially directed cycle
+    (b -> x -> c - b; y -> c - b - y, y in ne[b] & pa[c]).  Only a failure
+    scans all four rules, for the first witness."""
+    pa, ne, adj = s
+    rule1 = all(pa[i] <= adj[j] for i, nb in enumerate(ne) for j in nb)
+    if rule1 and not g.has_partially_directed_cycle() and g._non_simplicial() is None:
+        return
     names = g.nodes
     fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
     if fired:
@@ -296,12 +329,12 @@ def _require_invariants(g: PDAG, s) -> None:
 def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
     """The tiered pass of :func:`tiered_mpdag` and CLI ``orient``: the graph
     closed under ``rules`` and its :func:`meek_closure_trace` firings.  The
-    imposed graph is never built; the closure removes no directed edge, so
-    the result's cycle check covers it."""
+    imposed graph is never built, and the result is built unchecked: the
+    invariant checks find any directed cycle."""
     require_consistency(c, ordering)
     s = _cross_tier_state(c, list(map(ordering.tier_of, c.nodes)))
     trace = _close(s, rules, c.nodes)
-    g = _graph(c, s)
+    g = PDAG._from_sets(c.nodes, s[0], s[1], check=False)
     _require_invariants(g, s)
     _require_no_new_v_structures(c, s)
     return g, trace
@@ -339,11 +372,11 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
     v-structures of ``g``."""
     branch = list(branch)
     target = v_structures(g)
-    stack = [_state(g)]
+    stack = [(_state(g), None)]
     while stack:
-        s = stack.pop()
+        s, oriented = stack.pop()
         try:
-            _close(s, MEEK_RULES, g.nodes)
+            _close(s, MEEK_RULES, g.nodes, oriented)
         except InconsistentKnowledgeError:
             continue
         pa, ne, adj = s
@@ -353,7 +386,7 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
             back = ([set(x) for x in pa], [set(x) for x in ne], adj)
             _orient(back, j, i)
             _orient(s, i, j)
-            stack += (back, s)
+            stack += ((back, [(j, i)]), (s, [(i, j)]))
             continue
         try:
             leaf = _graph(g, s)
@@ -416,7 +449,7 @@ def _amo_count(ne: Sequence[frozenset[int]], names, comp: Sequence[int], memo: d
                 s = ([set() for _ in sub], [set(x) for x in sub], sub)
                 for w in sub[root]:
                     _orient(s, root, w)
-                _close(s, (1,), labels)
+                _close(s, (1,), labels, [(root, w) for w in sub[root]])
                 total += _completions(s[1], labels, memo)
             memo[key] = total
     return memo[key]

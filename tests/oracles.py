@@ -5,8 +5,10 @@ representations, or against raw boolean matrices with none of the
 library's graph code, so a bug in the production code cannot hide in
 its oracle.  The per-ordering loops at the end are the exception: they
 reuse the library's per-pair path search and check only how its paths
-are combined.  So is ``apply_meek_rule``, one sweep of one rule on the
-library's sets, which the tests check against the matrix sweep here.
+are combined.  So are ``apply_meek_rule``, one sweep of one rule on the
+library's sets, which the tests check against the matrix sweep here, and
+``round_closure`` and ``require_invariants_scan``, the closure and the
+invariant checks that the frontier closure and the certificate replaced.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
     BackgroundKnowledge,
+    InvariantError,
     enumerate_class,
     impose_tiers,
     meek_closure,
@@ -395,6 +398,15 @@ def amat_of(g) -> np.ndarray:
         i, j = g.index_of(u), g.index_of(v)
         amat[i, j] = amat[j, i] = True
     return amat
+
+
+def pdag_from_amat_unchecked(names, amat: np.ndarray) -> PDAG:
+    """The PDAG with the edges of ``amat``, built without the constructor's
+    directed-cycle check, as the tiered pass builds its result."""
+    d, u = amat & ~amat.T, amat & amat.T
+    pa = [np.nonzero(d[:, j])[0].tolist() for j in range(len(names))]
+    ne = [np.nonzero(u[i])[0].tolist() for i in range(len(names))]
+    return PDAG._from_sets(names, pa, ne, check=False)
 
 
 def pdag_from_amat(names, amat: np.ndarray) -> PDAG:
@@ -896,3 +908,38 @@ def contained_in_by_skeletons(g1, g2) -> bool:
     if g1.skeleton() != g2.skeleton():
         return False
     return set(g2.directed_edges) <= set(g1.directed_edges)
+
+
+def round_closure(s, rules, names) -> list:
+    """The closure with every round rescanning every undirected edge: each
+    rule in turn collects all its firings over the whole state, in canonical
+    edge order, then applies them, until a round fires nothing.  Closes the
+    sets ``s`` in place and returns the ``(rule, edge)`` trace."""
+    trace = []
+    while True:
+        before = len(trace)
+        for rule in rules:
+            for tail, head in orientation._firings(s, rule, names):
+                orientation._orient(s, tail, head)
+                trace.append((rule, (names[tail], names[head])))
+        if len(trace) == before:
+            return trace
+
+
+def require_invariants_scan(g, s) -> None:
+    """The invariant checks of the tiered pass by a scan of all four rules
+    in canonical order, then the partially-directed-cycle witness, then the
+    chordality search; raises what ``orientation._require_invariants``
+    raises."""
+    names = g.nodes
+    fired = [
+        (r, names[t], names[h]) for r in MEEK_RULES for t, h in orientation._firings(s, r, names)
+    ]
+    if fired:
+        raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
+    witness = g._partially_directed_cycle()
+    if witness is not None:
+        raise InvariantError(f"partially directed cycle: {witness}")
+    k = g._non_simplicial()
+    if k is not None:
+        raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")

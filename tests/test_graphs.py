@@ -27,6 +27,7 @@ from oracles import (
     partially_directed_cycle_amat,
     paths_recursive,
     pdag_from_amat,
+    pdag_from_amat_unchecked,
     vstructs_triple_scan,
 )
 
@@ -378,6 +379,24 @@ class TestLinearChecksAgainstOracles:
             contracted += expected and witness.startswith("chain components")
             seen[expected] += 1
         assert min(seen.values()) > 500 and contracted > 100, (seen, contracted)
+
+    def test_partially_directed_cycle_unchecked(self):
+        """Built without Kahn's check, a graph with a directed cycle has a
+        partially directed cycle, with the matrix oracle's witness."""
+        rng = np.random.default_rng(24)
+        cyclic = 0
+        for trial in range(2000):
+            p = int(rng.integers(1, 16))
+            if trial % 2:
+                amat = random_mixed_amat(rng, p, acyclic=False)
+            else:
+                amat = random_chain_graph_amat(rng, p)
+            names = [f"V{k}" for k in range(p)]
+            g = pdag_from_amat_unchecked(names, amat)
+            assert g.has_partially_directed_cycle() == has_partially_directed_cycle_bfs(amat)
+            assert g._partially_directed_cycle() == partially_directed_cycle_amat(amat, names)
+            cyclic += directed_cycle_per_node(amat) is not None
+        assert cyclic > 300, cyclic
 
     def test_partially_directed_cycle_witnesses(self):
         inner = PDAG("ABC", directed=[("A", "B")], undirected=[("B", "C"), ("C", "A")])

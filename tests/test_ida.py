@@ -153,6 +153,21 @@ class TestJointIda:
         assert result.total() == 3_628_800
         assert len(result) == 512
 
+    def test_long_path(self):
+        # one member per root r: V5's parent is V4 for r < 5 and V6 for r > 5
+        names = [f"V{k}" for k in range(200)]
+        path = PDAG(names, undirected=list(zip(names, names[1:])))
+        result = joint_ida(path, ["V5", "V12"])
+        f = frozenset
+        assert result.counts == {
+            (f({"V4"}), f({"V11"})): 5,
+            (f(), f({"V11"})): 1,
+            (f({"V6"}), f({"V11"})): 6,
+            (f({"V6"}), f()): 1,
+            (f({"V6"}), f({"V13"})): 187,
+        }
+        assert result.total() == 200
+
     def test_matches_enumeration_oracle(self):
         """Random CPDAGs and tiered MPDAGs with one to three query nodes."""
         rng = np.random.default_rng(109)

@@ -26,7 +26,7 @@ from causaltiers import (
     tiered_mpdag,
     v_structures,
 )
-from causaltiers.orientation import InvariantError, meek_closure_trace
+from causaltiers.orientation import MEEK_RULES, InvariantError, meek_closure_trace
 
 from conftest import random_cpdag_and_tau, random_dag_instance
 from oracles import (
@@ -38,6 +38,9 @@ from oracles import (
     full_closure_equals,
     is_acyclic,
     pdag_from_amat,
+    pdag_from_amat_unchecked,
+    require_invariants_scan,
+    round_closure,
     sweep_apply,
     sweep_closure,
     sweep_firings,
@@ -66,9 +69,41 @@ def random_knowledge(rng, c):
     return BackgroundKnowledge(required=picks[:1], forbidden=picks[1:])
 
 
+def copied(s):
+    """A copy of the closure state ``s``; orienting the copy leaves ``s`` as it is."""
+    return [set(x) for x in s[0]], [set(x) for x in s[1]], s[2]
+
+
+def rounds_outcome(s, rules, names, oriented=None):
+    """Check the frontier closure ``orientation._close`` against the round
+    closure on copies of ``s``: the same trace and sets, or the same
+    conflict message.  Returns which case it was."""
+    frontier, rounds = copied(s), copied(s)
+    try:
+        trace = round_closure(rounds, rules, names)
+    except InconsistentKnowledgeError as conflict:
+        with pytest.raises(InconsistentKnowledgeError, match=f"^{re.escape(str(conflict))}$"):
+            orientation._close(frontier, rules, names, oriented)
+        return "conflict"
+    assert orientation._close(frontier, rules, names, oriented) == trace
+    assert frontier[:2] == rounds[:2]
+    return "closed"
+
+
+def invariants_outcome(check, g):
+    """The exception type and message ``check(g, state)`` raises, or None."""
+    try:
+        check(g, orientation._state(g))
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def closure_outcome(g, rules):
     """Check ``meek_closure_trace`` against the pair sweep: the same
-    trace and graph, or the same failure.  Returns which case it was."""
+    trace and graph, or the same failure, and the frontier closure against
+    the round closure.  Returns which case it was."""
+    rounds_outcome(orientation._state(g), rules, g.nodes)
     try:
         amat, trace = sweep_closure(amat_of(g), rules)
     except SweepConflict as conflict:
@@ -333,6 +368,73 @@ class TestClosureAgainstSweep:
         assert seen == {"closed", "conflict", "cycle"}
 
 
+class TestFrontierClosure:
+    """The frontier closure fires the same (rule, edge) sequence as the
+    round closure in ``tests/oracles.py``, with or without a start set."""
+
+    def test_tiered_impositions(self):
+        rng = np.random.default_rng(211)
+        for _ in range(80):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 60)), 2.5)
+            s = orientation._cross_tier_state(c, list(map(tau.tier_of, c.nodes)))
+            for rules in ((1,), (1, 2, 3), (1, 2, 3, 4)):
+                assert rounds_outcome(s, rules, c.nodes) == "closed"
+
+    def test_branch_edge_as_start(self):
+        """Closed states with one undirected edge oriented either way, and
+        undirected graphs with one node's edges oriented out of it, closed
+        from those orientations alone."""
+        rng = np.random.default_rng(223)
+        seen = Counter()
+        for trial in range(300):
+            p = int(rng.integers(3, 14))
+            if trial % 3 == 0:  # half of them undirected, often not chordal
+                g = random_pdag(rng, p) if trial % 2 else random_pdag(rng, p).skeleton()
+            else:
+                c, tau, _ = random_cpdag_and_tau(rng, p, 3.0)
+                g = c if trial % 3 == 1 else impose_tiers(c, tau)
+            s = orientation._state(g)
+            try:
+                round_closure(s, MEEK_RULES, g.nodes)
+            except InconsistentKnowledgeError:
+                continue
+            edges = [(i, j) for i, nb in enumerate(s[1]) for j in nb if i < j]
+            for k in rng.permutation(len(edges))[: 3 if trial % 3 else None]:
+                for tail, head in (edges[k], edges[k][::-1]):
+                    branch = copied(s)
+                    orientation._orient(branch, tail, head)
+                    seen[rounds_outcome(branch, MEEK_RULES, g.nodes, [(tail, head)])] += 1
+            ne = s[1]
+            root = int(rng.integers(0, p))
+            rooted = ([set() for _ in ne], [set(x) for x in ne], [frozenset(x) for x in ne])
+            for w in ne[root]:
+                orientation._orient(rooted, root, w)
+            seen["rooted"] += bool(ne[root])
+            seen[rounds_outcome(rooted, (1,), g.nodes, [(root, w) for w in ne[root]])] += 1
+        assert min(seen[k] for k in ("closed", "conflict", "rooted")) > 30, seen
+
+    def test_path_propagation_is_linear(self, monkeypatch):
+        """Rule 1 carries the first node's tier along a 2000-node path in
+        1999 rounds; each round examines only the edges at the last heads,
+        so the pass evaluates a bounded number of firings per edge, where
+        rescanning every edge each round evaluates about p^2 / 2."""
+        path = band(2000, 1)
+        fires, calls = orientation._fires, Counter()
+
+        def counted(rule, s, b, c):
+            calls[rule] += 1
+            return fires(rule, s, b, c)
+
+        monkeypatch.setattr(orientation, "_fires", counted)
+        tau = TieredOrdering({v: 1 if v == "V0" else 2 for v in path.nodes})
+        assert len(tiered_mpdag(path, tau).directed_edges) == 1999
+        assert 0 < calls[1] <= 8 * 1999 and calls.keys() == {1}, calls
+
+    def test_unknown_rule_still_raises(self):
+        with pytest.raises(ValueError, match="rule must be one of"):
+            meek_closure_trace(PDAG("AB", undirected=[("A", "B")]), (1, 5))
+
+
 class TestMpdagOf:
     def test_wave_knowledge(self, wave_cpdag, wave_tau, wave_mpdag):
         assert mpdag_of(wave_cpdag, forbidden_set(wave_tau)) == wave_mpdag
@@ -399,6 +501,17 @@ class TestCheckConsistency:
             check_consistency(wave_cpdag, tau)
         with pytest.raises(GraphError, match="ZZZ"):
             tiered_mpdag(wave_cpdag, tau)
+
+    def test_violations_in_canonical_order(self):
+        rng = np.random.default_rng(41)
+        found = 0
+        for _ in range(100):
+            c, _, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 20)), 2.5)
+            tau = TieredOrdering({v: int(rng.integers(0, 4)) for v in c.nodes})
+            late = [(u, v) for u, v in c.directed_edges if tau.tier_of(u) > tau.tier_of(v)]
+            assert check_consistency(c, tau) == late
+            found += len(late) > 1
+        assert found > 30, found
 
     def test_consistent_orderings_have_nonempty_classes(self):
         rng = np.random.default_rng(37)
@@ -607,6 +720,9 @@ class TestInvariantChecks:
                 expected = full_closure_equals(imposed, closed)
             except GraphError:  # the closure conflicts, so it is not ``closed``
                 expected = False
+            assert invariants_outcome(orientation._require_invariants, closed) == (
+                invariants_outcome(require_invariants_scan, closed)
+            )
             rule = None
             try:
                 orientation._require_invariants(closed, orientation._state(closed))
@@ -621,6 +737,54 @@ class TestInvariantChecks:
             outcomes[rule] += 1
         assert min(outcomes[r] for r in (None, 1, 2, 4, "both ways")) > 10, outcomes
         assert outcomes[3], outcomes
+
+    def test_certificate_matches_scan_on_unchecked_graphs(self):
+        """The certificate raises what the four-rule scan raises, type and
+        message, on graphs built without Kahn's check: arbitrary mixed
+        graphs, often with directed cycles, their closures and skeletons."""
+        rng = np.random.default_rng(229)
+        outcomes = Counter()
+        for trial in range(1500):
+            p = int(rng.integers(2, 12))
+            names = [f"V{k}" for k in range(p)]
+            absent, undirected = rng.uniform(0.3, 0.8), rng.random()
+            shares = [absent, (1 - absent) * (1 - undirected), (1 - absent) * undirected]
+            kind = rng.choice(3, size=(p, p), p=shares)
+            amat = np.triu(kind > 0, 1)
+            amat = amat | np.triu(kind == 2, 1).T  # 2: undirected
+            amat |= np.tril(kind > 0, -1) & ~amat.T  # some pairs directed upwards
+            if trial % 5 == 0:  # undirected, for the chordality check
+                amat |= amat.T
+            g = pdag_from_amat_unchecked(names, amat)
+            if trial % 2:
+                s = orientation._state(g)
+                try:
+                    round_closure(s, MEEK_RULES, names)
+                except InconsistentKnowledgeError:
+                    continue
+                g = PDAG._from_sets(names, s[0], s[1], check=False)
+            got = invariants_outcome(orientation._require_invariants, g)
+            assert got == invariants_outcome(require_invariants_scan, g)
+            if got is None or got[0] is InvariantError:
+                outcomes[got and got[1].split(":")[0]] += 1
+            else:
+                outcomes[got[0].__name__] += 1
+        assert min(outcomes.values()) > 10 and len(outcomes) == 5, outcomes
+
+    def test_faulty_closure_leaving_a_directed_cycle(self, monkeypatch):
+        """The tiered result is built without Kahn's check, so a directed
+        cycle is reported by the invariant checks, not as a CycleError."""
+        triangle = PDAG("ABC", undirected=[("A", "B"), ("B", "C"), ("C", "A")])
+
+        def cycle(s, rules, names):
+            for tail, head in ((0, 1), (1, 2), (2, 0)):
+                orientation._orient(s, tail, head)
+            return []
+
+        monkeypatch.setattr(orientation, "_close", cycle)
+        message = "partially directed cycle: chain components cycle {A} -> {B} -> {C} -> {A}"
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            tiered_mpdag(triangle, TieredOrdering(dict.fromkeys("ABC", 1)))
 
 
 class TestEnumerateClass:
@@ -769,6 +933,10 @@ class TestClassSize:
         square = PDAG("ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
         assert class_size(square) == 0 == len(enumerate_class(square))
         assert class_size(wave_dag) == 1
+
+    def test_long_path(self):
+        # one member per root, each rooted closure linear in the path
+        assert class_size(band(300, 1)) == 300
 
 
 def band(n, width):
