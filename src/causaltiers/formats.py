@@ -45,12 +45,13 @@ def parse_graph(text: str) -> PDAG:
 
 
 def format_graph(g: PDAG) -> str:
-    lines = ["nodes: " + " ".join(str(v) for v in g.nodes)]
-    edges = [(g.index_of(u), g.index_of(v), f"{u} -> {v}") for u, v in g.directed_edges]
-    edges += [
-        (g.index_of(u), g.index_of(v), f"{u} -- {v}") for u, v in g.undirected_edges
+    names = g.nodes
+    lines = ["nodes: " + " ".join(map(str, names))]
+    rows = [(i, j, f"{names[i]} -> {names[j]}") for i, ch in enumerate(g._ch) for j in ch]
+    rows += [
+        (i, j, f"{names[i]} -- {names[j]}") for i, ne in enumerate(g._ne) for j in ne if i < j
     ]
-    lines.extend(text for _, _, text in sorted(edges))
+    lines.extend(text for _, _, text in sorted(rows))
     return "\n".join(lines) + "\n"
 
 

@@ -287,22 +287,21 @@ class PDAG:
         contracting each chain component to a node leaves a directed cycle (or
         loop): one Kahn pass, O(V + E), that also finds any directed cycle.
         """
-        return _directed_cycle(*self._contracted()[1:]) is not None
+        return self._partially_directed_cycle() is not None
 
-    def _contracted(self) -> tuple[list[int], list[list[int]], list[list[int]]]:
-        """Each node's chain component (its smallest index), and the parent and
-        child lists of the contracted graph, one entry per directed edge."""
-        label = _component_labels(self._ne)
+    def _partially_directed_cycle(self) -> str | None:
+        """Describe one partially directed cycle, or return None when the Kahn
+        pass over the contracted graph (one entry per directed edge) finds no
+        cycle; only a cycle pays for the witness."""
+        names, label = self._names, _component_labels(self._ne)
         cpa, cch = [[] for _ in label], [[] for _ in label]
         for j, pa in enumerate(self._pa):
             for i in pa:
                 cpa[label[j]].append(label[i])
                 cch[label[i]].append(label[j])
-        return label, cpa, cch
-
-    def _partially_directed_cycle(self) -> str | None:
-        """Describe one partially directed cycle, or return None."""
-        names, (label, cpa, cch) = self._names, self._contracted()
+        cycle = _directed_cycle(cpa, cch)
+        if cycle is None:
+            return None
         # the first directed edge inside a component, in canonical order
         for i, ch in enumerate(self._ch):
             inner = [j for j in ch if label[j] == label[i]]
@@ -310,9 +309,8 @@ class PDAG:
                 return f"directed edge {names[i]} -> {names[min(inner)]} inside a chain component"
         # edges both ways between two components would read as undirected
         mutual = min(((a, b) for a, ch in enumerate(cch) for b in ch if a in cch[b]), default=None)
-        cycle = [*mutual, mutual[0]] if mutual else _directed_cycle(cpa, cch)
-        if cycle is None:
-            return None
+        if mutual:
+            cycle = [*mutual, mutual[0]]
         members: dict[int, list[str]] = {}
         for v, k in enumerate(label):
             members.setdefault(k, []).append(str(names[v]))
@@ -474,7 +472,10 @@ def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:
     """All unshielded colliders of ``g`` as (parent, collider, parent) triples.
 
     The two parents are ordered by node index, so each v-structure has a
-    single canonical form.
+    single canonical form within one graph.  Two graphs equal under ``==``
+    but with their nodes in another order can list the same v-structure
+    with its parents swapped: compare across graphs by unordered parent
+    pairs, as :func:`markov_equivalent` does.
     """
     adj, names = g._adjacency(), g.nodes
     out = set()

@@ -2,11 +2,11 @@
 
 On graphs whose chain components can be oriented independently of the
 directed part, the original local and joint procedures apply without
-any validity post-check.  The local variant screens subsets of a node's
-neighbours for new colliders at that node.  The joint variant branches
-only on the edges at the query nodes, counts the members behind each
-branch instead of listing them, and combines the results across
-components; it has no member guard.
+any validity post-check.  The local variant lists the cliques of a
+node's neighbours that add no new collider at that node.  The joint
+variant branches only on the edges at the query nodes, counts the
+members behind each branch instead of listing them, and combines the
+results across components; it has no member guard.
 """
 
 from __future__ import annotations
@@ -66,33 +66,20 @@ class ParentSetMultiset:
 
 
 def local_ida(g: PDAG, x: Node) -> ParentSetMultiset:
-    """Candidate parent sets of ``x``: for every subset S of x's
-    neighbours that can be oriented into ``x`` without creating a new
-    collider at ``x``, the set parents(x) | S."""
-    pa = frozenset(g.parents_of(x))
-    nb = list(g.neighbors_of(x))
-    entries = []
-    for r in range(len(nb) + 1):
-        for s in itr.combinations(nb, r):
-            if _no_new_collider_at(g, x, s, pa):
-                entries.append(pa | frozenset(s))
-    return ParentSetMultiset(entries)
-
-
-def _no_new_collider_at(
-    g: PDAG, x: Node, s: Sequence[Node], pa: frozenset[Node]
-) -> bool:
-    """Orienting s -> x (and the other neighbours out of x) adds no
-    unshielded collider at x iff s is a clique all of whose members are
-    adjacent to every existing parent of x."""
-    for a, b in itr.combinations(s, 2):
-        if not g.has_edge(a, b):
-            return False
-    for a in s:
-        for p in pa:
-            if not g.has_edge(a, p):
-                return False
-    return True
+    """Candidate parent sets of ``x``: parents(x) | S for every set S of
+    x's neighbours that can be oriented into ``x`` without creating a new
+    collider at ``x``, that is every clique S (the empty one included) of
+    the neighbours adjacent to all parents of ``x``.  Each clique is
+    extended with the later such neighbours adjacent to all of it, so the
+    cost follows the number of answers, not 2^deg."""
+    i = g.index_of(x)
+    pa = g._pa[i]
+    adj = {w: g._pa[w] | g._ch[w] | g._ne[w] for w in g._ne[i]}
+    cliques = [frozenset()]
+    for w in sorted(g._ne[i]):
+        if pa <= adj[w]:
+            cliques += [c | {w} for c in cliques if c <= adj[w]]
+    return ParentSetMultiset(frozenset(g._labels(pa | c)) for c in cliques)
 
 
 def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:

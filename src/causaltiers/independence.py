@@ -13,7 +13,7 @@ from collections import deque
 from typing import Iterable
 
 from .graphs import GraphError, Node, PDAG, v_structures
-from .orientation import meek_closure
+from .orientation import _close
 
 __all__ = [
     "is_d_separated",
@@ -115,16 +115,17 @@ def markov_equivalent(d1: PDAG, d2: PDAG) -> bool:
 def cpdag_of(d: PDAG) -> PDAG:
     """CPDAG of the equivalence class of the DAG ``d``.
 
-    Keeps the skeleton, directs the v-structure edges, and closes under
-    Meek's rules 1-3.  Every directed edge of the result is oriented the
-    same way in every DAG equivalent to ``d``; every undirected edge is
-    reversible within the class.
+    Keeps the skeleton, directs the v-structure edges, read off each
+    node's parent set, and closes those sets under Meek's rules 1-3.
+    Every directed edge of the result is oriented the same way in every
+    DAG equivalent to ``d``; every undirected edge is reversible within
+    the class.
     """
     _require_dag(d)
-    pa: list[set[int]] = [set() for _ in d.nodes]
-    for a, b, c in v_structures(d):
-        pa[d.index_of(b)] |= {d.index_of(a), d.index_of(c)}
     adj = d._adjacency()
+    # a parent is in a v-structure iff another parent is not adjacent to it
+    # (ps - adj[i] holds i)
+    pa = [{i for i in ps if len(ps - adj[i]) > 1} for ps in d._pa]
     ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
-    start = PDAG._from_sets(d.nodes, pa, ne)
-    return meek_closure(start, rules=(1, 2, 3))
+    _close((pa, ne, adj), (1, 2, 3), d.nodes)
+    return PDAG._from_sets(d.nodes, pa, ne)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .graphs import Edge, GraphError, LimitError, PDAG, _components, v_structures
+from .graphs import Edge, GraphError, LimitError, PDAG, _components
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tiers import TieredOrdering
@@ -213,9 +213,7 @@ def meek_closure(g: PDAG, rules: Sequence[int] = MEEK_RULES) -> PDAG:
 
     The fixpoint does not depend on the order in which rules are swept.
     """
-    s = _state(g)
-    _close(s, rules, g.nodes)
-    return _graph(g, s)
+    return meek_closure_trace(g, rules)[0]
 
 
 def meek_closure_trace(
@@ -319,8 +317,9 @@ def _require_invariants(g: PDAG, s) -> None:
     fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
     if fired:
         raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
-    if g.has_partially_directed_cycle():
-        raise InvariantError(f"partially directed cycle: {g._partially_directed_cycle()}")
+    witness = g._partially_directed_cycle()
+    if witness is not None:
+        raise InvariantError(f"partially directed cycle: {witness}")
     k = g._non_simplicial()
     if k is not None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
@@ -368,10 +367,11 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
     nodes i with an undirected edge, orient i - j, j lowest, each way,
     i -> j first, and close each branch again.  A branch whose closure
     orients an edge both ways is dropped; a leaf, with no undirected edge
-    at ``branch`` left, is yielded if it is acyclic and has exactly the
-    v-structures of ``g``."""
+    at ``branch`` left, is yielded if it is acyclic and gives no node a new
+    parent that is not adjacent to another of its parents: a leaf keeps
+    ``g``'s adjacencies and only gains parents, so that is exactly when it
+    has the v-structures of ``g``."""
     branch = list(branch)
-    target = v_structures(g)
     stack = [(_state(g), None)]
     while stack:
         s, oriented = stack.pop()
@@ -389,11 +389,11 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
             stack += ((back, [(j, i)]), (s, [(i, j)]))
             continue
         try:
+            _require_no_new_v_structures(g, s)
             leaf = _graph(g, s)
-        except GraphError:
+        except GraphError:  # a new v-structure or a directed cycle
             continue
-        if v_structures(leaf) == target:
-            yield leaf
+        yield leaf
 
 
 def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:

@@ -195,15 +195,12 @@ def random_dag(p: int, expected_neighbours: float, generator: str, rng) -> PDAG:
     if generator not in _SKELETONS:
         raise GraphError(f"generator must be one of {GENERATORS}")
     skeleton = _SKELETONS[generator](p, expected_neighbours, rng)
-    rank = {int(v): k for k, v in enumerate(rng.permutation(p))}
-    names = [f"V{k}" for k in range(p)]
-    directed = []
+    rank = rng.permutation(p).argsort().tolist()
+    pa: list[set[int]] = [set() for _ in range(p)]
     for a, b in skeleton:
-        i, j = rank[a], rank[b]
-        if i > j:
-            i, j = j, i
-        directed.append((names[i], names[j]))
-    return PDAG(names, directed=directed)
+        i, j = sorted((rank[a], rank[b]))
+        pa[j].add(i)
+    return PDAG._from_sets([f"V{k}" for k in range(p)], pa, [()] * p)
 
 
 # === tier schemes on generated DAGs
@@ -258,14 +255,14 @@ def run_cell(
         raise GraphError("replications must be >= 1")
     records = []
     degree = DENSITY_NEIGHBOURS[cell.density]
+    orderings = [(scheme, scheme_ordering(scheme, cell.nodes)) for scheme in schemes]
     for rep in range(replications):
         rng = _replication_rng(seed, cell, rep)
         dag = random_dag(cell.nodes, degree, cell.generator, rng)
         cpdag = cpdag_of(dag)
         n_edges = dag.num_edges
         n_dir_c = sum(map(len, cpdag._pa))
-        for scheme in schemes:
-            ordering = scheme_ordering(scheme, cell.nodes)
+        for scheme, ordering in orderings:
             mpdag = tiered_mpdag(cpdag, ordering)
             n_dir_g = sum(map(len, mpdag._pa))
             gain = (n_dir_g - n_dir_c) / n_edges if n_edges else 0.0

@@ -6,9 +6,12 @@ library's graph code, so a bug in the production code cannot hide in
 its oracle.  The per-ordering loops at the end are the exception: they
 reuse the library's per-pair path search and check only how its paths
 are combined.  So are ``apply_meek_rule``, one sweep of one rule on the
-library's sets, which the tests check against the matrix sweep here, and
+library's sets, which the tests check against the matrix sweep here,
 ``round_closure`` and ``require_invariants_scan``, the closure and the
-invariant checks that the frontier closure and the certificate replaced.
+invariant checks that the frontier closure and the certificate replaced,
+and ``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
+construction and the local parent-set scan that closing the parent sets
+directly and clique extension replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from causaltiers import orientation
-from causaltiers.graphs import GraphError, LimitError, PDAG
+from causaltiers.graphs import GraphError, LimitError, PDAG, v_structures
 from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
@@ -943,3 +946,31 @@ def require_invariants_scan(g, s) -> None:
     k = g._non_simplicial()
     if k is not None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
+
+
+def cpdag_by_meek_closure(d) -> PDAG:
+    """:func:`causaltiers.cpdag_of` by way of label triples: the v-structures
+    of ``d`` directed in a start graph with the rest of the skeleton
+    undirected, then :func:`meek_closure` under rules 1-3."""
+    pa = [set() for _ in d.nodes]
+    for a, b, c in v_structures(d):
+        pa[d.index_of(b)] |= {d.index_of(a), d.index_of(c)}
+    adj = d._adjacency()
+    ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
+    start = PDAG._from_sets(d.nodes, pa, ne)
+    return meek_closure(start, rules=(1, 2, 3))
+
+
+def local_ida_by_subsets(g, x) -> ParentSetMultiset:
+    """:func:`causaltiers.local_ida` by scanning all 2^deg subsets S of the
+    neighbours of ``x``: S is kept iff it is a clique whose members are all
+    adjacent to every parent of ``x``."""
+    pa = frozenset(g.parents_of(x))
+    nb = list(g.neighbors_of(x))
+    entries = []
+    for r in range(len(nb) + 1):
+        for s in itr.combinations(nb, r):
+            clique = all(g.has_edge(a, b) for a, b in itr.combinations(s, 2))
+            if clique and all(g.has_edge(a, q) for a in s for q in pa):
+                entries.append(pa | frozenset(s))
+    return ParentSetMultiset(entries)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causaltiers import graphs
 from causaltiers import (
     CycleError,
     GraphError,
@@ -397,6 +398,29 @@ class TestLinearChecksAgainstOracles:
             assert g._partially_directed_cycle() == partially_directed_cycle_amat(amat, names)
             cyclic += directed_cycle_per_node(amat) is not None
         assert cyclic > 300, cyclic
+
+    def test_partially_directed_cycle_in_one_pass(self, monkeypatch):
+        """The witness is None iff the matrix search finds no partially
+        directed cycle, and either way one Kahn pass over the contracted
+        graph decides it, on graphs with and without such cycles."""
+        calls = []
+        kahn = graphs._directed_cycle
+        monkeypatch.setattr(graphs, "_directed_cycle", lambda *a: calls.append(1) or kahn(*a))
+        rng = np.random.default_rng(25)
+        seen = Counter()
+        for trial in range(1500):
+            p = int(rng.integers(1, 14))
+            if trial % 2:
+                amat = random_mixed_amat(rng, p, acyclic=trial % 4 == 1)
+            else:
+                amat = random_chain_graph_amat(rng, p)
+            g = pdag_from_amat_unchecked([f"V{k}" for k in range(p)], amat)
+            calls.clear()
+            cyclic = has_partially_directed_cycle_bfs(amat)
+            assert (g._partially_directed_cycle() is None) == (not cyclic)
+            assert len(calls) == 1
+            seen[cyclic] += 1
+        assert min(seen.values()) > 300, seen
 
     def test_partially_directed_cycle_witnesses(self):
         inner = PDAG("ABC", directed=[("A", "B")], undirected=[("B", "C"), ("C", "A")])

@@ -25,6 +25,7 @@ from conftest import random_cpdag_and_tau
 from oracles import (
     joint_ida_by_enumeration,
     joint_ida_per_combination,
+    local_ida_by_subsets,
     multiplicity_ratios_equal,
 )
 
@@ -102,6 +103,27 @@ class TestLocalIda:
                     == set(class_parent_multiset(g, x))
                 )
             done += 1
+
+    def test_cliques_match_subset_scan(self):
+        """Clique extension lists the sets the 2^deg subset scan keeps, each
+        once, on DAGs, their CPDAGs and tiered MPDAGs."""
+        rng = np.random.default_rng(131)
+        pairs = Counter()
+        for _ in range(400):
+            c, tau, dag = random_cpdag_and_tau(rng, int(rng.integers(2, 12)), 3.5)
+            for kind, g in (("dag", dag), ("cpdag", c), ("mpdag", tiered_mpdag(c, tau))):
+                for x in g.nodes:
+                    assert local_ida(g, x) == local_ida_by_subsets(g, x), (g, x)
+                    pairs[kind, len(g.neighbors_of(x)) > 1] += 1
+        assert sum(pairs.values()) > 6000, pairs
+        assert min(pairs["cpdag", True], pairs["mpdag", True]) > 250, pairs
+
+    def test_star_is_linear_in_its_answers(self):
+        leaves = [f"L{k}" for k in range(200)]
+        star = PDAG(["X", *leaves], undirected=[("X", v) for v in leaves])
+        result = local_ida(star, "X")
+        assert len(result) == result.total() == 201
+        assert result.distinct() == {frozenset(), *(frozenset({v}) for v in leaves)}
 
     def test_no_new_collider_recheck(self):
         rng = np.random.default_rng(101)

@@ -28,12 +28,15 @@ from causaltiers import (
 )
 from causaltiers.orientation import MEEK_RULES, InvariantError, meek_closure_trace
 
-from conftest import random_cpdag_and_tau, random_dag_instance
+from causaltiers.simulation import GENERATORS, random_dag
+
+from conftest import random_cpdag_and_tau, random_dag_instance, reordered
 from oracles import (
     SweepConflict,
     amat_of,
     apply_meek_rule,
     consistent_extensions,
+    cpdag_by_meek_closure,
     forbidden_set,
     full_closure_equals,
     is_acyclic,
@@ -319,6 +322,32 @@ class TestClosureAgainstSweep:
                          undirected=[e for e in d.directed_edges if e not in arcs])
             assert closure_outcome(start, (1, 2, 3)) == "closed"
             assert meek_closure(start, rules=(1, 2, 3)) == cpdag_of(d)
+
+    def test_cpdag_of_against_meek_closure(self):
+        """Closing the parent sets directly gives exactly the graph, node
+        order and index sets that closing a start graph of the v-structures
+        gives, on DAGs of all three generators in shuffled node orders."""
+        rng = np.random.default_rng(113)
+        directed = 0
+        for trial in range(1200):
+            p = int(rng.integers(2, 40))
+            d = random_dag(p, float(rng.uniform(0.5, min(6.0, p - 1))), GENERATORS[trial % 3], rng)
+            if trial % 2:
+                d = reordered(d, [d.nodes[k] for k in rng.permutation(p)])
+            got, want = cpdag_of(d), cpdag_by_meek_closure(d)
+            assert (got.nodes, got._pa, got._ne) == (want.nodes, want._pa, want._ne)
+            directed += any(got._pa) and any(got._ne)
+        assert directed > 300, directed
+
+    def test_cpdag_of_builds_one_graph(self, monkeypatch):
+        d = random_dag(60, 4.0, "er", np.random.default_rng(127))
+        stores = []
+        store = PDAG._store
+        with monkeypatch.context() as m:
+            m.setattr(PDAG, "_store", lambda g, *a, **k: stores.append(1) or store(g, *a, **k))
+            got = cpdag_of(d)
+        assert len(stores) == 1
+        assert got == cpdag_by_meek_closure(d)
 
     def test_tiered_impositions(self):
         rng = np.random.default_rng(103)
