@@ -8,7 +8,7 @@ the writers here.
 
 from __future__ import annotations
 
-from .graphs import GraphError, PDAG
+from .graphs import GraphError, PDAG, _index_sets
 from .tiers import TieredOrdering
 
 
@@ -24,24 +24,23 @@ def parse_graph(text: str) -> PDAG:
             if not line.startswith("nodes:"):
                 raise GraphError(f"line {lineno}: expected a 'nodes:' header")
             nodes = line[len("nodes:") :].split()
-            known = set(nodes)
-            if len(known) != len(nodes):
+            index = {v: i for i, v in enumerate(nodes)}
+            if len(index) != len(nodes):
                 raise GraphError(f"line {lineno}: duplicate node label")
             continue
-        for mark, bucket in ((" -> ", directed), (" -- ", undirected)):
-            if mark in line:
-                left, right = line.split(mark, 1)
-                u, v = left.strip(), right.strip()
-                for w in (u, v):
-                    if w not in known:
-                        raise GraphError(f"line {lineno}: unknown node {w!r}")
-                bucket.append((u, v))
-                break
-        else:
-            raise GraphError(f"line {lineno}: cannot parse edge {line!r}")
+        left, mark, right = line.partition(" -> ")
+        if not mark:
+            left, mark, right = line.partition(" -- ")
+            if not mark:
+                raise GraphError(f"line {lineno}: cannot parse edge {line!r}")
+        u, v = left.strip(), right.strip()
+        i, j = index.get(u), index.get(v)
+        if i is None or j is None:
+            raise GraphError(f"line {lineno}: unknown node {u if i is None else v!r}")
+        (directed if mark == " -> " else undirected).append((i, j))
     if nodes is None:
         raise GraphError("missing 'nodes:' header")
-    return PDAG(nodes, directed=directed, undirected=undirected)
+    return PDAG._from_sets(nodes, *_index_sets(nodes, directed, undirected))
 
 
 def format_graph(g: PDAG) -> str:

@@ -9,9 +9,10 @@ is returned sorted by that index so outputs are deterministic.
 
 Each node's parent, child and neighbour index sets are the only storage,
 so queries read one node's sets and construction, the cycle checks and
-derived graphs take time linear in the nodes and edges.  Edge lists come
-row by row in index order, as an adjacency matrix would list them; that
-matrix view exists only in the tests.
+derived graphs take time linear in the nodes and edges; a graph that
+orients edges of another shares the sets of each node it leaves as it was.
+Edge lists come row by row in index order, as an adjacency matrix would
+list them; that matrix view exists only in the tests.
 """
 
 from __future__ import annotations
@@ -88,32 +89,9 @@ class PDAG:
             if label in index:
                 raise GraphError(f"duplicate node label {label!r}")
             intern(label)
-
-        directed = [(u, v) for u, v in directed]
-        undirected = [(u, v) for u, v in undirected]
-        for u, v in directed + undirected:
-            intern(u)
-            intern(v)
-
-        pa: list[set[int]] = [set() for _ in names]
-        ne: list[set[int]] = [set() for _ in names]
-
-        def new_pair(u: Node, v: Node) -> tuple[int, int]:
-            i, j = index[u], index[v]
-            if i == j:
-                raise GraphError(f"self-loop at node {u!r}")
-            if j in pa[i] or i in pa[j] or j in ne[i]:
-                raise GraphError(f"more than one edge between {u!r} and {v!r}")
-            return i, j
-
-        for u, v in directed:
-            i, j = new_pair(u, v)
-            pa[j].add(i)
-        for u, v in undirected:
-            i, j = new_pair(u, v)
-            ne[i].add(j)
-            ne[j].add(i)
-        self._store(names, index, pa, ne)
+        directed = [(intern(u), intern(v)) for u, v in directed]
+        undirected = [(intern(u), intern(v)) for u, v in undirected]
+        self._store(names, index, *_index_sets(names, directed, undirected))
 
     @classmethod
     def _from_sets(
@@ -126,22 +104,36 @@ class PDAG:
         g._store(names, {label: i for i, label in enumerate(names)}, pa, ne, check)
         return g
 
-    def _store(self, names, index, pa, ne, check: bool = True) -> None:
-        """Freeze the sets, derive the children, and reject a directed cycle."""
-        ch: list[set[int]] = [set() for _ in names]
-        for j, tails in enumerate(pa):
-            for i in tails:
-                ch[i].add(j)
-        self._pa = tuple(map(frozenset, pa))
-        self._ch = tuple(map(frozenset, ch))
-        cycle = _directed_cycle(self._pa, self._ch) if check else None
+    def _oriented(self, pa, ne, check: bool = True) -> "PDAG":
+        """This graph with the parent and neighbour sets ``pa`` and ``ne``, an
+        orientation of some of its undirected edges, sharing the labels and the
+        sets that stay: all but those of nodes that lost a neighbour or gained a child."""
+        new_pa, ch, new_ne = list(self._pa), list(self._ch), list(self._ne)
+        heads: dict[int, set[int]] = {}
+        for v, old in enumerate(self._ne):
+            if old and len(ne[v]) != len(old):
+                new_pa[v], new_ne[v] = frozenset(pa[v]), frozenset(ne[v])
+                for t in new_pa[v] - self._pa[v]:
+                    heads.setdefault(t, set()).add(v)
+        for t, new in heads.items():
+            ch[t] = ch[t] | new
+        g = PDAG.__new__(PDAG)
+        g._store(self._names, self._index, tuple(new_pa), tuple(new_ne), check, tuple(ch))
+        return g
+
+    def _store(self, names, index, pa, ne, check: bool = True, ch=None) -> None:
+        """Freeze the sets and derive the children, unless ``ch`` comes with
+        them frozen, and reject a directed cycle."""
+        if ch is None:
+            ch = [set() for _ in names]
+            for j, tails in enumerate(pa):
+                for i in tails:
+                    ch[i].add(j)
+            names, pa, ch, ne = tuple(names), *(tuple(map(frozenset, x)) for x in (pa, ch, ne))
+        cycle = _directed_cycle(pa, ch) if check else None
         if cycle is not None:
-            raise CycleError(
-                "directed cycle: " + " -> ".join(str(names[i]) for i in cycle)
-            )
-        self._names = tuple(names)
-        self._index = index
-        self._ne = tuple(map(frozenset, ne))
+            raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
+        self._names, self._index, self._pa, self._ch, self._ne = names, index, pa, ch, ne
         self._hash: int | None = None
 
     # === basic accessors
@@ -291,14 +283,18 @@ class PDAG:
 
     def _partially_directed_cycle(self) -> str | None:
         """Describe one partially directed cycle, or return None when the Kahn
-        pass over the contracted graph (one entry per directed edge) finds no
-        cycle; only a cycle pays for the witness."""
-        names, label = self._names, _component_labels(self._ne)
-        cpa, cch = [[] for _ in label], [[] for _ in label]
-        for j, pa in enumerate(self._pa):
-            for i in pa:
-                cpa[label[j]].append(label[i])
-                cch[label[i]].append(label[j])
+        pass over the contracted graph (lists rewritten only in and next to
+        components of two or more nodes) finds none; a cycle pays for the witness."""
+        names, (label, groups) = self._names, _component_labels(self._ne)
+        cpa, cch = list(self._pa), list(self._ch)
+        for k, group in groups.items():
+            cpa[k] = [label[i] for v in group for i in self._pa[v]]
+            cch[k] = [label[j] for v in group for j in self._ch[v]]
+            for v in group[1:]:
+                cpa[v] = cch[v] = ()
+        for v in {w for k in groups for w in (*cpa[k], *cch[k])} - groups.keys():
+            cpa[v] = [label[i] for i in self._pa[v]]
+            cch[v] = [label[j] for j in self._ch[v]]
         cycle = _directed_cycle(cpa, cch)
         if cycle is None:
             return None
@@ -311,10 +307,7 @@ class PDAG:
         mutual = min(((a, b) for a, ch in enumerate(cch) for b in ch if a in cch[b]), default=None)
         if mutual:
             cycle = [*mutual, mutual[0]]
-        members: dict[int, list[str]] = {}
-        for v, k in enumerate(label):
-            members.setdefault(k, []).append(str(names[v]))
-        listed = (",".join(members[k]) for k in cycle)
+        listed = (",".join(str(names[v]) for v in groups.get(k, (k,))) for k in cycle)
         return "chain components cycle {" + "} -> {".join(listed) + "}"
 
     def chain_components(self) -> list[tuple[Node, ...]]:
@@ -444,28 +437,44 @@ class PDAG:
                 raise GraphError(f"{u!r} and {v!r} are not adjacent")
 
 
-def _component_labels(ne: Sequence[Iterable[int]]) -> list[int]:
-    """Each node's connected component under the neighbour index sets
-    ``ne``, named by its smallest member index."""
-    label = [-1] * len(ne)
-    for start in range(len(ne)):
-        if label[start] < 0:
-            label[start], stack = start, [start]
-            while stack:
-                for w in ne[stack.pop()]:
-                    if label[w] < 0:
+def _index_sets(names: Sequence[Node], directed, undirected) -> tuple[list[set], list[set]]:
+    """Parent and neighbour index sets from index pairs, directed pairs first:
+    a :class:`GraphError` on a self-loop or a second edge between a pair."""
+    pa, ne = [set() for _ in names], [set() for _ in names]
+    for pairs, sets in ((directed, pa), (undirected, ne)):
+        for i, j in pairs:
+            if i == j:
+                raise GraphError(f"self-loop at node {names[i]!r}")
+            if j in pa[i] or i in pa[j] or j in ne[i]:
+                raise GraphError(f"more than one edge between {names[i]!r} and {names[j]!r}")
+            sets[j].add(i)
+            if sets is ne:
+                ne[i].add(j)
+    return pa, ne
+
+
+def _component_labels(ne: Sequence[Iterable[int]]) -> tuple[list[int], dict[int, list[int]]]:
+    """Each node's connected component under the neighbour index sets ``ne``,
+    named by its smallest member, and the ascending members of each component
+    of two or more nodes by name; only nodes with a neighbour are walked."""
+    label, groups = list(range(len(ne))), {}
+    for start, nb in enumerate(ne):
+        if nb and label[start] == start:
+            group = [start]
+            for v in group:  # breadth first: the loop reads what it appends
+                for w in ne[v]:
+                    if label[w] != start:
                         label[w] = start
-                        stack.append(w)
-    return label
+                        group.append(w)
+            groups[start] = sorted(group)
+    return label, groups
 
 
 def _components(ne: Sequence[Iterable[int]]) -> list[list[int]]:
     """The connected components under ``ne`` as ascending index lists,
     sorted by their smallest index, singletons included."""
-    comps: dict[int, list[int]] = {}
-    for v, k in enumerate(_component_labels(ne)):
-        comps.setdefault(k, []).append(v)
-    return list(comps.values())
+    label, groups = _component_labels(ne)
+    return [groups.get(v, [v]) for v, k in enumerate(label) if k == v]
 
 
 def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:

@@ -127,5 +127,6 @@ def cpdag_of(d: PDAG) -> PDAG:
     # (ps - adj[i] holds i)
     pa = [{i for i in ps if len(ps - adj[i]) > 1} for ps in d._pa]
     ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
-    _close((pa, ne, adj), (1, 2, 3), d.nodes)
+    # no rule fires on the bare skeleton: start from the compelled arcs' frontier
+    _close((pa, ne, adj), (1, 2, 3), d.nodes, [(i, v) for v, ps in enumerate(pa) for i in ps])
     return PDAG._from_sets(d.nodes, pa, ne)

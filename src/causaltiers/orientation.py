@@ -1,20 +1,21 @@
 """Edge orientation: background knowledge, Meek's rules, MPDAG construction.
 
-Knowledge orients undirected edges in a copy of a CPDAG's parent and
-neighbour sets, then Meek's four rules run to the fixpoint, the maximally
-oriented PDAG.  In each round each rule collects its firings in canonical
-edge order, then applies them, examining only the edges where the
-orientations made since it last ran could let it fire.  Tiered knowledge
-is imposed from the tier vector alone.  One pass serves
+Knowledge orients undirected edges in a CPDAG's parent and neighbour sets,
+copied only at nodes with an undirected edge, then Meek's four rules run to
+the fixpoint, the maximally oriented PDAG.  In each round each rule
+collects its firings in canonical edge order, then applies them, examining
+only the edges where the orientations made since it last ran could let it
+fire.  Tiered knowledge is imposed from one tier vector.  One pass serves
 :func:`tiered_mpdag` (rule 1 alone reaches the fixpoint) and CLI
-``orient``: it orients and closes the sets, builds one graph, certifies
-in linear time and in every mode that it is closed, a chain graph and
-chordal in its components (:class:`InvariantError`), and rejects a forced
-v-structure the input lacks.  :func:`enumerate_class` lists a class by
-branch and close, in lexicographic order, up to ``max_members`` members
-(:class:`LimitError`).  The same loop, branching only on the edges at
-chosen nodes, serves joint IDA, which counts each leaf's completions
-with the root-picking counter behind :func:`class_size`.
+``orient``: it orients and closes the sets, builds the result from the
+input and the nodes that changed, certifies in linear time and in every
+mode that it is closed, a chain graph and chordal in its components
+(:class:`InvariantError`), and rejects a forced v-structure the input
+lacks.  :func:`enumerate_class` lists a class by branch and close, in
+lexicographic order, up to ``max_members`` members (:class:`LimitError`).
+The same loop, branching only on the edges at chosen nodes, serves joint
+IDA, which counts each leaf's completions with the root-picking counter
+behind :func:`class_size`.
 """
 
 from __future__ import annotations
@@ -116,15 +117,20 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
 # === Meek's rules on per-node parent and neighbour sets
 
 
-def _state(g: PDAG) -> tuple[list[set], list[set], list[frozenset]]:
-    """Copies of ``g``'s parent and neighbour sets, and its adjacency sets,
-    which orienting keeps."""
-    return [set(x) for x in g._pa], [set(x) for x in g._ne], g._adjacency()
+def _state(g: PDAG) -> tuple[list, list, list]:
+    """``g``'s parent and neighbour sets, copied only at the nodes with an
+    undirected edge, which alone orienting writes to (the rest are ``g``'s
+    frozensets), and their adjacency sets, which orienting keeps."""
+    pa, ne, adj = list(g._pa), list(g._ne), [None] * g.num_nodes
+    for v, nb in enumerate(g._ne):
+        if nb:
+            pa[v], ne[v], adj[v] = set(pa[v]), set(nb), pa[v] | g._ch[v] | nb
+    return pa, ne, adj
 
 
 def _graph(g: PDAG, s) -> PDAG:
     """The graph on ``g``'s nodes with the parents and neighbours of ``s``."""
-    return PDAG._from_sets(g.nodes, s[0], s[1])
+    return g._oriented(s[0], s[1])
 
 
 def _orient(s, tail: int, head: int) -> None:
@@ -247,10 +253,10 @@ def check_consistency(c: PDAG, ordering: "TieredOrdering") -> list[Edge]:
     missing = [v for v in names if v not in tiers]
     if missing:
         raise GraphError(f"ordering does not cover nodes {missing!r}")
-    extra = [v for v in tiers if not c.has_node(v)]
-    if extra:
+    if len(tiers) > len(names):  # none missing, so some are extra
+        extra = [v for v in tiers if not c.has_node(v)]
         raise GraphError(f"ordering names nodes not in the graph: {extra!r}")
-    tier = [tiers[v] for v in names]
+    tier = ordering._tiers(names)
     late = sorted((i, j) for j, pa in enumerate(c._pa) for i in pa if tier[i] > tier[j])
     return [(names[i], names[j]) for i, j in late]
 
@@ -268,12 +274,12 @@ def _require_no_new_v_structures(c: PDAG, s) -> None:
     """Raise :class:`InconsistentKnowledgeError` if ``s``, an orientation
     of ``c``'s sets, gives a node a new parent that is not adjacent to one
     of its other parents: no DAG of ``c``'s class has that v-structure."""
-    names, adj = c.nodes, s[2]
-    for w, (pa, old) in enumerate(zip(s[0], c._pa)):
-        if len(pa) == len(old):
+    names, (pa, _, adj) = c.nodes, s
+    for w, nb in enumerate(c._ne):
+        if not nb or len(pa[w]) == len(c._pa[w]):
             continue
-        for x in sorted(pa - old):
-            unlinked = pa - adj[x] - {x}
+        for x in sorted(pa[w] - c._pa[w]):
+            unlinked = pa[w] - adj[x] - {x}
             if unlinked:
                 raise InconsistentKnowledgeError(
                     f"ordering creates the v-structure {names[x]} -> {names[w]} <- "
@@ -286,11 +292,11 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    return _graph(c, _cross_tier_state(c, list(map(ordering.tier_of, c.nodes))))
+    return _graph(c, _cross_tier_state(c, ordering._tiers(c.nodes)))
 
 
 def _cross_tier_state(c: PDAG, tier: Sequence[int]):
-    """A copy of ``c``'s sets (:func:`_state`) with each undirected edge between
+    """``c``'s sets as :func:`_state` gives them, with each undirected edge between
     two tiers of the tier vector ``tier`` oriented from the earlier, unchecked."""
     s = _state(c)
     for i, ne in enumerate(c._ne):
@@ -331,9 +337,9 @@ def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
     imposed graph is never built, and the result is built unchecked: the
     invariant checks find any directed cycle."""
     require_consistency(c, ordering)
-    s = _cross_tier_state(c, list(map(ordering.tier_of, c.nodes)))
+    s = _cross_tier_state(c, ordering._tiers(c.nodes))
     trace = _close(s, rules, c.nodes)
-    g = PDAG._from_sets(c.nodes, s[0], s[1], check=False)
+    g = c._oriented(s[0], s[1], check=False)
     _require_invariants(g, s)
     _require_no_new_v_structures(c, s)
     return g, trace
@@ -383,7 +389,9 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
         i = next((i for i in branch if ne[i]), None)
         if i is not None:
             j = min(ne[i])
-            back = ([set(x) for x in pa], [set(x) for x in ne], adj)
+            # copy the sets that orienting writes to, those with adjacency
+            back = ([x if a is None else set(x) for x, a in zip(pa, adj)],
+                    [x if a is None else set(x) for x, a in zip(ne, adj)], adj)
             _orient(back, j, i)
             _orient(s, i, j)
             stack += ((back, [(j, i)]), (s, [(i, j)]))

@@ -46,7 +46,7 @@ class TieredOrdering:
         ordering is used with must be present.
     """
 
-    __slots__ = ("_assignment",)
+    __slots__ = ("_assignment", "_vector")
 
     def __init__(self, assignment: Mapping[Node, int]):
         items = dict(assignment)
@@ -56,6 +56,7 @@ class TieredOrdering:
         if not items:
             raise GraphError("an ordering needs at least one node")
         self._assignment = items
+        self._vector: tuple = (None, ())
 
     @classmethod
     def from_tiers(cls, groups: Sequence[Iterable[Node]]) -> "TieredOrdering":
@@ -81,6 +82,12 @@ class TieredOrdering:
             return self._assignment[v]
         except KeyError:
             raise GraphError(f"node {v!r} is not assigned to a tier") from None
+
+    def _tiers(self, names: tuple) -> tuple[int, ...]:
+        """The tiers of ``names``, kept for the last tuple: once per pass."""
+        if self._vector[0] is not names:
+            self._vector = (names, tuple(map(self._assignment.__getitem__, names)))
+        return self._vector[1]
 
     @property
     def num_tiers(self) -> int:
@@ -314,7 +321,7 @@ def _reports(
     names = h.nodes
     reports = []
     for ordering in orderings:
-        tier = [ordering.tier_of(v) for v in names]
+        tier = ordering._tiers(names)
         oriented = _graph(h, _cross_tier_state(h, tier))
         cross = set(oriented.directed_edges)
         earliest = [tuple(names[i] for i in path) for path in _earliest(paths, tier, h._ne)]

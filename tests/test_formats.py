@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from causaltiers import (
@@ -58,6 +59,77 @@ class TestGraphFormat:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(GraphError):
             parse_graph("nodes: A B\nA -> B\nA -- B\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nodes: A B\nA -> A\n", "self-loop at node 'A'"),
+            ("nodes: A B\nB -- B\n", "self-loop at node 'B'"),
+            ("nodes: A B C\nA -> B\nB -> A\n", "more than one edge between 'B' and 'A'"),
+            ("nodes: A B C\nC -- B\nB -- C\n", "more than one edge between 'B' and 'C'"),
+            ("nodes: A B C\nC -- B\nB -> C\n", "more than one edge between 'C' and 'B'"),
+            # directed edges are checked first, whatever the line order
+            ("nodes: A B C\nB -- B\nA -> C\nA -> C\n", "more than one edge between 'A' and 'C'"),
+            ("nodes: A B C\nC -- A\nA -- C\nB -> B\n", "self-loop at node 'B'"),
+            # an unknown node or a bad line anywhere comes before them
+            ("nodes: A B\nA -> A\nA -> C\n", "line 3: unknown node 'C'"),
+            ("nodes: A B\nA -> A\nA => B\n", "line 3: cannot parse edge 'A => B'"),
+            ("# x\nnodes: A B A\nA -> B\n", "line 2: duplicate node label"),
+            ("nodes: A B\nA -> B\nB -> A\nnodes: C\n", "line 4: cannot parse edge 'nodes: C'"),
+            ("nodes: A B C\nA -> B\nB -> C\nC -> A\n", "directed cycle: A -> B -> C -> A"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    def test_structural_errors_match_the_constructor(self):
+        rng = np.random.default_rng(61)
+        seen = set()
+        for _ in range(300):
+            names = [f"N{k}" for k in range(int(rng.integers(2, 7)))]
+            edges = [
+                (" -> " if rng.random() < 0.8 else " -- ", *rng.choice(names, size=2))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            text = "nodes: " + " ".join(names) + "\n"
+            text += "".join(f"{u}{mark}{v}\n" for mark, u, v in edges)
+            with pytest.raises(GraphError) as built:
+                PDAG(
+                    names,
+                    directed=[(u, v) for mark, u, v in edges if mark == " -> "],
+                    undirected=[(u, v) for mark, u, v in edges if mark == " -- "],
+                )
+                raise GraphError("valid")
+            with pytest.raises(GraphError) as parsed:
+                parse_graph(text)
+                raise GraphError("valid")
+            assert str(parsed.value) == str(built.value)
+            seen.add(str(built.value).split(" ")[0])
+        assert seen == {"self-loop", "more", "directed", "valid"}, seen
+
+    def test_round_trip_random_graphs(self):
+        """Random acyclic mixed graphs with labels in a random order: the
+        parsed graph has exactly the written one's nodes and index sets."""
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            p = int(rng.integers(1, 40))
+            names = [f"{'xy'[k % 2]}{k * 7 % 101}" for k in rng.permutation(p)]
+            rank = rng.permutation(p)
+            directed, undirected = [], []
+            for i in range(p):
+                for j in range(i + 1, p):
+                    r = rng.random()
+                    if r < 0.08:
+                        a, b = (i, j) if rank[i] < rank[j] else (j, i)
+                        directed.append((names[a], names[b]))
+                    elif r < 0.16:
+                        undirected.append((names[j], names[i]))
+            g = PDAG(names, directed=directed, undirected=undirected)
+            back = parse_graph(format_graph(g))
+            assert (back.nodes, back._pa, back._ch, back._ne) == (g.nodes, g._pa, g._ch, g._ne)
+            assert format_graph(back) == format_graph(g)
 
 
 class TestTiersFormat:

@@ -974,3 +974,208 @@ def band(n, width):
     return PDAG(names, undirected=[
         (names[i], names[j]) for i in range(n) for j in range(i + 1, min(n, i + width + 1))
     ])
+
+
+# === the pass pays for what it changes: copy-on-write state, patched build
+
+
+def unchecked_mixed(rng, p):
+    """A mixed graph built without Kahn's check: often a directed cycle,
+    sometimes nodes with only directed edges, sometimes none at all."""
+    names = [f"V{k}" for k in range(p)]
+    kind = rng.choice(3, size=(p, p), p=[0.5, 0.3, 0.2])  # absent, directed, undirected
+    amat = np.triu(kind > 0, 1) | np.triu(kind == 2, 1).T
+    amat |= np.tril(kind > 0, -1) & ~amat.T
+    return pdag_from_amat_unchecked(names, amat)
+
+
+def build_outcome(build):
+    """The exact sets of the graph ``build()`` returns, or the exception
+    type and message it raises."""
+    try:
+        g = build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g.nodes, g._index, g._pa, g._ch, g._ne
+
+
+def assert_patched_build(g, s):
+    """``g._oriented`` on the orientation ``s`` of ``g``'s sets builds
+    exactly what ``PDAG._from_sets`` builds, checked or not, and shares
+    the labels and the sets of every node it leaves as it was."""
+    for check in (False, True):
+        got = build_outcome(lambda: g._oriented(s[0], s[1], check=check))
+        assert got == build_outcome(lambda: PDAG._from_sets(g.nodes, s[0], s[1], check=check))
+    new = g._oriented(s[0], s[1], check=False)
+    assert new._names is g._names and new._index is g._index
+    tails = {t for v in range(g.num_nodes) for t in new._pa[v] - g._pa[v]}
+    for v in range(g.num_nodes):
+        if len(s[1][v]) == len(g._ne[v]):
+            assert new._pa[v] is g._pa[v] and new._ne[v] is g._ne[v]
+        if v not in tails:
+            assert new._ch[v] is g._ch[v]
+    return len(tails)
+
+
+class TestPatchedBuild:
+    def test_state_shares_the_untouched_sets(self):
+        rng = np.random.default_rng(311)
+        shared = copied = 0
+        for trial in range(200):
+            p = int(rng.integers(2, 12))
+            g = unchecked_mixed(rng, p) if trial % 2 else random_cpdag_and_tau(rng, p, 2.0)[0]
+            before = (g._pa, g._ch, g._ne)
+            pa, ne, adj = s = orientation._state(g)
+            for v in range(p):
+                if g._ne[v]:
+                    assert type(pa[v]) is set and type(ne[v]) is set
+                    assert (pa[v], ne[v]) == (g._pa[v], g._ne[v])
+                    assert adj[v] == g._pa[v] | g._ch[v] | g._ne[v]
+                    copied += 1
+                else:
+                    assert pa[v] is g._pa[v] and ne[v] is g._ne[v] and adj[v] is None
+                    shared += 1
+            try:
+                orientation._close(s, MEEK_RULES, g.nodes)
+            except InconsistentKnowledgeError:
+                pass
+            # orienting writes only to the copies: the graph is as it was
+            assert (g._pa, g._ch, g._ne) == before
+        assert shared > 200 and copied > 200, (shared, copied)
+
+    def test_tiered_and_full_closures(self):
+        """Random CPDAGs in a random node order under consistent and random
+        orderings, closed under rule 1 and under rules 1-4."""
+        rng = np.random.default_rng(313)
+        outcomes = Counter()
+        for trial in range(300):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 30)), 2.5)
+            c = reordered(c, [c.nodes[k] for k in rng.permutation(c.num_nodes)])
+            if trial % 3 == 0:
+                tau = TieredOrdering({v: int(rng.integers(0, 4)) for v in c.nodes})
+            for rules in ((1,), MEEK_RULES):
+                s = orientation._cross_tier_state(c, tau._tiers(c.nodes))
+                try:
+                    orientation._close(s, rules, c.nodes)
+                except InconsistentKnowledgeError:
+                    outcomes["conflict"] += 1
+                    continue
+                outcomes["patched" if assert_patched_build(c, s) else "unchanged"] += 1
+        assert outcomes["patched"] > 200 and outcomes["unchanged"] > 20, outcomes
+        assert outcomes["conflict"], outcomes
+
+    def test_arbitrary_orientations_of_unchecked_graphs(self):
+        """Graphs with and without directed cycles, some undirected edges
+        oriented at random, sometimes closed: the checked builds raise the
+        same ``CycleError``."""
+        rng = np.random.default_rng(317)
+        outcomes = Counter()
+        for trial in range(400):
+            g = unchecked_mixed(rng, int(rng.integers(2, 12)))
+            s = orientation._state(g)
+            for i, j in [(g.index_of(u), g.index_of(v)) for u, v in g.undirected_edges]:
+                r = rng.random()
+                if r < 0.6:
+                    orientation._orient(s, *((i, j) if r < 0.3 else (j, i)))
+            if trial % 2:
+                try:
+                    orientation._close(s, MEEK_RULES, g.nodes)
+                except InconsistentKnowledgeError:
+                    continue
+            assert_patched_build(g, s)
+            cyclic = build_outcome(lambda: g._oriented(s[0], s[1]))[0] is CycleError
+            outcomes["cycle" if cyclic else "acyclic"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    def test_class_members(self, monkeypatch):
+        """Every graph ``_leaves`` builds, members and dropped leaves alike."""
+        built = Counter()
+        graph = orientation._graph
+
+        def both(g, s):
+            expected = build_outcome(lambda: PDAG._from_sets(g.nodes, s[0], s[1]))
+            assert build_outcome(lambda: graph(g, s)) == expected
+            built[expected[0] is CycleError] += 1
+            return graph(g, s)
+
+        monkeypatch.setattr(orientation, "_graph", both)
+        rng = np.random.default_rng(331)
+        for trial in range(250):
+            p = int(rng.integers(2, 9))
+            g = random_pdag(rng, p) if trial % 2 else random_cpdag_and_tau(rng, p, 3.0)[0]
+            if len(g.undirected_edges) <= 10:
+                class_outcome(g)
+        assert built[False] > 500 and built[True] > 5, built
+
+    def test_one_tier_vector_per_pass(self, wave_cpdag, wave_tau):
+        """The pass reads each node's tier once, the consistency check and
+        the orientation sharing one vector."""
+        reads = Counter()
+
+        class Counting(dict):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return super().__getitem__(v)
+
+        expected = tiered_mpdag(wave_cpdag, wave_tau)
+        tau = TieredOrdering(wave_tau.assignment)
+        tau._assignment = Counting(tau._assignment)
+        assert tiered_mpdag(wave_cpdag, tau) == expected
+        assert reads == Counter(wave_cpdag.nodes)
+
+    def test_tier_vector_follows_the_graph(self):
+        """One ordering used on graphs with other node orders, and again on
+        the first, gives what a fresh ordering gives each time."""
+        rng = np.random.default_rng(337)
+        for _ in range(40):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(3, 25)), 2.5)
+            shuffled = reordered(c, [c.nodes[k] for k in rng.permutation(c.num_nodes)])
+            for g in (c, shuffled, c, c.undirected_subgraph(), shuffled):
+                fresh = TieredOrdering(tau.assignment)
+                assert tiered_mpdag(g, tau) == tiered_mpdag(g, fresh)
+                assert check_consistency(g, tau) == check_consistency(g, fresh)
+                assert tau._tiers(g.nodes) == tuple(map(tau.tier_of, g.nodes))
+
+    def test_tier_vector_messages(self, wave_cpdag):
+        names = list(wave_cpdag.nodes)
+        cases = [
+            ({v: 1 for v in names[2:]}, GraphError, "ordering does not cover nodes ['A', 'B']"),
+            (
+                {**{v: 1 for v in names}, "ZZZ": 2, "YYY": 0},
+                GraphError,
+                "ordering names nodes not in the graph: ['ZZZ', 'YYY']",
+            ),
+            (
+                {"Z": 0, **{v: 1 for v in names}},
+                GraphError,
+                "ordering names nodes not in the graph: ['Z']",
+            ),
+            (
+                {**{v: 2 for v in names}, "E": 1},
+                InconsistentKnowledgeError,
+                "ordering contradicts directed edges: B->E, D->E",
+            ),
+        ]
+        for assignment, error, message in cases:
+            for run in (check_consistency, impose_tiers, tiered_mpdag):
+                if run is check_consistency and error is InconsistentKnowledgeError:
+                    assert check_consistency(wave_cpdag, TieredOrdering(assignment))
+                    continue
+                with pytest.raises(error) as info:
+                    run(wave_cpdag, TieredOrdering(assignment))
+                assert str(info.value) == message
+
+    def test_cpdag_of_closes_from_the_compelled_arcs(self, monkeypatch):
+        """A DAG without v-structures has no compelled arc, so its closure
+        examines no edge; a collider's closure examines only the edges at
+        the ends of its arcs (V1 - V2 and V3 - V4), never V0 - V1."""
+        fires = []
+        original = orientation._fires
+        monkeypatch.setattr(orientation, "_fires", lambda *a: fires.append(a[2:]) or original(*a))
+        names = [f"V{k}" for k in range(200)]
+        path = PDAG(names, directed=zip(names, names[1:]))
+        assert cpdag_of(path) == path.skeleton() and fires == []
+        collider = PDAG(names, directed=[*zip(names[:4], names[1:5]), ("V5", "V3")])
+        got = cpdag_of(collider)
+        assert got.directed_edges == (("V2", "V3"), ("V3", "V4"), ("V5", "V3"))
+        assert {frozenset(e) for e in fires} == {frozenset((1, 2)), frozenset((3, 4))}
