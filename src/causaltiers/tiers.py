@@ -5,16 +5,18 @@ pointing from a later tier into an earlier one and nothing else.  Two
 consistent orderings can induce the same maximally oriented graph even
 when they differ; the equivalence test here decides that graphically,
 by comparing (i) the first cross-tier edges on earliest unshielded
-paths and (ii) the fully shielded cross-tier edges, both computed on
-the undirected part of the CPDAG oriented by each ordering.  One pass
-over two orderings builds each tiered MPDAG once, enumerates the
-unshielded paths of all chain components in one walk, one depth-first
-search per start node, and checks the paper's theorem: the criterion
-holds iff the two MPDAGs are equal.  Earliest paths that are proper
-segments of longer earliest paths are found by one-node extension, on
-node indices and a tier vector; only the reported paths are turned into
-labels.  Compatibility and refinement of two orderings are read from
-their tier groups, with no loop over node pairs.
+paths and (ii) the fully shielded cross-tier edges of the undirected
+part of the CPDAG, both read from each ordering's tier vector: an edge
+is cross-tier iff its ends' tiers differ, and points from the earlier.
+Only :func:`cross_tier_report` builds the oriented undirected part.
+One pass over two orderings builds each tiered MPDAG once, enumerates
+the unshielded paths of all chain components in one walk, one
+depth-first search per start node, and checks the paper's theorem: the
+criterion holds iff the two MPDAGs are equal.  Earliest paths that are
+proper segments of longer earliest paths are found by one-node
+extension, on node indices and a tier vector; only the reported paths
+are turned into labels.  Compatibility and refinement of two orderings
+are read from their tier groups, with no loop over node pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
-from .orientation import InvariantError, _cross_tier_state, _graph
-from .orientation import require_consistency, tiered_mpdag
+from .orientation import InvariantError, impose_tiers, require_consistency, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -254,18 +255,18 @@ def _earliest(
     An extension's floors are at most its minimum, so it is earliest iff
     its new edge's floor is at least min(P).
     """
-    bit = [1 << v for v in range(len(tier))]  # an edge's key: its two bits
+    edge_id = [{v: min(u, v) * len(tier) + max(u, v) for v in ne} for u, ne in enumerate(adjacent)]
     lowest = [min(map(tier.__getitem__, path)) for path in paths]
     floor: dict[int, int] = {}
     for m, path in sorted(zip(lowest, paths), key=lambda entry: entry[0]):
         for u, v in zip(path, path[1:]):
-            floor.setdefault(bit[u] | bit[v], m)  # the lowest path comes first
+            floor.setdefault(edge_id[u][v], m)  # the lowest path comes first
     return [
         path
         for path, m in zip(paths, lowest)
-        if all(floor[bit[u] | bit[v]] == m for u, v in zip(path, path[1:]))
+        if all(floor[edge_id[u][v]] == m for u, v in zip(path, path[1:]))
         and not any(
-            floor[bit[end] | bit[x]] >= m
+            floor[edge_id[end][x]] >= m
             for end, inner in ((path[0], path[1]), (path[-1], path[-2]))
             for x in adjacent[end]
             if x not in adjacent[inner] and x not in path
@@ -309,35 +310,22 @@ class CrossTierEdgeReport:
 
 def _reports(
     h: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
-) -> tuple[dict[Node, int], list[Edge], list[CrossTierEdgeReport]]:
-    """One :class:`CrossTierEdgeReport` per ordering, all read from one
-    walk over the unshielded paths of the chain components of the
-    undirected graph ``h``; also each node's chain component rank and the
-    fully shielded edges of ``h``, which the reports share."""
+) -> tuple[dict[Node, int], list[tuple[list[tuple[Node, ...]], list[Edge | None]]]]:
+    """Each node's chain component rank in the undirected graph ``h`` and,
+    for each ordering, read from its tier vector and one walk over the
+    unshielded paths of the chain components: the earliest paths, and each
+    fully shielded edge of ``h`` oriented from its earlier tier (``None``
+    when both ends share a tier)."""
     components = h.chain_components()
     rank = {v: i for i, component in enumerate(components) for v in component}
     paths = _component_paths(h, [comp for comp in components if len(comp) > 1], max_nodes)
-    shielded = fully_shielded_edges(h)
-    names = h.nodes
-    reports = []
+    shielded, names = fully_shielded_edges(h), h.nodes
+    records = []
     for ordering in orderings:
-        tier = ordering._tiers(names)
-        oriented = _graph(h, _cross_tier_state(h, tier))
-        cross = set(oriented.directed_edges)
-        earliest = [tuple(names[i] for i in path) for path in _earliest(paths, tier, h._ne)]
-        reports.append(
-            CrossTierEdgeReport(
-                graph=oriented,
-                earliest_paths=tuple(earliest),
-                first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
-                fully_shielded_cross_tier=tuple(
-                    (u, v) if (u, v) in cross else (v, u)
-                    for u, v in shielded
-                    if (u, v) in cross or (v, u) in cross
-                ),
-            )
-        )
-    return rank, shielded, reports
+        t, earliest = ordering._assignment, _earliest(paths, ordering._tiers(names), h._ne)
+        oriented = [(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
+        records.append(([tuple(names[i] for i in path) for path in earliest], oriented))
+    return rank, records
 
 
 def cross_tier_report(
@@ -345,10 +333,16 @@ def cross_tier_report(
 ) -> CrossTierEdgeReport:
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``; the ingredients of the equivalence
-    criterion."""
+    criterion.  The only builder of the oriented undirected part."""
     require_consistency(c, ordering)
-    (report,) = _reports(c.undirected_subgraph(), (ordering,), max_nodes)[2]
-    return report
+    h = c.undirected_subgraph()
+    ((earliest, shielded),) = _reports(h, (ordering,), max_nodes)[1]
+    return CrossTierEdgeReport(
+        graph=impose_tiers(h, ordering),
+        earliest_paths=tuple(earliest),
+        first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
+        fully_shielded_cross_tier=tuple(filter(None, shielded)),
+    )
 
 
 # === equivalence and informativeness
@@ -445,23 +439,17 @@ def _compare(
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
     pass: each tiered MPDAG is built once (which checks each ordering's
-    consistency) and the unshielded paths are enumerated once.  Raises
+    consistency), the unshielded paths are enumerated once, and each
+    ordering's first and shielded cross-tier edges are read from its tier
+    vector, with no oriented copy of the undirected part.  Raises
     :class:`InvariantError`, naming a witness, if the criterion and
     equality of the two MPDAGs disagree, against the paper's theorem."""
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
-    rank, shielded, (r1, r2) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
-    d1, d2 = ({frozenset(e): e for e in r.fully_shielded_cross_tier} for r in (r1, r2))
-    shielded_diff = [
-        d1.get(k) or d2.get(k) for k in map(frozenset, shielded) if d1.get(k) != d2.get(k)
-    ]
-    # in component order; only a path earliest under one ordering lacks an entry
-    f1, f2 = (dict(zip(r.earliest_paths, r.first_edges)) for r in (r1, r2))
-    first_diff = [
-        min(diff, key=str)
-        for path in sorted(f1.keys() | f2.keys(), key=lambda p: (rank[p[0]], str(p)))
-        if (diff := (f1[path] if path in f1 else first_cross_tier_edges(path, t1))
-            ^ (f2[path] if path in f2 else first_cross_tier_edges(path, t2)))
-    ]
+    rank, ((e1, s1), (e2, s2)) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
+    shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
+    paths = sorted({*e1, *e2}, key=lambda p: (rank[p[0]], str(p)))  # in component order
+    first = {p: (first_cross_tier_edges(p, t1), first_cross_tier_edges(p, t2)) for p in paths}
+    first_diff = [min(f1 ^ f2, key=str) for f1, f2 in first.values() if f1 != f2]
     equivalent = not (shielded_diff or first_diff)
     witness = None if equivalent else (shielded_diff + first_diff)[0]
     same = g1 == g2
@@ -480,14 +468,14 @@ def _compare(
         verdict = Informativeness.LESS_INFORMATIVE
     else:
         verdict = Informativeness.INCOMPARABLE
-    cross1, cross2 = set(r1.graph.directed_edges), set(r2.graph.directed_edges)
+    a1, a2 = t1._assignment, t2._assignment  # (u, v) is cross-tier under t iff t[u] < t[v]
     return (
         TierEquivalence(equivalent, witness, not first_diff, not shielded_diff),
         InformativenessResult(
             verdict,
-            condition_i=all(e in cross1 for e in r2.all_first_edges),
-            condition_ii=all(e in cross1 for e in r2.fully_shielded_cross_tier),
-            condition_iii=any(e not in cross2 for e in r1.all_first_edges),
-            condition_iv=len(r1.fully_shielded_cross_tier) > len(r2.fully_shielded_cross_tier),
+            condition_i=all(a1[u] < a1[v] for p in e2 for u, v in first[p][1]),
+            condition_ii=all(a1[u] < a1[v] for u, v in filter(None, s2)),
+            condition_iii=any(a2[u] >= a2[v] for p in e1 for u, v in first[p][0]),
+            condition_iv=s1.count(None) < s2.count(None),
         ),
     )

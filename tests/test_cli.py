@@ -118,6 +118,36 @@ class TestGoldenExamples:
                 "pair_mpdag.txt",
                 ["orient", "pair_cpdag.txt", "--tiers", "pair_tiers.txt"],
             ),
+            (
+                "compare_wave_tiers.json",
+                [
+                    "compare-tiers",
+                    "wave_cpdag.txt",
+                    "wave_tiers3.txt",
+                    "wave_tiers2.txt",
+                    "--json",
+                ],
+            ),
+            (
+                "compare_fine_vs_coarse_late.json",
+                [
+                    "compare-tiers",
+                    "wave_cpdag.txt",
+                    "wave_tiers_fine_late.txt",
+                    "wave_tiers_coarse_late.txt",
+                    "--json",
+                ],
+            ),
+            (
+                "compare_triangle.json",
+                [
+                    "compare-tiers",
+                    "triangle_cpdag.txt",
+                    "triangle_tiers_a_first.txt",
+                    "triangle_tiers_c_last.txt",
+                    "--json",
+                ],
+            ),
         ],
     )
     def test_byte_exact(self, expected, argv):

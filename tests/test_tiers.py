@@ -8,6 +8,7 @@ import pytest
 
 from causaltiers import (
     GraphError,
+    InconsistentKnowledgeError,
     IncompatibleOrderingsError,
     LimitError,
     Informativeness,
@@ -37,6 +38,7 @@ from causaltiers.tiers import (
 from conftest import random_cpdag_and_tau, random_coarsening, reordered
 from causaltiers import cpdag_of
 from oracles import (
+    all_dags,
     compare_refinement_pairwise,
     component_paths_pairwise,
     contained_in_by_skeletons,
@@ -616,6 +618,19 @@ class TestSharedEnumeration:
         # and one walk for both components, not one per component
         assert len(walks) == 1
 
+    def test_compare_builds_two_graphs(self, monkeypatch):
+        """One comparison orients a graph twice, once for each tiered
+        MPDAG; each ordering's cross-tier edges come from its tier
+        vector, with no oriented copy of the undirected part."""
+        c, t1, t2 = two_disagreeing_components()
+        built = []
+        oriented = PDAG._oriented
+        monkeypatch.setattr(
+            PDAG, "_oriented", lambda g, *a, **k: built.append(g) or oriented(g, *a, **k)
+        )
+        _compare(c, t1, t2, 25)
+        assert len(built) == 2 and all(g is c for g in built), len(built)
+
 
 def band_graph(rng, sizes, width):
     """Chordal bands (node i adjacent to i+1 .. i+width) of the given
@@ -752,3 +767,73 @@ class TestTheoremCheck:
             assert equiv.equivalent == (tiered_mpdag(c, t1) == tiered_mpdag(c, t2))
             outcomes[equiv.equivalent] += 1
         assert min(outcomes.values()) > 20, outcomes
+
+
+def is_compatible(t1, t2):
+    try:
+        check_compatible(t1, t2)
+    except IncompatibleOrderingsError:
+        return False
+    return True
+
+
+class TestDefinitionAudit:
+    """The comparison against its definition on every 4-node class: an
+    ordering admits R, the members with no arc from a later tier into an
+    earlier one, and two orderings compare as their sets R do."""
+
+    def test_comparison_matches_admitted_members(self):
+        """Every ordering on every class; for each class with an undirected
+        edge, a seeded sample of its compatible pairs of consistent
+        orderings, each compared once."""
+        orderings = [
+            TieredOrdering(dict(enumerate(levels)))
+            for levels in itr.product(range(4), repeat=4)
+            if set(levels) == set(range(max(levels) + 1))
+        ]
+        assert len(orderings) == 75
+        compatible = [[is_compatible(t1, t2) for t2 in orderings] for t1 in orderings]
+        classes: dict = {}
+        for arcs in all_dags(4):
+            classes.setdefault(cpdag_of(PDAG(range(4), directed=list(arcs))), []).append(arcs)
+        rng = np.random.default_rng(131)
+        disagreements, compared = [], 0
+        for c, members in classes.items():
+            admitted = {}
+            for k, t in enumerate(orderings):
+                r = frozenset(m for m in members if all(t.tier_of(u) <= t.tier_of(v) for u, v in m))
+                try:
+                    tiered_mpdag(c, t)
+                    consistent = True
+                except InconsistentKnowledgeError:
+                    consistent = False
+                if consistent != bool(r):
+                    disagreements.append(("consistency", c, t))
+                if r:
+                    admitted[k] = r
+            if not c.undirected_edges:
+                continue
+            pairs = [(i, j) for i in admitted for j in admitted if compatible[i][j]]
+            for k in rng.choice(len(pairs), size=min(60, len(pairs)), replace=False):
+                i, j = pairs[k]
+                t1, t2, r1, r2 = orderings[i], orderings[j], admitted[i], admitted[j]
+                equiv, info = _compare(c, t1, t2, 25)
+                verdict = (
+                    Informativeness.EQUIVALENT if r1 == r2
+                    else Informativeness.MORE_INFORMATIVE if r1 < r2
+                    else Informativeness.LESS_INFORMATIVE if r2 < r1
+                    else Informativeness.INCOMPARABLE
+                )
+                finer = compare_refinement(t1, t2).verdict in (Refinement.FIRST_FINER, Refinement.EQUAL)
+                for name, holds in [
+                    ("equivalence", equiv.equivalent == (r1 == r2)),
+                    ("informativeness", info.verdict == verdict),
+                    ("sufficient conditions", not info.sufficient_conditions_fired or r1 < r2),
+                    ("refinement", not finer or r1 <= r2),
+                ]:
+                    if not holds:
+                        disagreements.append((name, c, t1, t2))
+                compared += 1
+        assert not disagreements, disagreements[:5]
+        assert sum(1 for c in classes if c.undirected_edges) == 126
+        assert compared > 5000, compared
