@@ -4,7 +4,9 @@ Exit codes: 0 on success, 1 on a domain error (inconsistent knowledge,
 bad graph structure, unparsable files), 2 on a usage error (bad flags,
 missing files, paths that cannot be read or written).  Every subcommand
 accepts ``--json`` for machine consumption; the schemas are documented
-in the README.
+in the README.  Each ``_cmd_*`` handler returns the text its subcommand
+prints, and :func:`main` writes it in one call, so a failed run prints
+nothing to stdout.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 
 from .formats import format_graph, load_graph, load_tiers
 from .graphs import DEFAULT_PATH_NODE_LIMIT, GraphError, PDAG
-from .ida import joint_ida, local_ida
+from .ida import _format_entry, joint_ida, local_ida
 from .independence import is_d_separated
 from .orientation import _orient_tiered
 from .paths import (
@@ -119,42 +121,42 @@ def _graph_payload(g: PDAG) -> dict:
     }
 
 
-def _cmd_validate(args, out) -> int:
+def _json(payload) -> str:
+    """A ``--json`` document: one line."""
+    return json.dumps(payload) + "\n"
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _cmd_validate(args) -> str:
     g = load_graph(args.graph)
-    nd, nu = len(g.directed_edges), len(g.undirected_edges)
     if args.json:
-        json.dump({"ok": True, **_graph_payload(g)}, out)
-        out.write("\n")
-    else:
-        out.write(
-            f"ok: {g.num_nodes} nodes, {nd + nu} edges "
-            f"({nd} directed, {nu} undirected)\n"
-        )
-    return 0
+        return _json({"ok": True, **_graph_payload(g)})
+    nd, nu = len(g.directed_edges), len(g.undirected_edges)
+    return f"ok: {g.num_nodes} nodes, {nd + nu} edges ({nd} directed, {nu} undirected)\n"
 
 
-def _cmd_orient(args, out) -> int:
+def _cmd_orient(args) -> str:
     g = load_graph(args.graph)
     ordering = load_tiers(args.tiers)
     rules = (1,) if args.rules == "1" else (1, 2, 3, 4)
     result, trace = _orient_tiered(g, ordering, rules)
     if args.trace:
-        for rule, (u, v) in trace:
-            sys.stderr.write(f"rule{rule}: {u}->{v}\n")
+        sys.stderr.write(_lines(f"rule{rule}: {u}->{v}" for rule, (u, v) in trace))
     if args.json:
-        payload = {
+        text = _json({
             "graph": _graph_payload(result),
             "trace": [[rule, str(u), str(v)] for rule, (u, v) in trace],
-        }
-        text = json.dumps(payload) + "\n"
+        })
     else:
         text = format_graph(result)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+    if not args.out:
+        return text
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    return ""
 
 
 _INFORMATIVENESS_TEXT = {
@@ -165,14 +167,14 @@ _INFORMATIVENESS_TEXT = {
 }
 
 
-def _cmd_compare_tiers(args, out) -> int:
+def _cmd_compare_tiers(args) -> str:
     g = load_graph(args.graph)
     t1 = load_tiers(args.tiers1)
     t2 = load_tiers(args.tiers2)
     refinement = compare_refinement(t1, t2)
     equiv, info = _compare(g, t1, t2, DEFAULT_PATH_NODE_LIMIT)
     if args.json:
-        payload = {
+        return _json({
             "equivalent": equiv.equivalent,
             "witness": None if equiv.witness is None else list(map(str, equiv.witness)),
             "earliest_path_first_edges_agree": equiv.first_edges_agree,
@@ -185,101 +187,62 @@ def _cmd_compare_tiers(args, out) -> int:
                 "iv": info.condition_iv,
             },
             "refinement": refinement.verdict.value,
-        }
-        json.dump(payload, out)
-        out.write("\n")
-        return 0
-    out.write(f"equivalence: {'equivalent' if equiv.equivalent else 'different'}\n")
-    if equiv.witness is not None:
-        out.write(f"witness: {equiv.witness[0]}->{equiv.witness[1]}\n")
-    out.write(
-        "earliest-path first edges: "
-        f"{'agree' if equiv.first_edges_agree else 'disagree'}\n"
-    )
-    out.write(
-        "fully-shielded cross-tier edges: "
-        f"{'agree' if equiv.shielded_agree else 'disagree'}\n"
-    )
-    out.write(f"informativeness: {_INFORMATIVENESS_TEXT[info.verdict]}\n")
-    out.write(f"refinement: {refinement.verdict.value}\n")
-    return 0
+        })
+    witness = [] if equiv.witness is None else [f"witness: {equiv.witness[0]}->{equiv.witness[1]}"]
+    return _lines([
+        f"equivalence: {'equivalent' if equiv.equivalent else 'different'}",
+        *witness,
+        f"earliest-path first edges: {'agree' if equiv.first_edges_agree else 'disagree'}",
+        f"fully-shielded cross-tier edges: {'agree' if equiv.shielded_agree else 'disagree'}",
+        f"informativeness: {_INFORMATIVENESS_TEXT[info.verdict]}",
+        f"refinement: {refinement.verdict.value}",
+    ])
 
 
-def _cmd_dsep(args, out) -> int:
-    g = load_graph(args.graph)
-    separated = is_d_separated(g, args.a, args.b, args.c)
+def _cmd_dsep(args) -> str:
+    separated = is_d_separated(load_graph(args.graph), args.a, args.b, args.c)
     if args.json:
-        json.dump({"separated": separated}, out)
-        out.write("\n")
-    else:
-        out.write("separated\n" if separated else "connected\n")
-    return 0
+        return _json({"separated": separated})
+    return "separated\n" if separated else "connected\n"
 
 
-def _cmd_classify_path(args, out) -> int:
+def _cmd_classify_path(args) -> str:
     g = load_graph(args.graph)
-    plain = classify_possibly_causal(g, args.path)
-    strict = classify_b_possibly_causal(g, args.path)
+    plain = classify_possibly_causal(g, args.path) is PathVerdict.POSSIBLY_CAUSAL
+    strict = classify_b_possibly_causal(g, args.path) is BPathVerdict.B_POSSIBLY_CAUSAL
     if args.json:
-        json.dump(
-            {
-                "possibly_causal": plain is PathVerdict.POSSIBLY_CAUSAL,
-                "b_possibly_causal": strict is BPathVerdict.B_POSSIBLY_CAUSAL,
-            },
-            out,
-        )
-        out.write("\n")
-    else:
-        out.write(
-            f"possibly-causal: {'yes' if plain is PathVerdict.POSSIBLY_CAUSAL else 'no'}\n"
-        )
-        out.write(
-            "b-possibly-causal: "
-            f"{'yes' if strict is BPathVerdict.B_POSSIBLY_CAUSAL else 'no'}\n"
-        )
-    return 0
+        return _json({"possibly_causal": plain, "b_possibly_causal": strict})
+    return (
+        f"possibly-causal: {'yes' if plain else 'no'}\n"
+        f"b-possibly-causal: {'yes' if strict else 'no'}\n"
+    )
 
 
-def _format_set(nodes) -> str:
-    return "{" + ",".join(sorted(map(str, nodes))) + "}"
+def _entry_key(entry):
+    """Sort key of a parent set (by size, then names) or of a tuple of them."""
+    if isinstance(entry, frozenset):
+        return len(entry), sorted(map(str, entry))
+    return tuple(map(_entry_key, entry))
 
 
-def _cmd_ida(args, out) -> int:
+def _cmd_ida(args) -> str:
     g = load_graph(args.graph)
     if args.joint:
-        result = joint_ida(g, args.joint)
-        rows = [
-            (
-                tuple((len(s), sorted(map(str, s))) for s in entry),
-                "(" + ", ".join(_format_set(s) for s in entry) + ")",
-                mult,
-            )
-            for entry, mult in result
-        ]
-        key = "joint_parent_sets"
+        result, key = joint_ida(g, args.joint), "joint_parent_sets"
     else:
-        result = local_ida(g, args.x)
-        rows = [
-            ((len(entry), sorted(map(str, entry))), _format_set(entry), mult)
-            for entry, mult in result
-        ]
-        key = "parent_sets"
-    rows = [(text, mult) for _, text, mult in sorted(rows)]
+        result, key = local_ida(g, args.x), "parent_sets"
+    rows = [(_format_entry(e), m) for e, m in sorted(result, key=lambda row: _entry_key(row[0]))]
     if args.json:
-        json.dump({key: [{"sets": text, "multiplicity": m} for text, m in rows]}, out)
-        out.write("\n")
-    else:
-        for text, mult in rows:
-            out.write(f"{text} x{mult}\n")
-    return 0
+        return _json({key: [{"sets": text, "multiplicity": m} for text, m in rows]})
+    return _lines(f"{text} x{m}" for text, m in rows)
 
 
-def _cmd_simulate(args, out) -> int:
+def _cmd_simulate(args) -> str:
     cell = SimCell(nodes=args.nodes, density=args.density, generator=args.generator)
     records = run_cell(cell, tuple(TIER_SCHEMES), args.reps, seed=args.seed)
     summary = emit_results(records, args.out, boxplot_path=args.boxplot)
     if args.json:
-        payload = [
+        return _json({"cells": [
             {
                 "scheme": s.scheme,
                 "count": s.count,
@@ -290,17 +253,15 @@ def _cmd_simulate(args, out) -> int:
                 "max": s.maximum,
             }
             for s in summary
-        ]
-        json.dump({"cells": payload}, out)
-        out.write("\n")
-        return 0
-    out.write("scheme count min q1 median q3 max\n")
-    for s in summary:
-        out.write(
+        ]})
+    return _lines([
+        "scheme count min q1 median q3 max",
+        *(
             f"{s.scheme} {s.count} {s.minimum:.6f} {s.q1:.6f} "
-            f"{s.median:.6f} {s.q3:.6f} {s.maximum:.6f}\n"
-        )
-    return 0
+            f"{s.median:.6f} {s.q3:.6f} {s.maximum:.6f}"
+            for s in summary
+        ),
+    ])
 
 
 _COMMANDS = {
@@ -327,7 +288,7 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, out)
+        out.write(_COMMANDS[args.command](args))
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: no such file: {exc.filename}\n")
         return 2
@@ -337,6 +298,7 @@ def main(argv=None, out=None) -> int:
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

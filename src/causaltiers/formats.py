@@ -3,7 +3,8 @@
 Graph files: a ``nodes:`` header followed by one edge per line, either
 ``A -> B`` or ``A -- B``; ``#`` starts a comment.  Tier files: lines of
 the form ``tier 1: A B``.  Both formats round-trip byte-exactly through
-the writers here.
+the writers here; the writers refuse a label that is empty or contains
+whitespace or ``#``, which would read back as other nodes.
 """
 
 from __future__ import annotations
@@ -43,9 +44,20 @@ def parse_graph(text: str) -> PDAG:
     return PDAG._from_sets(nodes, *_index_sets(nodes, directed, undirected))
 
 
+def _labels(nodes) -> str:
+    """The labels of ``nodes`` joined by spaces, checked to read back as
+    the same labels: none is empty or contains whitespace or ``#``."""
+    labels = list(map(str, nodes))
+    joined = " ".join(labels)
+    if "#" in joined or joined.split() != labels:
+        bad = next(v for v in labels if "#" in v or v.split() != [v])
+        raise GraphError(f"label {bad!r} is empty or contains whitespace or '#'")
+    return joined
+
+
 def format_graph(g: PDAG) -> str:
     names = g.nodes
-    lines = ["nodes: " + " ".join(map(str, names))]
+    lines = ["nodes: " + _labels(names)]
     rows = [(i, j, f"{names[i]} -> {names[j]}") for i, ch in enumerate(g._ch) for j in ch]
     rows += [
         (i, j, f"{names[i]} -- {names[j]}") for i, ne in enumerate(g._ne) for j in ne if i < j
@@ -89,10 +101,9 @@ def parse_tiers(text: str) -> TieredOrdering:
 
 
 def format_tiers(ordering: TieredOrdering) -> str:
-    lines = [
-        f"tier {t}: " + " ".join(str(v) for v in group)
-        for t, group in ordering.tier_groups()
-    ]
+    groups = ordering.tier_groups()
+    _labels(v for _, group in groups for v in group)
+    lines = [f"tier {t}: " + " ".join(map(str, group)) for t, group in groups]
     return "\n".join(lines) + "\n"
 
 

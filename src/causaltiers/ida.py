@@ -55,14 +55,15 @@ class ParentSetMultiset:
         return iter(self._counts.items())
 
     def __repr__(self) -> str:
-        def fmt(entry):
-            if isinstance(entry, frozenset):
-                return "{" + ",".join(sorted(map(str, entry))) + "}"
-            return "(" + ", ".join(fmt(e) for e in entry) + ")"
+        rows = sorted((_format_entry(e), m) for e, m in self._counts.items())
+        return f"ParentSetMultiset({', '.join(f'{text} x{m}' for text, m in rows)})"
 
-        entries = sorted(self._counts.items(), key=lambda item: fmt(item[0]))
-        parts = [f"{fmt(e)} x{m}" for e, m in entries]
-        return f"ParentSetMultiset({', '.join(parts)})"
+
+def _format_entry(entry) -> str:
+    """``{A,B}`` for a parent set, ``({A}, {})`` for a tuple of them."""
+    if isinstance(entry, frozenset):
+        return "{" + ",".join(sorted(map(str, entry))) + "}"
+    return "(" + ", ".join(map(_format_entry, entry)) + ")"
 
 
 def local_ida(g: PDAG, x: Node) -> ParentSetMultiset:

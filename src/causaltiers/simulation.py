@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -30,19 +31,6 @@ from .tiers import TieredOrdering
 #: expected number of adjacent nodes per density class
 DENSITY_NEIGHBOURS = {"sparse": 2.0, "dense": 5.0}
 GENERATORS = ("er", "power", "geometric")
-
-CSV_COLUMNS = (
-    "nodes",
-    "density",
-    "generator",
-    "scheme",
-    "rep",
-    "n_edges",
-    "n_dir_cpdag",
-    "n_dir_mpdag",
-    "gain_frac",
-)
-
 
 @dataclass(frozen=True)
 class TierScheme:
@@ -98,6 +86,9 @@ class SimRecord:
             raise GraphError("an oriented graph cannot lose directed edges")
         if not 0.0 <= self.gain_frac <= 1.0:
             raise GraphError("gain fraction out of [0, 1]")
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SimRecord))
 
 
 # === random graph generation
@@ -288,20 +279,7 @@ def run_cell(
 def write_csv(records: Sequence[SimRecord], fileobj) -> None:
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.nodes,
-                r.density,
-                r.generator,
-                r.scheme,
-                r.rep,
-                r.n_edges,
-                r.n_dir_cpdag,
-                r.n_dir_mpdag,
-                repr(r.gain_frac),
-            ]
-        )
+    writer.writerows(map(attrgetter(*CSV_COLUMNS), records))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,19 @@ class TestGoldenExamples:
                     "--json",
                 ],
             ),
+            ("validate_wave_dag.txt", ["validate", "wave_dag.txt"]),
+            ("validate_wave_dag.json", ["validate", "wave_dag.txt", "--json"]),
+            ("dsep_wave_dag.txt", ["dsep", "wave_dag.txt", "--a", "A", "--b", "G", "--c", "C"]),
+            ("classify_path_wave.txt", ["classify-path", "wave_cpdag.txt", "--path", "A,C,F,G"]),
+            ("ida_x_wave.txt", ["ida", "wave_cpdag.txt", "--x", "C"]),
+            ("ida_x_wave.json", ["ida", "wave_cpdag.txt", "--x", "C", "--json"]),
+            ("ida_joint_wave.txt", ["ida", "wave_cpdag.txt", "--joint", "A,C,F"]),
+            ("ida_joint_wave.json", ["ida", "wave_cpdag.txt", "--joint", "A,C,F", "--json"]),
+            ("wave_mpdag.json", ["orient", "wave_cpdag.txt", "--tiers", "wave_tiers3.txt", "--json"]),
+            (
+                "wave_mpdag_all_trace.txt",
+                ["orient", "wave_cpdag.txt", "--tiers", "wave_tiers2.txt", "--rules", "all", "--trace"],
+            ),
         ],
     )
     def test_byte_exact(self, expected, argv):
@@ -157,6 +170,29 @@ class TestGoldenExamples:
         code, out = run_cli(*argv)
         assert code == 0
         assert out == (EXPECTED / expected).read_text()
+
+    def test_trace_goes_to_stderr(self, capsys):
+        code = main(
+            ["orient", fixture("wave_cpdag.txt"), "--tiers", fixture("wave_tiers2.txt"),
+             "--rules", "all", "--trace"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == (EXPECTED / "wave_mpdag_all_trace.txt").read_text()
+        assert captured.err == (EXPECTED / "wave_mpdag_all_trace.stderr.txt").read_text()
+
+    def test_simulate_files(self, tmp_path):
+        """The seed-7 cell: stdout in text and ``--json``, the CSV and the
+        boxplot JSON."""
+        argv = ["simulate", "--nodes", "25", "--density", "sparse", "--generator", "power",
+                "--reps", "40", "--seed", "7"]
+        for flags, expected in [([], "simulate_seed7.txt"), (["--json"], "simulate_seed7.json")]:
+            csv_path, boxplot = tmp_path / f"{expected}.csv", tmp_path / f"{expected}.box.json"
+            code, out = run_cli(*argv, "--out", str(csv_path), "--boxplot", str(boxplot), *flags)
+            assert code == 0
+            assert out == (EXPECTED / expected).read_text()
+            assert csv_path.read_bytes() == (EXPECTED / "simulate_seed7.csv").read_bytes()
+            assert boxplot.read_bytes() == (EXPECTED / "simulate_seed7_boxplot.json").read_bytes()
 
     def test_triangle_outputs_are_pairwise_distinct(self):
         outputs = {

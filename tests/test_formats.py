@@ -157,3 +157,47 @@ class TestTiersFormat:
             parse_tiers("tier x: A\n")
         with pytest.raises(GraphError):
             parse_tiers("# nothing\n")
+
+
+class TestLabels:
+    """The writers refuse a label that would read back as other nodes."""
+
+    @pytest.mark.parametrize(
+        "label", ["x y", "x\ty", " x", "x\n", "x\u2028y", "a#b", "#", ""],
+        ids=["space", "tab", "leading", "newline", "line-separator", "hash", "only-hash", "empty"],
+    )
+    def test_unwritable_label(self, label):
+        message = f"label {label!r} is empty or contains whitespace or '#'"
+        with pytest.raises(GraphError) as graph:
+            format_graph(PDAG(["z", label], undirected=[("z", label)]))
+        assert str(graph.value) == message
+        with pytest.raises(GraphError) as tiers:
+            format_tiers(TieredOrdering({label: 1, "z": 2}))
+        assert str(tiers.value) == message
+
+    def test_first_unwritable_label_is_named(self):
+        with pytest.raises(GraphError, match="label 'b c'"):
+            format_graph(PDAG(["a", "b c", "d#"]))
+
+    def test_round_trip_random_labels(self):
+        """Labels of any non-whitespace characters but ``#``, among them
+        the format's own tokens, read back as the same graph and ordering."""
+        rng = np.random.default_rng(71)
+        alphabet = [c for c in "abcXYZ019-><:.,;'\"{}()[]*αβé→" if c != "#"]
+        tokens = ["->", "--", "nodes:", "tier", "1:", ":"]
+        for _ in range(200):
+            p = int(rng.integers(1, 25))
+            labels = set()
+            while len(labels) < p:
+                if rng.random() < 0.2:
+                    labels.add(str(rng.choice(tokens)))
+                else:
+                    labels.add("".join(rng.choice(alphabet, size=int(rng.integers(1, 5)))))
+            names = list(labels)
+            edges = [(names[i], names[j]) for i in range(p) for j in range(i + 1, p) if rng.random() < 0.2]
+            cut = int(rng.integers(0, len(edges) + 1))
+            g = PDAG(names, directed=edges[:cut], undirected=edges[cut:])
+            back = parse_graph(format_graph(g))
+            assert (back.nodes, back._pa, back._ch, back._ne) == (g.nodes, g._pa, g._ch, g._ne)
+            tau = TieredOrdering({v: int(rng.integers(1, 4)) for v in names})
+            assert parse_tiers(format_tiers(tau)) == tau

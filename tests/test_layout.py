@@ -1,0 +1,73 @@
+"""Source layout: a subcommand's output is written in one place.
+
+Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
+so nothing else in the package may touch stdout, the ``out`` stream of
+``cli`` or ``print``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "causaltiers"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def uses(text: str, module: str) -> list[tuple[str, str]]:
+    """``(scope, what)`` for every ``print`` call and stdout reference in
+    ``text``, and in ``cli`` every use of the name ``out``; the scope is
+    the dotted name of the enclosing functions and classes."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            found.append((scope, "print"))
+        name = (
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.arg if isinstance(node, ast.arg)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if name in ("stdout", "__stdout__"):
+            found.append((scope, "stdout"))
+        elif name == "out" and module == "cli" and not isinstance(node, ast.Attribute):
+            found.append((scope, "out"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), module)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_main_writes_stdout(path):
+    found = uses(path.read_text(), path.stem)
+    assert all(what != "print" for _, what in found), found
+    assert all(scope == "cli.main" for scope, _ in found), found
+
+
+def test_main_is_the_output_path():
+    assert set(uses((SRC / "cli.py").read_text(), "cli")) == {
+        ("cli.main", "stdout"),
+        ("cli.main", "out"),
+    }
+
+
+@pytest.mark.parametrize(
+    "text, module, expected",
+    [
+        ("def f():\n    print('x')\n", "graphs", [("graphs.f", "print")]),
+        ("import sys\ndef f():\n    sys.stdout.write('x')\n", "ida", [("ida.f", "stdout")]),
+        ("from sys import stdout\n", "tiers", [("tiers", "stdout")]),
+        ("def _cmd_x(args, out):\n    out.write('x')\n", "cli", [("cli._cmd_x", "out")] * 2),
+        ("def f(args):\n    return args.out\n", "cli", []),
+        ("def f():\n    out = set()\n    return out\n", "graphs", []),
+    ],
+    ids=["print", "sys.stdout", "import", "cli-out", "cli-option", "other-out"],
+)
+def test_checker_finds_writes(text, module, expected):
+    assert uses(text, module) == expected

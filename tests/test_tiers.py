@@ -22,7 +22,7 @@ from causaltiers import (
     tiers_equivalent,
     tiers_more_informative,
 )
-from causaltiers import tiers
+from causaltiers import class_size, enumerate_class, joint_ida, local_ida, tiers
 from causaltiers.cli import main
 from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import InvariantError
@@ -837,3 +837,45 @@ class TestDefinitionAudit:
         assert not disagreements, disagreements[:5]
         assert sum(1 for c in classes if c.undirected_edges) == 126
         assert compared > 5000, compared
+
+    def test_class_and_parent_sets_match_admitted_members(self):
+        """Every ordering on every 4-node class: the tiered MPDAG's directed
+        edges are the arcs common to R, ``class_size`` is |R|,
+        ``enumerate_class`` lists R, local IDA gives each node's parent sets
+        over R, and joint IDA on each node pair gives R's parent-set pairs
+        with multiplicities proportional to their counts in R."""
+        orderings = [
+            TieredOrdering(dict(enumerate(levels)))
+            for levels in itr.product(range(4), repeat=4)
+            if set(levels) == set(range(max(levels) + 1))
+        ]
+        classes: dict = {}
+        for arcs in all_dags(4):
+            classes.setdefault(cpdag_of(PDAG(range(4), directed=list(arcs))), []).append(arcs)
+        disagreements, checked = [], 0
+        for c, members in classes.items():
+            for t in orderings:
+                r = [m for m in members if all(t.tier_of(u) <= t.tier_of(v) for u, v in m)]
+                if not r:
+                    continue
+                g = tiered_mpdag(c, t)
+                parents = [[frozenset(u for u, v in m if v == x) for x in range(4)] for m in r]
+                checks = [
+                    ("directed edges", set(g.directed_edges) == frozenset.intersection(*r)),
+                    ("class_size", class_size(g) == len(r)),
+                    ("enumerate_class",
+                     Counter(frozenset(m.directed_edges) for m in enumerate_class(g)) == Counter(r)),
+                ]
+                for x in range(4):
+                    expected = {pa[x] for pa in parents}
+                    checks.append((f"local_ida {x}", local_ida(g, x).distinct() == expected))
+                for x, y in itr.combinations(range(4), 2):
+                    expected = Counter((pa[x], pa[y]) for pa in parents)
+                    got = joint_ida(g, [x, y])
+                    checks.append((f"joint_ida {x} {y}", got.distinct() == set(expected) and all(
+                        got.multiplicity(e) * len(r) == n * got.total() for e, n in expected.items()
+                    )))
+                disagreements += [(name, c, t) for name, holds in checks if not holds]
+                checked += 1
+        assert not disagreements, disagreements[:5]
+        assert checked == 5953, checked
