@@ -293,7 +293,8 @@ def main(argv=None, out=None) -> int:
         sys.stderr.write(f"error: no such file: {exc.filename}\n")
         return 2
     except OSError as exc:
-        sys.stderr.write(f"error: {exc.strerror}: {exc.filename}\n")
+        where = "" if exc.filename is None else f": {exc.filename}"
+        sys.stderr.write(f"error: {exc.strerror}{where}\n")
         return 2
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,8 +3,8 @@
 Graph files: a ``nodes:`` header followed by one edge per line, either
 ``A -> B`` or ``A -- B``; ``#`` starts a comment.  Tier files: lines of
 the form ``tier 1: A B``.  Both formats round-trip byte-exactly through
-the writers here; the writers refuse a label that is empty or contains
-whitespace or ``#``, which would read back as other nodes.
+the writers here; they refuse a label that is empty, contains whitespace
+or ``#`` or repeats another label's text, which would not read back.
 """
 
 from __future__ import annotations
@@ -46,12 +46,15 @@ def parse_graph(text: str) -> PDAG:
 
 def _labels(nodes) -> str:
     """The labels of ``nodes`` joined by spaces, checked to read back as
-    the same labels: none is empty or contains whitespace or ``#``."""
+    the same labels: distinct, none empty or with whitespace or ``#``."""
     labels = list(map(str, nodes))
     joined = " ".join(labels)
     if "#" in joined or joined.split() != labels:
         bad = next(v for v in labels if "#" in v or v.split() != [v])
         raise GraphError(f"label {bad!r} is empty or contains whitespace or '#'")
+    if len(set(labels)) != len(labels):
+        bad = next(v for k, v in enumerate(labels) if v in labels[:k])
+        raise GraphError(f"two labels read back as {bad!r}")
     return joined
 
 

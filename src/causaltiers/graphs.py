@@ -18,7 +18,7 @@ list them; that matrix view exists only in the tests.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -393,35 +393,41 @@ class PDAG:
                 f"graph has {self.num_nodes} nodes; exhaustive path enumeration "
                 f"is limited to {max_nodes} (raise max_nodes to override)"
             )
-        return [tuple(map(self._names.__getitem__, path)) for path in self._walk((s,), t)]
+        paths = self._walk((s,), t)[2]
+        return [tuple(map(self._names.__getitem__, path)) for path in paths if path[-1] == t]
 
-    def _walk(self, sources: Iterable[int], target: int | None) -> Iterator[tuple[int, ...]]:
-        """Depth first from each source in turn, neighbours by index (so in
-        lexicographic order), yield as indices every unshielded path (no
-        triple with adjacent ends) that ends at ``target``, never walking
-        through it, or with no target every path to a node after its source,
-        so each path comes once, from its lower end."""
+    def _walk(self, sources: Iterable[int], target: int | None) -> tuple[list, list, list]:
+        """The prefix tree of the unshielded paths (no triple with adjacent
+        ends) from each source in turn, never walking through ``target``:
+        each entry's parent entry (-1 for a source), node and path, in
+        preorder with neighbours by index, so the paths to a node come in
+        lexicographic order."""
         adjacent = self._adjacency()
         adj = [sorted(row) for row in adjacent]
         on_path = [False] * len(adj)
+        parent, node, paths = [], [], []
         for s in sources:
-            path = [s]
+            parent.append(-1)
+            node.append(s)
+            paths.append((s,))
             on_path[s] = True
-            stack = [iter(adj[s])]
+            stack = [(len(node) - 1, iter(adj[s]), frozenset())]  # entry, next nodes, shields
             while stack:
-                for w in stack[-1]:
-                    if on_path[w] or (len(path) > 1 and w in adjacent[path[-2]]):
+                e, later, shields = stack[-1]
+                for w in later:
+                    if on_path[w] or w in shields:
                         continue
-                    if w == target or (target is None and w > s):
-                        yield (*path, w)
+                    parent.append(e)
+                    node.append(w)
+                    paths.append((*paths[e], w))
                     if w != target:
-                        path.append(w)
                         on_path[w] = True
-                        stack.append(iter(adj[w]))
+                        stack.append((len(node) - 1, iter(adj[w]), adjacent[node[e]]))
                         break
                 else:
                     stack.pop()
-                    on_path[path.pop()] = False
+                    on_path[node[e]] = False
+        return parent, node, paths
 
     def check_path(self, path: Sequence[Node]) -> None:
         """Validate that ``path`` is a path of this graph.

@@ -9,14 +9,13 @@ paths and (ii) the fully shielded cross-tier edges of the undirected
 part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
 Only :func:`cross_tier_report` builds the oriented undirected part.
-One pass over two orderings builds each tiered MPDAG once, enumerates
-the unshielded paths of all chain components in one walk, one
-depth-first search per start node, and checks the paper's theorem: the
-criterion holds iff the two MPDAGs are equal.  Earliest paths that are
-proper segments of longer earliest paths are found by one-node
-extension, on node indices and a tier vector; only the reported paths
-are turned into labels.  Compatibility and refinement of two orderings
-are read from their tier groups, with no loop over node pairs.
+One pass over two orderings builds each tiered MPDAG once, walks the
+chain components once into a prefix tree of their unshielded paths and
+checks the paper's theorem: the criterion holds iff the two MPDAGs are
+equal.  Each ordering reads its earliest maximal paths off the tree
+with O(1) work per entry, on indices and its tier vector; only the
+paths left are read node by node.  Compatibility and refinement of two
+orderings are read from their tier groups, with no node-pair loop.
 """
 
 from __future__ import annotations
@@ -24,9 +23,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
+from .graphs import _component_labels
 from .orientation import InvariantError, impose_tiers, require_consistency, tiered_mpdag
 
 
@@ -83,6 +83,8 @@ class TieredOrdering:
             return self._assignment[v]
         except KeyError:
             raise GraphError(f"node {v!r} is not assigned to a tier") from None
+
+    __getitem__ = tier_of
 
     def _tiers(self, names: tuple) -> tuple[int, ...]:
         """The tiers of ``names``, kept for the last tuple: once per pass."""
@@ -212,35 +214,36 @@ def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
     ]
 
 
-def _component_paths(
-    h: PDAG, components: Sequence[Sequence[Node]], max_nodes: int
-) -> list[tuple[int, ...]]:
-    """Every unshielded path (>= 2 nodes) inside the given chain components
-    of the undirected graph ``h``, as node indices, each listed once from
-    its lower-index end, component by component in the given order.  Each
-    prefix of an unshielded path is one too, so one depth-first walk from
-    every node of the components records every path to a node ``t > s``
-    from each start ``s``; the walk visits them in lexicographic order, so
-    grouping the paths by component, start and ``t``, stably, lists them as
-    one walk per component and node pair would."""
-    for component in components:
-        if len(component) > max_nodes:
+def _path_tree(h: PDAG, max_nodes: int) -> tuple:
+    """The prefix tree of the unshielded paths in the multi-node chain
+    components of the undirected graph ``h``: each node's component (named
+    by its least index); each entry's parent, node and path from one
+    :meth:`PDAG._walk` from every node of them, and its edge id (-1 for a
+    start); the edge ids by their ends; and the entries listed from their
+    lower end, stably by (component, start, end), as per-pair walks list."""
+    component, groups = _component_labels(h._ne)
+    for group in groups.values():
+        if len(group) > max_nodes:
             raise LimitError(
-                f"component of {len(component)} nodes exceeds the path "
+                f"component of {len(group)} nodes exceeds the path "
                 f"enumeration limit of {max_nodes}"
             )
-    rank = {h.index_of(v): k for k, component in enumerate(components) for v in component}
-    walk = h._walk(sorted(rank), None)
-    return sorted(walk, key=lambda path: (rank[path[0]], path[0], path[-1]))
+    parent, node, paths = h._walk(sorted(v for group in groups.values() for v in group), None)
+    edge_of: list[dict[int, int]] = [{} for _ in h._ne]
+    for k, (u, v) in enumerate((u, v) for u, ne in enumerate(h._ne) for v in ne if u < v):
+        edge_of[u][v] = edge_of[v][u] = k
+    edge = [edge_of[node[p]][v] if p >= 0 else -1 for p, v in zip(parent, node)]
+    listed = [e for e, path in enumerate(paths) if path[-1] > path[0]]
+    listed.sort(key=lambda e: (component[paths[e][0]], paths[e][0], paths[e][-1]))
+    return component, parent, node, paths, edge, edge_of, listed
 
 
 def _earliest(
-    paths: Sequence[tuple[int, ...]], tier: Sequence[int], adjacent: Sequence[Collection[int]]
+    tree: tuple, tier: Sequence[int], adjacent: Sequence[frozenset[int]]
 ) -> list[tuple[int, ...]]:
-    """The earliest of ``paths`` that are no proper segment of another
-    earliest path, in listed order.  ``paths`` are all unshielded paths of
-    a graph, as indices; node ``i`` has tier ``tier[i]`` and the adjacent
-    nodes ``adjacent[i]``.
+    """The earliest paths of :func:`_path_tree`'s ``tree`` that are no proper
+    segment of another earliest path, as indices in listed order; node
+    ``i`` has tier ``tier[i]`` and the adjacent nodes ``adjacent[i]``.
 
     An earliest path shares no edge with an unshielded path visiting a tier
     below its own minimum (orientation travels only along unshielded paths):
@@ -253,37 +256,48 @@ def _earliest(
       which makes it earliest; the converse is immediate.
 
     An extension's floors are at most its minimum, so it is earliest iff
-    its new edge's floor is at least min(P).
+    its new edge's floor is at least min(P).  Read per entry in O(1): top
+    down its path's minimum, whose least over the entries ending in an edge
+    is the edge's floor (a path through the edge has a prefix from one of
+    its ends that ends in the edge and holds its minimum); top down its
+    path's least floor, the minimum iff it is earliest; and its children,
+    its extensions at the last end.  Only the paths left are extended at
+    their first end.
     """
-    edge_id = [{v: min(u, v) * len(tier) + max(u, v) for v in ne} for u, ne in enumerate(adjacent)]
-    lowest = [min(map(tier.__getitem__, path)) for path in paths]
-    floor: dict[int, int] = {}
-    for m, path in sorted(zip(lowest, paths), key=lambda entry: entry[0]):
-        for u, v in zip(path, path[1:]):
-            floor.setdefault(edge_id[u][v], m)  # the lowest path comes first
-    return [
-        path
-        for path, m in zip(paths, lowest)
-        if all(floor[edge_id[u][v]] == m for u, v in zip(path, path[1:]))
-        and not any(
-            floor[edge_id[end][x]] >= m
-            for end, inner in ((path[0], path[1]), (path[-1], path[-2]))
-            for x in adjacent[end]
-            if x not in adjacent[inner] and x not in path
-        )
-    ]
+    _, parent, node, paths, edge, edge_of, listed = tree
+    inf, size = math.inf, len(node)
+    low, floor = [inf] * (size + 1), [inf] * (size + 1)  # slots -1: a start's parent and edge
+    for e, (p, v, k) in enumerate(zip(parent, node, edge)):
+        t, m = tier[v], low[p]
+        m = low[e] = t if t < m else m
+        if m < floor[k]:
+            floor[k] = m
+    floor[-1] = inf
+    least, extended = [inf] * (size + 1), [False] * (size + 1)
+    for e, (p, k) in enumerate(zip(parent, edge)):
+        f, m = floor[k], least[p]
+        least[e] = f if f < m else m
+        if f >= low[p]:
+            extended[p] = True
+    earliest = []
+    for e in listed:
+        m, path = low[e], paths[e]
+        if least[e] == m and not extended[e]:
+            s, inner = path[0], adjacent[path[1]]
+            if all(floor[edge_of[s][x]] < m for x in adjacent[s] - inner if x not in path):
+                earliest.append(path)
+    return earliest
 
 
-def first_cross_tier_edges(
-    path: Sequence[Node], ordering: TieredOrdering
-) -> frozenset[Edge]:
+def first_cross_tier_edges(path: Sequence[Node], tier) -> frozenset[Edge]:
     """First cross-tier edges of a path: walking outward from each run of
     minimum-tier nodes, the nearest edge whose endpoints lie in different
     tiers, oriented from the earlier tier.  That is the edge leaving the
     run, so these are the path's edges with one endpoint in the minimum
     tier and one above it.  At most two on paths whose tier profile has
-    a single valley."""
-    tiers = [ordering.tier_of(v) for v in path]
+    a single valley.  Node ``v`` has tier ``tier[v]``: ``tier`` is a
+    :class:`TieredOrdering`, or a tier vector for a path of indices."""
+    tiers = [tier[v] for v in path]
     m = min(tiers)
     return frozenset(
         (x, y) if tx == m else (y, x)
@@ -310,22 +324,20 @@ class CrossTierEdgeReport:
 
 def _reports(
     h: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
-) -> tuple[dict[Node, int], list[tuple[list[tuple[Node, ...]], list[Edge | None]]]]:
-    """Each node's chain component rank in the undirected graph ``h`` and,
-    for each ordering, read from its tier vector and one walk over the
-    unshielded paths of the chain components: the earliest paths, and each
-    fully shielded edge of ``h`` oriented from its earlier tier (``None``
-    when both ends share a tier)."""
-    components = h.chain_components()
-    rank = {v: i for i, component in enumerate(components) for v in component}
-    paths = _component_paths(h, [comp for comp in components if len(comp) > 1], max_nodes)
+) -> tuple[list[int], list[tuple[list[tuple[int, ...]], list[Edge | None]]]]:
+    """Each node's chain component in the undirected graph ``h``, named by
+    its least index, and, for each ordering, read from its tier vector and
+    one path tree of the chain components: the earliest paths as indices,
+    and each fully shielded edge of ``h`` oriented from its earlier tier
+    (``None`` when both ends share a tier)."""
+    tree = _path_tree(h, max_nodes)
     shielded, names = fully_shielded_edges(h), h.nodes
     records = []
     for ordering in orderings:
-        t, earliest = ordering._assignment, _earliest(paths, ordering._tiers(names), h._ne)
+        t = ordering._assignment
         oriented = [(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
-        records.append(([tuple(names[i] for i in path) for path in earliest], oriented))
-    return rank, records
+        records.append((_earliest(tree, ordering._tiers(names), h._ne), oriented))
+    return tree[0], records
 
 
 def cross_tier_report(
@@ -337,6 +349,7 @@ def cross_tier_report(
     require_consistency(c, ordering)
     h = c.undirected_subgraph()
     ((earliest, shielded),) = _reports(h, (ordering,), max_nodes)[1]
+    earliest = [tuple(map(h.nodes.__getitem__, path)) for path in earliest]
     return CrossTierEdgeReport(
         graph=impose_tiers(h, ordering),
         earliest_paths=tuple(earliest),
@@ -439,19 +452,24 @@ def _compare(
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
     pass: each tiered MPDAG is built once (which checks each ordering's
-    consistency), the unshielded paths are enumerated once, and each
-    ordering's first and shielded cross-tier edges are read from its tier
-    vector, with no oriented copy of the undirected part.  Raises
+    consistency), the chain components are walked once into a path tree,
+    and each ordering's first and shielded cross-tier edges are read from
+    its tier vector, with no oriented copy of the undirected part.  Raises
     :class:`InvariantError`, naming a witness, if the criterion and
     equality of the two MPDAGs disagree, against the paper's theorem."""
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
-    rank, ((e1, s1), (e2, s2)) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
+    component, ((e1, s1), (e2, s2)) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
+    names = c.nodes
+    v1, v2 = t1._tiers(names), t2._tiers(names)  # (u, v) is cross-tier under t iff t[u] < t[v]
     shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
-    paths = sorted({*e1, *e2}, key=lambda p: (rank[p[0]], str(p)))  # in component order
-    first = {p: (first_cross_tier_edges(p, t1), first_cross_tier_edges(p, t2)) for p in paths}
-    first_diff = [min(f1 ^ f2, key=str) for f1, f2 in first.values() if f1 != f2]
+    first = {p: (first_cross_tier_edges(p, v1), first_cross_tier_edges(p, v2))
+             for p in {*e1, *e2}}
+    first_diff = [p for p, (f1, f2) in first.items() if f1 != f2]
     equivalent = not (shielded_diff or first_diff)
-    witness = None if equivalent else (shielded_diff + first_diff)[0]
+    witness = shielded_diff[0] if shielded_diff else None
+    if first_diff and witness is None:  # from the first path in component order
+        path = min(first_diff, key=lambda p: (component[p[0]], str(tuple(names[i] for i in p))))
+        witness = min(((names[u], names[v]) for u, v in first[path][0] ^ first[path][1]), key=str)
     same = g1 == g2
     if equivalent != same:
         u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)
@@ -468,14 +486,13 @@ def _compare(
         verdict = Informativeness.LESS_INFORMATIVE
     else:
         verdict = Informativeness.INCOMPARABLE
-    a1, a2 = t1._assignment, t2._assignment  # (u, v) is cross-tier under t iff t[u] < t[v]
     return (
         TierEquivalence(equivalent, witness, not first_diff, not shielded_diff),
         InformativenessResult(
             verdict,
-            condition_i=all(a1[u] < a1[v] for p in e2 for u, v in first[p][1]),
-            condition_ii=all(a1[u] < a1[v] for u, v in filter(None, s2)),
-            condition_iii=any(a2[u] >= a2[v] for p in e1 for u, v in first[p][0]),
+            condition_i=all(v1[u] < v1[v] for p in e2 for u, v in first[p][1]),
+            condition_ii=all(t1[u] < t1[v] for u, v in filter(None, s2)),
+            condition_iii=any(v2[u] >= v2[v] for p in e1 for u, v in first[p][0]),
             condition_iv=s1.count(None) < s2.count(None),
         ),
     )

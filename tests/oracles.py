@@ -9,9 +9,11 @@ are combined.  So are ``apply_meek_rule``, one sweep of one rule on the
 library's sets, which the tests check against the matrix sweep here,
 ``round_closure`` and ``require_invariants_scan``, the closure and the
 invariant checks that the frontier closure and the certificate replaced,
-and ``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
+``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
 construction and the local parent-set scan that closing the parent sets
-directly and clique extension replaced.
+directly and clique extension replaced, and ``component_paths`` with
+``earliest_by_extension``, the path list and the per-path earliest filter
+that the prefix tree of the unshielded paths replaced.
 """
 
 from __future__ import annotations
@@ -849,6 +851,74 @@ def tiers_more_informative_loop(c, t1, t2, max_nodes: int = 25):
         any(e not in cross2 for e in r1.all_first_edges),
         len(r1.fully_shielded_cross_tier) > len(r2.fully_shielded_cross_tier),
     )
+
+
+# === the path list and per-path filter that the prefix tree replaced
+
+
+def walk_paths(h, sources):
+    """Depth first from each source in turn, neighbours by index, every
+    unshielded path of ``h`` to a node after its source, as indices."""
+    adjacent = h._adjacency()
+    adj = [sorted(row) for row in adjacent]
+    on_path = [False] * len(adj)
+    for s in sources:
+        path = [s]
+        on_path[s] = True
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if on_path[w] or (len(path) > 1 and w in adjacent[path[-2]]):
+                    continue
+                if w > s:
+                    yield (*path, w)
+                path.append(w)
+                on_path[w] = True
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+
+
+def component_paths(h, components, max_nodes: int) -> list:
+    """Every unshielded path (>= 2 nodes) inside the given chain components
+    of ``h``, as indices, each once from its lower-index end: one walk from
+    every node, sorted stably by (component, start, end)."""
+    for component in components:
+        if len(component) > max_nodes:
+            raise LimitError(
+                f"component of {len(component)} nodes exceeds the path "
+                f"enumeration limit of {max_nodes}"
+            )
+    rank = {h.index_of(v): k for k, component in enumerate(components) for v in component}
+    walk = walk_paths(h, sorted(rank))
+    return sorted(walk, key=lambda path: (rank[path[0]], path[0], path[-1]))
+
+
+def earliest_by_extension(paths, tier, adjacent) -> list:
+    """The earliest of ``paths`` (all unshielded paths of a graph, as
+    indices) that no earliest one-node extension contains: each edge's
+    floor is the least minimum tier of a path through it, a path is
+    earliest iff every floor on it is its minimum, and an extension is
+    earliest iff its new edge's floor is at least that minimum."""
+    edge_id = [{v: min(u, v) * len(tier) + max(u, v) for v in ne} for u, ne in enumerate(adjacent)]
+    lowest = [min(map(tier.__getitem__, path)) for path in paths]
+    floor: dict[int, int] = {}
+    for m, path in sorted(zip(lowest, paths), key=lambda entry: entry[0]):
+        for u, v in zip(path, path[1:]):
+            floor.setdefault(edge_id[u][v], m)  # the lowest path comes first
+    return [
+        path
+        for path, m in zip(paths, lowest)
+        if all(floor[edge_id[u][v]] == m for u, v in zip(path, path[1:]))
+        and not any(
+            floor[edge_id[end][x]] >= m
+            for end, inner in ((path[0], path[1]), (path[-1], path[-2]))
+            for x in adjacent[end]
+            if x not in adjacent[inner] and x not in path
+        )
+    ]
 
 
 def joint_ida_per_combination(g, xs) -> dict:

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -600,6 +601,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+
+    def test_full_stdout_is_one_line(self, capsys):
+        """A failed write to a stream has no file name to report."""
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        code = main(["validate", fixture("wave_dag.txt")], out=Full())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
 
     def test_unparsable_graph_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

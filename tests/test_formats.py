@@ -179,6 +179,17 @@ class TestLabels:
         with pytest.raises(GraphError, match="label 'b c'"):
             format_graph(PDAG(["a", "b c", "d#"]))
 
+    @pytest.mark.parametrize("labels", [[1, "1"], ["a", 2.0, "2.0"]], ids=["int-str", "float-str"])
+    def test_labels_with_the_same_text(self, labels):
+        """Distinct labels that print alike would read back as one node."""
+        message = f"two labels read back as {str(labels[-1])!r}"
+        with pytest.raises(GraphError) as graph:
+            format_graph(PDAG(labels))
+        assert str(graph.value) == message
+        with pytest.raises(GraphError) as tiers:
+            format_tiers(TieredOrdering({v: k for k, v in enumerate(labels)}))
+        assert str(tiers.value) == message
+
     def test_round_trip_random_labels(self):
         """Labels of any non-whitespace characters but ``#``, among them
         the format's own tokens, read back as the same graph and ordering."""

@@ -28,8 +28,8 @@ from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
     _compare,
-    _component_paths,
     _earliest,
+    _path_tree,
     check_compatible,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -40,11 +40,14 @@ from causaltiers import cpdag_of
 from oracles import (
     all_dags,
     compare_refinement_pairwise,
+    component_paths,
     component_paths_pairwise,
+    consistent_extensions,
     contained_in_by_skeletons,
     cross_tier_edges,
     cross_tier_pairs,
     cross_tier_report_loop,
+    earliest_by_extension,
     earliest_by_floor,
     first_cross_tier_edges_walk,
     forbidden_set,
@@ -53,6 +56,7 @@ from oracles import (
     orient_undirected_part,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
+    vstructs_of_arcset,
 )
 
 
@@ -542,11 +546,7 @@ class TestSharedEnumeration:
                 earliest = earliest_by_floor(paths, tier)
                 expected = maximal_paths_pairwise(earliest)
                 assert maximal_paths_by_segments(earliest) == expected
-                got = _earliest(
-                    [tuple(map(h.index_of, path)) for path in paths],
-                    [tier[v] for v in h.nodes],
-                    h._ne,
-                )
+                got = _earliest(_path_tree(h, 25), [tier[v] for v in h.nodes], h._ne)
                 assert [tuple(h.nodes[i] for i in path) for path in got] == expected
                 checked += len(expected) > 1
         assert checked > 100, checked
@@ -594,10 +594,10 @@ class TestSharedEnumeration:
         walk = PDAG._walk
 
         def counted(self, sources, *args):
-            sources = list(sources)
-            starts.extend(self.nodes[s] for s in sources)
-            walks.append(sources)
-            return walk(self, sources, *args)
+            parent, node, _ = tree = walk(self, sources, *args)
+            starts.extend(self.nodes[v] for p, v in zip(parent, node) if p < 0)
+            walks.append(tree)
+            return tree
 
         def per_pair(*args, **kwargs):
             raise AssertionError("per-pair path search on the comparison path")
@@ -613,7 +613,7 @@ class TestSharedEnumeration:
             assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
         else:
             getattr(tiers, compare)(c, t1, t2)
-        # one walk from each node of each three-node component
+        # one tree rooted at each node of each three-node component
         assert sorted(starts) == sorted(c.nodes)
         # and one walk for both components, not one per component
         assert len(walks) == 1
@@ -646,9 +646,14 @@ def band_graph(rng, sizes, width):
     return PDAG([order[k] for k in rng.permutation(len(order))], undirected=edges)
 
 
+def listed_paths(h, max_nodes):
+    _, _, _, paths, _, _, listed = _path_tree(h, max_nodes)
+    return [paths[e] for e in listed]
+
+
 class TestPathEnumeration:
-    """One walk per start node lists each component's unshielded paths
-    exactly as one walk per node pair does."""
+    """The prefix tree, read from each path's lower end, lists each
+    component's unshielded paths exactly as one walk per node pair does."""
 
     def test_matches_per_pair_walks(self):
         rng = np.random.default_rng(107)
@@ -667,23 +672,21 @@ class TestPathEnumeration:
             interleaved += any(b[0] < a[1] for a, b in zip(spans, spans[1:]))
             expected = []
             for component in components:
-                got = _component_paths(h, [component], 25)
-                assert [tuple(h.nodes[i] for i in path) for path in got] == (
-                    component_paths_pairwise(h, component, 25)
-                )
-                expected += got
-            # one walk over all components lists them component by component
-            assert _component_paths(h, components, 25) == expected
+                expected += component_paths_pairwise(h, component, 25)
+            # one tree over all components lists them component by component
+            got = listed_paths(h, 25)
+            assert [tuple(h.nodes[i] for i in path) for path in got] == expected
         assert interleaved > 10, interleaved
 
     def test_guard_text_at_the_boundary(self):
         names = [f"V{k}" for k in range(26)]
         h = PDAG(names, undirected=list(zip(names, names[1:])))
         (component,) = h.chain_components()
-        assert len(_component_paths(h, [component], 26)) == 26 * 25 // 2
+        assert len(listed_paths(h, 26)) == 26 * 25 // 2
         message = "component of 26 nodes exceeds the path enumeration limit of 25"
         for enumerate_paths in (
-            lambda: _component_paths(h, [component], 25),
+            lambda: _path_tree(h, 25),
+            lambda: component_paths(h, [component], 25),
             lambda: component_paths_pairwise(h, component, 25),
         ):
             with pytest.raises(LimitError) as info:
@@ -693,6 +696,39 @@ class TestPathEnumeration:
         with pytest.raises(LimitError, match=f"^{message}$"):
             tiers_equivalent(h, tau, tau)
         assert tiers_equivalent(h, tau, tau, max_nodes=26)
+
+
+class TestEarliestFromTree:
+    """Each ordering's earliest maximal paths, read off the prefix tree
+    entry by entry, against the per-path filter over the path list."""
+
+    def test_matches_per_path_filter(self):
+        rng = np.random.default_rng(151)
+        graphs, chordless = [], 0
+        for k in range(300):
+            p = int(rng.integers(3, 11))
+            if k % 3 == 0:
+                graphs.append(random_cpdag_and_tau(rng, p, 2.5)[0].undirected_subgraph())
+                continue
+            names = [f"V{i}" for i in range(p)]
+            pairs = [pair for pair in itr.combinations(names, 2) if rng.random() < 0.4]
+            h = PDAG([names[i] for i in rng.permutation(p)], undirected=pairs)
+            chordless += not h.is_chordal()
+            graphs.append(h)
+        graphs += [band_graph(rng, [n, n // 2], 3) for n in range(8, 14)]
+        checked = 0
+        for h in graphs:
+            components = [comp for comp in h.chain_components() if len(comp) > 1]
+            paths, tree = component_paths(h, components, 25), _path_tree(h, 25)
+            for _ in range(4):
+                # tiers from a few negative, non-contiguous values, so ties are common
+                size = int(rng.integers(1, 5))
+                levels = rng.choice(np.arange(-9, 10, 3), size=size, replace=False)
+                tier = [int(rng.choice(levels)) for _ in h.nodes]
+                expected = earliest_by_extension(paths, tier, h._ne)
+                assert _earliest(tree, tier, h._ne) == expected
+                checked += len(expected) > 1
+        assert chordless > 50 and checked > 500, (chordless, checked)
 
 
 def random_topological_tiers(rng, dag):
@@ -732,11 +768,11 @@ class TestTheoremCheck:
 
     def test_spurious_disagreement_raises(self, monkeypatch, wave_cpdag, wave_tau):
         same = TieredOrdering({v: 2 * t for v, t in wave_tau.assignment.items()})
-        first = tiers.first_cross_tier_edges
+        first, tier = tiers.first_cross_tier_edges, same._tiers(wave_cpdag.nodes)
         monkeypatch.setattr(
             tiers,
             "first_cross_tier_edges",
-            lambda path, ordering: first(path, ordering) if ordering is same else frozenset(),
+            lambda path, ordering: first(path, ordering) if ordering is tier else frozenset(),
         )
         with pytest.raises(InvariantError) as info:
             tiers_equivalent(wave_cpdag, wave_tau, same)
@@ -837,6 +873,62 @@ class TestDefinitionAudit:
         assert not disagreements, disagreements[:5]
         assert sum(1 for c in classes if c.undirected_edges) == 126
         assert compared > 5000, compared
+
+    def test_comparison_matches_admitted_members_on_five_nodes(self):
+        """A seeded sample of 5-node classes with an unshielded path of four
+        or more nodes in their undirected part, each class listed from its
+        skeleton and v-structures alone; for each, a seeded sample of the
+        compatible pairs of consistent orderings among all 541."""
+        orderings = [
+            TieredOrdering(dict(enumerate(levels)))
+            for levels in itr.product(range(5), repeat=5)
+            if set(levels) == set(range(max(levels) + 1))
+        ]
+        assert len(orderings) == 541
+        rng = np.random.default_rng(137)
+        classes, disagreements, outcomes = set(), [], Counter()
+        while len(classes) < 20:
+            order = rng.permutation(5)
+            arcs = frozenset(
+                (int(order[i]), int(order[j]))
+                for i, j in itr.combinations(range(5), 2)
+                if rng.random() < 0.6
+            )
+            c = cpdag_of(PDAG(range(5), directed=list(arcs)))
+            longest = max(map(len, listed_paths(c.undirected_subgraph(), 25)), default=0)
+            if c in classes or longest < 4:
+                continue
+            classes.add(c)
+            skeleton = [tuple(sorted(arc)) for arc in arcs]
+            members = consistent_extensions(skeleton, (), vstructs_of_arcset(arcs), 5)
+            admitted = []
+            for t in orderings:
+                tier = t._assignment
+                r = frozenset(m for m in members if all(tier[u] <= tier[v] for u, v in m))
+                if r:
+                    admitted.append((t, r))
+            pairs = 0
+            for _ in range(600):
+                (t1, r1), (t2, r2) = (admitted[k] for k in rng.integers(len(admitted), size=2))
+                if not is_compatible(t1, t2):
+                    continue
+                equiv, info = _compare(c, t1, t2, 25)
+                verdict = (
+                    Informativeness.EQUIVALENT if r1 == r2
+                    else Informativeness.MORE_INFORMATIVE if r1 < r2
+                    else Informativeness.LESS_INFORMATIVE if r2 < r1
+                    else Informativeness.INCOMPARABLE
+                )
+                if equiv.equivalent != (r1 == r2):
+                    disagreements.append(("equivalence", c, t1, t2))
+                if info.verdict != verdict:
+                    disagreements.append(("informativeness", c, t1, t2))
+                outcomes[verdict] += 1
+                pairs += 1
+                if pairs == 120:
+                    break
+        assert not disagreements, disagreements[:5]
+        assert min(outcomes.values()) > 50 and sum(outcomes.values()) > 1500, outcomes
 
     def test_class_and_parent_sets_match_admitted_members(self):
         """Every ordering on every 4-node class: the tiered MPDAG's directed
