@@ -94,10 +94,21 @@ CSV_COLUMNS = tuple(f.name for f in fields(SimRecord))
 # === random graph generation
 
 
+#: uniforms per ER draw: a cell of up to 724 nodes makes one draw
+_ER_BLOCK = 1 << 18
+
+
 def _er_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
-    i, j = np.triu_indices(p, 1)  # the pairs in itertools.combinations order
-    keep = rng.random(i.size) < degree / (p - 1)
-    return list(zip(i[keep].tolist(), j[keep].tolist()))
+    """Each pair, in itertools.combinations order, kept with probability
+    d/(p-1): one uniform per pair, drawn in blocks of ``_ER_BLOCK``."""
+    row = np.arange(p)
+    start = row * (2 * p - row - 1) // 2  # flat index of each row's pair (i, i + 1)
+    n, q, kept = p * (p - 1) // 2, degree / (p - 1), []
+    for lo in range(0, n, _ER_BLOCK):
+        kept.append(lo + np.flatnonzero(rng.random(min(_ER_BLOCK, n - lo)) < q))
+    pos = np.concatenate(kept)
+    i = start.searchsorted(pos, side="right") - 1
+    return list(zip(i.tolist(), (pos - start[i] + i + 1).tolist()))
 
 
 def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
@@ -105,7 +116,11 @@ def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
 
     Node i joins min(i, m + Bernoulli(f)) earlier nodes, picked with
     probability proportional to degree + 1.  (m, f) are calibrated so
-    the expected mean degree is exactly ``degree``.
+    the expected mean degree is exactly ``degree``.  A pick is
+    ``rng.choice(i, p=w / w.sum())`` spelled out on all i earlier nodes,
+    those already picked weighted 0: a 0 leaves every cumulative sum as
+    it was and is never the first above the draw, so the cdf floats, the
+    one uniform drawn and the edges are ``choice``'s, at O(i) per pick.
     """
     target = p * degree / 2.0
 
@@ -118,22 +133,22 @@ def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
     lo, hi = expected_total(m), expected_total(m + 1)
     frac = 0.0 if hi <= lo else min(1.0, (target - lo) / (hi - lo))
 
-    deg = np.zeros(p, dtype=float)
+    weight = np.ones(p)  # degree + 1
     edges: list[tuple[int, int]] = []
     for i in range(1, p):
-        k = m + (1 if rng.random() < frac else 0)
-        k = min(i, k)
-        if k == 0:
-            continue
-        available = list(range(i))
+        k = min(i, m + (1 if rng.random() < frac else 0))
+        w, picks = weight[:i].copy(), []
+        total = w.sum()  # of integers, so exact, and kept exact by subtraction
         for _ in range(k):
-            weights = deg[available] + 1.0
-            probs = weights / weights.sum()
-            pick = int(rng.choice(len(available), p=probs))
-            j = available.pop(pick)
-            edges.append((j, i))
-            deg[j] += 1
-            deg[i] += 1
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
+            picks.append(j)
+            total -= w[j]
+            w[j] = 0.0
+        weight[picks] += 1.0
+        weight[i] += k
+        edges.extend((j, i) for j in picks)
     return edges
 
 
@@ -182,7 +197,7 @@ def random_dag(p: int, expected_neighbours: float, generator: str, rng) -> PDAG:
     if p < 2:
         raise GraphError("need at least 2 nodes")
     if not 0 <= expected_neighbours < p:
-        raise GraphError("expected neighbour count must be in [0, p)")
+        raise GraphError(f"expected neighbour count {expected_neighbours} must be in [0, {p})")
     if generator not in _SKELETONS:
         raise GraphError(f"generator must be one of {GENERATORS}")
     skeleton = _SKELETONS[generator](p, expected_neighbours, rng)
@@ -297,28 +312,25 @@ class SummaryRow:
 
 
 def summarize(records: Sequence[SimRecord]) -> list[SummaryRow]:
-    """Per-cell five-number summaries of the orientation gain."""
+    """Per-cell five-number summaries of the orientation gain.  One
+    ``np.quantile`` call per group size, whose rows are bit for bit the
+    calls per group."""
     groups: dict[tuple, list[float]] = {}
     for r in records:
         groups.setdefault((r.nodes, r.density, r.generator, r.scheme), []).append(
             r.gain_frac
         )
-    rows = []
-    for key in sorted(groups, key=str):
-        values = np.array(groups[key])
-        q1, med, q3 = np.quantile(values, [0.25, 0.5, 0.75])
-        rows.append(
-            SummaryRow(
-                *key,
-                count=len(values),
-                minimum=float(values.min()),
-                q1=float(q1),
-                median=float(med),
-                q3=float(q3),
-                maximum=float(values.max()),
-            )
-        )
-    return rows
+    by_count: dict[int, list[tuple]] = {}
+    for key, values in groups.items():
+        by_count.setdefault(len(values), []).append(key)
+    quartiles = {}
+    for keys in by_count.values():
+        q = np.quantile([groups[k] for k in keys], [0.25, 0.5, 0.75], axis=1)
+        quartiles.update(zip(keys, q.T.tolist()))
+    return [
+        SummaryRow(*key, len(v), float(min(v)), *quartiles[key], float(max(v)))
+        for key, v in sorted(groups.items(), key=lambda kv: str(kv[0]))
+    ]
 
 
 def emit_results(

@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import InvariantError, impose_tiers, require_consistency, tiered_mpdag
+from .orientation import InvariantError, _cross_tier_state, _graph, require_consistency
+from .orientation import tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -351,7 +352,7 @@ def cross_tier_report(
     ((earliest, shielded),) = _reports(h, (ordering,), max_nodes)[1]
     earliest = [tuple(map(h.nodes.__getitem__, path)) for path in earliest]
     return CrossTierEdgeReport(
-        graph=impose_tiers(h, ordering),
+        graph=_graph(h, _cross_tier_state(h, ordering._tiers(h.nodes))),
         earliest_paths=tuple(earliest),
         first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
         fully_shielded_cross_tier=tuple(filter(None, shielded)),

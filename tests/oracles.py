@@ -11,9 +11,12 @@ library's sets, which the tests check against the matrix sweep here,
 invariant checks that the frontier closure and the certificate replaced,
 ``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
 construction and the local parent-set scan that closing the parent sets
-directly and clique extension replaced, and ``component_paths`` with
+directly and clique extension replaced, ``component_paths`` with
 ``earliest_by_extension``, the path list and the per-path earliest filter
-that the prefix tree of the unshielded paths replaced.
+that the prefix tree of the unshielded paths replaced, and the moved
+generators: ``er_skeleton_one_draw``, the ER generator that drew every
+pair's uniform at once, and ``power_skeleton_by_choice``, the
+preferential attachment that called ``rng.choice`` for each pick.
 """
 
 from __future__ import annotations
@@ -566,6 +569,48 @@ def er_skeleton_combinations(p: int, degree: float, rng) -> list[tuple[int, int]
     q = degree / (p - 1)
     mask = rng.random(len(pairs)) < q
     return [pair for pair, keep in zip(pairs, mask) if keep]
+
+
+def er_skeleton_one_draw(p: int, degree: float, rng) -> list[tuple[int, int]]:
+    """The ER generator that blocked draws replaced: all p(p-1)/2 uniforms
+    and both index arrays at once."""
+    i, j = np.triu_indices(p, 1)  # the pairs in itertools.combinations order
+    keep = rng.random(i.size) < degree / (p - 1)
+    return list(zip(i[keep].tolist(), j[keep].tolist()))
+
+
+def power_skeleton_by_choice(p: int, degree: float, rng) -> list[tuple[int, int]]:
+    """The preferential-attachment generator whose picks the spelled-out
+    cdf search replaced: one ``rng.choice`` per pick over the nodes still
+    available, the picked one deleted from the list."""
+    target = p * degree / 2.0
+
+    def expected_total(m: int) -> float:
+        return float(sum(min(i, m) for i in range(1, p)))
+
+    m = 0
+    while m < p and expected_total(m + 1) <= target:
+        m += 1
+    lo, hi = expected_total(m), expected_total(m + 1)
+    frac = 0.0 if hi <= lo else min(1.0, (target - lo) / (hi - lo))
+
+    deg = np.zeros(p, dtype=float)
+    edges: list[tuple[int, int]] = []
+    for i in range(1, p):
+        k = m + (1 if rng.random() < frac else 0)
+        k = min(i, k)
+        if k == 0:
+            continue
+        available = list(range(i))
+        for _ in range(k):
+            weights = deg[available] + 1.0
+            probs = weights / weights.sum()
+            pick = int(rng.choice(len(available), p=probs))
+            j = available.pop(pick)
+            edges.append((j, i))
+            deg[j] += 1
+            deg[i] += 1
+    return edges
 
 
 def geometric_skeleton_per_pair(p: int, degree: float, rng) -> list[tuple[int, int]]:

@@ -419,6 +419,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_simulate_degree_out_of_range_names_both_values(self, capsys, tmp_path):
+        code, _ = run_cli(
+            "simulate",
+            "--nodes", "5",
+            "--density", "dense",
+            "--generator", "er",
+            "--reps", "1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: expected neighbour count 5.0 must be in [0, 5)\n"
+        )
+
     def test_invariant_failure_is_domain_error(self, capsys, monkeypatch, tmp_path):
         # a rule-1 closure that orients nothing leaves rule-1 edges undirected
         monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])

@@ -1,5 +1,6 @@
 import io
 from collections import defaultdict
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from causaltiers.simulation import (
     SimCell,
     SimRecord,
     TierScheme,
+    _SKELETONS,
     _er_skeleton,
     _geometric_skeleton,
+    _power_skeleton,
     base_tier_sizes,
     emit_results,
     random_dag,
@@ -27,7 +30,13 @@ from causaltiers.simulation import (
 )
 
 from conftest import SimConfig, read_csv, records_to_csv_bytes
-from oracles import er_skeleton_combinations, geometric_skeleton_per_pair, quantile_sorted
+from oracles import (
+    er_skeleton_combinations,
+    er_skeleton_one_draw,
+    geometric_skeleton_per_pair,
+    power_skeleton_by_choice,
+    quantile_sorted,
+)
 
 
 class TestRandomDag:
@@ -71,6 +80,32 @@ class TestRandomDag:
                 rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert fast(p, degree, rng) == oracle(p, degree, ref), (p, seed)
                 assert rng.random() == ref.random()
+
+    def test_power_matches_choice_per_pick(self):
+        """Same edges and the same next draw as one ``rng.choice`` per pick,
+        on 2,000 (p, degree, seed) cases: most small, where ``min(i, m + 1)``
+        caps the picks, and a log-uniform tail up to p = 400."""
+        draw = np.random.default_rng(2024)
+        for case in range(2000):
+            small = case < 1960
+            p = int(draw.integers(2, 13) if small else np.exp(draw.uniform(2.8, 6.0)))
+            degree = float(draw.uniform(0.0, min(p - 1, 9.5)))
+            rng, ref = np.random.default_rng(case), np.random.default_rng(case)
+            edges = _power_skeleton(p, degree, rng)
+            assert edges == power_skeleton_by_choice(p, degree, ref), (p, degree, case)
+            assert rng.random() == ref.random()
+
+    def test_er_blocks_match_one_draw(self):
+        """Same edges and the same next draw as all pairs' uniforms in one
+        draw, across block boundaries (p = 3200 takes 20 blocks)."""
+        for p in (2, 3, 100, 500, 3200):
+            for degree in (0.7, *DENSITY_NEIGHBOURS.values(), min(p - 1, 9.5)):
+                if degree >= p:
+                    continue
+                for seed in range(3 if p < 3200 else 1):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert _er_skeleton(p, degree, rng) == er_skeleton_one_draw(p, degree, ref)
+                    assert rng.random() == ref.random()
 
     def test_invalid_parameters(self):
         rng = np.random.default_rng(3)
@@ -150,6 +185,23 @@ class TestRunCell:
         full_again = [r for r in both if r.scheme == "full"]
         assert full_only == full_again
 
+    @pytest.mark.parametrize("generator", ["er", "power", "geometric"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_tiny_cells(self, generator, p, monkeypatch):
+        """Every degree the ``random_dag`` guard allows, fractional ones
+        and p - 1 included: for power, ``min(i, m + 1)`` caps the picks."""
+        for degree in (0.0, 0.5, p / 2, p - 1, p - 0.25):
+            monkeypatch.setitem(DENSITY_NEIGHBOURS, "sparse", degree)
+            records = run_cell(SimCell(p, "sparse", generator), tuple(TIER_SCHEMES), 8, seed=p)
+            assert len(records) == 8 * 5
+            assert all(r.n_edges <= p * (p - 1) // 2 for r in records)
+            if degree == 0.0:
+                assert all(r.n_edges == 0 and r.gain_frac == 0.0 for r in records)
+            rng = np.random.default_rng(p)
+            edges = _SKELETONS[generator](p, degree, rng)
+            assert len(set(edges)) == len(edges)
+            assert all(0 <= min(e) < max(e) < p for e in edges)
+
     def test_record_validation(self):
         with pytest.raises(GraphError):
             SimRecord(10, "sparse", "er", "full", 0, 5, 3, 2, 0.0)
@@ -192,6 +244,27 @@ class TestOutput:
             assert row.q1 == pytest.approx(quantile_sorted(values, 0.25), abs=1e-12)
             assert row.median == pytest.approx(quantile_sorted(values, 0.5), abs=1e-12)
             assert row.q3 == pytest.approx(quantile_sorted(values, 0.75), abs=1e-12)
+
+    def test_summary_matches_quantile_per_group(self):
+        """Groups of unequal counts, one-record groups and ties included:
+        the batched quantiles equal one ``np.quantile`` call per group."""
+        draw = np.random.default_rng(41)
+        records = []
+        for g in range(300):
+            cell = (int(draw.integers(2, 200)), ("sparse", "dense")[g % 2], "er", f"s{g}")
+            for rep in range(1 + g % 29):
+                gain = float(draw.integers(0, 12) / 11 if g % 3 else draw.random())
+                records.append(SimRecord(*cell, rep, 11, 0, 0, gain))
+        draw.shuffle(records)
+        groups = defaultdict(list)
+        for r in records:
+            groups[(r.nodes, r.density, r.generator, r.scheme)].append(r.gain_frac)
+        expected = []
+        for key in sorted(groups, key=str):
+            values = np.array(groups[key])
+            quartiles = np.quantile(values, [0.25, 0.5, 0.75]).tolist()
+            expected.append((*key, values.size, values.min(), *quartiles, values.max()))
+        assert list(map(astuple, summarize(records))) == expected
 
     def test_emit_results(self, tmp_path):
         records = run_cell(SimCell(8, "sparse", "er"), ("full",), 5, seed=37)

@@ -22,7 +22,7 @@ from causaltiers import (
     tiers_equivalent,
     tiers_more_informative,
 )
-from causaltiers import class_size, enumerate_class, joint_ida, local_ida, tiers
+from causaltiers import class_size, enumerate_class, joint_ida, local_ida, orientation, tiers
 from causaltiers.cli import main
 from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import InvariantError
@@ -298,6 +298,21 @@ class TestCrossTierReport:
         }
         # no unshielded path has more than two nodes
         assert all(len(path) == 2 for path in rep.earliest_paths)
+
+    def test_consistency_checked_once(self, wave_cpdag, wave_tau, monkeypatch):
+        # the undirected part has no directed edge to contradict, so the
+        # report checks the ordering against the whole graph only
+        calls = []
+        check = orientation.require_consistency
+
+        def counted(c, ordering):
+            calls.append(c)
+            return check(c, ordering)
+
+        monkeypatch.setattr(orientation, "require_consistency", counted)
+        monkeypatch.setattr(tiers, "require_consistency", counted)
+        cross_tier_report(wave_cpdag, wave_tau)
+        assert calls == [wave_cpdag]
 
     def test_reported_edges_exist_and_are_directed(self):
         rng = np.random.default_rng(19)
