@@ -70,7 +70,7 @@ def format_graph(g: PDAG) -> str:
 
 
 def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
             return fh.read()
         except UnicodeDecodeError:

@@ -8,14 +8,11 @@ by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges of the undirected
 part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
-Only :func:`cross_tier_report` builds the oriented undirected part.
-One pass over two orderings builds each tiered MPDAG once, walks the
-chain components once into a prefix tree of their unshielded paths and
-checks the paper's theorem: the criterion holds iff the two MPDAGs are
-equal.  Each ordering reads its earliest maximal paths off the tree
-with O(1) work per entry, on indices and its tier vector; only the
-paths left are read node by node.  Compatibility and refinement of two
-orderings are read from their tier groups, with no node-pair loop.
+Both are read per edge, from edge floors.  One pass over two orderings
+builds each tiered MPDAG once and checks the paper's theorem: the
+criterion holds iff the two MPDAGs are equal.  Paths are walked only to
+name a witness and by :func:`cross_tier_report`.  Compatibility and
+refinement are read from tier groups, with no node-pair loop.
 """
 
 from __future__ import annotations
@@ -215,88 +212,83 @@ def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
     ]
 
 
-def _path_tree(h: PDAG, max_nodes: int) -> tuple:
-    """The prefix tree of the unshielded paths in the multi-node chain
-    components of the undirected graph ``h``: each node's component (named
-    by its least index); each entry's parent, node and path from one
-    :meth:`PDAG._walk` from every node of them, and its edge id (-1 for a
-    start); the edge ids by their ends; and the entries listed from their
+def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int, int]]:
+    """Each edge's floor, the least tier on an unshielded path through it, as
+    ``floor[a][b]`` for each edge a - b of the chordal graph with neighbour
+    sets ``ne``: one search over directed edges, (a, b) stepping to (b, c)
+    when c is neither a nor adjacent to a, from starts in ascending tier,
+    each direction expanded once.  Such walks are paths on a chordal graph (a
+    repeated node would close a cycle whose completeness or two non-adjacent
+    simplicial nodes shield a triple: Dirac, 1961), and a path's least node
+    starts a segment into each of its edges."""
+    reach: list[dict[int, int]] = [{} for _ in ne]
+    for s in sorted(range(len(ne)), key=tier.__getitem__):
+        m, stack = tier[s], [(s, b) for b in ne[s]]
+        while stack:
+            a, b = stack.pop()
+            if b not in reach[a]:
+                reach[a][b] = m
+                stack.extend((b, c) for c in ne[b] - ne[a] if c != a and c not in reach[b])
+    return [{b: min(f, reach[b][a]) for b, f in row.items()} for a, row in enumerate(reach)]
+
+
+def _first_edges(floor: list[dict[int, int]], tier: Sequence[int]) -> set[tuple[int, int]]:
+    """The edges (x, y) with ``tier[x] = floor[x][y] < tier[y]``, which are the
+    first cross-tier edges of the earliest maximal paths (x y is earliest)."""
+    return {(x, y) for x, row in enumerate(floor) for y, f in row.items() if tier[x] == f < tier[y]}
+
+
+def _path_tree(h: PDAG, groups: Sequence[Sequence[int]], max_nodes: int) -> tuple:
+    """The prefix tree of the unshielded paths inside the chain components
+    ``groups`` (ascending index lists) of ``h``: each entry's parent, node
+    and path from one :meth:`PDAG._walk`, and the entries listed from their
     lower end, stably by (component, start, end), as per-pair walks list."""
-    component, groups = _component_labels(h._ne)
-    for group in groups.values():
+    for group in groups:
         if len(group) > max_nodes:
             raise LimitError(
                 f"component of {len(group)} nodes exceeds the path "
                 f"enumeration limit of {max_nodes}"
             )
-    parent, node, paths = h._walk(sorted(v for group in groups.values() for v in group), None)
-    edge_of: list[dict[int, int]] = [{} for _ in h._ne]
-    for k, (u, v) in enumerate((u, v) for u, ne in enumerate(h._ne) for v in ne if u < v):
-        edge_of[u][v] = edge_of[v][u] = k
-    edge = [edge_of[node[p]][v] if p >= 0 else -1 for p, v in zip(parent, node)]
+    rank = {v: k for k, group in enumerate(groups) for v in group}
+    parent, node, paths = h._walk(sorted(rank), None)
     listed = [e for e, path in enumerate(paths) if path[-1] > path[0]]
-    listed.sort(key=lambda e: (component[paths[e][0]], paths[e][0], paths[e][-1]))
-    return component, parent, node, paths, edge, edge_of, listed
+    listed.sort(key=lambda e: (rank[paths[e][0]], paths[e][0], paths[e][-1]))
+    return parent, node, paths, listed
 
 
-def _earliest(
-    tree: tuple, tier: Sequence[int], adjacent: Sequence[frozenset[int]]
-) -> list[tuple[int, ...]]:
+def _earliest(tree: tuple, tier: Sequence[int], floor: list, adjacent: Sequence) -> list:
     """The earliest paths of :func:`_path_tree`'s ``tree`` that are no proper
-    segment of another earliest path, as indices in listed order; node
-    ``i`` has tier ``tier[i]`` and the adjacent nodes ``adjacent[i]``.
-
-    An earliest path shares no edge with an unshielded path visiting a tier
-    below its own minimum (orientation travels only along unshielded paths):
-    each edge's floor, the lowest tier of a path through it, is that minimum.
-    Every segment of an unshielded path is one, so an earliest P lies
-    inside a longer earliest Q iff some one-node extension of P is earliest:
-
-    - min(Q) = min(P), as P's edges lie on Q: their floor is both;
-    - so P extended by Q's next node has that minimum and those floors,
-      which makes it earliest; the converse is immediate.
-
-    An extension's floors are at most its minimum, so it is earliest iff
-    its new edge's floor is at least min(P).  Read per entry in O(1): top
-    down its path's minimum, whose least over the entries ending in an edge
-    is the edge's floor (a path through the edge has a prefix from one of
-    its ends that ends in the edge and holds its minimum); top down its
-    path's least floor, the minimum iff it is earliest; and its children,
-    its extensions at the last end.  Only the paths left are extended at
-    their first end.
-    """
-    _, parent, node, paths, edge, edge_of, listed = tree
-    inf, size = math.inf, len(node)
-    low, floor = [inf] * (size + 1), [inf] * (size + 1)  # slots -1: a start's parent and edge
-    for e, (p, v, k) in enumerate(zip(parent, node, edge)):
-        t, m = tier[v], low[p]
-        m = low[e] = t if t < m else m
-        if m < floor[k]:
-            floor[k] = m
-    floor[-1] = inf
-    least, extended = [inf] * (size + 1), [False] * (size + 1)
-    for e, (p, k) in enumerate(zip(parent, edge)):
-        f, m = floor[k], least[p]
-        least[e] = f if f < m else m
-        if f >= low[p]:
-            extended[p] = True
+    segment of another, as indices in listed order; node ``i`` has tier
+    ``tier[i]`` and neighbours ``adjacent[i]``, edge i - j floor ``floor[i][j]``.
+    A path is earliest iff each of its edges' floors is its minimum, and lies
+    inside a longer earliest path iff a one-node extension is, that is iff
+    the new edge's floor is at least that minimum.  One pass top down reads
+    each entry's minimum, least floor and whether a child (an extension at
+    the last end) is earliest; only the paths left are tried at the first."""
+    parent, node, paths, listed = tree
+    low, least, extended = [tier[v] for v in node], [math.inf] * len(node), [False] * len(node)
+    for e, (p, v) in enumerate(zip(parent, node)):
+        if p >= 0:
+            t, m, f, g = low[e], low[p], floor[node[p]][v], least[p]
+            low[e] = t if t < m else m
+            least[e] = f if f < g else g
+            if f >= m:
+                extended[p] = True
     earliest = []
     for e in listed:
         m, path = low[e], paths[e]
         if least[e] == m and not extended[e]:
             s, inner = path[0], adjacent[path[1]]
-            if all(floor[edge_of[s][x]] < m for x in adjacent[s] - inner if x not in path):
+            if all(floor[s][x] < m for x in adjacent[s] - inner if x not in path):
                 earliest.append(path)
     return earliest
 
 
 def first_cross_tier_edges(path: Sequence[Node], tier) -> frozenset[Edge]:
     """First cross-tier edges of a path: walking outward from each run of
-    minimum-tier nodes, the nearest edge whose endpoints lie in different
-    tiers, oriented from the earlier tier.  That is the edge leaving the
-    run, so these are the path's edges with one endpoint in the minimum
-    tier and one above it.  At most two on paths whose tier profile has
-    a single valley.  Node ``v`` has tier ``tier[v]``: ``tier`` is a
+    minimum-tier nodes, the edge leaving the run, oriented from the earlier
+    tier; so the path's edges with one end in the minimum tier and one
+    above it.  Node ``v`` has tier ``tier[v]``: ``tier`` is a
     :class:`TieredOrdering`, or a tier vector for a path of indices."""
     tiers = [tier[v] for v in path]
     m = min(tiers)
@@ -323,39 +315,29 @@ class CrossTierEdgeReport:
         return frozenset().union(*self.first_edges)
 
 
-def _reports(
-    h: PDAG, orderings: Sequence[TieredOrdering], max_nodes: int
-) -> tuple[list[int], list[tuple[list[tuple[int, ...]], list[Edge | None]]]]:
-    """Each node's chain component in the undirected graph ``h``, named by
-    its least index, and, for each ordering, read from its tier vector and
-    one path tree of the chain components: the earliest paths as indices,
-    and each fully shielded edge of ``h`` oriented from its earlier tier
-    (``None`` when both ends share a tier)."""
-    tree = _path_tree(h, max_nodes)
-    shielded, names = fully_shielded_edges(h), h.nodes
-    records = []
-    for ordering in orderings:
-        t = ordering._assignment
-        oriented = [(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
-        records.append((_earliest(tree, ordering._tiers(names), h._ne), oriented))
-    return tree[0], records
-
-
 def cross_tier_report(
     c: PDAG, ordering: TieredOrdering, max_nodes: int = DEFAULT_PATH_NODE_LIMIT
 ) -> CrossTierEdgeReport:
     """Summary of where ``ordering`` places cross-tier edges on the
-    undirected part of ``c``; the ingredients of the equivalence
-    criterion.  The only builder of the oriented undirected part."""
+    undirected part of ``c``, the ingredients of the equivalence criterion,
+    from the paths of every chain component.  Edge floors are exact only on
+    chordal graphs, so a part that is not (no CPDAG's) raises GraphError."""
     require_consistency(c, ordering)
     h = c.undirected_subgraph()
-    ((earliest, shielded),) = _reports(h, (ordering,), max_nodes)[1]
-    earliest = [tuple(map(h.nodes.__getitem__, path)) for path in earliest]
+    names, k, tier = h.nodes, h._non_simplicial(), ordering._tiers(h.nodes)
+    if k is not None:
+        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {names[k]}")
+    tree = _path_tree(h, list(_component_labels(h._ne)[1].values()), max_nodes)
+    earliest = [tuple(map(names.__getitem__, path))
+                for path in _earliest(tree, tier, _floors(h._ne, tier), h._ne)]
+    t = ordering._assignment  # each shielded edge across tiers, from the earlier
+    shielded = [(u, v) if t[u] < t[v] else (v, u) for u, v in fully_shielded_edges(h)
+                if t[u] != t[v]]
     return CrossTierEdgeReport(
-        graph=_graph(h, _cross_tier_state(h, ordering._tiers(h.nodes))),
+        graph=_graph(h, _cross_tier_state(h, tier)),
         earliest_paths=tuple(earliest),
         first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
-        fully_shielded_cross_tier=tuple(filter(None, shielded)),
+        fully_shielded_cross_tier=tuple(shielded),
     )
 
 
@@ -384,7 +366,8 @@ def tiers_equivalent(
 
     Decided graphically: the orderings are equivalent iff they agree on
     the first cross-tier edges of every earliest unshielded path and on
-    every fully shielded cross-tier edge.
+    every fully shielded cross-tier edge.  No path is listed for the
+    verdict: ``max_nodes`` bounds only the walk naming a witness.
     """
     check_compatible(t1, t2)
     return _compare(c, t1, t2, max_nodes)[0]
@@ -448,29 +431,46 @@ def tiers_more_informative(
     return _compare(c, t1, t2, max_nodes)[1]
 
 
+def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple, max_nodes: int) -> Edge:
+    """A witness for first-edge sets that differ by ``diff``: in the least chain
+    component of ``h`` holding an edge of ``diff``, the least differing first edge
+    of the first earliest path of either ordering on which they differ, both by
+    label text; the least edge of ``diff`` there if over ``max_nodes`` or none."""
+    names, (label, groups) = h.nodes, _component_labels(h._ne)
+    k = min(label[u] for u, _ in diff)
+    edges = [(u, v) for u, v in diff if label[u] == k]
+    if len(groups[k]) <= max_nodes:
+        tree = _path_tree(h, [groups[k]], max_nodes)
+        paths = {p for t, f in zip(tiers, floors) for p in _earliest(tree, t, f, h._ne)}
+        for path in sorted(paths, key=lambda p: str(tuple(map(names.__getitem__, p)))):
+            f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
+            if f1 != f2:
+                edges = f1 ^ f2
+                break
+    return min(((names[u], names[v]) for u, v in edges), key=str)
+
+
 def _compare(
     c: PDAG, t1: TieredOrdering, t2: TieredOrdering, max_nodes: int
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
-    pass: each tiered MPDAG is built once (which checks each ordering's
-    consistency), the chain components are walked once into a path tree,
-    and each ordering's first and shielded cross-tier edges are read from
-    its tier vector, with no oriented copy of the undirected part.  Raises
-    :class:`InvariantError`, naming a witness, if the criterion and
+    pass: each tiered MPDAG is built once (checking consistency and
+    chordality), and the rest is read from tier vectors and edge floors.
+    Raises :class:`InvariantError`, naming a witness, if the criterion and
     equality of the two MPDAGs disagree, against the paper's theorem."""
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
-    component, ((e1, s1), (e2, s2)) = _reports(c.undirected_subgraph(), (t1, t2), max_nodes)
-    names = c.nodes
+    h, names = c.undirected_subgraph(), c.nodes
+    shielded = fully_shielded_edges(h)  # each oriented from its earlier tier, None within one
+    s1, s2 = ([(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
+              for t in (t1._assignment, t2._assignment))
     v1, v2 = t1._tiers(names), t2._tiers(names)  # (u, v) is cross-tier under t iff t[u] < t[v]
+    f1, f2 = _floors(h._ne, v1), _floors(h._ne, v2)
+    u1, u2 = _first_edges(f1, v1), _first_edges(f2, v2)
     shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
-    first = {p: (first_cross_tier_edges(p, v1), first_cross_tier_edges(p, v2))
-             for p in {*e1, *e2}}
-    first_diff = [p for p, (f1, f2) in first.items() if f1 != f2]
-    equivalent = not (shielded_diff or first_diff)
+    equivalent = not shielded_diff and u1 == u2
     witness = shielded_diff[0] if shielded_diff else None
-    if first_diff and witness is None:  # from the first path in component order
-        path = min(first_diff, key=lambda p: (component[p[0]], str(tuple(names[i] for i in p))))
-        witness = min(((names[u], names[v]) for u, v in first[path][0] ^ first[path][1]), key=str)
+    if witness is None and u1 != u2:
+        witness = _path_witness(h, u1 ^ u2, (v1, v2), (f1, f2), max_nodes)
     same = g1 == g2
     if equivalent != same:
         u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)
@@ -488,12 +488,12 @@ def _compare(
     else:
         verdict = Informativeness.INCOMPARABLE
     return (
-        TierEquivalence(equivalent, witness, not first_diff, not shielded_diff),
+        TierEquivalence(equivalent, witness, u1 == u2, not shielded_diff),
         InformativenessResult(
             verdict,
-            condition_i=all(v1[u] < v1[v] for p in e2 for u, v in first[p][1]),
+            condition_i=all(v1[u] < v1[v] for u, v in u2),
             condition_ii=all(t1[u] < t1[v] for u, v in filter(None, s2)),
-            condition_iii=any(v2[u] >= v2[v] for p in e1 for u, v in first[p][0]),
+            condition_iii=any(v2[u] >= v2[v] for u, v in u1),
             condition_iv=s1.count(None) < s2.count(None),
         ),
     )

@@ -13,10 +13,13 @@ invariant checks that the frontier closure and the certificate replaced,
 construction and the local parent-set scan that closing the parent sets
 directly and clique extension replaced, ``component_paths`` with
 ``earliest_by_extension``, the path list and the per-path earliest filter
-that the prefix tree of the unshielded paths replaced, and the moved
-generators: ``er_skeleton_one_draw``, the ER generator that drew every
-pair's uniform at once, and ``power_skeleton_by_choice``, the
-preferential attachment that called ``rng.choice`` for each pick.
+that the prefix tree of the unshielded paths replaced,
+``compare_by_path_tree`` with its path tree, floors read off the tree
+and per-path first edges, the comparison that the per-edge floors
+replaced, and the moved generators: ``er_skeleton_one_draw``, the ER
+generator that drew every pair's uniform at once, and
+``power_skeleton_by_choice``, the preferential attachment that called
+``rng.choice`` for each pick.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from causaltiers import orientation
-from causaltiers.graphs import GraphError, LimitError, PDAG, v_structures
+from causaltiers.graphs import GraphError, LimitError, PDAG, _component_labels, v_structures
 from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
@@ -50,6 +53,7 @@ from causaltiers.tiers import (
     Refinement,
     TierEquivalence,
     contained_in,
+    first_cross_tier_edges,
     fully_shielded_edges,
 )
 
@@ -964,6 +968,124 @@ def earliest_by_extension(paths, tier, adjacent) -> list:
             if x not in adjacent[inner] and x not in path
         )
     ]
+
+
+# === the comparison by paths that the per-edge floors replaced
+
+
+def path_tree_with_edge_ids(h, max_nodes: int) -> tuple:
+    """The prefix tree of the unshielded paths in the multi-node chain
+    components of the undirected graph ``h``: each node's component (named
+    by its least index); each entry's parent, node and path from one
+    :meth:`PDAG._walk` from every node of them, and its edge id (-1 for a
+    start); the edge ids by their ends; and the entries listed from their
+    lower end, stably by (component, start, end), as per-pair walks list."""
+    component, groups = _component_labels(h._ne)
+    for group in groups.values():
+        if len(group) > max_nodes:
+            raise LimitError(
+                f"component of {len(group)} nodes exceeds the path "
+                f"enumeration limit of {max_nodes}"
+            )
+    parent, node, paths = h._walk(sorted(v for group in groups.values() for v in group), None)
+    edge_of: list[dict[int, int]] = [{} for _ in h._ne]
+    for k, (u, v) in enumerate((u, v) for u, ne in enumerate(h._ne) for v in ne if u < v):
+        edge_of[u][v] = edge_of[v][u] = k
+    edge = [edge_of[node[p]][v] if p >= 0 else -1 for p, v in zip(parent, node)]
+    listed = [e for e, path in enumerate(paths) if path[-1] > path[0]]
+    listed.sort(key=lambda e: (component[paths[e][0]], paths[e][0], paths[e][-1]))
+    return component, parent, node, paths, edge, edge_of, listed
+
+
+def earliest_by_tree_floors(tree: tuple, tier, adjacent) -> list:
+    """The earliest maximal paths of :func:`path_tree_with_edge_ids`'s tree,
+    each edge's floor read off the tree: top down each entry's minimum,
+    whose least over the entries ending in an edge is the edge's floor;
+    then top down each entry's least floor and whether a child is earliest."""
+    _, parent, node, paths, edge, edge_of, listed = tree
+    inf, size = math.inf, len(node)
+    low, floor = [inf] * (size + 1), [inf] * (size + 1)  # slots -1: a start's parent and edge
+    for e, (p, v, k) in enumerate(zip(parent, node, edge)):
+        t, m = tier[v], low[p]
+        m = low[e] = t if t < m else m
+        if m < floor[k]:
+            floor[k] = m
+    floor[-1] = inf
+    least, extended = [inf] * (size + 1), [False] * (size + 1)
+    for e, (p, k) in enumerate(zip(parent, edge)):
+        f, m = floor[k], least[p]
+        least[e] = f if f < m else m
+        if f >= low[p]:
+            extended[p] = True
+    earliest = []
+    for e in listed:
+        m, path = low[e], paths[e]
+        if least[e] == m and not extended[e]:
+            s, inner = path[0], adjacent[path[1]]
+            if all(floor[edge_of[s][x]] < m for x in adjacent[s] - inner if x not in path):
+                earliest.append(path)
+    return earliest
+
+
+def reports_by_path_tree(h, orderings, max_nodes: int) -> tuple:
+    """Each node's chain component in ``h``, named by its least index, and
+    for each ordering its earliest paths as indices and each fully shielded
+    edge of ``h`` oriented from its earlier tier (``None`` within a tier)."""
+    tree = path_tree_with_edge_ids(h, max_nodes)
+    shielded, names = fully_shielded_edges(h), h.nodes
+    records = []
+    for ordering in orderings:
+        t = ordering._assignment
+        oriented = [(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
+        records.append((earliest_by_tree_floors(tree, ordering._tiers(names), h._ne), oriented))
+    return tree[0], records
+
+
+def compare_by_path_tree(c, t1, t2, max_nodes: int = 25) -> tuple:
+    """:func:`causaltiers.tiers._compare` reading the first cross-tier edges
+    path by path off the whole path tree: the criterion, the witness and
+    conditions i and iii from the earliest paths of both orderings."""
+    g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
+    component, ((e1, s1), (e2, s2)) = reports_by_path_tree(
+        c.undirected_subgraph(), (t1, t2), max_nodes
+    )
+    names = c.nodes
+    v1, v2 = t1._tiers(names), t2._tiers(names)
+    shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
+    first = {p: (first_cross_tier_edges(p, v1), first_cross_tier_edges(p, v2))
+             for p in {*e1, *e2}}
+    first_diff = [p for p, (f1, f2) in first.items() if f1 != f2]
+    equivalent = not (shielded_diff or first_diff)
+    witness = shielded_diff[0] if shielded_diff else None
+    if first_diff and witness is None:  # from the first path in component order
+        path = min(first_diff, key=lambda p: (component[p[0]], str(tuple(names[i] for i in p))))
+        witness = min(((names[u], names[v]) for u, v in first[path][0] ^ first[path][1]), key=str)
+    same = g1 == g2
+    if equivalent != same:
+        u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)
+        criterion, graphs = ("different", "equal") if same else ("equivalent", "different")
+        raise InvariantError(
+            f"equivalence criterion: the orderings are {criterion} but their tiered "
+            f"MPDAGs are {graphs}, witness {u} -> {v}"
+        )
+    if same:
+        verdict = Informativeness.EQUIVALENT
+    elif contained_in(g1, g2):
+        verdict = Informativeness.MORE_INFORMATIVE
+    elif contained_in(g2, g1):
+        verdict = Informativeness.LESS_INFORMATIVE
+    else:
+        verdict = Informativeness.INCOMPARABLE
+    return (
+        TierEquivalence(equivalent, witness, not first_diff, not shielded_diff),
+        InformativenessResult(
+            verdict,
+            condition_i=all(v1[u] < v1[v] for p in e2 for u, v in first[p][1]),
+            condition_ii=all(t1[u] < t1[v] for u, v in filter(None, s2)),
+            condition_iii=any(v2[u] >= v2[v] for p in e1 for u, v in first[p][0]),
+            condition_iv=s1.count(None) < s2.count(None),
+        ),
+    )
 
 
 def joint_ida_per_combination(g, xs) -> dict:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from causaltiers import InconsistentKnowledgeError, cli, orientation, tiered_mpdag, tiers
+from causaltiers import PDAG, InconsistentKnowledgeError, cli, orientation, tiered_mpdag, tiers
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
@@ -296,6 +296,27 @@ class TestSubcommands:
         rows = json.loads(out)["joint_parent_sets"]
         assert sum(row["multiplicity"] for row in rows) == 34  # one per class member
 
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_compare_tiers_on_band_over_the_path_guard(self, n, tmp_path, monkeypatch):
+        """The verdict lists no path, so a band component of more than 25
+        nodes gets one; paths are walked only to name a witness, and over
+        the guard the witness is the least differing first edge."""
+        graph = undirected_graph_file(tmp_path / "band.txt", n, 3)
+        files = []
+        for name, cuts in [("a", [n // 3]), ("b", [n // 3, 2 * n // 3]), ("c", [2 * n // 3])]:
+            tiers = [1 + sum(k >= cut for cut in cuts) for k in range(n)]
+            files.append(tmp_path / f"{name}.txt")
+            files[-1].write_text("".join(f"tier {t}: V{k}\n" for k, t in enumerate(tiers)))
+        walks = []
+        walk = PDAG._walk
+        monkeypatch.setattr(PDAG, "_walk", lambda *args: walks.append(args) or walk(*args))
+        code, out = run_cli("compare-tiers", graph, str(files[0]), str(files[1]))
+        assert (code, walks) == (0, [])
+        assert out.startswith("equivalence: equivalent\nearliest-path first edges: agree\n")
+        code, out = run_cli("compare-tiers", graph, str(files[0]), str(files[2]))
+        assert (code, len(walks)) == (0, 0)
+        assert out.startswith("equivalence: different\nwitness: V17->V20\n")
+
     def test_orient_trace(self, capsys):
         code, out = run_cli(
             "orient",
@@ -562,11 +583,11 @@ class TestExitCodes:
             fixture("wave_tiers_fine_late.txt"),
             fixture("wave_tiers_coarse_late.txt"),
         ]
-        blind = "tiers.first_cross_tier_edges = lambda path, ordering: frozenset()"
+        blind = "tiers._first_edges = lambda floor, tier: set()"
         if optimized:
             code, out, err = run_cli_optimized(*argv, setup=blind)
         else:
-            monkeypatch.setattr(tiers, "first_cross_tier_edges", lambda *args: frozenset())
+            monkeypatch.setattr(tiers, "_first_edges", lambda *args: set())
             code, out = run_cli(*argv)
             err = capsys.readouterr().err
         assert (code, out) == (1, "")

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from causaltiers import (
     format_graph,
     format_tiers,
     load_graph,
+    load_tiers,
     parse_graph,
     parse_tiers,
 )
+from causaltiers.cli import main
 
 from conftest import FIXTURES
 
@@ -212,3 +216,33 @@ class TestLabels:
             assert (back.nodes, back._pa, back._ch, back._ne) == (g.nodes, g._pa, g._ch, g._ne)
             tau = TieredOrdering({v: int(rng.integers(1, 4)) for v in names})
             assert parse_tiers(format_tiers(tau)) == tau
+
+
+class TestByteOrderMark:
+    """Files that start with a UTF-8 byte-order mark, as some Windows
+    editors write them, read as the same files without it."""
+
+    def test_marked_files_load_as_plain(self, tmp_path):
+        for name, text, load in [
+            ("g", "nodes: A B C\nA -> B\nB -- C\n", load_graph),
+            ("t", "tier 1: A\ntier 2: B C\n", load_tiers),
+        ]:
+            plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}_bom.txt"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert load(marked) == load(plain)
+            if load is load_graph:
+                outputs = []
+                for path in (plain, marked):
+                    buf = io.StringIO()
+                    assert main(["validate", str(path)], out=buf) == 0
+                    outputs.append(buf.getvalue())
+                assert outputs[0] == outputs[1]
+
+    def test_marked_non_utf8_file_is_refused(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xef\xbb\xbfnodes: A \xff\n")
+        for load in (load_graph, load_tiers):
+            with pytest.raises(GraphError) as info:
+                load(bad)
+            assert str(info.value) == f"{bad}: not UTF-8 text"

@@ -29,6 +29,8 @@ from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
     _compare,
     _earliest,
+    _first_edges,
+    _floors,
     _path_tree,
     check_compatible,
     first_cross_tier_edges,
@@ -37,8 +39,10 @@ from causaltiers.tiers import (
 
 from conftest import random_cpdag_and_tau, random_coarsening, reordered
 from causaltiers import cpdag_of
+from causaltiers.simulation import random_dag
 from oracles import (
     all_dags,
+    compare_by_path_tree,
     compare_refinement_pairwise,
     component_paths,
     component_paths_pairwise,
@@ -49,11 +53,13 @@ from oracles import (
     cross_tier_report_loop,
     earliest_by_extension,
     earliest_by_floor,
+    earliest_by_tree_floors,
     first_cross_tier_edges_walk,
     forbidden_set,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
     orient_undirected_part,
+    path_tree_with_edge_ids,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
     vstructs_of_arcset,
@@ -359,12 +365,22 @@ class TestTiersEquivalent:
             assert res.equivalent == same
 
     def test_max_nodes_reaches_the_path_walk(self):
+        """The verdict lists no path, so the guard cannot stop it; the
+        guard bounds the walk that lists paths, and the witness falls back
+        to the least differing first edge beyond it."""
         names = [f"V{k}" for k in range(26)]
         path = PDAG(names, undirected=list(zip(names, names[1:])))
         tau = TieredOrdering.from_tiers([names])
+        assert tiers_equivalent(path, tau, tau).equivalent
         with pytest.raises(LimitError, match="limit of 25"):
-            tiers_equivalent(path, tau, tau)
-        assert tiers_equivalent(path, tau, tau, max_nodes=30).equivalent
+            cross_tier_report(path, tau)
+        assert cross_tier_report(path, tau, max_nodes=30).earliest_paths == (tuple(names),)
+        t1 = TieredOrdering.from_tiers([names[:10], names[10:]])
+        t2 = TieredOrdering.from_tiers([names[:20], names[20:]])
+        res = tiers_equivalent(path, t1, t2)
+        assert res.witness == ("V19", "V20") and not res.first_edges_agree
+        assert tiers_equivalent(path, t1, t2, max_nodes=30) == res
+        assert compare_by_path_tree(path, t1, t2, 30)[0] == res
 
     def test_regression_shielded_competitors_do_not_preempt(self):
         """Archived instance: V0 is adjacent to everything, so every
@@ -536,8 +552,9 @@ def two_disagreeing_components():
 
 
 class TestSharedEnumeration:
-    """The three criterion functions share one path enumeration; they
-    must agree with the per-ordering loops in ``oracles``."""
+    """The three criterion functions share one reading of the floors and
+    walk paths only where they must; they agree with the per-ordering
+    loops in ``oracles``."""
 
     def test_maximal_paths_match_pairwise_filter(self):
         """The earliest-and-maximal filter by one-node extension keeps
@@ -561,7 +578,8 @@ class TestSharedEnumeration:
                 earliest = earliest_by_floor(paths, tier)
                 expected = maximal_paths_pairwise(earliest)
                 assert maximal_paths_by_segments(earliest) == expected
-                got = _earliest(_path_tree(h, 25), [tier[v] for v in h.nodes], h._ne)
+                vector = [tier[v] for v in h.nodes]
+                got = _earliest(path_tree(h, 25), vector, _floors(h._ne, vector), h._ne)
                 assert [tuple(h.nodes[i] for i in path) for path in got] == expected
                 checked += len(expected) > 1
         assert checked > 100, checked
@@ -603,35 +621,52 @@ class TestSharedEnumeration:
     @pytest.mark.parametrize(
         "compare", ["tiers_equivalent", "tiers_more_informative", "cross_tier_report", "cli"]
     )
-    def test_each_component_enumerated_once(self, compare, monkeypatch, tmp_path):
-        c, t1, t2 = two_disagreeing_components()
-        starts, walks = [], []
+    def test_each_component_enumerated_once(
+        self, compare, monkeypatch, tmp_path, wave_cpdag, wave_tau, two_wave_tau, triangle
+    ):
+        """A comparison walks paths only to name a witness from the first
+        edges, and then only in the witness's component; the report walks
+        every component, in one walk."""
+        walks = []
         walk = PDAG._walk
 
         def counted(self, sources, *args):
             parent, node, _ = tree = walk(self, sources, *args)
-            starts.extend(self.nodes[v] for p, v in zip(parent, node) if p < 0)
-            walks.append(tree)
+            walks.append(sorted(self.nodes[v] for p, v in zip(parent, node) if p < 0))
             return tree
 
         def per_pair(*args, **kwargs):
             raise AssertionError("per-pair path search on the comparison path")
 
+        def walked(c, t1, t2):
+            walks.clear()
+            if compare == "cross_tier_report":
+                cross_tier_report(c, t1)
+            elif compare == "cli":
+                files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+                for path, text in zip(files, (format_graph(c), format_tiers(t1), format_tiers(t2))):
+                    path.write_text(text)
+                assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
+            else:
+                getattr(tiers, compare)(c, t1, t2)
+            return list(walks)
+
         monkeypatch.setattr(PDAG, "_walk", counted)
         monkeypatch.setattr(PDAG, "find_unshielded_paths", per_pair)
+        c, t1, t2 = two_disagreeing_components()
+        a_first = TieredOrdering.from_tiers([["A"], ["B", "C"]])
+        c_last = TieredOrdering.from_tiers([["A", "B"], ["C"]])
         if compare == "cross_tier_report":
-            cross_tier_report(c, t1)
-        elif compare == "cli":
-            files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
-            for path, text in zip(files, (format_graph(c), format_tiers(t1), format_tiers(t2))):
-                path.write_text(text)
-            assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
-        else:
-            getattr(tiers, compare)(c, t1, t2)
-        # one tree rooted at each node of each three-node component
-        assert sorted(starts) == sorted(c.nodes)
-        # and one walk for both components, not one per component
-        assert len(walks) == 1
+            # one tree rooted at each node of each three-node component
+            assert walked(c, t1, t2) == [sorted(c.nodes)]
+            assert walked(triangle, a_first, c_last) == [["A", "B", "C"]]
+            return
+        # both components' first edges differ: the first is walked alone
+        assert walked(c, t1, t2) == [["Z1", "Z2", "Z3"]]
+        # the same first edges, or shielded edges that differ: no walk
+        assert tiers_equivalent(wave_cpdag, wave_tau, two_wave_tau)
+        assert walked(wave_cpdag, wave_tau, two_wave_tau) == []
+        assert walked(triangle, a_first, c_last) == []
 
     def test_compare_builds_two_graphs(self, monkeypatch):
         """One comparison orients a graph twice, once for each tiered
@@ -661,8 +696,14 @@ def band_graph(rng, sizes, width):
     return PDAG([order[k] for k in rng.permutation(len(order))], undirected=edges)
 
 
+def path_tree(h, max_nodes):
+    """:func:`_path_tree` over every chain component of ``h``."""
+    groups = [[h.index_of(v) for v in comp] for comp in h.chain_components() if len(comp) > 1]
+    return _path_tree(h, groups, max_nodes)
+
+
 def listed_paths(h, max_nodes):
-    _, _, _, paths, _, _, listed = _path_tree(h, max_nodes)
+    _, _, paths, listed = path_tree(h, max_nodes)
     return [paths[e] for e in listed]
 
 
@@ -700,7 +741,8 @@ class TestPathEnumeration:
         assert len(listed_paths(h, 26)) == 26 * 25 // 2
         message = "component of 26 nodes exceeds the path enumeration limit of 25"
         for enumerate_paths in (
-            lambda: _path_tree(h, 25),
+            lambda: path_tree(h, 25),
+            lambda: cross_tier_report(h, TieredOrdering(dict.fromkeys(names, 1))),
             lambda: component_paths(h, [component], 25),
             lambda: component_paths_pairwise(h, component, 25),
         ):
@@ -708,42 +750,82 @@ class TestPathEnumeration:
                 enumerate_paths()
             assert str(info.value) == message
         tau = TieredOrdering(dict.fromkeys(names, 1))
-        with pytest.raises(LimitError, match=f"^{message}$"):
-            tiers_equivalent(h, tau, tau)
-        assert tiers_equivalent(h, tau, tau, max_nodes=26)
+        assert cross_tier_report(h, tau, max_nodes=26).earliest_paths == (tuple(names),)
+        assert tiers_equivalent(h, tau, tau)
+
+
+def random_undirected_graph(rng, p):
+    """An undirected graph of ``p`` nodes, each pair joined with chance 0.4,
+    its nodes in a random order; often not chordal."""
+    names = [f"V{i}" for i in range(p)]
+    pairs = [pair for pair in itr.combinations(names, 2) if rng.random() < 0.4]
+    return PDAG([names[i] for i in rng.permutation(p)], undirected=pairs)
 
 
 class TestEarliestFromTree:
     """Each ordering's earliest maximal paths, read off the prefix tree
-    entry by entry, against the per-path filter over the path list."""
+    entry by entry with the searched floors, against the per-path filter
+    over the path list with floors read off the paths."""
 
     def test_matches_per_path_filter(self):
         rng = np.random.default_rng(151)
-        graphs, chordless = [], 0
-        for k in range(300):
+        graphs, drawn = [], 0
+        for k in range(360):
             p = int(rng.integers(3, 11))
             if k % 3 == 0:
                 graphs.append(random_cpdag_and_tau(rng, p, 2.5)[0].undirected_subgraph())
                 continue
-            names = [f"V{i}" for i in range(p)]
-            pairs = [pair for pair in itr.combinations(names, 2) if rng.random() < 0.4]
-            h = PDAG([names[i] for i in rng.permutation(p)], undirected=pairs)
-            chordless += not h.is_chordal()
-            graphs.append(h)
+            h = random_undirected_graph(rng, p)
+            if h.is_chordal():  # searched floors are exact on chordal graphs only
+                graphs.append(h)
+                drawn += 1
         graphs += [band_graph(rng, [n, n // 2], 3) for n in range(8, 14)]
         checked = 0
         for h in graphs:
             components = [comp for comp in h.chain_components() if len(comp) > 1]
-            paths, tree = component_paths(h, components, 25), _path_tree(h, 25)
+            paths, tree = component_paths(h, components, 25), path_tree(h, 25)
             for _ in range(4):
                 # tiers from a few negative, non-contiguous values, so ties are common
                 size = int(rng.integers(1, 5))
                 levels = rng.choice(np.arange(-9, 10, 3), size=size, replace=False)
                 tier = [int(rng.choice(levels)) for _ in h.nodes]
                 expected = earliest_by_extension(paths, tier, h._ne)
-                assert _earliest(tree, tier, h._ne) == expected
+                assert _earliest(tree, tier, _floors(h._ne, tier), h._ne) == expected
                 checked += len(expected) > 1
-        assert chordless > 50 and checked > 500, (chordless, checked)
+        assert drawn > 50 and checked > 500, (drawn, checked)
+
+    def test_non_chordal_part_is_refused(self, tmp_path, capsys):
+        """Searched floors are exact only on chordal graphs, which every
+        CPDAG's undirected part is: the report refuses any other graph
+        with one line, and so does the comparison, through its tiered
+        MPDAGs (rule 1 carries an arc around a chordless cycle)."""
+        rng = np.random.default_rng(157)
+        refused = compared = 0
+        while refused < 40:
+            h = random_undirected_graph(rng, int(rng.integers(4, 10)))
+            k = h._non_simplicial()
+            if k is None:
+                continue
+            tau = random_coarsening(rng, h.num_nodes)
+            with pytest.raises(GraphError) as info:
+                cross_tier_report(h, tau)
+            assert str(info.value) == (
+                f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}"
+            )
+            t2 = random_coarsening(rng, h.num_nodes)
+            if is_compatible(tau, t2):
+                with pytest.raises(GraphError):
+                    _compare(h, tau, t2, 25)
+                files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+                for path, text in zip(files, (format_graph(h), format_tiers(tau), format_tiers(t2))):
+                    path.write_text(text)
+                out = io.StringIO()
+                assert main(["compare-tiers", *map(str, files)], out=out) == 1
+                err = capsys.readouterr().err
+                assert out.getvalue() == "" and err.startswith("error: ") and err.count("\n") == 1
+                compared += 1
+            refused += 1
+        assert compared > 10, compared
 
 
 def random_topological_tiers(rng, dag):
@@ -772,7 +854,7 @@ class TestTheoremCheck:
     def test_criterion_blind_to_first_edges_raises(
         self, monkeypatch, wave_cpdag, fine_late_tau, coarse_late_tau
     ):
-        monkeypatch.setattr(tiers, "first_cross_tier_edges", lambda path, ordering: frozenset())
+        monkeypatch.setattr(tiers, "_first_edges", lambda floor, tier: set())
         message = (
             "equivalence criterion: the orderings are equivalent but their tiered "
             "MPDAGs are different, witness A -> C"
@@ -783,11 +865,11 @@ class TestTheoremCheck:
 
     def test_spurious_disagreement_raises(self, monkeypatch, wave_cpdag, wave_tau):
         same = TieredOrdering({v: 2 * t for v, t in wave_tau.assignment.items()})
-        first, tier = tiers.first_cross_tier_edges, same._tiers(wave_cpdag.nodes)
+        first, tier = tiers._first_edges, same._tiers(wave_cpdag.nodes)
         monkeypatch.setattr(
             tiers,
-            "first_cross_tier_edges",
-            lambda path, ordering: first(path, ordering) if ordering is tier else frozenset(),
+            "_first_edges",
+            lambda floor, vector: first(floor, vector) if vector is tier else set(),
         )
         with pytest.raises(InvariantError) as info:
             tiers_equivalent(wave_cpdag, wave_tau, same)
@@ -986,3 +1068,210 @@ class TestDefinitionAudit:
                 checked += 1
         assert not disagreements, disagreements[:5]
         assert checked == 5953, checked
+
+
+# === the per-edge criterion against the path tree
+
+
+def weak_orders(n, max_tiers=None):
+    """Every ordering of nodes 0..n-1 into contiguous tiers from 0, at most
+    ``max_tiers`` of them."""
+    return [
+        TieredOrdering(dict(enumerate(levels)))
+        for levels in itr.product(range(n if max_tiers is None else min(n, max_tiers)), repeat=n)
+        if set(levels) == set(range(max(levels) + 1))
+    ]
+
+
+def chordal_graphs(n):
+    """Every undirected chordal graph on nodes 0..n-1 with an edge, one per
+    isomorphism class, the smallest edge set under node relabelling."""
+    pairs = list(itr.combinations(range(n), 2))
+    perms = list(itr.permutations(range(n)))
+    seen = set()
+    for mask in range(1, 1 << len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)) for p in perms)
+        if key not in seen:
+            seen.add(key)
+            h = PDAG(range(n), undirected=list(key))
+            if h.is_chordal():
+                yield h
+
+
+def audit_per_edge_sets(h, orderings, pairs):
+    """On the undirected chordal graph ``h``, the per-edge reading against
+    the per-path one for the given pairs of indices into the consistent
+    ``orderings``: first edges agree on every earliest path of either
+    ordering iff the per-edge sets agree, the witness path lies in the
+    least component holding an edge of their difference, the witness is
+    the path tree's, and the criterion holds iff the MPDAGs are equal."""
+    tree = path_tree_with_edge_ids(h, 25)
+    component = tree[0]
+    shielded = fully_shielded_edges(h)
+    read = []
+    for t in orderings:
+        v = t._tiers(h.nodes)
+        floor = _floors(h._ne, v)
+        s = [(a, b) if t[a] < t[b] else (b, a) if t[b] < t[a] else None for a, b in shielded]
+        read.append((v, floor, _first_edges(floor, v), earliest_by_tree_floors(tree, v, h._ne), s,
+                     tiered_mpdag(h, t)))
+    outcomes = Counter()
+    for i, j in pairs:
+        (v1, f1, u1, e1, s1, g1), (v2, f2, u2, e2, s2, g2) = read[i], read[j]
+        differ = [p for p in {*e1, *e2} if first_cross_tier_edges(p, v1) != first_cross_tier_edges(p, v2)]
+        assert (not differ) == (u1 == u2), (h, orderings[i], orderings[j])
+        assert (not differ and s1 == s2) == (g1 == g2), (h, orderings[i], orderings[j])
+        if differ:
+            names = h.nodes
+            path = min(differ, key=lambda p: (component[p[0]], str(tuple(names[k] for k in p))))
+            assert component[path[0]] == min(component[a] for a, _ in u1 ^ u2)
+            f = first_cross_tier_edges(path, v1) ^ first_cross_tier_edges(path, v2)
+            expected = min(((names[a], names[b]) for a, b in f), key=str)
+            assert tiers._path_witness(h, u1 ^ u2, (v1, v2), (f1, f2), 25) == expected
+        outcomes["differ" if differ else "agree"] += 1
+    return outcomes
+
+
+def consistent_compatible_pairs(h, orderings):
+    """The orderings consistent on ``h`` and the index pairs of the
+    compatible ones among them, each ordered pair once."""
+    consistent = []
+    for t in orderings:
+        try:
+            tiered_mpdag(h, t)
+        except InconsistentKnowledgeError:
+            continue
+        consistent.append(t)
+    pairs = [
+        (i, j)
+        for i, j in itr.product(range(len(consistent)), repeat=2)
+        if is_compatible(consistent[i], consistent[j])
+    ]
+    return consistent, pairs
+
+
+def two_component_cpdag(rng):
+    """Two random CPDAGs on the label sets A* and B*, nodes interleaved,
+    and two consistent orderings: blocks of topological orders."""
+    sizes = [int(rng.integers(2, 8)) for _ in range(2)]
+    dags = [random_dag(n, min(2.5, n - 1.0), "er", rng) for n in sizes]
+    names = [f"{prefix}{v}" for prefix, d in zip("AB", dags) for v in d.nodes]
+    arcs = [(f"{prefix}{u}", f"{prefix}{v}") for prefix, d in zip("AB", dags)
+            for u, v in d.directed_edges]
+    order = [names[k] for k in rng.permutation(len(names))]
+    dag = PDAG(order, directed=arcs)
+    return cpdag_of(dag), random_topological_tiers(rng, dag), random_topological_tiers(rng, dag)
+
+
+def stretched(rng, t):
+    """``t`` under a random increasing map to negative, non-contiguous tiers."""
+    a, b = int(rng.integers(1, 6)), int(rng.integers(-40, 10))
+    return TieredOrdering({v: a * k * k + b for v, k in t.normalized().assignment.items()})
+
+
+class TestPerEdgeCriterion:
+    """The criterion, its flags, conditions i-iv and the witness read from
+    searched edge floors, against the comparison over the whole path tree."""
+
+    def test_floors_match_path_floors(self):
+        rng = np.random.default_rng(163)
+        graphs = [random_cpdag_and_tau(rng, int(rng.integers(3, 12)), 2.5)[0].undirected_subgraph()
+                  for _ in range(60)]
+        graphs += [g for g in (random_undirected_graph(rng, int(rng.integers(3, 9)))
+                               for _ in range(120)) if g.is_chordal()]
+        graphs += [band_graph(rng, [n, n // 2], int(rng.integers(2, 4))) for n in range(6, 14)]
+        edges = 0
+        for h in graphs:
+            components = [comp for comp in h.chain_components() if len(comp) > 1]
+            paths = component_paths(h, components, 25)
+            for _ in range(3):
+                levels = rng.choice(np.arange(-9, 10, 3), size=int(rng.integers(1, 5)), replace=False)
+                tier = [int(rng.choice(levels)) for _ in h.nodes]
+                expected = [{} for _ in h.nodes]
+                for path in paths:
+                    m = min(tier[v] for v in path)
+                    for a, b in zip(path, path[1:]):
+                        for x, y in ((a, b), (b, a)):
+                            expected[x][y] = min(expected[x].get(y, m), m)
+                assert _floors(h._ne, tier) == expected
+                edges += sum(map(len, expected)) // 2
+        assert len(graphs) > 100 and edges > 2000, (len(graphs), edges)
+
+    def test_compare_matches_path_tree_oracle(self):
+        """Random CPDAGs of the three generators, two-component CPDAGs and
+        bands, with consistent orderings (ties, negative and non-contiguous
+        tiers, often incompatible pairs) and some inconsistent ones: the
+        same results and the same errors."""
+        rng = np.random.default_rng(167)
+
+        def outcome(compare, c, t1, t2):
+            try:
+                return compare(c, t1, t2, 25)
+            except GraphError as exc:
+                return type(exc), str(exc)
+
+        cases = []
+        for generator in ("er", "power", "geometric"):
+            for _ in range(100):
+                p = int(rng.integers(3, 13))
+                dag = random_dag(p, min(p - 1.0, float(rng.choice([1.5, 2.0, 3.0]))), generator, rng)
+                cases.append((cpdag_of(dag), random_topological_tiers(rng, dag),
+                              random_topological_tiers(rng, dag)))
+        cases += [two_component_cpdag(rng) for _ in range(100)]
+        for _ in range(60):
+            size = int(rng.integers(5, 15))
+            sizes = [size] if rng.random() < 0.5 else [size - size // 2, size // 2]
+            h = band_graph(rng, sizes, int(rng.integers(2, 4)))
+            position = {v: int(v[1:]) for v in h.nodes}
+            draw = [
+                TieredOrdering({v: (k // int(rng.integers(1, 5))) for v, k in position.items()})
+                for _ in range(2)
+            ]
+            cases.append((h, *draw))
+        for _ in range(40):
+            c, t1, _ = random_cpdag_and_tau(rng, int(rng.integers(3, 9)), 2.0)
+            cases.append((c, t1, TieredOrdering({v: int(rng.integers(-3, 3)) for v in c.nodes})))
+        outcomes = Counter()
+        for c, t1, t2 in cases:
+            t1, t2 = stretched(rng, t1), stretched(rng, t2)
+            got = outcome(_compare, c, t1, t2)
+            assert got == outcome(compare_by_path_tree, c, t1, t2), (c, t1, t2)
+            if isinstance(got[0], type):
+                outcomes["error"] += 1
+            elif got[0].witness and got[0].shielded_agree:
+                outcomes["path witness"] += 1
+            else:
+                outcomes["no path witness"] += 1
+        assert min(outcomes.values()) > 30, outcomes
+
+    def test_per_edge_sets_on_every_small_graph(self):
+        """Every chordal graph of 2-4 nodes, every compatible pair of its
+        consistent orderings."""
+        counts = Counter()
+        for n in (2, 3, 4):
+            orderings = weak_orders(n)
+            for h in chordal_graphs(n):
+                consistent, pairs = consistent_compatible_pairs(h, orderings)
+                counts += audit_per_edge_sets(h, consistent, pairs)
+                counts["graphs"] += 1
+        assert counts == Counter(graphs=13, agree=2149, differ=4944), counts
+
+    def test_per_edge_sets_on_a_five_and_six_node_slice(self):
+        """A seeded sample of chordal graphs of 5 and 6 nodes, each with a
+        seeded sample of the compatible pairs of its consistent orderings
+        of at most three tiers."""
+        rng = np.random.default_rng(173)
+        orderings = {n: weak_orders(n, 3) for n in (5, 6)}
+        counts = Counter()
+        while counts["graphs"] < 8:
+            n = 5 + counts["graphs"] % 2
+            h = random_undirected_graph(rng, n)
+            h = PDAG(range(n), undirected=[(h.index_of(a), h.index_of(b)) for a, b in h.undirected_edges])
+            if not h.is_chordal() or not h.undirected_edges:
+                continue
+            consistent, pairs = consistent_compatible_pairs(h, orderings[n])
+            sample = [pairs[k] for k in rng.choice(len(pairs), size=min(250, len(pairs)), replace=False)]
+            counts += audit_per_edge_sets(h, consistent, sample)
+            counts["graphs"] += 1
+        assert counts["agree"] > 300 and counts["differ"] > 300, counts
