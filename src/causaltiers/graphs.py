@@ -18,7 +18,7 @@ list them; that matrix view exists only in the tests.
 from __future__ import annotations
 
 import heapq
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -393,41 +393,38 @@ class PDAG:
                 f"graph has {self.num_nodes} nodes; exhaustive path enumeration "
                 f"is limited to {max_nodes} (raise max_nodes to override)"
             )
-        paths = self._walk((s,), t)[2]
-        return [tuple(map(self._names.__getitem__, path)) for path in paths if path[-1] == t]
+        return [tuple(map(self._names.__getitem__, path))
+                for path in self._walk((s,), t) if path[-1] == t]
 
-    def _walk(self, sources: Iterable[int], target: int | None) -> tuple[list, list, list]:
-        """The prefix tree of the unshielded paths (no triple with adjacent
-        ends) from each source in turn, never walking through ``target``:
-        each entry's parent entry (-1 for a source), node and path, in
-        preorder with neighbours by index, so the paths to a node come in
-        lexicographic order."""
+    def _walk(self, sources: Iterable[int], target: int | None,
+              key: Callable[[int], Any] | None = None) -> Iterator[tuple[int, ...]]:
+        """The unshielded paths (no triple with adjacent ends) from each source
+        in turn, never walking through ``target``, made one by one as they are
+        read: the prefix tree of the paths in preorder with neighbours by
+        ``key`` (by index if None), so the paths to a node come in
+        lexicographic order of their keys.  A reader that stops early walks
+        no further."""
         adjacent = self._adjacency()
-        adj = [sorted(row) for row in adjacent]
+        adj = [sorted(row, key=key) for row in adjacent]
         on_path = [False] * len(adj)
-        parent, node, paths = [], [], []
         for s in sources:
-            parent.append(-1)
-            node.append(s)
-            paths.append((s,))
+            yield (s,)
             on_path[s] = True
-            stack = [(len(node) - 1, iter(adj[s]), frozenset())]  # entry, next nodes, shields
+            stack = [((s,), iter(adj[s]), frozenset())]  # path, next nodes, shields
             while stack:
-                e, later, shields = stack[-1]
+                path, later, shields = stack[-1]
                 for w in later:
                     if on_path[w] or w in shields:
                         continue
-                    parent.append(e)
-                    node.append(w)
-                    paths.append((*paths[e], w))
+                    longer = (*path, w)
+                    yield longer
                     if w != target:
                         on_path[w] = True
-                        stack.append((len(node) - 1, iter(adj[w]), adjacent[node[e]]))
+                        stack.append((longer, iter(adj[w]), adjacent[path[-1]]))
                         break
                 else:
                     stack.pop()
-                    on_path[node[e]] = False
-        return parent, node, paths
+                    on_path[path[-1]] = False
 
     def check_path(self, path: Sequence[Node]) -> None:
         """Validate that ``path`` is a path of this graph.

@@ -10,8 +10,9 @@ part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
 Both are read per edge, from edge floors.  One pass over two orderings
 builds each tiered MPDAG once and checks the paper's theorem: the
-criterion holds iff the two MPDAGs are equal.  Paths are walked only to
-name a witness and by :func:`cross_tier_report`.  Compatibility and
+criterion holds iff the two MPDAGs are equal.  Paths are listed only by
+:func:`cross_tier_report`; a witness walks them in label-text order and
+stops at the first differing earliest path.  Compatibility and
 refinement are read from tier groups, with no node-pair loop.
 """
 
@@ -238,11 +239,10 @@ def _first_edges(floor: list[dict[int, int]], tier: Sequence[int]) -> set[tuple[
     return {(x, y) for x, row in enumerate(floor) for y, f in row.items() if tier[x] == f < tier[y]}
 
 
-def _path_tree(h: PDAG, groups: Sequence[Sequence[int]], max_nodes: int) -> tuple:
-    """The prefix tree of the unshielded paths inside the chain components
-    ``groups`` (ascending index lists) of ``h``: each entry's parent, node
-    and path from one :meth:`PDAG._walk`, and the entries listed from their
-    lower end, stably by (component, start, end), as per-pair walks list."""
+def _path_tree(h: PDAG, groups: Sequence[Sequence[int]], max_nodes: int) -> list:
+    """The unshielded paths inside the chain components ``groups`` (ascending
+    index lists) of ``h``, from one :meth:`PDAG._walk`, each from its lower
+    end, stably by (component, start, end), as per-pair walks list them."""
     for group in groups:
         if len(group) > max_nodes:
             raise LimitError(
@@ -250,38 +250,30 @@ def _path_tree(h: PDAG, groups: Sequence[Sequence[int]], max_nodes: int) -> tupl
                 f"enumeration limit of {max_nodes}"
             )
     rank = {v: k for k, group in enumerate(groups) for v in group}
-    parent, node, paths = h._walk(sorted(rank), None)
-    listed = [e for e, path in enumerate(paths) if path[-1] > path[0]]
-    listed.sort(key=lambda e: (rank[paths[e][0]], paths[e][0], paths[e][-1]))
-    return parent, node, paths, listed
+    paths = [path for path in h._walk(sorted(rank), None) if path[-1] > path[0]]
+    paths.sort(key=lambda path: (rank[path[0]], path[0], path[-1]))
+    return paths
 
 
-def _earliest(tree: tuple, tier: Sequence[int], floor: list, adjacent: Sequence) -> list:
-    """The earliest paths of :func:`_path_tree`'s ``tree`` that are no proper
-    segment of another, as indices in listed order; node ``i`` has tier
-    ``tier[i]`` and neighbours ``adjacent[i]``, edge i - j floor ``floor[i][j]``.
-    A path is earliest iff each of its edges' floors is its minimum, and lies
-    inside a longer earliest path iff a one-node extension is, that is iff
-    the new edge's floor is at least that minimum.  One pass top down reads
-    each entry's minimum, least floor and whether a child (an extension at
-    the last end) is earliest; only the paths left are tried at the first."""
-    parent, node, paths, listed = tree
-    low, least, extended = [tier[v] for v in node], [math.inf] * len(node), [False] * len(node)
-    for e, (p, v) in enumerate(zip(parent, node)):
-        if p >= 0:
-            t, m, f, g = low[e], low[p], floor[node[p]][v], least[p]
-            low[e] = t if t < m else m
-            least[e] = f if f < g else g
-            if f >= m:
-                extended[p] = True
-    earliest = []
-    for e in listed:
-        m, path = low[e], paths[e]
-        if least[e] == m and not extended[e]:
-            s, inner = path[0], adjacent[path[1]]
-            if all(floor[s][x] < m for x in adjacent[s] - inner if x not in path):
-                earliest.append(path)
-    return earliest
+def _earliest(paths: list, tier: Sequence[int], floor: list, adjacent: Sequence) -> list:
+    """The paths of ``paths`` that are earliest and no proper segment of
+    another earliest path, by :func:`_is_earliest`, in their order."""
+    return [path for path in paths if _is_earliest(path, tier, floor, adjacent)]
+
+
+def _is_earliest(path: tuple, tier: Sequence[int], floor: list, adjacent: Sequence) -> bool:
+    """Whether ``path`` is earliest and no proper segment of another earliest
+    path; node ``i`` has tier ``tier[i]`` and neighbours ``adjacent[i]``, edge
+    i - j floor ``floor[i][j]``.  A path is earliest iff each of its edges'
+    floors is its minimum m, and lies inside a longer earliest path iff a
+    one-node extension at an end is, that is iff the new edge's floor is at
+    least m (no floor on a path exceeds its minimum)."""
+    m = min(map(tier.__getitem__, path))
+    return min(map(dict.__getitem__, map(floor.__getitem__, path), path[1:])) == m and not any(
+        floor[end][x] >= m
+        for end, inner in ((path[-1], path[-2]), (path[0], path[1]))
+        for x in adjacent[end] - adjacent[inner] if x not in path
+    )
 
 
 def first_cross_tier_edges(path: Sequence[Node], tier) -> frozenset[Edge]:
@@ -321,12 +313,14 @@ def cross_tier_report(
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``, the ingredients of the equivalence criterion,
     from the paths of every chain component.  Edge floors are exact only on
-    chordal graphs, so a part that is not (no CPDAG's) raises GraphError."""
-    require_consistency(c, ordering)
+    chordal graphs, so a part that is not (no CPDAG's) raises GraphError; an
+    ordering that no DAG of the class respects raises as in :func:`tiered_mpdag`."""
     h = c.undirected_subgraph()
-    names, k, tier = h.nodes, h._non_simplicial(), ordering._tiers(h.nodes)
+    names, k = h.nodes, h._non_simplicial()
     if k is not None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {names[k]}")
+    tiered_mpdag(c, ordering)
+    tier = ordering._tiers(names)
     tree = _path_tree(h, list(_component_labels(h._ne)[1].values()), max_nodes)
     earliest = [tuple(map(names.__getitem__, path))
                 for path in _earliest(tree, tier, _floors(h._ne, tier), h._ne)]
@@ -435,18 +429,24 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple, max_nodes: in
     """A witness for first-edge sets that differ by ``diff``: in the least chain
     component of ``h`` holding an edge of ``diff``, the least differing first edge
     of the first earliest path of either ordering on which they differ, both by
-    label text; the least edge of ``diff`` there if over ``max_nodes`` or none."""
+    label text; the least edge of ``diff`` there if over ``max_nodes`` or none.
+    The walk takes neighbours by the ``repr`` of their labels, so paths come in
+    the order of ``str(tuple(labels))``, prefixes first; each is read from its
+    lower-index end and tested by :func:`_is_earliest` as it is made, and the
+    walk stops at the witness's path."""
     names, (label, groups) = h.nodes, _component_labels(h._ne)
     k = min(label[u] for u, _ in diff)
     edges = [(u, v) for u, v in diff if label[u] == k]
     if len(groups[k]) <= max_nodes:
-        tree = _path_tree(h, [groups[k]], max_nodes)
-        paths = {p for t, f in zip(tiers, floors) for p in _earliest(tree, t, f, h._ne)}
-        for path in sorted(paths, key=lambda p: str(tuple(map(names.__getitem__, p)))):
-            f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
-            if f1 != f2:
-                edges = f1 ^ f2
-                break
+        text = [repr(v) for v in names]
+        for path in h._walk(sorted(groups[k], key=text.__getitem__), None, text.__getitem__):
+            if path[-1] > path[0] and any(
+                _is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
+            ):
+                f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
+                if f1 != f2:
+                    edges = f1 ^ f2
+                    break
     return min(((names[u], names[v]) for u, v in edges), key=str)
 
 

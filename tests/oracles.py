@@ -16,7 +16,10 @@ directly and clique extension replaced, ``component_paths`` with
 that the prefix tree of the unshielded paths replaced,
 ``compare_by_path_tree`` with its path tree, floors read off the tree
 and per-path first edges, the comparison that the per-edge floors
-replaced, and the moved generators: ``er_skeleton_one_draw``, the ER
+replaced, ``path_witness_by_tree`` with ``earliest_top_down``, the
+witness read off the whole path tree of its component and the top-down
+earliest filter that the walk stopping at the witness and the per-path
+test replaced, and the moved generators: ``er_skeleton_one_draw``, the ER
 generator that drew every pair's uniform at once, and
 ``power_skeleton_by_choice``, the preferential attachment that called
 ``rng.choice`` for each pick.
@@ -987,7 +990,8 @@ def path_tree_with_edge_ids(h, max_nodes: int) -> tuple:
                 f"component of {len(group)} nodes exceeds the path "
                 f"enumeration limit of {max_nodes}"
             )
-    parent, node, paths = h._walk(sorted(v for group in groups.values() for v in group), None)
+    paths = list(h._walk(sorted(v for group in groups.values() for v in group), None))
+    parent, node = prefix_tree(paths)
     edge_of: list[dict[int, int]] = [{} for _ in h._ne]
     for k, (u, v) in enumerate((u, v) for u, ne in enumerate(h._ne) for v in ne if u < v):
         edge_of[u][v] = edge_of[v][u] = k
@@ -995,6 +999,60 @@ def path_tree_with_edge_ids(h, max_nodes: int) -> tuple:
     listed = [e for e, path in enumerate(paths) if path[-1] > path[0]]
     listed.sort(key=lambda e: (component[paths[e][0]], paths[e][0], paths[e][-1]))
     return component, parent, node, paths, edge, edge_of, listed
+
+
+def prefix_tree(paths: list) -> tuple[list, list]:
+    """Each path's parent entry in ``paths``, a walk in preorder (-1 for a
+    start), and its last node."""
+    entry = {path: e for e, path in enumerate(paths)}
+    return [entry.get(path[:-1], -1) for path in paths], [path[-1] for path in paths]
+
+
+def earliest_top_down(tree: tuple, tier, floor, adjacent) -> list:
+    """The earliest paths of ``tree``, a prefix tree as each entry's parent
+    (-1 for a start), node and path with the entries to list, that are no
+    proper segment of another, in listed order: one pass top down reads each
+    entry's minimum, least floor and whether a child (an extension at the
+    last end) is earliest; only the paths left are tried at the first.  The
+    filter that the per-path test :func:`causaltiers.tiers._is_earliest`
+    replaced."""
+    parent, node, paths, listed = tree
+    low, least, extended = [tier[v] for v in node], [math.inf] * len(node), [False] * len(node)
+    for e, (p, v) in enumerate(zip(parent, node)):
+        if p >= 0:
+            t, m, f, g = low[e], low[p], floor[node[p]][v], least[p]
+            low[e] = t if t < m else m
+            least[e] = f if f < g else g
+            if f >= m:
+                extended[p] = True
+    earliest = []
+    for e in listed:
+        m, path = low[e], paths[e]
+        if least[e] == m and not extended[e]:
+            s, inner = path[0], adjacent[path[1]]
+            if all(floor[s][x] < m for x in adjacent[s] - inner if x not in path):
+                earliest.append(path)
+    return earliest
+
+
+def path_witness_by_tree(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int):
+    """:func:`causaltiers.tiers._path_witness` by building the witness
+    component's whole path tree: both orderings' earliest maximal paths are
+    read off it by :func:`earliest_top_down` and sorted by label text, and
+    the first on which the first edges differ names the witness."""
+    names, (label, groups) = h.nodes, _component_labels(h._ne)
+    k = min(label[u] for u, _ in diff)
+    edges = [(u, v) for u, v in diff if label[u] == k]
+    if len(groups[k]) <= max_nodes:
+        paths = list(h._walk(groups[k], None))
+        tree = (*prefix_tree(paths), paths, [e for e, path in enumerate(paths) if path[-1] > path[0]])
+        found = {p for t, f in zip(tiers, floors) for p in earliest_top_down(tree, t, f, h._ne)}
+        for path in sorted(found, key=lambda p: str(tuple(map(names.__getitem__, p)))):
+            f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
+            if f1 != f2:
+                edges = f1 ^ f2
+                break
+    return min(((names[u], names[v]) for u, v in edges), key=str)
 
 
 def earliest_by_tree_floors(tree: tuple, tier, adjacent) -> list:

@@ -1,7 +1,9 @@
+import importlib
 import io
 import itertools as itr
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from causaltiers import (
 )
 from causaltiers import class_size, enumerate_class, joint_ida, local_ida, orientation, tiers
 from causaltiers.cli import main
-from causaltiers.formats import format_graph, format_tiers
+from causaltiers.formats import format_graph, format_tiers, load_graph, load_tiers
+from causaltiers.graphs import _component_labels
 from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
     _compare,
@@ -60,6 +63,7 @@ from oracles import (
     maximal_paths_pairwise,
     orient_undirected_part,
     path_tree_with_edge_ids,
+    path_witness_by_tree,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
     vstructs_of_arcset,
@@ -319,6 +323,17 @@ class TestCrossTierReport:
         monkeypatch.setattr(tiers, "require_consistency", counted)
         cross_tier_report(wave_cpdag, wave_tau)
         assert calls == [wave_cpdag]
+
+    def test_forced_v_structure_refused_like_tiered_mpdag(self):
+        """An ordering that no DAG of the class respects gets no report:
+        {A C} < {B} on A - B - C forces A -> B <- C."""
+        c = PDAG("ABC", undirected=[("A", "B"), ("B", "C")])
+        tau = TieredOrdering.from_tiers([["A", "C"], ["B"]])
+        message = "ordering creates the v-structure A -> B <- C, which no DAG of the class has"
+        for refuse in (cross_tier_report, tiered_mpdag):
+            with pytest.raises(InconsistentKnowledgeError) as info:
+                refuse(c, tau)
+            assert str(info.value) == message
 
     def test_reported_edges_exist_and_are_directed(self):
         rng = np.random.default_rng(19)
@@ -625,15 +640,18 @@ class TestSharedEnumeration:
         self, compare, monkeypatch, tmp_path, wave_cpdag, wave_tau, two_wave_tau, triangle
     ):
         """A comparison walks paths only to name a witness from the first
-        edges, and then only in the witness's component; the report walks
-        every component, in one walk."""
+        edges, and then only in the witness's component, up to the witness;
+        the report walks every component, in one walk."""
         walks = []
         walk = PDAG._walk
 
         def counted(self, sources, *args):
-            parent, node, _ = tree = walk(self, sources, *args)
-            walks.append(sorted(self.nodes[v] for p, v in zip(parent, node) if p < 0))
-            return tree
+            roots = []
+            walks.append(roots)
+            for path in walk(self, sources, *args):
+                if len(path) == 1:
+                    roots.append(self.nodes[path[0]])
+                yield path
 
         def per_pair(*args, **kwargs):
             raise AssertionError("per-pair path search on the comparison path")
@@ -649,7 +667,7 @@ class TestSharedEnumeration:
                 assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
             else:
                 getattr(tiers, compare)(c, t1, t2)
-            return list(walks)
+            return [sorted(roots) for roots in walks]
 
         monkeypatch.setattr(PDAG, "_walk", counted)
         monkeypatch.setattr(PDAG, "find_unshielded_paths", per_pair)
@@ -661,8 +679,9 @@ class TestSharedEnumeration:
             assert walked(c, t1, t2) == [sorted(c.nodes)]
             assert walked(triangle, a_first, c_last) == [["A", "B", "C"]]
             return
-        # both components' first edges differ: the first is walked alone
-        assert walked(c, t1, t2) == [["Z1", "Z2", "Z3"]]
+        # both components' first edges differ: the first is walked alone, and
+        # only from Z1, as Z1 - Z2 - Z3 names the witness
+        assert walked(c, t1, t2) == [["Z1"]]
         # the same first edges, or shielded edges that differ: no walk
         assert tiers_equivalent(wave_cpdag, wave_tau, two_wave_tau)
         assert walked(wave_cpdag, wave_tau, two_wave_tau) == []
@@ -703,8 +722,7 @@ def path_tree(h, max_nodes):
 
 
 def listed_paths(h, max_nodes):
-    _, _, paths, listed = path_tree(h, max_nodes)
-    return [paths[e] for e in listed]
+    return path_tree(h, max_nodes)
 
 
 class TestPathEnumeration:
@@ -1275,3 +1293,98 @@ class TestPerEdgeCriterion:
             counts += audit_per_edge_sets(h, consistent, sample)
             counts["graphs"] += 1
         assert counts["agree"] > 300 and counts["differ"] > 300, counts
+
+
+def relabelled(rng, h, style):
+    """``h`` with new labels, in the same node order, whose text order
+    differs from their index order: ``V0``..``V<n>`` shuffled (so ``V10``
+    sorts before ``V9``), labels that are prefixes of each other (``A1``,
+    ``A10``, ``A100``), or ints of one to three digits."""
+    n = h.num_nodes
+    if style == "numbered":
+        labels = [f"V{k}" for k in rng.permutation(n)]
+    elif style == "prefix":
+        pool = [f"A{d}{z}" for d in range(1, 10) for z in ("", "0", "00")]
+        labels = [pool[k] for k in rng.choice(len(pool), size=n, replace=False)]
+    else:
+        labels = [int(k) for k in rng.choice(150, size=n, replace=False)]
+    names = dict(zip(h.nodes, labels))
+    return PDAG(labels, undirected=[(names[u], names[v]) for u, v in h.undirected_edges])
+
+
+class TestWitnessWalk:
+    """The witness walk, which stops at the first differing earliest path
+    by label text, against the witness read off the component's whole
+    path tree (``oracles.path_witness_by_tree``)."""
+
+    def test_matches_whole_tree_witness(self):
+        """Undirected parts of random CPDAGs of the three generators,
+        random chordal graphs and bands, relabelled three ways, under
+        tier vectors of negative, non-contiguous values."""
+        rng = np.random.default_rng(181)
+        graphs = []
+        for generator in ("er", "power", "geometric"):
+            for _ in range(60):
+                p = int(rng.integers(4, 14))
+                dag = random_dag(p, min(p - 1.0, float(rng.choice([2.0, 3.0, 4.0]))), generator, rng)
+                graphs.append(cpdag_of(dag).undirected_subgraph())
+        while len(graphs) < 300:
+            h = random_undirected_graph(rng, int(rng.integers(4, 10)))
+            if h.is_chordal():
+                graphs.append(h)
+        for _ in range(40):
+            size = int(rng.integers(6, 14))
+            sizes = [size] if rng.random() < 0.5 else [size - size // 2, size // 2]
+            graphs.append(band_graph(rng, sizes, int(rng.integers(2, 4))))
+        counts = Counter()
+        for k, h in enumerate(graphs):
+            h = relabelled(rng, h, ("numbered", "prefix", "int")[k % 3])
+            names, (label, groups) = h.nodes, _component_labels(h._ne)
+            for _ in range(5):
+                levels = rng.choice(np.arange(-20, 21, 4), size=int(rng.integers(2, 5)), replace=False)
+                tiers_ = [[int(rng.choice(levels)) for _ in names] for _ in range(2)]
+                floors = [_floors(h._ne, t) for t in tiers_]
+                u1, u2 = (_first_edges(f, t) for f, t in zip(floors, tiers_))
+                if u1 == u2:
+                    continue
+                args = (h, u1 ^ u2, tuple(tiers_), tuple(floors))
+                max_nodes = 25 if rng.random() < 0.9 else 4
+                got = tiers._path_witness(*args, max_nodes)
+                assert got == path_witness_by_tree(*args, max_nodes), (h, tiers_, max_nodes)
+                c = min(label[u] for u, _ in u1 ^ u2)
+                least = min(((names[u], names[v]) for u, v in u1 ^ u2 if label[u] == c), key=str)
+                counts["fallback" if len(groups[c]) > max_nodes else
+                       "path witness" if got != least else "least edge"] += 1
+        assert counts["path witness"] > 150 and counts["fallback"] > 10, counts
+
+    def test_stops_before_the_whole_tree(self, tmp_path, monkeypatch):
+        """On the 18-node coarse-late band of the benchmark's compare_band
+        workload, the witness walk reads fewer entries than the component's
+        path tree lists."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        op = workloads.compare_op(tmp_path, workloads.shape_rng(3, 2, 0),
+                                  np.random.default_rng([2, 3, 0]), 0, 18, "coarse-late")
+        c, t1, t2 = load_graph(op.argv[1]), load_tiers(op.argv[2]), load_tiers(op.argv[3])
+        h, names = c.undirected_subgraph(), c.nodes
+        vectors = tuple(t._tiers(names) for t in (t1, t2))
+        floors = tuple(_floors(h._ne, v) for v in vectors)
+        diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
+        label, groups = _component_labels(h._ne)
+        (group,) = {tuple(groups[label[u]]) for u, _ in diff}
+        assert len(group) == 18
+        read = []
+        walk = PDAG._walk
+
+        def counted(self, *args):
+            for path in walk(self, *args):
+                read.append(path)
+                yield path
+
+        monkeypatch.setattr(PDAG, "_walk", counted)
+        witness = tiers._path_witness(h, diff, vectors, floors, 25)
+        walked = len(read)
+        listed = len(_path_tree(h, [list(group)], 25))
+        assert 0 < walked < listed, (walked, listed)
+        assert witness == path_witness_by_tree(h, diff, vectors, floors, 25)
+        assert witness == tiers_equivalent(c, t1, t2).witness
