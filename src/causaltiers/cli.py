@@ -17,7 +17,7 @@ import json
 import sys
 
 from .formats import format_graph, load_graph, load_tiers
-from .graphs import DEFAULT_PATH_NODE_LIMIT, GraphError, PDAG
+from .graphs import GraphError, PDAG
 from .ida import _format_entry, joint_ida, local_ida
 from .independence import is_d_separated
 from .orientation import _orient_tiered
@@ -172,7 +172,7 @@ def _cmd_compare_tiers(args) -> str:
     t1 = load_tiers(args.tiers1)
     t2 = load_tiers(args.tiers2)
     refinement = compare_refinement(t1, t2)
-    equiv, info = _compare(g, t1, t2, DEFAULT_PATH_NODE_LIMIT)
+    equiv, info = _compare(g, t1, t2)
     if args.json:
         return _json({
             "equivalent": equiv.equivalent,

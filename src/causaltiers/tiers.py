@@ -11,9 +11,11 @@ is cross-tier iff its ends' tiers differ, and points from the earlier.
 Both are read per edge, from edge floors.  One pass over two orderings
 builds each tiered MPDAG once and checks the paper's theorem: the
 criterion holds iff the two MPDAGs are equal.  Paths are listed only by
-:func:`cross_tier_report`; a witness walks them in label-text order and
-stops at the first differing earliest path.  Compatibility and
-refinement are read from tier groups, with no node-pair loop.
+:func:`cross_tier_report`, whose ``max_nodes`` is the opt-in; a witness
+walks them in label-text order within a fixed bound of
+``DEFAULT_PATH_NODE_LIMIT`` (25) nodes and stops at the first differing
+earliest path.  Compatibility and refinement are read from tier groups,
+with no node-pair loop.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import InvariantError, _cross_tier_state, _graph, require_consistency
-from .orientation import tiered_mpdag
+from .orientation import InvariantError, _cross_tier_state, _graph, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -239,28 +240,6 @@ def _first_edges(floor: list[dict[int, int]], tier: Sequence[int]) -> set[tuple[
     return {(x, y) for x, row in enumerate(floor) for y, f in row.items() if tier[x] == f < tier[y]}
 
 
-def _path_tree(h: PDAG, groups: Sequence[Sequence[int]], max_nodes: int) -> list:
-    """The unshielded paths inside the chain components ``groups`` (ascending
-    index lists) of ``h``, from one :meth:`PDAG._walk`, each from its lower
-    end, stably by (component, start, end), as per-pair walks list them."""
-    for group in groups:
-        if len(group) > max_nodes:
-            raise LimitError(
-                f"component of {len(group)} nodes exceeds the path "
-                f"enumeration limit of {max_nodes}"
-            )
-    rank = {v: k for k, group in enumerate(groups) for v in group}
-    paths = [path for path in h._walk(sorted(rank), None) if path[-1] > path[0]]
-    paths.sort(key=lambda path: (rank[path[0]], path[0], path[-1]))
-    return paths
-
-
-def _earliest(paths: list, tier: Sequence[int], floor: list, adjacent: Sequence) -> list:
-    """The paths of ``paths`` that are earliest and no proper segment of
-    another earliest path, by :func:`_is_earliest`, in their order."""
-    return [path for path in paths if _is_earliest(path, tier, floor, adjacent)]
-
-
 def _is_earliest(path: tuple, tier: Sequence[int], floor: list, adjacent: Sequence) -> bool:
     """Whether ``path`` is earliest and no proper segment of another earliest
     path; node ``i`` has tier ``tier[i]`` and neighbours ``adjacent[i]``, edge
@@ -311,19 +290,32 @@ def cross_tier_report(
     c: PDAG, ordering: TieredOrdering, max_nodes: int = DEFAULT_PATH_NODE_LIMIT
 ) -> CrossTierEdgeReport:
     """Summary of where ``ordering`` places cross-tier edges on the
-    undirected part of ``c``, the ingredients of the equivalence criterion,
-    from the paths of every chain component.  Edge floors are exact only on
-    chordal graphs, so a part that is not (no CPDAG's) raises GraphError; an
-    ordering that no DAG of the class respects raises as in :func:`tiered_mpdag`."""
+    undirected part of ``c``, the ingredients of the equivalence criterion.
+    It lists paths, so a chain component of more than ``max_nodes`` nodes
+    raises LimitError; each earliest path (:func:`_is_earliest`) comes once,
+    from its lower end, by (component, start, end).  Edge floors are exact
+    only on chordal graphs, so a part that is not (no CPDAG's) raises
+    GraphError; an ordering that no DAG of the class respects raises as in
+    :func:`tiered_mpdag`."""
     h = c.undirected_subgraph()
     names, k = h.nodes, h._non_simplicial()
     if k is not None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {names[k]}")
     tiered_mpdag(c, ordering)
+    groups = _component_labels(h._ne)[1].values()
+    for group in groups:
+        if len(group) > max_nodes:
+            raise LimitError(
+                f"component of {len(group)} nodes exceeds the path "
+                f"enumeration limit of {max_nodes}"
+            )
+    rank = {v: r for r, group in enumerate(groups) for v in group}
     tier = ordering._tiers(names)
-    tree = _path_tree(h, list(_component_labels(h._ne)[1].values()), max_nodes)
-    earliest = [tuple(map(names.__getitem__, path))
-                for path in _earliest(tree, tier, _floors(h._ne, tier), h._ne)]
+    floor = _floors(h._ne, tier)
+    paths = [path for path in h._walk(sorted(rank), None)
+             if path[-1] > path[0] and _is_earliest(path, tier, floor, h._ne)]
+    paths.sort(key=lambda path: (rank[path[0]], path[0], path[-1]))
+    earliest = [tuple(map(names.__getitem__, path)) for path in paths]
     t = ordering._assignment  # each shielded edge across tiers, from the earlier
     shielded = [(u, v) if t[u] < t[v] else (v, u) for u, v in fully_shielded_edges(h)
                 if t[u] != t[v]]
@@ -350,21 +342,17 @@ class TierEquivalence:
         return self.equivalent
 
 
-def tiers_equivalent(
-    c: PDAG,
-    t1: TieredOrdering,
-    t2: TieredOrdering,
-    max_nodes: int = DEFAULT_PATH_NODE_LIMIT,
-) -> TierEquivalence:
+def tiers_equivalent(c: PDAG, t1: TieredOrdering, t2: TieredOrdering) -> TierEquivalence:
     """Do ``t1`` and ``t2`` induce the same maximally oriented graph on ``c``?
 
     Decided graphically: the orderings are equivalent iff they agree on
     the first cross-tier edges of every earliest unshielded path and on
     every fully shielded cross-tier edge.  No path is listed for the
-    verdict: ``max_nodes`` bounds only the walk naming a witness.
+    verdict, and the walk naming a witness has a fixed bound
+    (:func:`_path_witness`).
     """
     check_compatible(t1, t2)
-    return _compare(c, t1, t2, max_nodes)[0]
+    return _compare(c, t1, t2)[0]
 
 
 class Informativeness(enum.Enum):
@@ -411,10 +399,7 @@ def contained_in(g1: PDAG, g2: PDAG) -> bool:
 
 
 def tiers_more_informative(
-    c: PDAG,
-    t1: TieredOrdering,
-    t2: TieredOrdering,
-    max_nodes: int = DEFAULT_PATH_NODE_LIMIT,
+    c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> InformativenessResult:
     """Compare how much ``t1`` and ``t2`` orient on ``c``.
 
@@ -422,14 +407,16 @@ def tiers_more_informative(
     graphs; the sufficient graphical conditions are reported alongside
     as diagnostics (they imply, but are not implied by, the verdict).
     """
-    return _compare(c, t1, t2, max_nodes)[1]
+    return _compare(c, t1, t2)[1]
 
 
-def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple, max_nodes: int) -> Edge:
+def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
     """A witness for first-edge sets that differ by ``diff``: in the least chain
     component of ``h`` holding an edge of ``diff``, the least differing first edge
     of the first earliest path of either ordering on which they differ, both by
-    label text; the least edge of ``diff`` there if over ``max_nodes`` or none.
+    label text; the least edge of ``diff`` there if that component has more than
+    ``DEFAULT_PATH_NODE_LIMIT`` nodes or no path differs, so the witness depends
+    only on the input.
     The walk takes neighbours by the ``repr`` of their labels, so paths come in
     the order of ``str(tuple(labels))``, prefixes first; each is read from its
     lower-index end and tested by :func:`_is_earliest` as it is made, and the
@@ -437,7 +424,7 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple, max_nodes: in
     names, (label, groups) = h.nodes, _component_labels(h._ne)
     k = min(label[u] for u, _ in diff)
     edges = [(u, v) for u, v in diff if label[u] == k]
-    if len(groups[k]) <= max_nodes:
+    if len(groups[k]) <= DEFAULT_PATH_NODE_LIMIT:
         text = [repr(v) for v in names]
         for path in h._walk(sorted(groups[k], key=text.__getitem__), None, text.__getitem__):
             if path[-1] > path[0] and any(
@@ -451,7 +438,7 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple, max_nodes: in
 
 
 def _compare(
-    c: PDAG, t1: TieredOrdering, t2: TieredOrdering, max_nodes: int
+    c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
     pass: each tiered MPDAG is built once (checking consistency and
@@ -470,7 +457,7 @@ def _compare(
     equivalent = not shielded_diff and u1 == u2
     witness = shielded_diff[0] if shielded_diff else None
     if witness is None and u1 != u2:
-        witness = _path_witness(h, u1 ^ u2, (v1, v2), (f1, f2), max_nodes)
+        witness = _path_witness(h, u1 ^ u2, (v1, v2), (f1, f2))
     same = g1 == g2
     if equivalent != same:
         u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)

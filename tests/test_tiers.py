@@ -31,10 +31,9 @@ from causaltiers.graphs import _component_labels
 from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
     _compare,
-    _earliest,
     _first_edges,
     _floors,
-    _path_tree,
+    _is_earliest,
     check_compatible,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -320,7 +319,6 @@ class TestCrossTierReport:
             return check(c, ordering)
 
         monkeypatch.setattr(orientation, "require_consistency", counted)
-        monkeypatch.setattr(tiers, "require_consistency", counted)
         cross_tier_report(wave_cpdag, wave_tau)
         assert calls == [wave_cpdag]
 
@@ -381,8 +379,9 @@ class TestTiersEquivalent:
 
     def test_max_nodes_reaches_the_path_walk(self):
         """The verdict lists no path, so the guard cannot stop it; the
-        guard bounds the walk that lists paths, and the witness falls back
-        to the least differing first edge beyond it."""
+        report's guard bounds the walk that lists paths, and the witness
+        falls back to the least differing first edge beyond its fixed bound
+        of 25 nodes, which the comparison takes no option to change."""
         names = [f"V{k}" for k in range(26)]
         path = PDAG(names, undirected=list(zip(names, names[1:])))
         tau = TieredOrdering.from_tiers([names])
@@ -394,7 +393,9 @@ class TestTiersEquivalent:
         t2 = TieredOrdering.from_tiers([names[:20], names[20:]])
         res = tiers_equivalent(path, t1, t2)
         assert res.witness == ("V19", "V20") and not res.first_edges_agree
-        assert tiers_equivalent(path, t1, t2, max_nodes=30) == res
+        for compare in (tiers_equivalent, tiers_more_informative):
+            with pytest.raises(TypeError):
+                compare(path, t1, t2, max_nodes=30)
         assert compare_by_path_tree(path, t1, t2, 30)[0] == res
 
     def test_regression_shielded_competitors_do_not_preempt(self):
@@ -594,7 +595,8 @@ class TestSharedEnumeration:
                 expected = maximal_paths_pairwise(earliest)
                 assert maximal_paths_by_segments(earliest) == expected
                 vector = [tier[v] for v in h.nodes]
-                got = _earliest(path_tree(h, 25), vector, _floors(h._ne, vector), h._ne)
+                floor = _floors(h._ne, vector)
+                got = [q for q in listed_paths(h, 25) if _is_earliest(q, vector, floor, h._ne)]
                 assert [tuple(h.nodes[i] for i in path) for path in got] == expected
                 checked += len(expected) > 1
         assert checked > 100, checked
@@ -697,7 +699,7 @@ class TestSharedEnumeration:
         monkeypatch.setattr(
             PDAG, "_oriented", lambda g, *a, **k: built.append(g) or oriented(g, *a, **k)
         )
-        _compare(c, t1, t2, 25)
+        _compare(c, t1, t2)
         assert len(built) == 2 and all(g is c for g in built), len(built)
 
 
@@ -715,19 +717,16 @@ def band_graph(rng, sizes, width):
     return PDAG([order[k] for k in rng.permutation(len(order))], undirected=edges)
 
 
-def path_tree(h, max_nodes):
-    """:func:`_path_tree` over every chain component of ``h``."""
-    groups = [[h.index_of(v) for v in comp] for comp in h.chain_components() if len(comp) > 1]
-    return _path_tree(h, groups, max_nodes)
-
-
 def listed_paths(h, max_nodes):
-    return path_tree(h, max_nodes)
+    """:func:`oracles.component_paths` over every chain component of ``h``."""
+    components = [comp for comp in h.chain_components() if len(comp) > 1]
+    return component_paths(h, components, max_nodes)
 
 
 class TestPathEnumeration:
-    """The prefix tree, read from each path's lower end, lists each
-    component's unshielded paths exactly as one walk per node pair does."""
+    """One walk over all components, read from each path's lower end, lists
+    each component's unshielded paths exactly as one walk per node pair
+    does, and the report keeps that order."""
 
     def test_matches_per_pair_walks(self):
         rng = np.random.default_rng(107)
@@ -747,9 +746,12 @@ class TestPathEnumeration:
             expected = []
             for component in components:
                 expected += component_paths_pairwise(h, component, 25)
-            # one tree over all components lists them component by component
+            # one walk over all components lists them component by component
             got = listed_paths(h, 25)
             assert [tuple(h.nodes[i] for i in path) for path in got] == expected
+            # under one tier the report keeps every maximal path, in that order
+            tau = TieredOrdering(dict.fromkeys(h.nodes, 1))
+            assert cross_tier_report(h, tau) == cross_tier_report_loop(h, tau)
         assert interleaved > 10, interleaved
 
     def test_guard_text_at_the_boundary(self):
@@ -759,7 +761,6 @@ class TestPathEnumeration:
         assert len(listed_paths(h, 26)) == 26 * 25 // 2
         message = "component of 26 nodes exceeds the path enumeration limit of 25"
         for enumerate_paths in (
-            lambda: path_tree(h, 25),
             lambda: cross_tier_report(h, TieredOrdering(dict.fromkeys(names, 1))),
             lambda: component_paths(h, [component], 25),
             lambda: component_paths_pairwise(h, component, 25),
@@ -801,14 +802,15 @@ class TestEarliestFromTree:
         checked = 0
         for h in graphs:
             components = [comp for comp in h.chain_components() if len(comp) > 1]
-            paths, tree = component_paths(h, components, 25), path_tree(h, 25)
+            paths = component_paths(h, components, 25)
             for _ in range(4):
                 # tiers from a few negative, non-contiguous values, so ties are common
                 size = int(rng.integers(1, 5))
                 levels = rng.choice(np.arange(-9, 10, 3), size=size, replace=False)
                 tier = [int(rng.choice(levels)) for _ in h.nodes]
                 expected = earliest_by_extension(paths, tier, h._ne)
-                assert _earliest(tree, tier, _floors(h._ne, tier), h._ne) == expected
+                floor = _floors(h._ne, tier)
+                assert [q for q in paths if _is_earliest(q, tier, floor, h._ne)] == expected
                 checked += len(expected) > 1
         assert drawn > 50 and checked > 500, (drawn, checked)
 
@@ -833,7 +835,7 @@ class TestEarliestFromTree:
             t2 = random_coarsening(rng, h.num_nodes)
             if is_compatible(tau, t2):
                 with pytest.raises(GraphError):
-                    _compare(h, tau, t2, 25)
+                    _compare(h, tau, t2)
                 files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
                 for path, text in zip(files, (format_graph(h), format_tiers(tau), format_tiers(t2))):
                     path.write_text(text)
@@ -912,7 +914,7 @@ class TestTheoremCheck:
                 outcomes["compatible"] += 1
             except IncompatibleOrderingsError:
                 outcomes["incompatible"] += 1
-            equiv, info = _compare(c, t1, t2, 25)
+            equiv, info = _compare(c, t1, t2)
             assert info == tiers_more_informative(c, t1, t2)
             assert info == tiers_more_informative_loop(c, t1, t2)
             assert equiv.equivalent == (tiered_mpdag(c, t1) == tiered_mpdag(c, t2))
@@ -968,7 +970,7 @@ class TestDefinitionAudit:
             for k in rng.choice(len(pairs), size=min(60, len(pairs)), replace=False):
                 i, j = pairs[k]
                 t1, t2, r1, r2 = orderings[i], orderings[j], admitted[i], admitted[j]
-                equiv, info = _compare(c, t1, t2, 25)
+                equiv, info = _compare(c, t1, t2)
                 verdict = (
                     Informativeness.EQUIVALENT if r1 == r2
                     else Informativeness.MORE_INFORMATIVE if r1 < r2
@@ -1027,7 +1029,7 @@ class TestDefinitionAudit:
                 (t1, r1), (t2, r2) = (admitted[k] for k in rng.integers(len(admitted), size=2))
                 if not is_compatible(t1, t2):
                     continue
-                equiv, info = _compare(c, t1, t2, 25)
+                equiv, info = _compare(c, t1, t2)
                 verdict = (
                     Informativeness.EQUIVALENT if r1 == r2
                     else Informativeness.MORE_INFORMATIVE if r1 < r2
@@ -1146,7 +1148,7 @@ def audit_per_edge_sets(h, orderings, pairs):
             assert component[path[0]] == min(component[a] for a, _ in u1 ^ u2)
             f = first_cross_tier_edges(path, v1) ^ first_cross_tier_edges(path, v2)
             expected = min(((names[a], names[b]) for a, b in f), key=str)
-            assert tiers._path_witness(h, u1 ^ u2, (v1, v2), (f1, f2), 25) == expected
+            assert tiers._path_witness(h, u1 ^ u2, (v1, v2), (f1, f2)) == expected
         outcomes["differ" if differ else "agree"] += 1
     return outcomes
 
@@ -1225,7 +1227,7 @@ class TestPerEdgeCriterion:
 
         def outcome(compare, c, t1, t2):
             try:
-                return compare(c, t1, t2, 25)
+                return compare(c, t1, t2)
             except GraphError as exc:
                 return type(exc), str(exc)
 
@@ -1317,7 +1319,7 @@ class TestWitnessWalk:
     by label text, against the witness read off the component's whole
     path tree (``oracles.path_witness_by_tree``)."""
 
-    def test_matches_whole_tree_witness(self):
+    def test_matches_whole_tree_witness(self, monkeypatch):
         """Undirected parts of random CPDAGs of the three generators,
         random chordal graphs and bands, relabelled three ways, under
         tier vectors of negative, non-contiguous values."""
@@ -1349,13 +1351,46 @@ class TestWitnessWalk:
                     continue
                 args = (h, u1 ^ u2, tuple(tiers_), tuple(floors))
                 max_nodes = 25 if rng.random() < 0.9 else 4
-                got = tiers._path_witness(*args, max_nodes)
+                monkeypatch.setattr(tiers, "DEFAULT_PATH_NODE_LIMIT", max_nodes)
+                got = tiers._path_witness(*args)
                 assert got == path_witness_by_tree(*args, max_nodes), (h, tiers_, max_nodes)
                 c = min(label[u] for u, _ in u1 ^ u2)
                 least = min(((names[u], names[v]) for u, v in u1 ^ u2 if label[u] == c), key=str)
                 counts["fallback" if len(groups[c]) > max_nodes else
                        "path witness" if got != least else "least edge"] += 1
         assert counts["path witness"] > 150 and counts["fallback"] > 10, counts
+
+    @pytest.mark.parametrize("n", [25, 26])
+    def test_bound_is_fixed_at_25_nodes(self, n):
+        """Random trees of ``n`` nodes (one chain component, no shielded
+        edge) under two tierings monotone in the depth from node 0, so both
+        consistent and compatible: the witness comes from the path walk on
+        25 nodes and is the least differing first edge on 26, and the two
+        differ often."""
+        rng = np.random.default_rng(191 + n)
+        differ = 0
+        for _ in range(40):
+            names = [f"V{k}" for k in rng.permutation(n)]
+            parent = [int(rng.integers(0, k)) for k in range(1, n)]
+            depth = [0]
+            for k in parent:
+                depth.append(depth[k] + 1)
+            h = PDAG(names, undirected=[(names[k], names[j + 1]) for j, k in enumerate(parent)])
+            t1, t2 = (
+                TieredOrdering(dict(zip(names, np.cumsum(rng.integers(0, 2, n))[depth].tolist())))
+                for _ in range(2)
+            )
+            vectors = tuple(t._tiers(names) for t in (t1, t2))
+            floors = tuple(_floors(h._ne, v) for v in vectors)
+            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
+            if not diff:
+                continue
+            walked = path_witness_by_tree(h, diff, vectors, floors, 26)
+            least = min(((names[u], names[v]) for u, v in diff), key=str)
+            witness = tiers_equivalent(h, t1, t2).witness
+            assert witness == (walked if n <= 25 else least), (h, t1, t2)
+            differ += walked != least
+        assert differ > 10, differ
 
     def test_stops_before_the_whole_tree(self, tmp_path, monkeypatch):
         """On the 18-node coarse-late band of the benchmark's compare_band
@@ -1382,9 +1417,9 @@ class TestWitnessWalk:
                 yield path
 
         monkeypatch.setattr(PDAG, "_walk", counted)
-        witness = tiers._path_witness(h, diff, vectors, floors, 25)
+        witness = tiers._path_witness(h, diff, vectors, floors)
         walked = len(read)
-        listed = len(_path_tree(h, [list(group)], 25))
+        listed = len(component_paths(h, [[h.nodes[i] for i in group]], 25))
         assert 0 < walked < listed, (walked, listed)
         assert witness == path_witness_by_tree(h, diff, vectors, floors, 25)
         assert witness == tiers_equivalent(c, t1, t2).witness
