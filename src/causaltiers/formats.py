@@ -9,7 +9,9 @@ or ``#`` or repeats another label's text, which would not read back.
 
 from __future__ import annotations
 
-from .graphs import GraphError, PDAG, _index_sets
+import re
+
+from .graphs import GraphError, PDAG
 from .tiers import TieredOrdering
 
 
@@ -41,7 +43,7 @@ def parse_graph(text: str) -> PDAG:
         (directed if mark == " -> " else undirected).append((i, j))
     if nodes is None:
         raise GraphError("missing 'nodes:' header")
-    return PDAG._from_sets(nodes, *_index_sets(nodes, directed, undirected))
+    return PDAG._from_pairs(nodes, index, directed, undirected)
 
 
 def _labels(nodes) -> str:
@@ -90,10 +92,10 @@ def parse_tiers(text: str) -> TieredOrdering:
         if not line.startswith("tier "):
             raise GraphError(f"line {lineno}: expected 'tier <k>: ...'")
         head, _, members = line.partition(":")
-        try:
-            tier = int(head[len("tier ") :].strip())
-        except ValueError:
-            raise GraphError(f"line {lineno}: bad tier index in {head!r}") from None
+        index = head[len("tier ") :].strip()
+        if not re.fullmatch(r"[+-]?[0-9]+", index):  # int() reads "1_0" and non-ASCII digits too
+            raise GraphError(f"line {lineno}: bad tier index in {head!r}")
+        tier = int(index)
         for v in members.split():
             if v in assignment:
                 raise GraphError(f"line {lineno}: node {v!r} already has a tier")

@@ -91,7 +91,7 @@ class PDAG:
             intern(label)
         directed = [(intern(u), intern(v)) for u, v in directed]
         undirected = [(intern(u), intern(v)) for u, v in undirected]
-        self._store(names, index, *_index_sets(names, directed, undirected))
+        self._store(names, index, *_frozen_sets(names, directed, undirected))
 
     @classmethod
     def _from_sets(
@@ -100,9 +100,17 @@ class PDAG:
     ) -> "PDAG":
         """Build from each node's parent and neighbour index sets; ``check``
         false leaves a directed cycle for the caller to find."""
-        g = cls.__new__(cls)
-        g._store(names, {label: i for i, label in enumerate(names)}, pa, ne, check)
-        return g
+        ch = [set() for _ in names]
+        for j, tails in enumerate(pa):
+            for i in tails:
+                ch[i].add(j)
+        frozen = (tuple(map(frozenset, x)) for x in (pa, ch, ne))
+        return cls.__new__(cls)._store(names, {v: i for i, v in enumerate(names)}, *frozen, check)
+
+    @classmethod
+    def _from_pairs(cls, names: Sequence[Node], index: dict, directed, undirected) -> "PDAG":
+        """Build from the index pairs of the directed and undirected edges."""
+        return cls.__new__(cls)._store(names, index, *_frozen_sets(names, directed, undirected))
 
     def _oriented(self, pa, ne, check: bool = True) -> "PDAG":
         """This graph with the parent and neighbour sets ``pa`` and ``ne``, an
@@ -118,23 +126,16 @@ class PDAG:
         for t, new in heads.items():
             ch[t] = ch[t] | new
         g = PDAG.__new__(PDAG)
-        g._store(self._names, self._index, tuple(new_pa), tuple(new_ne), check, tuple(ch))
-        return g
+        return g._store(self._names, self._index, tuple(new_pa), tuple(ch), tuple(new_ne), check)
 
-    def _store(self, names, index, pa, ne, check: bool = True, ch=None) -> None:
-        """Freeze the sets and derive the children, unless ``ch`` comes with
-        them frozen, and reject a directed cycle."""
-        if ch is None:
-            ch = [set() for _ in names]
-            for j, tails in enumerate(pa):
-                for i in tails:
-                    ch[i].add(j)
-            names, pa, ch, ne = tuple(names), *(tuple(map(frozenset, x)) for x in (pa, ch, ne))
+    def _store(self, names, index, pa, ch, ne, check: bool = True) -> "PDAG":
+        """This graph with the labels and the frozen sets, unless they close a cycle."""
         cycle = _directed_cycle(pa, ch) if check else None
         if cycle is not None:
             raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
-        self._names, self._index, self._pa, self._ch, self._ne = names, index, pa, ch, ne
+        self._names, self._index, self._pa, self._ch, self._ne = tuple(names), index, pa, ch, ne
         self._hash: int | None = None
+        return self
 
     # === basic accessors
 
@@ -440,20 +441,27 @@ class PDAG:
                 raise GraphError(f"{u!r} and {v!r} are not adjacent")
 
 
-def _index_sets(names: Sequence[Node], directed, undirected) -> tuple[list[set], list[set]]:
-    """Parent and neighbour index sets from index pairs, directed pairs first:
-    a :class:`GraphError` on a self-loop or a second edge between a pair."""
-    pa, ne = [set() for _ in names], [set() for _ in names]
-    for pairs, sets in ((directed, pa), (undirected, ne)):
+def _frozen_sets(names: Sequence[Node], directed, undirected) -> list[tuple[frozenset, ...]]:
+    """Parent, child and neighbour index sets from index pairs in one pass,
+    directed pairs first: a :class:`GraphError` on a self-loop or a second edge
+    between a pair.  A node with no edge of a kind holds one shared empty set."""
+    n, seen, empty = len(names), set(), frozenset()
+    pa, ch, ne = {}, {}, {}  # index lists of the nodes with an edge of the kind
+    for pairs, heads, tails in ((directed, pa, ch), (undirected, ne, ne)):
         for i, j in pairs:
             if i == j:
                 raise GraphError(f"self-loop at node {names[i]!r}")
-            if j in pa[i] or i in pa[j] or j in ne[i]:
+            key = i * n + j if i < j else j * n + i
+            if key in seen:
                 raise GraphError(f"more than one edge between {names[i]!r} and {names[j]!r}")
-            sets[j].add(i)
-            if sets is ne:
-                ne[i].add(j)
-    return pa, ne
+            seen.add(key)
+            heads.setdefault(j, []).append(i)
+            tails.setdefault(i, []).append(j)
+    rows = [[empty] * n for _ in range(3)]
+    for row, lists in zip(rows, (pa, ch, ne)):
+        for v, members in lists.items():
+            row[v] = frozenset(members)
+    return list(map(tuple, rows))
 
 
 def _component_labels(ne: Sequence[Iterable[int]]) -> tuple[list[int], dict[int, list[int]]]:

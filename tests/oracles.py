@@ -19,10 +19,11 @@ and per-path first edges, the comparison that the per-edge floors
 replaced, ``path_witness_by_tree`` with ``earliest_top_down``, the
 witness read off the whole path tree of its component and the top-down
 earliest filter that the walk stopping at the witness and the per-path
-test replaced, and the moved generators: ``er_skeleton_one_draw``, the ER
+test replaced, the moved generators: ``er_skeleton_one_draw``, the ER
 generator that drew every pair's uniform at once, and
 ``power_skeleton_by_choice``, the preferential attachment that called
-``rng.choice`` for each pick.
+``rng.choice`` for each pick, and ``build_two_pass``, the graph build from
+index pairs that the one-pass build replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +36,15 @@ from fractions import Fraction
 import numpy as np
 
 from causaltiers import orientation
-from causaltiers.graphs import GraphError, LimitError, PDAG, _component_labels, v_structures
+from causaltiers.graphs import (
+    CycleError,
+    GraphError,
+    LimitError,
+    PDAG,
+    _component_labels,
+    _directed_cycle,
+    v_structures,
+)
 from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
@@ -1269,3 +1278,34 @@ def local_ida_by_subsets(g, x) -> ParentSetMultiset:
             if clique and all(g.has_edge(a, q) for a in s for q in pa):
                 entries.append(pa | frozenset(s))
     return ParentSetMultiset(entries)
+
+
+# === the graph build from index pairs before the one-pass build
+
+
+def build_two_pass(names, directed, undirected) -> tuple:
+    """The labels and the frozen parent, child and neighbour index sets that
+    the constructor and the parser built from index pairs before the one-pass
+    build: a scratch parent and neighbour set per node filled from the pairs,
+    directed pairs first, each pair checked against those sets; the children
+    derived in a second loop; three sets frozen per node; then the same
+    directed-cycle check.  Raises the :class:`GraphError` that build raised."""
+    pa, ne = [set() for _ in names], [set() for _ in names]
+    for pairs, sets in ((directed, pa), (undirected, ne)):
+        for i, j in pairs:
+            if i == j:
+                raise GraphError(f"self-loop at node {names[i]!r}")
+            if j in pa[i] or i in pa[j] or j in ne[i]:
+                raise GraphError(f"more than one edge between {names[i]!r} and {names[j]!r}")
+            sets[j].add(i)
+            if sets is ne:
+                ne[i].add(j)
+    ch = [set() for _ in names]
+    for j, tails in enumerate(pa):
+        for i in tails:
+            ch[i].add(j)
+    pa, ch, ne = (tuple(map(frozenset, x)) for x in (pa, ch, ne))
+    cycle = _directed_cycle(pa, ch)
+    if cycle is not None:
+        raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
+    return tuple(names), pa, ch, ne

@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,48 @@ from causaltiers import (
 from causaltiers.cli import main
 
 from conftest import FIXTURES
+from oracles import build_two_pass
+
+
+def random_edge_lines(rng):
+    """Labels, edge lines ``(mark, i, j)`` in file order, and the repeat:
+    pairs of distinct nodes, some nodes isolated, directed pairs often
+    closing a cycle; sometimes an existing pair again, as either kind,
+    either way round, at any place (the repeat is then its first mark, its
+    second mark and whether it is reversed, else None), or a self-loop of
+    either kind."""
+    p = int(rng.integers(1, 10))
+    names = [f"N{k}" for k in rng.permutation(p)]
+    marks = (" -> ", " -- ")
+    pairs = [(i, j) if rng.random() < 0.5 else (j, i) for i in range(p) for j in range(i)]
+    take = rng.permutation(len(pairs))[: int(rng.integers(0, 3 * p))]
+    edges = [(marks[int(rng.random() < 0.2)], *pairs[k]) for k in take]
+    repeat = None
+    if edges and rng.random() < 0.3:
+        mark, i, j = edges[int(rng.integers(len(edges)))]
+        again, swap = marks[int(rng.integers(2))], bool(rng.integers(2))
+        edges.insert(int(rng.integers(len(edges) + 1)), (again, *((j, i) if swap else (i, j))))
+        repeat = (mark, again, swap)
+    elif rng.random() < 0.2:
+        k = int(rng.integers(p))
+        edges.insert(int(rng.integers(len(edges) + 1)), (marks[int(rng.integers(2))], k, k))
+    return names, edges, repeat
+
+
+def edge_text(names, edges):
+    return "nodes: " + " ".join(names) + "\n" + "".join(
+        f"{names[i]}{mark}{names[j]}\n" for mark, i, j in edges
+    )
+
+
+def sets_or_error(build):
+    """The labels and index sets of what ``build()`` gives, or the type and
+    message of the :class:`GraphError` it raises."""
+    try:
+        g = build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return g if isinstance(g, tuple) else (g.nodes, g._pa, g._ch, g._ne)
 
 
 class TestGraphFormat:
@@ -113,6 +156,47 @@ class TestGraphFormat:
             seen.add(str(built.value).split(" ")[0])
         assert seen == {"self-loop", "more", "directed", "valid"}, seen
 
+    def test_build_matches_the_two_pass_oracle(self):
+        """The constructor and the parser give the labels and sets, or the
+        error, of the former two-pass build on random edge lists with
+        isolated nodes, self-loops, repeated pairs and directed cycles."""
+        rng = np.random.default_rng(71)
+        outcomes, repeats = Counter(), Counter()
+        for _ in range(1500):
+            names, edges, repeat = random_edge_lines(rng)
+            directed = [(i, j) for mark, i, j in edges if mark == " -> "]
+            undirected = [(i, j) for mark, i, j in edges if mark == " -- "]
+            expected = sets_or_error(lambda: build_two_pass(names, directed, undirected))
+            built = sets_or_error(lambda: PDAG(
+                names,
+                directed=[(names[i], names[j]) for i, j in directed],
+                undirected=[(names[i], names[j]) for i, j in undirected],
+            ))
+            assert built == expected
+            assert sets_or_error(lambda: parse_graph(edge_text(names, edges))) == expected
+            outcomes["valid" if len(expected) == 4 else expected[1].split(" ")[0]] += 1
+            repeats[repeat] += 1
+        assert min(outcomes.values()) > 100 and len(outcomes) == 4, outcomes
+        assert len(repeats) == 9 and min(repeats.values()) > 10, repeats
+
+    def test_empty_sets_are_one_object(self):
+        """After the parser and the constructor, every node with no parent,
+        child or neighbour holds the same empty set."""
+        rng = np.random.default_rng(73)
+        checked = 0
+        for _ in range(300):
+            names, edges, _ = random_edge_lines(rng)
+            try:
+                parsed = parse_graph(edge_text(names, edges))
+            except GraphError:
+                continue
+            built = PDAG(names, parsed.directed_edges, parsed.undirected_edges)
+            for g in (parsed, built):
+                empty = {id(x) for sets in (g._pa, g._ch, g._ne) for x in sets if not x}
+                assert len(empty) == 1
+            checked += 1
+        assert checked > 100, checked
+
     def test_round_trip_random_graphs(self):
         """Random acyclic mixed graphs with labels in a random order: the
         parsed graph has exactly the written one's nodes and index sets."""
@@ -161,6 +245,17 @@ class TestTiersFormat:
             parse_tiers("tier x: A\n")
         with pytest.raises(GraphError):
             parse_tiers("# nothing\n")
+
+    @pytest.mark.parametrize("head", ["tier 1_0", "tier \u0661", "tier +-1", "tier 1.0", "tier "])
+    def test_tier_index_is_ascii_digits(self, head):
+        """``int`` alone would read ``1_0`` as 10 and an Arabic-Indic one as 1."""
+        with pytest.raises(GraphError) as info:
+            parse_tiers(f"tier 0: B\n{head}: A\n")
+        assert str(info.value) == f"line 2: bad tier index in {head!r}"
+
+    def test_signed_tier_indices(self):
+        tau = parse_tiers("tier -2: A\ntier +3: B\ntier 07: C\n")
+        assert tau.assignment == {"A": -2, "B": 3, "C": 7}
 
 
 class TestLabels:

@@ -19,10 +19,12 @@ from causaltiers import (
     class_size,
     cpdag_of,
     enumerate_class,
+    format_graph,
     impose_knowledge,
     impose_tiers,
     meek_closure,
     mpdag_of,
+    parse_graph,
     tiered_mpdag,
     v_structures,
 )
@@ -989,6 +991,12 @@ def unchecked_mixed(rng, p):
     return pdag_from_amat_unchecked(names, amat)
 
 
+def parsed(g):
+    """``g`` read back from its file text: the loader's build, whose nodes
+    without an edge of a kind share one empty set."""
+    return parse_graph(format_graph(g))
+
+
 def build_outcome(build):
     """The exact sets of the graph ``build()`` returns, or the exception
     type and message it raises."""
@@ -1024,6 +1032,8 @@ class TestPatchedBuild:
         for trial in range(200):
             p = int(rng.integers(2, 12))
             g = unchecked_mixed(rng, p) if trial % 2 else random_cpdag_and_tau(rng, p, 2.0)[0]
+            if trial % 4 == 2:
+                g = parsed(g)
             before = (g._pa, g._ch, g._ne)
             pa, ne, adj = s = orientation._state(g)
             for v in range(p):
@@ -1051,6 +1061,8 @@ class TestPatchedBuild:
         for trial in range(300):
             c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 30)), 2.5)
             c = reordered(c, [c.nodes[k] for k in rng.permutation(c.num_nodes)])
+            if trial % 2:
+                c = parsed(c)
             if trial % 3 == 0:
                 tau = TieredOrdering({v: int(rng.integers(0, 4)) for v in c.nodes})
             for rules in ((1,), MEEK_RULES):
@@ -1088,13 +1100,15 @@ class TestPatchedBuild:
         assert min(outcomes.values()) > 50, outcomes
 
     def test_class_members(self, monkeypatch):
-        """Every graph ``_leaves`` builds, members and dropped leaves alike."""
+        """Every graph ``_leaves`` builds, members and dropped leaves alike,
+        from graphs built by ``_from_sets`` and by the loader."""
         built = Counter()
         graph = orientation._graph
 
         def both(g, s):
             expected = build_outcome(lambda: PDAG._from_sets(g.nodes, s[0], s[1]))
             assert build_outcome(lambda: graph(g, s)) == expected
+            assert_patched_build(g, s)
             built[expected[0] is CycleError] += 1
             return graph(g, s)
 
@@ -1104,7 +1118,7 @@ class TestPatchedBuild:
             p = int(rng.integers(2, 9))
             g = random_pdag(rng, p) if trial % 2 else random_cpdag_and_tau(rng, p, 3.0)[0]
             if len(g.undirected_edges) <= 10:
-                class_outcome(g)
+                class_outcome(parsed(g) if trial % 4 < 2 else g)
         assert built[False] > 500 and built[True] > 5, built
 
     def test_one_tier_vector_per_pass(self, wave_cpdag, wave_tau):
