@@ -9,8 +9,10 @@ is returned sorted by that index so outputs are deterministic.
 
 Each node's parent, child and neighbour index sets are the only storage,
 so queries read one node's sets and construction, the cycle checks and
-derived graphs take time linear in the nodes and edges; a graph that
-orients edges of another shares the sets of each node it leaves as it was.
+derived graphs take time linear in the nodes and edges.  Each new graph is
+built in one pass over its edge pairs, with one empty set shared by every
+empty slot, except a graph that orients edges of another: it shares the
+sets of each node it leaves as it was.
 Edge lists come row by row in index order, as an adjacency matrix would
 list them; that matrix view exists only in the tests.
 """
@@ -92,20 +94,6 @@ class PDAG:
         directed = [(intern(u), intern(v)) for u, v in directed]
         undirected = [(intern(u), intern(v)) for u, v in undirected]
         self._store(names, index, *_frozen_sets(names, directed, undirected))
-
-    @classmethod
-    def _from_sets(
-        cls, names: Sequence[Node], pa: Sequence[Iterable[int]], ne: Sequence[Iterable[int]],
-        check: bool = True,
-    ) -> "PDAG":
-        """Build from each node's parent and neighbour index sets; ``check``
-        false leaves a directed cycle for the caller to find."""
-        ch = [set() for _ in names]
-        for j, tails in enumerate(pa):
-            for i in tails:
-                ch[i].add(j)
-        frozen = (tuple(map(frozenset, x)) for x in (pa, ch, ne))
-        return cls.__new__(cls)._store(names, {v: i for i, v in enumerate(names)}, *frozen, check)
 
     @classmethod
     def _from_pairs(cls, names: Sequence[Node], index: dict, directed, undirected) -> "PDAG":
@@ -243,15 +231,21 @@ class PDAG:
 
     def skeleton(self) -> "PDAG":
         """Same adjacencies with every edge undirected."""
-        return PDAG._from_sets(self._names, [()] * self.num_nodes, self._adjacency())
+        arcs, undirected = self._pairs()
+        return PDAG._from_pairs(self._names, self._index, (), arcs + undirected)
 
     def undirected_subgraph(self) -> "PDAG":
         """Same nodes, only the undirected edges."""
-        return PDAG._from_sets(self._names, [()] * self.num_nodes, self._ne)
+        return PDAG._from_pairs(self._names, self._index, (), self._pairs()[1])
 
     def directed_subgraph(self) -> "PDAG":
         """Same nodes, only the directed edges."""
-        return PDAG._from_sets(self._names, self._pa, [()] * self.num_nodes)
+        return PDAG._from_pairs(self._names, self._index, self._pairs()[0], ())
+
+    def _pairs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Index pairs of the directed edges, and of the undirected ones lower index first."""
+        return ([(i, j) for i, ch in enumerate(self._ch) for j in ch],
+                [(i, j) for i, ne in enumerate(self._ne) for j in ne if i < j])
 
     def induced_subgraph(self, nodes: Iterable[Node]) -> "PDAG":
         """Subgraph over ``nodes`` keeping all and only edges between them."""
@@ -260,13 +254,10 @@ class PDAG:
             raise GraphError("duplicate node in induced subgraph selection")
         keep.sort()
         new = {v: k for k, v in enumerate(keep)}
-
-        def restrict(sets):
-            return [[new[w] for w in sets[v] if w in new] for v in keep]
-
-        return PDAG._from_sets(
-            [self._names[i] for i in keep], restrict(self._pa), restrict(self._ne)
-        )
+        names = [self._names[i] for i in keep]
+        arcs = [(new[i], new[j]) for i in keep for j in self._ch[i] if j in new]
+        undirected = [(new[i], new[j]) for i in keep for j in self._ne[i] if i < j and j in new]
+        return PDAG._from_pairs(names, dict(zip(names, range(len(names)))), arcs, undirected)
 
     # === structure queries
 
@@ -316,7 +307,8 @@ class PDAG:
 
         Components are sorted by their smallest node index.
         """
-        return [self._labels(c) for c in _components(self._ne)]
+        label, groups = _component_labels(self._ne)
+        return [self._labels(groups.get(v, (v,))) for v, k in enumerate(label) if k == v]
 
     def is_chordal(self) -> bool:
         """Chordality of an undirected graph.
@@ -479,13 +471,6 @@ def _component_labels(ne: Sequence[Iterable[int]]) -> tuple[list[int], dict[int,
                         group.append(w)
             groups[start] = sorted(group)
     return label, groups
-
-
-def _components(ne: Sequence[Iterable[int]]) -> list[list[int]]:
-    """The connected components under ``ne`` as ascending index lists,
-    sorted by their smallest index, singletons included."""
-    label, groups = _component_labels(ne)
-    return [groups.get(v, [v]) for v, k in enumerate(label) if k == v]
 
 
 def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:

@@ -129,4 +129,6 @@ def cpdag_of(d: PDAG) -> PDAG:
     ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
     # no rule fires on the bare skeleton: start from the compelled arcs' frontier
     _close((pa, ne, adj), (1, 2, 3), d.nodes, [(i, v) for v, ps in enumerate(pa) for i in ps])
-    return PDAG._from_sets(d.nodes, pa, ne)
+    arcs = [(i, v) for v, ps in enumerate(pa) for i in ps]
+    undirected = [(v, w) for v, nb in enumerate(ne) for w in nb if v < w]
+    return PDAG._from_pairs(d.nodes, d._index, arcs, undirected)

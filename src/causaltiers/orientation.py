@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .graphs import Edge, GraphError, LimitError, PDAG, _components
+from .graphs import Edge, GraphError, LimitError, PDAG, _component_labels
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tiers import TieredOrdering
@@ -467,9 +467,8 @@ def _completions(ne: Sequence[Iterable[int]], names, memo: dict) -> int:
     """Product of the :func:`_amo_count` of each chain component of the
     undirected part ``ne``: the orientations of a chain graph with chordal
     components that keep it acyclic and add no v-structure."""
-    return math.prod(
-        _amo_count(ne, names, comp, memo) for comp in _components(ne) if len(comp) > 1
-    )
+    groups = _component_labels(ne)[1].values()
+    return math.prod(_amo_count(ne, names, comp, memo) for comp in groups)
 
 
 def class_size(g: PDAG) -> int:

@@ -202,11 +202,9 @@ def random_dag(p: int, expected_neighbours: float, generator: str, rng) -> PDAG:
         raise GraphError(f"generator must be one of {GENERATORS}")
     skeleton = _SKELETONS[generator](p, expected_neighbours, rng)
     rank = rng.permutation(p).argsort().tolist()
-    pa: list[set[int]] = [set() for _ in range(p)]
-    for a, b in skeleton:
-        i, j = sorted((rank[a], rank[b]))
-        pa[j].add(i)
-    return PDAG._from_sets([f"V{k}" for k in range(p)], pa, [()] * p)
+    arcs = [sorted((rank[a], rank[b])) for a, b in skeleton]
+    names = [f"V{k}" for k in range(p)]
+    return PDAG._from_pairs(names, dict(zip(names, range(p))), arcs, ())
 
 
 # === tier schemes on generated DAGs

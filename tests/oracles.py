@@ -22,8 +22,10 @@ earliest filter that the walk stopping at the witness and the per-path
 test replaced, the moved generators: ``er_skeleton_one_draw``, the ER
 generator that drew every pair's uniform at once, and
 ``power_skeleton_by_choice``, the preferential attachment that called
-``rng.choice`` for each pick, and ``build_two_pass``, the graph build from
-index pairs that the one-pass build replaced.
+``rng.choice`` for each pick, ``build_two_pass``, the graph build from
+index pairs that the one-pass build replaced, and ``build_from_sets``, the
+build from per-node index sets that derived graphs, ``cpdag_of`` and
+``random_dag`` used before they handed their edge pairs to the same pass.
 """
 
 from __future__ import annotations
@@ -424,13 +426,25 @@ def amat_of(g) -> np.ndarray:
     return amat
 
 
+def build_from_sets(names, pa, ne, check: bool = True) -> PDAG:
+    """The PDAG whose nodes have the parent and neighbour index sets ``pa``
+    and ``ne``, each slot frozen on its own, children derived in a second
+    loop; ``check`` false leaves a directed cycle for the caller to find."""
+    ch = [set() for _ in names]
+    for j, tails in enumerate(pa):
+        for i in tails:
+            ch[i].add(j)
+    frozen = (tuple(map(frozenset, x)) for x in (pa, ch, ne))
+    return PDAG.__new__(PDAG)._store(names, {v: i for i, v in enumerate(names)}, *frozen, check)
+
+
 def pdag_from_amat_unchecked(names, amat: np.ndarray) -> PDAG:
     """The PDAG with the edges of ``amat``, built without the constructor's
     directed-cycle check, as the tiered pass builds its result."""
     d, u = amat & ~amat.T, amat & amat.T
     pa = [np.nonzero(d[:, j])[0].tolist() for j in range(len(names))]
     ne = [np.nonzero(u[i])[0].tolist() for i in range(len(names))]
-    return PDAG._from_sets(names, pa, ne, check=False)
+    return build_from_sets(names, pa, ne, check=False)
 
 
 def pdag_from_amat(names, amat: np.ndarray) -> PDAG:
@@ -1261,7 +1275,7 @@ def cpdag_by_meek_closure(d) -> PDAG:
         pa[d.index_of(b)] |= {d.index_of(a), d.index_of(c)}
     adj = d._adjacency()
     ne = [{w for w in adj[v] if w not in pa[v] and v not in pa[w]} for v in range(len(adj))]
-    start = PDAG._from_sets(d.nodes, pa, ne)
+    start = build_from_sets(d.nodes, pa, ne)
     return meek_closure(start, rules=(1, 2, 3))
 
 

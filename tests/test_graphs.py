@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltiers import graphs
+from causaltiers import graphs, simulation
 from causaltiers import (
     CycleError,
     GraphError,
@@ -17,10 +17,14 @@ from causaltiers import (
     markov_equivalent,
     v_structures,
 )
+from causaltiers.formats import format_graph, parse_graph
+from causaltiers.simulation import random_dag
 
 from conftest import WAVE_ARCS, random_dag_instance, reordered
 from oracles import (
     amat_of,
+    build_from_sets,
+    cpdag_by_meek_closure,
     directed_cycle_per_node,
     has_chordless_cycle,
     has_partially_directed_cycle_bfs,
@@ -518,12 +522,12 @@ class TestSetCoreAgainstMatrix:
             if cycle is not None:
                 assert cycle_error_text(amat) == cycle
                 with pytest.raises(CycleError) as info:
-                    PDAG._from_sets(names, pa, ne)
+                    build_from_sets(names, pa, ne)
                 assert str(info.value) == cycle
                 seen["cyclic"] += 1
                 continue
             g = pdag_of(amat)
-            assert repr(PDAG._from_sets(names, pa, ne)) == repr(g)
+            assert repr(build_from_sets(names, pa, ne)) == repr(g)
 
             def labels(row):
                 return tuple(names[k] for k in np.nonzero(row)[0])
@@ -568,6 +572,80 @@ class TestSetCoreAgainstMatrix:
             seen["v-structures"] += bool(vs)
             seen[witness.split(" ")[0] if witness else "no cycle"] += 1
         assert min(seen.values()) > 50, seen
+
+
+def sets_build(names, amat):
+    """The labels, index and sets of the oracle build of the PDAG with the
+    edges of ``amat``."""
+    d, u = amat & ~amat.T, amat & amat.T
+    pa = [np.nonzero(d[:, k])[0].tolist() for k in range(len(names))]
+    ne = [np.nonzero(u[k])[0].tolist() for k in range(len(names))]
+    return sets_of(build_from_sets(names, pa, ne))
+
+
+def sets_of(g):
+    return g.nodes, g._index, g._pa, g._ch, g._ne
+
+
+def built_sets(g):
+    """The labels, index and frozen sets of ``g``, after checking that every
+    empty slot holds one shared empty set."""
+    assert len({id(s) for row in (g._pa, g._ch, g._ne) for s in row if not s}) <= 1
+    return sets_of(g)
+
+
+class TestOnePassBuilds:
+    """Every graph built from edge pairs in one pass holds exactly the sets
+    that freezing each node's parent and neighbour sets on its own gives."""
+
+    def test_derived_graphs(self):
+        rng = np.random.default_rng(25)
+        seen = Counter()
+        for trial in range(400):
+            p = int(rng.integers(1, 16))
+            amat = random_mixed_amat(rng, p) if trial % 2 else random_chain_graph_amat(rng, p)
+            names = [f"V{k}" for k in range(p)]
+            if directed_cycle_per_node(amat) is not None:
+                continue
+            g = pdag_of(amat)
+            if trial % 3 == 0:
+                g = parse_graph(format_graph(g))
+                seen["parsed"] += 1
+            adj = amat | amat.T
+            assert built_sets(g.skeleton()) == sets_build(names, adj)
+            assert built_sets(g.undirected_subgraph()) == sets_build(names, amat & amat.T)
+            assert built_sets(g.directed_subgraph()) == sets_build(names, amat & ~amat.T)
+            for size in (0, 1, int(rng.integers(0, p + 1))):
+                pick = rng.permutation(p)[:size]
+                keep = sorted(pick)
+                sub = g.induced_subgraph([names[k] for k in pick])
+                expected = sets_build([names[k] for k in keep], amat[np.ix_(keep, keep)])
+                assert built_sets(sub) == expected
+                seen["cut edge"] += int(adj[np.ix_(keep, keep)].sum()) < int(adj[keep].sum())
+            seen["mixed"] += bool(g.directed_edges and g.undirected_edges)
+        assert min(seen.values()) > 50, seen
+
+    def test_cpdags_and_random_dags(self):
+        rng = np.random.default_rng(26)
+        for trial in range(150):
+            p = int(rng.integers(2, 16))
+            names = [f"V{k}" for k in range(p)]
+            amat = random_mixed_amat(rng, p)
+            d = pdag_of(amat & ~amat.T)
+            expected = sets_build(names, amat_of(cpdag_by_meek_closure(d)))
+            assert built_sets(cpdag_of(d)) == expected
+
+            generator = simulation.GENERATORS[trial % 3]
+            degree, seed = float(rng.uniform(0, min(4, p - 1))), int(rng.integers(2**32))
+            got = built_sets(random_dag(p, degree, generator, np.random.default_rng(seed)))
+            redraw = np.random.default_rng(seed)
+            skeleton = simulation._SKELETONS[generator](p, degree, redraw)
+            rank = redraw.permutation(p).argsort().tolist()
+            pa = [set() for _ in range(p)]
+            for a, b in skeleton:
+                i, j = sorted((rank[a], rank[b]))
+                pa[j].add(i)
+            assert got == sets_of(build_from_sets(names, pa, [()] * p))
 
 
 class TestUnshieldedPaths:

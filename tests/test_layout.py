@@ -1,4 +1,5 @@
-"""Source layout: a subcommand's output is written in one place.
+"""Source layout: a subcommand's output is written in one place, and no
+module imports a name it does not use.
 
 Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
 so nothing else in the package may touch stdout, the ``out`` stream of
@@ -71,3 +72,62 @@ def test_main_is_the_output_path():
 )
 def test_checker_finds_writes(text, module, expected):
     assert uses(text, module) == expected
+
+
+def unused_imports(text: str) -> list[str]:
+    """Names that ``text`` imports, at any depth, and never uses.
+
+    A name is used when it is read anywhere, appears in a quoted
+    annotation, or is listed in the module's ``__all__``.
+    ``from __future__`` imports are exempt.
+    """
+    tree = ast.parse(text)
+    imported, used = [], set()
+
+    def names_in(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = (
+            [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else []
+        )
+        for quoted in (n for a in annotations if a for n in ast.walk(a)):
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                used |= names_in(ast.parse(quoted.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("import os\n", ["os"]),
+        ("import os.path\nos.sep\n", []),
+        ("from .graphs import PDAG as G, Node\nG\n", ["Node"]),
+        ("from __future__ import annotations\n", []),
+        ("from .tiers import T\ndef f(x: 'T') -> list['T']:\n    pass\n", []),
+        ("from .tiers import T\nx: 'list[T]' = []\n", []),
+        ("from .tiers import T\ntext = 'T'\n", ["T"]),
+        ("from .graphs import A, B\n__all__ = ['A']\n", ["B"]),
+        ("def f():\n    import json\n    return 1\n", ["json"]),
+    ],
+    ids=["import", "dotted", "alias", "future", "quoted", "annassign", "string", "all", "nested"],
+)
+def test_checker_finds_unused_imports(text, expected):
+    assert unused_imports(text) == expected

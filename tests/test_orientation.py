@@ -37,6 +37,7 @@ from oracles import (
     SweepConflict,
     amat_of,
     apply_meek_rule,
+    build_from_sets,
     consistent_extensions,
     cpdag_by_meek_closure,
     forbidden_set,
@@ -793,7 +794,7 @@ class TestInvariantChecks:
                     round_closure(s, MEEK_RULES, names)
                 except InconsistentKnowledgeError:
                     continue
-                g = PDAG._from_sets(names, s[0], s[1], check=False)
+                g = build_from_sets(names, s[0], s[1], check=False)
             got = invariants_outcome(orientation._require_invariants, g)
             assert got == invariants_outcome(require_invariants_scan, g)
             if got is None or got[0] is InvariantError:
@@ -1009,11 +1010,11 @@ def build_outcome(build):
 
 def assert_patched_build(g, s):
     """``g._oriented`` on the orientation ``s`` of ``g``'s sets builds
-    exactly what ``PDAG._from_sets`` builds, checked or not, and shares
+    exactly what ``build_from_sets`` builds, checked or not, and shares
     the labels and the sets of every node it leaves as it was."""
     for check in (False, True):
         got = build_outcome(lambda: g._oriented(s[0], s[1], check=check))
-        assert got == build_outcome(lambda: PDAG._from_sets(g.nodes, s[0], s[1], check=check))
+        assert got == build_outcome(lambda: build_from_sets(g.nodes, s[0], s[1], check=check))
     new = g._oriented(s[0], s[1], check=False)
     assert new._names is g._names and new._index is g._index
     tails = {t for v in range(g.num_nodes) for t in new._pa[v] - g._pa[v]}
@@ -1101,12 +1102,12 @@ class TestPatchedBuild:
 
     def test_class_members(self, monkeypatch):
         """Every graph ``_leaves`` builds, members and dropped leaves alike,
-        from graphs built by ``_from_sets`` and by the loader."""
+        from graphs built by ``build_from_sets`` and by the loader."""
         built = Counter()
         graph = orientation._graph
 
         def both(g, s):
-            expected = build_outcome(lambda: PDAG._from_sets(g.nodes, s[0], s[1]))
+            expected = build_outcome(lambda: build_from_sets(g.nodes, s[0], s[1]))
             assert build_outcome(lambda: graph(g, s)) == expected
             assert_patched_build(g, s)
             built[expected[0] is CycleError] += 1
