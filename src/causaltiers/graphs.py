@@ -20,7 +20,7 @@ list them; that matrix view exists only in the tests.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -389,16 +389,13 @@ class PDAG:
         return [tuple(map(self._names.__getitem__, path))
                 for path in self._walk((s,), t) if path[-1] == t]
 
-    def _walk(self, sources: Iterable[int], target: int | None,
-              key: Callable[[int], Any] | None = None) -> Iterator[tuple[int, ...]]:
+    def _walk(self, sources: Iterable[int], target: int | None) -> Iterator[tuple[int, ...]]:
         """The unshielded paths (no triple with adjacent ends) from each source
         in turn, never walking through ``target``, made one by one as they are
-        read: the prefix tree of the paths in preorder with neighbours by
-        ``key`` (by index if None), so the paths to a node come in
-        lexicographic order of their keys.  A reader that stops early walks
-        no further."""
+        read, in lexicographic order of their indices (a prefix first): a
+        reader that stops early walks no further."""
         adjacent = self._adjacency()
-        adj = [sorted(row, key=key) for row in adjacent]
+        adj = [sorted(row) for row in adjacent]
         on_path = [False] * len(adj)
         for s in sources:
             yield (s,)

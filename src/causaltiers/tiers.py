@@ -8,19 +8,20 @@ by comparing (i) the first cross-tier edges on earliest unshielded
 paths and (ii) the fully shielded cross-tier edges of the undirected
 part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
-Both are read per edge, from edge floors.  One pass over two orderings
-builds each tiered MPDAG once and checks the paper's theorem: the
-criterion holds iff the two MPDAGs are equal.  Paths are listed only by
-:func:`cross_tier_report`, whose ``max_nodes`` is the opt-in; a witness
-walks them in label-text order within a fixed bound of
-``DEFAULT_PATH_NODE_LIMIT`` (25) nodes and stops at the first differing
-earliest path.  Compatibility and refinement are read from tier groups,
-with no node-pair loop.
+Both are read per edge, from edge floors, which need the undirected part
+chordal, as a CPDAG's is.  One pass over two orderings builds each tiered
+MPDAG once and checks the paper's theorem: the criterion holds iff the two
+MPDAGs are equal.  Paths are listed only by :func:`cross_tier_report`,
+whose ``max_nodes`` is the opt-in; a witness, from the first differing
+earliest path in label-text order within a fixed bound of 25 nodes, is
+found by a memoised search in polynomial time.  Compatibility and
+refinement are read from tier groups, with no node-pair loop.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -214,6 +215,14 @@ def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
     ]
 
 
+def _chordal_part(c: PDAG) -> PDAG:
+    """The undirected part of ``c``, refused unless chordal, as edge floors need."""
+    h = c.undirected_subgraph()
+    if (k := h._non_simplicial()) is not None:
+        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}")
+    return h
+
+
 def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int, int]]:
     """Each edge's floor, the least tier on an unshielded path through it, as
     ``floor[a][b]`` for each edge a - b of the chordal graph with neighbour
@@ -293,22 +302,16 @@ def cross_tier_report(
     undirected part of ``c``, the ingredients of the equivalence criterion.
     It lists paths, so a chain component of more than ``max_nodes`` nodes
     raises LimitError; each earliest path (:func:`_is_earliest`) comes once,
-    from its lower end, by (component, start, end).  Edge floors are exact
-    only on chordal graphs, so a part that is not (no CPDAG's) raises
-    GraphError; an ordering that no DAG of the class respects raises as in
-    :func:`tiered_mpdag`."""
-    h = c.undirected_subgraph()
-    names, k = h.nodes, h._non_simplicial()
-    if k is not None:
-        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {names[k]}")
+    from its lower end, by (component, start, end).  A part that is not
+    chordal (no CPDAG's) raises GraphError, and an ordering that no DAG of
+    the class respects raises as in :func:`tiered_mpdag`."""
+    h, names = _chordal_part(c), c.nodes
     tiered_mpdag(c, ordering)
     groups = _component_labels(h._ne)[1].values()
-    for group in groups:
-        if len(group) > max_nodes:
-            raise LimitError(
-                f"component of {len(group)} nodes exceeds the path "
-                f"enumeration limit of {max_nodes}"
-            )
+    if size := next((len(group) for group in groups if len(group) > max_nodes), 0):
+        raise LimitError(
+            f"component of {size} nodes exceeds the path enumeration limit of {max_nodes}"
+        )
     rank = {v: r for r, group in enumerate(groups) for v in group}
     tier = ordering._tiers(names)
     floor = _floors(h._ne, tier)
@@ -413,27 +416,67 @@ def tiers_more_informative(
 def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
     """A witness for first-edge sets that differ by ``diff``: in the least chain
     component of ``h`` holding an edge of ``diff``, the least differing first edge
-    of the first earliest path of either ordering on which they differ, both by
-    label text; the least edge of ``diff`` there if that component has more than
-    ``DEFAULT_PATH_NODE_LIMIT`` nodes or no path differs, so the witness depends
-    only on the input.
-    The walk takes neighbours by the ``repr`` of their labels, so paths come in
-    the order of ``str(tuple(labels))``, prefixes first; each is read from its
-    lower-index end and tested by :func:`_is_earliest` as it is made, and the
-    walk stops at the witness's path."""
-    names, (label, groups) = h.nodes, _component_labels(h._ne)
+    of the first candidate, an earliest path of either ordering on which they
+    differ, both by label text (``str(tuple(labels))``, a path read from its
+    lower-index end); the least edge of ``diff`` there if that component has
+    more than ``DEFAULT_PATH_NODE_LIMIT`` nodes or no path differs.  The walk
+    takes starts and neighbours by the ``repr`` of their labels, returns the
+    first prefix that is a candidate, else enters the first child whose subtree
+    holds one: at most 2 T deg lookups per prefix entered or start passed over.
+
+    A lookup reads a memoised search over states (a, b, t, m_u, t-minimum
+    reached, u-minimum reached, differs) of paths ending a - b that are to be
+    earliest under ordering t and have least tier m_u under the other, u: the
+    greatest end index of a candidate completion, -1 if none.  It is exact on a
+    chordal ``h``, with T guesses of m_u, by three facts:
+    - the steps (a, b) -> (b, c), c neither a nor adjacent to a, have no cycle,
+      which would be an unshielded walk repeating a node (see :func:`_floors`);
+    - an unshielded path is induced (a chord vi - vj with the least j - i > 2
+      closes a chordless cycle vi ... vj): its continuations need its last edge;
+    - the candidate test is local: every floor on an earliest path is its least
+      tier m, so m is the first edge's floor, an edge continues only if its
+      floor is m, maximality reads the end edges and m, and given m_u an edge is
+      first under one ordering only iff its marks under (t, m) and (u, m_u) differ.
+    """
+    names, ne, (label, groups) = h.nodes, h._ne, _component_labels(h._ne)
     k = min(label[u] for u, _ in diff)
-    edges = [(u, v) for u, v in diff if label[u] == k]
+    edges, text = [(u, v) for u, v in diff if label[u] == k], [repr(v) for v in names]
+
+    def maximal(t, a, b):  # no unshielded one-node extension at b keeps the floor of a - b
+        return all(floors[t][b][x] < floors[t][a][b] for x in ne[b] - ne[a] if x != a)
+
+    def step(state, c):  # the state after c; None if no candidate goes on through c
+        a, b, t, m_u, got_t, got_u, differs = state
+        tt, tu, m = tiers[t], tiers[1 - t], floors[t][b][c]
+        if tu[c] < m_u or (not maximal(t, c, b) if a is None  # a start must be maximal
+                           else c == a or c in ne[a] or m != floors[t][a][b]):
+            return None
+        return (b, c, t, m_u, got_t or tt[b] == m or tt[c] == m, got_u or tu[c] == m_u,
+                differs or (tt[b] == m) - (tt[c] == m) != (tu[b] == m_u) - (tu[c] == m_u))
+
+    def end(state):  # b if the path ending a - b is a candidate, else -1
+        a, b, t, _, got_t, got_u, differs = state
+        return b if got_t and got_u and differs and maximal(t, a, b) else -1
+
+    @functools.cache
+    def best(state):
+        return max([end(state), *(best(n) for c in ne[state[1]] if (n := step(state, c)))])
+
     if len(groups[k]) <= DEFAULT_PATH_NODE_LIMIT:
-        text = [repr(v) for v in names]
-        for path in h._walk(sorted(groups[k], key=text.__getitem__), None, text.__getitem__):
-            if path[-1] > path[0] and any(
-                _is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
-            ):
+        for s in sorted(groups[k], key=text.__getitem__):
+            path, live = [s], [(None, s, t, m_u, False, m_u == tu[s], False)
+                               for t, tu in ((0, tiers[1]), (1, tiers[0]))
+                               for m_u in {tu[v] for v in groups[k] if tu[v] <= tu[s]}]
+            while live and max(map(end, live)) <= s:
+                for c in sorted(ne[path[-1]], key=text.__getitem__):
+                    if after := [n for state in live if (n := step(state, c)) and best(n) > s]:
+                        break
+                path.append(c)
+                live = after
+            if live:
                 f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
-                if f1 != f2:
-                    edges = f1 ^ f2
-                    break
+                edges = f1 ^ f2
+                break
     return min(((names[u], names[v]) for u, v in edges), key=str)
 
 
@@ -441,12 +484,12 @@ def _compare(
     c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
-    pass: each tiered MPDAG is built once (checking consistency and
-    chordality), and the rest is read from tier vectors and edge floors.
-    Raises :class:`InvariantError`, naming a witness, if the criterion and
-    equality of the two MPDAGs disagree, against the paper's theorem."""
+    pass: the undirected part is checked chordal, each tiered MPDAG is built
+    once, and the rest is read from tier vectors and edge floors.  Raises
+    :class:`InvariantError`, naming a witness, if the criterion and equality
+    of the two MPDAGs disagree, against the paper's theorem."""
+    h, names = _chordal_part(c), c.nodes
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
-    h, names = c.undirected_subgraph(), c.nodes
     shielded = fully_shielded_edges(h)  # each oriented from its earlier tier, None within one
     s1, s2 = ([(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
               for t in (t1._assignment, t2._assignment))

@@ -19,9 +19,10 @@ and per-path first edges, the comparison that the per-edge floors
 replaced, ``path_witness_by_tree`` with ``earliest_top_down``, the
 witness read off the whole path tree of its component and the top-down
 earliest filter that the walk stopping at the witness and the per-path
-test replaced, the moved generators: ``er_skeleton_one_draw``, the ER
-generator that drew every pair's uniform at once, and
-``power_skeleton_by_choice``, the preferential attachment that called
+test replaced, ``path_witness_walk``, the witness walk that the memoised
+completability search replaced, the moved generators:
+``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
+at once, and ``power_skeleton_by_choice``, the preferential attachment that called
 ``rng.choice`` for each pick, ``build_two_pass``, the graph build from
 index pairs that the one-pass build replaced, and ``build_from_sets``, the
 build from per-node index sets that derived graphs, ``cpdag_of`` and
@@ -66,6 +67,7 @@ from causaltiers.tiers import (
     InformativenessResult,
     Refinement,
     TierEquivalence,
+    _is_earliest,
     contained_in,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -1075,6 +1077,37 @@ def path_witness_by_tree(h, diff: set, tiers: tuple, floors: tuple, max_nodes: i
             if f1 != f2:
                 edges = f1 ^ f2
                 break
+    return min(((names[u], names[v]) for u, v in edges), key=str)
+
+
+def path_witness_walk(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int = 25):
+    """:func:`causaltiers.tiers._path_witness` by walking the witness
+    component's unshielded paths depth first, the starts and each node's
+    neighbours by the ``repr`` of their labels, testing each path read from
+    its lower-index end with :func:`causaltiers.tiers._is_earliest` as it is
+    made, and stopping at the first on which the first edges differ: the
+    walk that the completability search replaced, exponential when that path
+    comes late in label-text order."""
+    names, (label, groups) = h.nodes, _component_labels(h._ne)
+    k = min(label[u] for u, _ in diff)
+    edges = [(u, v) for u, v in diff if label[u] == k]
+    text, adjacent = [repr(v) for v in names], h._adjacency()
+
+    def walk(path):
+        yield path
+        for w in sorted(adjacent[path[-1]], key=text.__getitem__):
+            if w not in path and (len(path) < 2 or w not in adjacent[path[-2]]):
+                yield from walk((*path, w))
+
+    if len(groups[k]) <= max_nodes:
+        for s in sorted(groups[k], key=text.__getitem__):
+            for path in walk((s,)):
+                if path[-1] > path[0] and any(
+                    _is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
+                ):
+                    f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
+                    if f1 != f2:
+                        return min(((names[u], names[v]) for u, v in f1 ^ f2), key=str)
     return min(((names[u], names[v]) for u, v in edges), key=str)
 
 

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import itertools as itr
@@ -26,7 +27,7 @@ from causaltiers import (
 )
 from causaltiers import class_size, enumerate_class, joint_ida, local_ida, orientation, tiers
 from causaltiers.cli import main
-from causaltiers.formats import format_graph, format_tiers, load_graph, load_tiers
+from causaltiers.formats import format_graph, format_tiers, load_graph, load_tiers, parse_graph
 from causaltiers.graphs import _component_labels
 from causaltiers.orientation import InvariantError
 from causaltiers.tiers import (
@@ -63,6 +64,7 @@ from oracles import (
     orient_undirected_part,
     path_tree_with_edge_ids,
     path_witness_by_tree,
+    path_witness_walk,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
     vstructs_of_arcset,
@@ -641,9 +643,9 @@ class TestSharedEnumeration:
     def test_each_component_enumerated_once(
         self, compare, monkeypatch, tmp_path, wave_cpdag, wave_tau, two_wave_tau, triangle
     ):
-        """A comparison walks paths only to name a witness from the first
-        edges, and then only in the witness's component, up to the witness;
-        the report walks every component, in one walk."""
+        """A comparison searches paths only to name a witness from the first
+        edges, and then only in the witness's component, up to the witness,
+        walking none; the report walks every component, in one walk."""
         walks = []
         walk = PDAG._walk
 
@@ -681,13 +683,18 @@ class TestSharedEnumeration:
             assert walked(c, t1, t2) == [sorted(c.nodes)]
             assert walked(triangle, a_first, c_last) == [["A", "B", "C"]]
             return
-        # both components' first edges differ: the first is walked alone, and
-        # only from Z1, as Z1 - Z2 - Z3 names the witness
-        assert walked(c, t1, t2) == [["Z1"]]
-        # the same first edges, or shielded edges that differ: no walk
+        # both components' first edges differ: the first is searched alone,
+        # and only from Z1, as Z1 - Z2 - Z3 names the witness
+        searches = counted_search(monkeypatch)
+        assert walked(c, t1, t2) == []
+        ((looked_up, _),) = searches
+        assert {(c.nodes[a], c.nodes[b]) for a, b, *_ in looked_up} == {("Z1", "Z2"), ("Z2", "Z3")}
+        # the same first edges, or shielded edges that differ: no search
+        searches.clear()
         assert tiers_equivalent(wave_cpdag, wave_tau, two_wave_tau)
         assert walked(wave_cpdag, wave_tau, two_wave_tau) == []
         assert walked(triangle, a_first, c_last) == []
+        assert searches == []
 
     def test_compare_builds_two_graphs(self, monkeypatch):
         """One comparison orients a graph twice, once for each tiered
@@ -817,8 +824,7 @@ class TestEarliestFromTree:
     def test_non_chordal_part_is_refused(self, tmp_path, capsys):
         """Searched floors are exact only on chordal graphs, which every
         CPDAG's undirected part is: the report refuses any other graph
-        with one line, and so does the comparison, through its tiered
-        MPDAGs (rule 1 carries an arc around a chordless cycle)."""
+        with one line, and so does the comparison, with the same line."""
         rng = np.random.default_rng(157)
         refused = compared = 0
         while refused < 40:
@@ -829,23 +835,49 @@ class TestEarliestFromTree:
             tau = random_coarsening(rng, h.num_nodes)
             with pytest.raises(GraphError) as info:
                 cross_tier_report(h, tau)
-            assert str(info.value) == (
-                f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}"
-            )
+            message = f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}"
+            assert str(info.value) == message
             t2 = random_coarsening(rng, h.num_nodes)
             if is_compatible(tau, t2):
-                with pytest.raises(GraphError):
+                with pytest.raises(GraphError) as info:
                     _compare(h, tau, t2)
+                assert str(info.value) == message
                 files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
                 for path, text in zip(files, (format_graph(h), format_tiers(tau), format_tiers(t2))):
                     path.write_text(text)
                 out = io.StringIO()
                 assert main(["compare-tiers", *map(str, files)], out=out) == 1
                 err = capsys.readouterr().err
-                assert out.getvalue() == "" and err.startswith("error: ") and err.count("\n") == 1
+                assert out.getvalue() == "" and err == f"error: {message}\n"
                 compared += 1
             refused += 1
         assert compared > 10, compared
+
+    def test_comparison_refuses_before_orienting(self, tmp_path, capsys):
+        """A graph with arcs whose undirected part has the chordless cycle
+        N0 - N4 - N1 - N5 - N0: both orderings are consistent, and their
+        tiered MPDAGs are equal although the first edges read off the
+        inexact floors differ, which the comparison once reported as a
+        failure of the paper's theorem (InvariantError, witness N1 -> N4).
+        It refuses the input first, as the library call and on the CLI."""
+        text = ("nodes: N0 N1 N2 N3 N4 N5\n"
+                "N0 -> N1\nN0 -> N2\nN0 -> N3\nN3 -> N2\nN5 -> N2\nN5 -> N4\n"
+                "N0 -- N4\nN0 -- N5\nN1 -- N3\nN1 -- N4\nN1 -- N5\nN2 -- N4\nN3 -- N4\n")
+        c = parse_graph(text)
+        t1 = TieredOrdering.from_tiers([["N0", "N1"], ["N2", "N3", "N4", "N5"]])
+        t2 = TieredOrdering.from_tiers([["N0"], ["N1"], ["N2", "N3", "N4", "N5"]])
+        assert tiered_mpdag(c, t1) == tiered_mpdag(c, t2)
+        message = "not a CPDAG: the undirected part is not chordal at N5"
+        for compare in (tiers_equivalent, tiers_more_informative):
+            with pytest.raises(GraphError) as info:
+                compare(c, t1, t2)
+            assert type(info.value) is GraphError and str(info.value) == message
+        files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+        for path, content in zip(files, (text, format_tiers(t1), format_tiers(t2))):
+            path.write_text(content)
+        out = io.StringIO()
+        assert main(["compare-tiers", *map(str, files)], out=out) == 1
+        assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
 
 
 def random_topological_tiers(rng, dag):
@@ -1125,7 +1157,8 @@ def audit_per_edge_sets(h, orderings, pairs):
     ``orderings``: first edges agree on every earliest path of either
     ordering iff the per-edge sets agree, the witness path lies in the
     least component holding an edge of their difference, the witness is
-    the path tree's, and the criterion holds iff the MPDAGs are equal."""
+    the path tree's and the walk's, and the criterion holds iff the MPDAGs
+    are equal."""
     tree = path_tree_with_edge_ids(h, 25)
     component = tree[0]
     shielded = fully_shielded_edges(h)
@@ -1149,6 +1182,7 @@ def audit_per_edge_sets(h, orderings, pairs):
             f = first_cross_tier_edges(path, v1) ^ first_cross_tier_edges(path, v2)
             expected = min(((names[a], names[b]) for a, b in f), key=str)
             assert tiers._path_witness(h, u1 ^ u2, (v1, v2), (f1, f2)) == expected
+            assert path_witness_walk(h, u1 ^ u2, (v1, v2), (f1, f2)) == expected
         outcomes["differ" if differ else "agree"] += 1
     return outcomes
 
@@ -1314,10 +1348,48 @@ def relabelled(rng, h, style):
     return PDAG(labels, undirected=[(names[u], names[v]) for u, v in h.undirected_edges])
 
 
+def counted_search(monkeypatch):
+    """Make each witness search record the states its walk looks up in the
+    memoised search, not counting the lookups the search makes of itself,
+    by wrapping ``functools.cache``, which memoises it: a list of the
+    looked-up states and the table of each search made."""
+    searches, cache = [], functools.cache
+
+    def counting(fn):
+        table, depth, looked_up = cache(fn), [0], []
+        searches.append((looked_up, table))
+
+        def lookup(state):
+            if not depth[0]:
+                looked_up.append(state)
+            depth[0] += 1
+            try:
+                return table(state)
+            finally:
+                depth[0] -= 1
+
+        return lookup
+
+    monkeypatch.setattr(functools, "cache", counting)
+    return searches
+
+
+def shuffled_band(rng, n, width):
+    """A band of ``n`` nodes (node i adjacent to i+1 .. i+width) labelled by
+    a shuffle of ``V0``..``V<n-1>`` along it, its nodes in another random
+    order: so label text, index and band position all differ.  Returns the
+    graph and its labels in band order."""
+    names = [f"V{k}" for k in rng.permutation(n)]
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, min(n, i + width + 1))]
+    return PDAG([names[k] for k in rng.permutation(n)], undirected=edges), names
+
+
 class TestWitnessWalk:
-    """The witness walk, which stops at the first differing earliest path
-    by label text, against the witness read off the component's whole
-    path tree (``oracles.path_witness_by_tree``)."""
+    """The witness search, which names the first differing earliest path
+    by label text with a memoised search of which prefixes can still be
+    completed, against the walk it replaced (``oracles.path_witness_walk``)
+    and the witness read off the component's whole path tree
+    (``oracles.path_witness_by_tree``)."""
 
     def test_matches_whole_tree_witness(self, monkeypatch):
         """Undirected parts of random CPDAGs of the three generators,
@@ -1354,6 +1426,7 @@ class TestWitnessWalk:
                 monkeypatch.setattr(tiers, "DEFAULT_PATH_NODE_LIMIT", max_nodes)
                 got = tiers._path_witness(*args)
                 assert got == path_witness_by_tree(*args, max_nodes), (h, tiers_, max_nodes)
+                assert got == path_witness_walk(*args, max_nodes), (h, tiers_, max_nodes)
                 c = min(label[u] for u, _ in u1 ^ u2)
                 least = min(((names[u], names[v]) for u, v in u1 ^ u2 if label[u] == c), key=str)
                 counts["fallback" if len(groups[c]) > max_nodes else
@@ -1394,8 +1467,8 @@ class TestWitnessWalk:
 
     def test_stops_before_the_whole_tree(self, tmp_path, monkeypatch):
         """On the 18-node coarse-late band of the benchmark's compare_band
-        workload, the witness walk reads fewer entries than the component's
-        path tree lists."""
+        workload, the witness search walks no path and makes fewer lookups
+        than the component's path tree lists paths."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
         op = workloads.compare_op(tmp_path, workloads.shape_rng(3, 2, 0),
@@ -1417,9 +1490,71 @@ class TestWitnessWalk:
                 yield path
 
         monkeypatch.setattr(PDAG, "_walk", counted)
+        searches = counted_search(monkeypatch)
         witness = tiers._path_witness(h, diff, vectors, floors)
-        walked = len(read)
+        ((looked_up, _),) = searches
         listed = len(component_paths(h, [[h.nodes[i] for i in group]], 25))
-        assert 0 < walked < listed, (walked, listed)
+        assert read == [] and 0 < len(looked_up) < listed, (len(looked_up), listed)
         assert witness == path_witness_by_tree(h, diff, vectors, floors, 25)
+        assert witness == path_witness_walk(h, diff, vectors, floors)
         assert witness == tiers_equivalent(c, t1, t2).witness
+
+    def test_matches_the_walk_on_shuffled_bands(self):
+        """Shuffled bands of 8-25 nodes and width 2 or 3 under random tier
+        vectors of negative, non-contiguous values: the search names the
+        walk's witness, and the whole tree's up to 16 nodes."""
+        rng = np.random.default_rng(193)
+        counts = Counter()
+        while counts["cases"] < 120:
+            n = int(rng.integers(8, 26))
+            h, _ = shuffled_band(rng, n, int(rng.integers(2, 4)))
+            levels = rng.choice(np.arange(-30, 31, 6), size=int(rng.integers(2, 5)), replace=False)
+            vectors = tuple([int(rng.choice(levels)) for _ in h.nodes] for _ in range(2))
+            floors = tuple(_floors(h._ne, v) for v in vectors)
+            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
+            if not diff:
+                continue
+            got = tiers._path_witness(h, diff, vectors, floors)
+            assert got == path_witness_walk(h, diff, vectors, floors), (h, vectors)
+            if n <= 16:
+                assert got == path_witness_by_tree(h, diff, vectors, floors, 25), (h, vectors)
+                counts["tree"] += 1
+            counts["cases"] += 1
+            counts["over 20 nodes"] += n > 20
+        assert counts["tree"] > 30 and counts["over 20 nodes"] > 20, counts
+
+    @pytest.mark.parametrize("n", [22, 25])
+    def test_lookups_stay_polynomial(self, n, monkeypatch):
+        """Seeded shuffled bands of width 3 under consistent tierings cut
+        at three random band positions against the same with two tiers
+        merged, compared where they differ only in first edges: each
+        witness takes at most n * deg lookups (deg = 6, the greatest degree),
+        where the walk it replaced read up to 6,095 (n = 22) and 15,782
+        (n = 25) entries on these cases, and the table holds at most 2 (t) *
+        T (M) * 8 (flags) states per directed edge, T = 4 the number of tiers."""
+        rng = np.random.default_rng(197 + n)
+        searches = counted_search(monkeypatch)
+        most = Counter()
+        done = 0
+        while done < 20:
+            h, names = shuffled_band(rng, n, 3)
+            cuts = rng.choice(np.arange(1, n), size=3, replace=False)
+            tier = {v: int(sum(k >= cuts)) for k, v in enumerate(names)}
+            merge = int(rng.integers(0, 3))
+            t1, t2 = TieredOrdering(tier), TieredOrdering({v: t - (t > merge) for v, t in tier.items()})
+            searches.clear()
+            res = tiers_equivalent(h, t1, t2)
+            if res.first_edges_agree or not res.shielded_agree:
+                continue
+            ((looked_up, table),) = searches
+            edges = 2 * len(h.undirected_edges)
+            assert 0 < len(looked_up) <= n * 6, len(looked_up)
+            assert table.cache_info().currsize <= 2 * 4 * 8 * edges
+            most["lookups"] = max(most["lookups"], len(looked_up))
+            most["states"] = max(most["states"], table.cache_info().currsize)
+            vectors = tuple(t._tiers(h.nodes) for t in (t1, t2))
+            floors = tuple(_floors(h._ne, v) for v in vectors)
+            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
+            assert res.witness == path_witness_walk(h, diff, vectors, floors)
+            done += 1
+        assert most["lookups"] > 20, most
