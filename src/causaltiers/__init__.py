@@ -1,12 +1,10 @@
-"""Causal graph orientation under tiered background knowledge."""
+"""Causal graph orientation under tiered background knowledge.
 
-from .graphs import (
-    CycleError,
-    GraphError,
-    LimitError,
-    PDAG,
-    v_structures,
-)
+The simulation names (``SimCell``, ``SimRecord``, ``TierScheme``, ``TIER_SCHEMES``,
+``random_dag``, ``run_cell``, ``emit_results``) load on first use, and numpy with them.
+"""
+
+from .graphs import CycleError, GraphError, LimitError, PDAG, v_structures
 from .independence import cpdag_of, is_d_separated, markov_equivalent
 from .orientation import (
     BackgroundKnowledge,
@@ -42,15 +40,6 @@ from .paths import (
     classify_possibly_causal,
 )
 from .ida import ParentSetMultiset, joint_ida, local_ida
-from .simulation import (
-    SimCell,
-    SimRecord,
-    TIER_SCHEMES,
-    TierScheme,
-    emit_results,
-    random_dag,
-    run_cell,
-)
 from .formats import (
     format_graph,
     format_tiers,
@@ -115,3 +104,14 @@ __all__ = [
     "format_tiers",
     "load_tiers",
 ]
+
+
+def __getattr__(name):
+    if name not in __all__:  # every name of __all__ but the simulation's is bound above
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulation
+    return getattr(simulation, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

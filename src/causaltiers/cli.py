@@ -27,12 +27,6 @@ from .paths import (
     classify_b_possibly_causal,
     classify_possibly_causal,
 )
-from .simulation import (
-    SimCell,
-    TIER_SCHEMES,
-    emit_results,
-    run_cell,
-)
 from .tiers import Informativeness, _compare, compare_refinement
 
 
@@ -238,6 +232,7 @@ def _cmd_ida(args) -> str:
 
 
 def _cmd_simulate(args) -> str:
+    from .simulation import SimCell, TIER_SCHEMES, emit_results, run_cell  # imports numpy
     cell = SimCell(nodes=args.nodes, density=args.density, generator=args.generator)
     records = run_cell(cell, tuple(TIER_SCHEMES), args.reps, seed=args.seed)
     summary = emit_results(records, args.out, boxplot_path=args.boxplot)

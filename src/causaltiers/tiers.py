@@ -459,8 +459,9 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
         return b if got_t and got_u and differs and maximal(t, a, b) else -1
 
     @functools.cache
-    def best(state):
-        return max([end(state), *(best(n) for c in ne[state[1]] if (n := step(state, c)))])
+    def best(state):  # never a start: from a - b, only a c neither a nor adjacent to a goes on
+        a, b = state[:2]
+        return max([end(state), *(best(n) for c in ne[b] - ne[a] - {a} if (n := step(state, c)))])
 
     if len(groups[k]) <= DEFAULT_PATH_NODE_LIMIT:
         for s in sorted(groups[k], key=text.__getitem__):

@@ -1,5 +1,5 @@
-"""Source layout: a subcommand's output is written in one place, and no
-module imports a name it does not use.
+"""Source layout: a subcommand's output is written in one place, no
+module imports a name it does not use, and only the simulation loads numpy.
 
 Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
 so nothing else in the package may touch stdout, the ``out`` stream of
@@ -7,12 +7,16 @@ so nothing else in the package may touch stdout, the ``out`` stream of
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "causaltiers"
 MODULES = sorted(SRC.glob("*.py"))
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def uses(text: str, module: str) -> list[tuple[str, str]]:
@@ -131,3 +135,66 @@ def test_no_unused_imports(path):
 )
 def test_checker_finds_unused_imports(text, expected):
     assert unused_imports(text) == expected
+
+
+def run_fresh(script: str, cwd: Path) -> None:
+    """Run ``script`` in a new interpreter that imports the package from
+    ``src/``, in ``cwd``; fails the test on a non-zero exit."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+NOT_LOADED = (
+    "lazy = {'numpy', 'causaltiers.simulation'} & set(sys.modules)\n"
+    "assert not lazy, sorted(lazy)\n"
+)
+ORIENT = ["orient", str(FIXTURES / "wave_cpdag.txt"), "--tiers", str(FIXTURES / "wave_tiers3.txt")]
+SIMULATE = ["simulate", "--nodes", "8", "--density", "sparse", "--generator", "er",
+            "--reps", "2", "--out", "cell.csv"]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import causaltiers\n" + NOT_LOADED,
+        "import causaltiers.cli\n" + NOT_LOADED,
+        "import io\nfrom causaltiers import cli\n"
+        f"assert cli.main({ORIENT!r}, out=io.StringIO()) == 0\n" + NOT_LOADED
+        + f"assert cli.main({SIMULATE!r}, out=io.StringIO()) == 0\n"
+        "assert 'numpy' in sys.modules\n",
+    ],
+    ids=["package", "cli", "orient-then-simulate"],
+)
+def test_numpy_loads_only_for_simulate(script, tmp_path):
+    run_fresh("import sys\n" + script, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "from causaltiers import *\nimport causaltiers\n"
+        "assert [n for n in causaltiers.__all__ if n not in globals()] == []\n",
+        "import causaltiers, causaltiers.simulation as sim\n"
+        "assert causaltiers.run_cell is sim.run_cell\n"
+        "assert causaltiers.TIER_SCHEMES is sim.TIER_SCHEMES\n",
+        "import causaltiers\nassert set(causaltiers.__all__) <= set(dir(causaltiers))\n",
+        "import causaltiers, types\n"
+        "def message(module):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError as exc:\n"
+        "        return str(exc)\n"
+        "assert message(causaltiers) == message(types.ModuleType('causaltiers')), "
+        "message(causaltiers)\n",
+    ],
+    ids=["star-import", "same-objects", "dir", "unknown-name"],
+)
+def test_lazy_names_behave_as_bound(script, tmp_path):
+    run_fresh(script, tmp_path)
