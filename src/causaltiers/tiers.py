@@ -12,10 +12,11 @@ Both are read per edge, from edge floors, which need the undirected part
 chordal, as a CPDAG's is.  One pass over two orderings builds each tiered
 MPDAG once and checks the paper's theorem: the criterion holds iff the two
 MPDAGs are equal.  Paths are listed only by :func:`cross_tier_report`,
-whose ``max_nodes`` is the opt-in; a witness, from the first differing
-earliest path in label-text order within a fixed bound of 25 nodes, is
-found by a memoised search in polynomial time.  Compatibility and
-refinement are read from tier groups, with no node-pair loop.
+whose ``max_nodes`` is the opt-in and which walks only prefixes that can
+still become earliest; a witness, from the first differing earliest path
+in label-text order within a fixed bound of 25 nodes, is found by a
+memoised search in polynomial time.  Compatibility and refinement are
+read from tier groups, with no node-pair loop.
 """
 
 from __future__ import annotations
@@ -249,19 +250,10 @@ def _first_edges(floor: list[dict[int, int]], tier: Sequence[int]) -> set[tuple[
     return {(x, y) for x, row in enumerate(floor) for y, f in row.items() if tier[x] == f < tier[y]}
 
 
-def _is_earliest(path: tuple, tier: Sequence[int], floor: list, adjacent: Sequence) -> bool:
-    """Whether ``path`` is earliest and no proper segment of another earliest
-    path; node ``i`` has tier ``tier[i]`` and neighbours ``adjacent[i]``, edge
-    i - j floor ``floor[i][j]``.  A path is earliest iff each of its edges'
-    floors is its minimum m, and lies inside a longer earliest path iff a
-    one-node extension at an end is, that is iff the new edge's floor is at
-    least m (no floor on a path exceeds its minimum)."""
-    m = min(map(tier.__getitem__, path))
-    return min(map(dict.__getitem__, map(floor.__getitem__, path), path[1:])) == m and not any(
-        floor[end][x] >= m
-        for end, inner in ((path[-1], path[-2]), (path[0], path[1]))
-        for x in adjacent[end] - adjacent[inner] if x not in path
-    )
+def _maximal(ne: Sequence[frozenset[int]], floor: list[dict[int, int]], a: int, b: int) -> bool:
+    """Whether a path ending a - b, if earliest, ends at ``b``: no unshielded
+    one-node extension there keeps the floor of a - b."""
+    return all(floor[b][x] < floor[a][b] for x in ne[b] - ne[a] if x != a)
 
 
 def first_cross_tier_edges(path: Sequence[Node], tier) -> frozenset[Edge]:
@@ -301,10 +293,12 @@ def cross_tier_report(
     """Summary of where ``ordering`` places cross-tier edges on the
     undirected part of ``c``, the ingredients of the equivalence criterion.
     It lists paths, so a chain component of more than ``max_nodes`` nodes
-    raises LimitError; each earliest path (:func:`_is_earliest`) comes once,
-    from its lower end, by (component, start, end).  A part that is not
-    chordal (no CPDAG's) raises GraphError, and an ordering that no DAG of
-    the class respects raises as in :func:`tiered_mpdag`."""
+    raises LimitError; each earliest path comes once, from its lower end, by
+    (component, start, end).  Only prefixes whose floors all equal the first
+    edge's, m, are walked: a path is earliest iff that holds and it has a
+    node of tier m.  A part that is not chordal (no CPDAG's) raises
+    GraphError, and an ordering that no DAG of the class respects raises as
+    in :func:`tiered_mpdag`."""
     h, names = _chordal_part(c), c.nodes
     tiered_mpdag(c, ordering)
     groups = _component_labels(h._ne)[1].values()
@@ -313,10 +307,20 @@ def cross_tier_report(
             f"component of {size} nodes exceeds the path enumeration limit of {max_nodes}"
         )
     rank = {v: r for r, group in enumerate(groups) for v in group}
-    tier = ordering._tiers(names)
-    floor = _floors(h._ne, tier)
-    paths = [path for path in h._walk(sorted(rank), None)
-             if path[-1] > path[0] and _is_earliest(path, tier, floor, h._ne)]
+    tier, ne = ordering._tiers(names), h._ne
+    floor = _floors(ne, tier)
+    paths = []
+    for s in sorted(rank):  # each prefix: its floor m and whether it holds a node of tier m
+        stack = [((s, b), floor[s][b], floor[s][b] in (tier[s], tier[b]))
+                 for b in sorted(ne[s], reverse=True) if _maximal(ne, floor, b, s)]
+        while stack:
+            path, m, got = stack.pop()
+            a, b = path[-2:]
+            if not _maximal(ne, floor, a, b):  # else no extension keeps the floor m
+                stack += [((*path, x), m, got or tier[x] == m)
+                          for x in sorted(ne[b] - ne[a] - {a}, reverse=True) if floor[b][x] == m]
+            elif b > s and got:
+                paths.append(path)
     paths.sort(key=lambda path: (rank[path[0]], path[0], path[-1]))
     earliest = [tuple(map(names.__getitem__, path)) for path in paths]
     t = ordering._assignment  # each shielded edge across tiers, from the earlier
@@ -442,13 +446,10 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
     k = min(label[u] for u, _ in diff)
     edges, text = [(u, v) for u, v in diff if label[u] == k], [repr(v) for v in names]
 
-    def maximal(t, a, b):  # no unshielded one-node extension at b keeps the floor of a - b
-        return all(floors[t][b][x] < floors[t][a][b] for x in ne[b] - ne[a] if x != a)
-
     def step(state, c):  # the state after c; None if no candidate goes on through c
         a, b, t, m_u, got_t, got_u, differs = state
         tt, tu, m = tiers[t], tiers[1 - t], floors[t][b][c]
-        if tu[c] < m_u or (not maximal(t, c, b) if a is None  # a start must be maximal
+        if tu[c] < m_u or (not _maximal(ne, floors[t], c, b) if a is None  # a start must be maximal
                            else c == a or c in ne[a] or m != floors[t][a][b]):
             return None
         return (b, c, t, m_u, got_t or tt[b] == m or tt[c] == m, got_u or tu[c] == m_u,
@@ -456,7 +457,7 @@ def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
 
     def end(state):  # b if the path ending a - b is a candidate, else -1
         a, b, t, _, got_t, got_u, differs = state
-        return b if got_t and got_u and differs and maximal(t, a, b) else -1
+        return b if got_t and got_u and differs and _maximal(ne, floors[t], a, b) else -1
 
     @functools.cache
     def best(state):  # never a start: from a - b, only a c neither a nor adjacent to a goes on

@@ -20,7 +20,10 @@ replaced, ``path_witness_by_tree`` with ``earliest_top_down``, the
 witness read off the whole path tree of its component and the top-down
 earliest filter that the walk stopping at the witness and the per-path
 test replaced, ``path_witness_walk``, the witness walk that the memoised
-completability search replaced, the moved generators:
+completability search replaced, ``unshielded_walk``, ``is_earliest`` and
+``report_paths_by_walk``, the walk over every unshielded path and the
+per-path earliest test that the report's floor-pruned walk replaced, the
+moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
 at once, and ``power_skeleton_by_choice``, the preferential attachment that called
 ``rng.choice`` for each pick, ``build_two_pass``, the graph build from
@@ -67,7 +70,6 @@ from causaltiers.tiers import (
     InformativenessResult,
     Refinement,
     TierEquivalence,
-    _is_earliest,
     contained_in,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -930,6 +932,67 @@ def tiers_more_informative_loop(c, t1, t2, max_nodes: int = 25):
     )
 
 
+# === the walk and the per-path filter that the floor-pruned walk replaced
+
+
+def unshielded_walk(h, sources, target):
+    """The unshielded paths (no triple with adjacent ends) from each source
+    in turn, never walking through ``target``, made one by one as they are
+    read, in lexicographic order of their indices (a prefix first): a
+    reader that stops early walks no further.  The generator that was
+    ``PDAG._walk``, before the report and the per-pair search each walked
+    only what they list."""
+    adjacent = h._adjacency()
+    adj = [sorted(row) for row in adjacent]
+    on_path = [False] * len(adj)
+    for s in sources:
+        yield (s,)
+        on_path[s] = True
+        stack = [((s,), iter(adj[s]), frozenset())]  # path, next nodes, shields
+        while stack:
+            path, later, shields = stack[-1]
+            for w in later:
+                if on_path[w] or w in shields:
+                    continue
+                longer = (*path, w)
+                yield longer
+                if w != target:
+                    on_path[w] = True
+                    stack.append((longer, iter(adj[w]), adjacent[path[-1]]))
+                    break
+            else:
+                stack.pop()
+                on_path[path[-1]] = False
+
+
+def is_earliest(path: tuple, tier, floor: list, adjacent) -> bool:
+    """Whether ``path`` is earliest and no proper segment of another earliest
+    path; node ``i`` has tier ``tier[i]`` and neighbours ``adjacent[i]``, edge
+    i - j floor ``floor[i][j]``.  A path is earliest iff each of its edges'
+    floors is its minimum m, and lies inside a longer earliest path iff a
+    one-node extension at an end is, that is iff the new edge's floor is at
+    least m (no floor on a path exceeds its minimum).  The per-path test that
+    the report's floor-pruned walk replaced."""
+    m = min(map(tier.__getitem__, path))
+    return min(map(dict.__getitem__, map(floor.__getitem__, path), path[1:])) == m and not any(
+        floor[end][x] >= m
+        for end, inner in ((path[-1], path[-2]), (path[0], path[1]))
+        for x in adjacent[end] - adjacent[inner] if x not in path
+    )
+
+
+def report_paths_by_walk(h, tier, floor) -> list:
+    """The earliest paths of the report, as indices: every unshielded path of
+    the multi-node components of the chordal graph ``h`` from one walk from
+    every node, kept by :func:`is_earliest` when read from its lower end, and
+    sorted stably by (component, start, end)."""
+    groups = _component_labels(h._ne)[1].values()
+    rank = {v: r for r, group in enumerate(groups) for v in group}
+    paths = [path for path in unshielded_walk(h, sorted(rank), None)
+             if path[-1] > path[0] and is_earliest(path, tier, floor, h._ne)]
+    return sorted(paths, key=lambda path: (rank[path[0]], path[0], path[-1]))
+
+
 # === the path list and per-path filter that the prefix tree replaced
 
 
@@ -1005,7 +1068,7 @@ def path_tree_with_edge_ids(h, max_nodes: int) -> tuple:
     """The prefix tree of the unshielded paths in the multi-node chain
     components of the undirected graph ``h``: each node's component (named
     by its least index); each entry's parent, node and path from one
-    :meth:`PDAG._walk` from every node of them, and its edge id (-1 for a
+    :func:`unshielded_walk` from every node of them, and its edge id (-1 for a
     start); the edge ids by their ends; and the entries listed from their
     lower end, stably by (component, start, end), as per-pair walks list."""
     component, groups = _component_labels(h._ne)
@@ -1015,7 +1078,8 @@ def path_tree_with_edge_ids(h, max_nodes: int) -> tuple:
                 f"component of {len(group)} nodes exceeds the path "
                 f"enumeration limit of {max_nodes}"
             )
-    paths = list(h._walk(sorted(v for group in groups.values() for v in group), None))
+    starts = sorted(v for group in groups.values() for v in group)
+    paths = list(unshielded_walk(h, starts, None))
     parent, node = prefix_tree(paths)
     edge_of: list[dict[int, int]] = [{} for _ in h._ne]
     for k, (u, v) in enumerate((u, v) for u, ne in enumerate(h._ne) for v in ne if u < v):
@@ -1039,8 +1103,7 @@ def earliest_top_down(tree: tuple, tier, floor, adjacent) -> list:
     proper segment of another, in listed order: one pass top down reads each
     entry's minimum, least floor and whether a child (an extension at the
     last end) is earliest; only the paths left are tried at the first.  The
-    filter that the per-path test :func:`causaltiers.tiers._is_earliest`
-    replaced."""
+    filter that the per-path test :func:`is_earliest` replaced."""
     parent, node, paths, listed = tree
     low, least, extended = [tier[v] for v in node], [math.inf] * len(node), [False] * len(node)
     for e, (p, v) in enumerate(zip(parent, node)):
@@ -1069,7 +1132,7 @@ def path_witness_by_tree(h, diff: set, tiers: tuple, floors: tuple, max_nodes: i
     k = min(label[u] for u, _ in diff)
     edges = [(u, v) for u, v in diff if label[u] == k]
     if len(groups[k]) <= max_nodes:
-        paths = list(h._walk(groups[k], None))
+        paths = list(unshielded_walk(h, groups[k], None))
         tree = (*prefix_tree(paths), paths, [e for e, path in enumerate(paths) if path[-1] > path[0]])
         found = {p for t, f in zip(tiers, floors) for p in earliest_top_down(tree, t, f, h._ne)}
         for path in sorted(found, key=lambda p: str(tuple(map(names.__getitem__, p)))):
@@ -1084,7 +1147,7 @@ def path_witness_walk(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int 
     """:func:`causaltiers.tiers._path_witness` by walking the witness
     component's unshielded paths depth first, the starts and each node's
     neighbours by the ``repr`` of their labels, testing each path read from
-    its lower-index end with :func:`causaltiers.tiers._is_earliest` as it is
+    its lower-index end with :func:`is_earliest` as it is
     made, and stopping at the first on which the first edges differ: the
     walk that the completability search replaced, exponential when that path
     comes late in label-text order."""
@@ -1103,7 +1166,7 @@ def path_witness_walk(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int 
         for s in sorted(groups[k], key=text.__getitem__):
             for path in walk((s,)):
                 if path[-1] > path[0] and any(
-                    _is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
+                    is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
                 ):
                     f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
                     if f1 != f2:

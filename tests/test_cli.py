@@ -299,17 +299,19 @@ class TestSubcommands:
     @pytest.mark.parametrize("n", [30, 60])
     def test_compare_tiers_on_band_over_the_path_guard(self, n, tmp_path, monkeypatch):
         """The verdict lists no path, so a band component of more than 25
-        nodes gets one; paths are walked only to name a witness, and over
-        the guard the witness is the least differing first edge."""
+        nodes gets one; the comparison reaches neither path-listing call,
+        and over the guard the witness is the least differing first edge."""
         graph = undirected_graph_file(tmp_path / "band.txt", n, 3)
         files = []
         for name, cuts in [("a", [n // 3]), ("b", [n // 3, 2 * n // 3]), ("c", [2 * n // 3])]:
-            tiers = [1 + sum(k >= cut for cut in cuts) for k in range(n)]
+            levels = [1 + sum(k >= cut for cut in cuts) for k in range(n)]
             files.append(tmp_path / f"{name}.txt")
-            files[-1].write_text("".join(f"tier {t}: V{k}\n" for k, t in enumerate(tiers)))
+            files[-1].write_text("".join(f"tier {t}: V{k}\n" for k, t in enumerate(levels)))
         walks = []
-        walk = PDAG._walk
-        monkeypatch.setattr(PDAG, "_walk", lambda *args: walks.append(args) or walk(*args))
+        for owner, name in [(tiers, "cross_tier_report"), (PDAG, "find_unshielded_paths")]:
+            listing = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, listing=listing, **kwargs: (
+                walks.append(args) or listing(*args, **kwargs)))
         code, out = run_cli("compare-tiers", graph, str(files[0]), str(files[1]))
         assert (code, walks) == (0, [])
         assert out.startswith("equivalence: equivalent\nearliest-path first edges: agree\n")

@@ -34,7 +34,6 @@ from causaltiers.tiers import (
     _compare,
     _first_edges,
     _floors,
-    _is_earliest,
     check_compatible,
     first_cross_tier_edges,
     fully_shielded_edges,
@@ -59,14 +58,17 @@ from oracles import (
     earliest_by_tree_floors,
     first_cross_tier_edges_walk,
     forbidden_set,
+    is_earliest,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
     orient_undirected_part,
     path_tree_with_edge_ids,
     path_witness_by_tree,
     path_witness_walk,
+    report_paths_by_walk,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
+    unshielded_walk,
     vstructs_of_arcset,
 )
 
@@ -598,7 +600,7 @@ class TestSharedEnumeration:
                 assert maximal_paths_by_segments(earliest) == expected
                 vector = [tier[v] for v in h.nodes]
                 floor = _floors(h._ne, vector)
-                got = [q for q in listed_paths(h, 25) if _is_earliest(q, vector, floor, h._ne)]
+                got = [q for q in listed_paths(h, 25) if is_earliest(q, vector, floor, h._ne)]
                 assert [tuple(h.nodes[i] for i in path) for path in got] == expected
                 checked += len(expected) > 1
         assert checked > 100, checked
@@ -645,25 +647,19 @@ class TestSharedEnumeration:
     ):
         """A comparison searches paths only to name a witness from the first
         edges, and then only in the witness's component, up to the witness,
-        walking none; the report walks every component, in one walk."""
-        walks = []
-        walk = PDAG._walk
-
-        def counted(self, sources, *args):
-            roots = []
-            walks.append(roots)
-            for path in walk(self, sources, *args):
-                if len(path) == 1:
-                    roots.append(self.nodes[path[0]])
-                yield path
+        reaching neither the report nor the per-pair search; the report
+        searches its ordering's floors once and walks every component."""
+        reached, ends = [], []
+        report, floors, maximal = tiers.cross_tier_report, tiers._floors, tiers._maximal
 
         def per_pair(*args, **kwargs):
             raise AssertionError("per-pair path search on the comparison path")
 
         def walked(c, t1, t2):
-            walks.clear()
+            reached.clear()
+            ends.clear()
             if compare == "cross_tier_report":
-                cross_tier_report(c, t1)
+                tiers.cross_tier_report(c, t1)
             elif compare == "cli":
                 files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
                 for path, text in zip(files, (format_graph(c), format_tiers(t1), format_tiers(t2))):
@@ -671,29 +667,36 @@ class TestSharedEnumeration:
                 assert main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
             else:
                 getattr(tiers, compare)(c, t1, t2)
-            return [sorted(roots) for roots in walks]
+            return reached[:]
 
-        monkeypatch.setattr(PDAG, "_walk", counted)
+        monkeypatch.setattr(tiers, "cross_tier_report",
+                            lambda *args: reached.append("report") or report(*args))
+        monkeypatch.setattr(tiers, "_floors",
+                            lambda *args: reached.append("floors") or floors(*args))
+        monkeypatch.setattr(tiers, "_maximal", lambda ne, floor, a, b: (
+            ends.append(b) or maximal(ne, floor, a, b)))
         monkeypatch.setattr(PDAG, "find_unshielded_paths", per_pair)
         c, t1, t2 = two_disagreeing_components()
         a_first = TieredOrdering.from_tiers([["A"], ["B", "C"]])
         c_last = TieredOrdering.from_tiers([["A", "B"], ["C"]])
         if compare == "cross_tier_report":
-            # one tree rooted at each node of each three-node component
-            assert walked(c, t1, t2) == [sorted(c.nodes)]
-            assert walked(triangle, a_first, c_last) == [["A", "B", "C"]]
+            # one floor search, and a walk from each node of each three-node component
+            assert walked(c, t1, t2) == ["report", "floors"]
+            assert {c.nodes[b] for b in ends} == set(c.nodes)
+            assert walked(triangle, a_first, c_last) == ["report", "floors"]
+            assert {triangle.nodes[b] for b in ends} == {"A", "B", "C"}
             return
         # both components' first edges differ: the first is searched alone,
         # and only from Z1, as Z1 - Z2 - Z3 names the witness
         searches = counted_search(monkeypatch)
-        assert walked(c, t1, t2) == []
+        assert walked(c, t1, t2) == ["floors", "floors"]
         ((looked_up, _),) = searches
         assert {(c.nodes[a], c.nodes[b]) for a, b, *_ in looked_up} == {("Z1", "Z2"), ("Z2", "Z3")}
         # the same first edges, or shielded edges that differ: no search
         searches.clear()
         assert tiers_equivalent(wave_cpdag, wave_tau, two_wave_tau)
-        assert walked(wave_cpdag, wave_tau, two_wave_tau) == []
-        assert walked(triangle, a_first, c_last) == []
+        assert walked(wave_cpdag, wave_tau, two_wave_tau) == ["floors", "floors"]
+        assert walked(triangle, a_first, c_last) == ["floors", "floors"]
         assert searches == []
 
     def test_compare_builds_two_graphs(self, monkeypatch):
@@ -817,7 +820,7 @@ class TestEarliestFromTree:
                 tier = [int(rng.choice(levels)) for _ in h.nodes]
                 expected = earliest_by_extension(paths, tier, h._ne)
                 floor = _floors(h._ne, tier)
-                assert [q for q in paths if _is_earliest(q, tier, floor, h._ne)] == expected
+                assert [q for q in paths if is_earliest(q, tier, floor, h._ne)] == expected
                 checked += len(expected) > 1
         assert drawn > 50 and checked > 500, (drawn, checked)
 
@@ -1374,14 +1377,24 @@ def counted_search(monkeypatch):
     return searches
 
 
+def shuffled_bands(rng, sizes, width):
+    """Bands of the given sizes (node i adjacent to i+1 .. i+width in each)
+    labelled by one shuffle of ``V0``..``V<p-1>`` along them, their nodes in
+    another random order: so the components interleave, and label text,
+    index and band position all differ.  Returns the graph and each band's
+    labels in band order."""
+    names = [f"V{k}" for k in rng.permutation(sum(sizes))]
+    bands = [names[k - n:k] for n, k in zip(sizes, itr.accumulate(sizes))]
+    edges = [(band[i], band[j]) for band in bands for i in range(len(band))
+             for j in range(i + 1, min(len(band), i + width + 1))]
+    return PDAG([names[k] for k in rng.permutation(len(names))], undirected=edges), bands
+
+
 def shuffled_band(rng, n, width):
-    """A band of ``n`` nodes (node i adjacent to i+1 .. i+width) labelled by
-    a shuffle of ``V0``..``V<n-1>`` along it, its nodes in another random
-    order: so label text, index and band position all differ.  Returns the
-    graph and its labels in band order."""
-    names = [f"V{k}" for k in rng.permutation(n)]
-    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, min(n, i + width + 1))]
-    return PDAG([names[k] for k in rng.permutation(n)], undirected=edges), names
+    """A band of ``n`` nodes from :func:`shuffled_bands`: the graph and its
+    labels in band order."""
+    h, (names,) = shuffled_bands(rng, [n], width)
+    return h, names
 
 
 class TestWitnessWalk:
@@ -1467,8 +1480,8 @@ class TestWitnessWalk:
 
     def test_stops_before_the_whole_tree(self, tmp_path, monkeypatch):
         """On the 18-node coarse-late band of the benchmark's compare_band
-        workload, the witness search walks no path and makes fewer lookups
-        than the component's path tree lists paths."""
+        workload, the witness search reaches neither path-listing call and
+        makes fewer lookups than the component's path tree lists paths."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
         op = workloads.compare_op(tmp_path, workloads.shape_rng(3, 2, 0),
@@ -1482,14 +1495,10 @@ class TestWitnessWalk:
         (group,) = {tuple(groups[label[u]]) for u, _ in diff}
         assert len(group) == 18
         read = []
-        walk = PDAG._walk
-
-        def counted(self, *args):
-            for path in walk(self, *args):
-                read.append(path)
-                yield path
-
-        monkeypatch.setattr(PDAG, "_walk", counted)
+        for owner, name in [(tiers, "cross_tier_report"), (PDAG, "find_unshielded_paths")]:
+            listing = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, listing=listing, **kwargs: (
+                read.append(args) or listing(*args, **kwargs)))
         searches = counted_search(monkeypatch)
         witness = tiers._path_witness(h, diff, vectors, floors)
         ((looked_up, _),) = searches
@@ -1558,3 +1567,111 @@ class TestWitnessWalk:
             assert res.witness == path_witness_walk(h, diff, vectors, floors)
             done += 1
         assert most["lookups"] > 20, most
+
+
+def tiers_along_search(rng, h, levels):
+    """An ordering consistent with the undirected chordal graph ``h``, its
+    tiers taken from ``levels`` (ascending) and non-decreasing along a
+    maximum cardinality search with random ties: the neighbours of a node
+    visited before it form a clique (Tarjan and Yannakakis, 1984), so the
+    DAG with each edge from its earlier-visited end is in the class and
+    respects the tiers."""
+    weight, tier, k = dict.fromkeys(h.nodes, 0), {}, 0
+    while weight:
+        top = max(weight.values())
+        ties = [v for v, w in weight.items() if w == top]
+        v = ties[int(rng.integers(len(ties)))]
+        del weight[v]
+        for u in h.neighbors_of(v):
+            if u in weight:
+                weight[u] += 1
+        k += k + 1 < len(levels) and rng.random() < len(levels) / h.num_nodes
+        tier[v] = int(levels[k])
+    return TieredOrdering(tier)
+
+
+def walked_report_paths(h, ordering):
+    """The report's earliest paths as the walk over every unshielded path
+    with the per-path test lists them (``oracles.report_paths_by_walk``)."""
+    vector = ordering._tiers(h.nodes)
+    paths = report_paths_by_walk(h, vector, _floors(h._ne, vector))
+    return tuple(tuple(map(h.nodes.__getitem__, path)) for path in paths)
+
+
+class TestReportWalk:
+    """The report walks only the prefixes that can still become earliest
+    paths: a maximal first edge, edges of its floor, a maximal end and a node
+    of that tier; against the per-pair loop and the walk over every
+    unshielded path with the per-path test, which it replaced."""
+
+    def test_matches_the_loop_on_shuffled_bands(self):
+        """Shuffled bands of 8-25 nodes in 1-3 interleaved components, width
+        1-4, under consistent orderings of negative, non-contiguous tiers:
+        the report equals ``oracles.cross_tier_report_loop`` in every field
+        and in order on 300 inputs whose components have at most 16 nodes
+        (the loop's pairwise maximality filter takes seconds beyond), and its
+        earliest paths equal the old walk's on the others."""
+        rng = np.random.default_rng(199)
+        counts = Counter()
+        while counts["loop"] < 300:
+            n = int(rng.integers(8, 26))
+            cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, 3)), replace=False))
+            sizes = [int(b - a) for a, b in zip([0, *cuts], [*cuts, n])]
+            h, _ = shuffled_bands(rng, sizes, int(rng.integers(1, 5)))
+            levels = np.sort(rng.choice(np.arange(-30, 31, 6), size=int(rng.integers(1, 5)),
+                                        replace=False))
+            tau = tiers_along_search(rng, h, levels)
+            report = cross_tier_report(h, tau)
+            if max(sizes) > 16:
+                assert report.earliest_paths == walked_report_paths(h, tau), (h, tau)
+                counts["over 16 nodes"] += 1
+                continue
+            assert report == cross_tier_report_loop(h, tau), (h, tau)
+            counts["loop"] += 1
+            counts["several components"] += sum(size > 1 for size in sizes) > 1
+            counts["several paths"] += len(report.earliest_paths) > 1
+            counts["first edges"] += bool(report.all_first_edges)
+        assert counts["several components"] > 100 and counts["over 16 nodes"] > 20, counts
+        assert counts["several paths"] > 250 and counts["first edges"] > 150, counts
+
+    @pytest.mark.parametrize("n", [25, 26])
+    def test_guard_text_on_shuffled_bands(self, n):
+        """The guard counts a component's nodes, whatever its paths: the
+        report answers on a 25-node band and refuses a 26-node one with the
+        same line as before, unless ``max_nodes`` lets it in."""
+        rng = np.random.default_rng(211 + n)
+        h, _ = shuffled_band(rng, n, 3)
+        tau = tiers_along_search(rng, h, [-12, -6, 0, 18])
+        for limit in (n - 1, 25):
+            if n > limit:
+                with pytest.raises(LimitError) as info:
+                    cross_tier_report(h, tau, max_nodes=limit)
+                assert str(info.value) == (
+                    f"component of {n} nodes exceeds the path enumeration limit of {limit}"
+                )
+        report = cross_tier_report(h, tau, max_nodes=n)
+        assert report.earliest_paths == walked_report_paths(h, tau)
+        assert len(report.earliest_paths) > 100, len(report.earliest_paths)
+        if n == 25:
+            assert cross_tier_report(h, tau) == report
+
+    @pytest.mark.parametrize("n", [18, 22, 25])
+    def test_enters_fewer_prefixes_than_the_walk(self, n, monkeypatch):
+        """Seeded shuffled bands of width 3 under tiers cut at three band
+        positions: the report checks maximality once per first edge tried
+        and once per prefix it enters, at most 0.6 times as often as the
+        walk over every unshielded path makes entries (4,268, 16,626 and
+        45,871 on these bands; the report checked 2,058, 7,702 and 21,008
+        times when this test was written)."""
+        rng = np.random.default_rng(n)
+        h, names = shuffled_band(rng, n, 3)
+        cuts = rng.choice(np.arange(1, n), size=3, replace=False)
+        tau = TieredOrdering({v: int(sum(k >= cuts)) for k, v in enumerate(names)})
+        checks = []
+        maximal = tiers._maximal
+        monkeypatch.setattr(tiers, "_maximal", lambda *args: checks.append(args) or maximal(*args))
+        report = cross_tier_report(h, tau)
+        entries = sum(1 for _ in unshielded_walk(h, range(n), None))
+        assert entries == {18: 4268, 22: 16626, 25: 45871}[n]
+        assert 0 < len(checks) <= 0.6 * entries, (len(checks), entries)
+        assert report.earliest_paths == walked_report_paths(h, tau)
