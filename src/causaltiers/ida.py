@@ -4,20 +4,23 @@ On graphs whose chain components can be oriented independently of the
 directed part, the original local and joint procedures apply without
 any validity post-check.  The local variant lists the cliques of a
 node's neighbours that add no new collider at that node.  The joint
-variant branches only on the edges at the query nodes, counts the
-members behind each branch instead of listing them, and combines the
-results across components; it has no member guard.
+variant counts the members behind each assignment of parent sets to the
+query nodes by root picking (He, Jia and Yu, JMLR 2015), with no
+branching, no listing and no member guard.  Every acyclic orientation
+without v-structures of a connected chordal component has one source r;
+the r-rooted graph is the tiered MPDAG of the ordering {r} < rest, so
+rule 1 alone builds it; and a query node's parents are its directed
+parents there together with its parents inside its chain component.  A
+chain component that is not chordal has no member, so both give nothing.
 """
 
 from __future__ import annotations
 
-import itertools as itr
-import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .graphs import GraphError, Node, PDAG
-from .orientation import _completions, _leaves
+from .graphs import GraphError, Node, PDAG, _component_labels
+from .orientation import _completions
 
 
 class ParentSetMultiset:
@@ -72,8 +75,11 @@ def local_ida(g: PDAG, x: Node) -> ParentSetMultiset:
     collider at ``x``, that is every clique S (the empty one included) of
     the neighbours adjacent to all parents of ``x``.  Each clique is
     extended with the later such neighbours adjacent to all of it, so the
-    cost follows the number of answers, not 2^deg."""
+    cost follows the number of answers, not 2^deg.  If x's chain component
+    is not chordal it has no member, and the multiset is empty."""
     i = g.index_of(x)
+    if _queried_part(g, [i]) is None:
+        return ParentSetMultiset()
     pa = g._pa[i]
     adj = {w: g._pa[w] | g._ch[w] | g._ne[w] for w in g._ne[i]}
     cliques = [frozenset()]
@@ -87,18 +93,23 @@ def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
     """Jointly valid parent sets of the nodes ``xs``, with the number of
     class members that give each.
 
-    Each chain component touching ``xs`` is handled on its own: branch
-    and close over the undirected edges at its query nodes only.  Each
-    leaf fixes their parent sets and is the interventional essential graph
-    of one intervention per query node (Hauser and Bühlmann, JMLR 2012),
-    a chain graph with chordal components; the members it stands for are
-    counted, as the product of those components' counts, never listed.
-    A component that is not chordal has no member, so neither has the
-    query.  The distinct tuples of parent sets (ordered like ``xs``) then
-    combine across components with the parents from the directed part;
-    each multiplicity is the product of the per-component counts.  The
-    counts are over the queried components; an untouched component
-    scales every count alike and is left out.
+    Each chain component touching ``xs`` is counted on its own by root
+    picking that carries the query nodes' parent sets.  Every acyclic
+    orientation without v-structures of a connected chordal component has
+    exactly one source r.  Those with source r are the products of the
+    orientations of the chain components of the r-rooted graph, which is
+    the tiered MPDAG of the ordering {r} < rest, so rule 1 alone builds it
+    (the paper's rule-1 sufficiency).  In each of them a query node's
+    parents are its directed parents in the rooted graph together with its
+    parents inside its chain component there.  So one memoised recursion
+    sums over roots the directed parents and the convolved counts of the
+    sub-components; a clique is closed form.  A component that is not
+    chordal has no member, so neither has the query.  The tuples of
+    parent sets (ordered like ``xs``) then combine across components with
+    the parents from the directed part, each multiplicity the product of
+    the per-component counts.  The counts are over the queried
+    components; an untouched component scales every count alike and is
+    left out.
 
     Raises
     ------
@@ -106,41 +117,20 @@ def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
         On duplicate or unknown nodes.
     """
     xs = list(xs)
-    query = set(xs)
-    if len(query) != len(xs):
+    if len(set(xs)) != len(xs):
         raise GraphError("query nodes must be distinct")
-    for x in xs:
-        g.index_of(x)
-
-    dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
-
-    und = g.undirected_subgraph()
-    memo: dict = {}
-    # per component: its distinct query-node parent assignments, with counts
-    per_component = []
-    for comp in g.chain_components():
-        if len(comp) > 1 and query.intersection(comp):
-            per_component.append(_assignments(und.induced_subgraph(comp), query, memo))
-
-    counts: Counter = Counter()
-    for combo in itr.product(*per_component):
-        merged: dict[Node, frozenset[Node]] = {}
-        for assignment, _ in combo:
-            merged.update(assignment)
-        entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
-        counts[entry] += math.prod(m for _, m in combo)
-    return ParentSetMultiset(counts)
+    ne = _queried_part(g, [g.index_of(x) for x in xs])
+    if ne is None:
+        return ParentSetMultiset()
+    parents = tuple(frozenset(g.parents_of(x)) for x in xs)
+    return ParentSetMultiset(_completions(ne, g.nodes, {}, tuple(xs), parents))
 
 
-def _assignments(h: PDAG, query: set, memo: dict) -> list:
-    """The distinct parent-set assignments of the query nodes of the
-    undirected component ``h``, each with the number of its orientations
-    that give it; ``memo`` is the shared :func:`_amo_count` memo."""
-    if not h.is_chordal():
-        return []
-    qs = [x for x in h.nodes if x in query]
-    counts: Counter = Counter()
-    for leaf in _leaves(h, map(h.index_of, qs)):
-        assignment = tuple((x, frozenset(leaf.parents_of(x))) for x in qs)
-        counts[assignment] += _completions(leaf._ne, leaf.nodes, memo)
-    return list(counts.items())
+def _queried_part(g: PDAG, idx: Iterable[int]) -> list | None:
+    """``g``'s neighbour sets on the chain components that hold the indices
+    ``idx``, empty elsewhere, or None if one of those is not chordal."""
+    label, groups = _component_labels(g._ne)
+    keep = {label[i] for i in idx} & groups.keys()
+    if any(g.induced_subgraph(g._labels(groups[k]))._non_simplicial() is not None for k in keep):
+        return None
+    return [nb if label[v] in keep else () for v, nb in enumerate(g._ne)]

@@ -13,14 +13,20 @@ mode that it is closed, a chain graph and chordal in its components
 (:class:`InvariantError`), and rejects a forced v-structure the input
 lacks.  :func:`enumerate_class` lists a class by branch and close, in
 lexicographic order, up to ``max_members`` members (:class:`LimitError`).
-The same loop, branching only on the edges at chosen nodes, serves joint
-IDA, which counts each leaf's completions with the root-picking counter
-behind :func:`class_size`.
+:func:`class_size` and joint IDA count by root picking (He, Jia and Yu,
+JMLR 2015) with rule-1 closures only.  Every acyclic orientation without
+v-structures of a connected chordal component has exactly one source r.
+The r-rooted graph is the tiered MPDAG of the ordering {r} < rest, so rule
+1 alone builds it, and its chain components orient independently.  A
+node's parents are its directed parents in the rooted graph together with
+its parents inside its chain component.
 """
 
 from __future__ import annotations
 
+import itertools as itr
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -367,17 +373,15 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     return _orient_tiered(c, ordering, (1,))[0]
 
 
-def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
-    """Branch and close on the undirected edges at the nodes ``branch``
-    (indices, ascending): close under rules 1-4; at the first of those
-    nodes i with an undirected edge, orient i - j, j lowest, each way,
-    i -> j first, and close each branch again.  A branch whose closure
-    orients an edge both ways is dropped; a leaf, with no undirected edge
-    at ``branch`` left, is yielded if it is acyclic and gives no node a new
-    parent that is not adjacent to another of its parents: a leaf keeps
+def _leaves(g: PDAG) -> Iterator[PDAG]:
+    """Branch and close on the undirected edges of ``g``: close under rules
+    1-4; at the lowest node i with an undirected edge, orient i - j, j
+    lowest, each way, i -> j first, and close each branch again.  A branch
+    whose closure orients an edge both ways is dropped; a leaf, with no
+    undirected edge left, is yielded if it is acyclic and gives no node a
+    new parent that is not adjacent to another of its parents: a leaf keeps
     ``g``'s adjacencies and only gains parents, so that is exactly when it
     has the v-structures of ``g``."""
-    branch = list(branch)
     stack = [(_state(g), None)]
     while stack:
         s, oriented = stack.pop()
@@ -386,7 +390,7 @@ def _leaves(g: PDAG, branch: Iterable[int]) -> Iterator[PDAG]:
         except InconsistentKnowledgeError:
             continue
         pa, ne, adj = s
-        i = next((i for i in branch if ne[i]), None)
+        i = next((i for i, nb in enumerate(ne) if nb), None)
         if i is not None:
             j = min(ne[i])
             # copy the sets that orienting writes to, those with adjacency
@@ -424,51 +428,86 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
         As soon as more than ``max_members`` members are found.
     """
     out: list[PDAG] = []
-    for member in _leaves(g, range(g.num_nodes)):
+    for member in _leaves(g):
         out.append(member)
         if len(out) > max_members:
             raise LimitError(f"class has over {max_members} members, the enumeration limit")
     return out
 
 
-def _amo_count(ne: Sequence[frozenset[int]], names, comp: Sequence[int], memo: dict) -> int:
+def _amo_count(ne: Sequence[frozenset[int]], names, comp, memo: dict, query=()):
     """Number of acyclic orientations without v-structures of the connected
     chordal graph that the neighbour sets ``ne`` induce on the indices
-    ``comp``, memoised in ``memo`` by the labels ``names`` of its nodes.
-
-    Root picking (He, Jia and Yu, JMLR 2015): a clique of n nodes has n!;
-    otherwise each node v is the root of some orientations, and those are
-    counted by orienting v's edges out of v, closing and multiplying the
-    counts of the chain components left, which are chordal again.  The
-    rooted graph is a CPDAG under the ordering that puts v alone in the
-    first tier, so rule 1 reaches the rules 1-4 fixpoint (the paper's
-    rule-1 sufficiency)."""
+    ``comp``, memoised in ``memo`` by the labels ``names`` of its nodes; if
+    it holds nodes of ``query`` (labels, one tuple per memo), a
+    :class:`Counter` from the tuples of their parent sets (empty outside
+    ``comp``) to the number of orientations that give each.  Root picking,
+    as the module docstring proves it: a clique is closed form (n!, or
+    :func:`_clique_orders`); otherwise for each source v, orient v's edges
+    out of v, close under rule 1, and convolve the query nodes' directed
+    parents with the counts of the chain components left, which are
+    chordal again."""
     key = frozenset(names[v] for v in comp)
     if key not in memo:
         local = {v: k for k, v in enumerate(comp)}
         sub = [frozenset(local[w] for w in ne[v] if w in local) for v in comp]
+        labels = [names[v] for v in comp]
+        at = {x: k for k, x in enumerate(labels) if x in query}
         n = len(sub)
         if sum(map(len, sub)) == n * (n - 1):
-            memo[key] = math.factorial(n)
+            others = [x for x in labels if x not in at]
+            memo[key] = _clique_orders(query, list(at), others) if at else math.factorial(n)
         else:
-            labels = [names[v] for v in comp]
-            total = 0
+            total = Counter() if at else 0
             for root in range(n):
                 s = ([set() for _ in sub], [set(x) for x in sub], sub)
                 for w in sub[root]:
                     _orient(s, root, w)
                 _close(s, (1,), labels, [(root, w) for w in sub[root]])
-                total += _completions(s[1], labels, memo)
+                if at:
+                    total.update(_completions(s[1], labels, memo, query, tuple(
+                        frozenset(labels[p] for p in s[0][at[x]]) if x in at else frozenset()
+                        for x in query)))
+                else:
+                    total += _completions(s[1], labels, memo)
             memo[key] = total
     return memo[key]
 
 
-def _completions(ne: Sequence[Iterable[int]], names, memo: dict) -> int:
+def _clique_orders(query: Sequence, qs: Sequence, others: Sequence) -> Counter:
+    """The parent sets of ``query`` (empty outside the clique) in the orders
+    of a clique on its nodes ``qs`` of ``query`` and ``others``, each with
+    the number of orders giving it: an order of ``qs`` and a gap around them
+    for each other node fix them, those sharing a gap in any order."""
+    out = Counter()
+    for order in itr.permutations(qs):
+        at = {q: i for i, q in enumerate(order)}
+        for gaps in itr.product(range(len(qs) + 1), repeat=len(others)):
+            out[tuple(
+                frozenset(itr.chain(order[:at[x]], itr.compress(others, [g <= at[x] for g in gaps])))
+                if x in at else frozenset() for x in query
+            )] = math.prod(math.factorial(gaps.count(g)) for g in range(len(qs) + 1))
+    return out
+
+
+def _completions(ne: Sequence[Iterable[int]], names, memo: dict, query=(), parents=None):
     """Product of the :func:`_amo_count` of each chain component of the
     undirected part ``ne``: the orientations of a chain graph with chordal
-    components that keep it acyclic and add no v-structure."""
+    components that keep it acyclic and add no v-structure.  Given the
+    ``parents`` of the nodes ``query`` so far, a :class:`Counter` of those
+    sets with the parents each combination of orientations adds."""
     groups = _component_labels(ne)[1].values()
-    return math.prod(_amo_count(ne, names, comp, memo) for comp in groups)
+    if parents is None:
+        return math.prod(_amo_count(ne, names, comp, memo) for comp in groups)
+    scale, out = 1, {parents: 1}
+    for comp in groups:
+        part = _amo_count(ne, names, comp, memo, query)
+        if isinstance(part, int):
+            scale *= part
+        else:
+            out = {tuple(map(frozenset.union, a, b)): m * k
+                   for a, m in out.items() for b, k in part.items()}
+    return Counter({a: m * scale for a, m in out.items()})
 
 
 def class_size(g: PDAG) -> int:

@@ -125,6 +125,27 @@ class SimConfig:
         ]
 
 
+def random_chordal(rng, p):
+    """A random graph on ``p`` nodes made chordal by elimination fill-in:
+    in a random order, each node's later neighbours become a clique."""
+    names = [f"V{k}" for k in range(p)]
+    density = rng.uniform(0.1, 0.7)
+    adj = [set() for _ in names]
+    for a, b in itr.combinations(range(p), 2):
+        if rng.random() < density:
+            adj[a].add(b)
+            adj[b].add(a)
+    left = set(range(p))
+    for v in map(int, rng.permutation(p)):
+        left.discard(v)
+        for a, b in itr.combinations(sorted(adj[v] & left), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return PDAG(names, undirected=[
+        (names[a], names[b]) for a in range(p) for b in adj[a] if a < b
+    ])
+
+
 def read_csv(fileobj) -> list[SimRecord]:
     reader = csv.DictReader(fileobj)
     out = []

@@ -11,7 +11,10 @@ library's sets, which the tests check against the matrix sweep here,
 invariant checks that the frontier closure and the certificate replaced,
 ``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
 construction and the local parent-set scan that closing the parent sets
-directly and clique extension replaced, ``component_paths`` with
+directly and clique extension replaced, ``joint_ida_branch_and_close``
+with ``query_leaves``, the joint count by branch and close at the query
+nodes that root picking carrying their parent sets replaced,
+``component_paths`` with
 ``earliest_by_extension``, the path list and the per-path earliest filter
 that the prefix tree of the unshielded paths replaced,
 ``compare_by_path_tree`` with its path tree, floors read off the tree
@@ -55,6 +58,7 @@ from causaltiers.ida import ParentSetMultiset
 from causaltiers.orientation import (
     MEEK_RULES,
     BackgroundKnowledge,
+    InconsistentKnowledgeError,
     InvariantError,
     enumerate_class,
     impose_tiers,
@@ -1318,6 +1322,76 @@ def joint_ida_by_enumeration(g, xs, max_members: int = 10_000) -> ParentSetMulti
         entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
         counts[entry] += math.prod(m for _, m in combo)
     return ParentSetMultiset(counts)
+
+
+def joint_ida_branch_and_close(g, xs) -> ParentSetMultiset:
+    """:func:`causaltiers.joint_ida` as it was before root picking carried
+    the query nodes' parent sets: in each queried chain component, branch
+    on the undirected edges at the query nodes and close each branch under
+    rules 1-4 (:func:`query_leaves`); each leaf fixes the query nodes'
+    parent sets, and its members are counted by root picking over its
+    chain components.  Distinct per-component assignments are combined
+    with the product of their counts."""
+    xs = list(xs)
+    query = set(xs)
+    if len(query) != len(xs):
+        raise GraphError("query nodes must be distinct")
+    for x in xs:
+        g.index_of(x)
+    dir_parents = {x: frozenset(g.parents_of(x)) for x in xs}
+    und = g.undirected_subgraph()
+    memo: dict = {}
+    per_component = []
+    for comp in g.chain_components():
+        if len(comp) > 1 and query.intersection(comp):
+            h = und.induced_subgraph(comp)
+            counts: Counter = Counter()
+            if h.is_chordal():
+                qs = [x for x in h.nodes if x in query]
+                for leaf in query_leaves(h, [h.index_of(x) for x in qs]):
+                    assignment = tuple((x, frozenset(leaf.parents_of(x))) for x in qs)
+                    counts[assignment] += orientation._completions(leaf._ne, leaf.nodes, memo)
+            per_component.append(list(counts.items()))
+    counts = Counter()
+    for combo in itr.product(*per_component):
+        merged = {}
+        for assignment, _ in combo:
+            merged.update(assignment)
+        entry = tuple(dir_parents[x] | merged.get(x, frozenset()) for x in xs)
+        counts[entry] += math.prod(m for _, m in combo)
+    return ParentSetMultiset(counts)
+
+
+def query_leaves(g, branch):
+    """Branch and close on the undirected edges at the nodes ``branch``
+    (indices, ascending): close under rules 1-4; at the first of those
+    nodes i with an undirected edge, orient i - j, j lowest, each way, and
+    close each branch again.  A branch whose closure orients an edge both
+    ways is dropped; a leaf, with no undirected edge at ``branch`` left, is
+    yielded if it is acyclic and has no new v-structure."""
+    stack = [orientation._state(g)]
+    while stack:
+        s = stack.pop()
+        try:
+            orientation._close(s, MEEK_RULES, g.nodes)
+        except InconsistentKnowledgeError:
+            continue
+        pa, ne, adj = s
+        i = next((i for i in branch if ne[i]), None)
+        if i is not None:
+            j = min(ne[i])
+            for tail, head in ((j, i), (i, j)):
+                copy = ([x if a is None else set(x) for x, a in zip(pa, adj)],
+                        [x if a is None else set(x) for x, a in zip(ne, adj)], adj)
+                orientation._orient(copy, tail, head)
+                stack.append(copy)
+            continue
+        try:
+            orientation._require_no_new_v_structures(g, s)
+            leaf = orientation._graph(g, s)
+        except GraphError:  # a new v-structure or a directed cycle
+            continue
+        yield leaf
 
 
 def contained_in_by_skeletons(g1, g2) -> bool:

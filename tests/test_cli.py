@@ -289,6 +289,13 @@ class TestSubcommands:
         assert code == 0
         assert out == "({}, {A}) x1\n({B}, {}) x1\n"
 
+    def test_ida_on_four_cycle_lists_nothing(self, tmp_path):
+        # the undirected 4-cycle is not chordal: its class is empty
+        graph = tmp_path / "square.txt"
+        graph.write_text("nodes: a b c d\na -- b\nb -- c\nc -- d\nd -- a\n")
+        for target in ("--x", "--joint"):
+            assert run_cli("ida", str(graph), target, "a") == (0, "")
+
     def test_ida_joint_on_band_of_17_edges(self, tmp_path):
         graph = undirected_graph_file(tmp_path / "band.txt", 10, 2)
         code, out = run_cli("ida", graph, "--joint", "V4", "--json")

@@ -17,12 +17,14 @@ from causaltiers import (
     enumerate_class,
     joint_ida,
     local_ida,
+    orientation,
     tiered_mpdag,
 )
 from causaltiers.ida import ParentSetMultiset
 
-from conftest import random_cpdag_and_tau
+from conftest import random_chordal, random_cpdag_and_tau
 from oracles import (
+    joint_ida_branch_and_close,
     joint_ida_by_enumeration,
     joint_ida_per_combination,
     local_ida_by_subsets,
@@ -30,9 +32,22 @@ from oracles import (
 )
 
 
-def clique(n):
+def clique(n, missing=()):
+    """K_n on V0 .. V(n-1), less the edges ``missing``."""
     names = [f"V{i}" for i in range(n)]
-    return PDAG(names, undirected=list(itr.combinations(names, 2)))
+    edges = [e for e in itr.combinations(names, 2) if e not in missing]
+    return PDAG(names, undirected=edges)
+
+
+def random_undirected(rng, p):
+    names = [f"V{i}" for i in range(p)]
+    density = rng.uniform(0.2, 0.8)
+    return PDAG(names, undirected=[e for e in itr.combinations(names, 2) if rng.random() < density])
+
+
+def query_sample(rng, g, most):
+    k = int(rng.integers(1, min(most, g.num_nodes) + 1))
+    return [g.nodes[i] for i in rng.choice(g.num_nodes, size=k, replace=False)]
 
 
 def class_parent_multiset(g, x):
@@ -139,6 +154,31 @@ class TestLocalIda:
                     for a, b in itr.combinations(sorted(incoming, key=str), 2):
                         assert g.has_edge(a, b) or (a in pa and b in pa)
 
+    def test_four_cycle_has_no_member(self):
+        square = PDAG("abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        assert enumerate_class(square) == []
+        for x in square.nodes:
+            assert local_ida(square, x) == ParentSetMultiset() == joint_ida(square, [x])
+
+    def test_distinct_sets_match_joint_ida(self):
+        """Random undirected graphs, chordal or not, and CPDAGs and tiered
+        MPDAGs: local IDA lists the parent sets joint IDA finds for x alone."""
+        rng = np.random.default_rng(139)
+        empty = 0
+        for trial in range(300):
+            p = int(rng.integers(2, 9))
+            if trial % 2:
+                graphs = [random_undirected(rng, p)]
+            else:
+                c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
+                graphs = [c, tiered_mpdag(c, tau)]
+            for g in graphs:
+                for x in g.nodes:
+                    got = local_ida(g, x).distinct()
+                    assert {(s,) for s in got} == joint_ida(g, [x]).distinct(), (g, x)
+                    empty += not got
+        assert empty > 50, empty
+
 
 class TestJointIda:
     def test_wave_mpdag_joint_a_b(self, wave_mpdag):
@@ -223,6 +263,62 @@ class TestJointIda:
             assert joint_ida(g, xs) == expected
             empty += not expected.total()
         assert empty > 20, empty
+
+    def test_matches_branch_and_close_oracle(self):
+        """Random chordal components of 2-10 nodes with one to four query
+        nodes, three queries each (at most 24 edges, which keeps the
+        oracle's branching small); CPDAGs and tiered MPDAGs; K2-K8 with one
+        to three query nodes; K5-K8 less one edge."""
+        rng = np.random.default_rng(149)
+        cases = []
+        while len(cases) < 450:
+            g = random_chordal(rng, int(rng.integers(2, 11)))
+            if len(g.undirected_edges) <= 24:
+                cases += [(g, query_sample(rng, g, 4)) for _ in range(3)]
+        for _ in range(100):
+            p = int(rng.integers(2, 11))
+            c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
+            cases += [(g, query_sample(rng, g, 4)) for g in (c, tiered_mpdag(c, tau))]
+        for n in range(2, 9):
+            cases += [(clique(n), [f"V{i}" for i in range(k)]) for k in range(1, min(n, 3) + 1)]
+        for n in range(5, 9):
+            g = clique(n, missing=[("V0", "V1")])
+            cases += [(g, ["V0"]), (g, ["V2"]), (g, ["V0", "V1"]), (g, query_sample(rng, g, 3))]
+        several = 0
+        for g, xs in cases:
+            assert joint_ida(g, xs) == joint_ida_branch_and_close(g, xs), (g, xs)
+            several += len(xs) > 2
+        assert several > 150, several
+
+    def test_closes_under_rule_1_only(self, monkeypatch):
+        """Every closure joint IDA runs is rule 1 alone, and a clique
+        component with query nodes needs none."""
+        rules = Counter()
+        close = orientation._close
+
+        def counting(s, rule_set, names, oriented=None):
+            rules[tuple(rule_set)] += 1
+            return close(s, rule_set, names, oriented)
+
+        monkeypatch.setattr(orientation, "_close", counting)
+        rng = np.random.default_rng(151)
+        for _ in range(60):
+            g = random_chordal(rng, int(rng.integers(3, 10)))
+            joint_ida(g, query_sample(rng, g, 3))
+        assert set(rules) == {(1,)} and rules[(1,)] > 100, rules
+        rules.clear()
+        result = joint_ida(clique(7), ["V0", "V3", "V5"])
+        assert result.total() == math.factorial(7) and not rules
+
+    def test_clique_closed_form_matches_enumeration(self):
+        rng = np.random.default_rng(157)
+        for n in range(2, 8):
+            g = clique(n)
+            members = enumerate_class(g)
+            for k in [k for k in (1, 2, 3) if k <= n] * 2:
+                xs = [g.nodes[i] for i in rng.choice(n, size=k, replace=False)]
+                expected = Counter(tuple(frozenset(m.parents_of(x)) for x in xs) for m in members)
+                assert joint_ida(g, xs).counts == dict(expected), (n, xs)
 
     def test_matches_class_enumeration_and_ratios(self):
         rng = np.random.default_rng(103)

@@ -32,7 +32,7 @@ from causaltiers.orientation import MEEK_RULES, InvariantError, meek_closure_tra
 
 from causaltiers.simulation import GENERATORS, random_dag
 
-from conftest import random_cpdag_and_tau, random_dag_instance, reordered
+from conftest import random_chordal, random_cpdag_and_tau, random_dag_instance, reordered
 from oracles import (
     SweepConflict,
     amat_of,
@@ -905,27 +905,6 @@ class TestEnumerateClass:
             if len(g.undirected_edges) <= 10:
                 empty += class_outcome(g) == 0
         assert empty > 0
-
-
-def random_chordal(rng, p):
-    """A random graph on ``p`` nodes made chordal by elimination fill-in:
-    in a random order, each node's later neighbours become a clique."""
-    names = [f"V{k}" for k in range(p)]
-    density = rng.uniform(0.1, 0.7)
-    adj = [set() for _ in names]
-    for a, b in itertools.combinations(range(p), 2):
-        if rng.random() < density:
-            adj[a].add(b)
-            adj[b].add(a)
-    left = set(range(p))
-    for v in map(int, rng.permutation(p)):
-        left.discard(v)
-        for a, b in itertools.combinations(sorted(adj[v] & left), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return PDAG(names, undirected=[
-        (names[a], names[b]) for a in range(p) for b in adj[a] if a < b
-    ])
 
 
 class TestClassSize:
