@@ -276,18 +276,13 @@ class PDAG:
 
     def _partially_directed_cycle(self) -> str | None:
         """Describe one partially directed cycle, or return None when the Kahn
-        pass over the contracted graph (lists rewritten only in and next to
-        components of two or more nodes) finds none; a cycle pays for the witness."""
+        pass over the graph with each chain component contracted to its
+        lowest node finds none; a cycle pays for the witness."""
         names, (label, groups) = self._names, _component_labels(self._ne)
-        cpa, cch = list(self._pa), list(self._ch)
-        for k, group in groups.items():
-            cpa[k] = [label[i] for v in group for i in self._pa[v]]
-            cch[k] = [label[j] for v in group for j in self._ch[v]]
-            for v in group[1:]:
-                cpa[v] = cch[v] = ()
-        for v in {w for k in groups for w in (*cpa[k], *cch[k])} - groups.keys():
-            cpa[v] = [label[i] for i in self._pa[v]]
-            cch[v] = [label[j] for j in self._ch[v]]
+        cpa, cch = [[] for _ in names], [[] for _ in names]
+        for v, k in enumerate(label):
+            cpa[k] += [label[i] for i in self._pa[v]]
+            cch[k] += [label[j] for j in self._ch[v]]
         cycle = _directed_cycle(cpa, cch)
         if cycle is None:
             return None

@@ -312,18 +312,42 @@ def _cross_tier_state(c: PDAG, tier: Sequence[int]):
     return s
 
 
+def _shares_parents(pa, ne) -> bool:
+    """Do the ends of each undirected edge b - c of the sets ``pa`` and ``ne``
+    have the same parents?  On an acyclic PDAG, iff no Meek rule fires and
+    no cycle is partially directed.  (<=) Take p in pa(b).  p is outside
+    b's chain component, as a directed edge inside one closes a partially
+    directed cycle.  Rule 1 does not fire, so p is adjacent to c.  But p - c
+    would put p inside the component, and c -> p would close c -> p -> b - c.
+    So p -> c, and symmetrically.  (=>) Rule 1 cannot fire, as pa(b) = pa(c),
+    and each pattern of rules 2-4 holds a partially directed cycle (b -> x ->
+    c - b; y -> c - b - y).  In such a cycle, replace each undirected run
+    u - ... - v entered by x -> u with x -> v, which exists as pa(u) = pa(v):
+    a closed directed walk is left, which an acyclic graph cannot have."""
+    return all(pa[i] == pa[j] for i, nb in enumerate(ne) for j in nb)
+
+
+def _has_members(g: PDAG) -> bool:
+    """Are the chain components of ``g`` chordal, so that its class has a member?
+    The gate of :func:`class_size` and IDA, which count right only where
+    :func:`_shares_parents` holds: elsewhere a one-line :class:`GraphError`."""
+    if not _shares_parents(g._pa, g._ne):
+        i, j = min((i, j) for i, nb in enumerate(g._ne) for j in nb if g._pa[i] != g._pa[j])
+        raise GraphError(f"not a CPDAG or tiered MPDAG: the ends of {g.nodes[i]} - {g.nodes[j]} "
+                         "have different parents")
+    return g._non_simplicial() is None
+
+
 def _require_invariants(g: PDAG, s) -> None:
     """Raise :class:`InvariantError` with a witness if a Meek rule fires on
     ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
     directed cycle (a directed one too: ``g`` may be built unchecked) or a
-    chain component that is not chordal; linear time.  A pass needs no scan
-    of rules 2-4, as each of their patterns holds a partially directed cycle
-    (b -> x -> c - b; y -> c - b - y, y in ne[b] & pa[c]).  Only a failure
-    scans all four rules, for the first witness."""
-    pa, ne, adj = s
-    rule1 = all(pa[i] <= adj[j] for i, nb in enumerate(ne) for j in nb)
-    if rule1 and not g.has_partially_directed_cycle() and g._non_simplicial() is None:
+    chain component that is not chordal; linear time.  A pass is
+    :func:`_shares_parents`, Kahn's check and the chordality search.  Only
+    a failure scans all four rules, then the contracted components."""
+    pa, ne, _ = s
+    if _shares_parents(pa, ne) and not g.has_directed_cycle() and g._non_simplicial() is None:
         return
     names = g.nodes
     fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
@@ -514,14 +538,13 @@ def class_size(g: PDAG) -> int:
     """Number of DAGs the CPDAG or tiered MPDAG ``g`` represents, without
     listing them (:func:`enumerate_class` lists them).
 
-    A CPDAG, and by the paper's result a tiered MPDAG, is a chain graph
-    whose chain components are chordal and can be oriented independently
-    of each other and of the directed part: every choice of one acyclic
-    orientation without v-structures per component gives a member, and
-    every member arises once.  So the size is the product of the
-    components' counts, each found by root picking with a memo.  A graph
-    with a chain component that is not chordal has no member: 0.
+    The ends of each undirected edge of a CPDAG, and by the paper's result
+    of a tiered MPDAG, have the same parents, so its chain components can
+    be oriented independently of each other and of the directed part:
+    every choice of one acyclic orientation without v-structures per
+    component gives a member, and every member arises once.  So the size
+    is the product of the components' counts, each found by root picking
+    with a memo.  A graph with a chain component that is not chordal has
+    no member: 0.  Other graphs raise a :class:`GraphError`.
     """
-    if g._non_simplicial() is not None:
-        return 0
-    return _completions(g._ne, g.nodes, {})
+    return _completions(g._ne, g.nodes, {}) if _has_members(g) else 0

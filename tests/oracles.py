@@ -9,6 +9,10 @@ are combined.  So are ``apply_meek_rule``, one sweep of one rule on the
 library's sets, which the tests check against the matrix sweep here,
 ``round_closure`` and ``require_invariants_scan``, the closure and the
 invariant checks that the frontier closure and the certificate replaced,
+``partially_directed_cycle_near_components`` and
+``rule1_closed_without_partial_cycle``, the contraction that rewrote only
+the lists in and next to chain components and the certificate's pass
+test that the shared-parents test replaced,
 ``cpdag_by_meek_closure`` and ``local_ida_by_subsets``, the CPDAG
 construction and the local parent-set scan that closing the parent sets
 directly and clique extension replaced, ``joint_ida_branch_and_close``
@@ -1434,6 +1438,45 @@ def require_invariants_scan(g, s) -> None:
     k = g._non_simplicial()
     if k is not None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
+
+
+def partially_directed_cycle_near_components(g) -> str | None:
+    """``PDAG._partially_directed_cycle`` as it was when the contracted
+    lists were rewritten only in and next to chain components of two or
+    more nodes, every other node keeping the graph's own parent and child
+    sets: the same Kahn pass and the same witness."""
+    names, (label, groups) = g.nodes, _component_labels(g._ne)
+    cpa, cch = list(g._pa), list(g._ch)
+    for k, group in groups.items():
+        cpa[k] = [label[i] for v in group for i in g._pa[v]]
+        cch[k] = [label[j] for v in group for j in g._ch[v]]
+        for v in group[1:]:
+            cpa[v] = cch[v] = ()
+    for v in {w for k in groups for w in (*cpa[k], *cch[k])} - groups.keys():
+        cpa[v] = [label[i] for i in g._pa[v]]
+        cch[v] = [label[j] for j in g._ch[v]]
+    cycle = _directed_cycle(cpa, cch)
+    if cycle is None:
+        return None
+    for i, ch in enumerate(g._ch):
+        inner = [j for j in ch if label[j] == label[i]]
+        if inner:
+            return f"directed edge {names[i]} -> {names[min(inner)]} inside a chain component"
+    mutual = min(((a, b) for a, ch in enumerate(cch) for b in ch if a in cch[b]), default=None)
+    if mutual:
+        cycle = [*mutual, mutual[0]]
+    listed = (",".join(str(names[v]) for v in groups.get(k, (k,))) for k in cycle)
+    return "chain components cycle {" + "} -> {".join(listed) + "}"
+
+
+def rule1_closed_without_partial_cycle(g, s) -> bool:
+    """The pass test of the tiered certificate before the shared-parents
+    test replaced it: no rule-1 firing in the sets ``s`` of ``g`` (each
+    neighbour adjacent to every parent) and no partially directed cycle
+    by :func:`partially_directed_cycle_near_components`."""
+    pa, ne, adj = s
+    rule1 = all(pa[i] <= adj[j] for i, nb in enumerate(ne) for j in nb)
+    return rule1 and partially_directed_cycle_near_components(g) is None
 
 
 def cpdag_by_meek_closure(d) -> PDAG:

@@ -243,6 +243,12 @@ class TestSubcommands:
         )
         assert (code, out) == (0, "connected\n")
 
+    def test_dsep_json(self):
+        code, out = run_cli(
+            "dsep", fixture("wave_dag.txt"), "--a", "B", "--b", "D", "--c", "C", "--json"
+        )
+        assert (code, out) == (0, '{"separated": true}\n')
+
     def test_parser_built_once_and_shared(self, monkeypatch):
         built = []
         build = cli.build_parser
@@ -264,6 +270,12 @@ class TestSubcommands:
         )
         assert code == 0
         assert out == "possibly-causal: yes\nb-possibly-causal: yes\n"
+
+    def test_classify_path_json(self):
+        code, out = run_cli(
+            "classify-path", fixture("wave_dag.txt"), "--path", "E,D,C", "--json"
+        )
+        assert (code, out) == (0, '{"possibly_causal": false, "b_possibly_causal": false}\n')
 
     def test_classify_path_backward(self):
         code, out = run_cli(
@@ -295,6 +307,29 @@ class TestSubcommands:
         graph.write_text("nodes: a b c d\na -- b\nb -- c\nc -- d\nd -- a\n")
         for target in ("--x", "--joint"):
             assert run_cli("ida", str(graph), target, "a") == (0, "")
+
+    def test_ida_lists_nothing_when_another_component_is_not_chordal(self, tmp_path):
+        # x - y is chordal, but the square a - b - c - d - a empties the class
+        graph = tmp_path / "square_and_edge.txt"
+        graph.write_text("nodes: a b c d x y\na -- b\nb -- c\nc -- d\nd -- a\nx -- y\n")
+        for target in ("--x", "--joint"):
+            assert run_cli("ida", str(graph), target, "x") == (0, "")
+
+    @pytest.mark.parametrize("edges, query, edge", [
+        ("a -> b\nb -- c\n", "c", "b - c"),
+        ("a -> e\na -- b\na -- c\na -- d\nc -- e\n", "a", "e - c"),
+        ("a -> b\nb -- c\nc -- a\n", "c", "b - c"),
+    ])
+    def test_ida_refuses_edges_whose_ends_have_different_parents(
+        self, edges, query, edge, tmp_path, capsys
+    ):
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes: a e b c d\n" + edges)
+        for target in ("--x", "--joint"):
+            assert run_cli("ida", str(graph), target, query) == (1, "")
+            assert capsys.readouterr().err == (
+                f"error: not a CPDAG or tiered MPDAG: the ends of {edge} have different parents\n"
+            )
 
     def test_ida_joint_on_band_of_17_edges(self, tmp_path):
         graph = undirected_graph_file(tmp_path / "band.txt", 10, 2)
@@ -656,6 +691,21 @@ class TestExitCodes:
         code = main(["validate", fixture("wave_dag.txt")], out=Full())
         assert code == 2
         assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
+
+    def test_empty_node_list_is_usage_error(self, capsys):
+        code, out = run_cli("dsep", fixture("wave_dag.txt"), "--a", ",", "--b", "D")
+        assert (code, out) == (2, "")
+        assert "expected a comma-separated node list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("A -> B\n", "line 1: expected a 'nodes:' header"),
+        ("# no graph here\n\n", "missing 'nodes:' header"),
+    ])
+    def test_graph_without_nodes_header_is_domain_error(self, text, message, tmp_path, capsys):
+        graph = tmp_path / "headless.txt"
+        graph.write_text(text)
+        assert run_cli("validate", str(graph)) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unparsable_graph_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

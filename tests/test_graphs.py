@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causaltiers import graphs, simulation
+from causaltiers import graphs, orientation, simulation
 from causaltiers import (
     CycleError,
     GraphError,
@@ -30,9 +30,11 @@ from oracles import (
     has_partially_directed_cycle_bfs,
     non_simplicial_max_mcs,
     partially_directed_cycle_amat,
+    partially_directed_cycle_near_components,
     paths_recursive,
     pdag_from_amat,
     pdag_from_amat_unchecked,
+    rule1_closed_without_partial_cycle,
     vstructs_triple_scan,
 )
 
@@ -65,6 +67,15 @@ class TestConstruction:
             PDAG("AB", directed=[("A", "B")], undirected=[("A", "B")])
         with pytest.raises(GraphError):
             PDAG("AB", directed=[("A", "B"), ("B", "A")])
+
+    def test_rejects_duplicate_label(self):
+        with pytest.raises(GraphError, match="^duplicate node label 'A'$"):
+            PDAG("ABA")
+
+    def test_foreign_operand_is_not_equal(self):
+        g = PDAG("AB", undirected=[("A", "B")])
+        assert g.__eq__(g.nodes) is NotImplemented
+        assert g != g.nodes and g != "AB"
 
     def test_rejects_directed_cycle(self):
         with pytest.raises(CycleError):
@@ -137,6 +148,10 @@ class TestSkeletonAndSubgraphs:
     def test_induced_subgraph_unknown_node(self, wave_dag):
         with pytest.raises(GraphError):
             wave_dag.induced_subgraph(["A", "Z"])
+
+    def test_induced_subgraph_duplicate_node(self, wave_dag):
+        with pytest.raises(GraphError, match="^duplicate node in induced subgraph selection$"):
+            wave_dag.induced_subgraph(["A", "C", "A"])
 
 
 class TestEqualityIgnoresNodeOrder:
@@ -425,6 +440,45 @@ class TestLinearChecksAgainstOracles:
             assert len(calls) == 1
             seen[cyclic] += 1
         assert min(seen.values()) > 300, seen
+
+    def test_witness_matches_near_component_contraction(self):
+        """Contracting every node the same way gives the witness of the
+        contraction that rewrote only the lists in and next to chain
+        components, on chain graphs and mixed graphs, cyclic or not."""
+        rng = np.random.default_rng(26)
+        seen = Counter()
+        for trial in range(20_000):
+            p = int(rng.integers(1, 10))
+            if trial % 2:
+                amat = random_mixed_amat(rng, p, acyclic=trial % 4 == 1)
+            else:
+                amat = random_chain_graph_amat(rng, p)
+            g = pdag_from_amat_unchecked([f"V{k}" for k in range(p)], amat)
+            witness = g._partially_directed_cycle()
+            assert witness == partially_directed_cycle_near_components(g), g
+            seen[witness and witness.split(" ")[0]] += 1
+        assert min(seen.values()) > 2_000, seen
+
+    def test_shared_parents_match_rule1_scan_and_contraction(self):
+        """On acyclic PDAGs of 2-7 nodes, the ends of every undirected edge
+        have the same parents iff rule 1 fires nowhere and no cycle is
+        partially directed."""
+        rng = np.random.default_rng(27)
+        seen = Counter()
+        for trial in range(20_000):
+            p = int(rng.integers(2, 8))
+            if trial % 2:
+                amat = random_mixed_amat(rng, p)
+            else:
+                amat = random_chain_graph_amat(rng, p)
+            try:
+                g = pdag_of(amat)
+            except CycleError:
+                continue
+            got = orientation._shares_parents(g._pa, g._ne)
+            assert got == rule1_closed_without_partial_cycle(g, orientation._state(g)), g
+            seen[got, g.is_directed] += 1
+        assert min(seen[True, False], seen[False, False]) > 5_000, seen
 
     def test_partially_directed_cycle_witnesses(self):
         inner = PDAG("ABC", directed=[("A", "B")], undirected=[("B", "C"), ("C", "A")])

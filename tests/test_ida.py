@@ -14,6 +14,7 @@ from causaltiers import (
     GraphError,
     LimitError,
     PDAG,
+    class_size,
     enumerate_class,
     joint_ida,
     local_ida,
@@ -74,6 +75,49 @@ class TestParentSetMultiset:
         assert a == b
         assert a != ParentSetMultiset([frozenset("A"), frozenset("A")])
 
+    def test_foreign_operand_is_not_equal(self):
+        m = ParentSetMultiset([frozenset("A")])
+        assert m.__eq__({frozenset("A"): 1}) is NotImplemented
+        assert m != {frozenset("A"): 1}
+
+    def test_repr_sorts_entries_by_text(self):
+        m = ParentSetMultiset([frozenset("BA"), frozenset(), frozenset("BA")])
+        assert repr(m) == "ParentSetMultiset({A,B} x2, {} x1)"
+        pairs = ParentSetMultiset([(frozenset("C"), frozenset()), (frozenset(), frozenset("AB"))])
+        assert repr(pairs) == "ParentSetMultiset(({C}, {}) x1, ({}, {A,B}) x1)"
+        assert repr(ParentSetMultiset()) == "ParentSetMultiset()"
+
+
+class TestDomain:
+    """class_size and both IDA variants take the graphs whose undirected
+    edges join nodes with the same parents, and count nothing on a class
+    that is empty because some chain component is not chordal."""
+
+    def test_component_outside_the_query_empties_the_class(self):
+        g = PDAG("abcdxy", undirected=[
+            ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("x", "y"),
+        ])
+        assert class_size(g) == 0 == len(enumerate_class(g))
+        assert local_ida(g, "x") == ParentSetMultiset() == joint_ida(g, ["x"])
+
+    @pytest.mark.parametrize("directed, undirected, members, edge", [
+        # class_size gave 2
+        (["ab"], ["bc"], 1, "b - c"),
+        # class_size gave 5
+        (["ae"], ["ab", "ac", "ad", "ce"], 7, "e - c"),
+        # joint IDA of c listed {b} and missed {a,b}
+        (["ab"], ["bc", "ca"], 3, "b - c"),
+    ])
+    def test_refuses_edges_whose_ends_have_different_parents(
+        self, directed, undirected, members, edge
+    ):
+        g = PDAG(directed=directed, undirected=undirected)
+        assert len(enumerate_class(g)) == members
+        message = f"^not a CPDAG or tiered MPDAG: the ends of {edge} have different parents$"
+        for count in (class_size, lambda g: local_ida(g, "c"), lambda g: joint_ida(g, ["c"])):
+            with pytest.raises(GraphError, match=message):
+                count(g)
+
 
 class TestLocalIda:
     def test_wave_mpdag_node_b(self, wave_mpdag):
@@ -97,11 +141,12 @@ class TestLocalIda:
         }
 
     def test_existing_parent_adjacency_screening(self):
+        # A is not adjacent to X's parent P, so rule 1 orients X -> A: no
+        # CPDAG or tiered MPDAG has this graph, and no screening is needed
+        # on one, because every neighbour has the node's parents
         g = PDAG("XPA", directed=[("P", "X")], undirected=[("X", "A")])
-        result = local_ida(g, "X")
-        # A is not adjacent to the parent P: orienting A -> X would
-        # create a new collider, so {P, A} is not a candidate
-        assert result.distinct() == {frozenset({"P"})}
+        with pytest.raises(GraphError, match="^not a CPDAG or tiered MPDAG: the ends of X - A "):
+            local_ida(g, "X")
 
     def test_matches_class_enumeration_random(self):
         rng = np.random.default_rng(97)

@@ -949,6 +949,34 @@ class TestClassSize:
         # one member per root, each rooted closure linear in the path
         assert class_size(band(300, 1)) == 300
 
+    def test_admitted_random_pdags(self):
+        """On random PDAGs and their closures, class_size counts the members
+        of every graph whose undirected edges join nodes with the same
+        parents, and refuses any other graph, naming its first undirected
+        edge whose ends have different parents."""
+        rng = np.random.default_rng(239)
+        admitted = Counter()
+        for trial in range(6000):
+            g = random_pdag(rng, int(rng.integers(2, 8)))
+            if trial % 2:
+                try:
+                    g = meek_closure(g, (1,) if trial % 4 == 1 else MEEK_RULES)
+                except GraphError:
+                    continue
+            if len(g.undirected_edges) > 12:
+                continue
+            split = [(u, v) for u, v in g.undirected_edges if g.parents_of(u) != g.parents_of(v)]
+            if split:
+                admitted["refused"] += 1
+                message = "^not a CPDAG or tiered MPDAG: the ends of %s - %s " % split[0]
+                with pytest.raises(GraphError, match=message):
+                    class_size(g)
+                continue
+            members = len(enumerate_class(g))
+            assert class_size(g) == members, g
+            admitted[bool(g.undirected_edges), members > 0] += 1
+        assert min(admitted.values()) > 20 and admitted[True, True] > 1000, admitted
+
 
 def band(n, width):
     """Chordal band: node i adjacent to i+1 .. i+width."""

@@ -213,6 +213,12 @@ class TestRunCell:
             SimConfig(replications=0)
         with pytest.raises(GraphError):
             SimCell(10, "medium", "er")
+        with pytest.raises(GraphError, match="^a cell needs at least 2 nodes$"):
+            SimCell(1, "sparse", "er")
+        with pytest.raises(GraphError, match="^generator must be one of "):
+            SimCell(10, "sparse", "uniform")
+        with pytest.raises(GraphError, match="^replications must be >= 1$"):
+            run_cell(SimCell(10, "sparse", "er"), ("full",), 0)
         assert len(SimConfig(node_counts=(10,), replications=1).cells()) == 6
 
 

@@ -119,6 +119,23 @@ class TestTieredOrdering:
         tau = TieredOrdering({"A": 2, "B": 1, "C": 2})
         assert tau.tier_groups() == [(1, ("B",)), (2, ("A", "C"))]
 
+    def test_empty_ordering_rejected(self):
+        with pytest.raises(GraphError, match="^an ordering needs at least one node$"):
+            TieredOrdering({})
+        with pytest.raises(GraphError, match="^an ordering needs at least one node$"):
+            TieredOrdering.from_tiers([])
+
+    def test_hash_and_repr_follow_the_tier_groups(self):
+        tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
+        assert hash(tau) == hash(tau.normalized()) == hash(TieredOrdering({"C": 2, "B": 1, "A": 2}))
+        assert len({tau, tau.normalized(), TieredOrdering({"A": 1, "B": 1, "C": 1})}) == 2
+        assert repr(tau) == "TieredOrdering({B} < {A C})"
+
+    def test_foreign_operand_is_not_equal(self):
+        tau = TieredOrdering({"A": 1})
+        assert tau.__eq__({"A": 1}) is NotImplemented
+        assert tau != {"A": 1}
+
 
 class TestForbiddenSet:
     def test_two_node_example(self):
