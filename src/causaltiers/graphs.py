@@ -309,9 +309,8 @@ class PDAG:
     def is_chordal(self) -> bool:
         """Chordality of an undirected graph.
 
-        Maximum cardinality search with a bucket queue (Tarjan and
-        Yannakakis, 1984; lowest index first among the heaviest nodes),
-        then a check that its order is a perfect elimination ordering.
+        Maximum cardinality search, then a check that its order is a
+        perfect elimination ordering.
         A disconnected graph is chordal iff every component is.
 
         Raises
@@ -328,31 +327,13 @@ class PDAG:
         are not all adjacent to the first of them, in the undirected part;
         None if the undirected part is chordal.
 
-        Only nodes with an undirected edge are searched: any other node keeps
-        weight 0, raises none and is never reported, so a search over all
-        nodes numbers the rest in the same relative order, which is all the
-        check reads, and reports the same node."""
+        Only nodes with an undirected edge are searched: a search over all
+        numbers them in the same relative order, all the check reads."""
         adj = self._ne
         nodes = [v for v, nb in enumerate(adj) if nb]
-
-        # buckets[w] is a heap of the nodes last seen with weight w
-        weight, number = [0] * len(adj), [0] * len(adj)
-        buckets: list[list[int]] = [nodes[:]] + [[] for _ in nodes]
-        top = 0
-        for num in range(len(nodes), 0, -1):
-            while True:
-                while not buckets[top]:
-                    top -= 1
-                z = heapq.heappop(buckets[top])
-                if not number[z] and weight[z] == top:
-                    break
-            number[z] = num
-            for y in adj[z]:
-                if not number[y]:
-                    weight[y] += 1
-                    heapq.heappush(buckets[weight[y]], y)
-                    top = max(top, weight[y])
-
+        number = [0] * len(adj)
+        for k, z in enumerate(_max_cardinality_search(adj, nodes)):
+            number[z] = len(nodes) - k
         for v in nodes:
             later = {w for w in adj[v] if number[w] > number[v]}
             if not later:
@@ -433,6 +414,29 @@ def _frozen_sets(names: Sequence[Node], directed, undirected) -> list[tuple[froz
         for v, members in lists.items():
             row[v] = frozenset(members)
     return list(map(tuple, rows))
+
+
+def _max_cardinality_search(adj: Sequence[Collection[int]], nodes: list[int]) -> list[int]:
+    """The visiting order of a maximum cardinality search of ``adj`` over ``nodes``
+    (ascending) by bucket queue (Tarjan and Yannakakis, 1984), lowest index first in a tie."""
+    # buckets[w] is a heap of the nodes last seen with weight w; -1 marks a visit
+    weight, order, top = [0] * len(adj), [], 0
+    buckets: list[list[int]] = [nodes[:]] + [[] for _ in nodes]
+    for _ in nodes:
+        while True:
+            while not buckets[top]:
+                top -= 1
+            z = heapq.heappop(buckets[top])
+            if weight[z] == top:
+                break
+        weight[z] = -1
+        order.append(z)
+        for y in adj[z]:
+            if weight[y] >= 0:
+                weight[y] += 1
+                heapq.heappush(buckets[weight[y]], y)
+                top = max(top, weight[y])
+    return order
 
 
 def _component_labels(ne: Sequence[Iterable[int]]) -> tuple[list[int], dict[int, list[int]]]:

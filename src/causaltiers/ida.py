@@ -8,9 +8,9 @@ post-check.  Other graphs raise a :class:`GraphError`, and a graph with a
 chain component that is not chordal has no member, so both give nothing.
 The local variant lists the cliques of a node's neighbours.  The joint
 variant counts the members behind each assignment of parent sets to the
-query nodes by root picking (He, Jia and Yu, JMLR 2015), as
-:mod:`causaltiers.orientation` proves it, with no branching, no listing
-and no member guard."""
+query nodes by clique picking (Wienobst, Bannach and Liskiewicz, AAAI
+2021), as :mod:`causaltiers.orientation` proves it, in polynomial time
+per assignment, with no branching, no listing and no member guard."""
 
 from __future__ import annotations
 
@@ -87,12 +87,12 @@ def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
     """Jointly valid parent sets of the nodes ``xs``, with the number of
     class members that give each.
 
-    Each chain component touching ``xs`` is counted on its own by root
-    picking that carries the query nodes' parent sets: one memoised
-    recursion sums over roots r the query nodes' directed parents in the
-    r-rooted graph and the convolved counts of its chain components; a
-    clique is closed form.  The tuples of parent sets (ordered like
-    ``xs``) then combine across components with the parents from the
+    Each chain component touching ``xs`` is counted on its own by clique
+    picking that carries the query nodes' parent sets: over maximal
+    cliques C, those C's orders give its query nodes, convolved with the
+    other query nodes' directed parents in the C-first graph and the counts
+    of its chain components outside C.  The tuples of parent sets (ordered
+    like ``xs``) then combine across components with the parents from the
     directed part, each multiplicity the product of the per-component
     counts.  The counts are over the queried components; an untouched
     component scales every count alike and is left out.  A graph with a

@@ -13,13 +13,14 @@ mode that it is closed, a chain graph and chordal in its components
 (:class:`InvariantError`), and rejects a forced v-structure the input
 lacks.  :func:`enumerate_class` lists a class by branch and close, in
 lexicographic order, up to ``max_members`` members (:class:`LimitError`).
-:func:`class_size` and joint IDA count by root picking (He, Jia and Yu,
-JMLR 2015) with rule-1 closures only.  Every acyclic orientation without
-v-structures of a connected chordal component has exactly one source r.
-The r-rooted graph is the tiered MPDAG of the ordering {r} < rest, so rule
-1 alone builds it, and its chain components orient independently.  A
-node's parents are its directed parents in the rooted graph together with
-its parents inside its chain component.
+:func:`class_size` and joint IDA count by clique picking (Wienobst,
+Bannach and Liskiewicz, AAAI 2021) in polynomial time, with rule-1
+closures only.  Each member of a connected chordal component is counted
+under one maximal clique C of a rooted clique tree, whose nodes it orders
+first, in one of phi(C, FP(C)) orders (:func:`_phi`).  C first is the tiered
+MPDAG of {c1} < ... < {ck} < rest, so rule 1 builds it, and its chain
+components outside C orient independently.  A node's parents are its
+directed parents there and its parents inside its chain component or C.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .graphs import Edge, GraphError, LimitError, PDAG, _component_labels
+from .graphs import Edge, GraphError, LimitError, PDAG, _component_labels, _max_cardinality_search
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tiers import TieredOrdering
@@ -449,8 +450,11 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
     Raises
     ------
     LimitError
-        As soon as more than ``max_members`` members are found.
+        If over ``max_members`` members exist: before listing, if
+        :func:`class_size` counts them, else once one too many is found.
     """
+    if _shares_parents(g._pa, g._ne) and class_size(g) > max_members:
+        raise LimitError(f"class has over {max_members} members, the enumeration limit")
     out: list[PDAG] = []
     for member in _leaves(g):
         out.append(member)
@@ -460,78 +464,110 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
 
 
 def _amo_count(ne: Sequence[frozenset[int]], names, comp, memo: dict, query=()):
-    """Number of acyclic orientations without v-structures of the connected
-    chordal graph that the neighbour sets ``ne`` induce on the indices
-    ``comp``, memoised in ``memo`` by the labels ``names`` of its nodes; if
-    it holds nodes of ``query`` (labels, one tuple per memo), a
-    :class:`Counter` from the tuples of their parent sets (empty outside
-    ``comp``) to the number of orientations that give each.  Root picking,
-    as the module docstring proves it: a clique is closed form (n!, or
-    :func:`_clique_orders`); otherwise for each source v, orient v's edges
-    out of v, close under rule 1, and convolve the query nodes' directed
-    parents with the counts of the chain components left, which are
-    chordal again."""
+    """The acyclic orientations without v-structures of the connected chordal
+    graph that ``ne`` induces on the indices ``comp`` (module docstring): a
+    :class:`Counter` of the parent sets they give the labels ``query`` (empty
+    outside ``comp``), memoised in ``memo`` (one per ``query``) by ``names``."""
     key = frozenset(names[v] for v in comp)
     if key not in memo:
         local = {v: k for k, v in enumerate(comp)}
         sub = [frozenset(local[w] for w in ne[v] if w in local) for v in comp]
         labels = [names[v] for v in comp]
         at = {x: k for k, x in enumerate(labels) if x in query}
-        n = len(sub)
-        if sum(map(len, sub)) == n * (n - 1):
-            others = [x for x in labels if x not in at]
-            memo[key] = _clique_orders(query, list(at), others) if at else math.factorial(n)
-        else:
-            total = Counter() if at else 0
-            for root in range(n):
-                s = ([set() for _ in sub], [set(x) for x in sub], sub)
-                for w in sub[root]:
-                    _orient(s, root, w)
-                _close(s, (1,), labels, [(root, w) for w in sub[root]])
-                if at:
-                    total.update(_completions(s[1], labels, memo, query, tuple(
-                        frozenset(labels[p] for p in s[0][at[x]]) if x in at else frozenset()
-                        for x in query)))
-                else:
-                    total += _completions(s[1], labels, memo)
-            memo[key] = total
+        total = Counter()
+        for clique, fp in _clique_tree(sub):
+            s = ([set() if v in clique else set(x & clique) for v, x in enumerate(sub)],
+                 [set() if v in clique else set(x - clique) for v, x in enumerate(sub)], sub)
+            out = [(c, w) for c in clique for w in sub[c] - clique]  # C first, by rule 1
+            if out:  # else a clique, which needs no closure
+                _close(s, (1,), labels, out)
+            parents = tuple(frozenset(labels[p] for p in s[0][at[x]]) if x in at else frozenset()
+                            for x in query)
+            total.update(_join(_phi(clique, fp, labels, query),
+                               _completions(s[1], labels, memo, query, parents)))
+        memo[key] = total
     return memo[key]
 
 
-def _clique_orders(query: Sequence, qs: Sequence, others: Sequence) -> Counter:
-    """The parent sets of ``query`` (empty outside the clique) in the orders
-    of a clique on its nodes ``qs`` of ``query`` and ``others``, each with
-    the number of orders giving it: an order of ``qs`` and a gap around them
-    for each other node fix them, those sharing a gap in any order."""
+def _clique_tree(sub: Sequence[frozenset[int]]) -> Iterator[tuple[frozenset[int], set]]:
+    """Each maximal clique C of the connected chordal graph ``sub`` with the
+    separators on its path to the root that lie in C, FP(C), on Blair and
+    Peyton's (1993) clique tree: a clique starts where the count of visited
+    neighbours fails to grow; they are its separator, and its parent holds
+    the latest visited.  No clique past a separator disjoint from C meets C."""
+    cliques, seps, up, home, last = [], [], [], [-1] * len(sub), 0
+    for z in _max_cardinality_search(sub, list(range(len(sub)))):
+        before = [y for y in sub[z] if home[y] >= 0]
+        if len(before) <= last:
+            seps.append(frozenset(before))
+            up.append(max((home[y] for y in before), default=None))
+            cliques.append({z, *before})
+        else:
+            cliques[-1].add(z)
+        home[z], last = len(cliques) - 1, len(before)
+    for k, clique in enumerate(cliques):
+        fp = set()
+        while up[k] is not None and seps[k] & clique:
+            if seps[k] <= clique:
+                fp.add(seps[k])
+            k = up[k]
+        yield frozenset(clique), fp
+
+
+def _phi(clique: frozenset[int], fp, names, query=()) -> Counter:
+    """phi: the orders of ``clique`` with no prefix that is, as a set, in ``fp``,
+    counted as by :func:`_clique_orders`.  Over ``fp`` by size, then ``clique``:
+    r's orders less, per q of ``fp`` inside r, those first in ``fp`` at q: q's, then r - q's."""
+    counted = any(names[v] in query for v in clique)
+    f: dict = {}
+    for r in sorted(fp, key=len) + [clique]:
+        if not counted:
+            f[r] = math.factorial(len(r)) - sum(
+                math.factorial(len(r - q)) * f[q] for q in f if q < r)
+            continue
+        f[r] = _clique_orders(query, [names[v] for v in r])
+        for q in [q for q in f if q < r]:
+            before = frozenset(names[v] for v in q)
+            f[r].subtract(_join(f[q], _clique_orders(query, [names[v] for v in r - q], before)))
+        assert min(f[r].values()) >= 0, f[r]
+        f[r] = +f[r]
+    return f[clique] if counted else +Counter({(frozenset(),) * len(query): f[clique]})
+
+
+def _clique_orders(query: Sequence, nodes: Sequence, before: frozenset = frozenset()) -> Counter:
+    """The parent sets of ``query`` (empty outside the clique) in the orders of
+    a clique on ``nodes`` after all of ``before``, with their numbers: an order
+    of its query nodes and a gap for each other node fix them, gap-mates in any order."""
+    qs = [x for x in nodes if x in query]
+    others = [x for x in nodes if x not in query]
     out = Counter()
     for order in itr.permutations(qs):
         at = {q: i for i, q in enumerate(order)}
         for gaps in itr.product(range(len(qs) + 1), repeat=len(others)):
             out[tuple(
-                frozenset(itr.chain(order[:at[x]], itr.compress(others, [g <= at[x] for g in gaps])))
+                before.union(order[:at[x]], itr.compress(others, [g <= at[x] for g in gaps]))
                 if x in at else frozenset() for x in query
             )] = math.prod(math.factorial(gaps.count(g)) for g in range(len(qs) + 1))
     return out
 
 
-def _completions(ne: Sequence[Iterable[int]], names, memo: dict, query=(), parents=None):
-    """Product of the :func:`_amo_count` of each chain component of the
-    undirected part ``ne``: the orientations of a chain graph with chordal
-    components that keep it acyclic and add no v-structure.  Given the
-    ``parents`` of the nodes ``query`` so far, a :class:`Counter` of those
-    sets with the parents each combination of orientations adds."""
-    groups = _component_labels(ne)[1].values()
-    if parents is None:
-        return math.prod(_amo_count(ne, names, comp, memo) for comp in groups)
-    scale, out = 1, {parents: 1}
-    for comp in groups:
-        part = _amo_count(ne, names, comp, memo, query)
-        if isinstance(part, int):
-            scale *= part
-        else:
-            out = {tuple(map(frozenset.union, a, b)): m * k
-                   for a, m in out.items() for b, k in part.items()}
-    return Counter({a: m * scale for a, m in out.items()})
+def _join(a: Counter, b: Counter) -> Counter:
+    """Counts of parent-set tuples from two independent choices: the unions of
+    all pairs, with the products of counts (a lone tuple of empty sets scales)."""
+    if len(b) == 1 and not any(*b):
+        return Counter({x: m * k for k in b.values() for x, m in a.items()})
+    return Counter({tuple(p | q if p and q else p or q for p, q in zip(x, y)): m * k
+                    for x, m in a.items() for y, k in b.items()})
+
+
+def _completions(ne: Sequence[Iterable[int]], names, memo: dict, query=(), parents=()) -> Counter:
+    """The orientations of a chain graph with chordal components and
+    undirected part ``ne`` that keep it acyclic and add no v-structure: a
+    :class:`Counter` of the parent sets of ``query``, from ``parents`` on."""
+    out = Counter({parents: 1})
+    for comp in _component_labels(ne)[1].values():
+        out = _join(_amo_count(ne, names, comp, memo, query), out)
+    return out
 
 
 def class_size(g: PDAG) -> int:
@@ -543,8 +579,8 @@ def class_size(g: PDAG) -> int:
     be oriented independently of each other and of the directed part:
     every choice of one acyclic orientation without v-structures per
     component gives a member, and every member arises once.  So the size
-    is the product of the components' counts, each found by root picking
-    with a memo.  A graph with a chain component that is not chordal has
+    is the product of the components' counts, each found by clique
+    picking.  A graph with a chain component that is not chordal has
     no member: 0.  Other graphs raise a :class:`GraphError`.
     """
-    return _completions(g._ne, g.nodes, {}) if _has_members(g) else 0
+    return _completions(g._ne, g.nodes, {})[()] if _has_members(g) else 0

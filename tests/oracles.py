@@ -18,7 +18,9 @@ construction and the local parent-set scan that closing the parent sets
 directly and clique extension replaced, ``joint_ida_branch_and_close``
 with ``query_leaves``, the joint count by branch and close at the query
 nodes that root picking carrying their parent sets replaced,
-``component_paths`` with
+``amo_count_by_root_picking`` with ``completions_by_root_picking``,
+``class_size_by_root_picking`` and ``joint_ida_by_root_picking``, the
+root picking that clique picking replaced, ``component_paths`` with
 ``earliest_by_extension``, the path list and the per-path earliest filter
 that the prefix tree of the unshielded paths replaced,
 ``compare_by_path_tree`` with its path tree, floors read off the tree
@@ -1354,7 +1356,7 @@ def joint_ida_branch_and_close(g, xs) -> ParentSetMultiset:
                 qs = [x for x in h.nodes if x in query]
                 for leaf in query_leaves(h, [h.index_of(x) for x in qs]):
                     assignment = tuple((x, frozenset(leaf.parents_of(x))) for x in qs)
-                    counts[assignment] += orientation._completions(leaf._ne, leaf.nodes, memo)
+                    counts[assignment] += completions_by_root_picking(leaf._ne, leaf.nodes, memo)
             per_component.append(list(counts.items()))
     counts = Counter()
     for combo in itr.product(*per_component):
@@ -1396,6 +1398,75 @@ def query_leaves(g, branch):
         except GraphError:  # a new v-structure or a directed cycle
             continue
         yield leaf
+
+
+def amo_count_by_root_picking(ne, names, comp, memo: dict, query=()):
+    """:func:`causaltiers.orientation._amo_count` as it was before clique
+    picking: root picking (He, Jia and Yu, JMLR 2015), memoised by label
+    set.  Every acyclic orientation without v-structures of a connected
+    chordal component has one source r; for each r, orient r's edges out,
+    close under rule 1, and convolve the query nodes' directed parents with
+    the counts of the chain components left.  A clique is closed form.
+    Exponential on some components (K16 less one edge takes seconds).  It
+    reuses the library's ``_orient``, ``_close`` and ``_clique_orders``."""
+    key = frozenset(names[v] for v in comp)
+    if key not in memo:
+        local = {v: k for k, v in enumerate(comp)}
+        sub = [frozenset(local[w] for w in ne[v] if w in local) for v in comp]
+        labels = [names[v] for v in comp]
+        at = {x: k for k, x in enumerate(labels) if x in query}
+        n = len(sub)
+        if sum(map(len, sub)) == n * (n - 1):
+            memo[key] = orientation._clique_orders(query, labels) if at else math.factorial(n)
+        else:
+            total = Counter() if at else 0
+            for root in range(n):
+                s = ([set() for _ in sub], [set(x) for x in sub], sub)
+                for w in sub[root]:
+                    orientation._orient(s, root, w)
+                orientation._close(s, (1,), labels, [(root, w) for w in sub[root]])
+                if at:
+                    total.update(completions_by_root_picking(s[1], labels, memo, query, tuple(
+                        frozenset(labels[p] for p in s[0][at[x]]) if x in at else frozenset()
+                        for x in query)))
+                else:
+                    total += completions_by_root_picking(s[1], labels, memo)
+            memo[key] = total
+    return memo[key]
+
+
+def completions_by_root_picking(ne, names, memo: dict, query=(), parents=None):
+    """:func:`causaltiers.orientation._completions` over
+    :func:`amo_count_by_root_picking`."""
+    groups = _component_labels(ne)[1].values()
+    if parents is None:
+        return math.prod(amo_count_by_root_picking(ne, names, comp, memo) for comp in groups)
+    out = Counter({parents: 1})
+    for comp in groups:
+        part = amo_count_by_root_picking(ne, names, comp, memo, query)
+        out = Counter({a: m * part for a, m in out.items()} if isinstance(part, int) else {
+            tuple(map(frozenset.union, a, b)): m * k
+            for a, m in out.items() for b, k in part.items()})
+    return out
+
+
+def class_size_by_root_picking(g) -> int:
+    """:func:`causaltiers.class_size` by root picking."""
+    return completions_by_root_picking(g._ne, g.nodes, {}) if orientation._has_members(g) else 0
+
+
+def joint_ida_by_root_picking(g, xs) -> ParentSetMultiset:
+    """:func:`causaltiers.joint_ida` by root picking: the same restriction to
+    the queried chain components, counted by
+    :func:`amo_count_by_root_picking`."""
+    idx = [g.index_of(x) for x in xs]
+    if not orientation._has_members(g):
+        return ParentSetMultiset()
+    label = _component_labels(g._ne)[0]
+    keep = {label[i] for i in idx}
+    ne = [nb if label[v] in keep else () for v, nb in enumerate(g._ne)]
+    parents = tuple(frozenset(g.parents_of(x)) for x in xs)
+    return ParentSetMultiset(completions_by_root_picking(ne, g.nodes, {}, tuple(xs), parents))
 
 
 def contained_in_by_skeletons(g1, g2) -> bool:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +28,7 @@ from conftest import random_chordal, random_cpdag_and_tau
 from oracles import (
     joint_ida_branch_and_close,
     joint_ida_by_enumeration,
+    joint_ida_by_root_picking,
     joint_ida_per_combination,
     local_ida_by_subsets,
     multiplicity_ratios_equal,
@@ -284,6 +286,7 @@ class TestJointIda:
             for g in (c, tiered_mpdag(c, tau)):
                 k = int(rng.integers(1, min(3, p) + 1))
                 xs = [g.nodes[i] for i in rng.choice(p, size=k, replace=False)]
+                assert joint_ida(g, xs).counts == joint_ida_by_root_picking(g, xs).counts
                 try:
                     expected = joint_ida_by_enumeration(g, xs)
                 except LimitError:
@@ -331,9 +334,30 @@ class TestJointIda:
             cases += [(g, ["V0"]), (g, ["V2"]), (g, ["V0", "V1"]), (g, query_sample(rng, g, 3))]
         several = 0
         for g, xs in cases:
-            assert joint_ida(g, xs) == joint_ida_branch_and_close(g, xs), (g, xs)
+            got = joint_ida(g, xs)
+            assert got == joint_ida_branch_and_close(g, xs), (g, xs)
+            assert got.counts == joint_ida_by_root_picking(g, xs).counts, (g, xs)
             several += len(xs) > 2
         assert several > 150, several
+
+    def test_k14_less_one_edge_under_a_second(self):
+        """Root picking took seconds here.  In K_n less V0 - V1, with S the
+        other n - 2 nodes, V0 takes any P of S as parents: P = S in (n - 1)!
+        members (V0 a sink), and a proper P in |P|! (n - 2 - |P|)!, as its
+        children in S must precede V1, which is then the sink."""
+        n = 14
+        names = [f"V{k}" for k in range(n)]
+        g = clique(n, missing=[("V0", "V1")])
+        start = time.perf_counter()
+        got = joint_ida(g, ["V0"])
+        assert time.perf_counter() - start < 1.0
+        expected = {
+            (frozenset(p),): math.factorial(n - 1) if len(p) == n - 2
+            else math.factorial(len(p)) * math.factorial(n - 2 - len(p))
+            for k in range(n - 1) for p in itr.combinations(names[2:], k)
+        }
+        assert got.counts == expected
+        assert got.total() == (2 * n - 3) * math.factorial(n - 2)
 
     def test_closes_under_rule_1_only(self, monkeypatch):
         """Every closure joint IDA runs is rule 1 alone, and a clique

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -38,6 +39,7 @@ from oracles import (
     amat_of,
     apply_meek_rule,
     build_from_sets,
+    class_size_by_root_picking,
     consistent_extensions,
     cpdag_by_meek_closure,
     forbidden_set,
@@ -839,6 +841,19 @@ class TestEnumerateClass:
             enumerate_class(k5, max_members=100)
         assert len(enumerate_class(k5, max_members=120)) == 120
 
+    def test_counted_class_over_the_limit_fails_before_listing(self, monkeypatch):
+        """K10 has 10! members, and its undirected edges' ends share their
+        parents, so class_size counts them and no member is listed."""
+        names = [f"V{k}" for k in range(10)]
+        k10 = PDAG(names, undirected=itertools.combinations(names, 2))
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="^class has over 10000 members, the enumeration limit$"):
+            enumerate_class(k10)
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(orientation, "_leaves", None)  # listing would raise TypeError
+        with pytest.raises(LimitError, match="^class has over 5039 members"):
+            enumerate_class(PDAG(names[:7], undirected=itertools.combinations(names[:7], 2)), 5039)
+
     def test_members_in_documented_order(self):
         """Lexicographic in the directions of the input's undirected edges,
         taken in canonical order, lower-index tail first."""
@@ -914,14 +929,81 @@ class TestClassSize:
         for _ in range(150):
             g = random_chordal(rng, int(rng.integers(1, 9)))
             assert g.is_chordal()
-            assert class_size(g) == len(enumerate_class(g))
+            assert class_size(g) == len(enumerate_class(g)) == class_size_by_root_picking(g)
             for comp in g.chain_components():
                 if len(comp) > 1:
                     idx = sorted(map(g.index_of, comp))
                     got = orientation._amo_count(g._ne, g.nodes, idx, {})
-                    assert got == len(enumerate_class(g.induced_subgraph(comp)))
+                    assert got == Counter({(): len(enumerate_class(g.induced_subgraph(comp)))})
                     counted += 1
         assert counted > 100
+
+    def test_k_less_edges_match_root_picking_and_enumeration(self):
+        """K2-K10 less one edge, two disjoint edges (a chordless 4-cycle from
+        n = 4 on, so no member) and two edges at V0: clique picking agrees
+        with the root-picking oracle and, on K2-K8 up to 2,000 members, with
+        the listed members; over the enumeration limit, enumeration refuses
+        at once."""
+        sizes = []
+        for n in range(2, 11):
+            names = [f"V{k}" for k in range(n)]
+            pairs = list(itertools.combinations(names, 2))
+            for missing in ({pairs[0]}, {pairs[0], pairs[-1]}, set(pairs[:2])):
+                g = PDAG(names, undirected=[e for e in pairs if e not in missing])
+                sizes.append(class_size(g))
+                assert sizes[-1] == class_size_by_root_picking(g), (n, missing)
+                if sizes[-1] > 10_000:
+                    with pytest.raises(LimitError, match="^class has over 10000 members"):
+                        enumerate_class(g)
+                elif sizes[-1] <= 2_000 and n <= 8:
+                    assert sizes[-1] == len(enumerate_class(g)), (n, missing)
+        assert 0 in sizes and max(sizes) == 17 * math.factorial(8)
+
+    def test_k16_less_one_edge_under_a_second(self):
+        """Root picking took seconds here; (2n - 3)(n - 2)! members: the
+        missing edge's ends either end in a sink, or one of them is the
+        sink and the other's parents are any proper subset of the rest."""
+        n = 16
+        start = time.perf_counter()
+        assert class_size(clique_less_one(n)) == (2 * n - 3) * math.factorial(n - 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_seeded_32_node_chordal_graph_under_a_second(self):
+        """One connected 32-node chordal graph of 228 edges; the root-picking
+        oracle gives the same count but takes about 20 s.  Relabelling the
+        nodes changes the search order, so the clique tree, its root and
+        every FP set, but not the count."""
+        rng = np.random.default_rng(3)
+        g = random_chordal(rng, 32)
+        assert len(g.undirected_edges) == 228 and len(g.chain_components()) == 1
+        start = time.perf_counter()
+        assert class_size(g) == 377_702_110_218_240
+        assert time.perf_counter() - start < 1.0
+        for _ in range(5):
+            order = [g.nodes[i] for i in rng.permutation(32)]
+            assert class_size(reordered(g, order)) == 377_702_110_218_240
+
+    def test_fp_keeps_only_separators_inside_the_clique(self):
+        """Cliques V0V2V4 - V0V3V4 - V1V3V4, rooted at the first.  FP of
+        V1V3V4 is {V3V4}; the separator V0V4 above it is not inside it.
+        Taking FP as the intersections with the cliques above, {V3V4, V4},
+        would also drop the order V4 V1 V3 of the last clique: 13."""
+        g = PDAG([f"V{k}" for k in range(5)], undirected=[
+            ("V0", "V2"), ("V0", "V3"), ("V0", "V4"), ("V1", "V3"), ("V1", "V4"),
+            ("V2", "V4"), ("V3", "V4"),
+        ])
+        assert class_size(g) == 14 == len(enumerate_class(g)) == class_size_by_root_picking(g)
+
+    def test_fp_walk_passes_separators_outside_the_clique(self):
+        """Cliques AB - ACE - ACF - ADF, rooted at AB.  From ADF the walk
+        meets its own separator AF (inside ADF), then ACF's, AC (not inside
+        ADF but meeting it), then ACE's, A (inside ADF).  A walk stopped at
+        AC would leave A out of FP(ADF) and count 19."""
+        g = PDAG("ABCDEF", undirected=[
+            ("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("A", "F"),
+            ("C", "E"), ("C", "F"), ("D", "F"),
+        ])
+        assert class_size(g) == 18 == len(enumerate_class(g)) == class_size_by_root_picking(g)
 
     def test_cpdags_and_tiered_mpdags(self):
         rng = np.random.default_rng(137)
@@ -932,7 +1014,7 @@ class TestClassSize:
             for g in (c, tiered_mpdag(c, tau)):
                 if len(g.undirected_edges) <= 14:
                     sizes.append(len(enumerate_class(g)))
-                    assert class_size(g) == sizes[-1]
+                    assert class_size(g) == sizes[-1] == class_size_by_root_picking(g)
         assert max(sizes) > 100
 
     def test_cliques_cycles_and_dags(self, wave_dag):
@@ -973,9 +1055,16 @@ class TestClassSize:
                     class_size(g)
                 continue
             members = len(enumerate_class(g))
-            assert class_size(g) == members, g
+            assert class_size(g) == members == class_size_by_root_picking(g), g
             admitted[bool(g.undirected_edges), members > 0] += 1
         assert min(admitted.values()) > 20 and admitted[True, True] > 1000, admitted
+
+
+def clique_less_one(n):
+    """K_n on V0 .. V(n-1) less the edge V0 - V1."""
+    names = [f"V{k}" for k in range(n)]
+    return PDAG(names, undirected=[e for e in itertools.combinations(names, 2)
+                                   if e != ("V0", "V1")])
 
 
 def band(n, width):

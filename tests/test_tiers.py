@@ -44,6 +44,7 @@ from causaltiers import cpdag_of
 from causaltiers.simulation import random_dag
 from oracles import (
     all_dags,
+    class_size_by_root_picking,
     compare_by_path_tree,
     compare_refinement_pairwise,
     component_paths,
@@ -59,6 +60,7 @@ from oracles import (
     first_cross_tier_edges_walk,
     forbidden_set,
     is_earliest,
+    joint_ida_by_root_picking,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
     orient_undirected_part,
@@ -1101,10 +1103,11 @@ class TestDefinitionAudit:
 
     def test_class_and_parent_sets_match_admitted_members(self):
         """Every ordering on every 4-node class: the tiered MPDAG's directed
-        edges are the arcs common to R, ``class_size`` is |R|,
-        ``enumerate_class`` lists R, local IDA gives each node's parent sets
-        over R, and joint IDA on each node pair gives R's parent-set pairs
-        with multiplicities proportional to their counts in R."""
+        edges are the arcs common to R, ``class_size`` is |R|, as root
+        picking counts it, ``enumerate_class`` lists R, local IDA gives each
+        node's parent sets over R, and joint IDA on each node pair gives R's
+        parent-set pairs with multiplicities proportional to their counts in
+        R, and root picking's counts."""
         orderings = [
             TieredOrdering(dict(enumerate(levels)))
             for levels in itr.product(range(4), repeat=4)
@@ -1123,7 +1126,7 @@ class TestDefinitionAudit:
                 parents = [[frozenset(u for u, v in m if v == x) for x in range(4)] for m in r]
                 checks = [
                     ("directed edges", set(g.directed_edges) == frozenset.intersection(*r)),
-                    ("class_size", class_size(g) == len(r)),
+                    ("class_size", class_size(g) == len(r) == class_size_by_root_picking(g)),
                     ("enumerate_class",
                      Counter(frozenset(m.directed_edges) for m in enumerate_class(g)) == Counter(r)),
                 ]
@@ -1135,7 +1138,7 @@ class TestDefinitionAudit:
                     got = joint_ida(g, [x, y])
                     checks.append((f"joint_ida {x} {y}", got.distinct() == set(expected) and all(
                         got.multiplicity(e) * len(r) == n * got.total() for e, n in expected.items()
-                    )))
+                    ) and got.counts == joint_ida_by_root_picking(g, [x, y]).counts))
                 disagreements += [(name, c, t) for name, holds in checks if not holds]
                 checked += 1
         assert not disagreements, disagreements[:5]
