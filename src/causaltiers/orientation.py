@@ -445,7 +445,8 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
     On a CPDAG or MPDAG every branch ends in a member.  Members come in
     lexicographic order of the directions of ``g``'s undirected edges in
     canonical order, lower-index tail first; a DAG yields a singleton
-    list.  :func:`class_size` counts the members without listing them.
+    list.  :func:`class_size` counts the members without listing them;
+    where it applies it counts first, so an empty class lists nothing.
 
     Raises
     ------
@@ -453,8 +454,11 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
         If over ``max_members`` members exist: before listing, if
         :func:`class_size` counts them, else once one too many is found.
     """
-    if _shares_parents(g._pa, g._ne) and class_size(g) > max_members:
-        raise LimitError(f"class has over {max_members} members, the enumeration limit")
+    if _shares_parents(g._pa, g._ne):
+        if (size := class_size(g)) > max_members:
+            raise LimitError(f"class has over {max_members} members, the enumeration limit")
+        if not size:  # a chain component that is not chordal: no member
+            return []
     out: list[PDAG] = []
     for member in _leaves(g):
         out.append(member)

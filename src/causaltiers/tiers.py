@@ -9,27 +9,28 @@ paths and (ii) the fully shielded cross-tier edges of the undirected
 part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
 Both are read per edge, from edge floors, which need the undirected part
-chordal, as a CPDAG's is.  One pass over two orderings builds each tiered
-MPDAG once and checks the paper's theorem: the criterion holds iff the two
-MPDAGs are equal.  Paths are listed only by :func:`cross_tier_report`,
-whose ``max_nodes`` is the opt-in and which walks only prefixes that can
-still become earliest; a witness, from the first differing earliest path
-in label-text order within a fixed bound of 25 nodes, is found by a
-memoised search in polynomial time.  Compatibility and refinement are
-read from tier groups, with no node-pair loop.
+chordal, as a CPDAG's is; an input with an undirected edge whose ends
+have different parents is refused first, as :func:`class_size` refuses
+it.  One pass over two orderings builds each tiered MPDAG once and checks
+the paper's theorem: the criterion holds iff the two MPDAGs are equal.  A
+witness is the least edge, by label text, that is a first cross-tier edge
+of an earliest path under one ordering only, in the least chain component
+holding one.  Paths are listed only by :func:`cross_tier_report`, whose
+``max_nodes`` is the opt-in and which walks only prefixes that can still
+become earliest.  Compatibility and refinement are read from tier groups,
+with no node-pair loop.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import InvariantError, _cross_tier_state, _graph, tiered_mpdag
+from .orientation import InvariantError, _cross_tier_state, _graph, _has_members, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -217,11 +218,13 @@ def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
 
 
 def _chordal_part(c: PDAG) -> PDAG:
-    """The undirected part of ``c``, refused unless chordal, as edge floors need."""
-    h = c.undirected_subgraph()
-    if (k := h._non_simplicial()) is not None:
-        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}")
-    return h
+    """The undirected part of ``c``, refused as by :func:`_has_members` unless
+    the ends of each undirected edge have the same parents, then unless it is
+    chordal, as edge floors need."""
+    if not _has_members(c):
+        k = c._non_simplicial()
+        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
+    return c.undirected_subgraph()
 
 
 def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int, int]]:
@@ -296,9 +299,10 @@ def cross_tier_report(
     raises LimitError; each earliest path comes once, from its lower end, by
     (component, start, end).  Only prefixes whose floors all equal the first
     edge's, m, are walked: a path is earliest iff that holds and it has a
-    node of tier m.  A part that is not chordal (no CPDAG's) raises
-    GraphError, and an ordering that no DAG of the class respects raises as
-    in :func:`tiered_mpdag`."""
+    node of tier m.  An undirected edge whose ends have different parents,
+    or a part that is not chordal (no CPDAG has either), raises GraphError,
+    and an ordering that no DAG of the class respects raises as in
+    :func:`tiered_mpdag`."""
     h, names = _chordal_part(c), c.nodes
     tiered_mpdag(c, ordering)
     groups = _component_labels(h._ne)[1].values()
@@ -354,9 +358,9 @@ def tiers_equivalent(c: PDAG, t1: TieredOrdering, t2: TieredOrdering) -> TierEqu
 
     Decided graphically: the orderings are equivalent iff they agree on
     the first cross-tier edges of every earliest unshielded path and on
-    every fully shielded cross-tier edge.  No path is listed for the
-    verdict, and the walk naming a witness has a fixed bound
-    (:func:`_path_witness`).
+    every fully shielded cross-tier edge.  No path is listed: the witness
+    is the first differing shielded edge, else the least differing first
+    edge (module docstring), read from the same per-edge sets at every size.
     """
     check_compatible(t1, t2)
     return _compare(c, t1, t2)[0]
@@ -417,77 +421,12 @@ def tiers_more_informative(
     return _compare(c, t1, t2)[1]
 
 
-def _path_witness(h: PDAG, diff: set, tiers: tuple, floors: tuple) -> Edge:
-    """A witness for first-edge sets that differ by ``diff``: in the least chain
-    component of ``h`` holding an edge of ``diff``, the least differing first edge
-    of the first candidate, an earliest path of either ordering on which they
-    differ, both by label text (``str(tuple(labels))``, a path read from its
-    lower-index end); the least edge of ``diff`` there if that component has
-    more than ``DEFAULT_PATH_NODE_LIMIT`` nodes or no path differs.  The walk
-    takes starts and neighbours by the ``repr`` of their labels, returns the
-    first prefix that is a candidate, else enters the first child whose subtree
-    holds one: at most 2 T deg lookups per prefix entered or start passed over.
-
-    A lookup reads a memoised search over states (a, b, t, m_u, t-minimum
-    reached, u-minimum reached, differs) of paths ending a - b that are to be
-    earliest under ordering t and have least tier m_u under the other, u: the
-    greatest end index of a candidate completion, -1 if none.  It is exact on a
-    chordal ``h``, with T guesses of m_u, by three facts:
-    - the steps (a, b) -> (b, c), c neither a nor adjacent to a, have no cycle,
-      which would be an unshielded walk repeating a node (see :func:`_floors`);
-    - an unshielded path is induced (a chord vi - vj with the least j - i > 2
-      closes a chordless cycle vi ... vj): its continuations need its last edge;
-    - the candidate test is local: every floor on an earliest path is its least
-      tier m, so m is the first edge's floor, an edge continues only if its
-      floor is m, maximality reads the end edges and m, and given m_u an edge is
-      first under one ordering only iff its marks under (t, m) and (u, m_u) differ.
-    """
-    names, ne, (label, groups) = h.nodes, h._ne, _component_labels(h._ne)
-    k = min(label[u] for u, _ in diff)
-    edges, text = [(u, v) for u, v in diff if label[u] == k], [repr(v) for v in names]
-
-    def step(state, c):  # the state after c; None if no candidate goes on through c
-        a, b, t, m_u, got_t, got_u, differs = state
-        tt, tu, m = tiers[t], tiers[1 - t], floors[t][b][c]
-        if tu[c] < m_u or (not _maximal(ne, floors[t], c, b) if a is None  # a start must be maximal
-                           else c == a or c in ne[a] or m != floors[t][a][b]):
-            return None
-        return (b, c, t, m_u, got_t or tt[b] == m or tt[c] == m, got_u or tu[c] == m_u,
-                differs or (tt[b] == m) - (tt[c] == m) != (tu[b] == m_u) - (tu[c] == m_u))
-
-    def end(state):  # b if the path ending a - b is a candidate, else -1
-        a, b, t, _, got_t, got_u, differs = state
-        return b if got_t and got_u and differs and _maximal(ne, floors[t], a, b) else -1
-
-    @functools.cache
-    def best(state):  # never a start: from a - b, only a c neither a nor adjacent to a goes on
-        a, b = state[:2]
-        return max([end(state), *(best(n) for c in ne[b] - ne[a] - {a} if (n := step(state, c)))])
-
-    if len(groups[k]) <= DEFAULT_PATH_NODE_LIMIT:
-        for s in sorted(groups[k], key=text.__getitem__):
-            path, live = [s], [(None, s, t, m_u, False, m_u == tu[s], False)
-                               for t, tu in ((0, tiers[1]), (1, tiers[0]))
-                               for m_u in {tu[v] for v in groups[k] if tu[v] <= tu[s]}]
-            while live and max(map(end, live)) <= s:
-                for c in sorted(ne[path[-1]], key=text.__getitem__):
-                    if after := [n for state in live if (n := step(state, c)) and best(n) > s]:
-                        break
-                path.append(c)
-                live = after
-            if live:
-                f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
-                edges = f1 ^ f2
-                break
-    return min(((names[u], names[v]) for u, v in edges), key=str)
-
-
 def _compare(
     c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
-    pass: the undirected part is checked chordal, each tiered MPDAG is built
-    once, and the rest is read from tier vectors and edge floors.  Raises
+    pass: the input is admitted by :func:`_chordal_part`, each tiered MPDAG
+    is built once, and the rest is read from tier vectors and edge floors.  Raises
     :class:`InvariantError`, naming a witness, if the criterion and equality
     of the two MPDAGs disagree, against the paper's theorem."""
     h, names = _chordal_part(c), c.nodes
@@ -501,8 +440,10 @@ def _compare(
     shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
     equivalent = not shielded_diff and u1 == u2
     witness = shielded_diff[0] if shielded_diff else None
-    if witness is None and u1 != u2:
-        witness = _path_witness(h, u1 ^ u2, (v1, v2), (f1, f2))
+    if witness is None and u1 != u2:  # the least differing first edge of the least component
+        label, diff = _component_labels(h._ne)[0], u1 ^ u2
+        k = min(label[u] for u, _ in diff)
+        witness = min(((names[u], names[v]) for u, v in diff if label[u] == k), key=str)
     same = g1 == g2
     if equivalent != same:
         u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)

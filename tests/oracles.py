@@ -25,11 +25,7 @@ root picking that clique picking replaced, ``component_paths`` with
 that the prefix tree of the unshielded paths replaced,
 ``compare_by_path_tree`` with its path tree, floors read off the tree
 and per-path first edges, the comparison that the per-edge floors
-replaced, ``path_witness_by_tree`` with ``earliest_top_down``, the
-witness read off the whole path tree of its component and the top-down
-earliest filter that the walk stopping at the witness and the per-path
-test replaced, ``path_witness_walk``, the witness walk that the memoised
-completability search replaced, ``unshielded_walk``, ``is_earliest`` and
+replaced, ``unshielded_walk``, ``is_earliest`` and
 ``report_paths_by_walk``, the walk over every unshielded path and the
 per-path earliest test that the report's floor-pruned walk replaced, the
 moved generators:
@@ -877,8 +873,10 @@ def cross_tier_report_loop(c, ordering, max_nodes: int = 25):
 
 def tiers_equivalent_loop(c, t1, t2, max_nodes: int = 25):
     """:func:`causaltiers.tiers.tiers_equivalent` with its own component
-    loop: witness from the shielded scan first, then component by
-    component over the union of both orderings' earliest paths."""
+    loop: the first edges compared on the union of both orderings' earliest
+    paths, component by component; the witness from the shielded scan
+    first, then the least edge, by label text, that is a first edge of an
+    earliest path under one ordering only, in the first component with one."""
     check_compatible_pairwise(t1, t2)
     for ordering in (t1, t2):
         require_consistency(c, ordering)
@@ -901,13 +899,14 @@ def tiers_equivalent_loop(c, t1, t2, max_nodes: int = 25):
         _earliest_by_component(h, t1, max_nodes), _earliest_by_component(h, t2, max_nodes)
     )
     for earliest1, earliest2 in by_component:
-        for path in sorted(set(earliest1) | set(earliest2), key=str):
+        for path in set(earliest1) | set(earliest2):
             f1 = first_cross_tier_edges_walk(path, t1.assignment)
             f2 = first_cross_tier_edges_walk(path, t2.assignment)
-            if f1 != f2:
-                first_agree = False
-                if witness is None:
-                    witness = sorted(f1 ^ f2, key=str)[0]
+            first_agree &= f1 == f2
+        union1 = {e for p in earliest1 for e in first_cross_tier_edges_walk(p, t1.assignment)}
+        union2 = {e for p in earliest2 for e in first_cross_tier_edges_walk(p, t2.assignment)}
+        if witness is None and union1 != union2:
+            witness = min(union1 ^ union2, key=str)
     equivalent = shielded_agree and first_agree
     return TierEquivalence(
         equivalent=equivalent,
@@ -1107,83 +1106,6 @@ def prefix_tree(paths: list) -> tuple[list, list]:
     return [entry.get(path[:-1], -1) for path in paths], [path[-1] for path in paths]
 
 
-def earliest_top_down(tree: tuple, tier, floor, adjacent) -> list:
-    """The earliest paths of ``tree``, a prefix tree as each entry's parent
-    (-1 for a start), node and path with the entries to list, that are no
-    proper segment of another, in listed order: one pass top down reads each
-    entry's minimum, least floor and whether a child (an extension at the
-    last end) is earliest; only the paths left are tried at the first.  The
-    filter that the per-path test :func:`is_earliest` replaced."""
-    parent, node, paths, listed = tree
-    low, least, extended = [tier[v] for v in node], [math.inf] * len(node), [False] * len(node)
-    for e, (p, v) in enumerate(zip(parent, node)):
-        if p >= 0:
-            t, m, f, g = low[e], low[p], floor[node[p]][v], least[p]
-            low[e] = t if t < m else m
-            least[e] = f if f < g else g
-            if f >= m:
-                extended[p] = True
-    earliest = []
-    for e in listed:
-        m, path = low[e], paths[e]
-        if least[e] == m and not extended[e]:
-            s, inner = path[0], adjacent[path[1]]
-            if all(floor[s][x] < m for x in adjacent[s] - inner if x not in path):
-                earliest.append(path)
-    return earliest
-
-
-def path_witness_by_tree(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int):
-    """:func:`causaltiers.tiers._path_witness` by building the witness
-    component's whole path tree: both orderings' earliest maximal paths are
-    read off it by :func:`earliest_top_down` and sorted by label text, and
-    the first on which the first edges differ names the witness."""
-    names, (label, groups) = h.nodes, _component_labels(h._ne)
-    k = min(label[u] for u, _ in diff)
-    edges = [(u, v) for u, v in diff if label[u] == k]
-    if len(groups[k]) <= max_nodes:
-        paths = list(unshielded_walk(h, groups[k], None))
-        tree = (*prefix_tree(paths), paths, [e for e, path in enumerate(paths) if path[-1] > path[0]])
-        found = {p for t, f in zip(tiers, floors) for p in earliest_top_down(tree, t, f, h._ne)}
-        for path in sorted(found, key=lambda p: str(tuple(map(names.__getitem__, p)))):
-            f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
-            if f1 != f2:
-                edges = f1 ^ f2
-                break
-    return min(((names[u], names[v]) for u, v in edges), key=str)
-
-
-def path_witness_walk(h, diff: set, tiers: tuple, floors: tuple, max_nodes: int = 25):
-    """:func:`causaltiers.tiers._path_witness` by walking the witness
-    component's unshielded paths depth first, the starts and each node's
-    neighbours by the ``repr`` of their labels, testing each path read from
-    its lower-index end with :func:`is_earliest` as it is
-    made, and stopping at the first on which the first edges differ: the
-    walk that the completability search replaced, exponential when that path
-    comes late in label-text order."""
-    names, (label, groups) = h.nodes, _component_labels(h._ne)
-    k = min(label[u] for u, _ in diff)
-    edges = [(u, v) for u, v in diff if label[u] == k]
-    text, adjacent = [repr(v) for v in names], h._adjacency()
-
-    def walk(path):
-        yield path
-        for w in sorted(adjacent[path[-1]], key=text.__getitem__):
-            if w not in path and (len(path) < 2 or w not in adjacent[path[-2]]):
-                yield from walk((*path, w))
-
-    if len(groups[k]) <= max_nodes:
-        for s in sorted(groups[k], key=text.__getitem__):
-            for path in walk((s,)):
-                if path[-1] > path[0] and any(
-                    is_earliest(path, t, f, h._ne) for t, f in zip(tiers, floors)
-                ):
-                    f1, f2 = (first_cross_tier_edges(path, t) for t in tiers)
-                    if f1 != f2:
-                        return min(((names[u], names[v]) for u, v in f1 ^ f2), key=str)
-    return min(((names[u], names[v]) for u, v in edges), key=str)
-
-
 def earliest_by_tree_floors(tree: tuple, tier, adjacent) -> list:
     """The earliest maximal paths of :func:`path_tree_with_edge_ids`'s tree,
     each edge's floor read off the tree: top down each entry's minimum,
@@ -1228,10 +1150,18 @@ def reports_by_path_tree(h, orderings, max_nodes: int) -> tuple:
     return tree[0], records
 
 
+def least_edge_of_least_component(names, component, diff) -> tuple:
+    """The least edge, by label text, of the index pairs ``diff`` in the chain
+    component, named by ``component`` per node, of least name holding one."""
+    k = min(component[u] for u, _ in diff)
+    return min(((names[u], names[v]) for u, v in diff if component[u] == k), key=str)
+
+
 def compare_by_path_tree(c, t1, t2, max_nodes: int = 25) -> tuple:
     """:func:`causaltiers.tiers._compare` reading the first cross-tier edges
     path by path off the whole path tree: the criterion, the witness and
-    conditions i and iii from the earliest paths of both orderings."""
+    conditions i and iii from the earliest paths of both orderings, the
+    witness from the union of each ordering's first edges on its own."""
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
     component, ((e1, s1), (e2, s2)) = reports_by_path_tree(
         c.undirected_subgraph(), (t1, t2), max_nodes
@@ -1244,9 +1174,9 @@ def compare_by_path_tree(c, t1, t2, max_nodes: int = 25) -> tuple:
     first_diff = [p for p, (f1, f2) in first.items() if f1 != f2]
     equivalent = not (shielded_diff or first_diff)
     witness = shielded_diff[0] if shielded_diff else None
-    if first_diff and witness is None:  # from the first path in component order
-        path = min(first_diff, key=lambda p: (component[p[0]], str(tuple(names[i] for i in p))))
-        witness = min(((names[u], names[v]) for u, v in first[path][0] ^ first[path][1]), key=str)
+    if first_diff and witness is None:  # from each ordering's union of per-path first edges
+        diff = {e for p in e1 for e in first[p][0]} ^ {e for p in e2 for e in first[p][1]}
+        witness = least_edge_of_least_component(names, component, diff)
     same = g1 == g2
     if equivalent != same:
         u, v = witness or min(set(g1.directed_edges) ^ set(g2.directed_edges), key=str)

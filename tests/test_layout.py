@@ -1,5 +1,6 @@
 """Source layout: a subcommand's output is written in one place, no
-module imports a name it does not use, and only the simulation loads numpy.
+module imports a name it does not use, every private function is referenced,
+and only the simulation loads numpy.
 
 Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
 so nothing else in the package may touch stdout, the ``out`` stream of
@@ -135,6 +136,45 @@ def test_no_unused_imports(path):
 )
 def test_checker_finds_unused_imports(text, expected):
     assert unused_imports(text) == expected
+
+
+def unreferenced_private_functions(texts: list[str]) -> list[str]:
+    """Private functions and methods defined in ``texts`` (names with one
+    leading underscore, not dunders) whose name is never read in ``texts``,
+    as a name or an attribute: dead helpers a deletion left behind."""
+    defined, read = [], set()
+    for tree in map(ast.parse, texts):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [name for name in defined if name not in read]
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions([path.read_text() for path in MODULES]) == []
+
+
+@pytest.mark.parametrize(
+    "texts, expected",
+    [
+        (["def _f():\n    pass\n"], ["_f"]),
+        (["def _f():\n    pass\n", "from .a import _f\n"], []),
+        (["def _f():\n    pass\ng = _f\n"], []),
+        (["class A:\n    def _m(self):\n        pass\n    def f(self):\n        return self._m()\n"], []),
+        (["def __getattr__(name):\n    pass\ndef f():\n    pass\n"], []),
+        (["def _f():\n    return '_f'\n"], ["_f"]),
+    ],
+    ids=["unused", "imported", "read", "method", "dunder-and-public", "string"],
+)
+def test_checker_finds_unreferenced_private_functions(texts, expected):
+    assert unreferenced_private_functions(texts) == expected
 
 
 def run_fresh(script: str, cwd: Path) -> None:

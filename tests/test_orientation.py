@@ -854,6 +854,19 @@ class TestEnumerateClass:
         with pytest.raises(LimitError, match="^class has over 5039 members"):
             enumerate_class(PDAG(names[:7], undirected=itertools.combinations(names[:7], 2)), 5039)
 
+    def test_counted_empty_class_lists_nothing(self, monkeypatch):
+        """K10 less V0 - V1 and V8 - V9 holds the chordless 4-cycle V0 V8 V1
+        V9, so class_size is 0 and no branch is closed (K9 less two such
+        edges took half a second by branch and close)."""
+        names = [f"V{k}" for k in range(10)]
+        g = PDAG(names, undirected=[e for e in itertools.combinations(names, 2)
+                                    if e not in {("V0", "V1"), ("V8", "V9")}])
+        start = time.perf_counter()
+        assert enumerate_class(g) == []
+        assert time.perf_counter() - start < 0.1
+        monkeypatch.setattr(orientation, "_leaves", None)  # listing would raise TypeError
+        assert enumerate_class(g) == []
+
     def test_members_in_documented_order(self):
         """Lexicographic in the directions of the input's undirected edges,
         taken in canonical order, lower-index tail first."""

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import io
 import itertools as itr
@@ -61,12 +60,11 @@ from oracles import (
     forbidden_set,
     is_earliest,
     joint_ida_by_root_picking,
+    least_edge_of_least_component,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
     orient_undirected_part,
     path_tree_with_edge_ids,
-    path_witness_by_tree,
-    path_witness_walk,
     report_paths_by_walk,
     tiers_equivalent_loop,
     tiers_more_informative_loop,
@@ -402,9 +400,8 @@ class TestTiersEquivalent:
 
     def test_max_nodes_reaches_the_path_walk(self):
         """The verdict lists no path, so the guard cannot stop it; the
-        report's guard bounds the walk that lists paths, and the witness
-        falls back to the least differing first edge beyond its fixed bound
-        of 25 nodes, which the comparison takes no option to change."""
+        report's guard bounds the walk that lists paths, and the witness is
+        the least differing first edge at every size, with no option."""
         names = [f"V{k}" for k in range(26)]
         path = PDAG(names, undirected=list(zip(names, names[1:])))
         tau = TieredOrdering.from_tiers([names])
@@ -664,9 +661,8 @@ class TestSharedEnumeration:
     def test_each_component_enumerated_once(
         self, compare, monkeypatch, tmp_path, wave_cpdag, wave_tau, two_wave_tau, triangle
     ):
-        """A comparison searches paths only to name a witness from the first
-        edges, and then only in the witness's component, up to the witness,
-        reaching neither the report nor the per-pair search; the report
+        """A comparison walks no path, even to name a witness from the first
+        edges, reaching neither the report nor the per-pair search; the report
         searches its ordering's floors once and walks every component."""
         reached, ends = [], []
         report, floors, maximal = tiers.cross_tier_report, tiers._floors, tiers._maximal
@@ -705,18 +701,13 @@ class TestSharedEnumeration:
             assert walked(triangle, a_first, c_last) == ["report", "floors"]
             assert {triangle.nodes[b] for b in ends} == {"A", "B", "C"}
             return
-        # both components' first edges differ: the first is searched alone,
-        # and only from Z1, as Z1 - Z2 - Z3 names the witness
-        searches = counted_search(monkeypatch)
+        # first edges that differ in both components, the same first edges,
+        # or shielded edges that differ: one floor search per ordering
         assert walked(c, t1, t2) == ["floors", "floors"]
-        ((looked_up, _),) = searches
-        assert {(c.nodes[a], c.nodes[b]) for a, b, *_ in looked_up} == {("Z1", "Z2"), ("Z2", "Z3")}
-        # the same first edges, or shielded edges that differ: no search
-        searches.clear()
         assert tiers_equivalent(wave_cpdag, wave_tau, two_wave_tau)
         assert walked(wave_cpdag, wave_tau, two_wave_tau) == ["floors", "floors"]
         assert walked(triangle, a_first, c_last) == ["floors", "floors"]
-        assert searches == []
+        assert ends == []
 
     def test_compare_builds_two_graphs(self, monkeypatch):
         """One comparison orients a graph twice, once for each tiered
@@ -881,7 +872,8 @@ class TestEarliestFromTree:
         tiered MPDAGs are equal although the first edges read off the
         inexact floors differ, which the comparison once reported as a
         failure of the paper's theorem (InvariantError, witness N1 -> N4).
-        It refuses the input first, as the library call and on the CLI."""
+        It refuses the input first, as the library call and on the CLI: the
+        ends of N0 - N4 have different parents, which no CPDAG allows."""
         text = ("nodes: N0 N1 N2 N3 N4 N5\n"
                 "N0 -> N1\nN0 -> N2\nN0 -> N3\nN3 -> N2\nN5 -> N2\nN5 -> N4\n"
                 "N0 -- N4\nN0 -- N5\nN1 -- N3\nN1 -- N4\nN1 -- N5\nN2 -- N4\nN3 -- N4\n")
@@ -889,7 +881,7 @@ class TestEarliestFromTree:
         t1 = TieredOrdering.from_tiers([["N0", "N1"], ["N2", "N3", "N4", "N5"]])
         t2 = TieredOrdering.from_tiers([["N0"], ["N1"], ["N2", "N3", "N4", "N5"]])
         assert tiered_mpdag(c, t1) == tiered_mpdag(c, t2)
-        message = "not a CPDAG: the undirected part is not chordal at N5"
+        message = "not a CPDAG or tiered MPDAG: the ends of N0 - N4 have different parents"
         for compare in (tiers_equivalent, tiers_more_informative):
             with pytest.raises(GraphError) as info:
                 compare(c, t1, t2)
@@ -900,6 +892,54 @@ class TestEarliestFromTree:
         out = io.StringIO()
         assert main(["compare-tiers", *map(str, files)], out=out) == 1
         assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
+
+    def test_comparison_admits_through_the_shared_parents_gate(self, tmp_path, capsys):
+        """The comparison and the report refuse, as class_size does, a graph
+        with an undirected edge whose ends have different parents.  On V2 ->
+        V1, V0 - V1, V0 - V2 they raised InvariantError (a partially directed
+        cycle) under one tier, and called two orderings equivalent under
+        {V2} < {V1} < {V0}.  On random PDAGs with an acyclic directed part,
+        under two orderings cut from one order, none raises InvariantError,
+        and each refuses with that line iff the gate fails."""
+        text = "nodes: V0 V1 V2\nV2 -> V1\nV0 -- V1\nV0 -- V2\n"
+        message = "not a CPDAG or tiered MPDAG: the ends of V0 - V1 have different parents"
+        c = parse_graph(text)
+        calls = (tiers_equivalent, tiers_more_informative, lambda c, t, _: cross_tier_report(c, t))
+        for groups in ([["V0", "V1", "V2"]], [["V2"], ["V1"], ["V0"]]):
+            t = TieredOrdering.from_tiers(groups)
+            for call in calls:
+                with pytest.raises(GraphError) as info:
+                    call(c, t, t)
+                assert type(info.value) is GraphError and str(info.value) == message
+            files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+            for path, content in zip(files, (text, format_tiers(t), format_tiers(t))):
+                path.write_text(content)
+            out = io.StringIO()
+            assert main(["compare-tiers", *map(str, files)], out=out) == 1
+            assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
+        rng = np.random.default_rng(229)
+        counts = Counter()
+        for _ in range(1500):
+            p = int(rng.integers(3, 8))
+            order = [f"V{k}" for k in rng.permutation(p)]
+            kinds = rng.choice(3, size=p * (p - 1) // 2, p=[0.3, 0.3, 0.4])
+            pairs = list(itr.combinations(order, 2))
+            g = PDAG(sorted(order), directed=[e for e, k in zip(pairs, kinds) if k == 0],
+                     undirected=[e for e, k in zip(pairs, kinds) if k == 1])
+            t1 = TieredOrdering(dict(zip(rng.permutation(order).tolist(),
+                                         np.cumsum(rng.integers(0, 2, p)).tolist())))
+            t2 = coarsened(rng, t1)
+            gate = orientation._shares_parents(g._pa, g._ne)
+            for call in calls:
+                try:
+                    call(g, t1, t2)
+                    refused = ""
+                except GraphError as exc:
+                    assert not isinstance(exc, InvariantError), (g, t1, t2, exc)
+                    refused = str(exc)
+                assert refused.startswith("not a CPDAG or tiered MPDAG: the ends of") != gate, (g, t1, t2)
+                counts["answered" if not refused else "gate" if not gate else "refused"] += 1
+        assert min(counts.values()) > 300, counts
 
 
 def random_topological_tiers(rng, dag):
@@ -1177,35 +1217,32 @@ def chordal_graphs(n):
 def audit_per_edge_sets(h, orderings, pairs):
     """On the undirected chordal graph ``h``, the per-edge reading against
     the per-path one for the given pairs of indices into the consistent
-    ``orderings``: first edges agree on every earliest path of either
-    ordering iff the per-edge sets agree, the witness path lies in the
-    least component holding an edge of their difference, the witness is
-    the path tree's and the walk's, and the criterion holds iff the MPDAGs
-    are equal."""
+    ``orderings``: each ordering's per-edge first edges are the union of its
+    earliest paths' first edges, first edges agree on every earliest path of
+    either ordering iff the per-edge sets agree, the criterion holds iff the
+    MPDAGs are equal, and the witness is the first differing shielded edge,
+    else the least edge of the unions' difference in the least component
+    holding one."""
     tree = path_tree_with_edge_ids(h, 25)
-    component = tree[0]
+    component, names = tree[0], h.nodes
     shielded = fully_shielded_edges(h)
     read = []
     for t in orderings:
         v = t._tiers(h.nodes)
-        floor = _floors(h._ne, v)
+        u, e = _first_edges(_floors(h._ne, v), v), earliest_by_tree_floors(tree, v, h._ne)
+        assert u == {edge for path in e for edge in first_cross_tier_edges(path, v)}, (h, t)
         s = [(a, b) if t[a] < t[b] else (b, a) if t[b] < t[a] else None for a, b in shielded]
-        read.append((v, floor, _first_edges(floor, v), earliest_by_tree_floors(tree, v, h._ne), s,
-                     tiered_mpdag(h, t)))
+        read.append((v, u, e, s, tiered_mpdag(h, t)))
     outcomes = Counter()
     for i, j in pairs:
-        (v1, f1, u1, e1, s1, g1), (v2, f2, u2, e2, s2, g2) = read[i], read[j]
+        (v1, u1, e1, s1, g1), (v2, u2, e2, s2, g2) = read[i], read[j]
         differ = [p for p in {*e1, *e2} if first_cross_tier_edges(p, v1) != first_cross_tier_edges(p, v2)]
         assert (not differ) == (u1 == u2), (h, orderings[i], orderings[j])
         assert (not differ and s1 == s2) == (g1 == g2), (h, orderings[i], orderings[j])
-        if differ:
-            names = h.nodes
-            path = min(differ, key=lambda p: (component[p[0]], str(tuple(names[k] for k in p))))
-            assert component[path[0]] == min(component[a] for a, _ in u1 ^ u2)
-            f = first_cross_tier_edges(path, v1) ^ first_cross_tier_edges(path, v2)
-            expected = min(((names[a], names[b]) for a, b in f), key=str)
-            assert tiers._path_witness(h, u1 ^ u2, (v1, v2), (f1, f2)) == expected
-            assert path_witness_walk(h, u1 ^ u2, (v1, v2), (f1, f2)) == expected
+        shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
+        expected = (shielded_diff[0] if shielded_diff else
+                    least_edge_of_least_component(names, component, u1 ^ u2) if differ else None)
+        assert tiers_equivalent(h, orderings[i], orderings[j]).witness == expected
         outcomes["differ" if differ else "agree"] += 1
     return outcomes
 
@@ -1371,32 +1408,6 @@ def relabelled(rng, h, style):
     return PDAG(labels, undirected=[(names[u], names[v]) for u, v in h.undirected_edges])
 
 
-def counted_search(monkeypatch):
-    """Make each witness search record the states its walk looks up in the
-    memoised search, not counting the lookups the search makes of itself,
-    by wrapping ``functools.cache``, which memoises it: a list of the
-    looked-up states and the table of each search made."""
-    searches, cache = [], functools.cache
-
-    def counting(fn):
-        table, depth, looked_up = cache(fn), [0], []
-        searches.append((looked_up, table))
-
-        def lookup(state):
-            if not depth[0]:
-                looked_up.append(state)
-            depth[0] += 1
-            try:
-                return table(state)
-            finally:
-                depth[0] -= 1
-
-        return lookup
-
-    monkeypatch.setattr(functools, "cache", counting)
-    return searches
-
-
 def shuffled_bands(rng, sizes, width):
     """Bands of the given sizes (node i adjacent to i+1 .. i+width in each)
     labelled by one shuffle of ``V0``..``V<p-1>`` along them, their nodes in
@@ -1417,25 +1428,66 @@ def shuffled_band(rng, n, width):
     return h, names
 
 
-class TestWitnessWalk:
-    """The witness search, which names the first differing earliest path
-    by label text with a memoised search of which prefixes can still be
-    completed, against the walk it replaced (``oracles.path_witness_walk``)
-    and the witness read off the component's whole path tree
-    (``oracles.path_witness_by_tree``)."""
+def check_witness(c, t1, t2):
+    """The witness of comparing ``t1`` and ``t2`` on ``c``, checked against
+    its definition: None iff equivalent, else the first fully shielded edge
+    the orderings orient differently, else the least edge, by label text, of
+    U1 ^ U2, each ordering's first cross-tier edges of its earliest paths,
+    in the least chain component holding one.  Returns the source of the
+    witness: "shielded", "path" or None."""
+    res, names = tiers_equivalent(c, t1, t2), c.nodes
+    h = c.undirected_subgraph()
+    oriented = [
+        [(a, b) if t[a] < t[b] else (b, a) if t[b] < t[a] else None for a, b in fully_shielded_edges(h)]
+        for t in (t1, t2)
+    ]
+    shielded_diff = [a or b for a, b in zip(*oriented) if a != b]
+    u1, u2 = (_first_edges(_floors(h._ne, v), v) for v in (t._tiers(names) for t in (t1, t2)))
+    if shielded_diff:
+        assert res.witness == shielded_diff[0], (c, t1, t2)
+        return "shielded"
+    if u1 == u2:
+        assert res.witness is None and res.equivalent, (c, t1, t2)
+        return None
+    label = _component_labels(h._ne)[0]
+    u, v = map(c.index_of, res.witness)
+    assert (u, v) in u1 ^ u2, (c, t1, t2)
+    least = min(label[a] for a, _ in u1 ^ u2)
+    assert label[u] == least, (c, t1, t2)
+    assert res.witness == min(((names[a], names[b]) for a, b in u1 ^ u2 if label[a] == least), key=str)
+    return "path"
 
-    def test_matches_whole_tree_witness(self, monkeypatch):
-        """Undirected parts of random CPDAGs of the three generators,
-        random chordal graphs and bands, relabelled three ways, under
-        tier vectors of negative, non-contiguous values."""
+
+def coarsened(rng, t):
+    """``t`` with runs of its tiers merged: compatible with ``t`` and, where
+    ``t`` is consistent, consistent too."""
+    step = int(rng.integers(2, 4))
+    return TieredOrdering({v: k // step for v, k in t.normalized().assignment.items()})
+
+
+class TestWitness:
+    """The witness is the first differing fully shielded edge, else the least
+    differing first edge (``U1 ^ U2``) of the least component holding one: at
+    every size, with no path search, against its definition and the
+    comparison over whole path trees (``oracles.compare_by_path_tree``)."""
+
+    def test_lies_in_the_difference(self):
+        """Random CPDAGs of the three generators and two-component CPDAGs
+        under orderings cut from topological orders, and random chordal
+        graphs and bands relabelled three ways (so that label text, index and
+        band position differ) under orderings along a search and their
+        coarsenings, with negative and non-contiguous tiers."""
         rng = np.random.default_rng(181)
-        graphs = []
+        cases = []
         for generator in ("er", "power", "geometric"):
             for _ in range(60):
                 p = int(rng.integers(4, 14))
                 dag = random_dag(p, min(p - 1.0, float(rng.choice([2.0, 3.0, 4.0]))), generator, rng)
-                graphs.append(cpdag_of(dag).undirected_subgraph())
-        while len(graphs) < 300:
+                cases.append((cpdag_of(dag), random_topological_tiers(rng, dag),
+                              random_topological_tiers(rng, dag)))
+        cases += [two_component_cpdag(rng) for _ in range(60)]
+        graphs = []
+        while len(graphs) < 120:
             h = random_undirected_graph(rng, int(rng.integers(4, 10)))
             if h.is_chordal():
                 graphs.append(h)
@@ -1443,38 +1495,49 @@ class TestWitnessWalk:
             size = int(rng.integers(6, 14))
             sizes = [size] if rng.random() < 0.5 else [size - size // 2, size // 2]
             graphs.append(band_graph(rng, sizes, int(rng.integers(2, 4))))
-        counts = Counter()
         for k, h in enumerate(graphs):
             h = relabelled(rng, h, ("numbered", "prefix", "int")[k % 3])
-            names, (label, groups) = h.nodes, _component_labels(h._ne)
-            for _ in range(5):
-                levels = rng.choice(np.arange(-20, 21, 4), size=int(rng.integers(2, 5)), replace=False)
-                tiers_ = [[int(rng.choice(levels)) for _ in names] for _ in range(2)]
-                floors = [_floors(h._ne, t) for t in tiers_]
-                u1, u2 = (_first_edges(f, t) for f, t in zip(floors, tiers_))
-                if u1 == u2:
+            levels = np.sort(rng.choice(np.arange(-20, 21, 4), size=int(rng.integers(2, 5)), replace=False))
+            t1 = tiers_along_search(rng, h, levels)
+            cases.append((h, t1, tiers_along_search(rng, h, levels)))
+        counts = Counter()
+        for c, t1, t2 in cases:
+            for other in (t2, coarsened(rng, t1)):
+                a, b = stretched(rng, t1), stretched(rng, other)
+                if not is_compatible(a, b):
                     continue
-                args = (h, u1 ^ u2, tuple(tiers_), tuple(floors))
-                max_nodes = 25 if rng.random() < 0.9 else 4
-                monkeypatch.setattr(tiers, "DEFAULT_PATH_NODE_LIMIT", max_nodes)
-                got = tiers._path_witness(*args)
-                assert got == path_witness_by_tree(*args, max_nodes), (h, tiers_, max_nodes)
-                assert got == path_witness_walk(*args, max_nodes), (h, tiers_, max_nodes)
-                c = min(label[u] for u, _ in u1 ^ u2)
-                least = min(((names[u], names[v]) for u, v in u1 ^ u2 if label[u] == c), key=str)
-                counts["fallback" if len(groups[c]) > max_nodes else
-                       "path witness" if got != least else "least edge"] += 1
-        assert counts["path witness"] > 150 and counts["fallback"] > 10, counts
+                counts[check_witness(c, a, b)] += 1
+                assert tiers_equivalent(c, a, b) == compare_by_path_tree(c, a, b)[0], (c, a, b)
+        assert counts["path"] > 150 and counts["shielded"] > 50 and counts[None] > 50, counts
+
+    def test_lies_in_the_difference_on_shuffled_bands(self):
+        """Shuffled bands of 8-40 nodes in one or two interleaved components,
+        width 2 or 3, under orderings along a search against their
+        coarsenings, so that components of more and fewer than 25 nodes
+        name witnesses by the same rule."""
+        rng = np.random.default_rng(193)
+        counts = Counter()
+        while counts["path"] < 120:
+            n = int(rng.integers(8, 41))
+            sizes = [n] if rng.random() < 0.5 else [n - n // 3, n // 3]
+            h, _ = shuffled_bands(rng, sizes, int(rng.integers(2, 4)))
+            levels = np.sort(rng.choice(np.arange(-30, 31, 6), size=int(rng.integers(2, 5)),
+                                        replace=False))
+            t1 = tiers_along_search(rng, h, levels)
+            source = check_witness(h, t1, coarsened(rng, t1))
+            counts[source] += 1
+            counts["over 25 nodes"] += source == "path" and max(sizes) > 25
+        assert counts["over 25 nodes"] > 20, counts
 
     @pytest.mark.parametrize("n", [25, 26])
-    def test_bound_is_fixed_at_25_nodes(self, n):
+    def test_same_rule_either_side_of_25_nodes(self, n):
         """Random trees of ``n`` nodes (one chain component, no shielded
         edge) under two tierings monotone in the depth from node 0, so both
-        consistent and compatible: the witness comes from the path walk on
-        25 nodes and is the least differing first edge on 26, and the two
-        differ often."""
+        consistent and compatible: the witness is the least differing first
+        edge on 25 nodes as on 26, as the per-path loop over every earliest
+        path names it."""
         rng = np.random.default_rng(191 + n)
-        differ = 0
+        named = 0
         for _ in range(40):
             names = [f"V{k}" for k in rng.permutation(n)]
             parent = [int(rng.integers(0, k)) for k in range(1, n)]
@@ -1486,107 +1549,39 @@ class TestWitnessWalk:
                 TieredOrdering(dict(zip(names, np.cumsum(rng.integers(0, 2, n))[depth].tolist())))
                 for _ in range(2)
             )
-            vectors = tuple(t._tiers(names) for t in (t1, t2))
-            floors = tuple(_floors(h._ne, v) for v in vectors)
-            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
-            if not diff:
-                continue
-            walked = path_witness_by_tree(h, diff, vectors, floors, 26)
-            least = min(((names[u], names[v]) for u, v in diff), key=str)
-            witness = tiers_equivalent(h, t1, t2).witness
-            assert witness == (walked if n <= 25 else least), (h, t1, t2)
-            differ += walked != least
-        assert differ > 10, differ
+            named += check_witness(h, t1, t2) == "path"
+            assert tiers_equivalent(h, t1, t2) == tiers_equivalent_loop(h, t1, t2, n), (h, t1, t2)
+        assert named > 20, named
 
-    def test_stops_before_the_whole_tree(self, tmp_path, monkeypatch):
+    def test_lists_no_path_on_the_benchmark_band(self, tmp_path, monkeypatch):
         """On the 18-node coarse-late band of the benchmark's compare_band
-        workload, the witness search reaches neither path-listing call and
-        makes fewer lookups than the component's path tree lists paths."""
+        workload the comparison reaches neither path-listing call, and it
+        names the least differing first edge."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         workloads = importlib.import_module("workloads")
         op = workloads.compare_op(tmp_path, workloads.shape_rng(3, 2, 0),
                                   np.random.default_rng([2, 3, 0]), 0, 18, "coarse-late")
         c, t1, t2 = load_graph(op.argv[1]), load_tiers(op.argv[2]), load_tiers(op.argv[3])
-        h, names = c.undirected_subgraph(), c.nodes
-        vectors = tuple(t._tiers(names) for t in (t1, t2))
-        floors = tuple(_floors(h._ne, v) for v in vectors)
-        diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
-        label, groups = _component_labels(h._ne)
-        (group,) = {tuple(groups[label[u]]) for u, _ in diff}
-        assert len(group) == 18
         read = []
         for owner, name in [(tiers, "cross_tier_report"), (PDAG, "find_unshielded_paths")]:
             listing = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *args, listing=listing, **kwargs: (
                 read.append(args) or listing(*args, **kwargs)))
-        searches = counted_search(monkeypatch)
-        witness = tiers._path_witness(h, diff, vectors, floors)
-        ((looked_up, _),) = searches
-        listed = len(component_paths(h, [[h.nodes[i] for i in group]], 25))
-        assert read == [] and 0 < len(looked_up) < listed, (len(looked_up), listed)
-        assert witness == path_witness_by_tree(h, diff, vectors, floors, 25)
-        assert witness == path_witness_walk(h, diff, vectors, floors)
-        assert witness == tiers_equivalent(c, t1, t2).witness
+        assert check_witness(c, t1, t2) == "path" and read == []
 
-    def test_matches_the_walk_on_shuffled_bands(self):
-        """Shuffled bands of 8-25 nodes and width 2 or 3 under random tier
-        vectors of negative, non-contiguous values: the search names the
-        walk's witness, and the whole tree's up to 16 nodes."""
-        rng = np.random.default_rng(193)
-        counts = Counter()
-        while counts["cases"] < 120:
-            n = int(rng.integers(8, 26))
-            h, _ = shuffled_band(rng, n, int(rng.integers(2, 4)))
-            levels = rng.choice(np.arange(-30, 31, 6), size=int(rng.integers(2, 5)), replace=False)
-            vectors = tuple([int(rng.choice(levels)) for _ in h.nodes] for _ in range(2))
-            floors = tuple(_floors(h._ne, v) for v in vectors)
-            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
-            if not diff:
-                continue
-            got = tiers._path_witness(h, diff, vectors, floors)
-            assert got == path_witness_walk(h, diff, vectors, floors), (h, vectors)
-            if n <= 16:
-                assert got == path_witness_by_tree(h, diff, vectors, floors, 25), (h, vectors)
-                counts["tree"] += 1
-            counts["cases"] += 1
-            counts["over 20 nodes"] += n > 20
-        assert counts["tree"] > 30 and counts["over 20 nodes"] > 20, counts
-
-    @pytest.mark.parametrize("n", [22, 25])
-    def test_lookups_stay_polynomial(self, n, monkeypatch):
-        """Seeded shuffled bands of width 3 under consistent tierings cut
-        at three random band positions against the same with two tiers
-        merged, compared where they differ only in first edges: each
-        witness takes at most n * deg lookups (deg = 6, the greatest degree),
-        where the walk it replaced read up to 6,095 (n = 22) and 15,782
-        (n = 25) entries on these cases, and the table holds at most 2 (t) *
-        T (M) * 8 (flags) states per directed edge, T = 4 the number of tiers."""
-        rng = np.random.default_rng(197 + n)
-        searches = counted_search(monkeypatch)
-        most = Counter()
-        done = 0
-        while done < 20:
-            h, names = shuffled_band(rng, n, 3)
-            cuts = rng.choice(np.arange(1, n), size=3, replace=False)
-            tier = {v: int(sum(k >= cuts)) for k, v in enumerate(names)}
-            merge = int(rng.integers(0, 3))
+    def test_names_a_witness_on_a_3000_node_band(self):
+        """A shuffled band of 3,000 nodes and width 3 under tiers cut at three
+        band positions against the same with two tiers merged: the comparison
+        names its witness under the default recursion limit."""
+        rng = np.random.default_rng(227)
+        h, names = shuffled_band(rng, 3000, 3)
+        cuts = rng.choice(np.arange(1, 3000), size=3, replace=False)
+        tier = {v: int(sum(k >= cuts)) for k, v in enumerate(names)}
+        named = 0
+        for merge in range(3):
             t1, t2 = TieredOrdering(tier), TieredOrdering({v: t - (t > merge) for v, t in tier.items()})
-            searches.clear()
-            res = tiers_equivalent(h, t1, t2)
-            if res.first_edges_agree or not res.shielded_agree:
-                continue
-            ((looked_up, table),) = searches
-            edges = 2 * len(h.undirected_edges)
-            assert 0 < len(looked_up) <= n * 6, len(looked_up)
-            assert table.cache_info().currsize <= 2 * 4 * 8 * edges
-            most["lookups"] = max(most["lookups"], len(looked_up))
-            most["states"] = max(most["states"], table.cache_info().currsize)
-            vectors = tuple(t._tiers(h.nodes) for t in (t1, t2))
-            floors = tuple(_floors(h._ne, v) for v in vectors)
-            diff = _first_edges(floors[0], vectors[0]) ^ _first_edges(floors[1], vectors[1])
-            assert res.witness == path_witness_walk(h, diff, vectors, floors)
-            done += 1
-        assert most["lookups"] > 20, most
+            named += check_witness(h, t1, t2) == "path"
+        assert named, named
 
 
 def tiers_along_search(rng, h, levels):
