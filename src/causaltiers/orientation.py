@@ -328,14 +328,19 @@ def _shares_parents(pa, ne) -> bool:
     return all(pa[i] == pa[j] for i, nb in enumerate(ne) for j in nb)
 
 
-def _has_members(g: PDAG) -> bool:
-    """Are the chain components of ``g`` chordal, so that its class has a member?
-    The gate of :func:`class_size` and IDA, which count right only where
-    :func:`_shares_parents` holds: elsewhere a one-line :class:`GraphError`."""
+def _require_shared_parents(g: PDAG) -> None:
+    """Refuse ``g``, naming its least edge, unless :func:`_shares_parents` holds."""
     if not _shares_parents(g._pa, g._ne):
         i, j = min((i, j) for i, nb in enumerate(g._ne) for j in nb if g._pa[i] != g._pa[j])
         raise GraphError(f"not a CPDAG or tiered MPDAG: the ends of {g.nodes[i]} - {g.nodes[j]} "
                          "have different parents")
+
+
+def _has_members(g: PDAG) -> bool:
+    """Are the chain components of ``g`` chordal, so that its class has a member?
+    The gate of :func:`class_size` and IDA, which count right only where
+    :func:`_shares_parents` holds: elsewhere :func:`_require_shared_parents` raises."""
+    _require_shared_parents(g)
     return g._non_simplicial() is None
 
 
@@ -367,6 +372,7 @@ def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
     closed under ``rules`` and its :func:`meek_closure_trace` firings.  The
     imposed graph is never built, and the result is built unchecked: the
     invariant checks find any directed cycle."""
+    _require_shared_parents(c)
     require_consistency(c, ordering)
     s = _cross_tier_state(c, ordering._tiers(c.nodes))
     trace = _close(s, rules, c.nodes)
@@ -389,6 +395,8 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
 
     Raises
     ------
+    GraphError
+        First, if the ends of an undirected edge of ``c`` have different parents.
     InconsistentKnowledgeError
         If a directed edge of ``c`` contradicts ``ordering`` (the message
         lists the violating cross-tier edges), or if the result has a

@@ -115,17 +115,23 @@ def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
     """Preferential attachment with a fractional edges-per-node budget.
 
     Node i joins min(i, m + Bernoulli(f)) earlier nodes, picked with
-    probability proportional to degree + 1.  (m, f) are calibrated so
-    the expected mean degree is exactly ``degree``.  A pick is
-    ``rng.choice(i, p=w / w.sum())`` spelled out on all i earlier nodes,
-    those already picked weighted 0: a 0 leaves every cumulative sum as
-    it was and is never the first above the draw, so the cdf floats, the
-    one uniform drawn and the edges are ``choice``'s, at O(i) per pick.
+    probability proportional to degree + 1; (m, f) are calibrated so the
+    expected mean degree is exactly ``degree``.  A pick is ``rng.choice(i,
+    p=w / T)`` for the weights w of the i earlier nodes, those picked at 0,
+    and their sum T: the first t with c_t > u, for one uniform u and the
+    float cdf c = (w / T).cumsum() / last.  A Fenwick tree of the integer w
+    finds the j with S_{j-1} <= x < S_j, for the prefix sums S and x = fl(uT).
+    Each c_t is a quotient of sums of at most i rounded terms, rounded once
+    more, so |c_t - S_t / T| <= (2i + 3) 2^-53 for i < 2^25; x rounds by at
+    most 2^-53 T, and the bounds tested by 2^-52 T.  So where x lies over
+    (4i + 16) 2^-53 T from S_{j-1} and S_j, c_{j-1} <= u < c_j, as c is
+    nondecreasing; else c decides.  One draw per node holds its picks'
+    uniforms, then the next node's Bernoulli.
     """
     target = p * degree / 2.0
 
-    def expected_total(m: int) -> float:
-        return float(sum(min(i, m) for i in range(1, p)))
+    def expected_total(m: int) -> float:  # the sum of min(i, m) over 0 < i < p
+        return float(min(m, p) * (2 * p - min(m, p) - 1) // 2)
 
     m = 0
     while m < p and expected_total(m + 1) <= target:
@@ -133,22 +139,38 @@ def _power_skeleton(p: int, degree: float, rng) -> list[tuple[int, int]]:
     lo, hi = expected_total(m), expected_total(m + 1)
     frac = 0.0 if hi <= lo else min(1.0, (target - lo) / (hi - lo))
 
-    weight = np.ones(p)  # degree + 1
-    edges: list[tuple[int, int]] = []
+    weight, size = [1] * p, 1 << p.bit_length()  # weight: degree + 1
+    tree = [k & -k for k in range(size)]  # Fenwick tree of weight, padded with ones
+    edges, coin = [], rng.random()  # node 1's Bernoulli
     for i in range(1, p):
-        k = min(i, m + (1 if rng.random() < frac else 0))
-        w, picks = weight[:i].copy(), []
-        total = w.sum()  # of integers, so exact, and kept exact by subtraction
-        for _ in range(k):
-            cdf = (w / total).cumsum()
-            cdf /= cdf[-1]
-            j = int(cdf.searchsorted(rng.random(), side="right"))
+        k = min(i, m + (coin < frac))
+        draws, picks, total = rng.random(k + (i < p - 1)).tolist(), [], i + 2 * len(edges)
+        for u in draws[:k]:
+            j, rest, step = 0, int(x := u * total), size >> 1
+            while step:
+                if tree[j + step] <= rest:  # S_j <= x iff S_j <= floor(x)
+                    j += step
+                    rest -= tree[j]
+                step >>= 1
+            low, gap = int(x) - rest, (2 * i + 8) * total * 2.0**-52
+            if not low + gap < x < low + weight[j] - gap:  # near a tie: the floats decide
+                w = np.array(weight[:i], dtype=float)
+                w[picks] = 0.0
+                cdf = (w / total).cumsum()
+                j = int((cdf / cdf[-1]).searchsorted(u, side="right"))
             picks.append(j)
-            total -= w[j]
-            w[j] = 0.0
-        weight[picks] += 1.0
-        weight[i] += k
-        edges.extend((j, i) for j in picks)
+            total, t = total - weight[j], j + 1
+            while t < size:  # j leaves the tree until node i is done
+                tree[t] -= weight[j]
+                t += t & -t
+        coin = draws[-1] if draws else 0.0  # the next node's Bernoulli
+        for t, d in [(j + 1, weight[j] + 1) for j in picks] + [(i + 1, k)]:
+            while t < size:
+                tree[t] += d
+                t += t & -t
+        for j in picks + [i] * k:  # each edge (j, i) adds 1 to both ends
+            weight[j] += 1
+        edges += [(j, i) for j in picks]
     return edges
 
 
@@ -202,7 +224,7 @@ def random_dag(p: int, expected_neighbours: float, generator: str, rng) -> PDAG:
         raise GraphError(f"generator must be one of {GENERATORS}")
     skeleton = _SKELETONS[generator](p, expected_neighbours, rng)
     rank = rng.permutation(p).argsort().tolist()
-    arcs = [sorted((rank[a], rank[b])) for a, b in skeleton]
+    arcs = [(s, t) if (s := rank[a]) < (t := rank[b]) else (t, s) for a, b in skeleton]
     names = [f"V{k}" for k in range(p)]
     return PDAG._from_pairs(names, dict(zip(names, range(p))), arcs, ())
 

@@ -30,8 +30,9 @@ replaced, ``unshielded_walk``, ``is_earliest`` and
 per-path earliest test that the report's floor-pruned walk replaced, the
 moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
-at once, and ``power_skeleton_by_choice``, the preferential attachment that called
-``rng.choice`` for each pick, ``build_two_pass``, the graph build from
+at once, ``power_skeleton_by_choice``, the preferential attachment that called
+``rng.choice`` for each pick, and ``power_skeleton_spelled_out``, the float
+cdf per pick that the Fenwick descent replaced, ``build_two_pass``, the graph build from
 index pairs that the one-pass build replaced, and ``build_from_sets``, the
 build from per-node index sets that derived graphs, ``cpdag_of`` and
 ``random_dag`` used before they handed their edge pairs to the same pass.
@@ -650,6 +651,42 @@ def power_skeleton_by_choice(p: int, degree: float, rng) -> list[tuple[int, int]
             edges.append((j, i))
             deg[j] += 1
             deg[i] += 1
+    return edges
+
+
+def power_skeleton_spelled_out(p: int, degree: float, rng) -> list[tuple[int, int]]:
+    """The preferential-attachment generator whose float cdf per pick the
+    Fenwick descent replaced: ``rng.choice(i, p=w / w.sum())`` spelled out on
+    all i earlier nodes, those already picked weighted 0, so the cdf floats,
+    the one uniform drawn per pick and the edges are ``choice``'s, at O(i) per
+    pick.  One scalar draw for each node's Bernoulli, then one per pick."""
+    target = p * degree / 2.0
+
+    def expected_total(m: int) -> float:
+        return float(sum(min(i, m) for i in range(1, p)))
+
+    m = 0
+    while m < p and expected_total(m + 1) <= target:
+        m += 1
+    lo, hi = expected_total(m), expected_total(m + 1)
+    frac = 0.0 if hi <= lo else min(1.0, (target - lo) / (hi - lo))
+
+    weight = np.ones(p)  # degree + 1
+    edges: list[tuple[int, int]] = []
+    for i in range(1, p):
+        k = min(i, m + (1 if rng.random() < frac else 0))
+        w, picks = weight[:i].copy(), []
+        total = w.sum()  # of integers, so exact, and kept exact by subtraction
+        for _ in range(k):
+            cdf = (w / total).cumsum()
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
+            picks.append(j)
+            total -= w[j]
+            w[j] = 0.0
+        weight[picks] += 1.0
+        weight[i] += k
+        edges.extend((j, i) for j in picks)
     return edges
 
 

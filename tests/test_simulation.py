@@ -1,6 +1,8 @@
 import io
+import time
 from collections import defaultdict
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,8 +37,23 @@ from oracles import (
     er_skeleton_one_draw,
     geometric_skeleton_per_pair,
     power_skeleton_by_choice,
+    power_skeleton_spelled_out,
     quantile_sorted,
 )
+
+
+class ReplayRng:
+    """Hands out the given uniforms in order, as ``Generator.random`` would."""
+
+    def __init__(self, uniforms):
+        self.left = list(uniforms)
+
+    def random(self, size=None):
+        if size is None:
+            return self.left.pop(0)
+        out, self.left = np.array(self.left[:size]), self.left[size:]
+        assert out.size == size
+        return out
 
 
 class TestRandomDag:
@@ -69,9 +86,10 @@ class TestRandomDag:
         "fast, oracle",
         [
             (_er_skeleton, er_skeleton_combinations),
+            (_power_skeleton, power_skeleton_spelled_out),
             (_geometric_skeleton, geometric_skeleton_per_pair),
         ],
-        ids=["er", "geometric"],
+        ids=["er", "power", "geometric"],
     )
     def test_skeletons_match_per_pair_loops(self, fast, oracle):
         """Same edges from the same stream, and the stream left in the same state."""
@@ -94,6 +112,57 @@ class TestRandomDag:
             edges = _power_skeleton(p, degree, rng)
             assert edges == power_skeleton_by_choice(p, degree, ref), (p, degree, case)
             assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("degree", [*DENSITY_NEIGHBOURS.values(), 9.5])
+    def test_power_matches_the_float_cdf_at_3200_nodes(self, degree):
+        """Same edges and the same next draw as the float cdf per pick, where
+        the cdf sums over 3,200 terms and the near-tie margin is widest."""
+        rng, ref = np.random.default_rng(3200), np.random.default_rng(3200)
+        assert _power_skeleton(3200, degree, rng) == power_skeleton_spelled_out(3200, degree, ref)
+        assert rng.random() == ref.random()
+
+    def test_power_near_ties_follow_the_float_cdf(self):
+        """Draws on a boundary S_j / T of a pick's cdf and up to 3 floats either
+        side, with the node's earlier picks at weight 0: the picks are those of
+        numpy's searchsorted on the float cdf.  Where that differs from the
+        pick of the exact prefix sums, only the float fallback gets it right."""
+        p, m = 64, 3
+        degree = 2 * (m * (m - 1) // 2 + m * (p - m)) / p  # exact: m picks, f = 0
+        draw = np.random.default_rng(17)
+        weight, stream, expected, exact_differs = np.ones(p), [], [], 0
+        for i in range(1, p):
+            stream.append(0.5)  # node i's Bernoulli, never below f = 0
+            w = weight[:i].copy()
+            for _ in range(min(i, m)):
+                total = w.sum()
+                cdf = (w / total).cumsum()
+                cdf /= cdf[-1]
+                prefix = w.cumsum()
+                t = int(draw.choice(np.flatnonzero(w)))
+                u, toward = float(prefix[t] / total), float(draw.integers(2))
+                for _ in range(int(draw.integers(4))):  # up to 3 floats down or up
+                    u = float(np.nextafter(u, toward))
+                u = min(u, float(np.nextafter(1.0, 0.0)))
+                j = int(cdf.searchsorted(u, side="right"))
+                x = Fraction(u) * int(total)
+                exact_differs += j != next(s for s in range(i) if prefix[s] > x)
+                stream.append(u)
+                expected.append((j, i))
+                w[j] = 0.0
+            weight[[j for j, _ in expected[-min(i, m):]]] += 1.0
+            weight[i] += min(i, m)
+        for skeleton in (_power_skeleton, power_skeleton_spelled_out):
+            replay = ReplayRng(stream)
+            assert skeleton(p, degree, replay) == expected
+            assert replay.left == []
+        assert exact_differs > 5, exact_differs
+
+    def test_power_at_12800_nodes_is_fast(self):
+        """O(log p) per pick: about 0.2 s on a shared 2-core Xeon, where the
+        float cdf per pick took 1.5 s."""
+        start = time.perf_counter()
+        _power_skeleton(12800, 5.0, np.random.default_rng(0))
+        assert time.perf_counter() - start < 1.0
 
     def test_er_blocks_match_one_draw(self):
         """Same edges and the same next draw as all pairs' uniforms in one

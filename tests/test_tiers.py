@@ -872,19 +872,20 @@ class TestEarliestFromTree:
         tiered MPDAGs are equal although the first edges read off the
         inexact floors differ, which the comparison once reported as a
         failure of the paper's theorem (InvariantError, witness N1 -> N4).
-        It refuses the input first, as the library call and on the CLI: the
-        ends of N0 - N4 have different parents, which no CPDAG allows."""
+        It refuses the input first, as the library call and on the CLI, and
+        so does each tiered pass: the ends of N0 - N4 have different parents,
+        which no CPDAG allows."""
         text = ("nodes: N0 N1 N2 N3 N4 N5\n"
                 "N0 -> N1\nN0 -> N2\nN0 -> N3\nN3 -> N2\nN5 -> N2\nN5 -> N4\n"
                 "N0 -- N4\nN0 -- N5\nN1 -- N3\nN1 -- N4\nN1 -- N5\nN2 -- N4\nN3 -- N4\n")
         c = parse_graph(text)
         t1 = TieredOrdering.from_tiers([["N0", "N1"], ["N2", "N3", "N4", "N5"]])
         t2 = TieredOrdering.from_tiers([["N0"], ["N1"], ["N2", "N3", "N4", "N5"]])
-        assert tiered_mpdag(c, t1) == tiered_mpdag(c, t2)
         message = "not a CPDAG or tiered MPDAG: the ends of N0 - N4 have different parents"
-        for compare in (tiers_equivalent, tiers_more_informative):
+        for call in (tiers_equivalent, tiers_more_informative, lambda c, t, _: tiered_mpdag(c, t),
+                     lambda c, _, t: tiered_mpdag(c, t)):
             with pytest.raises(GraphError) as info:
-                compare(c, t1, t2)
+                call(c, t1, t2)
             assert type(info.value) is GraphError and str(info.value) == message
         files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
         for path, content in zip(files, (text, format_tiers(t1), format_tiers(t2))):
@@ -894,17 +895,20 @@ class TestEarliestFromTree:
         assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
 
     def test_comparison_admits_through_the_shared_parents_gate(self, tmp_path, capsys):
-        """The comparison and the report refuse, as class_size does, a graph
-        with an undirected edge whose ends have different parents.  On V2 ->
-        V1, V0 - V1, V0 - V2 they raised InvariantError (a partially directed
-        cycle) under one tier, and called two orderings equivalent under
-        {V2} < {V1} < {V0}.  On random PDAGs with an acyclic directed part,
-        under two orderings cut from one order, none raises InvariantError,
-        and each refuses with that line iff the gate fails."""
+        """The comparison, the report and the tiered pass (``tiered_mpdag``,
+        CLI ``orient``) refuse, as class_size does, a graph with an undirected
+        edge whose ends have different parents.  On V2 -> V1, V0 - V1, V0 - V2
+        they raised InvariantError (a partially directed cycle) under one
+        tier; under {V2} < {V1} < {V0} the comparison called two orderings
+        equivalent and the pass printed a DAG.  On random PDAGs with an
+        acyclic directed part, under two orderings cut from one order, none
+        raises InvariantError, and each refuses with that line iff the gate
+        fails."""
         text = "nodes: V0 V1 V2\nV2 -> V1\nV0 -- V1\nV0 -- V2\n"
         message = "not a CPDAG or tiered MPDAG: the ends of V0 - V1 have different parents"
         c = parse_graph(text)
-        calls = (tiers_equivalent, tiers_more_informative, lambda c, t, _: cross_tier_report(c, t))
+        calls = (tiers_equivalent, tiers_more_informative, lambda c, t, _: cross_tier_report(c, t),
+                 lambda c, t, _: tiered_mpdag(c, t))
         for groups in ([["V0", "V1", "V2"]], [["V2"], ["V1"], ["V0"]]):
             t = TieredOrdering.from_tiers(groups)
             for call in calls:
@@ -914,9 +918,11 @@ class TestEarliestFromTree:
             files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
             for path, content in zip(files, (text, format_tiers(t), format_tiers(t))):
                 path.write_text(content)
-            out = io.StringIO()
-            assert main(["compare-tiers", *map(str, files)], out=out) == 1
-            assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
+            for argv in (["compare-tiers", *map(str, files)],
+                         ["orient", str(files[0]), "--tiers", str(files[1])]):
+                out = io.StringIO()
+                assert main(argv, out=out) == 1
+                assert (out.getvalue(), capsys.readouterr().err) == ("", f"error: {message}\n")
         rng = np.random.default_rng(229)
         counts = Counter()
         for _ in range(1500):
