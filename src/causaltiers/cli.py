@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a domain error (inconsistent knowledge,
 bad graph structure, unparsable files), 2 on a usage error (bad flags,
-missing files, paths that cannot be read or written).  Every subcommand
+missing files, paths that cannot be read or written, output that stdout
+cannot encode).  Files are written as UTF-8.  Every subcommand
 accepts ``--json`` for machine consumption; the schemas are documented
 in the README.  Each ``_cmd_*`` handler returns the text its subcommand
 prints, and :func:`main` writes it in one call, so a failed run prints
@@ -148,7 +149,7 @@ def _cmd_orient(args) -> str:
         text = format_graph(result)
     if not args.out:
         return text
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     return ""
 
@@ -290,6 +291,11 @@ def main(argv=None, out=None) -> int:
     except OSError as exc:
         where = "" if exc.filename is None else f": {exc.filename}"
         sys.stderr.write(f"error: {exc.strerror}{where}\n")
+        return 2
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        sys.stderr.write(f"error: stdout's encoding {exc.encoding} cannot write {bad!r}"
+                         " (set PYTHONIOENCODING=utf-8)\n")
         return 2
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -541,7 +541,9 @@ def _phi(clique: frozenset[int], fp, names, query=()) -> Counter:
         for q in [q for q in f if q < r]:
             before = frozenset(names[v] for v in q)
             f[r].subtract(_join(f[q], _clique_orders(query, [names[v] for v in r - q], before)))
-        assert min(f[r].values()) >= 0, f[r]
+        if min(f[r].values()) < 0:
+            listed = ",".join(sorted(str(names[v]) for v in r))
+            raise InvariantError(f"clique picking: a negative count of orders of {{{listed}}}")
         f[r] = +f[r]
     return f[clique] if counted else +Counter({(frozenset(),) * len(query): f[clique]})
 

@@ -4,9 +4,9 @@ A path is possibly causal when none of its own edges is traversed
 against its direction.  The b-variant additionally forbids any edge of
 the graph from a later path node back to an earlier one; it is the
 notion that stays sound on graphs with partially directed cycles.  On
-graphs without such cycles the two classifications coincide;
-:func:`check_adjustment_equivalence` decides whether they do by one
-breadth-first search per directed edge, without enumerating paths.
+graphs without such cycles, and only there, the two coincide at every path
+length; :func:`check_adjustment_equivalence` decides this in O(V + E) and
+lists no path: it searches for one where they differ only on a cyclic graph.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Node, PDAG
+from .orientation import InvariantError
 
 
 class PathVerdict(enum.Enum):
@@ -57,38 +58,36 @@ class AdjustmentEquivalenceReport:
         return self.counterexample is None
 
 
-def check_adjustment_equivalence(
-    g: PDAG, max_path_edges: int = 10
-) -> AdjustmentEquivalenceReport:
-    """Whether both classifications agree on every path of ``g`` with at
-    most L = ``max_path_edges`` edges; if not, one path where they differ.
+def check_adjustment_equivalence(g: PDAG) -> AdjustmentEquivalenceReport:
+    """Whether both classifications agree on every path of ``g``; if not,
+    one path where they differ.
 
     Such a path has every edge forward or undirected and a backward
     chord, from a later path node to an earlier one.  The segment between
     the chord's ends is such a path too, and with the chord it closes a
     partially directed cycle; such a cycle less one of its directed edges
-    u -> v is such a path from v to u.  So one of at most L edges exists
-    iff, for some directed edge u -> v, a breadth-first search from v
-    along forward and undirected edges reaches u within L edges.  Edges
-    are tried in canonical order, neighbours by index, and the first
-    search path is returned, read from v to u: O(E (V + E)).  With
-    L >= V the verdict is ``not g.has_partially_directed_cycle()``.
+    u -> v is such a path from v to u.  So one exists iff ``g`` has a
+    partially directed cycle, which one Kahn pass decides in O(V + E)
+    (:meth:`PDAG.has_partially_directed_cycle`).  Only on such a graph is
+    a path searched for: per directed edge u -> v in canonical order, a
+    breadth-first search from v along forward and undirected edges,
+    neighbours by index, and the first that reaches u gives its search
+    path, read from v to u: O(E (V + E)).
     """
+    if not g.has_partially_directed_cycle():
+        return AdjustmentEquivalenceReport(None)
     step = [sorted(ch | ne) for ch, ne in zip(g._ch, g._ne)]
     for u, heads in enumerate(g._ch):
         for v in sorted(heads):
-            prev, layer = {v: v}, [v]
-            for _ in range(min(max_path_edges, g.num_nodes)):
-                reached = []
-                for x in layer:
-                    for w in step[x]:
-                        if w not in prev:
-                            prev[w] = x
-                            reached.append(w)
-                layer = reached
-                if u in prev:
-                    path = [u]
-                    while path[-1] != v:
-                        path.append(prev[path[-1]])
-                    return AdjustmentEquivalenceReport(tuple(g.nodes[i] for i in path[::-1]))
-    return AdjustmentEquivalenceReport(None)
+            prev, queue = {v: v}, [v]
+            for x in queue:
+                for w in step[x]:
+                    if w not in prev:
+                        prev[w] = x
+                        queue.append(w)
+            if u in prev:
+                path = [u]
+                while path[-1] != v:
+                    path.append(prev[path[-1]])
+                return AdjustmentEquivalenceReport(tuple(g.nodes[i] for i in path[::-1]))
+    raise InvariantError("partially directed cycle, but no directed edge closes one")

@@ -367,7 +367,7 @@ def emit_results(
     """
     if not records:
         raise GraphError("no records to emit")
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         write_csv(records, fh)
     summary = summarize(records)
     if boxplot_path is not None:
@@ -388,7 +388,7 @@ def emit_results(
                 for s in summary
             ]
         }
-        with open(boxplot_path, "w") as fh:
+        with open(boxplot_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return summary

@@ -27,7 +27,9 @@ that the prefix tree of the unshielded paths replaced,
 and per-path first edges, the comparison that the per-edge floors
 replaced, ``unshielded_walk``, ``is_earliest`` and
 ``report_paths_by_walk``, the walk over every unshielded path and the
-per-path earliest test that the report's floor-pruned walk replaced, the
+per-path earliest test that the report's floor-pruned walk replaced,
+``adjustment_counterexample_bfs``, the length-bounded search that the
+adjustment check ran before the partially directed cycle test decided it, the
 moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
 at once, ``power_skeleton_by_choice``, the preferential attachment that called
@@ -302,6 +304,32 @@ def adjustment_counterexample_scan(g: PDAG, max_path_edges: int) -> tuple | None
             strict = not any(g.has_directed(b, a) for a, b in itr.combinations(path, 2))
             if plain != strict:
                 return path
+    return None
+
+
+def adjustment_counterexample_bfs(g: PDAG, max_path_edges: int) -> tuple | None:
+    """The path that the adjustment check returned while it took a length
+    bound: per directed edge u -> v in canonical order, a breadth-first
+    search from v along forward and undirected edges, neighbours by index,
+    cut after ``max_path_edges`` layers; the first search path that
+    reaches u, read from v to u, or None if none does within the bound."""
+    step = [sorted(ch | ne) for ch, ne in zip(g._ch, g._ne)]
+    for u, heads in enumerate(g._ch):
+        for v in sorted(heads):
+            prev, layer = {v: v}, [v]
+            for _ in range(min(max_path_edges, g.num_nodes)):
+                reached = []
+                for x in layer:
+                    for w in step[x]:
+                        if w not in prev:
+                            prev[w] = x
+                            reached.append(w)
+                layer = reached
+                if u in prev:
+                    path = [u]
+                    while path[-1] != v:
+                        path.append(prev[path[-1]])
+                    return tuple(g.nodes[i] for i in path[::-1])
     return None
 
 

@@ -48,6 +48,21 @@ def run_cli_optimized(*argv, setup=""):
     return run_optimized("\n".join([*lines, f"sys.exit(cli.main({argv!r}))"]))
 
 
+def run_cli_in(env, *argv):
+    """Run the CLI in a subprocess whose environment is updated by ``env``;
+    returns the exit code and the raw stdout and stderr."""
+    base = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    done = subprocess.run(
+        [sys.executable, "-m", "causaltiers.cli", *map(str, argv)],
+        env={**base, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), **env},
+        capture_output=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+ASCII_STDOUT = {"PYTHONIOENCODING": "ascii"}
 NO_OP_CLOSE = "orientation._close = lambda s, rules, names: []"
 
 
@@ -680,6 +695,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("env", [C_LOCALE, ASCII_STDOUT], ids=["C-locale", "ascii-stdout"])
+    def test_non_ascii_labels_are_written_as_utf8(self, env, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes: \u00c4 B C\n\u00c4 -- B\nB -- C\n", encoding="utf-8")
+        ordering = tmp_path / "t.txt"
+        ordering.write_text("tier 1: \u00c4\ntier 2: B C\n", encoding="utf-8")
+        result = tmp_path / "out.txt"
+        assert run_cli_in(env, "orient", graph, "--tiers", ordering, "--out", result) == (0, b"", b"")
+        expected = run_cli("orient", str(graph), "--tiers", str(ordering))
+        assert expected == (0, result.read_text(encoding="utf-8"))
+        assert run_cli_in(env, "validate", result) == (
+            0, b"ok: 3 nodes, 2 edges (2 directed, 0 undirected)\n", b""
+        )
+        code, out, err = run_cli_in(env, "orient", graph, "--tiers", ordering)
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: stdout's encoding ") and err.count(b"\n") == 1, err
 
     def test_full_stdout_is_one_line(self, capsys):
         """A failed write to a stream has no file name to report."""

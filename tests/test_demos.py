@@ -1,4 +1,6 @@
-"""Each walkthrough in ``demos/`` runs cleanly as a script."""
+"""Each walkthrough in ``demos/`` runs cleanly as a script and prints the
+stdout pinned in ``tests/fixtures/expected/demo_<name>.txt``.  Under
+``python -O`` the demos run under ``-O`` too, against the same files."""
 
 import os
 import subprocess
@@ -17,8 +19,9 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     pythonpath = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    optimize = ["-O"] if sys.flags.optimize else []
     return subprocess.run(
-        [sys.executable, str(path)],
+        [sys.executable, *optimize, str(path)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -32,9 +35,11 @@ def test_demo_runs_without_error(path):
     result = run_demo(path)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    assert result.stdout == (FIXTURES / "expected" / f"demo_{path.stem}.txt").read_text()
 
 
 def test_compare_orderings_output_is_unchanged():
     result = run_demo(ROOT / "demos" / "02_compare_orderings.py")
     expected = (FIXTURES / "expected" / "demo_02_compare_orderings.txt").read_text()
+    assert result.returncode == 0, result.stderr
     assert result.stdout == expected

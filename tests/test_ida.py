@@ -359,6 +359,26 @@ class TestJointIda:
         assert got.counts == expected
         assert got.total() == (2 * n - 3) * math.factorial(n - 2)
 
+    def test_negative_order_count_is_an_invariant_error(self, monkeypatch):
+        """Cliques V0V2V4 - V0V3V4 - V1V3V4: the middle one subtracts the
+        orders that start with the separator {V0,V4}; counting those twice
+        leaves a negative count, which a plain check refuses."""
+        g = PDAG(
+            [f"V{i}" for i in range(5)],
+            undirected=[("V0", "V2"), ("V0", "V4"), ("V2", "V4"), ("V0", "V3"),
+                        ("V3", "V4"), ("V1", "V3"), ("V1", "V4")],
+        )
+        orders = orientation._clique_orders
+
+        def over_counting(query, nodes, before=frozenset()):
+            counts = orders(query, nodes, before)
+            return Counter({k: 2 * m for k, m in counts.items()}) if before else counts
+
+        assert joint_ida(g, ["V0", "V1"]).total() == class_size(g)
+        monkeypatch.setattr(orientation, "_clique_orders", over_counting)
+        with pytest.raises(orientation.InvariantError, match=r"negative count of orders of \{V0,V3,V4\}"):
+            joint_ida(g, ["V0", "V1"])
+
     def test_closes_under_rule_1_only(self, monkeypatch):
         """Every closure joint IDA runs is rule 1 alone, and a clique
         component with query nodes needs none."""

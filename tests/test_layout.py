@@ -1,5 +1,6 @@
 """Source layout: a subcommand's output is written in one place, no
 module imports a name it does not use, every private function is referenced,
+no check is an ``assert``, every text file is opened with an encoding,
 and only the simulation loads numpy.
 
 Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
@@ -175,6 +176,81 @@ def test_every_private_function_is_referenced():
 )
 def test_checker_finds_unreferenced_private_functions(texts, expected):
     assert unreferenced_private_functions(texts) == expected
+
+
+def asserts(text: str) -> list[int]:
+    """Lines of the ``assert`` statements in ``text``: ``python -O`` drops
+    them, so a check of the program must be a plain ``if`` and ``raise``."""
+    return [node.lineno for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_asserts(path):
+    assert asserts(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("assert x\n", [1]),
+        ("def f(x):\n    assert x, 'why'\n", [2]),
+        ("if not x:\n    raise ValueError(x)\n", []),
+        ("text = 'assert x'\n", []),
+    ],
+    ids=["module", "function", "plain-check", "string"],
+)
+def test_checker_finds_asserts(text, expected):
+    assert asserts(text) == expected
+
+
+def opens_without_encoding(text: str) -> list[int]:
+    """Lines of the ``open(...)`` and ``x.open(...)`` calls in ``text``
+    (``os.open`` aside) that name no ``encoding`` and whose mode is not a
+    literal binary one: such a file takes the locale's encoding."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            at = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open" and not (
+            isinstance(func.value, ast.Name) and func.value.id == "os"
+        ):
+            at = 0
+        else:
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = keywords.get("mode", node.args[at] if len(node.args) > at else None)
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if "encoding" not in keywords and not binary:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_open_names_an_encoding(path):
+    assert opens_without_encoding(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("open(p)\n", [1]),
+        ("with open(p, 'w') as fh:\n    pass\n", [1]),
+        ("open(p, 'w', encoding='utf-8')\n", []),
+        ("open(p, 'rb')\n", []),
+        ("open(p, mode='wb')\n", []),
+        ("open(p, mode)\n", [1]),
+        ("path.open('w')\n", [1]),
+        ("path.open(encoding='utf-8')\n", []),
+        ("os.open(p, os.O_RDONLY)\n", []),
+    ],
+    ids=["bare", "write", "encoding", "binary", "binary-keyword", "unknown-mode",
+         "method", "method-encoding", "os-open"],
+)
+def test_checker_finds_opens_without_encoding(text, expected):
+    assert opens_without_encoding(text) == expected
 
 
 def run_fresh(script: str, cwd: Path) -> None:

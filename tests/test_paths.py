@@ -13,9 +13,14 @@ from causaltiers import (
     classify_possibly_causal,
     tiered_mpdag,
 )
+from causaltiers.orientation import InvariantError
 
 from conftest import random_cpdag_and_tau
-from oracles import adjustment_counterexample_scan, paths_recursive
+from oracles import (
+    adjustment_counterexample_bfs,
+    adjustment_counterexample_scan,
+    paths_recursive,
+)
 
 
 def simple_paths(g, s, t, max_edges=None):
@@ -50,6 +55,35 @@ def random_pdag(rng, p):
         elif r < p_dir + p_und:
             undirected.append((names[i], names[j]))
     return PDAG(names, directed=directed, undirected=undirected)
+
+
+def long_cycle_pdags(rng, p, k):
+    """Two graphs on p nodes whose skeleton is one cycle through k random
+    nodes, with the other nodes hung on it as a forest of edges of every
+    kind.  In the first the cycle's edges are forward or undirected, at
+    least one of each, so its only partially directed cycle has k edges; the
+    second turns one undirected cycle edge backward and has none."""
+    names = [f"V{i}" for i in range(p)]
+    order = [int(i) for i in rng.permutation(p)]
+    ring, rest = order[:k], order[k:]
+    forward = rng.random(k) < rng.uniform(0.1, 0.9)
+    forward[0], forward[1] = True, False
+    rng.shuffle(forward)
+    directed = [(names[ring[i]], names[ring[(i + 1) % k]]) for i in range(k) if forward[i]]
+    undirected = [(names[ring[i]], names[ring[(i + 1) % k]]) for i in range(k) if not forward[i]]
+    placed = list(ring)
+    for v in rest:
+        w = placed[int(rng.integers(len(placed)))]
+        kind = int(rng.integers(3))
+        [undirected, directed, directed][kind].append(
+            (names[v], names[w]) if kind < 2 else (names[w], names[v])
+        )
+        placed.append(v)
+    back = undirected[0]
+    return (
+        PDAG(names, directed=directed, undirected=undirected),
+        PDAG(names, directed=directed + [back[::-1]], undirected=undirected[1:]),
+    )
 
 
 @pytest.fixture
@@ -163,14 +197,19 @@ class TestCheckAdjustmentEquivalence:
     ):
         report = check_adjustment_equivalence(partially_directed_cycle_mpdag)
         assert not report.equivalent
-        assert report.counterexample in (("B", "C", "A"), ("C", "A"), ("C", "B"))
+        assert report.counterexample == ("B", "C", "A")
 
-    def test_path_length_guard_respected(self):
-        # the only counterexample is the whole 39-edge undirected path
-        g = path_plus_chord(40)
-        assert check_adjustment_equivalence(g, max_path_edges=38).equivalent
-        report = check_adjustment_equivalence(g, max_path_edges=39)
-        assert report.counterexample == tuple(f"V{k}" for k in range(39, -1, -1))
+    @pytest.mark.parametrize("p", [13, 40])
+    def test_whole_path_is_the_counterexample_at_any_length(self, p):
+        # the only counterexample is the whole undirected path, read back
+        # from the chord's head; a search bounded at 10 edges misses it
+        g = path_plus_chord(p)
+        report = check_adjustment_equivalence(g)
+        assert report.counterexample == tuple(f"V{k}" for k in range(p - 1, -1, -1))
+        assert adjustment_counterexample_bfs(g, 10) is None
+        assert adjustment_counterexample_bfs(g, p - 2) is None
+        with pytest.raises(TypeError):
+            check_adjustment_equivalence(g, max_path_edges=p)
 
     def test_matches_path_scan(self, partially_directed_cycle_mpdag):
         rng = np.random.default_rng(907)
@@ -181,18 +220,41 @@ class TestCheckAdjustmentEquivalence:
             cyclic = g.has_partially_directed_cycle()
             seen[cyclic] += 1
             for limit in range(p + 1):
-                report = check_adjustment_equivalence(g, max_path_edges=limit)
+                bounded = adjustment_counterexample_bfs(g, limit)
                 scan = adjustment_counterexample_scan(g, limit)
-                assert report.equivalent == (scan is None), (g, limit, scan)
-                if report.equivalent:
-                    continue
+                assert (bounded is None) == (scan is None), (g, limit, scan)
+            report = check_adjustment_equivalence(g)
+            assert report.equivalent == (not cyclic)
+            assert report.counterexample == adjustment_counterexample_bfs(g, p)
+            if not report.equivalent:
                 path = report.counterexample
-                assert len(path) - 1 <= limit
                 assert classify_possibly_causal(g, path) is PathVerdict.POSSIBLY_CAUSAL
                 assert classify_b_possibly_causal(g, path) is BPathVerdict.B_NON_CAUSAL
-            assert report.equivalent == (not cyclic)
         assert min(seen.values()) > 100, seen
 
         g = partially_directed_cycle_mpdag
         assert adjustment_counterexample_scan(g, 10) == ("B", "C", "A")
         assert check_adjustment_equivalence(g).counterexample == ("B", "C", "A")
+
+    def test_cycles_beyond_eleven_edges(self):
+        rng = np.random.default_rng(911)
+        for _ in range(60):
+            p = int(rng.integers(20, 81))
+            k = int(rng.integers(12, p + 1))
+            g, twin = long_cycle_pdags(rng, p, k)
+            assert g.has_partially_directed_cycle()
+            report = check_adjustment_equivalence(g)
+            path = report.counterexample
+            assert len(path) == k, (k, path)
+            assert path == adjustment_counterexample_bfs(g, p)
+            assert adjustment_counterexample_bfs(g, 10) is None
+            assert classify_possibly_causal(g, path) is PathVerdict.POSSIBLY_CAUSAL
+            assert classify_b_possibly_causal(g, path) is BPathVerdict.B_NON_CAUSAL
+            assert not twin.has_partially_directed_cycle()
+            assert check_adjustment_equivalence(twin).equivalent
+
+    def test_a_cycle_without_a_closing_edge_is_an_invariant_error(self, monkeypatch):
+        g = PDAG("AB", undirected=[("A", "B")])
+        monkeypatch.setattr(PDAG, "has_partially_directed_cycle", lambda self: True)
+        with pytest.raises(InvariantError, match="no directed edge closes one"):
+            check_adjustment_equivalence(g)
