@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .formats import format_graph, load_graph, load_tiers
@@ -45,8 +46,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _node(text: str) -> str:
+    """A node name decoded as graph files are, as UTF-8, if its bytes are UTF-8."""
+    try:
+        return os.fsencode(text).decode("utf-8")
+    except UnicodeError:
+        return text
+
+
 def _node_list(text: str) -> list[str]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
+    items = [_node(part.strip()) for part in text.split(",") if part.strip()]
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated node list")
     return items
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ida", help="candidate parent sets (local or joint)")
     p.add_argument("graph")
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--x", help="node for local enumeration")
+    target.add_argument("--x", type=_node, help="node for local enumeration")
     target.add_argument("--joint", type=_node_list, help="node set for joint enumeration")
     p.add_argument("--json", action="store_true")
 

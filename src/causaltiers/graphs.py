@@ -216,6 +216,8 @@ class PDAG:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PDAG):
             return NotImplemented
+        if self._names == other._names:  # then equal index sets
+            return self._pa == other._pa and self._ne == other._ne
         return self._key() == other._key()
 
     def __hash__(self) -> int:

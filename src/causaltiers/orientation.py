@@ -299,18 +299,17 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    return _graph(c, _cross_tier_state(c, ordering._tiers(c.nodes)))
+    return _graph(c, _cross_tier_state(c, ordering._tiers(c.nodes))[0])
 
 
 def _cross_tier_state(c: PDAG, tier: Sequence[int]):
-    """``c``'s sets as :func:`_state` gives them, with each undirected edge between
-    two tiers of the tier vector ``tier`` oriented from the earlier, unchecked."""
+    """``c``'s sets as :func:`_state` gives them, each undirected edge across tiers of the
+    tier vector ``tier`` oriented from the earlier, unchecked, and the (tail, head) pairs."""
     s = _state(c)
-    for i, ne in enumerate(c._ne):
-        for j in ne:
-            if tier[i] < tier[j]:
-                _orient(s, i, j)
-    return s
+    oriented = [(i, j) for i, ne in enumerate(c._ne) for j in ne if tier[i] < tier[j]]
+    for i, j in oriented:
+        _orient(s, i, j)
+    return s, oriented
 
 
 def _shares_parents(pa, ne) -> bool:
@@ -369,13 +368,14 @@ def _require_invariants(g: PDAG, s) -> None:
 
 def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
     """The tiered pass of :func:`tiered_mpdag` and CLI ``orient``: the graph
-    closed under ``rules`` and its :func:`meek_closure_trace` firings.  The
-    imposed graph is never built, and the result is built unchecked: the
-    invariant checks find any directed cycle."""
+    closed under ``rules`` and its :func:`meek_closure_trace` firings, from the
+    frontier of the cross-tier orientations, as no rule fires on an admitted
+    ``c`` (:func:`_shares_parents`).  The imposed graph is never built, and the
+    result is built unchecked: the invariant checks find any directed cycle."""
     _require_shared_parents(c)
     require_consistency(c, ordering)
-    s = _cross_tier_state(c, ordering._tiers(c.nodes))
-    trace = _close(s, rules, c.nodes)
+    s, oriented = _cross_tier_state(c, ordering._tiers(c.nodes))
+    trace = _close(s, rules, c.nodes, oriented)
     g = c._oriented(s[0], s[1], check=False)
     _require_invariants(g, s)
     _require_no_new_v_structures(c, s)

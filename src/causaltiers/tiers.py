@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,8 +47,8 @@ class TieredOrdering:
     Parameters
     ----------
     assignment:
-        Mapping from node label to tier.  Every node of a graph this
-        ordering is used with must be present.
+        Mapping from each node of the graphs it is used with to its tier,
+        an integer of any type but bool, kept as an int.
     """
 
     __slots__ = ("_assignment", "_vector")
@@ -55,8 +56,9 @@ class TieredOrdering:
     def __init__(self, assignment: Mapping[Node, int]):
         items = dict(assignment)
         for v, t in items.items():
-            if isinstance(t, bool) or not isinstance(t, int):
+            if isinstance(t, bool) or not hasattr(t, "__index__"):
                 raise GraphError(f"tier of {v!r} must be an integer, got {t!r}")
+            items[v] = operator.index(t)
         if not items:
             raise GraphError("an ordering needs at least one node")
         self._assignment = items
@@ -205,26 +207,24 @@ def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison
 
 
 def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
-    """Edges occurring on no unshielded path: both endpoints have the
-    same adjacency set apart from each other.  Computed on the skeleton."""
-    adj, names = h._adjacency(), h.nodes
-    edges = [(i, j) for i, ne in enumerate(h._ne) for j in ne if i < j]
-    edges += [(i, j) for i, ch in enumerate(h._ch) for j in ch]  # sorted by tail
-    return [
-        (names[min(i, j)], names[max(i, j)])
-        for i, j in sorted(edges)
-        if adj[i] - {j} == adj[j] - {i}
-    ]
+    """Edges occurring on no unshielded path: both endpoints have the same
+    adjacency set apart from each other.  On the skeleton, in canonical order."""
+    return [(h.nodes[i], h.nodes[j]) for i, j in _shielded(h._adjacency())]
 
 
-def _chordal_part(c: PDAG) -> PDAG:
-    """The undirected part of ``c``, refused as by :func:`_has_members` unless
-    the ends of each undirected edge have the same parents, then unless it is
-    chordal, as edge floors need."""
+def _shielded(adj: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
+    """The fully shielded edges i < j of the skeleton with adjacency sets ``adj``."""
+    return [(i, j) for i, nb in enumerate(adj) for j in sorted(nb)
+            if i < j and nb - {j} == adj[j] - {i}]
+
+
+def _require_chordal_part(c: PDAG) -> None:
+    """Refuse ``c`` as :func:`_has_members` does unless the ends of each
+    undirected edge have the same parents, then unless its undirected part
+    is chordal, as edge floors need."""
     if not _has_members(c):
         k = c._non_simplicial()
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
-    return c.undirected_subgraph()
 
 
 def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int, int]]:
@@ -237,14 +237,18 @@ def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int,
     simplicial nodes shield a triple: Dirac, 1961), and a path's least node
     starts a segment into each of its edges."""
     reach: list[dict[int, int]] = [{} for _ in ne]
-    for s in sorted(range(len(ne)), key=tier.__getitem__):
+    for s in sorted((v for v, nb in enumerate(ne) if nb), key=tier.__getitem__):
         m, stack = tier[s], [(s, b) for b in ne[s]]
         while stack:
             a, b = stack.pop()
-            if b not in reach[a]:
-                reach[a][b] = m
-                stack.extend((b, c) for c in ne[b] - ne[a] if c != a and c not in reach[b])
-    return [{b: min(f, reach[b][a]) for b, f in row.items()} for a, row in enumerate(reach)]
+            ra = reach[a]
+            if b not in ra:
+                ra[b], rb = m, reach[b]
+                for c in ne[b] - ne[a]:
+                    if c != a and c not in rb:
+                        stack.append((b, c))
+    return [{b: f if f <= (g := reach[b][a]) else g for b, f in row.items()}
+            for a, row in enumerate(reach)]
 
 
 def _first_edges(floor: list[dict[int, int]], tier: Sequence[int]) -> set[tuple[int, int]]:
@@ -303,15 +307,15 @@ def cross_tier_report(
     or a part that is not chordal (no CPDAG has either), raises GraphError,
     and an ordering that no DAG of the class respects raises as in
     :func:`tiered_mpdag`."""
-    h, names = _chordal_part(c), c.nodes
+    _require_chordal_part(c)
     tiered_mpdag(c, ordering)
-    groups = _component_labels(h._ne)[1].values()
+    names, ne, tier = c.nodes, c._ne, ordering._tiers(c.nodes)
+    groups = _component_labels(ne)[1].values()
     if size := next((len(group) for group in groups if len(group) > max_nodes), 0):
         raise LimitError(
             f"component of {size} nodes exceeds the path enumeration limit of {max_nodes}"
         )
     rank = {v: r for r, group in enumerate(groups) for v in group}
-    tier, ne = ordering._tiers(names), h._ne
     floor = _floors(ne, tier)
     paths = []
     for s in sorted(rank):  # each prefix: its floor m and whether it holds a node of tier m
@@ -327,11 +331,11 @@ def cross_tier_report(
                 paths.append(path)
     paths.sort(key=lambda path: (rank[path[0]], path[0], path[-1]))
     earliest = [tuple(map(names.__getitem__, path)) for path in paths]
-    t = ordering._assignment  # each shielded edge across tiers, from the earlier
-    shielded = [(u, v) if t[u] < t[v] else (v, u) for u, v in fully_shielded_edges(h)
-                if t[u] != t[v]]
+    shielded = [(names[i], names[j]) if tier[i] < tier[j] else (names[j], names[i])
+                for i, j in _shielded(ne) if tier[i] != tier[j]]  # from the earlier tier
+    h = c.undirected_subgraph()
     return CrossTierEdgeReport(
-        graph=_graph(h, _cross_tier_state(h, tier)),
+        graph=_graph(h, _cross_tier_state(h, tier)[0]),
         earliest_paths=tuple(earliest),
         first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
         fully_shielded_cross_tier=tuple(shielded),
@@ -396,8 +400,10 @@ def contained_in(g1: PDAG, g2: PDAG) -> bool:
     """Same skeleton and every directed edge of ``g2`` also in ``g1``.
 
     Nodes are matched by label, so node order plays no part: each node's
-    adjacent and parent sets in ``g2``, carried to ``g1``'s indices, are
-    compared with its sets in ``g1``."""
+    adjacent and parent sets in ``g2`` are compared with its sets in ``g1``,
+    by index on equal node tuples, else carried to ``g1``'s indices first."""
+    if g1.nodes == g2.nodes:
+        return g1._adjacency() == g2._adjacency() and all(map(operator.le, g2._pa, g1._pa))
     to1 = [g1._index.get(v) for v in g2.nodes]
     if len(to1) != g1.num_nodes or None in to1:
         return False
@@ -425,23 +431,25 @@ def _compare(
     c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> tuple[TierEquivalence, InformativenessResult]:
     """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
-    pass: the input is admitted by :func:`_chordal_part`, each tiered MPDAG
-    is built once, and the rest is read from tier vectors and edge floors.  Raises
-    :class:`InvariantError`, naming a witness, if the criterion and equality
-    of the two MPDAGs disagree, against the paper's theorem."""
-    h, names = _chordal_part(c), c.nodes
+    pass: the input is admitted by :func:`_require_chordal_part`, each tiered
+    MPDAG is built once, and the rest is read by index from ``c``'s neighbour
+    sets, tier vectors and edge floors; the MPDAGs share ``c``'s node tuple, so
+    equality and containment compare index sets.  Raises :class:`InvariantError`,
+    naming a witness, if the criterion and equality of the MPDAGs disagree."""
+    _require_chordal_part(c)
     g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
-    shielded = fully_shielded_edges(h)  # each oriented from its earlier tier, None within one
-    s1, s2 = ([(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
-              for t in (t1._assignment, t2._assignment))
+    names, ne = c.nodes, c._ne
     v1, v2 = t1._tiers(names), t2._tiers(names)  # (u, v) is cross-tier under t iff t[u] < t[v]
-    f1, f2 = _floors(h._ne, v1), _floors(h._ne, v2)
+    shielded = _shielded(ne)  # each oriented from its earlier tier, None within one
+    s1, s2 = ([(u, v) if t[u] < t[v] else (v, u) if t[v] < t[u] else None for u, v in shielded]
+              for t in (v1, v2))
+    f1, f2 = _floors(ne, v1), _floors(ne, v2)
     u1, u2 = _first_edges(f1, v1), _first_edges(f2, v2)
     shielded_diff = [a or b for a, b in zip(s1, s2) if a != b]
     equivalent = not shielded_diff and u1 == u2
-    witness = shielded_diff[0] if shielded_diff else None
+    witness = (names[shielded_diff[0][0]], names[shielded_diff[0][1]]) if shielded_diff else None
     if witness is None and u1 != u2:  # the least differing first edge of the least component
-        label, diff = _component_labels(h._ne)[0], u1 ^ u2
+        label, diff = _component_labels(ne)[0], u1 ^ u2
         k = min(label[u] for u, _ in diff)
         witness = min(((names[u], names[v]) for u, v in diff if label[u] == k), key=str)
     same = g1 == g2
@@ -465,7 +473,7 @@ def _compare(
         InformativenessResult(
             verdict,
             condition_i=all(v1[u] < v1[v] for u, v in u2),
-            condition_ii=all(t1[u] < t1[v] for u, v in filter(None, s2)),
+            condition_ii=all(v1[u] < v1[v] for u, v in filter(None, s2)),
             condition_iii=any(v2[u] >= v2[v] for u, v in u1),
             condition_iv=s1.count(None) < s2.count(None),
         ),

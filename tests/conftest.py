@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causaltiers import GraphError, PDAG, SimCell, SimRecord, TieredOrdering, cpdag_of
+from causaltiers import GraphError, PDAG, SimCell, SimRecord, TieredOrdering, cpdag_of, orientation
 from causaltiers.simulation import GENERATORS, write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -52,6 +52,21 @@ def wave_mpdag():
 @pytest.fixture
 def wave_tau():
     return TieredOrdering.from_tiers([["A", "B"], ["C", "D", "E"], ["F", "G"]])
+
+
+# === stand-ins for ``orientation._close``, with its call signature
+
+
+def no_op_close(s, rules, names, oriented=None):
+    """A closure that orients nothing."""
+    return []
+
+
+def cycle_close(s, rules, names, oriented=None):
+    """A closure that orients nodes 0 -> 1 -> 2 -> 0, and fires nothing."""
+    for tail, head in ((0, 1), (1, 2), (2, 0)):
+        orientation._orient(s, tail, head)
+    return []
 
 
 def random_dag_instance(rng, p, degree):

@@ -9,6 +9,8 @@ are combined.  So are ``apply_meek_rule``, one sweep of one rule on the
 library's sets, which the tests check against the matrix sweep here,
 ``round_closure`` and ``require_invariants_scan``, the closure and the
 invariant checks that the frontier closure and the certificate replaced,
+``orient_tiered_full_scan``, the tiered pass before its closure started
+from the frontier of the cross-tier orientations,
 ``partially_directed_cycle_near_components`` and
 ``rule1_closed_without_partial_cycle``, the contraction that rewrote only
 the lists in and next to chain components and the certificate's pass
@@ -29,7 +31,9 @@ replaced, ``unshielded_walk``, ``is_earliest`` and
 ``report_paths_by_walk``, the walk over every unshielded path and the
 per-path earliest test that the report's floor-pruned walk replaced,
 ``adjustment_counterexample_bfs``, the length-bounded search that the
-adjustment check ran before the partially directed cycle test decided it, the
+adjustment check ran before the partially directed cycle test decided it,
+``floors_from_every_node``, the edge-floor search before it skipped isolated
+starts and took the least of both directions without ``min``, the
 moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
 at once, ``power_skeleton_by_choice``, the preferential attachment that called
@@ -1067,6 +1071,21 @@ def report_paths_by_walk(h, tier, floor) -> list:
     return sorted(paths, key=lambda path: (rank[path[0]], path[0], path[-1]))
 
 
+def floors_from_every_node(ne, tier) -> list[dict[int, int]]:
+    """:func:`causaltiers.tiers._floors` as first written: the same search over
+    directed edges, started from every node, isolated ones too, in ascending
+    tier, and each floor the ``min`` of the edge's two directions."""
+    reach: list[dict[int, int]] = [{} for _ in ne]
+    for s in sorted(range(len(ne)), key=tier.__getitem__):
+        m, stack = tier[s], [(s, b) for b in ne[s]]
+        while stack:
+            a, b = stack.pop()
+            if b not in reach[a]:
+                reach[a][b] = m
+                stack.extend((b, c) for c in ne[b] - ne[a] if c != a and c not in reach[b])
+    return [{b: min(f, reach[b][a]) for b, f in row.items()} for a, row in enumerate(reach)]
+
+
 # === the path list and per-path filter that the prefix tree replaced
 
 
@@ -1485,6 +1504,19 @@ def round_closure(s, rules, names) -> list:
                 trace.append((rule, (names[tail], names[head])))
         if len(trace) == before:
             return trace
+
+
+def orient_tiered_full_scan(c, ordering, rules):
+    """``orientation._orient_tiered`` with a first closure round over every
+    undirected edge: the same checks, the graph and its trace."""
+    orientation._require_shared_parents(c)
+    require_consistency(c, ordering)
+    s = orientation._cross_tier_state(c, ordering._tiers(c.nodes))[0]
+    trace = orientation._close(s, rules, c.nodes)
+    g = c._oriented(s[0], s[1], check=False)
+    orientation._require_invariants(g, s)
+    orientation._require_no_new_v_structures(c, s)
+    return g, trace
 
 
 def require_invariants_scan(g, s) -> None:

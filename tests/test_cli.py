@@ -1,4 +1,5 @@
 import errno
+import inspect
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from causaltiers import PDAG, InconsistentKnowledgeError, cli, orientation, tier
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
-from conftest import FIXTURES
+from conftest import FIXTURES, no_op_close
 
 EXPECTED = FIXTURES / "expected"
 
@@ -63,7 +64,8 @@ def run_cli_in(env, *argv):
 
 C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 ASCII_STDOUT = {"PYTHONIOENCODING": "ascii"}
-NO_OP_CLOSE = "orientation._close = lambda s, rules, names: []"
+#: ``no_op_close`` as ``orientation._close``, for a subprocess's setup
+NO_OP_CLOSE = f"{inspect.getsource(no_op_close)}orientation._close = no_op_close"
 
 
 def undirected_graph_file(path, n, width):
@@ -515,7 +517,7 @@ class TestExitCodes:
 
     def test_invariant_failure_is_domain_error(self, capsys, monkeypatch, tmp_path):
         # a rule-1 closure that orients nothing leaves rule-1 edges undirected
-        monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
+        monkeypatch.setattr(orientation, "_close", no_op_close)
         code, _ = run_cli(
             "simulate",
             "--nodes", "25",
@@ -536,7 +538,7 @@ class TestExitCodes:
             setup = f"from causaltiers import orientation\n{NO_OP_CLOSE}"
             code, out, err = run_cli_optimized(*argv, setup=setup)
         else:
-            monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
+            monkeypatch.setattr(orientation, "_close", no_op_close)
             code, out = run_cli(*argv)
             err = capsys.readouterr().err
         assert (code, out) == (1, "")
@@ -712,6 +714,30 @@ class TestExitCodes:
         code, out, err = run_cli_in(env, "orient", graph, "--tiers", ordering)
         assert (code, out) == (2, b"")
         assert err.startswith(b"error: stdout's encoding ") and err.count(b"\n") == 1, err
+
+    @pytest.mark.parametrize("env", [C_LOCALE, {"PYTHONUTF8": "1"}], ids=["C-locale", "UTF-8"])
+    def test_node_names_on_the_command_line_are_utf8(self, env, tmp_path):
+        """Names given to --path, --a/--b/--c, --x and --joint are read as the
+        UTF-8 graph file is, whatever the locale's encoding."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("nodes: Ä B C\nÄ -> B\nB -> C\n", encoding="utf-8")
+        calls = [
+            (["classify-path", "--path", "Ä,B,C"], b"possibly-causal: yes\nb-possibly-causal: yes\n"),
+            (["dsep", "--a", "Ä", "--b", "C", "--c", "B"], b"separated\n"),
+            (["dsep", "--a", "C", "--b", "B,Ä"], b"connected\n"),
+            (["dsep", "--a", "B", "--b", "C", "--c", "Ä"], b"connected\n"),
+            (["ida", "--x", "Ä"], b"{} x1\n"),
+            (["ida", "--joint", "Ä,C"], b"({}, {B}) x1\n"),
+        ]
+        for argv, expected in calls:
+            assert run_cli_in(env, argv[0], graph, *argv[1:]) == (0, expected, b""), argv
+
+    def test_node_names_that_are_not_utf8_stay_as_given(self):
+        assert cli._node("Ä") == "Ä"
+        for raw in (b"\xc4", b"B\xff"):  # not UTF-8: the locale's surrogate escapes stay
+            name = os.fsdecode(raw)
+            assert cli._node(name) == name
+        assert cli._node("\ud800") == "\ud800"  # no bytes at all
 
     def test_full_stdout_is_one_line(self, capsys):
         """A failed write to a stream has no file name to report."""

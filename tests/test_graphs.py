@@ -178,6 +178,36 @@ class TestEqualityIgnoresNodeOrder:
             assert markov_equivalent(dag, reordered(dag, order))
         assert colliders > 20, colliders
 
+    def test_index_sets_match_label_keys(self):
+        """``==`` against equality of the label keys, on pairs whose node
+        tuples are one object, equal but distinct, or permuted, equal or not."""
+        rng = np.random.default_rng(37)
+
+        def random_pdag(names):
+            order = [names[k] for k in rng.permutation(len(names))]
+            pairs = [pair for pair in itr.combinations(order, 2) if rng.random() < 0.6]
+            kinds = rng.random(len(pairs)) < 0.5
+            return PDAG(names, directed=[e for e, d in zip(pairs, kinds) if d],
+                        undirected=[e for e, d in zip(pairs, kinds) if not d])
+
+        seen = Counter()
+        for _ in range(300):
+            p = int(rng.integers(1, 8))
+            names = [f"V{k}" for k in range(p)]
+            g, other = random_pdag(names), random_pdag(names)
+            order = [names[k] for k in rng.permutation(p)]
+            copy = PDAG(names, directed=g.directed_edges, undirected=g.undirected_edges)
+            pairs = [(g, h) for h in (g.skeleton(), g.undirected_subgraph(), g.directed_subgraph())]
+            pairs += [(g, copy), (g, other), (g, reordered(g, order)), (g, reordered(other, order))]
+            pairs.append((g, PDAG([*names, "X"], g.directed_edges, g.undirected_edges)))
+            for a, b in pairs:
+                shared = "one" if a.nodes is b.nodes else "equal" if a.nodes == b.nodes else "other"
+                expected = a._key() == b._key()
+                assert (a == b, b == a, a != b) == (expected, expected, not expected)
+                assert not expected or hash(a) == hash(b)
+                seen[shared, expected] += 1
+        assert len(seen) == 6 and min(seen.values()) > 40, seen
+
 
 class TestCycles:
     def test_partially_directed_cycle(self):

@@ -33,7 +33,15 @@ from causaltiers.orientation import MEEK_RULES, InvariantError, meek_closure_tra
 
 from causaltiers.simulation import GENERATORS, random_dag
 
-from conftest import random_chordal, random_cpdag_and_tau, random_dag_instance, reordered
+from conftest import (
+    cycle_close,
+    no_op_close,
+    random_chordal,
+    random_coarsening,
+    random_cpdag_and_tau,
+    random_dag_instance,
+    reordered,
+)
 from oracles import (
     SweepConflict,
     amat_of,
@@ -45,6 +53,7 @@ from oracles import (
     forbidden_set,
     full_closure_equals,
     is_acyclic,
+    orient_tiered_full_scan,
     pdag_from_amat,
     pdag_from_amat_unchecked,
     require_invariants_scan,
@@ -410,9 +419,47 @@ class TestFrontierClosure:
         rng = np.random.default_rng(211)
         for _ in range(80):
             c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 60)), 2.5)
-            s = orientation._cross_tier_state(c, list(map(tau.tier_of, c.nodes)))
+            s, oriented = orientation._cross_tier_state(c, list(map(tau.tier_of, c.nodes)))
             for rules in ((1,), (1, 2, 3), (1, 2, 3, 4)):
                 assert rounds_outcome(s, rules, c.nodes) == "closed"
+                assert rounds_outcome(s, rules, c.nodes, oriented) == "closed"
+
+    def test_tiered_pass_matches_full_scan(self):
+        """The tiered pass, which closes from the cross-tier frontier, against
+        the same pass with a first round over every edge: CPDAGs, tiered MPDAGs
+        and random PDAGs that share parents, under consistent and random
+        orderings; the same graph and trace, or the same error."""
+
+        def outcome(run):
+            try:
+                g, trace = run()
+            except GraphError as exc:
+                return type(exc), str(exc)
+            return g.nodes, g._pa, g._ch, g._ne, trace
+
+        rng = np.random.default_rng(227)
+        outcomes = Counter()
+        for trial in range(600):
+            c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(2, 40)), 3.0)
+            if trial % 4 == 1:
+                c = tiered_mpdag(c, random_coarsening(rng, c.num_nodes))
+            elif trial % 4 == 2:
+                c = random_pdag(rng, int(rng.integers(2, 9)))
+                if not orientation._shares_parents(c._pa, c._ne):
+                    continue
+                tau = random_coarsening(rng, c.num_nodes)
+            roots = [v for v in c.nodes if c.neighbors_of(v) and not c.parents_of(v)]
+            if trial % 3 == 0:
+                tau = TieredOrdering({v: int(rng.integers(-2, 3)) for v in c.nodes})
+            elif trial % 3 == 1 and roots:  # the root's edges are the cross-tier ones
+                root = roots[int(rng.integers(len(roots)))]
+                tau = TieredOrdering({v: int(v != root) for v in c.nodes})
+            for rules in ((1,), MEEK_RULES):
+                got = outcome(lambda: orientation._orient_tiered(c, tau, rules))
+                assert got == outcome(lambda: orient_tiered_full_scan(c, tau, rules))
+                outcomes[got[0].__name__ if isinstance(got[0], type) else bool(got[-1])] += 1
+        assert outcomes[True] > 100 and outcomes[False] > 300, outcomes
+        assert outcomes["InconsistentKnowledgeError"] > 100, outcomes
 
     def test_branch_edge_as_start(self):
         """Closed states with one undirected edge oriented either way, and
@@ -717,7 +764,7 @@ class TestInvariantChecks:
         # run on ``closed`` as if the closure had returned it
         with pytest.raises(InvariantError, match=re.escape(message)):
             if closed is None:
-                monkeypatch.setattr(orientation, "_close", lambda s, rules, names: [])
+                monkeypatch.setattr(orientation, "_close", no_op_close)
                 tiered_mpdag(wave_cpdag, wave_tau)
             else:
                 orientation._require_invariants(closed, orientation._state(closed))
@@ -809,13 +856,7 @@ class TestInvariantChecks:
         """The tiered result is built without Kahn's check, so a directed
         cycle is reported by the invariant checks, not as a CycleError."""
         triangle = PDAG("ABC", undirected=[("A", "B"), ("B", "C"), ("C", "A")])
-
-        def cycle(s, rules, names):
-            for tail, head in ((0, 1), (1, 2), (2, 0)):
-                orientation._orient(s, tail, head)
-            return []
-
-        monkeypatch.setattr(orientation, "_close", cycle)
+        monkeypatch.setattr(orientation, "_close", cycle_close)
         message = "partially directed cycle: chain components cycle {A} -> {B} -> {C} -> {A}"
         with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
             tiered_mpdag(triangle, TieredOrdering(dict.fromkeys("ABC", 1)))
@@ -1176,7 +1217,7 @@ class TestPatchedBuild:
             if trial % 3 == 0:
                 tau = TieredOrdering({v: int(rng.integers(0, 4)) for v in c.nodes})
             for rules in ((1,), MEEK_RULES):
-                s = orientation._cross_tier_state(c, tau._tiers(c.nodes))
+                s = orientation._cross_tier_state(c, tau._tiers(c.nodes))[0]
                 try:
                     orientation._close(s, rules, c.nodes)
                 except InconsistentKnowledgeError:

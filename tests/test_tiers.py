@@ -38,7 +38,7 @@ from causaltiers.tiers import (
     fully_shielded_edges,
 )
 
-from conftest import random_cpdag_and_tau, random_coarsening, reordered
+from conftest import random_chordal, random_cpdag_and_tau, random_coarsening, reordered
 from causaltiers import cpdag_of
 from causaltiers.simulation import random_dag
 from oracles import (
@@ -57,6 +57,7 @@ from oracles import (
     earliest_by_floor,
     earliest_by_tree_floors,
     first_cross_tier_edges_walk,
+    floors_from_every_node,
     forbidden_set,
     is_earliest,
     joint_ida_by_root_picking,
@@ -108,6 +109,21 @@ class TestTieredOrdering:
             TieredOrdering({"A": True, "B": False})
         with pytest.raises(GraphError, match="must be an integer"):
             TieredOrdering({"A": 1, "B": True})
+
+    def test_integer_types_are_kept_as_int(self):
+        """numpy's integers, as the simulation's arrays hold them, are tiers;
+        numpy's bool and floats are not, with the message of ``bool``."""
+        values = {"A": np.int64(1), "B": np.int32(-2), "C": np.uint8(7), "D": 3}
+        tau = TieredOrdering(values)
+        assert tau.assignment == {"A": 1, "B": -2, "C": 7, "D": 3}
+        assert all(type(t) is int for t in tau.assignment.values())
+        assert tau == TieredOrdering({"A": 1, "B": -2, "C": 7, "D": 3})
+        groups = TieredOrdering(dict(zip("AB", np.arange(2)))).tier_groups()
+        assert groups == [(0, ("A",)), (1, ("B",))]
+        for bad in (np.bool_(True), np.float64(1.0), 1.0, "1", None):
+            message = f"^tier of 'B' must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(GraphError, match=message):
+                TieredOrdering({"A": 1, "B": bad})
 
     def test_normalization_is_contiguous(self):
         tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
@@ -295,6 +311,20 @@ class TestFullyShielded:
 
     def test_tree_component_has_none(self, wave_cpdag):
         assert fully_shielded_edges(wave_cpdag.undirected_subgraph()) == []
+
+    def test_canonical_order_with_arcs_from_later_nodes(self):
+        """Pairs by lower then higher index, whatever the edge's direction."""
+        g = PDAG("ABCD", directed=[("C", "A"), ("D", "B")],
+                 undirected=[("A", "B"), ("B", "C"), ("A", "D"), ("C", "D")])
+        assert fully_shielded_edges(g) == [("A", "B"), ("A", "C"), ("A", "D"), ("B", "C"),
+                                           ("B", "D"), ("C", "D")]
+        rng = np.random.default_rng(157)
+        for _ in range(100):
+            c = random_cpdag_and_tau(rng, int(rng.integers(2, 12)), 3.0)[0]
+            g = reordered(c, [c.nodes[k] for k in rng.permutation(c.num_nodes)])
+            pairs = fully_shielded_edges(g)
+            assert pairs == sorted(pairs, key=lambda e: (g.index_of(e[0]), g.index_of(e[1])))
+            assert all(g.index_of(u) < g.index_of(v) for u, v in pairs)
 
 
 class TestCrossTierReport:
@@ -549,6 +579,26 @@ class TestContainedIn:
             for h in (smaller, other):
                 assert not contained_in(c, h) and not contained_in(h, c)
         assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+    def test_index_sets_match_skeleton_oracle_on_shared_nodes(self):
+        """Pairs on one node tuple, the case compared by index: tiered MPDAGs
+        of one CPDAG, the CPDAG and its skeleton, and random PDAGs, whose
+        skeletons mostly differ."""
+        rng = np.random.default_rng(149)
+        verdicts = Counter()
+        for trial in range(200):
+            p = int(rng.integers(2, 10))
+            c, t1, _ = random_cpdag_and_tau(rng, p, 2.0)
+            graphs = [c, c.skeleton(), tiered_mpdag(c, t1), tiered_mpdag(c, random_coarsening(rng, p))]
+            if trial % 2:
+                graphs.append(PDAG(c.nodes, undirected=[
+                    pair for pair in itr.combinations(c.nodes, 2) if rng.random() < 0.5]))
+            for a, b in itr.product(graphs, repeat=2):
+                assert a.nodes is b.nodes or a.nodes == b.nodes
+                got = contained_in(a, b)
+                assert got == contained_in_by_skeletons(a, b)
+                verdicts[got] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 500, verdicts
 
 
 class TestNormalizationInvariance:
@@ -1317,6 +1367,22 @@ class TestPerEdgeCriterion:
                 assert _floors(h._ne, tier) == expected
                 edges += sum(map(len, expected)) // 2
         assert len(graphs) > 100 and edges > 2000, (len(graphs), edges)
+
+    def test_floors_match_the_search_from_every_node(self):
+        """Random chordal graphs, isolated nodes among them, and interleaved
+        bands under tiers that are negative, non-contiguous or all one."""
+        rng = np.random.default_rng(167)
+        graphs = [random_chordal(rng, int(rng.integers(1, 16))) for _ in range(150)]
+        graphs += [band_graph(rng, [n, int(rng.integers(1, 6))], int(rng.integers(1, 4)))
+                   for n in range(2, 20)]
+        isolated = 0
+        for h in graphs:
+            isolated += sum(not nb for nb in h._ne)
+            for _ in range(4):
+                levels = rng.choice(np.arange(-12, 13, 4), size=int(rng.integers(1, 6)), replace=False)
+                tier = [int(rng.choice(levels)) for _ in h.nodes]
+                assert _floors(h._ne, tier) == floors_from_every_node(h._ne, tier)
+        assert isolated > 50, isolated
 
     def test_compare_matches_path_tree_oracle(self):
         """Random CPDAGs of the three generators, two-component CPDAGs and
