@@ -146,7 +146,7 @@ def _cmd_orient(args) -> str:
     g = load_graph(args.graph)
     ordering = load_tiers(args.tiers)
     rules = (1,) if args.rules == "1" else (1, 2, 3, 4)
-    result, trace = _orient_tiered(g, ordering, rules)
+    result, trace = _orient_tiered(g, (ordering,), rules)[0]
     if args.trace:
         sys.stderr.write(_lines(f"rule{rule}: {u}->{v}" for rule, (u, v) in trace))
     if args.json:

@@ -2,17 +2,16 @@
 
 Knowledge orients undirected edges in a CPDAG's parent and neighbour sets,
 copied only at nodes with an undirected edge, then Meek's four rules run to
-the fixpoint, the maximally oriented PDAG.  In each round each rule
-collects its firings in canonical edge order, then applies them, examining
-only the edges where the orientations made since it last ran could let it
-fire.  Tiered knowledge is imposed from one tier vector.  One pass serves
-:func:`tiered_mpdag` (rule 1 alone reaches the fixpoint) and CLI
-``orient``: it orients and closes the sets, builds the result from the
-input and the nodes that changed, certifies in linear time and in every
-mode that it is closed, a chain graph and chordal in its components
-(:class:`InvariantError`), and rejects a forced v-structure the input
-lacks.  :func:`enumerate_class` lists a class by branch and close, in
-lexicographic order, up to ``max_members`` members (:class:`LimitError`).
+the fixpoint, the maximally oriented PDAG; in each round each rule collects
+its firings in canonical edge order, then applies them, examining only the
+edges where the orientations since it last ran could let it fire.  One
+tiered pass takes an input and all its orderings (:func:`tiered_mpdag`, CLI
+``orient``, the comparison, the simulation): it admits the input once, then
+per ordering orients the cross-tier edges from one tier vector, closes them
+(rule 1 alone reaches the fixpoint), builds the result from the input and
+certifies it in linear time and every mode (:class:`InvariantError`), and
+rejects a new v-structure.  :func:`enumerate_class` lists a class by branch and
+close, in lexicographic order, up to ``max_members`` members (:class:`LimitError`).
 :func:`class_size` and joint IDA count by clique picking (Wienobst,
 Bannach and Liskiewicz, AAAI 2021) in polynomial time, with rule-1
 closures only.  Each member of a connected chordal component is counted
@@ -336,23 +335,38 @@ def _require_shared_parents(g: PDAG) -> None:
 
 
 def _has_members(g: PDAG) -> bool:
-    """Are the chain components of ``g`` chordal, so that its class has a member?
-    The gate of :func:`class_size` and IDA, which count right only where
-    :func:`_shares_parents` holds: elsewhere :func:`_require_shared_parents` raises."""
+    """The gate of :func:`class_size` and IDA, which count right only where
+    :func:`_require_shared_parents` passes: are the chain components chordal?"""
     _require_shared_parents(g)
     return g._non_simplicial() is None
 
 
-def _require_invariants(g: PDAG, s) -> None:
+def _require_chordal_part(c: PDAG) -> None:
+    """After :func:`_require_shared_parents`, refuse ``c``, naming a node, unless its
+    undirected part is chordal.  Searching ``c`` for the passes refuses no more: let ``c``
+    share parents and have a chordless cycle Z of 4+ nodes (no arc is a chord, as Z's nodes
+    share parents).  A result leaves Z undirected (not chordal), directs it one way round (a
+    partially directed cycle), or has a sink run x -> u - ... - v <- y on Z: if u = v,
+    x -> u <- y is a new v-structure; else x, a parent of u, misses v, or an inner node
+    of the run if Z is x and the run, so parents differ along the run."""
+    _require_shared_parents(c)
+    if (k := c._non_simplicial()) is not None:
+        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
+
+
+def _require_invariants(g: PDAG, s, search: bool) -> None:
     """Raise :class:`InvariantError` with a witness if a Meek rule fires on
     ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
     directed cycle (a directed one too: ``g`` may be built unchecked) or a
     chain component that is not chordal; linear time.  A pass is
-    :func:`_shares_parents`, Kahn's check and the chordality search.  Only
-    a failure scans all four rules, then the contracted components."""
-    pa, ne, _ = s
-    if _shares_parents(pa, ne) and not g.has_directed_cycle() and g._non_simplicial() is None:
+    :func:`_shares_parents`, Kahn's check and, if ``search``, the chordality
+    search, needless if ``g`` directs edges of an input with a chordal
+    undirected part U: an edge of U in a chain component K that ``g`` directs
+    closes a partially directed cycle, so K is induced in U.  Only a failure
+    scans all four rules, then the contracted components."""
+    if (_shares_parents(s[0], s[1]) and not g.has_directed_cycle()
+            and (not search or g._non_simplicial() is None)):
         return
     names = g.nodes
     fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
@@ -366,20 +380,24 @@ def _require_invariants(g: PDAG, s) -> None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
 
 
-def _orient_tiered(c: PDAG, ordering: "TieredOrdering", rules: Sequence[int]):
-    """The tiered pass of :func:`tiered_mpdag` and CLI ``orient``: the graph
-    closed under ``rules`` and its :func:`meek_closure_trace` firings, from the
-    frontier of the cross-tier orientations, as no rule fires on an admitted
-    ``c`` (:func:`_shares_parents`).  The imposed graph is never built, and the
-    result is built unchecked: the invariant checks find any directed cycle."""
-    _require_shared_parents(c)
-    require_consistency(c, ordering)
-    s, oriented = _cross_tier_state(c, ordering._tiers(c.nodes))
-    trace = _close(s, rules, c.nodes, oriented)
-    g = c._oriented(s[0], s[1], check=False)
-    _require_invariants(g, s)
-    _require_no_new_v_structures(c, s)
-    return g, trace
+def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequence[int]):
+    """The tiered pass: per ordering, the graph closed under ``rules`` from the
+    frontier of the cross-tier orientations (no rule fires on an admitted ``c``:
+    :func:`_shares_parents`) and its :func:`meek_closure_trace` firings, built
+    unchecked, as the invariant checks find a directed cycle.  ``c`` is admitted
+    once; with two or more orderings its undirected part is searched, not each result's."""
+    search = len(orderings) < 2
+    (_require_shared_parents if search else _require_chordal_part)(c)
+    out = []
+    for ordering in orderings:
+        require_consistency(c, ordering)
+        s, oriented = _cross_tier_state(c, ordering._tiers(c.nodes))
+        trace = _close(s, rules, c.nodes, oriented)
+        g = c._oriented(s[0], s[1], check=False)
+        _require_invariants(g, s, search)
+        _require_no_new_v_structures(c, s)
+        out.append((g, trace))
+    return out
 
 
 def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
@@ -387,11 +405,9 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
 
     Orients the cross-tier edges and closes under Meek's rule 1 only;
     for tiered knowledge this reaches the same fixpoint as rules 1-4.
-    Every call then checks, in linear time and in every mode (``python
-    -O`` included), that no Meek rule fires on the result, that it has
-    no partially directed cycle, and that its chain components are
-    chordal, and raises :class:`InvariantError` with a witness if not.
-    CLI ``orient`` runs the same pass with its ``--rules``.
+    Every call then checks in linear time, ``python -O`` included, that the
+    result is closed, a chain graph and chordal in its components, and
+    raises :class:`InvariantError` with a witness if not.
 
     Raises
     ------
@@ -403,7 +419,7 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
         v-structure that ``c`` lacks (the message names one), so that no
         DAG of the class respects ``ordering``.
     """
-    return _orient_tiered(c, ordering, (1,))[0]
+    return _orient_tiered(c, (ordering,), (1,))[0][0]
 
 
 def _leaves(g: PDAG) -> Iterator[PDAG]:

@@ -1,8 +1,8 @@
 """Simulation harness: how much do tiered orderings orient on random graphs?
 
 For each replication a random DAG is drawn, its CPDAG is built from the
-independence model (no finite-sample noise), and for each tier scheme
-the maximally oriented graph is constructed.  The recorded gain is the
+independence model (no finite-sample noise), and one tiered pass builds
+each tier scheme's maximally oriented graph.  The recorded gain is the
 number of newly directed edges divided by the total edge count.
 
 Randomness policy: every replication owns a Philox stream derived from
@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import GraphError, PDAG
 from .independence import cpdag_of
-from .orientation import tiered_mpdag
+from .orientation import _orient_tiered
 from .tiers import TieredOrdering
 
 #: expected number of adjacent nodes per density class
@@ -281,15 +281,14 @@ def run_cell(
         raise GraphError("replications must be >= 1")
     records = []
     degree = DENSITY_NEIGHBOURS[cell.density]
-    orderings = [(scheme, scheme_ordering(scheme, cell.nodes)) for scheme in schemes]
+    orderings = [scheme_ordering(scheme, cell.nodes) for scheme in schemes]
     for rep in range(replications):
         rng = _replication_rng(seed, cell, rep)
         dag = random_dag(cell.nodes, degree, cell.generator, rng)
         cpdag = cpdag_of(dag)
         n_edges = dag.num_edges
         n_dir_c = sum(map(len, cpdag._pa))
-        for scheme, ordering in orderings:
-            mpdag = tiered_mpdag(cpdag, ordering)
+        for scheme, (mpdag, _) in zip(schemes, _orient_tiered(cpdag, orderings, (1,))):
             n_dir_g = sum(map(len, mpdag._pa))
             gain = (n_dir_g - n_dir_c) / n_edges if n_edges else 0.0
             records.append(

@@ -9,12 +9,11 @@ paths and (ii) the fully shielded cross-tier edges of the undirected
 part of the CPDAG, both read from each ordering's tier vector: an edge
 is cross-tier iff its ends' tiers differ, and points from the earlier.
 Both are read per edge, from edge floors, which need the undirected part
-chordal, as a CPDAG's is; an input with an undirected edge whose ends
-have different parents is refused first, as :func:`class_size` refuses
-it.  One pass over two orderings builds each tiered MPDAG once and checks
-the paper's theorem: the criterion holds iff the two MPDAGs are equal.  A
-witness is the least edge, by label text, that is a first cross-tier edge
-of an earliest path under one ordering only, in the least chain component
+chordal, as a CPDAG's is: one tiered pass over both orderings admits only
+such inputs and builds both MPDAGs, and the comparison checks the paper's
+theorem: the criterion holds iff the two MPDAGs are equal.  A witness is
+the least edge, by label text, that is a first cross-tier edge of an
+earliest path under one ordering only, in the least chain component
 holding one.  Paths are listed only by :func:`cross_tier_report`, whose
 ``max_nodes`` is the opt-in and which walks only prefixes that can still
 become earliest.  Compatibility and refinement are read from tier groups,
@@ -31,7 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import InvariantError, _cross_tier_state, _graph, _has_members, tiered_mpdag
+from .orientation import (InvariantError, _cross_tier_state, _graph, _orient_tiered,
+                          _require_chordal_part)
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -218,15 +218,6 @@ def _shielded(adj: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
             if i < j and nb - {j} == adj[j] - {i}]
 
 
-def _require_chordal_part(c: PDAG) -> None:
-    """Refuse ``c`` as :func:`_has_members` does unless the ends of each
-    undirected edge have the same parents, then unless its undirected part
-    is chordal, as edge floors need."""
-    if not _has_members(c):
-        k = c._non_simplicial()
-        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
-
-
 def _floors(ne: Sequence[frozenset[int]], tier: Sequence[int]) -> list[dict[int, int]]:
     """Each edge's floor, the least tier on an unshielded path through it, as
     ``floor[a][b]`` for each edge a - b of the chordal graph with neighbour
@@ -308,7 +299,7 @@ def cross_tier_report(
     and an ordering that no DAG of the class respects raises as in
     :func:`tiered_mpdag`."""
     _require_chordal_part(c)
-    tiered_mpdag(c, ordering)
+    _orient_tiered(c, (ordering,), (1,))
     names, ne, tier = c.nodes, c._ne, ordering._tiers(c.nodes)
     groups = _component_labels(ne)[1].values()
     if size := next((len(group) for group in groups if len(group) > max_nodes), 0):
@@ -430,14 +421,12 @@ def tiers_more_informative(
 def _compare(
     c: PDAG, t1: TieredOrdering, t2: TieredOrdering
 ) -> tuple[TierEquivalence, InformativenessResult]:
-    """Equivalence and informativeness of ``t1`` and ``t2`` on ``c`` in one
-    pass: the input is admitted by :func:`_require_chordal_part`, each tiered
-    MPDAG is built once, and the rest is read by index from ``c``'s neighbour
-    sets, tier vectors and edge floors; the MPDAGs share ``c``'s node tuple, so
+    """Equivalence and informativeness of ``t1`` and ``t2`` on ``c``: one tiered pass
+    over both admits ``c`` and builds both MPDAGs, which share its node tuple; the rest
+    is read by index from ``c``'s neighbour sets, tier vectors and edge floors, and
     equality and containment compare index sets.  Raises :class:`InvariantError`,
     naming a witness, if the criterion and equality of the MPDAGs disagree."""
-    _require_chordal_part(c)
-    g1, g2 = tiered_mpdag(c, t1), tiered_mpdag(c, t2)
+    (g1, _), (g2, _) = _orient_tiered(c, (t1, t2), (1,))
     names, ne = c.nodes, c._ne
     v1, v2 = t1._tiers(names), t2._tiers(names)  # (u, v) is cross-tier under t iff t[u] < t[v]
     shielded = _shielded(ne)  # each oriented from its earlier tier, None within one
@@ -460,14 +449,10 @@ def _compare(
             f"equivalence criterion: the orderings are {criterion} but their tiered "
             f"MPDAGs are {graphs}, witness {u} -> {v}"
         )
-    if same:
-        verdict = Informativeness.EQUIVALENT
-    elif contained_in(g1, g2):
-        verdict = Informativeness.MORE_INFORMATIVE
-    elif contained_in(g2, g1):
-        verdict = Informativeness.LESS_INFORMATIVE
-    else:
-        verdict = Informativeness.INCOMPARABLE
+    verdict = (Informativeness.EQUIVALENT if same
+               else Informativeness.MORE_INFORMATIVE if contained_in(g1, g2)
+               else Informativeness.LESS_INFORMATIVE if contained_in(g2, g1)
+               else Informativeness.INCOMPARABLE)
     return (
         TierEquivalence(equivalent, witness, u1 == u2, not shielded_diff),
         InformativenessResult(

@@ -69,6 +69,21 @@ def cycle_close(s, rules, names, oriented=None):
     return []
 
 
+_close = orientation._close  # the closure itself, for stand-ins that patch over it
+
+
+def inner_arc_close(s, rules, names, oriented=None):
+    """The closure, then one more arc inside a chain component: the least
+    undirected edge i - j (i < j) on a triangle of undirected edges, as i -> j."""
+    trace = _close(s, rules, names, oriented)
+    ne = s[1]
+    edge = min(((i, j) for i, nb in enumerate(ne) for j in nb if i < j and ne[i] & ne[j]),
+               default=None)
+    if edge is not None:
+        orientation._orient(s, *edge)
+    return trace
+
+
 def random_dag_instance(rng, p, degree):
     """ER DAG over labels V0..V{p-1}, arcs pointing label-ascending."""
     q = min(1.0, degree / (p - 1))

@@ -10,7 +10,9 @@ library's sets, which the tests check against the matrix sweep here,
 ``round_closure`` and ``require_invariants_scan``, the closure and the
 invariant checks that the frontier closure and the certificate replaced,
 ``orient_tiered_full_scan``, the tiered pass before its closure started
-from the frontier of the cross-tier orientations,
+from the frontier of the cross-tier orientations, ``orient_tiered_each``
+with ``require_chordal_part``, one pass per ordering and the comparison's
+own admission, before one pass took all of an input's orderings,
 ``partially_directed_cycle_near_components`` and
 ``rule1_closed_without_partial_cycle``, the contraction that rewrote only
 the lists in and next to chain components and the certificate's pass
@@ -1514,9 +1516,37 @@ def orient_tiered_full_scan(c, ordering, rules):
     s = orientation._cross_tier_state(c, ordering._tiers(c.nodes))[0]
     trace = orientation._close(s, rules, c.nodes)
     g = c._oriented(s[0], s[1], check=False)
-    orientation._require_invariants(g, s)
+    orientation._require_invariants(g, s, True)
     orientation._require_no_new_v_structures(c, s)
     return g, trace
+
+
+def require_chordal_part(c) -> None:
+    """The comparison's admission before the tiered pass took it over: the
+    shared-parents gate, then the chordality search of the undirected part."""
+    if not orientation._has_members(c):
+        k = c._non_simplicial()
+        raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
+
+
+def orient_tiered_each(c, orderings, rules) -> list:
+    """The tiered passes before one call took all of an input's orderings:
+    with two or more, :func:`require_chordal_part` first, as the comparison
+    did; then a whole pass per ordering, each with its own gate and its own
+    result's chordality search.  The graphs and traces, one per ordering."""
+    if len(orderings) > 1:
+        require_chordal_part(c)
+    out = []
+    for ordering in orderings:
+        orientation._require_shared_parents(c)
+        require_consistency(c, ordering)
+        s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes))
+        trace = orientation._close(s, rules, c.nodes, oriented)
+        g = c._oriented(s[0], s[1], check=False)
+        orientation._require_invariants(g, s, True)
+        orientation._require_no_new_v_structures(c, s)
+        out.append((g, trace))
+    return out
 
 
 def require_invariants_scan(g, s) -> None:

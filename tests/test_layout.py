@@ -1,5 +1,6 @@
 """Source layout: a subcommand's output is written in one place, no
 module imports a name it does not use, every private function is referenced,
+each admission line is written once, in ``orientation``,
 no check is an ``assert``, every text file is opened with an encoding,
 and only the simulation loads numpy.
 
@@ -176,6 +177,19 @@ def test_every_private_function_is_referenced():
 )
 def test_checker_finds_unreferenced_private_functions(texts, expected):
     assert unreferenced_private_functions(texts) == expected
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["not a CPDAG or tiered MPDAG: ", "not a CPDAG: the undirected part is not chordal at "],
+    ids=["shared-parents", "chordal-part"],
+)
+def test_admission_lines_live_in_orientation(line):
+    """Each line that refuses an input is written once, in ``orientation``,
+    whose tiered pass and counts admit every input."""
+    assert [path.stem for path in MODULES for _ in range(path.read_text().count(line))] == [
+        "orientation"
+    ]
 
 
 def asserts(text: str) -> list[int]:

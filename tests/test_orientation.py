@@ -52,6 +52,8 @@ from oracles import (
     cpdag_by_meek_closure,
     forbidden_set,
     full_closure_equals,
+    has_chordless_cycle,
+    has_partially_directed_cycle_bfs,
     is_acyclic,
     orient_tiered_full_scan,
     pdag_from_amat,
@@ -105,6 +107,11 @@ def rounds_outcome(s, rules, names, oriented=None):
     assert orientation._close(frontier, rules, names, oriented) == trace
     assert frontier[:2] == rounds[:2]
     return "closed"
+
+
+def certificate(g, s):
+    """The tiered pass's invariant checks, chordality search included."""
+    orientation._require_invariants(g, s, True)
 
 
 def invariants_outcome(check, g):
@@ -455,7 +462,7 @@ class TestFrontierClosure:
                 root = roots[int(rng.integers(len(roots)))]
                 tau = TieredOrdering({v: int(v != root) for v in c.nodes})
             for rules in ((1,), MEEK_RULES):
-                got = outcome(lambda: orientation._orient_tiered(c, tau, rules))
+                got = outcome(lambda: orientation._orient_tiered(c, (tau,), rules)[0])
                 assert got == outcome(lambda: orient_tiered_full_scan(c, tau, rules))
                 outcomes[got[0].__name__ if isinstance(got[0], type) else bool(got[-1])] += 1
         assert outcomes[True] > 100 and outcomes[False] > 300, outcomes
@@ -767,7 +774,7 @@ class TestInvariantChecks:
                 monkeypatch.setattr(orientation, "_close", no_op_close)
                 tiered_mpdag(wave_cpdag, wave_tau)
             else:
-                orientation._require_invariants(closed, orientation._state(closed))
+                orientation._require_invariants(closed, orientation._state(closed), True)
 
     def test_rule_check_matches_full_closure_oracle(self):
         """No rule fires on a rule-1 result iff a second, full closure of
@@ -801,12 +808,12 @@ class TestInvariantChecks:
                 expected = full_closure_equals(imposed, closed)
             except GraphError:  # the closure conflicts, so it is not ``closed``
                 expected = False
-            assert invariants_outcome(orientation._require_invariants, closed) == (
+            assert invariants_outcome(certificate, closed) == (
                 invariants_outcome(require_invariants_scan, closed)
             )
             rule = None
             try:
-                orientation._require_invariants(closed, orientation._state(closed))
+                orientation._require_invariants(closed, orientation._state(closed), True)
             except InconsistentKnowledgeError:
                 rule = "both ways"
             except InvariantError as exc:
@@ -844,7 +851,7 @@ class TestInvariantChecks:
                 except InconsistentKnowledgeError:
                     continue
                 g = build_from_sets(names, s[0], s[1], check=False)
-            got = invariants_outcome(orientation._require_invariants, g)
+            got = invariants_outcome(certificate, g)
             assert got == invariants_outcome(require_invariants_scan, g)
             if got is None or got[0] is InvariantError:
                 outcomes[got and got[1].split(":")[0]] += 1
@@ -1344,3 +1351,54 @@ class TestPatchedBuild:
         got = cpdag_of(collider)
         assert got.directed_edges == (("V2", "V3"), ("V3", "V4"), ("V5", "V3"))
         assert {frozenset(e) for e in fires} == {frozenset((1, 2)), frozenset((3, 4))}
+
+
+class TestPartialOrderScope:
+    """The tiered results need a total order of tiers.  Knowledge that orders
+    only some pairs of tiers, its comparable cross-tier edges required, can
+    need rules 2-4, and can leave a partially directed cycle or a chain
+    component that is not chordal: three 4-node cases, each closed under
+    rule 1 and rules 1-4 against the matrix sweep and read by the invariant
+    oracles.  With the order of their tiers made total, each is a tiered
+    MPDAG that ``tiered_mpdag`` builds."""
+
+    @pytest.mark.parametrize(
+        "undirected, tiers, ordered, expected",
+        [
+            (
+                ["V0 V1", "V0 V2", "V1 V2", "V1 V3", "V2 V3"], [0, 0, 2, 3], {(0, 2)},
+                {(1,): (True, False, "rule-1 sufficiency: rule 2 orients V1 -> V3"),
+                 MEEK_RULES: (False, False, None)},
+            ),
+            (
+                ["V0 V2", "V2 V3", "V0 V3"], [0, 1, 2, 3], {(0, 3)},
+                dict.fromkeys([(1,), MEEK_RULES], (True, False, "partially directed cycle: "
+                                                   "directed edge V0 -> V3 inside a chain component")),
+            ),
+            (
+                ["V0 V1", "V0 V2", "V0 V3", "V1 V2", "V1 V3"], [0, 1, 2, 3], {(0, 1), (2, 3)},
+                dict.fromkeys([(1,), MEEK_RULES], (True, True, "partially directed cycle: "
+                                                   "directed edge V0 -> V1 inside a chain component")),
+            ),
+        ],
+        ids=["rule-1-is-not-enough", "partially-directed-cycle", "chain-component-not-chordal"],
+    )
+    def test_partial_order_of_tiers(self, undirected, tiers, ordered, expected):
+        names = [f"V{k}" for k in range(4)]
+        c = PDAG(names, undirected=[tuple(e.split()) for e in undirected])
+        tier = dict(zip(names, tiers))
+        required = [(u, v) if tier[u] < tier[v] else (v, u) for u, v in c.undirected_edges
+                    if tuple(sorted((tier[u], tier[v]))) in ordered]
+        imposed = impose_knowledge(c, BackgroundKnowledge(required=required))
+        for rules, (cycle, not_chordal, message) in expected.items():
+            g = meek_closure(imposed, rules)
+            assert (amat_of(g) == sweep_closure(amat_of(imposed), rules)[0]).all()
+            assert has_partially_directed_cycle_bfs(amat_of(g)) == cycle
+            assert has_chordless_cycle({v: set(g.neighbors_of(v)) for v in names}) == not_chordal
+            got = invariants_outcome(require_invariants_scan, g)
+            assert got == invariants_outcome(certificate, g)
+            assert (got and got[1]) == message
+        total = tiered_mpdag(c, TieredOrdering(tier))
+        every = [(u, v) if tier[u] < tier[v] else (v, u) for u, v in c.undirected_edges
+                 if tier[u] != tier[v]]
+        assert total == mpdag_of(c, BackgroundKnowledge(required=every))
