@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -292,6 +293,10 @@ def main(argv=None, out=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a command builds only acyclic containers, so collections would find
+    # nothing (parsing, whose error paths make cycles, runs before the pause)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         out.write(_COMMANDS[args.command](args))
     except FileNotFoundError as exc:
@@ -309,6 +314,9 @@ def main(argv=None, out=None) -> int:
     except GraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        if enabled:
+            gc.enable()
     return 0
 
 

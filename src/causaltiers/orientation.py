@@ -364,14 +364,20 @@ def _require_invariants(g: PDAG, s, search: bool) -> None:
     search, needless if ``g`` directs edges of an input with a chordal
     undirected part U: an edge of U in a chain component K that ``g`` directs
     closes a partially directed cycle, so K is induced in U.  Only a failure
-    scans all four rules, then the contracted components."""
+    scans the four rules, for the first firing in rule and edge order, which
+    names both directions if the edge fires both ways, then the contracted
+    components."""
     if (_shares_parents(s[0], s[1]) and not g.has_directed_cycle()
             and (not search or g._non_simplicial() is None)):
         return
     names = g.nodes
-    fired = [(r, names[t], names[h]) for r in MEEK_RULES for t, h in _firings(s, r, names)]
-    if fired:
-        raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
+    edges = sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j)
+    for r, (i, j) in itr.product(MEEK_RULES, edges):
+        forward, backward = _fires(r, s, i, j), _fires(r, s, j, i)
+        if forward or backward:
+            t, h = (names[i], names[j]) if forward else (names[j], names[i])
+            both = f" and {h} -> {t}" if forward and backward else ""
+            raise InvariantError(f"rule-1 sufficiency: rule {r} orients {t} -> {h}{both}")
     witness = g._partially_directed_cycle()
     if witness is not None:
         raise InvariantError(f"partially directed cycle: {witness}")

@@ -370,24 +370,14 @@ def emit_results(
         write_csv(records, fh)
     summary = summarize(records)
     if boxplot_path is not None:
-        payload = {
-            "gain_frac_boxplots": [
-                {
-                    "nodes": s.nodes,
-                    "density": s.density,
-                    "generator": s.generator,
-                    "scheme": s.scheme,
-                    "count": s.count,
-                    "whisker_low": s.minimum,
-                    "q1": s.q1,
-                    "median": s.median,
-                    "q3": s.q3,
-                    "whisker_high": s.maximum,
-                }
-                for s in summary
-            ]
-        }
+        rows = [{"nodes": s.nodes, "density": s.density, "generator": s.generator,
+                 "scheme": s.scheme, "count": s.count, "whisker_low": s.minimum, "q1": s.q1,
+                 "median": s.median, "q3": s.q3, "whisker_high": s.maximum} for s in summary]
+        # what json.dump(..., indent=2, sort_keys=True) writes, from the C encoder's
+        # values: the indenting encoder is pure Python and leaves reference cycles
+        items = ",\n".join("    {\n" + ",\n".join(
+            f"      {json.dumps(k)}: {json.dumps(row[k])}" for k in sorted(row)) + "\n    }"
+            for row in rows)
         with open(boxplot_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(f'{{\n  "gain_frac_boxplots": [\n{items}\n  ]\n}}\n')
     return summary

@@ -55,10 +55,11 @@ class TieredOrdering:
 
     def __init__(self, assignment: Mapping[Node, int]):
         items = dict(assignment)
-        for v, t in items.items():
-            if isinstance(t, bool) or not hasattr(t, "__index__"):
-                raise GraphError(f"tier of {v!r} must be an integer, got {t!r}")
-            items[v] = operator.index(t)
+        if set(map(type, items.values())) - {int}:  # parsed tiers are plain ints
+            for v, t in items.items():
+                if isinstance(t, bool) or not hasattr(t, "__index__"):
+                    raise GraphError(f"tier of {v!r} must be an integer, got {t!r}")
+                items[v] = operator.index(t)
         if not items:
             raise GraphError("an ordering needs at least one node")
         self._assignment = items

@@ -1550,16 +1550,18 @@ def orient_tiered_each(c, orderings, rules) -> list:
 
 
 def require_invariants_scan(g, s) -> None:
-    """The invariant checks of the tiered pass by a scan of all four rules
-    in canonical order, then the partially-directed-cycle witness, then the
-    chordality search; raises what ``orientation._require_invariants``
-    raises."""
-    names = g.nodes
-    fired = [
-        (r, names[t], names[h]) for r in MEEK_RULES for t, h in orientation._firings(s, r, names)
-    ]
-    if fired:
-        raise InvariantError("rule-1 sufficiency: rule %s orients %s -> %s" % fired[0])
+    """The invariant checks of the tiered pass by a matrix sweep of each
+    rule in turn (its first firing in canonical order, both directions if
+    the edge fires both ways), then the partially-directed-cycle witness,
+    then the chordality search; raises what
+    ``orientation._require_invariants`` raises."""
+    names, amat = g.nodes, amat_of(g)
+    for r in MEEK_RULES:
+        fired = sweep_firings(amat, r)
+        if fired:
+            t, h = fired[0]
+            both = f" and {names[h]} -> {names[t]}" if (h, t) in fired else ""
+            raise InvariantError(f"rule-1 sufficiency: rule {r} orients {names[t]} -> {names[h]}{both}")
     witness = g._partially_directed_cycle()
     if witness is not None:
         raise InvariantError(f"partially directed cycle: {witness}")

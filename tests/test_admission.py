@@ -153,8 +153,9 @@ class TestOnePassPerInput:
     def test_directed_cycle_is_caught_alike(self, monkeypatch):
         """A closure that orients a triangle of one tier into a directed
         cycle, on chordal graphs, under one, two and five orderings: the
-        same refusal, mostly an InvariantError (the rule scan that names a
-        witness may instead find a rule firing both ways)."""
+        same refusal, always an InvariantError: the rule scan that names a
+        witness reports an edge that fires both ways as a witness too, not
+        as knowledge that is inconsistent."""
         rng = np.random.default_rng(245)
         monkeypatch.setattr(orientation, "_close", cycle_close)
         seen = Counter()
@@ -173,7 +174,7 @@ class TestOnePassPerInput:
                 got = both(g, orderings[:k], MEEK_RULES)
                 assert not isinstance(got, list), got
                 seen[got[0].__name__] += 1
-        assert seen["InvariantError"] > 120, seen
+        assert seen["InvariantError"] == 180, seen
 
     def test_non_chordal_inputs_fail_every_pass(self):
         """The converse (``orientation._require_chordal_part``): inputs that

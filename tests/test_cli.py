@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import gc
 import inspect
 import io
 import json
@@ -787,3 +789,98 @@ class TestExitCodes:
         code, out = run_cli("ida", fixture("wave_cpdag.txt"), "--x", "A", "--joint", "B")
         assert (code, out) == (2, "")
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic collector switched on or off, and back as it was after."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+#: per subcommand, a run that answers, one that exits 1 (a graph with a
+#: directed cycle, or an unknown node) and one that exits 2 (a missing file);
+#: ``@name`` is a fixture, ``{tmp}`` a fresh directory holding ``cyclic.txt``
+PAUSED_RUNS = [
+    (0, ["validate", "@wave_dag.txt"]),
+    (1, ["validate", "{tmp}/cyclic.txt"]),
+    (2, ["validate", "{tmp}/missing.txt"]),
+    (0, ["orient", "@wave_cpdag.txt", "--tiers", "@wave_tiers2.txt", "--rules", "all", "--trace"]),
+    (1, ["orient", "{tmp}/cyclic.txt", "--tiers", "@wave_tiers3.txt"]),
+    (2, ["orient", "@wave_cpdag.txt", "--tiers", "{tmp}/missing.txt"]),
+    (0, ["compare-tiers", "@wave_cpdag.txt", "@wave_tiers2.txt", "@wave_tiers3.txt"]),
+    (1, ["compare-tiers", "{tmp}/cyclic.txt", "@wave_tiers2.txt", "@wave_tiers3.txt"]),
+    (2, ["compare-tiers", "@wave_cpdag.txt", "{tmp}/missing.txt", "@wave_tiers3.txt"]),
+    (0, ["dsep", "@wave_dag.txt", "--a", "A", "--b", "G", "--c", "C"]),
+    (1, ["dsep", "@wave_dag.txt", "--a", "ZZ", "--b", "G"]),
+    (2, ["dsep", "{tmp}/missing.txt", "--a", "A", "--b", "G"]),
+    (0, ["classify-path", "@wave_cpdag.txt", "--path", "A,C,F,G"]),
+    (1, ["classify-path", "@wave_cpdag.txt", "--path", "A,ZZ"]),
+    (2, ["classify-path", "{tmp}/missing.txt", "--path", "A,C"]),
+    (0, ["ida", "@wave_cpdag.txt", "--joint", "A,C,F", "--json"]),
+    (1, ["ida", "@wave_cpdag.txt", "--x", "ZZ"]),
+    (2, ["ida", "{tmp}/missing.txt", "--x", "C"]),
+    (0, ["simulate", "--nodes", "12", "--density", "sparse", "--generator", "power",
+         "--reps", "2", "--out", "{tmp}/r.csv", "--boxplot", "{tmp}/b.json"]),
+    (1, ["simulate", "--nodes", "5", "--density", "dense", "--generator", "er",
+         "--reps", "1", "--out", "{tmp}/r.csv"]),
+    (2, ["simulate", "--nodes", "8", "--density", "sparse", "--generator", "er",
+         "--reps", "1", "--out", "{tmp}/missing/r.csv"]),
+]
+
+
+def paused_argv(argv, tmp_path):
+    (tmp_path / "cyclic.txt").write_text("nodes: A B C\nA -> B\nB -> C\nC -> A\n")
+    return [fixture(a[1:]) if a.startswith("@") else a.format(tmp=tmp_path) for a in argv]
+
+
+class TestCollectorPause:
+    """``main`` runs the command with the cyclic collector paused and puts
+    it back as it was; the pause is safe because commands leave no cyclic
+    garbage behind."""
+
+    @pytest.mark.parametrize(
+        "code, argv", PAUSED_RUNS, ids=[f"{argv[0]}-{code}" for code, argv in PAUSED_RUNS]
+    )
+    def test_commands_leave_no_cyclic_garbage(self, code, argv, tmp_path, capsys):
+        argv = paused_argv(argv, tmp_path)
+        with collector(True):
+            assert run_cli(*argv)[0] == code  # warm-up: first-use imports and caches
+            gc.collect()
+            assert run_cli(*argv)[0] == code
+            assert gc.collect() == 0
+
+    def test_collector_is_off_while_a_command_runs(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "validate", lambda args: seen.append(gc.isenabled()) or "")
+        with collector(True):
+            assert run_cli("validate", fixture("wave_dag.txt")) == (0, "")
+            assert gc.isenabled()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "code, argv",
+        [PAUSED_RUNS[3], PAUSED_RUNS[4], PAUSED_RUNS[5], (2, ["validate", "--frobnicate"])],
+        ids=["answer", "domain-error", "missing-file", "bad-flag"],
+    )
+    def test_previous_state_comes_back(self, enabled, code, argv, tmp_path, capsys):
+        argv = paused_argv(argv, tmp_path)
+        with collector(enabled):
+            assert run_cli(*argv)[0] == code
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_previous_state_comes_back_after_an_unexpected_error(self, enabled, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken command")
+
+        monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="^broken command$"):
+                run_cli("validate", fixture("wave_dag.txt"))
+            assert gc.isenabled() is enabled

@@ -2,7 +2,8 @@
 module imports a name it does not use, every private function is referenced,
 each admission line is written once, in ``orientation``,
 no check is an ``assert``, every text file is opened with an encoding,
-and only the simulation loads numpy.
+only ``cli.main`` touches the cyclic collector, and only the simulation
+loads numpy.
 
 Every ``cli._cmd_*`` handler returns its text and ``cli.main`` writes it,
 so nothing else in the package may touch stdout, the ``out`` stream of
@@ -215,6 +216,44 @@ def test_no_asserts(path):
 )
 def test_checker_finds_asserts(text, expected):
     assert asserts(text) == expected
+
+
+def collector_uses(text: str) -> set[str]:
+    """Where ``text`` touches the ``gc`` module: "import" for an import of
+    it, and the name of each top-level function or class that names it."""
+    found = set()
+    for top in ast.parse(text).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                found.add("import")
+            elif isinstance(node, ast.Name) and node.id == "gc":
+                found.add(getattr(top, "name", "module level"))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_main_touches_the_collector(path):
+    """The entry point that owns the process pauses the cyclic collector;
+    library code leaves it alone."""
+    expected = {"import", "main"} if path.stem == "cli" else set()
+    assert collector_uses(path.read_text(encoding="utf-8")) == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("import gc\n\ndef main():\n    gc.disable()\n", {"import", "main"}),
+        ("from gc import collect\n", {"import"}),
+        ("import os, gc\n\nclass A:\n    def f(self):\n        return gc.isenabled()\n",
+         {"import", "A"}),
+        ("gc = None\n", {"module level"}),
+        ("text = 'gc.disable()'\n", set()),
+    ],
+    ids=["function", "from-import", "method", "module-level", "string"],
+)
+def test_checker_finds_collector_uses(text, expected):
+    assert collector_uses(text) == expected
 
 
 def opens_without_encoding(text: str) -> list[int]:

@@ -814,13 +814,11 @@ class TestInvariantChecks:
             rule = None
             try:
                 orientation._require_invariants(closed, orientation._state(closed), True)
-            except InconsistentKnowledgeError:
-                rule = "both ways"
             except InvariantError as exc:
                 # knowledge that is not tiered may leave partially directed
                 # cycles, which the later checks report
-                fired = re.match(r"rule-1 sufficiency: rule (\d) ", str(exc))
-                rule = fired and int(fired.group(1))
+                fired = re.match(r"rule-1 sufficiency: rule (\d) orients \S+ -> \S+( and)?", str(exc))
+                rule = fired and ("both ways" if fired.group(2) else int(fired.group(1)))
             assert (rule is None) == expected
             outcomes[rule] += 1
         assert min(outcomes[r] for r in (None, 1, 2, 4, "both ways")) > 10, outcomes
@@ -853,10 +851,9 @@ class TestInvariantChecks:
                 g = build_from_sets(names, s[0], s[1], check=False)
             got = invariants_outcome(certificate, g)
             assert got == invariants_outcome(require_invariants_scan, g)
-            if got is None or got[0] is InvariantError:
-                outcomes[got and got[1].split(":")[0]] += 1
-            else:
-                outcomes[got[0].__name__] += 1
+            assert got is None or got[0] is InvariantError, got
+            both_ways = got and re.match(r"rule-1 sufficiency: .* and ", got[1])
+            outcomes["both ways" if both_ways else got and got[1].split(":")[0]] += 1
         assert min(outcomes.values()) > 10 and len(outcomes) == 5, outcomes
 
     def test_faulty_closure_leaving_a_directed_cycle(self, monkeypatch):

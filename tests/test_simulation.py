@@ -1,4 +1,6 @@
 import io
+import itertools as itr
+import json
 import time
 from collections import defaultdict
 from dataclasses import astuple
@@ -351,6 +353,27 @@ class TestOutput:
         )
         assert '"gain_frac_boxplots"' in box_path.read_text()
         assert len(summary) == 1
+
+    def test_boxplot_json_is_what_json_dump_indents(self, tmp_path):
+        """The boxplot file is spelled out on the C encoder's values, byte for
+        byte what ``json.dump(payload, indent=2, sort_keys=True)`` writes."""
+        draw = np.random.default_rng(53)
+        records = [
+            SimRecord(nodes, density, generator, scheme, rep, 11, 0, 0, float(draw.random()))
+            for nodes, density, generator, scheme in itr.product(
+                (25, 100), ("sparse", "dense"), ("er", "power"), ("full", "late1"))
+            for rep in range(int(draw.integers(1, 6)))
+        ]
+        box_path = tmp_path / "box.json"
+        summary = emit_results(records, tmp_path / "out.csv", boxplot_path=box_path)
+        payload = {"gain_frac_boxplots": [
+            {"nodes": s.nodes, "density": s.density, "generator": s.generator, "scheme": s.scheme,
+             "count": s.count, "whisker_low": s.minimum, "q1": s.q1, "median": s.median,
+             "q3": s.q3, "whisker_high": s.maximum}
+            for s in summary
+        ]}
+        assert box_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert len(summary) == 16
 
     def test_emit_results_rejects_empty(self, tmp_path):
         with pytest.raises(GraphError):

@@ -118,12 +118,14 @@ class TestTieredOrdering:
         assert tau.assignment == {"A": 1, "B": -2, "C": 7, "D": 3}
         assert all(type(t) is int for t in tau.assignment.values())
         assert tau == TieredOrdering({"A": 1, "B": -2, "C": 7, "D": 3})
-        groups = TieredOrdering(dict(zip("AB", np.arange(2)))).tier_groups()
-        assert groups == [(0, ("A",)), (1, ("B",))]
-        for bad in (np.bool_(True), np.float64(1.0), 1.0, "1", None):
+        only_numpy = TieredOrdering(dict(zip("AB", np.arange(2))))
+        assert all(type(t) is int for t in only_numpy.assignment.values())
+        assert only_numpy.tier_groups() == [(0, ("A",)), (1, ("B",))]
+        for bad in (True, np.bool_(True), np.float64(1.0), 1.0, "1", None):
             message = f"^tier of 'B' must be an integer, got {re.escape(repr(bad))}$"
-            with pytest.raises(GraphError, match=message):
-                TieredOrdering({"A": 1, "B": bad})
+            for values in ({"A": 1, "B": bad}, {"A": np.int64(1), "B": bad, "C": 2}):
+                with pytest.raises(GraphError, match=message):
+                    TieredOrdering(values)
 
     def test_normalization_is_contiguous(self):
         tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
