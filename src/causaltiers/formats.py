@@ -4,7 +4,9 @@ Graph files: a ``nodes:`` header followed by one edge per line, either
 ``A -> B`` or ``A -- B``; ``#`` starts a comment.  Tier files: lines of
 the form ``tier 1: A B``.  Both formats round-trip byte-exactly through
 the writers here; they refuse a label that is empty, contains whitespace
-or ``#`` or repeats another label's text, which would not read back.
+or ``#`` or repeats another label's text, which would not read back.  The
+labels of a parsed graph passed these checks when read: the graph and
+its orientations carry their header text, which the writer reuses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def parse_graph(text: str) -> PDAG:
         (directed if mark == " -> " else undirected).append((i, j))
     if nodes is None:
         raise GraphError("missing 'nodes:' header")
-    return PDAG._from_pairs(nodes, index, directed, undirected)
+    return PDAG._from_pairs(nodes, index, directed, undirected, " ".join(nodes))
 
 
 def _labels(nodes) -> str:
@@ -62,7 +64,7 @@ def _labels(nodes) -> str:
 
 def format_graph(g: PDAG) -> str:
     names = g.nodes
-    lines = ["nodes: " + _labels(names)]
+    lines = ["nodes: " + (g._header or _labels(names))]
     rows = [(i, j, f"{names[i]} -> {names[j]}") for i, ch in enumerate(g._ch) for j in ch]
     rows += [
         (i, j, f"{names[i]} -- {names[j]}") for i, ne in enumerate(g._ne) for j in ne if i < j

@@ -71,7 +71,7 @@ class PDAG:
     ('C',)
     """
 
-    __slots__ = ("_names", "_index", "_pa", "_ch", "_ne", "_hash")
+    __slots__ = ("_names", "_index", "_pa", "_ch", "_ne", "_hash", "_header")
 
     def __init__(
         self,
@@ -97,33 +97,38 @@ class PDAG:
         self._store(names, index, *_frozen_sets(names, directed, undirected))
 
     @classmethod
-    def _from_pairs(cls, names: Sequence[Node], index: dict, directed, undirected) -> "PDAG":
+    def _from_pairs(cls, names: Sequence[Node], index: dict, directed, undirected,
+                    header: str | None = None) -> "PDAG":
         """Build from the index pairs of the directed and undirected edges."""
-        return cls.__new__(cls)._store(names, index, *_frozen_sets(names, directed, undirected))
+        sets = _frozen_sets(names, directed, undirected)
+        return cls.__new__(cls)._store(names, index, *sets, True, header)
 
-    def _oriented(self, pa, ne, check: bool = True) -> "PDAG":
+    def _oriented(self, pa, ne, check: bool = True, nodes: Iterable[int] | None = None) -> "PDAG":
         """This graph with the parent and neighbour sets ``pa`` and ``ne``, an
-        orientation of some of its undirected edges, sharing the labels and the
-        sets that stay: all but those of nodes that lost a neighbour or gained a child."""
+        orientation of some of its undirected edges at ``nodes`` (all by default),
+        sharing the labels, their header text and the sets that stay: all but
+        those of nodes that lost a neighbour or gained a child."""
         new_pa, ch, new_ne = list(self._pa), list(self._ch), list(self._ne)
         heads: dict[int, set[int]] = {}
-        for v, old in enumerate(self._ne):
-            if old and len(ne[v]) != len(old):
+        for v in range(len(new_ne)) if nodes is None else nodes:
+            if len(ne[v]) != len(new_ne[v]):
                 new_pa[v], new_ne[v] = frozenset(pa[v]), frozenset(ne[v])
                 for t in new_pa[v] - self._pa[v]:
                     heads.setdefault(t, set()).add(v)
         for t, new in heads.items():
             ch[t] = ch[t] | new
-        g = PDAG.__new__(PDAG)
-        return g._store(self._names, self._index, tuple(new_pa), tuple(ch), tuple(new_ne), check)
+        return PDAG.__new__(PDAG)._store(self._names, self._index, tuple(new_pa), tuple(ch),
+                                         tuple(new_ne), check, self._header)
 
-    def _store(self, names, index, pa, ch, ne, check: bool = True) -> "PDAG":
-        """This graph with the labels and the frozen sets, unless they close a cycle."""
+    def _store(self, names, index, pa, ch, ne, check: bool = True, header=None) -> "PDAG":
+        """This graph with the labels, the frozen sets and, if a parser checked the
+        labels, their ``header`` text, unless the sets close a cycle."""
         cycle = _directed_cycle(pa, ch) if check else None
         if cycle is not None:
             raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
         self._names, self._index, self._pa, self._ch, self._ne = tuple(names), index, pa, ch, ne
         self._hash: int | None = None
+        self._header: str | None = header
         return self
 
     # === basic accessors
@@ -184,6 +189,10 @@ class PDAG:
 
     def _labels(self, idxs: Iterable[int]) -> tuple[Node, ...]:
         return tuple(self._names[i] for i in sorted(idxs))
+
+    def _with_neighbours(self) -> list[int]:
+        """The ascending indices of the nodes with an undirected edge."""
+        return [v for v, nb in enumerate(self._ne) if nb]
 
     def _adjacency(self) -> list[frozenset[int]]:
         """Each node's adjacent indices, whatever the edge type."""
@@ -331,8 +340,7 @@ class PDAG:
 
         Only nodes with an undirected edge are searched: a search over all
         numbers them in the same relative order, all the check reads."""
-        adj = self._ne
-        nodes = [v for v, nb in enumerate(adj) if nb]
+        adj, nodes = self._ne, self._with_neighbours()
         number = [0] * len(adj)
         for k, z in enumerate(_max_cardinality_search(adj, nodes)):
             number[z] = len(nodes) - k

@@ -123,14 +123,13 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
 # === Meek's rules on per-node parent and neighbour sets
 
 
-def _state(g: PDAG) -> tuple[list, list, list]:
-    """``g``'s parent and neighbour sets, copied only at the nodes with an
-    undirected edge, which alone orienting writes to (the rest are ``g``'s
-    frozensets), and their adjacency sets, which orienting keeps."""
+def _state(g: PDAG, u: Sequence[int] | None = None) -> tuple[list, list, list]:
+    """``g``'s parent and neighbour sets, copied only at the nodes ``u`` with an
+    undirected edge (found if not given), which alone orienting writes to (the
+    rest are ``g``'s frozensets), and their adjacency sets, which orienting keeps."""
     pa, ne, adj = list(g._pa), list(g._ne), [None] * g.num_nodes
-    for v, nb in enumerate(g._ne):
-        if nb:
-            pa[v], ne[v], adj[v] = set(pa[v]), set(nb), pa[v] | g._ch[v] | nb
+    for v in g._with_neighbours() if u is None else u:
+        pa[v], ne[v], adj[v] = set(pa[v]), set(ne[v]), pa[v] | g._ch[v] | ne[v]
     return pa, ne, adj
 
 
@@ -256,13 +255,14 @@ def check_consistency(c: PDAG, ordering: "TieredOrdering") -> list[Edge]:
     exactly the nodes of ``c``.
     """
     names, tiers = c.nodes, ordering._assignment
-    missing = [v for v in names if v not in tiers]
-    if missing:
-        raise GraphError(f"ordering does not cover nodes {missing!r}")
+    try:
+        tier = ordering._tiers(names)
+    except KeyError:
+        missing = [v for v in names if v not in tiers]
+        raise GraphError(f"ordering does not cover nodes {missing!r}") from None
     if len(tiers) > len(names):  # none missing, so some are extra
         extra = [v for v in tiers if not c.has_node(v)]
         raise GraphError(f"ordering names nodes not in the graph: {extra!r}")
-    tier = ordering._tiers(names)
     late = sorted((i, j) for j, pa in enumerate(c._pa) for i in pa if tier[i] > tier[j])
     return [(names[i], names[j]) for i, j in late]
 
@@ -276,15 +276,16 @@ def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
         raise InconsistentKnowledgeError(f"ordering contradicts directed edges: {listing}")
 
 
-def _require_no_new_v_structures(c: PDAG, s) -> None:
-    """Raise :class:`InconsistentKnowledgeError` if ``s``, an orientation
-    of ``c``'s sets, gives a node a new parent that is not adjacent to one
-    of its other parents: no DAG of ``c``'s class has that v-structure."""
-    names, (pa, _, adj) = c.nodes, s
-    for w, nb in enumerate(c._ne):
-        if not nb or len(pa[w]) == len(c._pa[w]):
+def _require_no_new_v_structures(c: PDAG, s, u: Iterable[int]) -> None:
+    """Raise :class:`InconsistentKnowledgeError` if ``s``, an orientation of
+    ``c``'s sets at its nodes ``u`` with an undirected edge, gives a node a new
+    parent that is not adjacent to one of its other parents: no DAG of ``c``'s
+    class has that v-structure."""
+    names, (pa, _, adj), old = c.nodes, s, c._pa
+    for w in u:
+        if len(pa[w]) == len(old[w]):
             continue
-        for x in sorted(pa[w] - c._pa[w]):
+        for x in sorted(pa[w] - old[w]):
             unlinked = pa[w] - adj[x] - {x}
             if unlinked:
                 raise InconsistentKnowledgeError(
@@ -301,18 +302,21 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     return _graph(c, _cross_tier_state(c, ordering._tiers(c.nodes))[0])
 
 
-def _cross_tier_state(c: PDAG, tier: Sequence[int]):
-    """``c``'s sets as :func:`_state` gives them, each undirected edge across tiers of the
-    tier vector ``tier`` oriented from the earlier, unchecked, and the (tail, head) pairs."""
-    s = _state(c)
-    oriented = [(i, j) for i, ne in enumerate(c._ne) for j in ne if tier[i] < tier[j]]
+def _cross_tier_state(c: PDAG, tier: Sequence[int], u: Sequence[int] | None = None):
+    """``c``'s sets as :func:`_state` gives them at the nodes ``u`` with an undirected edge,
+    each undirected edge across tiers of the tier vector ``tier`` oriented from the earlier,
+    unchecked, and the (tail, head) pairs."""
+    u, ne = c._with_neighbours() if u is None else u, c._ne
+    s = _state(c, u)
+    oriented = [(i, j) for i in u for j in ne[i] if tier[i] < tier[j]]
     for i, j in oriented:
         _orient(s, i, j)
     return s, oriented
 
 
-def _shares_parents(pa, ne) -> bool:
+def _shares_parents(pa, ne, u: Iterable[int] | None = None) -> bool:
     """Do the ends of each undirected edge b - c of the sets ``pa`` and ``ne``
+    (of the nodes ``u``, if given, which hold every node with a neighbour)
     have the same parents?  On an acyclic PDAG, iff no Meek rule fires and
     no cycle is partially directed.  (<=) Take p in pa(b).  p is outside
     b's chain component, as a directed edge inside one closes a partially
@@ -323,7 +327,7 @@ def _shares_parents(pa, ne) -> bool:
     c - b; y -> c - b - y).  In such a cycle, replace each undirected run
     u - ... - v entered by x -> u with x -> v, which exists as pa(u) = pa(v):
     a closed directed walk is left, which an acyclic graph cannot have."""
-    return all(pa[i] == pa[j] for i, nb in enumerate(ne) for j in nb)
+    return all(pa[i] == pa[j] for i in (range(len(ne)) if u is None else u) for j in ne[i])
 
 
 def _require_shared_parents(g: PDAG) -> None:
@@ -354,20 +358,20 @@ def _require_chordal_part(c: PDAG) -> None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
 
 
-def _require_invariants(g: PDAG, s, search: bool) -> None:
+def _require_invariants(g: PDAG, s, search: bool, u: Iterable[int] | None = None) -> None:
     """Raise :class:`InvariantError` with a witness if a Meek rule fires on
     ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
     directed cycle (a directed one too: ``g`` may be built unchecked) or a
     chain component that is not chordal; linear time.  A pass is
-    :func:`_shares_parents`, Kahn's check and, if ``search``, the chordality
-    search, needless if ``g`` directs edges of an input with a chordal
+    :func:`_shares_parents` at the nodes ``u``, Kahn's check and, if ``search``,
+    the chordality search, needless if ``g`` directs edges of an input with a chordal
     undirected part U: an edge of U in a chain component K that ``g`` directs
     closes a partially directed cycle, so K is induced in U.  Only a failure
     scans the four rules, for the first firing in rule and edge order, which
     names both directions if the edge fires both ways, then the contracted
     components."""
-    if (_shares_parents(s[0], s[1]) and not g.has_directed_cycle()
+    if (_shares_parents(s[0], s[1], u) and not g.has_directed_cycle()
             and (not search or g._non_simplicial() is None)):
         return
     names = g.nodes
@@ -386,22 +390,26 @@ def _require_invariants(g: PDAG, s, search: bool) -> None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
 
 
-def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequence[int]):
+def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequence[int],
+                   searched: bool = False):
     """The tiered pass: per ordering, the graph closed under ``rules`` from the
     frontier of the cross-tier orientations (no rule fires on an admitted ``c``:
     :func:`_shares_parents`) and its :func:`meek_closure_trace` firings, built
     unchecked, as the invariant checks find a directed cycle.  ``c`` is admitted
-    once; with two or more orderings its undirected part is searched, not each result's."""
-    search = len(orderings) < 2
-    (_require_shared_parents if search else _require_chordal_part)(c)
-    out = []
+    once, here unless :func:`_require_chordal_part` has ``searched`` it already; with
+    its undirected part searched (then, or for two or more orderings) no result is.
+    Each ordering's stages walk only the nodes with an undirected edge, listed once."""
+    search = len(orderings) < 2 and not searched
+    if not searched:
+        (_require_shared_parents if search else _require_chordal_part)(c)
+    names, u, out = c.nodes, c._with_neighbours(), []
     for ordering in orderings:
         require_consistency(c, ordering)
-        s, oriented = _cross_tier_state(c, ordering._tiers(c.nodes))
-        trace = _close(s, rules, c.nodes, oriented)
-        g = c._oriented(s[0], s[1], check=False)
-        _require_invariants(g, s, search)
-        _require_no_new_v_structures(c, s)
+        s, oriented = _cross_tier_state(c, ordering._tiers(names), u)
+        trace = _close(s, rules, names, oriented)
+        g = c._oriented(s[0], s[1], False, u)
+        _require_invariants(g, s, search, u)
+        _require_no_new_v_structures(c, s, u)
         out.append((g, trace))
     return out
 
@@ -437,7 +445,8 @@ def _leaves(g: PDAG) -> Iterator[PDAG]:
     new parent that is not adjacent to another of its parents: a leaf keeps
     ``g``'s adjacencies and only gains parents, so that is exactly when it
     has the v-structures of ``g``."""
-    stack = [(_state(g), None)]
+    u = g._with_neighbours()
+    stack = [(_state(g, u), None)]
     while stack:
         s, oriented = stack.pop()
         try:
@@ -456,7 +465,7 @@ def _leaves(g: PDAG) -> Iterator[PDAG]:
             stack += ((back, [(j, i)]), (s, [(i, j)]))
             continue
         try:
-            _require_no_new_v_structures(g, s)
+            _require_no_new_v_structures(g, s, u)
             leaf = _graph(g, s)
         except GraphError:  # a new v-structure or a directed cycle
             continue

@@ -300,7 +300,7 @@ def cross_tier_report(
     and an ordering that no DAG of the class respects raises as in
     :func:`tiered_mpdag`."""
     _require_chordal_part(c)
-    _orient_tiered(c, (ordering,), (1,))
+    _orient_tiered(c, (ordering,), (1,), searched=True)
     names, ne, tier = c.nodes, c._ne, ordering._tiers(c.nodes)
     groups = _component_labels(ne)[1].values()
     if size := next((len(group) for group in groups if len(group) > max_nodes), 0):

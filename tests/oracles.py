@@ -43,7 +43,13 @@ at once, ``power_skeleton_by_choice``, the preferential attachment that called
 cdf per pick that the Fenwick descent replaced, ``build_two_pass``, the graph build from
 index pairs that the one-pass build replaced, and ``build_from_sets``, the
 build from per-node index sets that derived graphs, ``cpdag_of`` and
-``random_dag`` used before they handed their edge pairs to the same pass.
+``random_dag`` used before they handed their edge pairs to the same pass,
+and ``state_full_walk``, ``cross_tier_state_full_walk``,
+``oriented_full_walk``, ``require_no_new_v_structures_full_walk``,
+``shares_parents_full_walk`` and ``check_consistency_full_walk``, the stages
+of the tiered pass as they walked every node before they walked only the
+nodes with an undirected edge, and the coverage check before it read the
+tier vector first.
 """
 
 from __future__ import annotations
@@ -1409,7 +1415,7 @@ def query_leaves(g, branch):
                 stack.append(copy)
             continue
         try:
-            orientation._require_no_new_v_structures(g, s)
+            require_no_new_v_structures_full_walk(g, s)
             leaf = orientation._graph(g, s)
         except GraphError:  # a new v-structure or a directed cycle
             continue
@@ -1517,7 +1523,7 @@ def orient_tiered_full_scan(c, ordering, rules):
     trace = orientation._close(s, rules, c.nodes)
     g = c._oriented(s[0], s[1], check=False)
     orientation._require_invariants(g, s, True)
-    orientation._require_no_new_v_structures(c, s)
+    require_no_new_v_structures_full_walk(c, s)
     return g, trace
 
 
@@ -1544,7 +1550,7 @@ def orient_tiered_each(c, orderings, rules) -> list:
         trace = orientation._close(s, rules, c.nodes, oriented)
         g = c._oriented(s[0], s[1], check=False)
         orientation._require_invariants(g, s, True)
-        orientation._require_no_new_v_structures(c, s)
+        require_no_new_v_structures_full_walk(c, s)
         out.append((g, trace))
     return out
 
@@ -1666,3 +1672,79 @@ def build_two_pass(names, directed, undirected) -> tuple:
     if cycle is not None:
         raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
     return tuple(names), pa, ch, ne
+
+
+# === the stages of the tiered pass, each walking every node
+
+
+def state_full_walk(g):
+    """``orientation._state`` walking every node: ``g``'s parent and neighbour
+    sets, copied at the nodes with an undirected edge, and their adjacency sets."""
+    pa, ne, adj = list(g._pa), list(g._ne), [None] * g.num_nodes
+    for v, nb in enumerate(g._ne):
+        if nb:
+            pa[v], ne[v], adj[v] = set(pa[v]), set(nb), pa[v] | g._ch[v] | nb
+    return pa, ne, adj
+
+
+def cross_tier_state_full_walk(c, tier):
+    """``orientation._cross_tier_state`` walking every node: the state with
+    each cross-tier undirected edge oriented from the earlier tier, and the
+    (tail, head) pairs."""
+    s = state_full_walk(c)
+    oriented = [(i, j) for i, ne in enumerate(c._ne) for j in ne if tier[i] < tier[j]]
+    for i, j in oriented:
+        orientation._orient(s, i, j)
+    return s, oriented
+
+
+def oriented_full_walk(g, pa, ne, check: bool = True):
+    """``PDAG._oriented`` walking every node, without the labels' header text:
+    ``g`` with the sets ``pa`` and ``ne``, new frozensets only where a node
+    lost a neighbour or gained a child."""
+    new_pa, ch, new_ne = list(g._pa), list(g._ch), list(g._ne)
+    heads = {}
+    for v, old in enumerate(g._ne):
+        if old and len(ne[v]) != len(old):
+            new_pa[v], new_ne[v] = frozenset(pa[v]), frozenset(ne[v])
+            for t in new_pa[v] - g._pa[v]:
+                heads.setdefault(t, set()).add(v)
+    for t, new in heads.items():
+        ch[t] = ch[t] | new
+    return PDAG.__new__(PDAG)._store(g._names, g._index, tuple(new_pa), tuple(ch),
+                                     tuple(new_ne), check)
+
+
+def require_no_new_v_structures_full_walk(c, s) -> None:
+    """``orientation._require_no_new_v_structures`` walking every node."""
+    names, (pa, _, adj) = c.nodes, s
+    for w, nb in enumerate(c._ne):
+        if not nb or len(pa[w]) == len(c._pa[w]):
+            continue
+        for x in sorted(pa[w] - c._pa[w]):
+            unlinked = pa[w] - adj[x] - {x}
+            if unlinked:
+                raise InconsistentKnowledgeError(
+                    f"ordering creates the v-structure {names[x]} -> {names[w]} <- "
+                    f"{names[min(unlinked)]}, which no DAG of the class has"
+                )
+
+
+def shares_parents_full_walk(pa, ne) -> bool:
+    """``orientation._shares_parents`` walking every node."""
+    return all(pa[i] == pa[j] for i, nb in enumerate(ne) for j in nb)
+
+
+def check_consistency_full_walk(c, ordering) -> list:
+    """``orientation.check_consistency`` listing the uncovered nodes before it
+    reads the tier vector."""
+    names, tiers = c.nodes, ordering._assignment
+    missing = [v for v in names if v not in tiers]
+    if missing:
+        raise GraphError(f"ordering does not cover nodes {missing!r}")
+    if len(tiers) > len(names):
+        extra = [v for v in tiers if not c.has_node(v)]
+        raise GraphError(f"ordering names nodes not in the graph: {extra!r}")
+    tier = [tiers[v] for v in names]
+    late = sorted((i, j) for j, pa in enumerate(c._pa) for i in pa if tier[i] > tier[j])
+    return [(names[i], names[j]) for i, j in late]

@@ -18,6 +18,7 @@ from causaltiers import PDAG, GraphError, SimCell, TieredOrdering, cli, orientat
 from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import MEEK_RULES, InvariantError
 from causaltiers.simulation import TIER_SCHEMES, run_cell
+from causaltiers.tiers import cross_tier_report
 
 from conftest import (
     cycle_close,
@@ -28,7 +29,7 @@ from conftest import (
     random_cpdag_and_tau,
     reordered,
 )
-from oracles import orient_tiered_each
+from oracles import orient_tiered_each, require_chordal_part
 
 
 def shared_parents_input(rng, chordal: bool):
@@ -203,7 +204,8 @@ def counted(monkeypatch):
     searched, tested = [], []
     search, test = PDAG._non_simplicial, orientation._shares_parents
     monkeypatch.setattr(PDAG, "_non_simplicial", lambda g: searched.append(g) or search(g))
-    monkeypatch.setattr(orientation, "_shares_parents", lambda pa, ne: tested.append(1) or test(pa, ne))
+    monkeypatch.setattr(orientation, "_shares_parents",
+                        lambda pa, ne, u=None: tested.append(1) or test(pa, ne, u))
     return searched, tested
 
 
@@ -259,3 +261,50 @@ class TestCallCounts:
             assert cli.main(["orient", str(graph), "--tiers", str(tiers)], out=out) == 0
             assert len(searched) == 2 and format_graph(searched[1]) == out.getvalue()
             monkeypatch.undo()
+
+    def test_cross_tier_report_searches_the_input_once(self, monkeypatch):
+        """``cross_tier_report`` admits its input once, on bands under three
+        tiers and on random CPDAGs: one chordality search, of the input, and
+        two shared-parents tests, the gate and the result's certificate."""
+        rng = np.random.default_rng(253)
+        for trial in range(30):
+            if trial % 2:
+                c, tau, _ = random_cpdag_and_tau(rng, int(rng.integers(3, 16)), 3.0)
+            else:
+                names = [f"V{k}" for k in range(8)]
+                width = int(rng.integers(1, 4))
+                c = PDAG(names, undirected=[(names[i], names[j]) for i in range(8)
+                                            for j in range(i + 1, min(8, i + width + 1))])
+                tau = TieredOrdering({v: 1 + 3 * k // 8 for k, v in enumerate(names)})
+            searched, tested = counted(monkeypatch)
+            cross_tier_report(c, tau)
+            assert len(searched) == 1 and searched[0] is c and len(tested) == 2
+            monkeypatch.undo()
+
+    def test_cross_tier_report_refuses_as_before(self):
+        """The report refuses what the comparison's admission and then a
+        whole one-ordering pass refused, with the same type and message, on
+        the inputs above and, one in five, with an arc into one end of an
+        undirected edge."""
+        rng = np.random.default_rng(255)
+        seen = Counter()
+        for trial in range(600):
+            c, orderings = draw_case(rng, trial)
+            if c.num_nodes > 16:
+                continue
+            if trial % 5 == 0 and c._with_neighbours():  # an arc into one end of an edge
+                head = c.nodes[c._with_neighbours()[0]]
+                c = PDAG([*c.nodes, "Z"], directed=[*c.directed_edges, ("Z", head)],
+                         undirected=c.undirected_edges)
+                orderings = [TieredOrdering({**tau.assignment, "Z": 0}) for tau in orderings]
+            for tau in orderings[:2]:
+                want = outcome(lambda: require_chordal_part(c) or orient_tiered_each(c, (tau,), (1,)))
+                got = outcome(lambda: [(cross_tier_report(c, tau).graph, [])])
+                if isinstance(want, list):
+                    assert isinstance(got, list), got
+                else:
+                    assert got == want
+                seen[kind_of(want)] += 1
+        assert seen["answered"] > 100 and seen["not a CPDAG:"] > 50, seen
+        for kind in ("not a CPDAG or tiered MPDAG", "ordering creates", "ordering contradicts"):
+            assert seen[kind] > 5, seen

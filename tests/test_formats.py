@@ -8,14 +8,19 @@ from causaltiers import (
     GraphError,
     PDAG,
     TieredOrdering,
+    cpdag_of,
     format_graph,
     format_tiers,
+    impose_tiers,
     load_graph,
     load_tiers,
+    meek_closure,
     parse_graph,
     parse_tiers,
+    tiered_mpdag,
 )
 from causaltiers.cli import main
+from causaltiers.formats import _labels
 
 from conftest import FIXTURES
 from oracles import build_two_pass
@@ -311,6 +316,85 @@ class TestLabels:
             assert (back.nodes, back._pa, back._ch, back._ne) == (g.nodes, g._pa, g._ch, g._ne)
             tau = TieredOrdering({v: int(rng.integers(1, 4)) for v in names})
             assert parse_tiers(format_tiers(tau)) == tau
+
+
+def random_labels(rng, p: int) -> list[str]:
+    """``p`` distinct labels of 1-4 non-whitespace characters but ``#``, some
+    non-ASCII, a fifth of them tokens of the format."""
+    alphabet = list("abcXYZ019-><:.,;'\"{}()[]*αβé→Ä中")
+    labels: dict[str, None] = {}
+    while len(labels) < p:
+        if rng.random() < 0.2:
+            labels[str(rng.choice(["->", "--", "nodes:", ":"]))] = None
+        else:
+            labels["".join(rng.choice(alphabet, size=int(rng.integers(1, 5))))] = None
+    return list(labels)
+
+
+def random_dag_text(rng) -> tuple[str, list[str]]:
+    """A DAG on random labels, its arcs along their order, as a file whose
+    header spaces its labels with runs of spaces and tabs and ends in a comment;
+    and the labels."""
+    names = random_labels(rng, int(rng.integers(1, 16)))
+    q = rng.uniform(0.1, 0.6)
+    arcs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:] if rng.random() < q]
+    text = format_graph(PDAG(names, directed=arcs))
+    gaps = ["".join(rng.choice([" ", "\t"], size=int(rng.integers(1, 4)))) for _ in names]
+    header = "nodes:" + "".join(gap + v for gap, v in zip(gaps, names)) + "  # labels\n"
+    return header + text.split("\n", 1)[1], names
+
+
+class TestParsedLabels:
+    """A parsed graph's labels are checked once, on reading: the graph and
+    its orientations carry their header text, which the writer reuses; any
+    other graph's labels are checked on writing."""
+
+    def test_orientations_write_what_the_check_writes(self):
+        """Parsed CPDAGs and their orientations under consistent tiers write the
+        same bytes as the same graphs built in Python, whose labels the
+        writer checks."""
+        rng = np.random.default_rng(381)
+        for _ in range(200):
+            text, names = random_dag_text(rng)
+            c = parse_graph(format_graph(cpdag_of(parse_graph(text))))
+            assert c._header == _labels(names)
+            tier, level = {}, 1
+            for v in names:
+                level += int(rng.random() < 0.4)
+                tier[v] = level
+            tau = TieredOrdering(tier)
+            for g in (c, tiered_mpdag(c, tau), impose_tiers(c, tau), meek_closure(c)):
+                assert g._header is c._header
+                built = PDAG(g.nodes, directed=g.directed_edges, undirected=g.undirected_edges)
+                assert built._header is None
+                assert format_graph(g) == format_graph(built)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1, "1"], "two labels read back as '1'"),
+        (["a b", "z"], "label 'a b' is empty or contains whitespace or '#'"),
+        (["#x", "z"], "label '#x' is empty or contains whitespace or '#'"),
+    ], ids=["int-str", "space", "hash"])
+    def test_built_graphs_are_checked_after_orientation(self, labels, message):
+        g = PDAG(labels, undirected=[tuple(labels)])
+        tau = TieredOrdering({labels[0]: 1, labels[1]: 2})
+        for h in (g, tiered_mpdag(g, tau), impose_tiers(g, tau), meek_closure(g)):
+            with pytest.raises(GraphError) as info:
+                format_graph(h)
+            assert str(info.value) == message
+
+    def test_derived_graphs_write_the_same_bytes(self):
+        """``skeleton``, ``induced_subgraph`` and ``cpdag_of`` of a parsed graph
+        write the same bytes whether or not they carry their header text."""
+        rng = np.random.default_rng(383)
+        for _ in range(200):
+            text, names = random_dag_text(rng)
+            d = parse_graph(text)
+            assert d._header == _labels(names)
+            keep = [names[k] for k in rng.permutation(len(names))[: int(rng.integers(0, len(names) + 1))]]
+            for g in (d.skeleton(), d.induced_subgraph(keep), cpdag_of(d), cpdag_of(d).skeleton()):
+                carried = PDAG.__new__(PDAG)._store(g._names, g._index, g._pa, g._ch, g._ne,
+                                                    False, " ".join(g.nodes))
+                assert format_graph(g) == format_graph(carried)
 
 
 class TestByteOrderMark:
