@@ -486,6 +486,18 @@ def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:
     return frozenset(out)
 
 
+def _topological_order(pa: Sequence[Collection[int]], ch: Sequence[Collection[int]]) -> list[int]:
+    """Kahn's queue: every node, parents first, iff the arcs close no cycle."""
+    indeg = [len(x) for x in pa]
+    queue = [v for v, n in enumerate(indeg) if not n]
+    for v in queue:
+        for w in ch[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                queue.append(w)
+    return queue
+
+
 def _directed_cycle(
     pa: Sequence[Collection[int]], ch: Sequence[Collection[int]]
 ) -> list[int] | None:
@@ -494,20 +506,15 @@ def _directed_cycle(
     The nodes Kahn's algorithm leaves do not depend on queue order; the cycle
     is walked back from the lowest, each step to the lowest remaining parent.
     """
-    indeg = [len(x) for x in pa]
-    queue = [v for v, n in enumerate(indeg) if not n]
-    for v in queue:
-        for w in ch[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                queue.append(w)
-    if len(queue) == len(indeg):
+    queue = _topological_order(pa, ch)
+    if len(queue) == len(pa):
         return None
-    v = next(v for v, n in enumerate(indeg) if n)
+    left = set(range(len(pa))).difference(queue)
+    v = min(left)
     seen = {v: 0}
     walk = [v]
     while True:
-        v = min(u for u in pa[v] if indeg[u])
+        v = min(u for u in pa[v] if u in left)
         if v in seen:
             return [v] + walk[seen[v] :][::-1]
         seen[v] = len(walk)

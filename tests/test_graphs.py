@@ -581,6 +581,25 @@ class TestLinearChecksAgainstOracles:
             cyclic += expected is not None
         assert 500 < cyclic < 2500, cyclic
 
+    def test_topological_order_lists_every_node_iff_acyclic(self):
+        """Kahn's queue holds each node at most once with every arc between
+        listed nodes forward, and it holds every node iff the graph has no
+        directed cycle, on random mixed graphs with and without one."""
+        rng = np.random.default_rng(29)
+        seen = Counter()
+        for trial in range(2000):
+            p = int(rng.integers(1, 20))
+            amat = random_mixed_amat(rng, p, acyclic=trial % 2 == 0)
+            g = pdag_from_amat_unchecked([f"V{k}" for k in range(p)], amat)
+            order = graphs._topological_order(g._pa, g._ch)
+            pos = {v: k for k, v in enumerate(order)}
+            assert len(pos) == len(order)
+            assert all(pos[i] < pos[j] for j in pos for i in g._pa[j])
+            acyclic = directed_cycle_per_node(amat) is None
+            assert (len(order) == p) == acyclic == (not g.has_directed_cycle())
+            seen[acyclic] += 1
+        assert min(seen.values()) > 250, seen
+
 
 class TestSetCoreAgainstMatrix:
     """The per-node index sets answer every query as the p x p matrix
