@@ -71,7 +71,7 @@ class PDAG:
     ('C',)
     """
 
-    __slots__ = ("_names", "_index", "_pa", "_ch", "_ne", "_hash", "_header")
+    __slots__ = ("_names", "_index", "_pa", "_ch", "_ne", "_hash", "_u", "_header")
 
     def __init__(
         self,
@@ -103,14 +103,14 @@ class PDAG:
         sets = _frozen_sets(names, directed, undirected)
         return cls.__new__(cls)._store(names, index, *sets, True, header)
 
-    def _oriented(self, pa, ne, check: bool = True, nodes: Iterable[int] | None = None) -> "PDAG":
+    def _oriented(self, pa, ne, check: bool = True) -> "PDAG":
         """This graph with the parent and neighbour sets ``pa`` and ``ne``, an
-        orientation of some of its undirected edges at ``nodes`` (all by default),
-        sharing the labels, their header text and the sets that stay: all but
-        those of nodes that lost a neighbour or gained a child."""
+        orientation of some of its undirected edges, sharing the labels, their
+        header text and the sets that stay: all but those of nodes that lost a
+        neighbour or gained a child."""
         new_pa, ch, new_ne = list(self._pa), list(self._ch), list(self._ne)
         heads: dict[int, set[int]] = {}
-        for v in range(len(new_ne)) if nodes is None else nodes:
+        for v in self._with_neighbours():
             if len(ne[v]) != len(new_ne[v]):
                 new_pa[v], new_ne[v] = frozenset(pa[v]), frozenset(ne[v])
                 for t in new_pa[v] - self._pa[v]:
@@ -128,6 +128,7 @@ class PDAG:
             raise CycleError("directed cycle: " + " -> ".join(str(names[i]) for i in cycle))
         self._names, self._index, self._pa, self._ch, self._ne = tuple(names), index, pa, ch, ne
         self._hash: int | None = None
+        self._u: tuple[int, ...] | None = None
         self._header: str | None = header
         return self
 
@@ -190,9 +191,11 @@ class PDAG:
     def _labels(self, idxs: Iterable[int]) -> tuple[Node, ...]:
         return tuple(self._names[i] for i in sorted(idxs))
 
-    def _with_neighbours(self) -> list[int]:
-        """The ascending indices of the nodes with an undirected edge."""
-        return [v for v, nb in enumerate(self._ne) if nb]
+    def _with_neighbours(self) -> tuple[int, ...]:
+        """The ascending indices of the nodes with an undirected edge, listed once."""
+        if self._u is None:
+            self._u = tuple(v for v, nb in enumerate(self._ne) if nb)
+        return self._u
 
     def _adjacency(self) -> list[frozenset[int]]:
         """Each node's adjacent indices, whatever the edge type."""
@@ -426,12 +429,12 @@ def _frozen_sets(names: Sequence[Node], directed, undirected) -> list[tuple[froz
     return list(map(tuple, rows))
 
 
-def _max_cardinality_search(adj: Sequence[Collection[int]], nodes: list[int]) -> list[int]:
+def _max_cardinality_search(adj: Sequence[Collection[int]], nodes: Sequence[int]) -> list[int]:
     """The visiting order of a maximum cardinality search of ``adj`` over ``nodes``
     (ascending) by bucket queue (Tarjan and Yannakakis, 1984), lowest index first in a tie."""
     # buckets[w] is a heap of the nodes last seen with weight w; -1 marks a visit
     weight, order, top = [0] * len(adj), [], 0
-    buckets: list[list[int]] = [nodes[:]] + [[] for _ in nodes]
+    buckets: list[list[int]] = [list(nodes)] + [[] for _ in nodes]
     for _ in nodes:
         while True:
             while not buckets[top]:

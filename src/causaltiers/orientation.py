@@ -1,10 +1,14 @@
 """Edge orientation: background knowledge, Meek's rules, MPDAG construction.
 
 Knowledge orients undirected edges in a CPDAG's parent and neighbour sets,
-copied only at nodes with an undirected edge, then Meek's four rules run to
-the fixpoint, the maximally oriented PDAG; in each round each rule collects
-its firings in canonical edge order, then applies them, examining only the
-edges where the orientations since it last ran could let it fire.  One
+copied only at the nodes U with an undirected edge (listed once per graph),
+then Meek's four rules run to the fixpoint, the maximally oriented PDAG; in
+each round each rule collects its firings in canonical edge order, then
+applies them, examining only the edges where the orientations since it last
+ran could let it fire.  Every closure starts from such a frontier: that of
+the cross-tier orientations, a branch or a clique's edges out or, for
+:func:`meek_closure` and :func:`enumerate_class`, the input's arcs into U,
+as every rule needs a parent at one end of the edge it orients.  One
 tiered pass takes an input and all its orderings (:func:`tiered_mpdag`, CLI
 ``orient``, the comparison, the simulation): it admits the input once, then
 per ordering orients the cross-tier edges from one tier vector, closes them
@@ -117,25 +121,20 @@ def impose_knowledge(c: PDAG, k: BackgroundKnowledge) -> PDAG:
             _orient(s, i, j)
         elif (v, u) in k.required:
             _orient(s, j, i)
-    return _graph(c, s)
+    return c._oriented(s[0], s[1])
 
 
 # === Meek's rules on per-node parent and neighbour sets
 
 
-def _state(g: PDAG, u: Sequence[int] | None = None) -> tuple[list, list, list]:
-    """``g``'s parent and neighbour sets, copied only at the nodes ``u`` with an
-    undirected edge (found if not given), which alone orienting writes to (the
-    rest are ``g``'s frozensets), and their adjacency sets, which orienting keeps."""
+def _state(g: PDAG) -> tuple[list, list, list]:
+    """``g``'s parent and neighbour sets, copied only at the nodes with an
+    undirected edge, which alone orienting writes to (the rest are ``g``'s
+    frozensets), and their adjacency sets, which orienting keeps."""
     pa, ne, adj = list(g._pa), list(g._ne), [None] * g.num_nodes
-    for v in g._with_neighbours() if u is None else u:
+    for v in g._with_neighbours():
         pa[v], ne[v], adj[v] = set(pa[v]), set(ne[v]), pa[v] | g._ch[v] | ne[v]
     return pa, ne, adj
-
-
-def _graph(g: PDAG, s) -> PDAG:
-    """The graph on ``g``'s nodes with the parents and neighbours of ``s``."""
-    return g._oriented(s[0], s[1])
 
 
 def _orient(s, tail: int, head: int) -> None:
@@ -162,14 +161,12 @@ def _fires(rule: int, s, b: int, c: int) -> bool:
     return any(not (ne[b] & pa[y]) <= adj[c] for y in cand)
 
 
-def _firings(s, rule: int, names, edges=None) -> list[tuple[int, int]]:
+def _firings(s, rule: int, names, edges) -> list[tuple[int, int]]:
     """The orientations ``rule`` induces on the undirected edges ``edges`` of
-    ``s`` (pairs i < j in canonical order; all by default); raises
+    ``s`` (pairs i < j in canonical order); raises
     :class:`InconsistentKnowledgeError` if one edge fires both ways."""
     if rule not in MEEK_RULES:
         raise ValueError(f"rule must be one of {MEEK_RULES}, got {rule}")
-    if edges is None:
-        edges = sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j)
     fired: list[tuple[int, int]] = []
     for i, j in edges:
         forward, backward = _fires(rule, s, i, j), _fires(rule, s, j, i)
@@ -187,7 +184,8 @@ def _frontier(ne, rule: int, oriented) -> list[tuple[int, int]]:
     """The undirected edges (sorted pairs i < j) on which ``rule`` can newly
     fire after ``oriented``: parents only grow and neighbours only shrink, so
     b -> c needs a new parent of b (rule 1) or c (rules 2-4), a new child of
-    b (rule 2) or a new parent of some y in ne[b] (rule 4)."""
+    b (rule 2) or a new parent of some y in ne[b] (rule 4).  After the arcs
+    into the nodes with an undirected edge, it holds every edge that can fire."""
     ends = {head for _, head in oriented}
     if rule == 2:
         ends.update(tail for tail, _ in oriented)
@@ -196,20 +194,21 @@ def _frontier(ne, rule: int, oriented) -> list[tuple[int, int]]:
     return sorted({(i, j) if i < j else (j, i) for i in ends for j in ne[i]})
 
 
-def _close(s, rules: Sequence[int], names, oriented=None) -> list[tuple[int, Edge]]:
+def _close(s, rules: Sequence[int], names, oriented) -> list[tuple[int, Edge]]:
     """Close ``s`` in place, round by round, each rule collecting all its
     firings in canonical edge order before applying them; returns the
     ``(rule, edge)`` firings.  Each rule examines only the :func:`_frontier`
-    of the orientations since it last ran, so the trace is that of full
-    rescans; the first round examines every edge unless ``oriented`` lists
-    the orientations just made to a state on which no rule fired."""
-    log = list(oriented or ())
-    seen = [None if oriented is None else 0] * len(rules)  # log entries read per rule
+    of the orientations since it last ran, the first round that of
+    ``oriented``: the arcs into nodes with an undirected edge, or those just
+    made to a state on which no rule fired.  Every rule orienting b -> c
+    needs a parent of b or of c, so the trace is that of full rescans."""
+    log = list(oriented)
+    seen = [0] * len(rules)  # log entries read per rule
     trace: list[tuple[int, Edge]] = []
     while True:
         before = len(trace)
         for k, rule in enumerate(rules):
-            edges = None if seen[k] is None else _frontier(s[1], rule, log[seen[k] :])
+            edges = _frontier(s[1], rule, log[seen[k] :])
             seen[k] = len(log)
             for tail, head in _firings(s, rule, names, edges):
                 _orient(s, tail, head)
@@ -233,8 +232,8 @@ def meek_closure_trace(
     """Like :func:`meek_closure` but also returns (rule, edge) firings:
     round by round, each rule's firings in canonical edge order."""
     s = _state(g)
-    trace = _close(s, rules, g.nodes)
-    return _graph(g, s), trace
+    trace = _close(s, rules, g.nodes, [(t, v) for v in g._with_neighbours() for t in g._pa[v]])
+    return g._oriented(s[0], s[1]), trace
 
 
 def mpdag_of(c: PDAG, k: BackgroundKnowledge) -> PDAG:
@@ -276,13 +275,13 @@ def require_consistency(c: PDAG, ordering: "TieredOrdering") -> None:
         raise InconsistentKnowledgeError(f"ordering contradicts directed edges: {listing}")
 
 
-def _require_no_new_v_structures(c: PDAG, s, u: Iterable[int]) -> None:
+def _require_no_new_v_structures(c: PDAG, s) -> None:
     """Raise :class:`InconsistentKnowledgeError` if ``s``, an orientation of
-    ``c``'s sets at its nodes ``u`` with an undirected edge, gives a node a new
+    ``c``'s sets at its nodes with an undirected edge, gives a node a new
     parent that is not adjacent to one of its other parents: no DAG of ``c``'s
     class has that v-structure."""
     names, (pa, _, adj), old = c.nodes, s, c._pa
-    for w in u:
+    for w in c._with_neighbours():
         if len(pa[w]) == len(old[w]):
             continue
         for x in sorted(pa[w] - old[w]):
@@ -299,25 +298,24 @@ def impose_tiers(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     different tiers from the earlier tier, after
     :func:`require_consistency`."""
     require_consistency(c, ordering)
-    return _graph(c, _cross_tier_state(c, ordering._tiers(c.nodes))[0])
+    return c._oriented(*_cross_tier_state(c, ordering._tiers(c.nodes))[0][:2])
 
 
-def _cross_tier_state(c: PDAG, tier: Sequence[int], u: Sequence[int] | None = None):
-    """``c``'s sets as :func:`_state` gives them at the nodes ``u`` with an undirected edge,
-    each undirected edge across tiers of the tier vector ``tier`` oriented from the earlier,
-    unchecked, and the (tail, head) pairs."""
-    u, ne = c._with_neighbours() if u is None else u, c._ne
-    s = _state(c, u)
-    oriented = [(i, j) for i in u for j in ne[i] if tier[i] < tier[j]]
+def _cross_tier_state(c: PDAG, tier: Sequence[int]):
+    """``c``'s sets as :func:`_state` gives them, each undirected edge across tiers
+    of the tier vector ``tier`` oriented from the earlier, unchecked, and the
+    (tail, head) pairs."""
+    s, ne = _state(c), c._ne
+    oriented = [(i, j) for i in c._with_neighbours() for j in ne[i] if tier[i] < tier[j]]
     for i, j in oriented:
         _orient(s, i, j)
     return s, oriented
 
 
-def _shares_parents(pa, ne, u: Iterable[int] | None = None) -> bool:
+def _shares_parents(pa, ne, u: Iterable[int]) -> bool:
     """Do the ends of each undirected edge b - c of the sets ``pa`` and ``ne``
-    (of the nodes ``u``, if given, which hold every node with a neighbour)
-    have the same parents?  On an acyclic PDAG, iff no Meek rule fires and
+    (of the nodes ``u``, which hold every node with a neighbour) have the same
+    parents?  On an acyclic PDAG, iff no Meek rule fires and
     no cycle is partially directed.  (<=) Take p in pa(b).  p is outside
     b's chain component, as a directed edge inside one closes a partially
     directed cycle.  Rule 1 does not fire, so p is adjacent to c.  But p - c
@@ -327,13 +325,13 @@ def _shares_parents(pa, ne, u: Iterable[int] | None = None) -> bool:
     c - b; y -> c - b - y).  In such a cycle, replace each undirected run
     u - ... - v entered by x -> u with x -> v, which exists as pa(u) = pa(v):
     a closed directed walk is left, which an acyclic graph cannot have."""
-    return all(pa[i] == pa[j] for i in (range(len(ne)) if u is None else u) for j in ne[i])
+    return all(pa[i] == pa[j] for i in u for j in ne[i])
 
 
 def _require_shared_parents(g: PDAG) -> None:
     """Refuse ``g``, naming its least edge, unless :func:`_shares_parents` holds."""
-    if not _shares_parents(g._pa, g._ne):
-        i, j = min((i, j) for i, nb in enumerate(g._ne) for j in nb if g._pa[i] != g._pa[j])
+    if not _shares_parents(g._pa, g._ne, g._with_neighbours()):
+        i, j = min((i, j) for i in g._with_neighbours() for j in g._ne[i] if g._pa[i] != g._pa[j])
         raise GraphError(f"not a CPDAG or tiered MPDAG: the ends of {g.nodes[i]} - {g.nodes[j]} "
                          "have different parents")
 
@@ -358,7 +356,7 @@ def _require_chordal_part(c: PDAG) -> None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
 
 
-def _require_invariants(g: PDAG, s, search: bool, u: Iterable[int] | None = None) -> None:
+def _require_invariants(g: PDAG, s, search: bool, u: Sequence[int]) -> None:
     """Raise :class:`InvariantError` with a witness if a Meek rule fires on
     ``g`` (its sets are ``s``; the fixpoint does not depend on rule order,
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
@@ -375,7 +373,7 @@ def _require_invariants(g: PDAG, s, search: bool, u: Iterable[int] | None = None
             and (not search or g._non_simplicial() is None)):
         return
     names = g.nodes
-    edges = sorted((i, j) for i, nb in enumerate(s[1]) for j in nb if i < j)
+    edges = [(i, j) for i in u for j in sorted(s[1][i]) if i < j]
     for r, (i, j) in itr.product(MEEK_RULES, edges):
         forward, backward = _fires(r, s, i, j), _fires(r, s, j, i)
         if forward or backward:
@@ -405,11 +403,11 @@ def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequen
     names, u, out = c.nodes, c._with_neighbours(), []
     for ordering in orderings:
         require_consistency(c, ordering)
-        s, oriented = _cross_tier_state(c, ordering._tiers(names), u)
+        s, oriented = _cross_tier_state(c, ordering._tiers(names))
         trace = _close(s, rules, names, oriented)
-        g = c._oriented(s[0], s[1], False, u)
+        g = c._oriented(s[0], s[1], False)
         _require_invariants(g, s, search, u)
-        _require_no_new_v_structures(c, s, u)
+        _require_no_new_v_structures(c, s)
         out.append((g, trace))
     return out
 
@@ -446,7 +444,7 @@ def _leaves(g: PDAG) -> Iterator[PDAG]:
     ``g``'s adjacencies and only gains parents, so that is exactly when it
     has the v-structures of ``g``."""
     u = g._with_neighbours()
-    stack = [(_state(g, u), None)]
+    stack = [(_state(g), [(t, v) for v in u for t in g._pa[v]])]
     while stack:
         s, oriented = stack.pop()
         try:
@@ -454,7 +452,7 @@ def _leaves(g: PDAG) -> Iterator[PDAG]:
         except InconsistentKnowledgeError:
             continue
         pa, ne, adj = s
-        i = next((i for i, nb in enumerate(ne) if nb), None)
+        i = next((i for i in u if ne[i]), None)
         if i is not None:
             j = min(ne[i])
             # copy the sets that orienting writes to, those with adjacency
@@ -465,8 +463,8 @@ def _leaves(g: PDAG) -> Iterator[PDAG]:
             stack += ((back, [(j, i)]), (s, [(i, j)]))
             continue
         try:
-            _require_no_new_v_structures(g, s, u)
-            leaf = _graph(g, s)
+            _require_no_new_v_structures(g, s)
+            leaf = g._oriented(s[0], s[1])
         except GraphError:  # a new v-structure or a directed cycle
             continue
         yield leaf
@@ -493,7 +491,7 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
         If over ``max_members`` members exist: before listing, if
         :func:`class_size` counts them, else once one too many is found.
     """
-    if _shares_parents(g._pa, g._ne):
+    if _shares_parents(g._pa, g._ne, g._with_neighbours()):
         if (size := class_size(g)) > max_members:
             raise LimitError(f"class has over {max_members} members, the enumeration limit")
         if not size:  # a chain component that is not chordal: no member
@@ -521,9 +519,7 @@ def _amo_count(ne: Sequence[frozenset[int]], names, comp, memo: dict, query=()):
         for clique, fp in _clique_tree(sub):
             s = ([set() if v in clique else set(x & clique) for v, x in enumerate(sub)],
                  [set() if v in clique else set(x - clique) for v, x in enumerate(sub)], sub)
-            out = [(c, w) for c in clique for w in sub[c] - clique]  # C first, by rule 1
-            if out:  # else a clique, which needs no closure
-                _close(s, (1,), labels, out)
+            _close(s, (1,), labels, [(c, w) for c in clique for w in sub[c] - clique])  # C first
             parents = tuple(frozenset(labels[p] for p in s[0][at[x]]) if x in at else frozenset()
                             for x in query)
             total.update(_join(_phi(clique, fp, labels, query),
@@ -539,7 +535,7 @@ def _clique_tree(sub: Sequence[frozenset[int]]) -> Iterator[tuple[frozenset[int]
     neighbours fails to grow; they are its separator, and its parent holds
     the latest visited.  No clique past a separator disjoint from C meets C."""
     cliques, seps, up, home, last = [], [], [], [-1] * len(sub), 0
-    for z in _max_cardinality_search(sub, list(range(len(sub)))):
+    for z in _max_cardinality_search(sub, range(len(sub))):
         before = [y for y in sub[z] if home[y] >= 0]
         if len(before) <= last:
             seps.append(frozenset(before))

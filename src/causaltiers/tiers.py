@@ -30,8 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import (InvariantError, _cross_tier_state, _graph, _orient_tiered,
-                          _require_chordal_part)
+from .orientation import InvariantError, _cross_tier_state, _orient_tiered, _require_chordal_part
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -327,7 +326,7 @@ def cross_tier_report(
                 for i, j in _shielded(ne) if tier[i] != tier[j]]  # from the earlier tier
     h = c.undirected_subgraph()
     return CrossTierEdgeReport(
-        graph=_graph(h, _cross_tier_state(h, tier)[0]),
+        graph=h._oriented(*_cross_tier_state(h, tier)[0][:2]),
         earliest_paths=tuple(earliest),
         first_edges=tuple(first_cross_tier_edges(p, ordering) for p in earliest),
         fully_shielded_cross_tier=tuple(shielded),

@@ -57,12 +57,12 @@ def wave_tau():
 # === stand-ins for ``orientation._close``, with its call signature
 
 
-def no_op_close(s, rules, names, oriented=None):
+def no_op_close(s, rules, names, oriented):
     """A closure that orients nothing."""
     return []
 
 
-def cycle_close(s, rules, names, oriented=None):
+def cycle_close(s, rules, names, oriented):
     """A closure that orients nodes 0 -> 1 -> 2 -> 0, and fires nothing."""
     for tail, head in ((0, 1), (1, 2), (2, 0)):
         orientation._orient(s, tail, head)
@@ -72,7 +72,7 @@ def cycle_close(s, rules, names, oriented=None):
 _close = orientation._close  # the closure itself, for stand-ins that patch over it
 
 
-def inner_arc_close(s, rules, names, oriented=None):
+def inner_arc_close(s, rules, names, oriented):
     """The closure, then one more arc inside a chain component: the least
     undirected edge i - j (i < j) on a triangle of undirected edges, as i -> j."""
     trace = _close(s, rules, names, oriented)

@@ -639,10 +639,22 @@ def apply_meek_rule(g, rule: int):
     order.  A fixpoint returns the graph unchanged with an empty list.
     """
     s = orientation._state(g)
-    fired = orientation._firings(s, rule, g.nodes)
+    fired = orientation._firings(s, rule, g.nodes, undirected_pairs(s[1]))
     for tail, head in fired:
         orientation._orient(s, tail, head)
-    return orientation._graph(g, s), [(g.nodes[t], g.nodes[h]) for t, h in fired]
+    return g._oriented(s[0], s[1]), [(g.nodes[t], g.nodes[h]) for t, h in fired]
+
+
+def undirected_pairs(ne) -> list[tuple[int, int]]:
+    """Every undirected edge of the neighbour sets ``ne``, as pairs i < j in
+    canonical order."""
+    return sorted((i, j) for i, nb in enumerate(ne) for j in nb if i < j)
+
+
+def arcs_into_neighbours(s) -> list[tuple[int, int]]:
+    """The arcs of the state ``s`` into the nodes with an undirected edge, the
+    seed that starts a closure of ``s``'s input."""
+    return [(t, v) for v, nb in enumerate(s[1]) if nb for t in s[0][v]]
 
 
 def er_skeleton_combinations(p: int, degree: float, rng) -> list[tuple[int, int]]:
@@ -1401,7 +1413,7 @@ def query_leaves(g, branch):
     while stack:
         s = stack.pop()
         try:
-            orientation._close(s, MEEK_RULES, g.nodes)
+            orientation._close(s, MEEK_RULES, g.nodes, arcs_into_neighbours(s))
         except InconsistentKnowledgeError:
             continue
         pa, ne, adj = s
@@ -1416,7 +1428,7 @@ def query_leaves(g, branch):
             continue
         try:
             require_no_new_v_structures_full_walk(g, s)
-            leaf = orientation._graph(g, s)
+            leaf = g._oriented(s[0], s[1])
         except GraphError:  # a new v-structure or a directed cycle
             continue
         yield leaf
@@ -1507,7 +1519,7 @@ def round_closure(s, rules, names) -> list:
     while True:
         before = len(trace)
         for rule in rules:
-            for tail, head in orientation._firings(s, rule, names):
+            for tail, head in orientation._firings(s, rule, names, undirected_pairs(s[1])):
                 orientation._orient(s, tail, head)
                 trace.append((rule, (names[tail], names[head])))
         if len(trace) == before:
@@ -1515,14 +1527,15 @@ def round_closure(s, rules, names) -> list:
 
 
 def orient_tiered_full_scan(c, ordering, rules):
-    """``orientation._orient_tiered`` with a first closure round over every
-    undirected edge: the same checks, the graph and its trace."""
+    """``orientation._orient_tiered`` with every closure round over every
+    undirected edge (:func:`round_closure`): the same checks, the graph and
+    its trace."""
     orientation._require_shared_parents(c)
     require_consistency(c, ordering)
     s = orientation._cross_tier_state(c, ordering._tiers(c.nodes))[0]
-    trace = orientation._close(s, rules, c.nodes)
+    trace = round_closure(s, rules, c.nodes)
     g = c._oriented(s[0], s[1], check=False)
-    orientation._require_invariants(g, s, True)
+    orientation._require_invariants(g, s, True, c._with_neighbours())
     require_no_new_v_structures_full_walk(c, s)
     return g, trace
 
@@ -1549,7 +1562,7 @@ def orient_tiered_each(c, orderings, rules) -> list:
         s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes))
         trace = orientation._close(s, rules, c.nodes, oriented)
         g = c._oriented(s[0], s[1], check=False)
-        orientation._require_invariants(g, s, True)
+        orientation._require_invariants(g, s, True, c._with_neighbours())
         require_no_new_v_structures_full_walk(c, s)
         out.append((g, trace))
     return out

@@ -14,7 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from causaltiers import PDAG, GraphError, SimCell, TieredOrdering, cli, orientation, tiered_mpdag
+from causaltiers import (PDAG, GraphError, SimCell, TieredOrdering, cli, orientation, simulation,
+                         tiered_mpdag, tiers)
 from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import MEEK_RULES, InvariantError
 from causaltiers.simulation import TIER_SCHEMES, run_cell
@@ -205,11 +206,48 @@ def counted(monkeypatch):
     search, test = PDAG._non_simplicial, orientation._shares_parents
     monkeypatch.setattr(PDAG, "_non_simplicial", lambda g: searched.append(g) or search(g))
     monkeypatch.setattr(orientation, "_shares_parents",
-                        lambda pa, ne, u=None: tested.append(1) or test(pa, ne, u))
+                        lambda pa, ne, u: tested.append(1) or test(pa, ne, u))
     return searched, tested
 
 
+def listings(monkeypatch):
+    """Lists that grow by the input of each tiered pass, and by the graph each
+    listing of the nodes with an undirected edge is made for."""
+    inputs, listed = [], []
+    walk, orient = PDAG._with_neighbours, orientation._orient_tiered
+    monkeypatch.setattr(PDAG, "_with_neighbours",
+                        lambda g: (g._u is None and listed.append(g)) or walk(g))
+    for module in (cli, simulation, tiers):
+        monkeypatch.setattr(module, "_orient_tiered",
+                            lambda c, *args, **kw: inputs.append(c) or orient(c, *args, **kw))
+    return inputs, listed
+
+
 class TestCallCounts:
+    def test_one_listing_per_input(self, monkeypatch, tmp_path):
+        """One tiered pass lists its input's nodes with an undirected edge once,
+        whatever the number of orderings: CLI ``orient`` (one), ``compare-tiers``
+        (two) and the simulation (five per CPDAG); no graph is listed twice."""
+        rng = np.random.default_rng(257)
+        files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+        for _ in range(20):
+            p = int(rng.integers(3, 20))
+            c = random_cpdag_and_tau(rng, p, 3.0)[0]
+            texts = format_graph(c), *(format_tiers(random_coarsening(rng, p)) for _ in "12")
+            for path, text in zip(files, texts):
+                path.write_text(text, encoding="utf-8")
+            for argv in (["orient", str(files[0]), "--tiers", str(files[1])],
+                         ["compare-tiers", *map(str, files)]):
+                inputs, listed = listings(monkeypatch)
+                assert cli.main(argv, out=io.StringIO()) == 0
+                assert len(inputs) == 1 and inputs[0] == c and listed[0] is inputs[0]
+                assert len(set(map(id, listed))) == len(listed)
+                monkeypatch.undo()
+        inputs, listed = listings(monkeypatch)
+        assert len(run_cell(SimCell(25, "dense", "er"), list(TIER_SCHEMES), 4, seed=3)) == 20
+        assert len(inputs) == 4 and len(set(map(id, listed))) == len(listed)
+        assert all(sum(g is c for g in listed) == 1 for c in inputs)
+
     def test_compare_tiers_searches_the_input_once(self, monkeypatch, tmp_path):
         """Each compare-tiers op, on bands and on random CPDAGs under orderings
         cut from one order: one chordality search, of the input, and three

@@ -505,7 +505,7 @@ class TestLinearChecksAgainstOracles:
                 g = pdag_of(amat)
             except CycleError:
                 continue
-            got = orientation._shares_parents(g._pa, g._ne)
+            got = orientation._shares_parents(g._pa, g._ne, g._with_neighbours())
             assert got == rule1_closed_without_partial_cycle(g, orientation._state(g)), g
             seen[got, g.is_directed] += 1
         assert min(seen[True, False], seen[False, False]) > 5_000, seen

@@ -1,20 +1,22 @@
 """Each stage of the tiered pass walks only the nodes with an undirected edge,
-found once per input.
+listed once per graph.
 
 Every stage is checked against its full walk over all nodes in
-``tests/oracles.py``: the same sets, the same frozensets shared with the
-input where a node stays as it was, and the same exceptions with the same
-messages.  Inputs are CPDAGs with their nodes in a shuffled order, with
-isolated nodes, with nodes that have arcs only, and with no undirected edge
-at all; orderings are consistent, random, short of one or two nodes or
-naming one more."""
+``tests/oracles.py``, or given every node to walk: the same sets, the same
+frozensets shared with the input where a node stays as it was, and the same
+exceptions with the same messages.  Inputs are CPDAGs with their nodes in a
+shuffled order, with isolated nodes, with nodes that have arcs only, and with
+no undirected edge at all; orderings are consistent, random, short of one or
+two nodes or naming one more."""
 
 import itertools as itr
 
 import numpy as np
 import pytest
 
-from causaltiers import GraphError, PDAG, TieredOrdering, check_consistency, cpdag_of, orientation
+from causaltiers import (BackgroundKnowledge, GraphError, PDAG, TieredOrdering, check_consistency,
+                         cpdag_of, format_graph, impose_knowledge, meek_closure, orientation,
+                         parse_graph, tiered_mpdag)
 from causaltiers.orientation import (MEEK_RULES, InconsistentKnowledgeError, InvariantError,
                                      require_consistency)
 
@@ -66,12 +68,13 @@ def orderings(rng, order):
     return out
 
 
-def certified_alike(c, s, u):
+def certified_alike(c, s):
     """Does the certificate give the result built from ``s`` the same verdict
-    at the nodes ``u`` as at every node, with the chordality search and without?"""
-    g = c._oriented(s[0], s[1], False, u)
+    at ``c``'s nodes with an undirected edge as at every node, with the
+    chordality search and without?"""
+    g, u = c._oriented(s[0], s[1], False), c._with_neighbours()
     for search in (False, True):
-        want = outcome(lambda: orientation._require_invariants(g, s, search))
+        want = outcome(lambda: orientation._require_invariants(g, s, search, range(c.num_nodes)))
         assert outcome(lambda: orientation._require_invariants(g, s, search, u)) == want
     return want[0] == "ok"
 
@@ -88,16 +91,48 @@ def full_walk_pass(c, ordering, rules):
     s, oriented = oracles.cross_tier_state_full_walk(c, ordering._tiers(c.nodes))
     trace = orientation._close(s, rules, c.nodes, oriented)
     g = oracles.oriented_full_walk(c, s[0], s[1], False)
-    orientation._require_invariants(g, s, True)
+    orientation._require_invariants(g, s, True, range(c.num_nodes))
     oracles.require_no_new_v_structures_full_walk(c, s)
     return g, trace
 
 
+def with_neighbours(g):
+    """The ascending indices of the ends of ``g``'s undirected edges."""
+    return tuple(sorted({g.index_of(x) for edge in g.undirected_edges for x in edge}))
+
+
+def derived(rng, c, order):
+    """Graphs built from ``c`` by each constructor and derivation: the
+    constructor, the loader, ``cpdag_of`` of the DAG behind ``c``, the tiered
+    pass under two consistent orderings and ``tiered_mpdag``, knowledge that
+    orients one undirected edge along ``order`` and its closure, the skeleton,
+    the undirected part and an induced subgraph."""
+    at = {v: k for k, v in enumerate(order)}
+    along = [(a, b) if at[a] < at[b] else (b, a) for a, b in c.undirected_edges]
+    t1, t2 = orderings(rng, order)[0], orderings(rng, order)[0]
+    imposed = impose_knowledge(c, BackgroundKnowledge(required=along[:1]))
+    keep = [v for v in c.nodes if rng.random() < 0.7]
+    return [PDAG(c.nodes, c.directed_edges, c.undirected_edges), parse_graph(format_graph(c)),
+            cpdag_of(PDAG(c.nodes, directed=[*c.directed_edges, *along])),
+            *(g for g, _ in orientation._orient_tiered(c, (t1, t2), (1,))),
+            tiered_mpdag(c, t1), imposed, meek_closure(imposed), c.skeleton(),
+            c.undirected_subgraph(), c.induced_subgraph(keep)]
+
+
 def test_nodes_with_neighbours():
+    """Each graph lists its own nodes with an undirected edge, whatever built
+    it.  The input lists its nodes first, so a derivation that carried that
+    listing over would fail where orienting left a node with no undirected edge."""
     rng = np.random.default_rng(381)
+    fewer = 0
     for _ in range(100):
-        c, _ = walk_input(rng)
-        assert c._with_neighbours() == [v for v in range(c.num_nodes) if c._ne[v]]
+        c, order = walk_input(rng)
+        assert c._with_neighbours() == with_neighbours(c)
+        for g in derived(rng, c, order):
+            assert g._with_neighbours() == with_neighbours(g)
+            assert g._with_neighbours() is g._with_neighbours()  # listed once
+            fewer += g.nodes == c.nodes and g._with_neighbours() != c._with_neighbours()
+    assert fewer > 100, fewer
 
 
 def test_states_match_the_full_walks():
@@ -108,18 +143,16 @@ def test_states_match_the_full_walks():
         c, order = walk_input(rng)
         u, sets = c._with_neighbours(), (c._pa, c._ne)
         kinds.add((bool(u), len(u) < c.num_nodes))
-        want = oracles.state_full_walk(c)
-        for got in (orientation._state(c, u), orientation._state(c)):
-            assert got == want and shared(got[:2], sets) == shared(want[:2], sets)
+        want, got = oracles.state_full_walk(c), orientation._state(c)
+        assert got == want and shared(got[:2], sets) == shared(want[:2], sets)
         for ordering in orderings(rng, order):
             if set(ordering.nodes) < set(c.nodes):
                 continue  # no tier vector
             tier = [ordering._assignment.get(v) for v in c.nodes]
             want, oriented = oracles.cross_tier_state_full_walk(c, tier)
-            for got in (orientation._cross_tier_state(c, tier, u),
-                        orientation._cross_tier_state(c, tier)):
-                assert got == (want, oriented)
-                assert shared(got[0][:2], sets) == shared(want[:2], sets)
+            got = orientation._cross_tier_state(c, tier)
+            assert got == (want, oriented)
+            assert shared(got[0][:2], sets) == shared(want[:2], sets)
     assert kinds == {(False, True), (True, True), (True, False)}, kinds
 
 
@@ -148,22 +181,22 @@ def test_closed_states_match_the_full_walks():
         for ordering in orderings(rng, order):
             if not set(c.nodes) <= set(ordering.nodes):
                 continue  # no tier vector
-            s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes), u)
+            s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes))
             before = oracles.shares_parents_full_walk(s[0], s[1])
             assert orientation._shares_parents(s[0], s[1], u) == before
-            seen.add(("certified before closure", certified_alike(c, s, u)))
+            seen.add(("certified before closure", certified_alike(c, s)))
             closed = outcome(lambda: orientation._close(s, MEEK_RULES, c.nodes, oriented))
             if closed[0] != "ok":
                 seen.add("closure")
                 continue
             after = oracles.shares_parents_full_walk(s[0], s[1])
             assert orientation._shares_parents(s[0], s[1], u) == after
-            assert certified_alike(c, s, u)
+            assert certified_alike(c, s)
             want = outcome(lambda: oracles.require_no_new_v_structures_full_walk(c, s))
-            assert outcome(lambda: orientation._require_no_new_v_structures(c, s, u)) == want
+            assert outcome(lambda: orientation._require_no_new_v_structures(c, s)) == want
             seen.add((before, after, want[0] == "ok"))
             for check in (False, True):
-                g, h = c._oriented(s[0], s[1], check, u), oracles.oriented_full_walk(c, *s[:2], check)
+                g, h = c._oriented(s[0], s[1], check), oracles.oriented_full_walk(c, *s[:2], check)
                 assert (g._pa, g._ch, g._ne) == (h._pa, h._ch, h._ne)
                 sets = (c._pa, c._ch, c._ne)
                 assert shared((g._pa, g._ch, g._ne), sets) == shared((h._pa, h._ch, h._ne), sets)

@@ -46,6 +46,7 @@ from oracles import (
     SweepConflict,
     amat_of,
     apply_meek_rule,
+    arcs_into_neighbours,
     build_from_sets,
     class_size_by_root_picking,
     consistent_extensions,
@@ -94,9 +95,11 @@ def copied(s):
 
 
 def rounds_outcome(s, rules, names, oriented=None):
-    """Check the frontier closure ``orientation._close`` against the round
-    closure on copies of ``s``: the same trace and sets, or the same
+    """Check the frontier closure ``orientation._close`` from ``oriented``, by
+    default the arcs of ``s`` into its nodes with an undirected edge, against
+    the round closure on copies of ``s``: the same trace and sets, or the same
     conflict message.  Returns which case it was."""
+    oriented = arcs_into_neighbours(s) if oriented is None else oriented
     frontier, rounds = copied(s), copied(s)
     try:
         trace = round_closure(rounds, rules, names)
@@ -111,7 +114,7 @@ def rounds_outcome(s, rules, names, oriented=None):
 
 def certificate(g, s):
     """The tiered pass's invariant checks, chordality search included."""
-    orientation._require_invariants(g, s, True)
+    orientation._require_invariants(g, s, True, g._with_neighbours())
 
 
 def invariants_outcome(check, g):
@@ -490,7 +493,7 @@ class TestFrontierClosure:
                 c = tiered_mpdag(c, random_coarsening(rng, c.num_nodes))
             elif trial % 4 == 2:
                 c = random_pdag(rng, int(rng.integers(2, 9)))
-                if not orientation._shares_parents(c._pa, c._ne):
+                if not orientation._shares_parents(c._pa, c._ne, c._with_neighbours()):
                     continue
                 tau = random_coarsening(rng, c.num_nodes)
             roots = [v for v in c.nodes if c.neighbors_of(v) and not c.parents_of(v)]
@@ -812,7 +815,8 @@ class TestInvariantChecks:
                 monkeypatch.setattr(orientation, "_close", no_op_close)
                 tiered_mpdag(wave_cpdag, wave_tau)
             else:
-                orientation._require_invariants(closed, orientation._state(closed), True)
+                orientation._require_invariants(closed, orientation._state(closed), True,
+                                                closed._with_neighbours())
 
     def test_rule_check_matches_full_closure_oracle(self):
         """No rule fires on a rule-1 result iff a second, full closure of
@@ -851,7 +855,8 @@ class TestInvariantChecks:
             )
             rule = None
             try:
-                orientation._require_invariants(closed, orientation._state(closed), True)
+                orientation._require_invariants(closed, orientation._state(closed), True,
+                                                closed._with_neighbours())
             except InvariantError as exc:
                 # knowledge that is not tiered may leave partially directed
                 # cycles, which the later checks report
@@ -1239,7 +1244,7 @@ class TestPatchedBuild:
                     assert pa[v] is g._pa[v] and ne[v] is g._ne[v] and adj[v] is None
                     shared += 1
             try:
-                orientation._close(s, MEEK_RULES, g.nodes)
+                orientation._close(s, MEEK_RULES, g.nodes, arcs_into_neighbours(s))
             except InconsistentKnowledgeError:
                 pass
             # orienting writes only to the copies: the graph is as it was
@@ -1261,7 +1266,7 @@ class TestPatchedBuild:
             for rules in ((1,), MEEK_RULES):
                 s = orientation._cross_tier_state(c, tau._tiers(c.nodes))[0]
                 try:
-                    orientation._close(s, rules, c.nodes)
+                    orientation._close(s, rules, c.nodes, arcs_into_neighbours(s))
                 except InconsistentKnowledgeError:
                     outcomes["conflict"] += 1
                     continue
@@ -1284,7 +1289,7 @@ class TestPatchedBuild:
                     orientation._orient(s, *((i, j) if r < 0.3 else (j, i)))
             if trial % 2:
                 try:
-                    orientation._close(s, MEEK_RULES, g.nodes)
+                    orientation._close(s, MEEK_RULES, g.nodes, arcs_into_neighbours(s))
                 except InconsistentKnowledgeError:
                     continue
             assert_patched_build(g, s)
@@ -1296,16 +1301,18 @@ class TestPatchedBuild:
         """Every graph ``_leaves`` builds, members and dropped leaves alike,
         from graphs built by ``build_from_sets`` and by the loader."""
         built = Counter()
-        graph = orientation._graph
+        graph = PDAG._oriented
 
-        def both(g, s):
-            expected = build_outcome(lambda: build_from_sets(g.nodes, s[0], s[1]))
-            assert build_outcome(lambda: graph(g, s)) == expected
-            assert_patched_build(g, s)
+        def both(g, pa, ne, check=True):
+            with monkeypatch.context() as m:  # the checks below build unpatched
+                m.setattr(PDAG, "_oriented", graph)
+                expected = build_outcome(lambda: build_from_sets(g.nodes, pa, ne, check=check))
+                assert build_outcome(lambda: graph(g, pa, ne, check)) == expected
+                assert_patched_build(g, (pa, ne))
             built[expected[0] is CycleError] += 1
-            return graph(g, s)
+            return graph(g, pa, ne, check)
 
-        monkeypatch.setattr(orientation, "_graph", both)
+        monkeypatch.setattr(PDAG, "_oriented", both)
         rng = np.random.default_rng(331)
         for trial in range(250):
             p = int(rng.integers(2, 9))

@@ -987,7 +987,7 @@ class TestEarliestFromTree:
             t1 = TieredOrdering(dict(zip(rng.permutation(order).tolist(),
                                          np.cumsum(rng.integers(0, 2, p)).tolist())))
             t2 = coarsened(rng, t1)
-            gate = orientation._shares_parents(g._pa, g._ne)
+            gate = orientation._shares_parents(g._pa, g._ne, g._with_neighbours())
             for call in calls:
                 try:
                     call(g, t1, t2)
