@@ -5,7 +5,7 @@ The simulation names (``SimCell``, ``SimRecord``, ``TierScheme``, ``TIER_SCHEMES
 """
 
 from .graphs import CycleError, GraphError, LimitError, PDAG, v_structures
-from .independence import cpdag_of, is_d_separated, markov_equivalent
+from .independence import cpdag_of, is_d_separated
 from .orientation import (
     BackgroundKnowledge,
     InconsistentKnowledgeError,
@@ -58,7 +58,6 @@ __all__ = [
     "LimitError",
     "v_structures",
     "is_d_separated",
-    "markov_equivalent",
     "cpdag_of",
     "BackgroundKnowledge",
     "InconsistentKnowledgeError",

@@ -253,10 +253,6 @@ class PDAG:
         """Same nodes, only the undirected edges."""
         return PDAG._from_pairs(self._names, self._index, (), self._pairs()[1])
 
-    def directed_subgraph(self) -> "PDAG":
-        """Same nodes, only the directed edges."""
-        return PDAG._from_pairs(self._names, self._index, self._pairs()[0], ())
-
     def _pairs(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Index pairs of the directed edges, and of the undirected ones lower index first."""
         return ([(i, j) for i, ch in enumerate(self._ch) for j in ch],
@@ -476,7 +472,7 @@ def v_structures(g: PDAG) -> frozenset[tuple[Node, Node, Node]]:
     single canonical form within one graph.  Two graphs equal under ``==``
     but with their nodes in another order can list the same v-structure
     with its parents swapped: compare across graphs by unordered parent
-    pairs, as :func:`markov_equivalent` does.
+    pairs.
     """
     adj, names = g._adjacency(), g.nodes
     out = set()

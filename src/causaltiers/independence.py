@@ -1,4 +1,4 @@
-"""d-separation, Markov equivalence, and oracle CPDAG construction.
+"""d-separation and oracle CPDAG construction.
 
 d-separation queries are answered with a linear-time reachability walk
 over (node, direction) states; the exhaustive path-enumeration
@@ -17,7 +17,6 @@ from .graphs import GraphError, Node, PDAG, _topological_order, v_structures
 __all__ = [
     "is_d_separated",
     "v_structures",
-    "markov_equivalent",
     "cpdag_of",
 ]
 
@@ -92,23 +91,6 @@ def is_d_separated(
                 for w in parents[v]:
                     queue.append((w, False))
     return True
-
-
-def markov_equivalent(d1: PDAG, d2: PDAG) -> bool:
-    """Same skeleton and same v-structures.
-
-    Raises
-    ------
-    GraphError
-        If the node sets differ or either graph is not a DAG.
-    """
-    _require_dag(d1)
-    _require_dag(d2)
-    if set(d1.nodes) != set(d2.nodes):
-        raise GraphError("graphs must share the same node set")
-    # a v-structure's two parents come in index order, which node order sets
-    v1, v2 = ({(frozenset((a, c)), b) for a, b, c in v_structures(d)} for d in (d1, d2))
-    return d1.skeleton() == d2.skeleton() and v1 == v2
 
 
 def cpdag_of(d: PDAG) -> PDAG:

@@ -6,24 +6,24 @@ then Meek's four rules run to the fixpoint, the maximally oriented PDAG; in
 each round each rule collects its firings in canonical edge order, then
 applies them, examining only the edges where the orientations since it last
 ran could let it fire.  Every closure starts from such a frontier: that of
-the cross-tier orientations, a branch or a clique's edges out or, for
-:func:`meek_closure` and :func:`enumerate_class`, the input's arcs into U,
-as every rule needs a parent at one end of the edge it orients.  One
-tiered pass takes an input and all its orderings (:func:`tiered_mpdag`, CLI
-``orient``, the comparison, the simulation): it admits the input once, then
-per ordering orients the cross-tier edges from one tier vector, closes them
-(rule 1 alone reaches the fixpoint), builds the result from the input and
-certifies it in linear time and every mode (:class:`InvariantError`), and
-rejects a new v-structure.  :func:`enumerate_class` lists a class by branch and
-close, in lexicographic order, up to ``max_members`` members (:class:`LimitError`).
-:func:`class_size` and joint IDA count by clique picking (Wienobst,
-Bannach and Liskiewicz, AAAI 2021) in polynomial time, with rule-1
-closures only.  Each member of a connected chordal component is counted
-under one maximal clique C of a rooted clique tree, whose nodes it orders
-first, in one of phi(C, FP(C)) orders (:func:`_phi`).  C first is the tiered
-MPDAG of {c1} < ... < {ck} < rest, so rule 1 builds it, and its chain
-components outside C orient independently.  A node's parents are its
-directed parents there and its parents inside its chain component or C.
+the cross-tier orientations, a clique's edges out or, for
+:func:`meek_closure`, the input's arcs into U, as every rule needs a parent
+at one end of the edge it orients.  One tiered pass takes an input and all
+its orderings (:func:`tiered_mpdag`, CLI ``orient``, the comparison, the
+simulation): it admits the input once, then per ordering orients the
+cross-tier edges from one tier vector, closes them (rule 1 alone reaches
+the fixpoint), builds the result from the input and certifies it in linear
+time and every mode (:class:`InvariantError`), and rejects a new
+v-structure.  :func:`class_size` and joint IDA count by clique picking
+(Wienobst, Bannach and Liskiewicz, AAAI 2021) in polynomial time, with
+rule-1 closures only; :func:`enumerate_class` lists what they count, as
+joint IDA on every node, up to ``max_members`` members (:class:`LimitError`).
+Each member of a connected chordal component is counted under one maximal
+clique C of a rooted clique tree, whose nodes it orders first, in one of
+phi(C, FP(C)) orders (:func:`_phi`).  C first is the tiered MPDAG of
+{c1} < ... < {ck} < rest, so rule 1 builds it, and its chain components
+outside C orient independently.  A node's parents are its directed parents
+there and its parents inside its chain component or C.
 """
 
 from __future__ import annotations
@@ -434,74 +434,39 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     return _orient_tiered(c, (ordering,), (1,))[0][0]
 
 
-def _leaves(g: PDAG) -> Iterator[PDAG]:
-    """Branch and close on the undirected edges of ``g``: close under rules
-    1-4; at the lowest node i with an undirected edge, orient i - j, j
-    lowest, each way, i -> j first, and close each branch again.  A branch
-    whose closure orients an edge both ways is dropped; a leaf, with no
-    undirected edge left, is yielded if it is acyclic and gives no node a
-    new parent that is not adjacent to another of its parents: a leaf keeps
-    ``g``'s adjacencies and only gains parents, so that is exactly when it
-    has the v-structures of ``g``."""
-    u = g._with_neighbours()
-    stack = [(_state(g), [(t, v) for v in u for t in g._pa[v]])]
-    while stack:
-        s, oriented = stack.pop()
-        try:
-            _close(s, MEEK_RULES, g.nodes, oriented)
-        except InconsistentKnowledgeError:
-            continue
-        pa, ne, adj = s
-        i = next((i for i in u if ne[i]), None)
-        if i is not None:
-            j = min(ne[i])
-            # copy the sets that orienting writes to, those with adjacency
-            back = ([x if a is None else set(x) for x, a in zip(pa, adj)],
-                    [x if a is None else set(x) for x, a in zip(ne, adj)], adj)
-            _orient(back, j, i)
-            _orient(s, i, j)
-            stack += ((back, [(j, i)]), (s, [(i, j)]))
-            continue
-        try:
-            _require_no_new_v_structures(g, s)
-            leaf = g._oriented(s[0], s[1])
-        except GraphError:  # a new v-structure or a directed cycle
-            continue
-        yield leaf
-
-
 def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
-    """All DAGs of the restricted equivalence class represented by ``g``:
-    the orientations of its undirected edges that are acyclic and have
-    exactly the v-structures of ``g``.
+    """All DAGs of the class the CPDAG or tiered MPDAG ``g`` represents: the
+    orientations of its undirected edges that are acyclic and have exactly
+    the v-structures of ``g``.
 
-    Branch and close on every undirected edge: close under rules 1-4,
-    orient the lowest-index undirected edge each way, close each branch
-    again; drop a branch whose closure orients an edge both ways, and
-    keep one with no undirected edge left if it passes the check above.
-    On a CPDAG or MPDAG every branch ends in a member.  Members come in
+    :func:`class_size` counts the members first, and an empty class lists
+    nothing.  The listing is joint IDA on every node: clique picking with
+    each node's parents carried, so every key is one member's parent sets,
+    counted once (else :class:`InvariantError`).  Members come in
     lexicographic order of the directions of ``g``'s undirected edges in
-    canonical order, lower-index tail first; a DAG yields a singleton
-    list.  :func:`class_size` counts the members without listing them;
-    where it applies it counts first, so an empty class lists nothing.
+    canonical order, lower-index tail first; a DAG yields a singleton list.
 
     Raises
     ------
+    GraphError
+        As :func:`class_size`, if the ends of an undirected edge of ``g``
+        have different parents.
     LimitError
-        If over ``max_members`` members exist: before listing, if
-        :func:`class_size` counts them, else once one too many is found.
+        Before listing, if over ``max_members`` members exist.
     """
-    if _shares_parents(g._pa, g._ne, g._with_neighbours()):
-        if (size := class_size(g)) > max_members:
-            raise LimitError(f"class has over {max_members} members, the enumeration limit")
-        if not size:  # a chain component that is not chordal: no member
-            return []
-    out: list[PDAG] = []
-    for member in _leaves(g):
-        out.append(member)
-        if len(out) > max_members:
-            raise LimitError(f"class has over {max_members} members, the enumeration limit")
-    return out
+    if (size := class_size(g)) > max_members:
+        raise LimitError(f"class has over {max_members} members, the enumeration limit")
+    if not size:  # a chain component that is not chordal: no member
+        return []
+    names, index = g.nodes, g._index
+    rows = _completions(g._ne, names, {}, names, tuple(frozenset(g._labels(x)) for x in g._pa))
+    if len(rows) != size or set(rows.values()) != {1}:
+        raise InvariantError(f"clique picking: {sum(rows.values())} members in {len(rows)} "
+                             f"parent-set rows, for a class of {size}")
+    empty = [()] * len(names)
+    members = [g._oriented([{index[x] for x in pa} for pa in row], empty) for row in rows]
+    edges = [(i, j) for i in g._with_neighbours() for j in sorted(g._ne[i]) if i < j]
+    return sorted(members, key=lambda m: [j in m._pa[i] for i, j in edges])
 
 
 def _amo_count(ne: Sequence[frozenset[int]], names, comp, memo: dict, query=()):

@@ -206,14 +206,10 @@ def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison
 # === the undirected part of a CPDAG under an ordering
 
 
-def fully_shielded_edges(h: PDAG) -> list[tuple[Node, Node]]:
-    """Edges occurring on no unshielded path: both endpoints have the same
-    adjacency set apart from each other.  On the skeleton, in canonical order."""
-    return [(h.nodes[i], h.nodes[j]) for i, j in _shielded(h._adjacency())]
-
-
 def _shielded(adj: Sequence[frozenset[int]]) -> list[tuple[int, int]]:
-    """The fully shielded edges i < j of the skeleton with adjacency sets ``adj``."""
+    """The fully shielded edges i < j of the skeleton with adjacency sets ``adj``,
+    those on no unshielded path: both ends have the same adjacency set apart
+    from each other."""
     return [(i, j) for i, nb in enumerate(adj) for j in sorted(nb)
             if i < j and nb - {j} == adj[j] - {i}]
 

@@ -35,7 +35,10 @@ per-path earliest test that the report's floor-pruned walk replaced,
 ``adjustment_counterexample_bfs``, the length-bounded search that the
 adjustment check ran before the partially directed cycle test decided it,
 ``floors_from_every_node``, the edge-floor search before it skipped isolated
-starts and took the least of both directions without ``min``, the
+starts and took the least of both directions without ``min``, ``leaves``,
+the branch and close that listed a class before the listing came from clique
+picking, ``markov_equivalent``, ``directed_subgraph`` and
+``fully_shielded_edges``, the library names that only the tests used, the
 moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
 at once, ``power_skeleton_by_choice``, the preferential attachment that called
@@ -77,7 +80,6 @@ from causaltiers.orientation import (
     BackgroundKnowledge,
     InconsistentKnowledgeError,
     InvariantError,
-    enumerate_class,
     impose_tiers,
     meek_closure,
     require_consistency,
@@ -91,9 +93,9 @@ from causaltiers.tiers import (
     InformativenessResult,
     Refinement,
     TierEquivalence,
+    _shielded,
     contained_in,
     first_cross_tier_edges,
-    fully_shielded_edges,
 )
 
 
@@ -234,6 +236,29 @@ def vstructs_of_arcset(arcs) -> frozenset:
             if b2 == b and c != a and (a, c) not in adj:
                 out.add((min(a, c), b, max(a, c)))
     return frozenset(out)
+
+
+def markov_equivalent(d1: PDAG, d2: PDAG) -> bool:
+    """Same skeleton and same v-structures, for two DAGs on one node set
+    (else :class:`GraphError`)."""
+    if not (d1.is_directed and d2.is_directed):
+        raise GraphError("this operation is defined for DAGs only")
+    if set(d1.nodes) != set(d2.nodes):
+        raise GraphError("graphs must share the same node set")
+    # a v-structure's two parents come in index order, which node order sets
+    v1, v2 = ({(frozenset((a, c)), b) for a, b, c in v_structures(d)} for d in (d1, d2))
+    return d1.skeleton() == d2.skeleton() and v1 == v2
+
+
+def directed_subgraph(g: PDAG) -> PDAG:
+    """Same nodes, only the directed edges."""
+    return PDAG._from_pairs(g.nodes, g._index, g._pairs()[0], ())
+
+
+def fully_shielded_edges(h: PDAG) -> list:
+    """Edges occurring on no unshielded path: both endpoints have the same
+    adjacency set apart from each other.  On the skeleton, in canonical order."""
+    return [(h.nodes[i], h.nodes[j]) for i, j in _shielded(h._adjacency())]
 
 
 def has_chordless_cycle(adj: dict) -> bool:
@@ -1318,7 +1343,7 @@ def joint_ida_per_combination(g, xs) -> dict:
     per_component = [
         [
             {x: frozenset(dag.parents_of(x)) for x in comp if x in query}
-            for dag in enumerate_class(und.induced_subgraph(comp))
+            for dag in leaves(und.induced_subgraph(comp))
         ]
         for comp in g.chain_components()
         if len(comp) > 1 and query.intersection(comp)
@@ -1334,9 +1359,9 @@ def joint_ida_per_combination(g, xs) -> dict:
 
 def joint_ida_by_enumeration(g, xs, max_members: int = 10_000) -> ParentSetMultiset:
     """:func:`causaltiers.joint_ida` as it was before counting: every member
-    of each queried chain component is listed by :func:`enumerate_class`
-    (under its member guard), and distinct per-component assignments are
-    combined with the product of their counts."""
+    of each queried chain component is listed by :func:`leaves`, up to one
+    over ``max_members`` (:class:`LimitError`), and distinct per-component
+    assignments are combined with the product of their counts."""
     xs = list(xs)
     query = set(xs)
     if len(query) != len(xs):
@@ -1348,7 +1373,9 @@ def joint_ida_by_enumeration(g, xs, max_members: int = 10_000) -> ParentSetMulti
     per_component = []
     for comp in g.chain_components():
         if len(comp) > 1 and query.intersection(comp):
-            dags = enumerate_class(und.induced_subgraph(comp), max_members=max_members)
+            dags = list(itr.islice(leaves(und.induced_subgraph(comp)), max_members + 1))
+            if len(dags) > max_members:
+                raise LimitError(f"class has over {max_members} members, the enumeration limit")
             assignments = Counter(
                 tuple((x, frozenset(dag.parents_of(x))) for x in comp if x in query)
                 for dag in dags
@@ -1428,6 +1455,47 @@ def query_leaves(g, branch):
             continue
         try:
             require_no_new_v_structures_full_walk(g, s)
+            leaf = g._oriented(s[0], s[1])
+        except GraphError:  # a new v-structure or a directed cycle
+            continue
+        yield leaf
+
+
+def leaves(g):
+    """:func:`causaltiers.enumerate_class` as it was before it listed what
+    clique picking counts, yielding the members one by one: branch and close
+    on the undirected edges of ``g`` (:func:`query_leaves` at every node,
+    each branch closed from the frontier of its one orientation).  Close
+    under rules 1-4; at the lowest node i with an undirected edge, orient
+    i - j, j lowest, each way, i -> j first, and close each branch again.
+    A branch whose closure orients an edge both ways is dropped; a leaf,
+    with no undirected edge left, is yielded if it is acyclic and gives no
+    node a new parent that is not adjacent to another of its parents: a
+    leaf keeps ``g``'s adjacencies and only gains parents, so that is
+    exactly when it has the v-structures of ``g``.  Any PDAG is taken, and
+    the members come in lexicographic order of the directions of ``g``'s
+    undirected edges in canonical order, lower-index tail first."""
+    u = g._with_neighbours()
+    stack = [(orientation._state(g), [(t, v) for v in u for t in g._pa[v]])]
+    while stack:
+        s, oriented = stack.pop()
+        try:
+            orientation._close(s, MEEK_RULES, g.nodes, oriented)
+        except InconsistentKnowledgeError:
+            continue
+        pa, ne, adj = s
+        i = next((i for i in u if ne[i]), None)
+        if i is not None:
+            j = min(ne[i])
+            # copy the sets that orienting writes to, those with adjacency
+            back = ([x if a is None else set(x) for x, a in zip(pa, adj)],
+                    [x if a is None else set(x) for x, a in zip(ne, adj)], adj)
+            orientation._orient(back, j, i)
+            orientation._orient(s, i, j)
+            stack += ((back, [(j, i)]), (s, [(i, j)]))
+            continue
+        try:
+            orientation._require_no_new_v_structures(g, s)
             leaf = g._oriented(s[0], s[1])
         except GraphError:  # a new v-structure or a directed cycle
             continue

@@ -31,7 +31,7 @@ from causaltiers.cli import main as cli_main
 from causaltiers.simulation import SimCell, TIER_SCHEMES, run_cell
 
 from conftest import FIXTURES, random_coarsening, random_dag_instance, records_to_csv_bytes
-from oracles import all_dags, forbidden_set, has_chordless_cycle, independence_model
+from oracles import all_dags, forbidden_set, has_chordless_cycle, independence_model, leaves
 
 EXPECTED = FIXTURES / "expected"
 
@@ -189,6 +189,7 @@ def test_criterion_6_ida_against_class_enumeration():
         if len(g.undirected_edges) > 10:
             continue
         members = enumerate_class(g)
+        assert members == list(leaves(g))  # in order, as branch and close lists them
 
         x = g.nodes[int(rng.integers(0, p))]
         local = local_ida(g, x)

@@ -14,7 +14,6 @@ from causaltiers import (
     PDAG,
     contained_in,
     cpdag_of,
-    markov_equivalent,
     v_structures,
 )
 from causaltiers.formats import format_graph, parse_graph
@@ -26,8 +25,10 @@ from oracles import (
     build_from_sets,
     cpdag_by_meek_closure,
     directed_cycle_per_node,
+    directed_subgraph,
     has_chordless_cycle,
     has_partially_directed_cycle_bfs,
+    markov_equivalent,
     non_simplicial_max_mcs,
     partially_directed_cycle_amat,
     partially_directed_cycle_near_components,
@@ -112,12 +113,12 @@ class TestSkeletonAndSubgraphs:
 
     def test_dag_has_empty_undirected_subgraph(self, wave_dag):
         assert wave_dag.undirected_subgraph().num_edges == 0
-        assert wave_dag.directed_subgraph() == wave_dag
+        assert directed_subgraph(wave_dag) == wave_dag
 
     @given(small_pdags())
     @settings(max_examples=100, deadline=None)
     def test_subgraphs_partition_edges(self, g):
-        u, d = g.undirected_subgraph(), g.directed_subgraph()
+        u, d = g.undirected_subgraph(), directed_subgraph(g)
         assert set(u.undirected_edges) == set(g.undirected_edges)
         assert set(d.directed_edges) == set(g.directed_edges)
         assert u.num_edges + d.num_edges == g.num_edges
@@ -197,7 +198,7 @@ class TestEqualityIgnoresNodeOrder:
             g, other = random_pdag(names), random_pdag(names)
             order = [names[k] for k in rng.permutation(p)]
             copy = PDAG(names, directed=g.directed_edges, undirected=g.undirected_edges)
-            pairs = [(g, h) for h in (g.skeleton(), g.undirected_subgraph(), g.directed_subgraph())]
+            pairs = [(g, h) for h in (g.skeleton(), g.undirected_subgraph(), directed_subgraph(g))]
             pairs += [(g, copy), (g, other), (g, reordered(g, order)), (g, reordered(other, order))]
             pairs.append((g, PDAG([*names, "X"], g.directed_edges, g.undirected_edges)))
             for a, b in pairs:
@@ -658,7 +659,7 @@ class TestSetCoreAgainstMatrix:
             assert np.array_equal(amat_of(g), amat)
             assert np.array_equal(amat_of(g.skeleton()), adj)
             assert np.array_equal(amat_of(g.undirected_subgraph()), u)
-            assert np.array_equal(amat_of(g.directed_subgraph()), d)
+            assert np.array_equal(amat_of(directed_subgraph(g)), d)
             pick = rng.permutation(p)[: int(rng.integers(0, p + 1))]
             sub = g.induced_subgraph([names[k] for k in pick])
             keep = sorted(pick)
@@ -717,7 +718,7 @@ class TestOnePassBuilds:
             adj = amat | amat.T
             assert built_sets(g.skeleton()) == sets_build(names, adj)
             assert built_sets(g.undirected_subgraph()) == sets_build(names, amat & amat.T)
-            assert built_sets(g.directed_subgraph()) == sets_build(names, amat & ~amat.T)
+            assert built_sets(directed_subgraph(g)) == sets_build(names, amat & ~amat.T)
             for size in (0, 1, int(rng.integers(0, p + 1))):
                 pick = rng.permutation(p)[:size]
                 keep = sorted(pick)

@@ -30,6 +30,7 @@ from oracles import (
     joint_ida_by_enumeration,
     joint_ida_by_root_picking,
     joint_ida_per_combination,
+    leaves,
     local_ida_by_subsets,
     multiplicity_ratios_equal,
 )
@@ -54,13 +55,11 @@ def query_sample(rng, g, most):
 
 
 def class_parent_multiset(g, x):
-    return Counter(frozenset(m.parents_of(x)) for m in enumerate_class(g))
+    return Counter(frozenset(m.parents_of(x)) for m in leaves(g))
 
 
 def class_joint_multiset(g, xs):
-    return Counter(
-        tuple(frozenset(m.parents_of(x)) for x in xs) for m in enumerate_class(g)
-    )
+    return Counter(tuple(frozenset(m.parents_of(x)) for x in xs) for m in leaves(g))
 
 
 class TestParentSetMultiset:
@@ -91,9 +90,10 @@ class TestParentSetMultiset:
 
 
 class TestDomain:
-    """class_size and both IDA variants take the graphs whose undirected
-    edges join nodes with the same parents, and count nothing on a class
-    that is empty because some chain component is not chordal."""
+    """class_size, enumerate_class and both IDA variants take the graphs
+    whose undirected edges join nodes with the same parents, and count or
+    list nothing on a class that is empty because some chain component is
+    not chordal."""
 
     def test_component_outside_the_query_empties_the_class(self):
         g = PDAG("abcdxy", undirected=[
@@ -114,9 +114,10 @@ class TestDomain:
         self, directed, undirected, members, edge
     ):
         g = PDAG(directed=directed, undirected=undirected)
-        assert len(enumerate_class(g)) == members
+        assert len(list(leaves(g))) == members  # branch and close lists a class
         message = f"^not a CPDAG or tiered MPDAG: the ends of {edge} have different parents$"
-        for count in (class_size, lambda g: local_ida(g, "c"), lambda g: joint_ida(g, ["c"])):
+        for count in (class_size, enumerate_class, lambda g: local_ida(g, "c"),
+                      lambda g: joint_ida(g, ["c"])):
             with pytest.raises(GraphError, match=message):
                 count(g)
 
@@ -404,7 +405,7 @@ class TestJointIda:
         rng = np.random.default_rng(157)
         for n in range(2, 8):
             g = clique(n)
-            members = enumerate_class(g)
+            members = list(leaves(g))
             for k in [k for k in (1, 2, 3) if k <= n] * 2:
                 xs = [g.nodes[i] for i in rng.choice(n, size=k, replace=False)]
                 expected = Counter(tuple(frozenset(m.parents_of(x)) for x in xs) for m in members)

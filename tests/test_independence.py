@@ -9,7 +9,6 @@ from causaltiers import (
     cpdag_of,
     enumerate_class,
     is_d_separated,
-    markov_equivalent,
     v_structures,
 )
 
@@ -19,6 +18,7 @@ from oracles import (
     consistent_extensions,
     dsep_oracle,
     independence_model,
+    markov_equivalent,
     vstructs_of_arcset,
     vstructs_triple_scan,
 )

@@ -56,6 +56,7 @@ from oracles import (
     has_chordless_cycle,
     has_partially_directed_cycle_bfs,
     is_acyclic,
+    leaves,
     orient_tiered_full_scan,
     pdag_from_amat,
     pdag_from_amat_unchecked,
@@ -151,8 +152,10 @@ def closure_outcome(g, rules):
 
 
 def class_outcome(g):
-    """Check ``enumerate_class`` as a set against the bitmask oracle on
-    the same undirected edges, directed edges and v-structures."""
+    """Check branch and close (``leaves``) as a set against the bitmask
+    oracle on the same undirected edges, directed edges and v-structures,
+    and ``enumerate_class`` against it: the same list, in order, if the ends
+    of each undirected edge have the same parents, else the gate's line."""
     idx = g.index_of
     und = [(idx(u), idx(v)) for u, v in g.undirected_edges]
     arcs = {(idx(u), idx(v)) for u, v in g.directed_edges}
@@ -163,9 +166,17 @@ def class_outcome(g):
         if b2 == b and a != c and not g.has_edge(g.nodes[a], g.nodes[c])
     )
     expected = set(consistent_extensions(und, arcs, target, g.num_nodes))
-    got = [frozenset((idx(u), idx(v)) for u, v in m.directed_edges) for m in enumerate_class(g)]
+    members = list(leaves(g))
+    got = [frozenset((idx(u), idx(v)) for u, v in m.directed_edges) for m in members]
     assert len(got) == len(set(got))
     assert set(got) == expected
+    split = [(u, v) for u, v in g.undirected_edges if g.parents_of(u) != g.parents_of(v)]
+    if split:
+        message = "^not a CPDAG or tiered MPDAG: the ends of %s - %s have different parents$"
+        with pytest.raises(GraphError, match=message % split[0]):
+            enumerate_class(g)
+    else:
+        assert enumerate_class(g) == members
     return len(got)
 
 
@@ -599,7 +610,7 @@ class TestMpdagOf:
                 required=[req], forbidden=[(forb_src[1], forb_src[0])]
             )
             g = mpdag_of(c, k)
-            got = {frozenset(x.directed_edges) for x in enumerate_class(g)}
+            got = {frozenset(x.directed_edges) for x in leaves(g)}
             expected = {
                 frozenset(x.directed_edges)
                 for x in enumerate_class(c)
@@ -909,6 +920,13 @@ class TestInvariantChecks:
             tiered_mpdag(triangle, TieredOrdering(dict.fromkeys("ABC", 1)))
 
 
+def counting_only(ne, names, memo, query=(), parents=(), completions=orientation._completions):
+    """``orientation._completions`` for counting alone: a listing, which
+    carries parent sets, fails."""
+    assert not query, "the listing started"
+    return completions(ne, names, memo, query, parents)
+
+
 class TestEnumerateClass:
     def test_wave_mpdag_has_two_members(self, wave_mpdag):
         members = enumerate_class(wave_mpdag)
@@ -930,30 +948,74 @@ class TestEnumerateClass:
         assert len(enumerate_class(k5, max_members=120)) == 120
 
     def test_counted_class_over_the_limit_fails_before_listing(self, monkeypatch):
-        """K10 has 10! members, and its undirected edges' ends share their
-        parents, so class_size counts them and no member is listed."""
+        """K10 has 10! members: class_size counts them and the listing,
+        clique picking that carries every node's parents, never starts."""
         names = [f"V{k}" for k in range(10)]
         k10 = PDAG(names, undirected=itertools.combinations(names, 2))
+        monkeypatch.setattr(orientation, "_completions", counting_only)
         start = time.perf_counter()
         with pytest.raises(LimitError, match="^class has over 10000 members, the enumeration limit$"):
             enumerate_class(k10)
         assert time.perf_counter() - start < 0.1
-        monkeypatch.setattr(orientation, "_leaves", None)  # listing would raise TypeError
         with pytest.raises(LimitError, match="^class has over 5039 members"):
             enumerate_class(PDAG(names[:7], undirected=itertools.combinations(names[:7], 2)), 5039)
 
     def test_counted_empty_class_lists_nothing(self, monkeypatch):
         """K10 less V0 - V1 and V8 - V9 holds the chordless 4-cycle V0 V8 V1
-        V9, so class_size is 0 and no branch is closed (K9 less two such
-        edges took half a second by branch and close)."""
+        V9, so class_size is 0 and the listing, which assumes chordal
+        components, never starts (K9 less two such edges took half a second
+        by branch and close)."""
         names = [f"V{k}" for k in range(10)]
         g = PDAG(names, undirected=[e for e in itertools.combinations(names, 2)
                                     if e not in {("V0", "V1"), ("V8", "V9")}])
+        monkeypatch.setattr(orientation, "_completions", counting_only)
         start = time.perf_counter()
         assert enumerate_class(g) == []
         assert time.perf_counter() - start < 0.1
-        monkeypatch.setattr(orientation, "_leaves", None)  # listing would raise TypeError
-        assert enumerate_class(g) == []
+
+    def test_listing_checked_against_the_count(self, monkeypatch):
+        """A listing that drops a member's row, repeats one in place of
+        another or counts one twice disagrees with class_size.  The faults
+        hit only a result of several rows: the completions inside clique
+        picking on K3 are of an empty graph, one row each."""
+        completions = orientation._completions
+
+        def faulty(fault):
+            def listing(ne, names, memo, query=(), parents=()):
+                rows = completions(ne, names, memo, query, parents)
+                if query and len(rows) > 1:
+                    first, second = list(rows)[:2]
+                    fault(rows, first, second)
+                return rows
+            return listing
+
+        faults = [
+            (lambda rows, a, b: rows.pop(a), "5 members in 5 parent-set rows"),
+            (lambda rows, a, b: (rows.pop(a), rows.update({b: 1})), "6 members in 5 parent-set rows"),
+            (lambda rows, a, b: rows.update({b: 1}), "7 members in 6 parent-set rows"),
+        ]
+        k3 = PDAG("ABC", undirected=[("A", "B"), ("A", "C"), ("B", "C")])
+        for fault, message in faults:
+            monkeypatch.setattr(orientation, "_completions", faulty(fault))
+            with pytest.raises(InvariantError, match=f"^clique picking: {message}, for a class of 6$"):
+                enumerate_class(k3)
+
+    def test_equals_branch_and_close_in_order(self):
+        """K2-K8 less one edge (each edge up to K6, a middle one beyond), and
+        less two edges, sharing an end or not (a chordless 4-cycle from n = 4
+        on, so no member): clique picking lists what branch and close lists,
+        in the same order."""
+        sizes = []
+        for n in range(2, 9):
+            names = [f"V{k}" for k in range(n)]
+            pairs = list(itertools.combinations(names, 2))
+            singles = [{e} for e in pairs] if n <= 6 else [{pairs[len(pairs) // 2]}]
+            for missing in singles + [set(pairs[:2]), {pairs[0], pairs[-1]}]:
+                g = PDAG(names, undirected=[e for e in pairs if e not in missing])
+                members = enumerate_class(g, 20_000)
+                assert members == list(leaves(g)), (n, missing)
+                sizes.append(len(members))
+        assert 0 in sizes and max(sizes) == 13 * math.factorial(6)
 
     def test_members_in_documented_order(self):
         """Lexicographic in the directions of the input's undirected edges,
@@ -1000,7 +1062,9 @@ class TestEnumerateClass:
 
     def test_classes_against_bitmask_oracle(self):
         """CPDAGs, tiered MPDAGs, ``mpdag_of`` outputs, and arbitrary
-        PDAGs that are neither closed nor consistent."""
+        PDAGs that are neither closed nor consistent, which
+        ``enumerate_class`` refuses unless their undirected edges' ends
+        share their parents."""
         rng = np.random.default_rng(127)
         sizes = []
         for _ in range(40):
@@ -1023,6 +1087,14 @@ class TestEnumerateClass:
         assert empty > 0
 
 
+def listed(g):
+    """The members branch and close lists, which ``enumerate_class`` lists too,
+    in the same order."""
+    members = list(leaves(g))
+    assert enumerate_class(g, 20_000) == members
+    return members
+
+
 class TestClassSize:
     def test_amo_count_matches_enumeration_on_chordal_graphs(self):
         rng = np.random.default_rng(131)
@@ -1030,12 +1102,12 @@ class TestClassSize:
         for _ in range(150):
             g = random_chordal(rng, int(rng.integers(1, 9)))
             assert g.is_chordal()
-            assert class_size(g) == len(enumerate_class(g)) == class_size_by_root_picking(g)
+            assert class_size(g) == len(listed(g)) == class_size_by_root_picking(g)
             for comp in g.chain_components():
                 if len(comp) > 1:
                     idx = sorted(map(g.index_of, comp))
                     got = orientation._amo_count(g._ne, g.nodes, idx, {})
-                    assert got == Counter({(): len(enumerate_class(g.induced_subgraph(comp)))})
+                    assert got == Counter({(): len(list(leaves(g.induced_subgraph(comp))))})
                     counted += 1
         assert counted > 100
 
@@ -1057,7 +1129,7 @@ class TestClassSize:
                     with pytest.raises(LimitError, match="^class has over 10000 members"):
                         enumerate_class(g)
                 elif sizes[-1] <= 2_000 and n <= 8:
-                    assert sizes[-1] == len(enumerate_class(g)), (n, missing)
+                    assert sizes[-1] == len(listed(g)), (n, missing)
         assert 0 in sizes and max(sizes) == 17 * math.factorial(8)
 
     def test_k16_less_one_edge_under_a_second(self):
@@ -1093,7 +1165,7 @@ class TestClassSize:
             ("V0", "V2"), ("V0", "V3"), ("V0", "V4"), ("V1", "V3"), ("V1", "V4"),
             ("V2", "V4"), ("V3", "V4"),
         ])
-        assert class_size(g) == 14 == len(enumerate_class(g)) == class_size_by_root_picking(g)
+        assert class_size(g) == 14 == len(listed(g)) == class_size_by_root_picking(g)
 
     def test_fp_walk_passes_separators_outside_the_clique(self):
         """Cliques AB - ACE - ACF - ADF, rooted at AB.  From ADF the walk
@@ -1104,7 +1176,7 @@ class TestClassSize:
             ("A", "B"), ("A", "C"), ("A", "D"), ("A", "E"), ("A", "F"),
             ("C", "E"), ("C", "F"), ("D", "F"),
         ])
-        assert class_size(g) == 18 == len(enumerate_class(g)) == class_size_by_root_picking(g)
+        assert class_size(g) == 18 == len(listed(g)) == class_size_by_root_picking(g)
 
     def test_cpdags_and_tiered_mpdags(self):
         rng = np.random.default_rng(137)
@@ -1114,7 +1186,7 @@ class TestClassSize:
             c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
             for g in (c, tiered_mpdag(c, tau)):
                 if len(g.undirected_edges) <= 14:
-                    sizes.append(len(enumerate_class(g)))
+                    sizes.append(len(listed(g)))
                     assert class_size(g) == sizes[-1] == class_size_by_root_picking(g)
         assert max(sizes) > 100
 
@@ -1125,7 +1197,7 @@ class TestClassSize:
                 math.factorial(n)
             )
         square = PDAG("ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-        assert class_size(square) == 0 == len(enumerate_class(square))
+        assert class_size(square) == 0 == len(listed(square))
         assert class_size(wave_dag) == 1
 
     def test_long_path(self):
@@ -1155,7 +1227,7 @@ class TestClassSize:
                 with pytest.raises(GraphError, match=message):
                     class_size(g)
                 continue
-            members = len(enumerate_class(g))
+            members = len(listed(g))
             assert class_size(g) == members == class_size_by_root_picking(g), g
             admitted[bool(g.undirected_edges), members > 0] += 1
         assert min(admitted.values()) > 20 and admitted[True, True] > 1000, admitted
@@ -1298,7 +1370,8 @@ class TestPatchedBuild:
         assert min(outcomes.values()) > 50, outcomes
 
     def test_class_members(self, monkeypatch):
-        """Every graph ``_leaves`` builds, members and dropped leaves alike,
+        """Every graph branch and close (``leaves``) builds, members and
+        dropped leaves alike, and every member ``enumerate_class`` builds,
         from graphs built by ``build_from_sets`` and by the loader."""
         built = Counter()
         graph = PDAG._oriented

@@ -35,7 +35,6 @@ from causaltiers.tiers import (
     _floors,
     check_compatible,
     first_cross_tier_edges,
-    fully_shielded_edges,
 )
 
 from conftest import random_chordal, random_cpdag_and_tau, random_coarsening, reordered
@@ -59,8 +58,10 @@ from oracles import (
     first_cross_tier_edges_walk,
     floors_from_every_node,
     forbidden_set,
+    fully_shielded_edges,
     is_earliest,
     joint_ida_by_root_picking,
+    leaves,
     least_edge_of_least_component,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
@@ -1202,10 +1203,11 @@ class TestDefinitionAudit:
     def test_class_and_parent_sets_match_admitted_members(self):
         """Every ordering on every 4-node class: the tiered MPDAG's directed
         edges are the arcs common to R, ``class_size`` is |R|, as root
-        picking counts it, ``enumerate_class`` lists R, local IDA gives each
-        node's parent sets over R, and joint IDA on each node pair gives R's
-        parent-set pairs with multiplicities proportional to their counts in
-        R, and root picking's counts."""
+        picking counts it, ``enumerate_class`` and branch and close
+        (``leaves``) list R, local IDA gives each node's parent sets over R,
+        and joint IDA on each node pair gives R's parent-set pairs with
+        multiplicities proportional to their counts in R, and root picking's
+        counts."""
         orderings = [
             TieredOrdering(dict(enumerate(levels)))
             for levels in itr.product(range(4), repeat=4)
@@ -1227,6 +1229,8 @@ class TestDefinitionAudit:
                     ("class_size", class_size(g) == len(r) == class_size_by_root_picking(g)),
                     ("enumerate_class",
                      Counter(frozenset(m.directed_edges) for m in enumerate_class(g)) == Counter(r)),
+                    ("leaves",
+                     Counter(frozenset(m.directed_edges) for m in leaves(g)) == Counter(r)),
                 ]
                 for x in range(4):
                     expected = {pa[x] for pa in parents}
