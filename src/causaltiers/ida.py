@@ -4,8 +4,8 @@ The domain is the graphs whose undirected edges each join two nodes with
 the same parents, CPDAGs and tiered MPDAGs among them: their chain
 components orient independently of each other and of the directed part,
 so the original local and joint procedures apply without any validity
-post-check.  Other graphs raise a :class:`GraphError`, and a graph with a
-chain component that is not chordal has no member, so both give nothing.
+post-check.  Their undirected part must also be chordal, so the class has
+a member; other graphs raise a :class:`GraphError`.
 The local variant lists the cliques of a node's neighbours.  The joint
 variant counts the members behind each assignment of parent sets to the
 query nodes by clique picking (Wienobst, Bannach and Liskiewicz, AAAI
@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from .graphs import GraphError, Node, PDAG, _component_labels
-from .orientation import _completions, _has_members
+from .orientation import _completions, _require_chordal_part
 
 
 class ParentSetMultiset:
@@ -72,11 +72,10 @@ def local_ida(g: PDAG, x: Node) -> ParentSetMultiset:
     (the empty one included) of x's neighbours, which all have x's parents,
     so no S adds a collider at ``x``.  Each clique is extended with the
     later neighbours adjacent to all of it, so the cost follows the number
-    of answers, not 2^deg.  Empty if the class has no member; a graph
-    outside the module's domain raises a :class:`GraphError`."""
+    of answers, not 2^deg.  A graph outside the module's domain raises a
+    :class:`GraphError`."""
     i = g.index_of(x)
-    if not _has_members(g):
-        return ParentSetMultiset()
+    _require_chordal_part(g)
     cliques = [frozenset()]
     for w in sorted(g._ne[i]):
         cliques += [c | {w} for c in cliques if c <= g._ne[w]]
@@ -95,8 +94,7 @@ def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
     like ``xs``) then combine across components with the parents from the
     directed part, each multiplicity the product of the per-component
     counts.  The counts are over the queried components; an untouched
-    component scales every count alike and is left out.  A graph with a
-    component that is not chordal has no member, so neither has the query.
+    component scales every count alike and is left out.
 
     Raises
     ------
@@ -107,8 +105,7 @@ def joint_ida(g: PDAG, xs: Sequence[Node]) -> ParentSetMultiset:
     if len(set(xs)) != len(xs):
         raise GraphError("query nodes must be distinct")
     idx = [g.index_of(x) for x in xs]
-    if not _has_members(g):
-        return ParentSetMultiset()
+    _require_chordal_part(g)
     label = _component_labels(g._ne)[0]
     keep = {label[i] for i in idx}
     ne = [nb if label[v] in keep else () for v, nb in enumerate(g._ne)]

@@ -336,21 +336,15 @@ def _require_shared_parents(g: PDAG) -> None:
                          "have different parents")
 
 
-def _has_members(g: PDAG) -> bool:
-    """The gate of :func:`class_size` and IDA, which count right only where
-    :func:`_require_shared_parents` passes: are the chain components chordal?"""
-    _require_shared_parents(g)
-    return g._non_simplicial() is None
-
-
 def _require_chordal_part(c: PDAG) -> None:
-    """After :func:`_require_shared_parents`, refuse ``c``, naming a node, unless its
-    undirected part is chordal.  Searching ``c`` for the passes refuses no more: let ``c``
-    share parents and have a chordless cycle Z of 4+ nodes (no arc is a chord, as Z's nodes
-    share parents).  A result leaves Z undirected (not chordal), directs it one way round (a
-    partially directed cycle), or has a sink run x -> u - ... - v <- y on Z: if u = v,
-    x -> u <- y is a new v-structure; else x, a parent of u, misses v, or an inner node
-    of the run if Z is x and the run, so parents differ along the run."""
+    """The domain of every function that takes a CPDAG or tiered MPDAG: after
+    :func:`_require_shared_parents`, refuse ``c``, naming a node, unless its undirected
+    part is chordal, so that ``c`` has a member.  A one-ordering pass that passes implies
+    it: let ``c`` share parents and have a chordless cycle Z of 4+ nodes (no arc is a
+    chord, as Z's nodes share parents).  A result leaves Z undirected (not chordal), directs
+    it one way round (a partially directed cycle), or has a sink run x -> u - ... - v <- y
+    on Z: if u = v, x -> u <- y is a new v-structure; else x, a parent of u, misses v, or
+    an inner node of the run if Z is x and the run, so parents differ along the run."""
     _require_shared_parents(c)
     if (k := c._non_simplicial()) is not None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
@@ -388,27 +382,30 @@ def _require_invariants(g: PDAG, s, search: bool, u: Sequence[int]) -> None:
         raise InvariantError(f"chordality: later neighbours of {names[k]} are not all adjacent")
 
 
-def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequence[int],
-                   searched: bool = False):
+def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequence[int]):
     """The tiered pass: per ordering, the graph closed under ``rules`` from the
     frontier of the cross-tier orientations (no rule fires on an admitted ``c``:
     :func:`_shares_parents`) and its :func:`meek_closure_trace` firings, built
-    unchecked, as the invariant checks find a directed cycle.  ``c`` is admitted
-    once, here unless :func:`_require_chordal_part` has ``searched`` it already; with
-    its undirected part searched (then, or for two or more orderings) no result is.
-    Each ordering's stages walk only the nodes with an undirected edge, listed once."""
-    search = len(orderings) < 2 and not searched
-    if not searched:
-        (_require_shared_parents if search else _require_chordal_part)(c)
+    unchecked, as the invariant checks find a directed cycle.  ``c`` is admitted once
+    (:func:`_require_chordal_part`): before two or more orderings, then no result is
+    searched; for one, by searching the result, and ``c`` if the pass fails, so k orderings
+    give the outcome of k one-ordering passes.  Stages walk only U, listed once."""
+    search = len(orderings) < 2
+    (_require_shared_parents if search else _require_chordal_part)(c)
     names, u, out = c.nodes, c._with_neighbours(), []
-    for ordering in orderings:
-        require_consistency(c, ordering)
-        s, oriented = _cross_tier_state(c, ordering._tiers(names))
-        trace = _close(s, rules, names, oriented)
-        g = c._oriented(s[0], s[1], False)
-        _require_invariants(g, s, search, u)
-        _require_no_new_v_structures(c, s)
-        out.append((g, trace))
+    try:
+        for ordering in orderings:
+            require_consistency(c, ordering)
+            s, oriented = _cross_tier_state(c, ordering._tiers(names))
+            trace = _close(s, rules, names, oriented)
+            g = c._oriented(s[0], s[1], False)
+            _require_invariants(g, s, search, u)
+            _require_no_new_v_structures(c, s)
+            out.append((g, trace))
+    except GraphError:
+        if search:
+            _require_chordal_part(c)
+        raise
     return out
 
 
@@ -424,7 +421,8 @@ def tiered_mpdag(c: PDAG, ordering: "TieredOrdering") -> PDAG:
     Raises
     ------
     GraphError
-        First, if the ends of an undirected edge of ``c`` have different parents.
+        If ``c`` is outside :func:`class_size`'s domain, first if the ends of
+        an undirected edge have different parents.
     InconsistentKnowledgeError
         If a directed edge of ``c`` contradicts ``ordering`` (the message
         lists the violating cross-tier edges), or if the result has a
@@ -439,8 +437,8 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
     orientations of its undirected edges that are acyclic and have exactly
     the v-structures of ``g``.
 
-    :func:`class_size` counts the members first, and an empty class lists
-    nothing.  The listing is joint IDA on every node: clique picking with
+    :func:`class_size` admits ``g`` and counts the members first.  The
+    listing is joint IDA on every node: clique picking with
     each node's parents carried, so every key is one member's parent sets,
     counted once (else :class:`InvariantError`).  Members come in
     lexicographic order of the directions of ``g``'s undirected edges in
@@ -449,15 +447,12 @@ def enumerate_class(g: PDAG, max_members: int = 10_000) -> list[PDAG]:
     Raises
     ------
     GraphError
-        As :func:`class_size`, if the ends of an undirected edge of ``g``
-        have different parents.
+        As :func:`class_size`, if ``g`` is outside the domain.
     LimitError
         Before listing, if over ``max_members`` members exist.
     """
     if (size := class_size(g)) > max_members:
         raise LimitError(f"class has over {max_members} members, the enumeration limit")
-    if not size:  # a chain component that is not chordal: no member
-        return []
     names, index = g.nodes, g._index
     rows = _completions(g._ne, names, {}, names, tuple(frozenset(g._labels(x)) for x in g._pa))
     if len(rows) != size or set(rows.values()) != {1}:
@@ -586,7 +581,8 @@ def class_size(g: PDAG) -> int:
     every choice of one acyclic orientation without v-structures per
     component gives a member, and every member arises once.  So the size
     is the product of the components' counts, each found by clique
-    picking.  A graph with a chain component that is not chordal has
-    no member: 0.  Other graphs raise a :class:`GraphError`.
+    picking.  Any other graph, or one whose undirected part is not
+    chordal (it has no member), raises a :class:`GraphError`.
     """
-    return _completions(g._ne, g.nodes, {})[()] if _has_members(g) else 0
+    _require_chordal_part(g)
+    return _completions(g._ne, g.nodes, {})[()]

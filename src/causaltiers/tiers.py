@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
-from .orientation import InvariantError, _cross_tier_state, _orient_tiered, _require_chordal_part
+from .orientation import InvariantError, _cross_tier_state, _orient_tiered, tiered_mpdag
 
 
 class IncompatibleOrderingsError(GraphError):
@@ -101,11 +101,6 @@ class TieredOrdering:
     def num_tiers(self) -> int:
         return len(set(self._assignment.values()))
 
-    def normalized(self) -> "TieredOrdering":
-        """Relabel tiers to the contiguous range 1..T, preserving order."""
-        levels = {t: i for i, t in enumerate(sorted(set(self._assignment.values())), 1)}
-        return TieredOrdering({v: levels[t] for v, t in self._assignment.items()})
-
     def tier_groups(self) -> list[tuple[int, tuple[Node, ...]]]:
         """Tiers with their members, earliest first."""
         groups: dict[int, list[Node]] = {}
@@ -125,12 +120,13 @@ class TieredOrdering:
         return out
 
     def __eq__(self, other) -> bool:
+        """Equal iff the tiers, earliest first, hold the same nodes."""
         if not isinstance(other, TieredOrdering):
             return NotImplemented
-        return self.normalized()._assignment == other.normalized()._assignment
+        return [set(g) for _, g in self.tier_groups()] == [set(g) for _, g in other.tier_groups()]
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.normalized()._assignment.items()))
+        return hash(tuple(frozenset(g) for _, g in self.tier_groups()))
 
     def __repr__(self) -> str:
         groups = ["{" + " ".join(map(str, g)) + "}" for _, g in self.tier_groups()]
@@ -255,7 +251,10 @@ def first_cross_tier_edges(path: Sequence[Node], tier) -> frozenset[Edge]:
     minimum-tier nodes, the edge leaving the run, oriented from the earlier
     tier; so the path's edges with one end in the minimum tier and one
     above it.  Node ``v`` has tier ``tier[v]``: ``tier`` is a
-    :class:`TieredOrdering`, or a tier vector for a path of indices."""
+    :class:`TieredOrdering`, or a tier vector for a path of indices.  A
+    path of fewer than two nodes raises :class:`GraphError`."""
+    if len(path) < 2:
+        raise GraphError("a path needs at least two nodes")
     tiers = [tier[v] for v in path]
     m = min(tiers)
     return frozenset(
@@ -290,12 +289,10 @@ def cross_tier_report(
     raises LimitError; each earliest path comes once, from its lower end, by
     (component, start, end).  Only prefixes whose floors all equal the first
     edge's, m, are walked: a path is earliest iff that holds and it has a
-    node of tier m.  An undirected edge whose ends have different parents,
-    or a part that is not chordal (no CPDAG has either), raises GraphError,
-    and an ordering that no DAG of the class respects raises as in
-    :func:`tiered_mpdag`."""
-    _require_chordal_part(c)
-    _orient_tiered(c, (ordering,), (1,), searched=True)
+    node of tier m.  It admits ``c`` and ``ordering`` by building their
+    :func:`tiered_mpdag`, so it refuses what that refuses, with the same
+    line; a pass that passes proves the undirected part chordal."""
+    tiered_mpdag(c, ordering)
     names, ne, tier = c.nodes, c._ne, ordering._tiers(c.nodes)
     groups = _component_labels(ne)[1].values()
     if size := next((len(group) for group in groups if len(group) > max_nodes), 0):

@@ -12,6 +12,9 @@ from causaltiers.simulation import GENERATORS, write_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: the start of the refusal of an input whose undirected part is not chordal
+NOT_CHORDAL = "^not a CPDAG: the undirected part is not chordal at "
+
 WAVE_ARCS = [
     ("A", "B"),
     ("A", "C"),

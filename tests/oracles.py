@@ -11,8 +11,9 @@ library's sets, which the tests check against the matrix sweep here,
 invariant checks that the frontier closure and the certificate replaced,
 ``orient_tiered_full_scan``, the tiered pass before its closure started
 from the frontier of the cross-tier orientations, ``orient_tiered_each``
-with ``require_chordal_part``, one pass per ordering and the comparison's
-own admission, before one pass took all of an input's orderings,
+with ``require_chordal_part``, one whole pass per ordering, each searching
+the input when it fails, which one pass over all of an input's orderings
+must match,
 ``partially_directed_cycle_near_components`` and
 ``rule1_closed_without_partial_cycle``, the contraction that rewrote only
 the lists in and next to chain components and the certificate's pass
@@ -38,7 +39,9 @@ adjustment check ran before the partially directed cycle test decided it,
 starts and took the least of both directions without ``min``, ``leaves``,
 the branch and close that listed a class before the listing came from clique
 picking, ``markov_equivalent``, ``directed_subgraph`` and
-``fully_shielded_edges``, the library names that only the tests used, the
+``fully_shielded_edges``, the library names that only the tests used,
+``normalized``, the tier relabelling that ordering equality compared before
+it compared the tier groups, the
 moved generators:
 ``er_skeleton_one_draw``, the ER generator that drew every pair's uniform
 at once, ``power_skeleton_by_choice``, the preferential attachment that called
@@ -93,6 +96,7 @@ from causaltiers.tiers import (
     InformativenessResult,
     Refinement,
     TierEquivalence,
+    TieredOrdering,
     _shielded,
     contained_in,
     first_cross_tier_edges,
@@ -1553,8 +1557,9 @@ def completions_by_root_picking(ne, names, memo: dict, query=(), parents=None):
 
 
 def class_size_by_root_picking(g) -> int:
-    """:func:`causaltiers.class_size` by root picking."""
-    return completions_by_root_picking(g._ne, g.nodes, {}) if orientation._has_members(g) else 0
+    """:func:`causaltiers.class_size` by root picking, behind the same admission."""
+    require_chordal_part(g)
+    return completions_by_root_picking(g._ne, g.nodes, {})
 
 
 def joint_ida_by_root_picking(g, xs) -> ParentSetMultiset:
@@ -1562,8 +1567,7 @@ def joint_ida_by_root_picking(g, xs) -> ParentSetMultiset:
     the queried chain components, counted by
     :func:`amo_count_by_root_picking`."""
     idx = [g.index_of(x) for x in xs]
-    if not orientation._has_members(g):
-        return ParentSetMultiset()
+    require_chordal_part(g)
     label = _component_labels(g._ne)[0]
     keep = {label[i] for i in idx}
     ne = [nb if label[v] in keep else () for v, nb in enumerate(g._ne)]
@@ -1596,44 +1600,58 @@ def round_closure(s, rules, names) -> list:
 
 def orient_tiered_full_scan(c, ordering, rules):
     """``orientation._orient_tiered`` with every closure round over every
-    undirected edge (:func:`round_closure`): the same checks, the graph and
-    its trace."""
+    undirected edge (:func:`round_closure`): the same checks, the input's
+    search when they fail, the graph and its trace."""
     orientation._require_shared_parents(c)
-    require_consistency(c, ordering)
-    s = orientation._cross_tier_state(c, ordering._tiers(c.nodes))[0]
-    trace = round_closure(s, rules, c.nodes)
-    g = c._oriented(s[0], s[1], check=False)
-    orientation._require_invariants(g, s, True, c._with_neighbours())
-    require_no_new_v_structures_full_walk(c, s)
+    try:
+        require_consistency(c, ordering)
+        s = orientation._cross_tier_state(c, ordering._tiers(c.nodes))[0]
+        trace = round_closure(s, rules, c.nodes)
+        g = c._oriented(s[0], s[1], check=False)
+        orientation._require_invariants(g, s, True, c._with_neighbours())
+        require_no_new_v_structures_full_walk(c, s)
+    except GraphError:
+        require_chordal_part(c)
+        raise
     return g, trace
 
 
 def require_chordal_part(c) -> None:
-    """The comparison's admission before the tiered pass took it over: the
-    shared-parents gate, then the chordality search of the undirected part."""
-    if not orientation._has_members(c):
-        k = c._non_simplicial()
+    """The domain of every function that takes a CPDAG or tiered MPDAG,
+    spelled out: the shared-parents gate, then the chordality search of the
+    undirected part, whose first failing node is named."""
+    orientation._require_shared_parents(c)
+    k = c._non_simplicial()
+    if k is not None:
         raise GraphError(f"not a CPDAG: the undirected part is not chordal at {c.nodes[k]}")
 
 
 def orient_tiered_each(c, orderings, rules) -> list:
-    """The tiered passes before one call took all of an input's orderings:
-    with two or more, :func:`require_chordal_part` first, as the comparison
-    did; then a whole pass per ordering, each with its own gate and its own
-    result's chordality search.  The graphs and traces, one per ordering."""
-    if len(orderings) > 1:
-        require_chordal_part(c)
+    """One whole one-ordering pass per ordering, in turn, each with its own
+    gate and its own result's chordality search; a pass that fails searches
+    the input (:func:`require_chordal_part`) before its error leaves.  The
+    graphs and traces, one per ordering."""
     out = []
     for ordering in orderings:
         orientation._require_shared_parents(c)
-        require_consistency(c, ordering)
-        s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes))
-        trace = orientation._close(s, rules, c.nodes, oriented)
-        g = c._oriented(s[0], s[1], check=False)
-        orientation._require_invariants(g, s, True, c._with_neighbours())
-        require_no_new_v_structures_full_walk(c, s)
+        try:
+            require_consistency(c, ordering)
+            s, oriented = orientation._cross_tier_state(c, ordering._tiers(c.nodes))
+            trace = orientation._close(s, rules, c.nodes, oriented)
+            g = c._oriented(s[0], s[1], check=False)
+            orientation._require_invariants(g, s, True, c._with_neighbours())
+            require_no_new_v_structures_full_walk(c, s)
+        except GraphError:
+            require_chordal_part(c)
+            raise
         out.append((g, trace))
     return out
+
+
+def normalized(t):
+    """The ordering ``t`` with its tiers relabelled 1..T, order kept."""
+    levels = {k: i for i, k in enumerate(sorted(set(t.assignment.values())), 1)}
+    return TieredOrdering({v: levels[k] for v, k in t.assignment.items()})
 
 
 def require_invariants_scan(g, s) -> None:

@@ -1,11 +1,12 @@
 """One admission per input: the tiered pass takes all of an input's
 orderings, runs the shared-parents gate once and, with two or more
-orderings, searches the input's undirected part instead of each result.
+orderings, searches the input's undirected part instead of each result;
+with one, it searches the result, and the input only if the pass fails.
 
 Checked against ``oracles.orient_tiered_each``, one whole pass per ordering
-behind the comparison's own admission; by the converse (an input that shares
-parents but has a non-chordal undirected part fails every pass); and by
-counting the gate and the chordality search per input."""
+in turn; by the converse (an input that shares parents but has a non-chordal
+undirected part fails every pass, so each refuses it alike); and by counting
+the gate and the chordality search per input."""
 
 import io
 import itertools as itr
@@ -14,7 +15,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from causaltiers import (PDAG, GraphError, SimCell, TieredOrdering, cli, orientation, simulation,
+from causaltiers import (PDAG, GraphError, SimCell, TieredOrdering, class_size, cli,
+                         enumerate_class, joint_ida, local_ida, orientation, simulation,
                          tiered_mpdag, tiers)
 from causaltiers.formats import format_graph, format_tiers
 from causaltiers.orientation import MEEK_RULES, InvariantError
@@ -110,9 +112,12 @@ def kind_of(got) -> str:
 
 
 def both(c, orderings, rules):
-    """The pass's outcome, checked against one pass per ordering."""
+    """The pass's outcome, checked against one pass per ordering: the
+    oracle's, and the pass's own one-ordering runs in turn."""
     got = outcome(lambda: orientation._orient_tiered(c, orderings, rules))
     assert got == outcome(lambda: orient_tiered_each(c, orderings, rules)), (c, orderings)
+    in_turn = lambda: [orientation._orient_tiered(c, (t,), rules)[0] for t in orderings]
+    assert got == outcome(in_turn), (c, orderings)
     return got
 
 
@@ -120,7 +125,8 @@ class TestOnePassPerInput:
     def test_matches_one_pass_per_ordering(self):
         """k = 1, 2 and 5 orderings of CPDAGs, tiered MPDAGs and admitted
         PDAGs, under rule 1 and rules 1-4: the same graphs and traces, or
-        the same exception type and message."""
+        the same exception type and message.  No honest pass fails its
+        invariant checks: a non-chordal input is refused as such."""
         rng = np.random.default_rng(241)
         seen = Counter()
         for trial in range(800):
@@ -128,7 +134,9 @@ class TestOnePassPerInput:
             for k, rules in itr.product((1, 2, 5), ((1,), MEEK_RULES)):
                 seen[k > 1, kind_of(both(c, orderings[:k], rules))] += 1
         assert min(seen[several, "answered"] for several in (False, True)) > 600, seen
-        assert seen[True, "not a CPDAG:"] > 600 and seen[False, "chordality"] > 20, seen
+        assert seen[True, "not a CPDAG:"] > 600 and seen[False, "not a CPDAG:"] > 300, seen
+        invariants = ("chordality", "rule-1 sufficiency", "partially directed cycle")
+        assert not [kind for _, kind in seen if kind in invariants], seen
         for kind in ("ordering creates", "ordering contradicts", "rules orient"):
             assert min(seen[several, kind] for several in (False, True)) > 20, seen
 
@@ -178,25 +186,85 @@ class TestOnePassPerInput:
                 seen[got[0].__name__] += 1
         assert seen["InvariantError"] == 180, seen
 
-    def test_non_chordal_inputs_fail_every_pass(self):
+    def test_non_chordal_inputs_fail_every_pass(self, monkeypatch):
         """The converse (``orientation._require_chordal_part``): inputs that
         share parents and have a non-chordal undirected part, under tiers
         of 1-4 levels their arcs respect, fail every pass, with one ordering
-        and with two, under rule 1 and rules 1-4.  With one, the result's
-        search refuses it, or a new v-structure, or rule 1 orienting an
-        edge both ways as it carries a parent along a sink run."""
+        and with two, under rule 1 and rules 1-4, and each pass refuses them
+        as such.  With one, the failure that sends the pass to the input's
+        search is the result's search, or a new v-structure, or rule 1
+        orienting an edge both ways as it carries a parent along a sink run:
+        with the input's search stubbed out, those leave instead."""
         rng = np.random.default_rng(247)
         seen = Counter()
+        cases = []
         for _ in range(600):
             c, order = shared_parents_input(rng, chordal=False)
             t1, t2 = consistent_tiers(rng, c, order), consistent_tiers(rng, c, order)
-            for orderings, rules in itr.product(((t1,), (t2,), (t1, t2)), ((1,), MEEK_RULES)):
+            cases += [(c, orderings, rules) for orderings, rules
+                      in itr.product(((t1,), (t2,), (t1, t2)), ((1,), MEEK_RULES))]
+        for c, orderings, rules in cases:
+            with pytest.raises(GraphError) as info:
+                orientation._orient_tiered(c, orderings, rules)
+            seen[len(orderings), kind_of((None, str(info.value)))] += 1
+        assert seen == {(1, "not a CPDAG:"): 2400, (2, "not a CPDAG:"): 1200}, seen
+        monkeypatch.setattr(orientation, "_require_chordal_part", lambda c: None)
+        seen.clear()
+        for c, orderings, rules in cases:
+            if len(orderings) == 1:
                 with pytest.raises(GraphError) as info:
                     orientation._orient_tiered(c, orderings, rules)
-                seen[len(orderings), kind_of((None, str(info.value)))] += 1
-        assert seen[2, "not a CPDAG:"] == 1200, seen
+                seen[kind_of((None, str(info.value)))] += 1
         for kind in ("chordality", "ordering creates", "rules orient"):
-            assert seen[1, kind] > 200, seen
+            assert seen[kind] > 200, seen
+
+
+class TestOneDomain:
+    def test_every_entry_refuses_a_non_chordal_part_alike(self, tmp_path, capsys):
+        """The undirected square and 300 inputs that share parents but have
+        a non-chordal undirected part, under random compatible orderings and
+        queries: every function and subcommand that takes a CPDAG or tiered MPDAG
+        refuses each with the same one line, a plain ``GraphError`` (CLI
+        exit 1, nothing on stdout, that line on stderr)."""
+        rng = np.random.default_rng(259)
+        square = PDAG("abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        cases = [(square, square.nodes)]
+        cases += [shared_parents_input(rng, chordal=False) for _ in range(300)]
+        graph, t1_file, t2_file = (tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt"))
+        for c, order in cases:
+            with pytest.raises(GraphError) as info:
+                require_chordal_part(c)
+            want = str(info.value)
+            assert want.startswith("not a CPDAG: the undirected part is not chordal at "), want
+            t1 = consistent_tiers(rng, c, order)
+            merged = np.cumsum(rng.integers(0, 2, size=5))  # a coarsening: compatible
+            t2 = TieredOrdering({v: int(merged[t]) for v, t in t1.assignment.items()})
+            x, y = (c.nodes[i] for i in rng.choice(c.num_nodes, size=2, replace=False))
+            calls = [
+                lambda: tiered_mpdag(c, t1),
+                lambda: tiers.tiers_equivalent(c, t1, t2),
+                lambda: tiers.tiers_more_informative(c, t1, t2),
+                lambda: cross_tier_report(c, t1),
+                lambda: class_size(c),
+                lambda: enumerate_class(c),
+                lambda: local_ida(c, x),
+                lambda: joint_ida(c, [x, y]),
+            ]
+            for k, call in enumerate(calls):
+                with pytest.raises(GraphError) as info:
+                    call()
+                assert (type(info.value), str(info.value)) == (GraphError, want), (k, c)
+            graph.write_text(format_graph(c), encoding="utf-8")
+            t1_file.write_text(format_tiers(t1), encoding="utf-8")
+            t2_file.write_text(format_tiers(t2), encoding="utf-8")
+            for argv in (["orient", graph, "--tiers", t1_file, "--rules", "1"],
+                         ["orient", graph, "--tiers", t1_file, "--rules", "all"],
+                         ["compare-tiers", graph, t1_file, t2_file],
+                         ["ida", graph, "--x", x], ["ida", graph, "--joint", f"{x},{y}"]):
+                out = io.StringIO()
+                code = cli.main(list(map(str, argv)), out=out)
+                got = code, out.getvalue(), capsys.readouterr().err
+                assert got == (1, "", f"error: {want}\n"), argv
 
 
 def counted(monkeypatch):
@@ -300,10 +368,11 @@ class TestCallCounts:
             assert len(searched) == 2 and format_graph(searched[1]) == out.getvalue()
             monkeypatch.undo()
 
-    def test_cross_tier_report_searches_the_input_once(self, monkeypatch):
-        """``cross_tier_report`` admits its input once, on bands under three
-        tiers and on random CPDAGs: one chordality search, of the input, and
-        two shared-parents tests, the gate and the result's certificate."""
+    def test_cross_tier_report_searches_the_result_once(self, monkeypatch):
+        """``cross_tier_report`` admits its input once, by its one-ordering
+        pass, on bands under three tiers and on random CPDAGs: one chordality
+        search, of the result, and two shared-parents tests, the gate and the
+        result's certificate."""
         rng = np.random.default_rng(253)
         for trial in range(30):
             if trial % 2:
@@ -314,14 +383,15 @@ class TestCallCounts:
                 c = PDAG(names, undirected=[(names[i], names[j]) for i in range(8)
                                             for j in range(i + 1, min(8, i + width + 1))])
                 tau = TieredOrdering({v: 1 + 3 * k // 8 for k, v in enumerate(names)})
+            result = tiered_mpdag(c, tau)
             searched, tested = counted(monkeypatch)
             cross_tier_report(c, tau)
-            assert len(searched) == 1 and searched[0] is c and len(tested) == 2
+            assert len(searched) == 1 and searched[0] == result and len(tested) == 2
             monkeypatch.undo()
 
     def test_cross_tier_report_refuses_as_before(self):
-        """The report refuses what the comparison's admission and then a
-        whole one-ordering pass refused, with the same type and message, on
+        """The report refuses what the domain check and then a whole
+        one-ordering pass refuse, with the same type and message, on
         the inputs above and, one in five, with an arc into one end of an
         undirected edge."""
         rng = np.random.default_rng(255)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from causaltiers import PDAG, InconsistentKnowledgeError, cli, orientation, tiered_mpdag, tiers
+from causaltiers import (PDAG, GraphError, InconsistentKnowledgeError, cli, orientation,
+                         tiered_mpdag, tiers)
 from causaltiers.cli import main
 from causaltiers.formats import load_graph, load_tiers
 
@@ -320,19 +321,23 @@ class TestSubcommands:
         assert code == 0
         assert out == "({}, {A}) x1\n({B}, {}) x1\n"
 
-    def test_ida_on_four_cycle_lists_nothing(self, tmp_path):
-        # the undirected 4-cycle is not chordal: its class is empty
+    def test_ida_on_four_cycle_lists_nothing(self, tmp_path, capsys):
+        # the undirected 4-cycle is not chordal, so no CPDAG: refused, stdout empty
         graph = tmp_path / "square.txt"
         graph.write_text("nodes: a b c d\na -- b\nb -- c\nc -- d\nd -- a\n")
         for target in ("--x", "--joint"):
-            assert run_cli("ida", str(graph), target, "a") == (0, "")
+            assert run_cli("ida", str(graph), target, "a") == (1, "")
+            assert capsys.readouterr().err == (
+                "error: not a CPDAG: the undirected part is not chordal at d\n")
 
-    def test_ida_lists_nothing_when_another_component_is_not_chordal(self, tmp_path):
-        # x - y is chordal, but the square a - b - c - d - a empties the class
+    def test_ida_lists_nothing_when_another_component_is_not_chordal(self, tmp_path, capsys):
+        # x - y is chordal, but the square a - b - c - d - a is refused, whatever is queried
         graph = tmp_path / "square_and_edge.txt"
         graph.write_text("nodes: a b c d x y\na -- b\nb -- c\nc -- d\nd -- a\nx -- y\n")
         for target in ("--x", "--joint"):
-            assert run_cli("ida", str(graph), target, "x") == (0, "")
+            assert run_cli("ida", str(graph), target, "x") == (1, "")
+            assert capsys.readouterr().err == (
+                "error: not a CPDAG: the undirected part is not chordal at d\n")
 
     @pytest.mark.parametrize("edges, query, edge", [
         ("a -> b\nb -- c\n", "c", "b - c"),
@@ -565,15 +570,17 @@ class TestExitCodes:
         assert out == "False\nrule-1 sufficiency: rule 1 orients C -> D\n"
 
     def test_orient_non_cpdag_fails_like_tiered_mpdag(self, capsys, tmp_path):
-        # the undirected square is no CPDAG: its component is not chordal
+        # the undirected square is no CPDAG: its component is not chordal, and
+        # the failing pass refuses the input as such, not with an InvariantError
         graph = tmp_path / "square.txt"
         graph.write_text("nodes: A B C D\nA -- B\nB -- C\nC -- D\nD -- A\n")
         one_tier = tmp_path / "one_tier.txt"
         one_tier.write_text("tier 1: A B C D\n")
-        with pytest.raises(orientation.InvariantError) as info:
+        with pytest.raises(GraphError) as info:
             tiered_mpdag(load_graph(graph), load_tiers(one_tier))
+        assert not isinstance(info.value, orientation.InvariantError)
         expected = f"error: {info.value}\n"
-        assert expected == "error: chordality: later neighbours of D are not all adjacent\n"
+        assert expected == "error: not a CPDAG: the undirected part is not chordal at D\n"
         for rules in ("1", "all"):
             code, out = run_cli("orient", str(graph), "--tiers", str(one_tier), "--rules", rules)
             assert (code, out) == (1, "")

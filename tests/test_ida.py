@@ -24,7 +24,7 @@ from causaltiers import (
 )
 from causaltiers.ida import ParentSetMultiset
 
-from conftest import random_chordal, random_cpdag_and_tau
+from conftest import NOT_CHORDAL, random_chordal, random_cpdag_and_tau
 from oracles import (
     joint_ida_branch_and_close,
     joint_ida_by_enumeration,
@@ -91,16 +91,19 @@ class TestParentSetMultiset:
 
 class TestDomain:
     """class_size, enumerate_class and both IDA variants take the graphs
-    whose undirected edges join nodes with the same parents, and count or
-    list nothing on a class that is empty because some chain component is
-    not chordal."""
+    whose undirected edges join nodes with the same parents and whose
+    undirected part is chordal, so every one has a member, and refuse a
+    graph whose class is empty because some chain component is not
+    chordal, whichever component is queried."""
 
     def test_component_outside_the_query_empties_the_class(self):
         g = PDAG("abcdxy", undirected=[
             ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("x", "y"),
         ])
-        assert class_size(g) == 0 == len(enumerate_class(g))
-        assert local_ida(g, "x") == ParentSetMultiset() == joint_ida(g, ["x"])
+        for count in (class_size, enumerate_class, lambda g: local_ida(g, "x"),
+                      lambda g: joint_ida(g, ["x"])):
+            with pytest.raises(GraphError, match=NOT_CHORDAL + "d$"):
+                count(g)
 
     @pytest.mark.parametrize("directed, undirected, members, edge", [
         # class_size gave 2
@@ -203,16 +206,22 @@ class TestLocalIda:
                         assert g.has_edge(a, b) or (a in pa and b in pa)
 
     def test_four_cycle_has_no_member(self):
+        """So it is refused: no CPDAG has it."""
         square = PDAG("abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        assert enumerate_class(square) == []
+        assert list(leaves(square)) == []
+        with pytest.raises(GraphError, match=NOT_CHORDAL + "d$"):
+            enumerate_class(square)
         for x in square.nodes:
-            assert local_ida(square, x) == ParentSetMultiset() == joint_ida(square, [x])
+            for ida in (lambda: local_ida(square, x), lambda: joint_ida(square, [x])):
+                with pytest.raises(GraphError, match=NOT_CHORDAL + "d$"):
+                    ida()
 
     def test_distinct_sets_match_joint_ida(self):
         """Random undirected graphs, chordal or not, and CPDAGs and tiered
-        MPDAGs: local IDA lists the parent sets joint IDA finds for x alone."""
+        MPDAGs: local IDA lists the parent sets joint IDA finds for x alone,
+        or both refuse a graph that is not chordal, with the same line."""
         rng = np.random.default_rng(139)
-        empty = 0
+        refused = 0
         for trial in range(300):
             p = int(rng.integers(2, 9))
             if trial % 2:
@@ -221,11 +230,16 @@ class TestLocalIda:
                 c, tau, _ = random_cpdag_and_tau(rng, p, float(rng.uniform(1.0, 3.5)))
                 graphs = [c, tiered_mpdag(c, tau)]
             for g in graphs:
+                if g._non_simplicial() is not None:
+                    for ida in (lambda: local_ida(g, g.nodes[0]), lambda: joint_ida(g, g.nodes[:1])):
+                        with pytest.raises(GraphError, match=NOT_CHORDAL):
+                            ida()
+                    refused += 1
+                    continue
                 for x in g.nodes:
                     got = local_ida(g, x).distinct()
-                    assert {(s,) for s in got} == joint_ida(g, [x]).distinct(), (g, x)
-                    empty += not got
-        assert empty > 50, empty
+                    assert got and {(s,) for s in got} == joint_ida(g, [x]).distinct(), (g, x)
+        assert refused > 10, refused
 
 
 class TestJointIda:
@@ -295,8 +309,8 @@ class TestJointIda:
                 assert joint_ida(g, xs) == expected
 
     def test_arbitrary_undirected_components(self):
-        """Components that are not chordal have no member: both give an
-        empty multiset."""
+        """Components that are not chordal have no member: joint IDA
+        refuses them, and counts every other graph as the enumeration does."""
         rng = np.random.default_rng(113)
         empty = 0
         for _ in range(200):
@@ -309,8 +323,12 @@ class TestJointIda:
             k = int(rng.integers(1, min(3, p) + 1))
             xs = [names[i] for i in rng.choice(p, size=k, replace=False)]
             expected = joint_ida_by_enumeration(g, xs)
-            assert joint_ida(g, xs) == expected
-            empty += not expected.total()
+            if expected.total():
+                assert joint_ida(g, xs) == expected
+                continue
+            with pytest.raises(GraphError, match=NOT_CHORDAL):
+                joint_ida(g, xs)
+            empty += 1
         assert empty > 20, empty
 
     def test_matches_branch_and_close_oracle(self):

@@ -34,6 +34,7 @@ from causaltiers.orientation import MEEK_RULES, InvariantError, meek_closure_tra
 from causaltiers.simulation import GENERATORS, random_dag
 
 from conftest import (
+    NOT_CHORDAL,
     cycle_close,
     no_op_close,
     random_chordal,
@@ -155,7 +156,9 @@ def class_outcome(g):
     """Check branch and close (``leaves``) as a set against the bitmask
     oracle on the same undirected edges, directed edges and v-structures,
     and ``enumerate_class`` against it: the same list, in order, if the ends
-    of each undirected edge have the same parents, else the gate's line."""
+    of each undirected edge have the same parents and the oracle finds a
+    member, else the gate's line, or the refusal of a part that is not
+    chordal, which a graph that shares parents gets iff it has no member."""
     idx = g.index_of
     und = [(idx(u), idx(v)) for u, v in g.undirected_edges]
     arcs = {(idx(u), idx(v)) for u, v in g.directed_edges}
@@ -174,6 +177,9 @@ def class_outcome(g):
     if split:
         message = "^not a CPDAG or tiered MPDAG: the ends of %s - %s have different parents$"
         with pytest.raises(GraphError, match=message % split[0]):
+            enumerate_class(g)
+    elif not members:
+        with pytest.raises(GraphError, match=NOT_CHORDAL):
             enumerate_class(g)
     else:
         assert enumerate_class(g) == members
@@ -962,15 +968,16 @@ class TestEnumerateClass:
 
     def test_counted_empty_class_lists_nothing(self, monkeypatch):
         """K10 less V0 - V1 and V8 - V9 holds the chordless 4-cycle V0 V8 V1
-        V9, so class_size is 0 and the listing, which assumes chordal
-        components, never starts (K9 less two such edges took half a second
-        by branch and close)."""
+        V9, so it has no member and is refused before the listing, which
+        assumes chordal components, starts (K9 less two such edges took half
+        a second by branch and close)."""
         names = [f"V{k}" for k in range(10)]
         g = PDAG(names, undirected=[e for e in itertools.combinations(names, 2)
                                     if e not in {("V0", "V1"), ("V8", "V9")}])
         monkeypatch.setattr(orientation, "_completions", counting_only)
         start = time.perf_counter()
-        assert enumerate_class(g) == []
+        with pytest.raises(GraphError, match=NOT_CHORDAL):
+            enumerate_class(g)
         assert time.perf_counter() - start < 0.1
 
     def test_listing_checked_against_the_count(self, monkeypatch):
@@ -1003,8 +1010,8 @@ class TestEnumerateClass:
     def test_equals_branch_and_close_in_order(self):
         """K2-K8 less one edge (each edge up to K6, a middle one beyond), and
         less two edges, sharing an end or not (a chordless 4-cycle from n = 4
-        on, so no member): clique picking lists what branch and close lists,
-        in the same order."""
+        on, so no member, and refused): clique picking lists what branch and
+        close lists, in the same order."""
         sizes = []
         for n in range(2, 9):
             names = [f"V{k}" for k in range(n)]
@@ -1012,9 +1019,7 @@ class TestEnumerateClass:
             singles = [{e} for e in pairs] if n <= 6 else [{pairs[len(pairs) // 2]}]
             for missing in singles + [set(pairs[:2]), {pairs[0], pairs[-1]}]:
                 g = PDAG(names, undirected=[e for e in pairs if e not in missing])
-                members = enumerate_class(g, 20_000)
-                assert members == list(leaves(g)), (n, missing)
-                sizes.append(len(members))
+                sizes.append(len(listed(g)))
         assert 0 in sizes and max(sizes) == 13 * math.factorial(6)
 
     def test_members_in_documented_order(self):
@@ -1089,10 +1094,27 @@ class TestEnumerateClass:
 
 def listed(g):
     """The members branch and close lists, which ``enumerate_class`` lists too,
-    in the same order."""
+    in the same order, or refuses if there are none."""
     members = list(leaves(g))
-    assert enumerate_class(g, 20_000) == members
+    if members:
+        assert enumerate_class(g, 20_000) == members
+    else:
+        with pytest.raises(GraphError, match=NOT_CHORDAL):
+            enumerate_class(g, 20_000)
     return members
+
+
+def counted_or_refused(g) -> int:
+    """``class_size`` of ``g``, checked against the root-picking oracle, or
+    0 where both refuse a graph whose undirected part is not chordal."""
+    if g._non_simplicial() is None:
+        size = class_size(g)
+        assert size == class_size_by_root_picking(g) and size > 0, g
+        return size
+    for count in (class_size, class_size_by_root_picking):
+        with pytest.raises(GraphError, match=NOT_CHORDAL):
+            count(g)
+    return 0
 
 
 class TestClassSize:
@@ -1113,18 +1135,17 @@ class TestClassSize:
 
     def test_k_less_edges_match_root_picking_and_enumeration(self):
         """K2-K10 less one edge, two disjoint edges (a chordless 4-cycle from
-        n = 4 on, so no member) and two edges at V0: clique picking agrees
-        with the root-picking oracle and, on K2-K8 up to 2,000 members, with
-        the listed members; over the enumeration limit, enumeration refuses
-        at once."""
+        n = 4 on, so no member, and refused) and two edges at V0: clique
+        picking agrees with the root-picking oracle and, on K2-K8 up to 2,000
+        members, with the listed members; over the enumeration limit,
+        enumeration refuses at once."""
         sizes = []
         for n in range(2, 11):
             names = [f"V{k}" for k in range(n)]
             pairs = list(itertools.combinations(names, 2))
             for missing in ({pairs[0]}, {pairs[0], pairs[-1]}, set(pairs[:2])):
                 g = PDAG(names, undirected=[e for e in pairs if e not in missing])
-                sizes.append(class_size(g))
-                assert sizes[-1] == class_size_by_root_picking(g), (n, missing)
+                sizes.append(counted_or_refused(g))
                 if sizes[-1] > 10_000:
                     with pytest.raises(LimitError, match="^class has over 10000 members"):
                         enumerate_class(g)
@@ -1197,7 +1218,7 @@ class TestClassSize:
                 math.factorial(n)
             )
         square = PDAG("ABCD", undirected=[("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-        assert class_size(square) == 0 == len(listed(square))
+        assert counted_or_refused(square) == 0 == len(listed(square))
         assert class_size(wave_dag) == 1
 
     def test_long_path(self):
@@ -1207,8 +1228,9 @@ class TestClassSize:
     def test_admitted_random_pdags(self):
         """On random PDAGs and their closures, class_size counts the members
         of every graph whose undirected edges join nodes with the same
-        parents, and refuses any other graph, naming its first undirected
-        edge whose ends have different parents."""
+        parents and which has one, refuses such a graph iff it has none,
+        as its undirected part is not chordal, and refuses any other graph,
+        naming its first undirected edge whose ends have different parents."""
         rng = np.random.default_rng(239)
         admitted = Counter()
         for trial in range(6000):
@@ -1228,7 +1250,7 @@ class TestClassSize:
                     class_size(g)
                 continue
             members = len(listed(g))
-            assert class_size(g) == members == class_size_by_root_picking(g), g
+            assert counted_or_refused(g) == members, g
             admitted[bool(g.undirected_edges), members > 0] += 1
         assert min(admitted.values()) > 20 and admitted[True, True] > 1000, admitted
 

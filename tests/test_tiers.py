@@ -65,6 +65,7 @@ from oracles import (
     least_edge_of_least_component,
     maximal_paths_by_segments,
     maximal_paths_pairwise,
+    normalized,
     orient_undirected_part,
     path_tree_with_edge_ids,
     report_paths_by_walk,
@@ -130,7 +131,7 @@ class TestTieredOrdering:
 
     def test_normalization_is_contiguous(self):
         tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
-        norm = tau.normalized()
+        norm = normalized(tau)
         assert norm.assignment == {"A": 2, "B": 1, "C": 2}
         assert tau == norm  # equality is up to monotone relabelling
 
@@ -146,8 +147,8 @@ class TestTieredOrdering:
 
     def test_hash_and_repr_follow_the_tier_groups(self):
         tau = TieredOrdering({"A": 10, "B": 3, "C": 10})
-        assert hash(tau) == hash(tau.normalized()) == hash(TieredOrdering({"C": 2, "B": 1, "A": 2}))
-        assert len({tau, tau.normalized(), TieredOrdering({"A": 1, "B": 1, "C": 1})}) == 2
+        assert hash(tau) == hash(normalized(tau)) == hash(TieredOrdering({"C": 2, "B": 1, "A": 2}))
+        assert len({tau, normalized(tau), TieredOrdering({"A": 1, "B": 1, "C": 1})}) == 2
         assert repr(tau) == "TieredOrdering({B} < {A C})"
 
     def test_foreign_operand_is_not_equal(self):
@@ -683,6 +684,14 @@ class TestSharedEnumeration:
             assert first_cross_tier_edges(path, tau) == first_cross_tier_edges_walk(
                 path, tau.assignment
             )
+
+    def test_first_edges_need_a_path_of_two_nodes(self):
+        """A path of no node or one node is refused with the line of
+        ``PDAG.check_path``, under an ordering or a tier vector."""
+        for path, tier in (([], TieredOrdering({"A": 1})), (["A"], TieredOrdering({"A": 1})),
+                           ((), ()), ((0,), (5,))):
+            with pytest.raises(GraphError, match="^a path needs at least two nodes$"):
+                first_cross_tier_edges(path, tier)
 
     def test_criterion_matches_per_ordering_loop(self):
         rng = np.random.default_rng(89)
@@ -1343,7 +1352,7 @@ def two_component_cpdag(rng):
 def stretched(rng, t):
     """``t`` under a random increasing map to negative, non-contiguous tiers."""
     a, b = int(rng.integers(1, 6)), int(rng.integers(-40, 10))
-    return TieredOrdering({v: a * k * k + b for v, k in t.normalized().assignment.items()})
+    return TieredOrdering({v: a * k * k + b for v, k in normalized(t).assignment.items()})
 
 
 class TestPerEdgeCriterion:
@@ -1540,7 +1549,7 @@ def coarsened(rng, t):
     """``t`` with runs of its tiers merged: compatible with ``t`` and, where
     ``t`` is consistent, consistent too."""
     step = int(rng.integers(2, 4))
-    return TieredOrdering({v: k // step for v, k in t.normalized().assignment.items()})
+    return TieredOrdering({v: k // step for v, k in normalized(t).assignment.items()})
 
 
 class TestWitness:
