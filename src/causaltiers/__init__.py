@@ -20,7 +20,6 @@ from .orientation import (
 )
 from .tiers import (
     CrossTierEdgeReport,
-    IncompatibleOrderingsError,
     Informativeness,
     Refinement,
     TierComparison,
@@ -75,7 +74,6 @@ __all__ = [
     "CrossTierEdgeReport",
     "Refinement",
     "Informativeness",
-    "IncompatibleOrderingsError",
     "compare_refinement",
     "cross_tier_report",
     "tiers_equivalent",

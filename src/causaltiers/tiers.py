@@ -16,14 +16,14 @@ the least edge, by label text, that is a first cross-tier edge of an
 earliest path under one ordering only, in the least chain component
 holding one.  Paths are listed only by :func:`cross_tier_report`, whose
 ``max_nodes`` is the opt-in and which walks only prefixes that can still
-become earliest.  Compatibility and refinement are read from tier groups,
-with no node-pair loop.
+become earliest.  Refinement is read from tier groups, with no node-pair
+loop; orderings that order a pair oppositely are incomparable, and every
+comparison answers on them.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -31,10 +31,6 @@ from typing import Iterable, Mapping, Sequence
 from .graphs import DEFAULT_PATH_NODE_LIMIT, Edge, GraphError, LimitError, Node, PDAG
 from .graphs import _component_labels
 from .orientation import InvariantError, _cross_tier_state, _orient_tiered, tiered_mpdag
-
-
-class IncompatibleOrderingsError(GraphError):
-    """Two orderings disagree on the relative order of a node pair."""
 
 
 class TieredOrdering:
@@ -97,10 +93,6 @@ class TieredOrdering:
             self._vector = (names, tuple(map(self._assignment.__getitem__, names)))
         return self._vector[1]
 
-    @property
-    def num_tiers(self) -> int:
-        return len(set(self._assignment.values()))
-
     def tier_groups(self) -> list[tuple[int, tuple[Node, ...]]]:
         """Tiers with their members, earliest first."""
         groups: dict[int, list[Node]] = {}
@@ -148,46 +140,31 @@ class TierComparison:
     verdict: Refinement
 
 
-def check_compatible(t1: TieredOrdering, t2: TieredOrdering) -> None:
-    """Raise unless no node pair is ordered oppositely by ``t1`` and ``t2``.
+def _finer(a1: Mapping[Node, int], a2: Mapping[Node, int]) -> bool:
+    """Whether every strict order of ``a2`` holds strictly in ``a1``: each tier
+    of ``a1`` lies inside one tier of ``a2``, and those ``a2`` tiers do not
+    decrease along ``a1``'s."""
+    inside: dict[int, int] = {}  # a1 tier -> the a2 tier holding it
+    for v, t in a1.items():
+        if inside.setdefault(t, a2[v]) != a2[v]:
+            return False
+    tiers = [inside[t] for t in sorted(inside)]
+    return all(map(operator.le, tiers, tiers[1:]))
 
-    A node conflicts iff its ``t2`` tier is above the least ``t2`` tier of
-    the nodes in strictly later ``t1`` tiers: one suffix minimum per ``t1``
-    tier, O(p log p).  The error names the first conflicting node in
-    ``t1``'s node order and then its first partner in that order.
+
+def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison:
+    """Refinement relation between two orderings of the same nodes.
+
+    ``t1`` is finer than ``t2`` when every strict order of ``t2`` also
+    holds strictly in ``t1``: each tier of ``t1`` lies inside one tier of
+    ``t2``, with those tiers non-decreasing along ``t1``'s.  Orderings
+    that order some pair oppositely are neither, so incomparable.
+    Orderings of different node sets raise :class:`GraphError`.
     """
     a1, a2 = t1._assignment, t2._assignment
     if a1.keys() != a2.keys():
         raise GraphError("orderings are defined on different node sets")
-    least: dict[int, int] = {}  # t1 tier -> least t2 tier inside it
-    for v, t in a1.items():
-        least[t] = min(least.get(t, a2[v]), a2[v])
-    later: dict[int, float] = {}  # t1 tier -> least t2 tier of the later t1 tiers
-    bound = math.inf
-    for t in sorted(least, reverse=True):
-        later[t] = bound
-        bound = min(bound, least[t])
-    for a, ta in a1.items():
-        if a2[a] > later[ta]:
-            b = next(b for b, tb in a1.items() if ta < tb and a2[a] > a2[b])
-            raise IncompatibleOrderingsError(
-                f"orderings contradict each other on ({a!r}, {b!r})"
-            )
-
-
-def compare_refinement(t1: TieredOrdering, t2: TieredOrdering) -> TierComparison:
-    """Refinement relation between two compatible orderings.
-
-    ``t1`` is finer than ``t2`` when every strict order of ``t2`` also
-    holds strictly in ``t1``.  For compatible orderings that holds iff
-    each tier of ``t1`` lies inside one tier of ``t2``, that is iff the
-    distinct ``(t1, t2)`` tier pairs of the nodes are as many as the
-    tiers of ``t1``.
-    """
-    check_compatible(t1, t2)
-    a2 = t2._assignment
-    cells = len({(t, a2[v]) for v, t in t1._assignment.items()})
-    first_finer, second_finer = cells == t1.num_tiers, cells == t2.num_tiers
+    first_finer, second_finer = _finer(a1, a2), _finer(a2, a1)
     if first_finer and second_finer:
         verdict = Refinement.EQUAL
     elif first_finer:
@@ -350,7 +327,6 @@ def tiers_equivalent(c: PDAG, t1: TieredOrdering, t2: TieredOrdering) -> TierEqu
     is the first differing shielded edge, else the least differing first
     edge (module docstring), read from the same per-edge sets at every size.
     """
-    check_compatible(t1, t2)
     return _compare(c, t1, t2)[0]
 
 

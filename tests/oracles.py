@@ -92,7 +92,6 @@ from causaltiers.simulation import _geometric_radius
 from causaltiers.tiers import (
     CrossTierEdgeReport,
     Informativeness,
-    IncompatibleOrderingsError,
     InformativenessResult,
     Refinement,
     TierEquivalence,
@@ -810,24 +809,18 @@ def _strict_pairs(ordering, nodes) -> set:
     return {(a, b) for a in nodes for b in nodes if ordering.tier_of(a) < ordering.tier_of(b)}
 
 
-def check_compatible_pairwise(t1, t2) -> None:
-    """:func:`causaltiers.tiers.check_compatible` by a loop over every
-    node pair, in ``t1``'s node order."""
-    if set(t1.nodes) != set(t2.nodes):
-        raise GraphError("orderings are defined on different node sets")
+def is_compatible(t1, t2) -> bool:
+    """Whether no node pair is ordered strictly by ``t1`` and strictly the
+    other way by ``t2``, over every node pair of ``t1``."""
     nodes = list(t1.nodes)
-    for a in nodes:
-        for b in nodes:
-            if t1.tier_of(a) < t1.tier_of(b) and t2.tier_of(a) > t2.tier_of(b):
-                raise IncompatibleOrderingsError(
-                    f"orderings contradict each other on ({a!r}, {b!r})"
-                )
+    return not _strict_pairs(t1, nodes) & {(b, a) for a, b in _strict_pairs(t2, nodes)}
 
 
 def compare_refinement_pairwise(t1, t2) -> Refinement:
     """The verdict of :func:`causaltiers.tiers.compare_refinement`, by
     comparing the two sets of strictly ordered node pairs."""
-    check_compatible_pairwise(t1, t2)
+    if set(t1.nodes) != set(t2.nodes):
+        raise GraphError("orderings are defined on different node sets")
     nodes = list(t1.nodes)
     s1, s2 = _strict_pairs(t1, nodes), _strict_pairs(t2, nodes)
     if s1 == s2:
@@ -995,7 +988,6 @@ def tiers_equivalent_loop(c, t1, t2, max_nodes: int = 25):
     paths, component by component; the witness from the shielded scan
     first, then the least edge, by label text, that is a first edge of an
     earliest path under one ordering only, in the first component with one."""
-    check_compatible_pairwise(t1, t2)
     for ordering in (t1, t2):
         require_consistency(c, ordering)
     h = c.undirected_subgraph()

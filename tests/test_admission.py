@@ -266,6 +266,44 @@ class TestOneDomain:
                 got = code, out.getvalue(), capsys.readouterr().err
                 assert got == (1, "", f"error: {want}\n"), argv
 
+    @pytest.mark.parametrize("graph, order, want", [
+        (PDAG("abcd", undirected=[("a", "b"), ("b", "c")]), "abc",
+         "ordering does not cover nodes ['d']"),
+        (PDAG("abc", directed=[("a", "b"), ("c", "b")]), "abc",
+         "ordering contradicts directed edges: c->b"),
+        (PDAG("abcd", undirected=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]), "abcd",
+         "not a CPDAG: the undirected part is not chordal at d"),
+        (PDAG("abc", directed=[("c", "b")], undirected=[("a", "b"), ("a", "c")]), "abc",
+         "not a CPDAG or tiered MPDAG: the ends of a - b have different parents"),
+        (PDAG("abc", undirected=[("a", "b"), ("b", "c")]), "abc", None),
+    ])
+    def test_comparisons_share_one_domain(self, graph, order, want, tmp_path, capsys):
+        """Under orderings that order every pair oppositely,
+        ``tiers_equivalent``, ``tiers_more_informative`` and ``compare-tiers``
+        refuse an input with the same one line when both orderings miss a
+        node, one contradicts an arc, the undirected part is not chordal, or
+        an undirected edge joins nodes with different parents; on a CPDAG
+        all three answer."""
+        t1 = TieredOrdering.from_tiers([[v] for v in order])
+        t2 = TieredOrdering.from_tiers([[v] for v in reversed(order)])
+        for compare in (tiers.tiers_equivalent, tiers.tiers_more_informative):
+            try:
+                compare(graph, t1, t2)
+                got = None
+            except GraphError as exc:
+                got = str(exc)
+            assert got == want, compare
+        files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+        for path, text in zip(files, (format_graph(graph), format_tiers(t1), format_tiers(t2))):
+            path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        code = cli.main(["compare-tiers", *map(str, files)], out=out)
+        err = capsys.readouterr().err
+        if want is None:
+            assert (code, err) == (0, "") and out.getvalue().startswith("equivalence: different\n")
+        else:
+            assert (code, out.getvalue(), err) == (1, "", f"error: {want}\n")
+
 
 def counted(monkeypatch):
     """Lists that grow by the graph each chordality search runs on, and by

@@ -469,6 +469,35 @@ class TestSubcommands:
         assert payload["witness"] == ["A", "C"]
         assert payload["informativeness"] == "first-more-informative"
 
+    def test_compare_tiers_answers_incompatible_orderings(self, tmp_path, capsys):
+        """Orderings that order a pair oppositely are compared, text and
+        JSON alike, and are incomparable by refinement; orderings of
+        different node sets are refused with one line."""
+        graph, t1, t2, t3 = (tmp_path / f"{name}.txt" for name in ("g", "t1", "t2", "t3"))
+        graph.write_text("nodes: a b c\na -- b\nb -- c\n")
+        t1.write_text("tier 1: a\ntier 2: b\ntier 3: c\n")
+        t2.write_text("tier 1: c\ntier 2: b\ntier 3: a\n")
+        t3.write_text("tier 1: a b\n")
+        code, out = run_cli("compare-tiers", str(graph), str(t1), str(t2))
+        assert code == 0
+        assert out == (
+            "equivalence: different\n"
+            "witness: a->b\n"
+            "earliest-path first edges: disagree\n"
+            "fully-shielded cross-tier edges: agree\n"
+            "informativeness: incomparable\n"
+            "refinement: incomparable\n"
+        )
+        code, out = run_cli("compare-tiers", str(graph), str(t1), str(t2), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["equivalent"], payload["witness"]) == (False, ["a", "b"])
+        assert (payload["informativeness"], payload["refinement"]) == ("incomparable",) * 2
+        assert capsys.readouterr().err == ""
+        code, out = run_cli("compare-tiers", str(graph), str(t1), str(t3))
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: orderings are defined on different node sets\n"
+
     def test_simulate(self, tmp_path):
         out_csv = tmp_path / "r.csv"
         code, out = run_cli(

@@ -3,6 +3,7 @@ stdout pinned in ``tests/fixtures/expected/demo_<name>.txt``.  Under
 ``python -O`` the demos run under ``-O`` too, against the same files.
 The README's examples run too, against what the README says they give."""
 
+import importlib
 import io
 import os
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import causaltiers
 from causaltiers.cli import main
 
 from conftest import FIXTURES
@@ -80,3 +82,16 @@ def test_readme_square_refusal_is_what_orient_writes(tmp_path, capsys):
     out = io.StringIO()
     assert (main(argv, out=out), out.getvalue()) == (1, "")
     assert capsys.readouterr().err == line + "\n"
+
+
+def test_readme_public_names_are_all():
+    """The README's "Public names" list is ``causaltiers.__all__``, in its
+    order, and each is a name of the module it is listed under."""
+    section = re.search(r"### Public names\n(.*?)\n#", README, re.S).group(1)
+    listed = []
+    for module, names in re.findall(r"^- `(\w+)`[^:]*: (.*(?:\n  .*)*)", section, re.M):
+        defined = importlib.import_module(f"causaltiers.{module}")
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(defined, name), (module, name)
+            listed.append(name)
+    assert listed == causaltiers.__all__

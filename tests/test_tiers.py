@@ -11,7 +11,6 @@ import pytest
 from causaltiers import (
     GraphError,
     InconsistentKnowledgeError,
-    IncompatibleOrderingsError,
     LimitError,
     Informativeness,
     PDAG,
@@ -33,7 +32,6 @@ from causaltiers.tiers import (
     _compare,
     _first_edges,
     _floors,
-    check_compatible,
     first_cross_tier_edges,
 )
 
@@ -59,6 +57,7 @@ from oracles import (
     floors_from_every_node,
     forbidden_set,
     fully_shielded_edges,
+    is_compatible,
     is_earliest,
     joint_ida_by_root_picking,
     leaves,
@@ -200,11 +199,17 @@ class TestCompareRefinement:
         c_last = TieredOrdering.from_tiers([["A", "B"], ["C"]])
         assert compare_refinement(a_first, c_last).verdict is Refinement.INCOMPARABLE
 
-    def test_incompatible_orderings_raise(self):
+    def test_incompatible_orderings_incomparable(self):
+        """Orderings that order a pair oppositely are neither finer, also
+        when one is the other with two tiers merged or with a tier split."""
         a = TieredOrdering({"A": 1, "B": 2})
         b = TieredOrdering({"A": 2, "B": 1})
-        with pytest.raises(IncompatibleOrderingsError, match="A.*B|B.*A"):
-            compare_refinement(a, b)
+        assert compare_refinement(a, b).verdict is Refinement.INCOMPARABLE
+        fine = TieredOrdering.from_tiers([["A"], ["B"], ["C"]])
+        for other in ([["C"], ["A", "B"]], [["B", "C"], ["A"]], [["A", "C"], ["B"]]):
+            t = TieredOrdering.from_tiers(other)
+            assert compare_refinement(fine, t).verdict is Refinement.INCOMPARABLE
+            assert compare_refinement(t, fine).verdict is Refinement.INCOMPARABLE
 
     def test_finer_means_larger_forbidden_set(self):
         rng = np.random.default_rng(11)
@@ -250,8 +255,9 @@ def random_ordering_pair(rng):
 
 
 class TestOrderingsByTierGroups:
-    """Compatibility and refinement read from tier groups match the
-    pairwise oracles: verdicts, error texts and the pair they name."""
+    """Refinement read from tier groups matches the pairwise oracle, the
+    comparison of the strictly ordered node pairs: verdicts, compatible
+    or not, and the refusal of different node sets with its text."""
 
     def test_matches_pairwise_oracles(self):
         rng = np.random.default_rng(113)
@@ -264,15 +270,11 @@ class TestOrderingsByTierGroups:
                 with pytest.raises(type(exc)) as info:
                     compare_refinement(t1, t2)
                 assert str(info.value) == str(exc)
-                with pytest.raises(type(exc)) as info:
-                    check_compatible(t1, t2)
-                assert str(info.value) == str(exc)
                 outcomes[type(exc).__name__] += 1
                 continue
-            check_compatible(t1, t2)
             assert compare_refinement(t1, t2).verdict is expected
             outcomes[expected] += 1
-        assert len(outcomes) == 6 and min(outcomes.values()) > 50, outcomes
+        assert len(outcomes) == 5 and min(outcomes.values()) > 50, outcomes
 
 
 class TestCuTau:
@@ -899,9 +901,10 @@ class TestEarliestFromTree:
     def test_non_chordal_part_is_refused(self, tmp_path, capsys):
         """Searched floors are exact only on chordal graphs, which every
         CPDAG's undirected part is: the report refuses any other graph
-        with one line, and so does the comparison, with the same line."""
+        with one line, and so does the comparison, with the same line,
+        also of orderings that order some pair oppositely."""
         rng = np.random.default_rng(157)
-        refused = compared = 0
+        refused = incompatible = 0
         while refused < 40:
             h = random_undirected_graph(rng, int(rng.integers(4, 10)))
             k = h._non_simplicial()
@@ -913,20 +916,21 @@ class TestEarliestFromTree:
             message = f"not a CPDAG: the undirected part is not chordal at {h.nodes[k]}"
             assert str(info.value) == message
             t2 = random_coarsening(rng, h.num_nodes)
-            if is_compatible(tau, t2):
-                with pytest.raises(GraphError) as info:
-                    _compare(h, tau, t2)
-                assert str(info.value) == message
-                files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
-                for path, text in zip(files, (format_graph(h), format_tiers(tau), format_tiers(t2))):
-                    path.write_text(text)
-                out = io.StringIO()
-                assert main(["compare-tiers", *map(str, files)], out=out) == 1
-                err = capsys.readouterr().err
-                assert out.getvalue() == "" and err == f"error: {message}\n"
-                compared += 1
+            if rng.random() < 0.5:  # a coarsening of the reversed label order
+                t2 = TieredOrdering({v: -t for v, t in t2.assignment.items()})
+            incompatible += not is_compatible(tau, t2)
+            with pytest.raises(GraphError) as info:
+                _compare(h, tau, t2)
+            assert str(info.value) == message
+            files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
+            for path, text in zip(files, (format_graph(h), format_tiers(tau), format_tiers(t2))):
+                path.write_text(text)
+            out = io.StringIO()
+            assert main(["compare-tiers", *map(str, files)], out=out) == 1
+            err = capsys.readouterr().err
+            assert out.getvalue() == "" and err == f"error: {message}\n"
             refused += 1
-        assert compared > 10, compared
+        assert incompatible > 10, incompatible
 
     def test_comparison_refuses_before_orienting(self, tmp_path, capsys):
         """A graph with arcs whose undirected part has the chordless cycle
@@ -1062,34 +1066,33 @@ class TestTheoremCheck:
         )
 
     def test_consistent_incompatible_pairs(self):
-        """Two orderings each consistent with the true DAG but ordering
-        some pair oppositely: the pass agrees with the per-ordering loop
-        and with MPDAG equality, and raises nothing."""
+        """Two orderings, each cut from a random topological order of a
+        member of one class (the same member or another), until 1,000 pairs
+        order some pair oppositely: on each pair, compatible or not, the
+        pass agrees with the per-ordering loops and with MPDAG equality, and
+        raises nothing.  Among the incompatible pairs are equivalent ones,
+        and ones on which the sufficient conditions fire, each with verdict
+        MORE_INFORMATIVE."""
         rng = np.random.default_rng(101)
         outcomes = Counter()
-        for _ in range(200):
-            p = int(rng.integers(3, 10))
-            c, t1, dag = random_cpdag_and_tau(rng, p, float(rng.choice([1.5, 2.5])))
-            t2 = random_topological_tiers(rng, dag)
-            try:
-                check_compatible(t1, t2)
-                outcomes["compatible"] += 1
-            except IncompatibleOrderingsError:
-                outcomes["incompatible"] += 1
+        while outcomes["incompatible"] < 1000:
+            p = int(rng.integers(3, 9))
+            c = random_cpdag_and_tau(rng, p, float(rng.choice([1.5, 2.5])))[0]
+            members = enumerate_class(c)
+            t1, t2 = (random_topological_tiers(rng, members[k])
+                      for k in rng.integers(len(members), size=2))
+            kind = "compatible" if is_compatible(t1, t2) else "incompatible"
             equiv, info = _compare(c, t1, t2)
+            assert equiv == tiers_equivalent(c, t1, t2) == tiers_equivalent_loop(c, t1, t2)
             assert info == tiers_more_informative(c, t1, t2)
             assert info == tiers_more_informative_loop(c, t1, t2)
             assert equiv.equivalent == (tiered_mpdag(c, t1) == tiered_mpdag(c, t2))
-            outcomes[equiv.equivalent] += 1
+            if info.sufficient_conditions_fired:
+                assert info.verdict is Informativeness.MORE_INFORMATIVE, (c, t1, t2)
+            outcomes[kind] += 1
+            outcomes[kind, equiv.equivalent] += 1
+            outcomes[kind, "fired"] += info.sufficient_conditions_fired
         assert min(outcomes.values()) > 20, outcomes
-
-
-def is_compatible(t1, t2):
-    try:
-        check_compatible(t1, t2)
-    except IncompatibleOrderingsError:
-        return False
-    return True
 
 
 class TestDefinitionAudit:
@@ -1099,20 +1102,19 @@ class TestDefinitionAudit:
 
     def test_comparison_matches_admitted_members(self):
         """Every ordering on every class; for each class with an undirected
-        edge, a seeded sample of its compatible pairs of consistent
-        orderings, each compared once."""
+        edge, a seeded sample of its pairs of consistent orderings,
+        compatible or not, each compared once."""
         orderings = [
             TieredOrdering(dict(enumerate(levels)))
             for levels in itr.product(range(4), repeat=4)
             if set(levels) == set(range(max(levels) + 1))
         ]
         assert len(orderings) == 75
-        compatible = [[is_compatible(t1, t2) for t2 in orderings] for t1 in orderings]
         classes: dict = {}
         for arcs in all_dags(4):
             classes.setdefault(cpdag_of(PDAG(range(4), directed=list(arcs))), []).append(arcs)
         rng = np.random.default_rng(131)
-        disagreements, compared = [], 0
+        disagreements, compared, incompatible = [], 0, 0
         for c, members in classes.items():
             admitted = {}
             for k, t in enumerate(orderings):
@@ -1128,7 +1130,7 @@ class TestDefinitionAudit:
                     admitted[k] = r
             if not c.undirected_edges:
                 continue
-            pairs = [(i, j) for i in admitted for j in admitted if compatible[i][j]]
+            pairs = [(i, j) for i in admitted for j in admitted]
             for k in rng.choice(len(pairs), size=min(60, len(pairs)), replace=False):
                 i, j = pairs[k]
                 t1, t2, r1, r2 = orderings[i], orderings[j], admitted[i], admitted[j]
@@ -1149,15 +1151,16 @@ class TestDefinitionAudit:
                     if not holds:
                         disagreements.append((name, c, t1, t2))
                 compared += 1
+                incompatible += not is_compatible(t1, t2)
         assert not disagreements, disagreements[:5]
         assert sum(1 for c in classes if c.undirected_edges) == 126
-        assert compared > 5000, compared
+        assert compared > 5000 and incompatible > 1000, (compared, incompatible)
 
     def test_comparison_matches_admitted_members_on_five_nodes(self):
         """A seeded sample of 5-node classes with an unshielded path of four
         or more nodes in their undirected part, each class listed from its
         skeleton and v-structures alone; for each, a seeded sample of the
-        compatible pairs of consistent orderings among all 541."""
+        pairs of consistent orderings among all 541, compatible or not."""
         orderings = [
             TieredOrdering(dict(enumerate(levels)))
             for levels in itr.product(range(5), repeat=5)
@@ -1165,7 +1168,7 @@ class TestDefinitionAudit:
         ]
         assert len(orderings) == 541
         rng = np.random.default_rng(137)
-        classes, disagreements, outcomes = set(), [], Counter()
+        classes, disagreements, outcomes, incompatible = set(), [], Counter(), 0
         while len(classes) < 20:
             order = rng.permutation(5)
             arcs = frozenset(
@@ -1186,11 +1189,8 @@ class TestDefinitionAudit:
                 r = frozenset(m for m in members if all(tier[u] <= tier[v] for u, v in m))
                 if r:
                     admitted.append((t, r))
-            pairs = 0
-            for _ in range(600):
+            for _ in range(120):
                 (t1, r1), (t2, r2) = (admitted[k] for k in rng.integers(len(admitted), size=2))
-                if not is_compatible(t1, t2):
-                    continue
                 equiv, info = _compare(c, t1, t2)
                 verdict = (
                     Informativeness.EQUIVALENT if r1 == r2
@@ -1203,11 +1203,10 @@ class TestDefinitionAudit:
                 if info.verdict != verdict:
                     disagreements.append(("informativeness", c, t1, t2))
                 outcomes[verdict] += 1
-                pairs += 1
-                if pairs == 120:
-                    break
+                incompatible += not is_compatible(t1, t2)
         assert not disagreements, disagreements[:5]
         assert min(outcomes.values()) > 50 and sum(outcomes.values()) > 1500, outcomes
+        assert incompatible > 300, incompatible
 
     def test_class_and_parent_sets_match_admitted_members(self):
         """Every ordering on every 4-node class: the tiered MPDAG's directed
