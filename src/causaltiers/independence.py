@@ -12,13 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graphs import GraphError, Node, PDAG, _topological_order, v_structures
-
-__all__ = [
-    "is_d_separated",
-    "v_structures",
-    "cpdag_of",
-]
+from .graphs import GraphError, Node, PDAG, _topological_order
 
 
 def _as_index_set(g: PDAG, nodes: Iterable[Node]) -> set[int]:

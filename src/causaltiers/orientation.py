@@ -10,20 +10,21 @@ the cross-tier orientations, a clique's edges out or, for
 :func:`meek_closure`, the input's arcs into U, as every rule needs a parent
 at one end of the edge it orients.  One tiered pass takes an input and all
 its orderings (:func:`tiered_mpdag`, CLI ``orient``, the comparison, the
-simulation): it admits the input once, then per ordering orients the
-cross-tier edges from one tier vector, closes them (rule 1 alone reaches
-the fixpoint), builds the result from the input and certifies it in linear
-time and every mode (:class:`InvariantError`), and rejects a new
-v-structure.  :func:`class_size` and joint IDA count by clique picking
-(Wienobst, Bannach and Liskiewicz, AAAI 2021) in polynomial time, with
-rule-1 closures only; :func:`enumerate_class` lists what they count, as
-joint IDA on every node, up to ``max_members`` members (:class:`LimitError`).
-Each member of a connected chordal component is counted under one maximal
-clique C of a rooted clique tree, whose nodes it orders first, in one of
-phi(C, FP(C)) orders (:func:`_phi`).  C first is the tiered MPDAG of
-{c1} < ... < {ck} < rest, so rule 1 builds it, and its chain components
-outside C orient independently.  A node's parents are its directed parents
-there and its parents inside its chain component or C.
+simulation), whatever their number: it runs the shared-parents gate on the
+input, then per ordering orients the cross-tier edges from one tier vector,
+closes them (rule 1 alone reaches the fixpoint), builds the result from the
+input and certifies it in linear time and every mode (:class:`InvariantError`),
+the first result with a chordality search, and rejects a new v-structure;
+only a failed pass searches the input.  :func:`class_size` and joint IDA
+count by clique picking (Wienobst, Bannach and Liskiewicz, AAAI 2021) in
+polynomial time, with rule-1 closures only; :func:`enumerate_class` lists
+what they count, as joint IDA on every node, up to ``max_members`` members
+(:class:`LimitError`).  Each member of a connected chordal component is
+counted under one maximal clique C of a rooted clique tree, whose nodes it
+orders first, in one of phi(C, FP(C)) orders (:func:`_phi`).  C first is the
+tiered MPDAG of {c1} < ... < {ck} < rest, so rule 1 builds it, and its chain
+components outside C orient independently.  A node's parents are its
+directed parents there and its parents inside its chain component or C.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def _require_shared_parents(g: PDAG) -> None:
 def _require_chordal_part(c: PDAG) -> None:
     """The domain of every function that takes a CPDAG or tiered MPDAG: after
     :func:`_require_shared_parents`, refuse ``c``, naming a node, unless its undirected
-    part is chordal, so that ``c`` has a member.  A one-ordering pass that passes implies
+    part is chordal, so that ``c`` has a member.  Any ordering whose pass passes implies
     it: let ``c`` share parents and have a chordless cycle Z of 4+ nodes (no arc is a
     chord, as Z's nodes share parents).  A result leaves Z undirected (not chordal), directs
     it one way round (a partially directed cycle), or has a sink run x -> u - ... - v <- y
@@ -356,11 +357,11 @@ def _require_invariants(g: PDAG, s, search: bool, u: Sequence[int]) -> None:
     so ``g`` is the full closure iff none fires), or if ``g`` has a partially
     directed cycle (a directed one too: ``g`` may be built unchecked) or a
     chain component that is not chordal; linear time.  A pass is
-    :func:`_shares_parents` at the nodes ``u``, Kahn's check and, if ``search``,
-    the chordality search, needless if ``g`` directs edges of an input with a chordal
-    undirected part U: an edge of U in a chain component K that ``g`` directs
-    closes a partially directed cycle, so K is induced in U.  Only a failure
-    scans the four rules, for the first firing in rule and edge order, which
+    :func:`_shares_parents` at the nodes ``u``, Kahn's check and, if ``search`` (the
+    tiered pass's first result), the chordality search, needless once that result has
+    proved the input's undirected part U chordal: an edge of U in a chain component K
+    that ``g`` directs closes a partially directed cycle, so K is induced in U.  Only a
+    failure scans the four rules, for the first firing in rule and edge order, which
     names both directions if the edge fires both ways, then the contracted
     components."""
     if (_shares_parents(s[0], s[1], u) and not g.has_directed_cycle()
@@ -387,11 +388,11 @@ def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequen
     frontier of the cross-tier orientations (no rule fires on an admitted ``c``:
     :func:`_shares_parents`) and its :func:`meek_closure_trace` firings, built
     unchecked, as the invariant checks find a directed cycle.  ``c`` is admitted once
-    (:func:`_require_chordal_part`): before two or more orderings, then no result is
-    searched; for one, by searching the result, and ``c`` if the pass fails, so k orderings
-    give the outcome of k one-ordering passes.  Stages walk only U, listed once."""
-    search = len(orderings) < 2
-    (_require_shared_parents if search else _require_chordal_part)(c)
+    for any k orderings: the shared-parents gate, then the first result's chordality
+    search, which proves ``c`` chordal if its pass passes; on a failure, ``c``'s search
+    (:func:`_require_chordal_part`), so k orderings give the outcome of k one-ordering
+    passes in turn.  Stages walk only U, listed once."""
+    _require_shared_parents(c)
     names, u, out = c.nodes, c._with_neighbours(), []
     try:
         for ordering in orderings:
@@ -399,12 +400,11 @@ def _orient_tiered(c: PDAG, orderings: Sequence["TieredOrdering"], rules: Sequen
             s, oriented = _cross_tier_state(c, ordering._tiers(names))
             trace = _close(s, rules, names, oriented)
             g = c._oriented(s[0], s[1], False)
-            _require_invariants(g, s, search, u)
+            _require_invariants(g, s, not out, u)
             _require_no_new_v_structures(c, s)
             out.append((g, trace))
     except GraphError:
-        if search:
-            _require_chordal_part(c)
+        _require_chordal_part(c)
         raise
     return out
 

@@ -30,7 +30,6 @@ from .tiers import TieredOrdering
 
 #: expected number of adjacent nodes per density class
 DENSITY_NEIGHBOURS = {"sparse": 2.0, "dense": 5.0}
-GENERATORS = ("er", "power", "geometric")
 
 @dataclass(frozen=True)
 class TierScheme:
@@ -206,6 +205,7 @@ _SKELETONS = {
     "power": _power_skeleton,
     "geometric": _geometric_skeleton,
 }
+GENERATORS = tuple(_SKELETONS)  # in _replication_rng's spawn key: keep the order
 
 
 def random_dag(p: int, expected_neighbours: float, generator: str, rng) -> PDAG:

@@ -1,7 +1,6 @@
 """One admission per input: the tiered pass takes all of an input's
-orderings, runs the shared-parents gate once and, with two or more
-orderings, searches the input's undirected part instead of each result;
-with one, it searches the result, and the input only if the pass fails.
+orderings, runs the shared-parents gate once and, for any number of
+orderings, searches the first result, and the input only if a pass fails.
 
 Checked against ``oracles.orient_tiered_each``, one whole pass per ordering
 in turn; by the converse (an input that shares parents but has a non-chordal
@@ -191,10 +190,10 @@ class TestOnePassPerInput:
         share parents and have a non-chordal undirected part, under tiers
         of 1-4 levels their arcs respect, fail every pass, with one ordering
         and with two, under rule 1 and rules 1-4, and each pass refuses them
-        as such.  With one, the failure that sends the pass to the input's
-        search is the result's search, or a new v-structure, or rule 1
-        orienting an edge both ways as it carries a parent along a sink run:
-        with the input's search stubbed out, those leave instead."""
+        as such.  With one or two, the failure that sends the pass to the
+        input's search is the first result's search, or a new v-structure,
+        or rule 1 orienting an edge both ways as it carries a parent along a
+        sink run: with the input's search stubbed out, those leave instead."""
         rng = np.random.default_rng(247)
         seen = Counter()
         cases = []
@@ -211,12 +210,13 @@ class TestOnePassPerInput:
         monkeypatch.setattr(orientation, "_require_chordal_part", lambda c: None)
         seen.clear()
         for c, orderings, rules in cases:
-            if len(orderings) == 1:
-                with pytest.raises(GraphError) as info:
-                    orientation._orient_tiered(c, orderings, rules)
-                seen[kind_of((None, str(info.value)))] += 1
-        for kind in ("chordality", "ordering creates", "rules orient"):
-            assert seen[kind] > 200, seen
+            with pytest.raises(GraphError) as info:
+                orientation._orient_tiered(c, orderings, rules)
+            seen[len(orderings), kind_of((None, str(info.value)))] += 1
+        kinds = ("chordality", "ordering creates", "rules orient")
+        assert {kind for _, kind in seen} == set(kinds), seen
+        for k, kind in itr.product((1, 2), kinds):
+            assert seen[k, kind] > 200 // k, seen
 
 
 class TestOneDomain:
@@ -354,10 +354,11 @@ class TestCallCounts:
         assert len(inputs) == 4 and len(set(map(id, listed))) == len(listed)
         assert all(sum(g is c for g in listed) == 1 for c in inputs)
 
-    def test_compare_tiers_searches_the_input_once(self, monkeypatch, tmp_path):
+    def test_compare_tiers_searches_the_first_result_once(self, monkeypatch, tmp_path):
         """Each compare-tiers op, on bands and on random CPDAGs under orderings
-        cut from one order: one chordality search, of the input, and three
-        shared-parents tests, one on the input and one per result."""
+        cut from one order: one chordality search, of the first ordering's
+        MPDAG, and three shared-parents tests, one on the input and one per
+        result."""
         rng = np.random.default_rng(249)
         files = [tmp_path / name for name in ("g.txt", "t1.txt", "t2.txt")]
         for trial in range(40):
@@ -369,21 +370,28 @@ class TestCallCounts:
                 width = int(rng.integers(1, 4))
                 c = PDAG(names, undirected=[(names[i], names[j]) for i in range(p)
                                             for j in range(i + 1, min(p, i + width + 1))])
-            texts = format_graph(c), *(format_tiers(random_coarsening(rng, p)) for _ in "12")
-            for path, text in zip(files, texts):
+            t1, t2 = random_coarsening(rng, p), random_coarsening(rng, p)
+            first = tiered_mpdag(c, t1)
+            for path, text in zip(files, (format_graph(c), format_tiers(t1), format_tiers(t2))):
                 path.write_text(text, encoding="utf-8")
             searched, tested = counted(monkeypatch)
             assert cli.main(["compare-tiers", *map(str, files)], out=io.StringIO()) == 0
-            assert len(searched) == 1 and searched[0] == c and len(tested) == 3
+            assert len(searched) == 1 and searched[0] == first and len(tested) == 3
             monkeypatch.undo()
 
     def test_simulation_searches_each_cpdag_once(self, monkeypatch):
-        """Per simulated CPDAG under the five schemes: one search and six
-        shared-parents tests; under one scheme, one search, of the result."""
+        """Per simulated CPDAG under the five schemes: one search, of the first
+        scheme's result (the graph that a run of that scheme alone searches),
+        and six shared-parents tests; under one scheme, one search, of the
+        result."""
         cell = SimCell(25, "dense", "er")
         searched, tested = counted(monkeypatch)
         records = run_cell(cell, list(TIER_SCHEMES), 4, seed=3)
         assert len(records) == 20 and len(searched) == 4 and len(tested) == 24
+        several = list(searched)
+        searched.clear()
+        run_cell(cell, "full", 4, seed=3)
+        assert searched == several
         searched.clear()
         tested.clear()
         records = run_cell(cell, "late2", 4, seed=3)
