@@ -144,8 +144,9 @@ class TestOnePassPerInput:
         """A closure that orients nothing, or one more arc on a triangle of
         a chain component, gives the pass and one pass per ordering the
         same outcome; where the honest pass answers and the faulty result
-        differs, that outcome is an InvariantError, also with no result
-        searched (k >= 2)."""
+        differs, that outcome is an InvariantError, also for the later
+        results of k >= 2 orderings, which are not searched (the first
+        result is searched for every k)."""
         rng = np.random.default_rng(243)
         cases = [draw_case(rng, trial) for trial in range(1500)]
         honest = [outcome(lambda: orientation._orient_tiered(c, orderings[:k], (1,)))

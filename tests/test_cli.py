@@ -7,9 +7,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causaltiers import (PDAG, GraphError, InconsistentKnowledgeError, cli, orientation,
                          tiered_mpdag, tiers)
@@ -29,6 +32,28 @@ def run_cli(*argv):
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+@st.composite
+def mutated(draw, *names):
+    """One of the fixture files ``names`` as bytes after one to four edits:
+    a line deleted, repeated or moved, or a byte replaced, inserted or deleted."""
+    lines = (FIXTURES / draw(st.sampled_from(names))).read_bytes().splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["delete", "repeat", "move", "byte"]))
+        if edit == "byte" or not lines:
+            data = b"".join(lines)
+            at = draw(st.integers(0, len(data)))
+            byte = bytes([draw(st.integers(0, 255))])
+            data = draw(st.sampled_from([data[:at] + byte + data[at + 1:],
+                                         data[:at] + byte + data[at:], data[:at] + data[at + 1:]]))
+            lines = data.splitlines(keepends=True)
+        elif k < len(lines):
+            line = lines.pop(k) if edit != "repeat" else lines[k]
+            if edit != "delete":
+                lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"".join(lines)
 
 
 def run_optimized(script):
@@ -825,6 +850,44 @@ class TestExitCodes:
         code, out = run_cli("ida", fixture("wave_cpdag.txt"), "--x", "A", "--joint", "B")
         assert (code, out) == (2, "")
         assert "not allowed with argument" in capsys.readouterr().err
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(graph=mutated("wave_cpdag.txt", "wave_dag.txt"),
+           tiers1=mutated("wave_tiers2.txt", "wave_tiers3.txt"),
+           tiers2=mutated("wave_tiers3.txt", "wave_tiers_fine_late.txt"),
+           nodes=st.sampled_from(["-1", "0", "4", "x"]))
+    def test_every_input_ends_in_an_exit_code_and_one_line(self, graph, tiers1, tiers2, nodes):
+        """The CLI's promise on any input: exit 0, 1 or 2 and never a traceback;
+        exit 1 with one ``error:`` line, exit 2 with that or argparse's usage
+        and error lines.  The fixture graph and tier files, their lines and
+        bytes mutated, go through every subcommand in process."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for name, data in (("g", graph), ("t1", tiers1), ("t2", tiers2)):
+                paths[name] = os.path.join(tmp, name)
+                with open(paths[name], "wb") as fh:
+                    fh.write(data)
+            g, t1, t2 = paths["g"], paths["t1"], paths["t2"]
+            runs = [
+                ["validate", g], ["orient", g, "--tiers", t1],
+                ["orient", g, "--tiers", t2, "--rules", "all", "--json"],
+                ["compare-tiers", g, t1, t2], ["dsep", g, "--a", "A", "--b", "E", "--c", "C"],
+                ["classify-path", g, "--path", "A,C,D"], ["ida", g, "--x", "C"],
+                ["ida", g, "--joint", "A,C", "--json"],
+                ["simulate", "--nodes", nodes, "--density", "sparse", "--generator", "er",
+                 "--reps", "1", "--out", os.path.join(tmp, "sim.csv")],
+            ]
+            for argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv, out=io.StringIO())
+                lines = err.getvalue().splitlines()
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue(), argv
+                if code == 1 or (code == 2 and not lines[0].startswith("usage: ")):
+                    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+                elif code == 2:  # argparse: the usage, maybe wrapped, then its error line
+                    assert lines[-1].startswith(f"causaltiers {argv[0]}: error: "), (argv, lines)
 
 
 @contextlib.contextmanager
